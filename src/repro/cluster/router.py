@@ -237,10 +237,11 @@ class ClusterRouter:
     def score_many(self, wires: Sequence[bytes]) -> List[Verdict]:
         """Bulk path: partition by ring owner, score chunks concurrently.
 
-        Each shard's chunk runs on its own dispatch thread — shards are
-        process- (or pool-) parallel, so scoring them sequentially
-        would serialize the whole cluster behind one dispatcher, which
-        is exactly the plateau this transport exists to break.  Wires
+        Shard chunks are dispatched concurrently (one on the calling
+        thread, the others on a thread each) — shards are process- (or
+        pool-) parallel, so scoring them sequentially would serialize
+        the whole cluster behind one dispatcher, which is exactly the
+        plateau this transport exists to break.  Wires
         whose chunk hits a dead or shedding shard are individually
         re-routed through :meth:`score_wire` afterwards — nothing is
         lost, order is kept.
@@ -298,23 +299,23 @@ class ClusterRouter:
                     i for i in indices if results[i] is None
                 ]
 
-        if len(items) <= 1 or not _PARALLEL_DISPATCH:
-            for shard_id, indices in items:
-                dispatch(shard_id, indices)
-        else:
-            threads = [
-                threading.Thread(
-                    target=dispatch,
-                    args=(shard_id, indices),
-                    name=f"polygraph-dispatch-{shard_id}",
-                    daemon=True,
-                )
-                for shard_id, indices in items
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
+        # The caller would only wait for its threads: it scores the last
+        # chunk itself, so N shards cost N-1 thread starts per batch.
+        threads = [
+            threading.Thread(
+                target=dispatch,
+                args=(shard_id, indices),
+                name=f"polygraph-dispatch-{shard_id}",
+                daemon=True,
+            )
+            for shard_id, indices in (items[:-1] if _PARALLEL_DISPATCH else ())
+        ]
+        for thread in threads:
+            thread.start()
+        for shard_id, indices in items[len(threads):]:
+            dispatch(shard_id, indices)
+        for thread in threads:
+            thread.join()
         for shard_id, retry in retries.items():
             if retry:
                 self.supervisor.note_failure(shard_id)
@@ -333,8 +334,8 @@ class ClusterRouter:
     ) -> List[int]:
         """Score one shard's chunk in place; return indices to re-route.
 
-        Runs on a per-shard dispatch thread: writes only to its own
-        ``results`` slots, and all shared counters are lock-guarded.
+        Runs concurrently with the other shards' chunks: writes only to
+        its own ``results`` slots, and all shared counters are lock-guarded.
         """
         shard = self.supervisor.shards.get(shard_id)
         if shard is None:

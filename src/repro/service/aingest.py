@@ -5,44 +5,57 @@ scores one request per server thread: parse, score, respond, repeat.
 That serializes the socket on the model call and caps ingest well below
 what the sharded scoring tier can absorb.  This module replaces the
 front of that pipeline with a single-threaded asyncio server that keeps
-many requests in flight per connection:
+many requests in flight per connection and spends as little as it can
+on each:
 
-* **streaming request parsing** — headers via ``readuntil``, bodies via
-  ``readexactly``; nothing is buffered beyond the request being read;
+* **one parse pass per read** — every connection is an
+  :class:`asyncio.Protocol` with one input buffer.  ``data_received``
+  appends to it and parses every complete pipelined request in a single
+  pass (an offset advances; the buffer is trimmed once), enforcing the
+  framing limits a hostile client probes: head size, one unambiguous
+  ``Content-Length``, no ``Transfer-Encoding``, body cap;
+* **ordered response slots** — each parsed request takes a slot in its
+  connection's deque.  Whatever answers the request fills the slot; a
+  flush writes the longest answered *prefix* of the deque with one
+  ``transport.write``, so HTTP/1.1 pipelining stays ordered even though
+  scoring completes out of order across batches;
 * **batch coalescing** — ``POST /collect`` bodies from *all*
   connections land in one coalescing buffer; a batcher slices it into
   chunks and feeds them to the scoring service's widest interface
   (``score_many`` on the cluster router, ``submit_wire`` pipelining on
   the micro-batched runtime, ``score_wire`` otherwise) on a small
-  thread pool, several batches in flight at once;
-* **read-side backpressure** — when the number of admitted-but-
-  unanswered wires crosses the high watermark the server simply *stops
-  reading sockets* (TCP flow control propagates to clients) until the
-  backlog drains below the low watermark, instead of accepting work
-  only to shed it with 503s.  Pause episodes are counted and exported.
-
-Responses stay ordered per connection: each parsed request enqueues a
-future into that connection's response lane, and a per-connection
-writer drains the lane in arrival order — so HTTP/1.1 pipelining is
-safe even though scoring completes out of order across batches.
+  thread pool, several batches in flight at once.  A finished batch
+  fills its slots and then flushes each connection it touched *once*;
+  responses are rendered once per distinct verdict in the batch;
+* **two-sided backpressure** — when the number of admitted-but-
+  unanswered wires reaches the high watermark the server *stops
+  reading every socket* (TCP flow control propagates to clients) until
+  the backlog drains below the low watermark, instead of accepting work
+  only to shed it with 503s; pause episodes are counted and exported.
+  And a connection whose client stops *reading* its responses stops
+  being read until the transport's write buffer drains, so a client
+  that pipelines and never reads cannot grow server memory.
 
 Endpoints other than ``POST /collect`` are delegated to the existing
 :class:`~repro.service.api.CollectionApp` through a minimal in-process
-WSGI bridge, so ``/health``, ``/metrics``, ``/cluster`` and the session
-endpoints behave identically under either front end.  ``GET /metrics``
-responses additionally carry this server's ``polygraph_ingest_*``
-counters.
+WSGI bridge on the same thread pool, so ``/health``, ``/metrics``,
+``/cluster`` and the session endpoints behave identically under either
+front end.  ``GET /metrics`` responses additionally carry this server's
+``polygraph_ingest_*`` counters.
 """
 
 from __future__ import annotations
 
 import asyncio
 import io
+import json
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Deque, List, Optional, Set, Tuple
 
 from repro.fingerprint.script import MAX_PAYLOAD_BYTES
+from repro.runtime.pool import OVERLOADED_REASON
 
 __all__ = ["AsyncIngestServer"]
 
@@ -54,6 +67,9 @@ _MAX_BODY = MAX_PAYLOAD_BYTES + 128
 _MAX_HEAD = 8192
 
 _RETRY_AFTER_SECONDS = "1"
+
+_KEEP_ALIVE_LINE = b"\r\nConnection: keep-alive\r\n"
+_CLOSE_LINE = b"\r\nConnection: close\r\n"
 
 
 def _render(status: str, headers: List[Tuple[str, str]], body: bytes,
@@ -75,6 +91,252 @@ def _error(status: str, message: str, keep_alive: bool) -> bytes:
     body = ('{"error": "%s"}' % message).encode("utf-8")
     return _render(status, [("Content-Type", "application/json")], body,
                    keep_alive)
+
+
+# Framing errors end the connection: what follows cannot be trusted.
+_MALFORMED = _error("400 Bad Request", "malformed request", False)
+_LENGTH_REQUIRED = _error("411 Length Required", "content-length required",
+                          False)
+
+
+def _read_head(head: bytearray):
+    """Parse one request head, given without its terminating blank line.
+
+    Returns ``(method, target, body_length, keep_alive)``, or the
+    response (``bytes``) that refuses the request and ends the
+    connection.
+    """
+    request_line, *header_lines = head.split(b"\r\n")
+    request_line = request_line.split(b" ", 2)
+    if len(request_line) != 3:
+        return _MALFORMED
+    length = -1
+    keep_alive = True
+    for line in header_lines:
+        name, colon, value = line.partition(b":")
+        if not colon:
+            continue
+        name = name.strip().lower()
+        if name == b"content-length":
+            value = value.strip()
+            try:
+                claimed = int(value) if value.isdigit() else -1
+            except ValueError:  # more digits than int() will convert
+                claimed = -1
+            # Two lengths that disagree are the request-smuggling shape:
+            # a proxy that believed the other one frames the next
+            # request somewhere else than this server does.
+            if (claimed < 0 or claimed > _MAX_BODY
+                    or (length >= 0 and claimed != length)):
+                return _MALFORMED
+            length = claimed
+        elif name == b"connection":
+            keep_alive = value.strip().lower() != b"close"
+        elif name == b"transfer-encoding":
+            # No endpoint takes a chunked body, and ignoring the header
+            # while a proxy in front honours it desyncs the framing.
+            return _MALFORMED
+    if length < 0:
+        if request_line[0] == b"POST":
+            return _LENGTH_REQUIRED
+        length = 0
+    return request_line[0], request_line[1], length, keep_alive
+
+
+def _render_verdict(accepted: bool, flagged: bool, risk_factor: Optional[int],
+                    reject_reason: Optional[str], latency_ms: float) -> bytes:
+    """Mirror ``CollectionApp._collect`` status + document exactly."""
+    document = {
+        "accepted": accepted,
+        "flagged": flagged,
+        "risk_factor": risk_factor,
+        "latency_ms": latency_ms,
+    }
+    headers = [("Content-Type", "application/json")]
+    if not accepted:
+        document["reject_reason"] = reject_reason
+        if reject_reason == OVERLOADED_REASON:
+            headers.append(("Retry-After", _RETRY_AFTER_SECONDS))
+            status = "503 Service Unavailable"
+        else:
+            status = "400 Bad Request"
+    else:
+        status = "202 Accepted"
+    body = json.dumps(document).encode("utf-8")
+    return _render(status, headers, body, True)
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection; every method runs on the server's loop.
+
+    ``buf`` holds received bytes no request has consumed yet.  ``slots``
+    holds one ``[response, keep_alive]`` per parsed request, in request
+    order; ``response`` is ``None`` until the request is answered.
+    ``final`` says no further request will be parsed, so the transport
+    closes as soon as the deque has drained.
+    """
+
+    __slots__ = ("server", "transport", "buf", "want", "slots", "final",
+                 "eof", "write_paused")
+
+    def __init__(self, server: "AsyncIngestServer") -> None:
+        self.server = server
+        self.transport: Optional[asyncio.Transport] = None
+        self.buf = bytearray()
+        # A request whose head is parsed but whose body is still on its
+        # way needs this many buffered bytes; parsing again before then
+        # would redo the head for every fragment a slow client sends.
+        self.want = 0
+        self.slots: Deque[list] = deque()
+        self.final = False
+        self.eof = False
+        self.write_paused = False
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.server.open_connections += 1
+        self.server._connections.add(self)
+        self._sync_reading()
+
+    def connection_lost(self, exc) -> None:
+        self.transport = None
+        self.final = True
+        self.slots.clear()
+        self.buf.clear()
+        self.server.open_connections -= 1
+        self.server._connections.discard(self)
+
+    def data_received(self, data: bytes) -> None:
+        if self.final:
+            return
+        self.buf += data
+        if len(self.buf) >= self.want:
+            self._parse()
+
+    def eof_received(self) -> bool:
+        # A client may half-close after pipelining its last request and
+        # is still owed every response: keep the write side open.
+        self.eof = True
+        self._parse()
+        return True
+
+    def pause_writing(self) -> None:
+        # The client is not reading its responses.  Stop taking requests
+        # from it, or the answers pile up here without limit.
+        self.write_paused = True
+        self._sync_reading()
+
+    def resume_writing(self) -> None:
+        self.write_paused = False
+        self._resume()
+
+    def _sync_reading(self) -> None:
+        """Read the socket exactly when nothing says not to."""
+        if self.transport is None:
+            return
+        if (self.final or self.eof or self.write_paused
+                or self.server._paused):
+            self.transport.pause_reading()  # both calls are idempotent
+        else:
+            self.transport.resume_reading()
+
+    def _resume(self) -> None:
+        """A reason to stop went away: parse what waited, read again."""
+        if self.buf and not self.final:
+            self._parse()
+        self._sync_reading()
+
+    def _parse(self) -> None:
+        """Consume every complete request in the buffer, in one pass."""
+        server = self.server
+        buf = self.buf
+        slots = self.slots
+        collect_buffer = server._buffer
+        max_pending = server.max_pending
+        size = len(buf)
+        pos = 0
+        requests = collects = 0
+        answered = False
+        # True when requests stay in the buffer because something said stop.
+        stopped = self.write_paused and size > 0
+        self.want = 0
+        while pos < size and not stopped:
+            if server._pending >= max_pending:
+                # Read-side backpressure: past the high watermark no
+                # socket is read and nothing more is admitted, so no
+                # request is parsed only to be shed.
+                server._pause_reads()
+                stopped = True
+                break
+            head_end = buf.find(b"\r\n\r\n", pos)
+            if head_end < 0:
+                if size - pos <= _MAX_HEAD:
+                    break  # the head is still arriving
+                head = _MALFORMED
+            elif head_end + 4 - pos > _MAX_HEAD:
+                head = _MALFORMED
+            else:
+                head = _read_head(buf[pos:head_end])
+            if isinstance(head, bytes):
+                # The body can't be skipped without trusting the head:
+                # refuse, and let nothing after it be parsed.
+                slots.append([head, False])
+                self.final = answered = True
+                break
+            method, target, length, keep_alive = head
+            end = head_end + 4 + length
+            if end > size:
+                self.want = end - pos
+                break
+            body = bytes(buf[head_end + 4:end]) if length else b""
+            pos = end
+            requests += 1
+            slot = [None, keep_alive]
+            slots.append(slot)
+            path = target.split(b"?", 1)[0]
+            if method == b"POST" and path == b"/collect":
+                if body:
+                    collects += 1
+                    server._pending += 1
+                    collect_buffer.append((body, self, slot))
+                else:
+                    slot[0] = _error("400 Bad Request", "bad content length",
+                                     keep_alive)
+                    answered = True
+            else:
+                server._bridge(self, slot, method.decode("latin-1"),
+                               path.decode("latin-1"), body)
+            if not keep_alive:
+                self.final = True
+                break
+        if self.eof and not stopped:
+            self.final = True  # what is left is a truncated request
+        if self.final:
+            buf.clear()
+            self._sync_reading()
+        elif pos:
+            del buf[:pos]
+        server.requests_total += requests
+        if collects:
+            server.collect_total += collects
+            server._wakeup.set()
+        if answered or self.final:
+            self._flush()
+
+    def _flush(self) -> None:
+        """Write the answered prefix of the deque in one call."""
+        transport = self.transport
+        if transport is None:
+            return
+        slots = self.slots
+        if slots and slots[0][0] is not None:
+            out = [slots.popleft()[0]]
+            while slots and slots[0][0] is not None:
+                out.append(slots.popleft()[0])
+            self.server.writes_total += 1
+            transport.write(b"".join(out))
+        if self.final and not slots:
+            transport.close()
 
 
 class AsyncIngestServer:
@@ -123,6 +385,7 @@ class AsyncIngestServer:
         self.collect_total = 0
         self.batches_total = 0
         self.batch_rows_total = 0
+        self.writes_total = 0
         self.backpressure_pauses = 0
         self.open_connections = 0
         # -- lifecycle --
@@ -133,9 +396,10 @@ class AsyncIngestServer:
         self._startup_error: Optional[BaseException] = None
         # -- loop-thread state (created in _main) --
         self._pending = 0
-        self._buffer: List[Tuple[bytes, asyncio.Future]] = []
+        self._paused = False
+        self._connections: Set[_Connection] = set()
+        self._buffer: List[Tuple[bytes, _Connection, list]] = []
         self._wakeup: Optional[asyncio.Event] = None
-        self._drained: Optional[asyncio.Event] = None
         self._stop_async: Optional[asyncio.Event] = None
         self._executor: Optional[ThreadPoolExecutor] = None
 
@@ -201,16 +465,14 @@ class AsyncIngestServer:
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._wakeup = asyncio.Event()
-        self._drained = asyncio.Event()
-        self._drained.set()
         self._stop_async = asyncio.Event()
         self._executor = ThreadPoolExecutor(
             max_workers=self._score_threads,
             thread_name_prefix="polygraph-score",
         )
         try:
-            server = await asyncio.start_server(
-                self._handle, self.host, self.port, limit=_MAX_HEAD + _MAX_BODY
+            server = await self._loop.create_server(
+                lambda: _Connection(self), self.host, self.port
             )
         except OSError as exc:
             self._startup_error = exc
@@ -224,159 +486,35 @@ class AsyncIngestServer:
             await self._stop_async.wait()
         finally:
             server.close()
+            # Keep-alive connections end with the server, not whenever
+            # their clients get round to it.
+            for conn in list(self._connections):
+                conn.transport.abort()
             await server.wait_closed()
             batcher.cancel()
-            for _, fut in self._buffer:
-                if not fut.done():
-                    fut.cancel()
             self._buffer.clear()
             self._executor.shutdown(wait=False)
 
     # ------------------------------------------------------------------
-    # connection handling
+    # read-side backpressure, all connections at once
 
-    async def _handle(self, reader: asyncio.StreamReader,
-                      writer: asyncio.StreamWriter) -> None:
-        self.open_connections += 1
-        lane: asyncio.Queue = asyncio.Queue()
-        sender = asyncio.ensure_future(self._write_loop(writer, lane))
-        try:
-            while True:
-                # Read-side backpressure: past the high watermark the
-                # socket simply stops being read.  The kernel's receive
-                # window fills and the client slows down — no request
-                # is parsed only to be shed.
-                if self._pending >= self.max_pending:
-                    self._drained.clear()
-                    self.backpressure_pauses += 1
-                    await self._drained.wait()
-                request = await self._read_request(reader, lane)
-                if request is None:
-                    break
-                method, path, body, keep_alive = request
-                self.requests_total += 1
-                if method == "POST" and path == "/collect":
-                    await self._enqueue_collect(body, keep_alive, lane)
-                else:
-                    fut = self._loop.run_in_executor(
-                        self._executor, self._wsgi_call, method, path, body
-                    )
-                    await lane.put((fut, keep_alive))
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError,
-                asyncio.LimitOverrunError):
-            pass
-        except asyncio.CancelledError:
-            # Loop teardown with the connection still open (keep-alive):
-            # exit quietly; the transport is closed by the server.
-            pass
-        finally:
-            try:
-                lane.put_nowait(None)
-                await sender
-            except (Exception, asyncio.CancelledError):
-                sender.cancel()
-            self.open_connections -= 1
+    def _pause_reads(self) -> None:
+        if self._paused:
+            return
+        self._paused = True
+        self.backpressure_pauses += 1
+        for conn in self._connections:
+            conn._sync_reading()
 
-    async def _read_request(
-        self, reader: asyncio.StreamReader, lane: asyncio.Queue
-    ) -> Optional[Tuple[str, str, bytes, bool]]:
-        """Parse one request; ``None`` ends the connection cleanly."""
-        try:
-            head = await reader.readuntil(b"\r\n\r\n")
-        except asyncio.IncompleteReadError as exc:
-            if exc.partial:
-                raise
-            return None  # clean EOF between requests
-        if len(head) > _MAX_HEAD:
-            await lane.put((None, False))
-            return None
-        try:
-            text = head.decode("latin-1")
-            request_line, *header_lines = text.split("\r\n")
-            method, target, _version = request_line.split(" ", 2)
-        except ValueError:
-            await lane.put((None, False))
-            return None
-        headers = {}
-        for line in header_lines:
-            if ":" in line:
-                name, _, value = line.partition(":")
-                headers[name.strip().lower()] = value.strip()
-        keep_alive = headers.get("connection", "keep-alive").lower() != "close"
-        path = target.split("?", 1)[0]
-        body = b""
-        raw_length = headers.get("content-length")
-        if raw_length is not None:
-            try:
-                length = int(raw_length)
-            except ValueError:
-                await lane.put((None, False))
-                return None
-            if length < 0 or length > _MAX_BODY:
-                # The body can't be skipped without reading it; close.
-                await lane.put((None, False))
-                return None
-            if length:
-                body = await reader.readexactly(length)
-        elif method == "POST":
-            await lane.put(("length-required", False))
-            return None
-        return method, path, body, keep_alive
-
-    async def _write_loop(self, writer: asyncio.StreamWriter,
-                          lane: asyncio.Queue) -> None:
-        """Drain one connection's response lane in arrival order."""
-        try:
-            while True:
-                item = await lane.get()
-                if item is None:
-                    break
-                pending, keep_alive = item
-                if pending is None:
-                    writer.write(_error("400 Bad Request", "malformed request",
-                                        False))
-                    break
-                if pending == "length-required":
-                    writer.write(_error("411 Length Required",
-                                        "content-length required", False))
-                    break
-                try:
-                    raw = await pending
-                except (asyncio.CancelledError, Exception):
-                    raw = _error("500 Internal Server Error",
-                                 "scoring failed", keep_alive)
-                writer.write(raw)
-                await writer.drain()
-                if not keep_alive:
-                    break
-        except ConnectionError:
-            pass
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+    def _resume_reads(self) -> None:
+        self._paused = False
+        for conn in list(self._connections):
+            if self._paused:
+                break  # a resumed connection refilled the backlog
+            conn._resume()
 
     # ------------------------------------------------------------------
     # /collect: coalesce across connections, score in batches
-
-    async def _enqueue_collect(self, body: bytes, keep_alive: bool,
-                               lane: asyncio.Queue) -> None:
-        if not body:
-            fut = self._loop.create_future()
-            fut.set_result(_error("400 Bad Request", "bad content length",
-                                  keep_alive))
-            await lane.put((fut, keep_alive))
-            return
-        self.collect_total += 1
-        self._pending += 1
-        fut = self._loop.create_future()
-        self._buffer.append((body, fut))
-        self._wakeup.set()
-        await lane.put((fut, keep_alive))
 
     async def _batch_loop(self) -> None:
         """Slice the shared buffer into batches; several in flight."""
@@ -392,15 +530,14 @@ class AsyncIngestServer:
             while self._buffer:
                 batch = self._buffer[: self.batch_max]
                 del self._buffer[: len(batch)]
-                wires = [wire for wire, _ in batch]
-                futures = [fut for _, fut in batch]
                 self.batches_total += 1
                 self.batch_rows_total += len(batch)
                 task = self._loop.run_in_executor(
-                    self._executor, self._score_batch, wires
+                    self._executor, self._score_batch,
+                    [entry[0] for entry in batch],
                 )
                 task.add_done_callback(
-                    lambda done, futures=futures: self._deliver(done, futures)
+                    lambda done, batch=batch: self._deliver(done, batch)
                 )
 
     def _score_batch(self, wires: List[bytes]) -> List[bytes]:
@@ -416,56 +553,65 @@ class AsyncIngestServer:
                 verdicts = [p.result() for p in [submit(w) for w in wires]]
             else:
                 verdicts = [self.service.score_wire(w) for w in wires]
-        return [self._render_verdict(v) for v in verdicts]
+        # A batch holds few distinct answers (a shard stamps one latency
+        # on a whole chunk), and formatting one costs more than scoring
+        # a cache hit: render each distinct response once.
+        rendered = {}
+        responses = []
+        for verdict in verdicts:
+            key = (verdict.accepted, verdict.flagged, verdict.risk_factor,
+                   verdict.reject_reason, round(verdict.latency_ms, 3))
+            raw = rendered.get(key)
+            if raw is None:
+                raw = rendered[key] = _render_verdict(*key)
+            responses.append(raw)
+        return responses
 
-    @staticmethod
-    def _render_verdict(verdict) -> bytes:
-        """Mirror ``CollectionApp._collect`` status + document exactly."""
-        import json
+    def _deliver(self, done, batch: List[Tuple[bytes, _Connection, list]]) -> None:
+        """Executor-completion callback; runs on the event loop.
 
-        from repro.runtime.pool import OVERLOADED_REASON
-
-        document = {
-            "accepted": verdict.accepted,
-            "flagged": verdict.flagged,
-            "risk_factor": verdict.risk_factor,
-            "latency_ms": round(verdict.latency_ms, 3),
-        }
-        headers = [("Content-Type", "application/json")]
-        if not verdict.accepted:
-            document["reject_reason"] = verdict.reject_reason
-            if verdict.reject_reason == OVERLOADED_REASON:
-                headers.append(("Retry-After", _RETRY_AFTER_SECONDS))
-                status = "503 Service Unavailable"
-            else:
-                status = "400 Bad Request"
-        else:
-            status = "202 Accepted"
-        body = json.dumps(document).encode("utf-8")
-        return _render(status, headers, body, True)
-
-    def _deliver(self, done, futures: List[asyncio.Future]) -> None:
-        """Executor-completion callback; runs on the event loop."""
+        Fills the batch's slots, then flushes each connection it touched
+        once: a batch costs a write per connection, not per response.
+        """
         try:
-            rendered = done.result()
+            responses = done.result()
         except Exception:
-            rendered = None
-        for index, fut in enumerate(futures):
-            if fut.done():
-                continue
-            if rendered is None:
-                fut.set_result(_error("500 Internal Server Error",
-                                      "scoring failed", True))
-            else:
-                fut.set_result(rendered[index])
-        self._pending -= len(futures)
-        if self._pending <= self.resume_pending:
-            self._drained.set()
+            responses = [_error("500 Internal Server Error", "scoring failed",
+                                True)] * len(batch)
+        touched = set()
+        for raw, (_, conn, slot) in zip(responses, batch):
+            slot[0] = raw if slot[1] else raw.replace(
+                _KEEP_ALIVE_LINE, _CLOSE_LINE, 1
+            )
+            touched.add(conn)
+        self._pending -= len(batch)
+        for conn in touched:
+            conn._flush()
+        if self._paused and self._pending <= self.resume_pending:
+            self._resume_reads()
 
     # ------------------------------------------------------------------
     # WSGI bridge for every other endpoint
 
-    def _wsgi_call(self, method: str, path: str, body: bytes) -> bytes:
+    def _bridge(self, conn: _Connection, slot: list, method: str, path: str,
+                body: bytes) -> None:
+        """Answer one non-collect request from the app, off the loop."""
+        call = self._loop.run_in_executor(
+            self._executor, self._wsgi_call, method, path, body, slot[1]
+        )
+
+        def fill(done) -> None:
+            try:
+                slot[0] = done.result()
+            except (asyncio.CancelledError, Exception):
+                slot[0] = _error("500 Internal Server Error",
+                                 "scoring failed", slot[1])
+            conn._flush()
+
+        call.add_done_callback(fill)
+
+    def _wsgi_call(self, method: str, path: str, body: bytes,
+                   keep_alive: bool) -> bytes:
         environ = {
             "REQUEST_METHOD": method,
             "PATH_INFO": path,
@@ -480,14 +626,19 @@ class AsyncIngestServer:
             captured[:] = [status, list(headers)]
 
         chunks = self.app(environ, start_response)
-        payload = b"".join(chunks)
+        try:
+            payload = b"".join(chunks)
+        finally:
+            close = getattr(chunks, "close", None)  # PEP 3333
+            if close is not None:
+                close()
         status, headers = captured
         if path == "/metrics" and status.startswith("200"):
             payload += ("\n".join(self.metrics_lines()) + "\n").encode("utf-8")
             headers = [
                 (k, v) for k, v in headers if k.lower() != "content-length"
             ]
-        return _render(status, headers, payload, True)
+        return _render(status, headers, payload, keep_alive)
 
     # ------------------------------------------------------------------
 
@@ -495,6 +646,8 @@ class AsyncIngestServer:
         return [
             "# TYPE polygraph_ingest_requests counter",
             f"polygraph_ingest_requests {self.requests_total}",
+            "# TYPE polygraph_ingest_writes counter",
+            f"polygraph_ingest_writes {self.writes_total}",
             "# TYPE polygraph_ingest_collect_requests counter",
             f"polygraph_ingest_collect_requests {self.collect_total}",
             "# TYPE polygraph_ingest_batches counter",

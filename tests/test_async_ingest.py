@@ -1,26 +1,43 @@
 """Async ingest front end: real sockets, ordering, backpressure.
 
 Exercises :class:`~repro.service.aingest.AsyncIngestServer` the way a
-client sees it — over TCP — pinning the contract the tentpole claims:
+client sees it — over TCP — pinning the contract the front end claims:
 ``POST /collect`` verdicts match the WSGI app byte-for-field, every
 other endpoint passes through to the same app, responses on one
-connection come back in request order even with pipelining, and the
-high-watermark pauses reads instead of shedding work.
+connection come back in request order even with pipelining, framing
+that cannot be trusted is refused and the connection closed, and both
+kinds of backpressure (too much admitted; a client that does not read)
+stop the reading instead of shedding work or growing memory.
+
+Where the bytes on the wire or the number of writes matter, the
+connection protocol is driven directly on the server's loop with a
+recording transport: what arrives in which fragment is then exact.
 """
 
 from __future__ import annotations
 
+import asyncio
+import dataclasses
 import http.client
+import io
+import itertools
 import json
+import select
 import socket
+import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.fingerprint.script import MAX_PAYLOAD_BYTES
 from repro.runtime.pool import OVERLOADED_REASON, overloaded_verdict
+from repro.service import aingest
 from repro.service.aingest import AsyncIngestServer
 from repro.service.api import CollectionApp
-from repro.service.scoring import ScoringService
+from repro.service.ingest import RejectReason
+from repro.service.scoring import ScoringService, Verdict
 from repro.traffic.replay import iter_wire_payloads
 
 
@@ -261,3 +278,693 @@ class TestBatchingAndBackpressure:
                 for line, _ in responses
             )
             assert server.backpressure_pauses > 0
+
+
+# ----------------------------------------------------------------------
+# Helpers for the framing, rendering and backpressure tests
+
+
+def _http(method, path, body=b"", extra=(), length=True):
+    """One request as bytes; ``extra`` header lines go in verbatim."""
+    lines = [f"{method} {path} HTTP/1.1", "Host: t", *extra]
+    if length and (body or method == "POST"):
+        lines.append(f"Content-Length: {len(body)}")
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
+
+
+def _exchange(port, raw, timeout=10.0, half_close=False):
+    """Send ``raw``, read until the server closes; everything it sent."""
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
+        sock.sendall(raw)
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _responses(stream):
+    """``[(status code, headers, body)]`` of a complete response stream."""
+    parsed = []
+    while stream:
+        head, _, rest = stream.partition(b"\r\n\r\n")
+        status_line, *header_lines = head.decode("latin-1").split("\r\n")
+        headers = dict(line.split(": ", 1) for line in header_lines)
+        length = int(headers["Content-Length"])
+        assert len(rest) >= length, "truncated response"
+        parsed.append((int(status_line.split(" ")[1]), headers, rest[:length]))
+        stream = rest[length:]
+    return parsed
+
+
+class _Steady:
+    """A real scoring service whose answers do not carry the clock."""
+
+    def __init__(self, trained):
+        self._inner = ScoringService(trained)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def score_wire(self, wire):
+        verdict = self._inner.score_wire(wire)
+        return dataclasses.replace(verdict, latency_ms=0.25)
+
+
+class _Canned:
+    """Answers ``score_many`` from a list of verdicts, or by raising."""
+
+    scored_count = 0
+    flagged_count = 0
+
+    def __init__(self, verdicts=None, error=None):
+        self.verdicts = verdicts
+        self.error = error
+
+    def score_many(self, wires):
+        if self.error is not None:
+            raise self.error
+        if self.verdicts is None:
+            return [_verdict() for _ in wires]
+        return self.verdicts[: len(wires)]
+
+
+def _verdict(**fields):
+    base = dict(session_id="s", accepted=True, flagged=False,
+                risk_factor=None, reject_reason=None, latency_ms=0.0421)
+    base.update(fields)
+    return Verdict(**base)
+
+
+class _Recorder(asyncio.Transport):
+    """Stands in for a socket transport: records writes, tracks pauses."""
+
+    def __init__(self, loop, protocol):
+        super().__init__()
+        self._loop = loop
+        self._protocol = protocol
+        self.writes = []
+        self.reading = True
+        self.closed = asyncio.Event()
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+
+    def pause_reading(self):
+        self.reading = False
+
+    def resume_reading(self):
+        self.reading = True
+
+    def get_write_buffer_size(self):
+        return 0
+
+    def is_closing(self):
+        return self.closed.is_set()
+
+    def close(self):
+        if not self.closed.is_set():
+            self.closed.set()
+            self._loop.call_soon(self._protocol.connection_lost, None)
+
+    abort = close
+
+
+def _drive(server, fragments, timeout=20.0):
+    """Deliver ``fragments`` to a fresh connection on the server's loop,
+    then EOF; returns the list of writes the connection made."""
+
+    async def run():
+        conn = aingest._Connection(server)
+        transport = _Recorder(asyncio.get_running_loop(), conn)
+        conn.connection_made(transport)
+        for fragment in fragments:
+            # A real transport delivers nothing while it is paused.
+            while not (transport.reading or conn.final):
+                await asyncio.sleep(0.001)
+            if conn.final:
+                break
+            conn.data_received(fragment)
+            await asyncio.sleep(0)  # let batches and answers interleave
+        if not conn.final:
+            conn.eof_received()
+        await asyncio.wait_for(transport.closed.wait(), timeout)
+        return transport.writes
+
+    future = asyncio.run_coroutine_threadsafe(run(), server._loop)
+    return future.result(timeout + 5.0)
+
+
+def _parent_render_verdict(verdict) -> bytes:
+    """The response bytes of the ``StreamReader`` front end this one
+    replaced, kept as the reference the new rendering must equal."""
+    document = {
+        "accepted": verdict.accepted,
+        "flagged": verdict.flagged,
+        "risk_factor": verdict.risk_factor,
+        "latency_ms": round(verdict.latency_ms, 3),
+    }
+    lines = ["Content-Type: application/json"]
+    if not verdict.accepted:
+        document["reject_reason"] = verdict.reject_reason
+        if verdict.reject_reason == OVERLOADED_REASON:
+            lines.append("Retry-After: 1")
+            status = "503 Service Unavailable"
+        else:
+            status = "400 Bad Request"
+    else:
+        status = "202 Accepted"
+    body = json.dumps(document).encode("utf-8")
+    lines.append(f"Content-Length: {len(body)}")
+    lines.append("Connection: keep-alive")
+    head = "\r\n".join([f"HTTP/1.1 {status}", *lines]) + "\r\n\r\n"
+    return head.encode("latin-1") + body
+
+
+# ----------------------------------------------------------------------
+
+
+class TestFraming:
+    """Limits a scripted client probes; each refusal closes the socket."""
+
+    @pytest.fixture(scope="class")
+    def server(self, trained):
+        with _serve(ScoringService(trained)) as running:
+            yield running
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"GET /health HTTP/1.1\r\nX-Pad: " + b"a" * 8192 + b"\r\n\r\n",
+            b"GET /health HTTP/1.1\r\nX-Pad: " + b"a" * 9000,  # no end yet
+            b"NONSENSE\r\n\r\n",
+            b"\r\n\r\n",
+            _http("POST", "/collect", b"x", ["Content-Length: abc"], length=False),
+            _http("POST", "/collect", b"x", ["Content-Length: -1"], length=False),
+            _http("POST", "/collect", b"x", ["Content-Length: +1"], length=False),
+            _http("POST", "/collect", b"x", ["Content-Length: 1_0"], length=False),
+            _http("POST", "/collect", b"x",
+                  ["Content-Length: " + "9" * 5000], length=False),
+            _http("POST", "/collect", b"x",
+                  [f"Content-Length: {MAX_PAYLOAD_BYTES + 129}"], length=False),
+        ],
+        ids=["head-too-long", "head-never-ends", "no-request-line", "empty-head",
+             "length-not-a-number", "length-negative", "length-signed",
+             "length-underscore", "length-huge", "length-over-cap"],
+    )
+    def test_untrustworthy_head_is_400_and_close(self, server, raw):
+        (status, headers, body), = _responses(_exchange(server.port, raw))
+        assert status == 400
+        assert headers["Connection"] == "close"
+        assert json.loads(body) == {"error": "malformed request"}
+
+    def test_largest_allowed_head_and_body_pass(self, server, wires):
+        pad = 8192 - len(_http("GET", "/health", extra=["X-Pad: "]))
+        raw = _http("GET", "/health", extra=["X-Pad: " + "a" * pad])
+        assert raw.index(b"\r\n\r\n") + 4 == 8192
+        body = b"x" * (MAX_PAYLOAD_BYTES + 128)
+        raw += _http("POST", "/collect", body, ["Connection: close"])
+        first, second = _responses(_exchange(server.port, raw))
+        assert first[0] == 200
+        assert second[0] == 400  # read in full, refused by the validator
+        assert json.loads(second[2])["reject_reason"] == "oversized"
+
+    def test_post_without_length_closes(self, server):
+        raw = _http("POST", "/collect", length=False) + _http("GET", "/health")
+        (status, headers, _), = _responses(_exchange(server.port, raw))
+        assert status == 411
+        assert headers["Connection"] == "close"
+
+    def test_empty_collect_body_is_400_and_connection_kept(self, server):
+        raw = _http("POST", "/collect") + _http(
+            "GET", "/health", extra=["Connection: close"]
+        )
+        first, second = _responses(_exchange(server.port, raw))
+        assert first[0] == 400
+        assert json.loads(first[2]) == {"error": "bad content length"}
+        assert first[1]["Connection"] == "keep-alive"
+        assert second[0] == 200
+
+    def test_transfer_encoding_is_refused(self, server, wires):
+        # CL.TE: a proxy honouring the chunked framing would see one
+        # request where a server ignoring it sees two.
+        raw = _http("POST", "/collect", wires[0],
+                    ["Transfer-Encoding: chunked"])
+        (status, headers, _), = _responses(_exchange(server.port, raw))
+        assert status == 400
+        assert headers["Connection"] == "close"
+
+    def test_disagreeing_content_lengths_are_refused(self, server, wires):
+        body = wires[0]
+        raw = _http("POST", "/collect", body,
+                    [f"Content-Length: {len(body) - 5}"])
+        (status, headers, _), = _responses(_exchange(server.port, raw))
+        assert status == 400
+        assert headers["Connection"] == "close"
+
+    def test_agreeing_content_lengths_are_one_length(self, server, wires):
+        body = wires[1]
+        raw = _http("POST", "/collect", body,
+                    [f"content-length: {len(body)}", "Connection: close"])
+        (status, _, _), = _responses(_exchange(server.port, raw))
+        assert status == 202
+
+    @pytest.mark.parametrize("path", ["/collect", "/health"])
+    def test_close_request_is_answered_close(self, server, wires, path):
+        method, body = ("POST", wires[3]) if path == "/collect" else ("GET", b"")
+        raw = _http(method, path, body, ["Connection: close"])
+        raw += _http("GET", "/health")  # after a close: never parsed
+        (status, headers, _), = _responses(_exchange(server.port, raw))
+        assert status in (200, 202)
+        assert headers["Connection"] == "close"
+
+    def test_clean_eof_between_requests_closes_quietly(self, server):
+        with socket.create_connection(
+            ("127.0.0.1", server.port), timeout=10
+        ) as sock:
+            sock.sendall(_http("GET", "/health"))
+            (status, headers, _), = _responses(_read_one(sock))
+            assert (status, headers["Connection"]) == (200, "keep-alive")
+            sock.shutdown(socket.SHUT_WR)
+            assert sock.recv(65536) == b""  # closed, and nothing said
+
+    def test_half_close_after_pipelining_still_answers_everything(
+        self, server, wires
+    ):
+        sample = wires[100:160]
+        raw = b"".join(_http("POST", "/collect", w) for w in sample)
+        raw += b"POST /collect HTTP/1.1\r\nContent-Le"  # cut off mid-head
+        answers = _responses(_exchange(server.port, raw, half_close=True))
+        assert [status for status, _, _ in answers] == [202] * len(sample)
+
+
+def _read_one(sock):
+    """Exactly one response off a keep-alive socket."""
+    buffer = b""
+    while b"\r\n\r\n" not in buffer:
+        buffer += sock.recv(65536)
+    head, _, rest = buffer.partition(b"\r\n\r\n")
+    length = int(head.lower().split(b"content-length: ")[1].split(b"\r\n")[0])
+    while len(rest) < length:
+        rest += sock.recv(65536)
+    assert len(rest) == length
+    return head + b"\r\n\r\n" + rest
+
+
+class TestOrderingAndErrors:
+    def test_slow_bridge_request_holds_back_later_answers(self, trained, wires):
+        service = ScoringService(trained)
+        inner = CollectionApp(service)
+
+        def slow_health(environ, start_response):
+            if environ["PATH_INFO"] == "/health":
+                time.sleep(0.3)
+            return inner(environ, start_response)
+
+        server = AsyncIngestServer(service, slow_health, host="127.0.0.1", port=0)
+        with server:
+            responses = _pipeline(
+                server.port,
+                [
+                    ("POST", "/collect", wires[5]),
+                    ("GET", "/health", b""),
+                    ("POST", "/collect", wires[6]),
+                    ("GET", "/nope", b""),
+                ],
+            )
+            # The second collect was scored long before /health returned
+            # and still left after it.
+            assert [line.split(" ")[1] for line, _ in responses] == [
+                "202", "200", "202", "404"
+            ]
+            assert b"model_accuracy" in responses[1][1]
+
+    def test_scoring_error_answers_500_per_request(self, trained):
+        service = _Canned(error=RuntimeError("shard pool gone"))
+        app = CollectionApp(ScoringService(trained))
+        with AsyncIngestServer(service, app, host="127.0.0.1", port=0) as server:
+            raw = b"".join(_http("POST", "/collect", b"{}") for _ in range(7))
+            raw += _http("GET", "/health")
+            raw += _http("POST", "/collect", b"{}", ["Connection: close"])
+            answers = _responses(_exchange(server.port, raw))
+        assert [status for status, _, _ in answers] == [500] * 7 + [200, 500]
+        assert json.loads(answers[0][2]) == {"error": "scoring failed"}
+        assert answers[0][1]["Connection"] == "keep-alive"
+        assert answers[-1][1]["Connection"] == "close"
+
+    def test_app_error_answers_500(self, trained):
+        def broken(environ, start_response):
+            raise RuntimeError("app bug")
+
+        service = ScoringService(trained)
+        with AsyncIngestServer(service, broken, host="127.0.0.1", port=0) as server:
+            raw = _http("GET", "/health") + _http(
+                "GET", "/health", extra=["Connection: close"]
+            )
+            answers = _responses(_exchange(server.port, raw))
+        assert [status for status, _, _ in answers] == [500, 500]
+
+
+class TestRendering:
+    SHAPES = (
+        [
+            _verdict(),
+            _verdict(flagged=True, risk_factor=20),
+            _verdict(flagged=True, risk_factor=0, latency_ms=12.3456789),
+            _verdict(inferred_release="chrome-113", inferred_distance=1),
+            overloaded_verdict("s", 0.0),
+        ]
+        + [
+            _verdict(accepted=False, reject_reason=reason, latency_ms=0.0)
+            for reason in RejectReason
+        ]
+        + [_verdict(accepted=False, reject_reason=reason.value)
+           for reason in RejectReason]
+    )
+
+    def test_bytes_equal_the_replaced_front_end(self):
+        # Every shape twice over, so the once-per-distinct-verdict path
+        # is taken as well as the first rendering.
+        verdicts = self.SHAPES + self.SHAPES[::-1]
+        server = _serve(_Canned(verdicts))
+        rendered = server._score_batch([b"w"] * len(verdicts))
+        assert rendered == [_parent_render_verdict(v) for v in verdicts]
+
+    def test_document_and_status_equal_the_wsgi_app(self):
+        for verdict in self.SHAPES:
+
+            class One:
+                def score_wire(self, wire, verdict=verdict):
+                    return verdict
+
+            captured = []
+            chunks = CollectionApp(One())(
+                {
+                    "REQUEST_METHOD": "POST",
+                    "PATH_INFO": "/collect",
+                    "CONTENT_LENGTH": "1",
+                    "wsgi.input": io.BytesIO(b"w"),
+                },
+                lambda status, headers: captured.extend([status, dict(headers)]),
+            )
+            raw, = _serve(_Canned([verdict]))._score_batch([b"w"])
+            (status, headers, body), = _responses(raw)
+            assert f"{status} " == captured[0][:4]
+            assert body == b"".join(chunks)
+            assert headers.get("Retry-After") == captured[1].get("Retry-After")
+
+    def test_close_request_gets_the_same_bytes_but_for_the_header(self):
+        with _serve(_Canned([overloaded_verdict("s", 0.0)])) as server:
+            raw = _http("POST", "/collect", b"{}", ["Connection: close"])
+            reply = _exchange(server.port, raw)
+        expected = _parent_render_verdict(overloaded_verdict("s", 0.0))
+        assert reply == expected.replace(b"keep-alive", b"close")
+
+
+class TestWrites:
+    def test_a_batch_leaves_in_one_write_per_connection(self, wires):
+        count = 200
+        with _serve(_Canned(), batch_max=256) as server:
+            stream = b"".join(
+                _http("POST", "/collect", wires[i % len(wires)])
+                for i in range(count)
+            )
+            writes = _drive(server, [stream])
+            assert len(_responses(b"".join(writes))) == count
+            assert len(writes) == server.writes_total
+            assert len(writes) <= 2  # one batch; far fewer than `count`
+            assert (
+                f"polygraph_ingest_writes {len(writes)}" in server.metrics_lines()
+            )
+
+    def test_answers_behind_an_unanswered_request_wait_for_it(self, wires):
+        # Batch 2 finishes first; its answers must not leave before
+        # batch 1's, and then both leave together.
+        release = threading.Event()
+
+        class FirstBatchSlow(_Canned):
+            def score_many(self, batch):
+                first = batch[0] == wires[0]
+                if first:
+                    release.wait(10.0)
+                return [_verdict(risk_factor=1 if first else 2) for _ in batch]
+
+        service = FirstBatchSlow()
+        with _serve(service, batch_max=4, linger_ms=0.0) as server:
+            stream = b"".join(
+                _http("POST", "/collect", wires[i]) for i in range(8)
+            )
+
+            async def run():
+                conn = aingest._Connection(server)
+                transport = _Recorder(asyncio.get_running_loop(), conn)
+                conn.connection_made(transport)
+                conn.data_received(stream)
+                for _ in range(200):  # until batch 2 is delivered
+                    if sum(s[0] is not None for s in conn.slots) == 4:
+                        break
+                    await asyncio.sleep(0.005)
+                held_back = list(transport.writes)
+                release.set()
+                conn.eof_received()
+                await asyncio.wait_for(transport.closed.wait(), 10.0)
+                return held_back, transport.writes
+
+            held_back, writes = asyncio.run_coroutine_threadsafe(
+                run(), server._loop
+            ).result(20.0)
+        assert held_back == []
+        assert len(writes) == 1
+        risks = [json.loads(b)["risk_factor"] for _, _, b in _responses(writes[0])]
+        assert risks == [1] * 4 + [2] * 4
+
+
+    def test_half_close_while_the_client_is_not_reading(self, wires):
+        # The write side blocks, the client half-closes, the write side
+        # drains: requests that waited are answered, then the close.
+        with _serve(_Canned()) as server:
+
+            async def run():
+                conn = aingest._Connection(server)
+                transport = _Recorder(asyncio.get_running_loop(), conn)
+                conn.connection_made(transport)
+                conn.pause_writing()
+                assert not transport.reading
+                conn.data_received(_http("POST", "/collect", wires[0]))
+                conn.eof_received()
+                await asyncio.sleep(0.05)
+                assert transport.writes == [] and not transport.closed.is_set()
+                conn.resume_writing()
+                await asyncio.wait_for(transport.closed.wait(), 10.0)
+                quiet = aingest._Connection(server)  # nothing buffered at EOF
+                second = _Recorder(asyncio.get_running_loop(), quiet)
+                quiet.connection_made(second)
+                quiet.pause_writing()
+                quiet.eof_received()
+                await asyncio.wait_for(second.closed.wait(), 10.0)
+                return transport.writes
+
+            writes = asyncio.run_coroutine_threadsafe(
+                run(), server._loop
+            ).result(20.0)
+        assert [status for status, _, _ in _responses(b"".join(writes))] == [202]
+
+
+# -- (a) any fragmentation of a pipelined stream, same bytes back ------
+
+_KINDS = ["good", "bad_json", "range", "oversized", "replay", "health", "empty"]
+_EXPECTED = {
+    "good": (202, None),
+    "bad_json": (400, "malformed"),
+    "range": (400, "value_range"),
+    "oversized": (400, "oversized"),
+    "replay": (400, "duplicate"),
+    "health": (200, None),
+    "empty": (400, None),
+}
+
+
+def _mixed_stream(kinds, wires, nonce):
+    """A pipelined request stream of ``kinds`` with a malformed line last."""
+    parts = []
+    expected = []
+    last_good = None
+    for index, kind in enumerate(kinds):
+        document = json.loads(wires[index % len(wires)])
+        document["sid"] = f"{nonce}-{index}"
+        if kind == "replay":
+            if last_good is None:
+                kind = "good"
+            else:
+                document["sid"] = last_good
+        if kind == "range":
+            document["f"][5] = 10_001
+        body = json.dumps(document, separators=(",", ":")).encode()
+        if kind == "oversized":
+            document["ua"] += " " * (MAX_PAYLOAD_BYTES + 64 - len(body))
+            body = json.dumps(document, separators=(",", ":")).encode()
+            assert len(body) == MAX_PAYLOAD_BYTES + 64
+        elif kind == "bad_json":
+            body = body[: len(body) // 2]
+        elif kind == "good":
+            last_good = document["sid"]
+        if kind == "health":
+            parts.append(_http("GET", "/health"))
+        elif kind == "empty":
+            parts.append(_http("POST", "/collect"))
+        else:
+            parts.append(_http("POST", "/collect", body))
+        expected.append(_EXPECTED[kind])
+    parts.append(b"NONSENSE\r\n\r\n")
+    expected.append((400, None))
+    return b"".join(parts), expected
+
+
+def _fragments(stream, cuts):
+    if cuts is None:
+        return [stream[i : i + 1] for i in range(len(stream))]
+    edges = sorted({cut % (len(stream) + 1) for cut in cuts} | {0, len(stream)})
+    return [stream[a:b] for a, b in zip(edges, edges[1:])]
+
+
+class TestFragmentation:
+    @pytest.fixture(scope="class")
+    def server(self, trained):
+        service = _Steady(trained)
+        with _serve(service, batch_max=8) as running:
+            yield running
+
+    def test_response_stream_does_not_depend_on_the_fragments(
+        self, server, wires
+    ):
+        # Session ids differ between any two deliveries (the service
+        # remembers them); responses do not carry them.
+        delivery = itertools.count()
+
+        @settings(max_examples=40, deadline=None)
+        @given(
+            kinds=st.lists(st.sampled_from(_KINDS), min_size=1, max_size=10),
+            cuts=st.one_of(
+                st.none(),  # one byte at a time
+                st.lists(st.integers(0, 1 << 20), min_size=1, max_size=40),
+            ),
+        )
+        def check(kinds, cuts):
+            whole, expected = _mixed_stream(kinds, wires, f"w{next(delivery)}")
+            split, _ = _mixed_stream(kinds, wires, f"s{next(delivery)}")
+            assert len(whole) == len(split)
+            reference = b"".join(_drive(server, [whole]))
+            answers = _responses(reference)
+            assert [
+                (status, json.loads(body).get("reject_reason"))
+                for status, _, body in answers
+            ] == expected
+            assert answers[-1][1]["Connection"] == "close"
+            assert b"".join(_drive(server, _fragments(split, cuts))) == reference
+
+        check()
+
+
+# -- a client that pipelines and never reads ---------------------------
+
+
+class TestWriteSideBackpressure:
+    # What the server may hold for one connection: the answers to the
+    # `max_pending` wires admitted before the first blocked write, the
+    # transport's 64 KiB high-water mark, one 256 KiB read.
+    MAX_PENDING = 1024
+    BOUND = 1 << 20
+
+    def test_unread_responses_stop_the_reading_not_the_server(self, wires):
+        count = 50_000
+        requests = [
+            _http("POST", "/collect", wires[i % len(wires)]) for i in range(200)
+        ]
+        stream = b"".join(requests) * (count // len(requests))
+        with _serve(_Canned(), max_pending=self.MAX_PENDING) as server:
+            sock = socket.socket()
+            # A small receive buffer: the kernel stops absorbing the
+            # unread responses early and the test stays short.
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.settimeout(10.0)
+            with sock:
+                sock.connect(("127.0.0.1", server.port))
+                sock.setblocking(False)
+                sent = self._send_until_stalled(sock, stream)
+                # The server stopped reading this client …
+                assert sent < len(stream)
+                held, unanswered, reading = self._backlog(server, sock)
+                assert not reading
+                assert held < self.BOUND
+                assert unanswered <= self.MAX_PENDING
+                # … and only this client.
+                for wire in wires[:5]:
+                    status, _, _ = _request(server.port, "POST", "/collect", wire)
+                    assert status == 202
+                assert self._backlog(server, sock)[0] < self.BOUND
+                # Once it reads, everything it sent is answered in order.
+                answered = self._finish(sock, stream, sent)
+            assert answered == count
+            assert server.collect_total == count + 5
+
+    @staticmethod
+    def _send_until_stalled(sock, stream, quiet_s=1.0):
+        view = memoryview(stream)
+        sent = 0
+        while sent < len(stream):
+            if not select.select([], [sock], [], quiet_s)[1]:
+                break  # not writable for a whole second: stalled
+            try:
+                sent += sock.send(view[sent : sent + (1 << 18)])
+            except BlockingIOError:
+                pass
+        return sent
+
+    @staticmethod
+    def _backlog(server, sock):
+        """(bytes held, requests unanswered, still reading) for ``sock``."""
+        peer = sock.getsockname()
+
+        async def look():
+            for conn in server._connections:
+                if conn.transport.get_extra_info("peername") == peer:
+                    filled = sum(len(s[0]) for s in conn.slots if s[0])
+                    held = conn.transport.get_write_buffer_size() + filled
+                    reading = conn.transport.is_reading()
+                    return held + len(conn.buf), len(conn.slots), reading
+            raise AssertionError("connection not found")
+
+        return asyncio.run_coroutine_threadsafe(look(), server._loop).result(10.0)
+
+    @staticmethod
+    def _finish(sock, stream, sent):
+        """Send the rest while reading; how many whole correct answers came."""
+        one = _parent_render_verdict(_verdict())  # what `_Canned` earns
+        expected = stream.count(b"POST /collect ")
+        view = memoryview(stream)
+        answered = 0
+        tail = b""
+        deadline = time.monotonic() + 60.0
+        while answered < expected:
+            assert time.monotonic() < deadline, f"{answered} answered"
+            want_write = [sock] if sent < len(stream) else []
+            readable, writable, _ = select.select([sock], want_write, [], 5.0)
+            if writable:
+                try:
+                    sent += sock.send(view[sent : sent + (1 << 18)])
+                except BlockingIOError:
+                    pass
+            if readable:
+                chunk = sock.recv(1 << 20)
+                assert chunk, "server closed the connection"
+                data = tail + chunk
+                whole = len(data) // len(one)
+                assert data[: whole * len(one)] == one * whole
+                answered += whole
+                tail = data[whole * len(one):]
+        assert not tail
+        return answered

@@ -91,12 +91,19 @@ def _request(app, method, path, body=b""):
         {
             "REQUEST_METHOD": method,
             "PATH_INFO": path,
+            "QUERY_STRING": "",
             "CONTENT_LENGTH": str(len(body)),
             "wsgi.input": io.BytesIO(body),
         }
     )
     chunks = app(environ, start_response)
-    return captured["status"], captured["headers"], b"".join(chunks)
+    try:
+        payload = b"".join(chunks)
+    finally:
+        close = getattr(chunks, "close", None)  # PEP 3333
+        if close is not None:
+            close()
+    return captured["status"], captured["headers"], payload
 
 
 class TestCollectionApp:
@@ -216,4 +223,5 @@ class TestHttpRoundtrip:
             connection.close()
         finally:
             server.shutdown()
+            server.server_close()
             thread.join(timeout=5)
