@@ -10,18 +10,26 @@ counters, its own durable event-log directory) per shard, with the
 session id's ring position choosing the lane.
 
 Scoring itself still flows through the
-:class:`~repro.cluster.router.ClusterRouter` — every lane wraps the
-*router* as its inner service, so failover, hedging and the
-shared-memory shard transport all apply to event scoring unchanged.
-The lane only owns the session *state*: sticky verdicts, revision
-tracking, TTL/capacity eviction.
+:class:`~repro.cluster.router.ClusterRouter`: a batch of envelopes is
+parsed once, scored with **one** ``router.score_many`` over the whole
+batch — the router's bulk path, so failover and the shared-memory shard
+transport apply (hedging does not: like ``/collect`` under the async
+front end, a bulk chunk fails over but is never raced) — and then each
+event is folded into its lane in arrival order.  The router hands every
+shard its wires in arrival order too, so the shards' dedup windows see
+what one-at-a-time scoring would show them.  The lane only owns the
+session *state*: sticky verdicts, revision tracking, TTL/capacity
+eviction.
 
-Lane choice follows :meth:`HashRing.node_for` over the session id, the
-same placement the router uses under ``--affinity session`` — so an
-event's state lane and its scoring shard coincide while the ring is
-stable.  When the ring cannot answer (all shards draining), a
-deterministic hash over the sorted lane ids keeps placement stable
-rather than failing the event.
+Lane choice follows :meth:`HashRing.node_for` over the **parsed**
+session id, the same placement the router uses under ``--affinity
+session`` — so a first event's state lane and its scoring shard
+coincide while the ring is stable.  Placing by the parsed id (not by a
+byte slice of the envelope) is what keeps a session in one lane when a
+client sends its keys in another order; a malformed envelope is
+rejected before any lane is chosen.  When the ring cannot answer (all
+shards draining), a deterministic hash over the sorted lane ids keeps
+placement stable rather than failing the event.
 
 ``GET /sessions`` aggregates across lanes: summed counters, merged
 revision reasons, and a per-shard breakdown.  ``metrics_lines`` keeps
@@ -33,10 +41,15 @@ active-session gauges.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Sequence, Union
 
-from repro.cluster.ring import ring_hash, wire_routing_key
-from repro.sessions.service import SessionObservation, SessionScoringService
+from repro.cluster.ring import ring_hash
+from repro.sessions.envelope import EnvelopeParser
+from repro.sessions.service import (
+    SessionObservation,
+    SessionScoringService,
+    observe_batch,
+)
 from repro.sessions.store import SessionEventLog
 
 __all__ = ["ClusterSessionService"]
@@ -73,6 +86,9 @@ class ClusterSessionService:
             raise ValueError("cluster has no shards to attach lanes to")
         per_lane_max = max(1, max_sessions // len(shard_ids))
         self._order: List[str] = shard_ids
+        # One envelope memo for all lanes: fingerprints repeat across
+        # sessions, wherever their state lives.
+        self._envelopes = EnvelopeParser()
         self._lanes: Dict[str, SessionScoringService] = {}
         for shard_id in shard_ids:
             event_log = None
@@ -92,9 +108,9 @@ class ClusterSessionService:
 
     def lane_of(self, session_id: str) -> str:
         """The shard id whose lane owns ``session_id``'s state."""
-        return self._lane_key(session_id.encode("utf-8"))
-
-    def _lane_key(self, key: bytes) -> str:
+        # surrogatepass: JSON can spell a lone surrogate, and a session
+        # id the ingest accepts must not fail to place.
+        key = session_id.encode("utf-8", "surrogatepass")
         shard_id = self.router.supervisor.ring.node_for(key)
         if shard_id is None or shard_id not in self._lanes:
             # Ring drained or membership changed under us: place by a
@@ -105,16 +121,18 @@ class ClusterSessionService:
     # ------------------------------------------------------------------
     # scoring
 
-    def observe_wire(self, wire: bytes, day=None) -> SessionObservation:
-        """Score one event envelope through its owning lane.
+    def observe_many(
+        self, wires: Sequence[bytes], day=None
+    ) -> List[SessionObservation]:
+        """Score a batch of envelopes: one router call, folds in order."""
+        return observe_batch(self._envelopes, self.router, self._fold, wires, day)
 
-        The lane is chosen from the raw bytes exactly the way the
-        router's session affinity would — no JSON parse on the hot
-        path; malformed envelopes go to a deterministic lane and are
-        rejected there.
-        """
-        key = wire_routing_key(wire, "session")
-        return self._lanes[self._lane_key(key)].observe_wire(wire, day=day)
+    def _fold(self, event, verdict) -> SessionObservation:
+        return self._lanes[self.lane_of(event.session_id)].fold(event, verdict)
+
+    def observe_wire(self, wire: bytes, day=None) -> SessionObservation:
+        """Score one event envelope: a batch of one."""
+        return self.observe_many([wire], day=day)[0]
 
     def observe_event(self, event, day=None) -> SessionObservation:
         return self._lanes[self.lane_of(event.session_id)].observe_event(

@@ -27,19 +27,28 @@ on each:
   thread pool, several batches in flight at once.  A finished batch
   fills its slots and then flushes each connection it touched *once*;
   responses are rendered once per distinct verdict in the batch;
+* **events batch too, in order** — ``POST /event`` bodies land in a
+  second coalescing buffer and are handed to the session layer's
+  ``observe_many`` a batch at a time.  Exactly **one event batch is in
+  flight**; the next one forms while it runs (that wait is the only
+  linger), so a session's events are folded in the order they were
+  parsed however a client pipelines them, and delivery is the same
+  fill-then-flush-once as for collects;
 * **two-sided backpressure** — when the number of admitted-but-
-  unanswered wires reaches the high watermark the server *stops
-  reading every socket* (TCP flow control propagates to clients) until
-  the backlog drains below the low watermark, instead of accepting work
-  only to shed it with 503s; pause episodes are counted and exported.
+  unanswered wires (collects and events alike) reaches the high
+  watermark the server *stops reading every socket* (TCP flow control
+  propagates to clients) until the backlog drains below the low
+  watermark, instead of accepting work only to shed it with 503s;
+  pause episodes are counted and exported.
   And a connection whose client stops *reading* its responses stops
   being read until the transport's write buffer drains, so a client
   that pipelines and never reads cannot grow server memory.
 
-Endpoints other than ``POST /collect`` are delegated to the existing
+Every other endpoint — and a ``POST /event`` that has no body, or no
+session layer to go to — is delegated to the existing
 :class:`~repro.service.api.CollectionApp` through a minimal in-process
 WSGI bridge on the same thread pool, so ``/health``, ``/metrics``,
-``/cluster`` and the session endpoints behave identically under either
+``/cluster`` and the session lookups behave identically under either
 front end.  ``GET /metrics`` responses additionally carry this server's
 ``polygraph_ingest_*`` counters.
 """
@@ -252,10 +261,15 @@ class _Connection(asyncio.Protocol):
         buf = self.buf
         slots = self.slots
         collect_buffer = server._buffer
+        # Without a session layer the app answers /event itself (404).
+        event_buffer = (
+            None if getattr(server.app, "sessions", None) is None
+            else server._events
+        )
         max_pending = server.max_pending
         size = len(buf)
         pos = 0
-        requests = collects = 0
+        requests = collects = events = 0
         answered = False
         # True when requests stay in the buffer because something said stop.
         stopped = self.write_paused and size > 0
@@ -303,6 +317,11 @@ class _Connection(asyncio.Protocol):
                     slot[0] = _error("400 Bad Request", "bad content length",
                                      keep_alive)
                     answered = True
+            elif (path == b"/event" and body and method == b"POST"
+                    and event_buffer is not None):
+                events += 1
+                server._pending += 1
+                event_buffer.append((body, self, slot))
             else:
                 server._bridge(self, slot, method.decode("latin-1"),
                                path.decode("latin-1"), body)
@@ -320,6 +339,9 @@ class _Connection(asyncio.Protocol):
         if collects:
             server.collect_total += collects
             server._wakeup.set()
+        if events:
+            server.event_total += events
+            server._start_event_batch()
         if answered or self.final:
             self._flush()
 
@@ -346,7 +368,9 @@ class AsyncIngestServer:
     router, the micro-batched runtime, or the per-request service; the
     widest batch interface it offers is used.  ``app`` is the WSGI
     :class:`CollectionApp` wrapping the *same* service, used verbatim
-    for every endpoint except ``POST /collect``.
+    for every endpoint except ``POST /collect`` and — when it has a
+    session layer attached (``app.sessions``) — ``POST /event``, whose
+    bodies go to that layer's ``observe_many``.
 
     The server owns one event-loop thread; ``start()``/``close()``
     manage it directly, while ``serve_forever()``/``shutdown()`` match
@@ -383,6 +407,7 @@ class AsyncIngestServer:
         # -- counters (ints: GIL-atomic, read from any thread) --
         self.requests_total = 0
         self.collect_total = 0
+        self.event_total = 0
         self.batches_total = 0
         self.batch_rows_total = 0
         self.writes_total = 0
@@ -399,6 +424,8 @@ class AsyncIngestServer:
         self._paused = False
         self._connections: Set[_Connection] = set()
         self._buffer: List[Tuple[bytes, _Connection, list]] = []
+        self._events: List[Tuple[bytes, _Connection, list]] = []
+        self._event_batch_running = False
         self._wakeup: Optional[asyncio.Event] = None
         self._stop_async: Optional[asyncio.Event] = None
         self._executor: Optional[ThreadPoolExecutor] = None
@@ -493,6 +520,7 @@ class AsyncIngestServer:
             await server.wait_closed()
             batcher.cancel()
             self._buffer.clear()
+            self._events.clear()
             self._executor.shutdown(wait=False)
 
     # ------------------------------------------------------------------
@@ -528,17 +556,21 @@ class AsyncIngestServer:
                 # the scoring tier sees wide batches, not single wires.
                 await asyncio.sleep(self.linger_s)
             while self._buffer:
-                batch = self._buffer[: self.batch_max]
-                del self._buffer[: len(batch)]
-                self.batches_total += 1
-                self.batch_rows_total += len(batch)
-                task = self._loop.run_in_executor(
-                    self._executor, self._score_batch,
-                    [entry[0] for entry in batch],
-                )
-                task.add_done_callback(
-                    lambda done, batch=batch: self._deliver(done, batch)
-                )
+                self._dispatch(self._buffer, self._score_batch, self._deliver)
+
+    def _dispatch(self, buffer: List[Tuple[bytes, _Connection, list]],
+                  score: Callable[[List[bytes]], List[bytes]],
+                  done: Callable) -> None:
+        """Take one batch off ``buffer``; ``score`` its bodies on the
+        thread pool, then call ``done(future, batch)`` on the loop."""
+        batch = buffer[: self.batch_max]
+        del buffer[: len(batch)]
+        self.batches_total += 1
+        self.batch_rows_total += len(batch)
+        task = self._loop.run_in_executor(
+            self._executor, score, [entry[0] for entry in batch]
+        )
+        task.add_done_callback(lambda future: done(future, batch))
 
     def _score_batch(self, wires: List[bytes]) -> List[bytes]:
         """Runs on the scoring thread pool; returns rendered responses."""
@@ -589,6 +621,44 @@ class AsyncIngestServer:
             conn._flush()
         if self._paused and self._pending <= self.resume_pending:
             self._resume_reads()
+
+    # ------------------------------------------------------------------
+    # /event: coalesce across connections, one batch in flight
+
+    def _start_event_batch(self) -> None:
+        """Hand the session layer the next batch, unless one is running.
+
+        One batch at a time is what keeps a session's events in order:
+        two batches on two threads could fold a follow-up before the
+        event it follows.  It also needs no linger — whatever arrives
+        while a batch runs is the next batch.
+        """
+        if self._event_batch_running or not self._events:
+            return
+        self._event_batch_running = True
+        self._dispatch(self._events, self._observe_batch, self._event_batch_done)
+
+    def _observe_batch(self, bodies: List[bytes]) -> List[bytes]:
+        """Runs on the scoring thread pool; returns rendered responses.
+
+        Status and document are ``CollectionApp._event``'s, byte for byte.
+        """
+        headers = [("Content-Type", "application/json")]
+        responses = []
+        for observation in self.app.sessions.observe_many(bodies):
+            status = (
+                "202 Accepted" if observation.verdict.accepted
+                else "400 Bad Request"
+            )
+            body = json.dumps(observation.to_dict()).encode("utf-8")
+            responses.append(_render(status, headers, body, True))
+        return responses
+
+    def _event_batch_done(self, done, batch) -> None:
+        self._event_batch_running = False
+        # The next batch scores while this one's answers are written.
+        self._start_event_batch()
+        self._deliver(done, batch)
 
     # ------------------------------------------------------------------
     # WSGI bridge for every other endpoint
@@ -650,6 +720,8 @@ class AsyncIngestServer:
             f"polygraph_ingest_writes {self.writes_total}",
             "# TYPE polygraph_ingest_collect_requests counter",
             f"polygraph_ingest_collect_requests {self.collect_total}",
+            "# TYPE polygraph_ingest_event_requests counter",
+            f"polygraph_ingest_event_requests {self.event_total}",
             "# TYPE polygraph_ingest_batches counter",
             f"polygraph_ingest_batches {self.batches_total}",
             "# TYPE polygraph_ingest_batch_rows counter",

@@ -19,6 +19,16 @@ and adds session state on top.  The contract that keeps it honest:
   risk factor only ratchets up; clean follow-ups are reported as
   informational ``flag_cleared`` revisions without lowering anything.
 
+The unit of work is the **batch**: :func:`observe_batch` parses every
+envelope (once — see :mod:`repro.sessions.envelope`), scores all inner
+wires with *one* call to the inner service's widest interface, then
+folds each event into its session in arrival order.  ``observe_wire``
+is a batch of one and ``observe_event`` enters at the scoring step, so
+there is a single implementation of each step.  Scoring reads no
+session state and folding reads no scoring state, which is why any
+split of a wire sequence into batches leaves exactly the observations,
+counters and tracker state that one-at-a-time scoring would.
+
 Cluster-flip detection needs the *predicted cluster*, which the inner
 services' :class:`Verdict` deliberately omits.  A small LRU memo maps
 ``(values, user_agent)`` to the pipeline's full
@@ -29,15 +39,14 @@ not per event.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from dataclasses import dataclass
 from datetime import date
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.detection import DetectionResult
-from repro.service.ingest import MAX_SESSION_ID_LENGTH
 from repro.service.scoring import Verdict
+from repro.sessions.envelope import EnvelopeParser, inner_wire
 from repro.sessions.revision import (
     RevisionReason,
     VerdictRevision,
@@ -45,9 +54,9 @@ from repro.sessions.revision import (
 )
 from repro.sessions.store import SessionEventLog
 from repro.sessions.tracker import EventRecord, SessionState, SessionTracker
-from repro.traffic.events import EventType, SessionEvent
+from repro.traffic.events import SessionEvent
 
-__all__ = ["SessionObservation", "SessionScoringService"]
+__all__ = ["SessionObservation", "SessionScoringService", "observe_batch"]
 
 _DETECT_MEMO_LIMIT = 8192
 
@@ -78,21 +87,71 @@ class SessionObservation:
         }
 
 
-def _derived_session_id(session_id: str, seq: int) -> str:
-    """The inner-service id for a follow-up event.
+def _unscored(verdict: Verdict, event_seq: int) -> SessionObservation:
+    """The observation of an event that never reached a session."""
+    return SessionObservation(
+        verdict=verdict,
+        session_flagged=False,
+        session_risk=None,
+        revision=None,
+        event_seq=event_seq,
+        session_created=False,
+    )
 
-    ``sid@seq`` keeps derived ids readable in quarantine logs; when the
-    suffix would blow the wire contract's length cap the id collapses
-    to a fixed-width blake2b digest instead (still unique per
-    ``(sid, seq)``, still under the cap).
+
+def _score_wires(
+    inner, wires: Sequence[bytes], day: Optional[date] = None
+) -> List[Verdict]:
+    """Score inner wires with one call to ``inner``'s widest interface.
+
+    ``score_many`` (the cluster router's bulk path) takes no ``day``;
+    a dated replay, and any service without it, goes wire by wire.
     """
-    derived = f"{session_id}@{seq}"
-    if len(derived) <= MAX_SESSION_ID_LENGTH:
-        return derived
-    digest = hashlib.blake2b(
-        derived.encode("utf-8"), digest_size=24
-    ).hexdigest()
-    return f"ev-{digest}"
+    score_many = getattr(inner, "score_many", None)
+    if score_many is not None and day is None:
+        return score_many(wires)
+    return [inner.score_wire(wire, day=day) for wire in wires]
+
+
+def observe_batch(
+    envelopes: EnvelopeParser,
+    inner,
+    fold: Callable[[SessionEvent, Verdict], SessionObservation],
+    wires: Sequence[bytes],
+    day: Optional[date] = None,
+) -> List[SessionObservation]:
+    """Parse, score once, fold in arrival order; one observation per wire.
+
+    ``fold`` owns the session state: the single-process service passes
+    its own :meth:`SessionScoringService.fold`, the cluster facade one
+    that picks the session's lane first.  A malformed envelope is
+    answered here and reaches neither the inner service nor ``fold``.
+    """
+    observations: List[Optional[SessionObservation]] = [None] * len(wires)
+    parsed: List[Tuple[int, SessionEvent]] = []
+    inner_wires: List[bytes] = []
+    for index, wire in enumerate(wires):
+        try:
+            event, scored_as = envelopes.parse(wire)
+        except ValueError as exc:
+            observations[index] = _unscored(
+                Verdict(
+                    session_id="",
+                    accepted=False,
+                    flagged=False,
+                    risk_factor=None,
+                    reject_reason=f"malformed_event: {str(exc)[:80]}",
+                    latency_ms=0.0,
+                ),
+                -1,
+            )
+            continue
+        parsed.append((index, event))
+        inner_wires.append(scored_as)
+    verdicts = _score_wires(inner, inner_wires, day)
+    for (index, event), verdict in zip(parsed, verdicts):
+        observations[index] = fold(event, verdict)
+    return observations  # type: ignore[return-value]
 
 
 class SessionScoringService:
@@ -130,6 +189,7 @@ class SessionScoringService:
         self.tracker = tracker
         self.event_log = event_log
         self._lock = threading.Lock()
+        self._envelopes = EnvelopeParser()
         self._detect_memo: Dict[tuple, Optional[DetectionResult]] = {}
         # Counters for /metrics.
         self.events_total = 0
@@ -159,61 +219,38 @@ class SessionScoringService:
     # ------------------------------------------------------------------
     # scoring
 
+    def observe_many(
+        self, wires: Sequence[bytes], day: Optional[date] = None
+    ) -> List[SessionObservation]:
+        """Score a batch of event envelopes (``POST /event`` bodies).
+
+        Equal, observation for observation and counter for counter, to
+        calling :meth:`observe_wire` on each in turn.
+        """
+        return observe_batch(self._envelopes, self.inner, self.fold, wires, day)
+
     def observe_wire(self, wire: bytes, day: Optional[date] = None) -> SessionObservation:
-        """Score one event-envelope payload (``POST /event`` body)."""
-        try:
-            event = SessionEvent.from_wire(wire)
-        except ValueError as exc:
-            verdict = Verdict(
-                session_id="",
-                accepted=False,
-                flagged=False,
-                risk_factor=None,
-                reject_reason=f"malformed_event: {str(exc)[:80]}",
-                latency_ms=0.0,
-            )
-            return SessionObservation(
-                verdict=verdict,
-                session_flagged=False,
-                session_risk=None,
-                revision=None,
-                event_seq=-1,
-                session_created=False,
-            )
-        return self.observe_event(event, day=day)
+        """Score one event-envelope payload: a batch of one."""
+        return self.observe_many([wire], day=day)[0]
 
     def observe_event(
         self, event: SessionEvent, day: Optional[date] = None
     ) -> SessionObservation:
-        """Score one event and reconcile it with the session verdict."""
+        """Score one already-parsed event."""
+        (verdict,) = _score_wires(self.inner, [inner_wire(event)], day)
+        return self.fold(event, verdict)
+
+    def fold(self, event: SessionEvent, verdict: Verdict) -> SessionObservation:
+        """Reconcile one scored event with its session's sticky verdict.
+
+        The only step that touches session state; callers fold a
+        session's events in the order they arrived.
+        """
         with self._lock:
             if event.timestamp > self._virtual_now:
                 self._virtual_now = event.timestamp
-
-        if event.seq == 0:
-            # Parity path: the untouched single-vector bytes.
-            inner_wire = event.core_wire()
-        else:
-            derived = _derived_session_id(event.session_id, event.seq)
-            inner_wire = SessionEvent(
-                session_id=derived,
-                event_type=event.event_type,
-                seq=event.seq,
-                timestamp=event.timestamp,
-                user_agent=event.user_agent,
-                values=event.values,
-                suspicious_globals=event.suspicious_globals,
-            ).core_wire()
-        verdict = self.inner.score_wire(inner_wire, day=day)
         if not verdict.accepted:
-            return SessionObservation(
-                verdict=verdict,
-                session_flagged=False,
-                session_risk=None,
-                revision=None,
-                event_seq=event.seq,
-                session_created=False,
-            )
+            return _unscored(verdict, event.seq)
         # Report under the real session id, whatever id scored inside.
         if verdict.session_id != event.session_id:
             verdict = Verdict(

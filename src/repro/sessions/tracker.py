@@ -5,8 +5,8 @@ session scoring service: one :class:`SessionState` per live session id,
 carrying the sticky verdict summary, incrementally-maintained feature
 aggregates, and a bounded typed event log.  Bounds are hard on both
 axes — ``max_sessions`` ids (LRU eviction) and ``ttl_seconds`` per id
-(lazy expiry on access plus opportunistic sweeps) — so a web-scale
-event stream cannot grow the tracker without limit.
+(lazy expiry on access plus opportunistic sweeps of the stale end) —
+so a web-scale event stream cannot grow the tracker without limit.
 
 The clock is injectable (``clock=``) for deterministic tests and for
 the benchmark's virtual-time replay.
@@ -163,7 +163,7 @@ class SessionTracker:
         with self._lock:
             self._touches += 1
             if self._touches % _SWEEP_EVERY == 0:
-                self._sweep_locked(now)
+                self._sweep_stale_locked(now)
             state = self._sessions.get(session_id)
             if state is not None:
                 if now - state.last_seen > self.ttl_seconds:
@@ -201,6 +201,25 @@ class SessionTracker:
         now = self._clock()
         with self._lock:
             return self._sweep_locked(now)
+
+    def _sweep_stale_locked(self, now: float) -> None:
+        """The opportunistic sweep: expired sessions off the stale end.
+
+        The map is in recency order, so the sessions idle longest sit
+        at its head; pop while the head has expired and stop at the
+        first live one.  The cost is the number evicted, not the number
+        tracked — this runs under the lock every ``_SWEEP_EVERY``
+        touches.  An expired session behind a live one (its last event
+        carried an older timestamp than its neighbour's) waits for the
+        lazy expiry on touch, or for :meth:`sweep`.
+        """
+        sessions = self._sessions
+        while sessions:
+            session_id, state = next(iter(sessions.items()))
+            if now - state.last_seen <= self.ttl_seconds:
+                break
+            del sessions[session_id]
+            self.evicted_ttl += 1
 
     def _sweep_locked(self, now: float) -> int:
         expired = [

@@ -155,7 +155,13 @@ class SessionEvent:
                     str(g) for g in body.get("g", ())
                 ),
             )
-        except (ValueError, KeyError, TypeError) as exc:
+        except (
+            ValueError, KeyError, TypeError, OverflowError, RecursionError
+        ) as exc:
+            # OverflowError: "ts" an integer past float range, "seq" or
+            # a feature value 1e999.  RecursionError: a body of nothing
+            # but "[".  Either would otherwise escape as a 500 — and
+            # take the rest of its batch with it.
             raise ValueError(f"malformed session event: {exc}") from exc
 
 

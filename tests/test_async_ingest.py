@@ -8,6 +8,9 @@ connection come back in request order even with pipelining, framing
 that cannot be trusted is refused and the connection closed, and both
 kinds of backpressure (too much admitted; a client that does not read)
 stop the reading instead of shedding work or growing memory.
+``POST /event`` is held to the same contract on its own batch path:
+answers byte-identical to the WSGI app's, a session's pipelined events
+folded in the order they were sent, one batch in flight, backpressure.
 
 Where the bytes on the wire or the number of writes matter, the
 connection protocol is driven directly on the server's loop with a
@@ -31,6 +34,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import ClusterConfig, ClusterRouter, ShardSupervisor
+from repro.cluster.sessions import ClusterSessionService
 from repro.fingerprint.script import MAX_PAYLOAD_BYTES
 from repro.runtime.pool import OVERLOADED_REASON, overloaded_verdict
 from repro.service import aingest
@@ -38,6 +43,14 @@ from repro.service.aingest import AsyncIngestServer
 from repro.service.api import CollectionApp
 from repro.service.ingest import RejectReason
 from repro.service.scoring import ScoringService, Verdict
+from repro.sessions import SessionScoringService
+from repro.traffic.events import (
+    EventStreamConfig,
+    EventType,
+    SessionEvent,
+    StreamScenario,
+    build_event_streams,
+)
 from repro.traffic.replay import iter_wire_payloads
 
 
@@ -445,6 +458,44 @@ def _parent_render_verdict(verdict) -> bytes:
     return head.encode("latin-1") + body
 
 
+def _parent_render_event(observation) -> bytes:
+    """What ``CollectionApp._event`` answered through the WSGI bridge
+    before events had a batch path of their own — document, key order,
+    headers — kept as the reference the batch path must equal."""
+    verdict, revision = observation.verdict, observation.revision
+    document = {
+        "session_id": verdict.session_id,
+        "accepted": verdict.accepted,
+        "event_flagged": verdict.flagged,
+        "event_risk": verdict.risk_factor,
+        "reject_reason": verdict.reject_reason,
+        "session_flagged": observation.session_flagged,
+        "session_risk": observation.session_risk,
+        "revision": None if revision is None else {
+            "session_id": revision.session_id,
+            "seq": revision.seq,
+            "event_type": revision.event_type,
+            "reason": revision.reason.value,
+            "old_flagged": revision.old_flagged,
+            "new_flagged": revision.new_flagged,
+            "old_risk": revision.old_risk,
+            "new_risk": revision.new_risk,
+            "detail": revision.detail,
+        },
+        "event_seq": observation.event_seq,
+        "session_created": observation.session_created,
+    }
+    body = json.dumps(document).encode("utf-8")
+    status = "202 Accepted" if verdict.accepted else "400 Bad Request"
+    head = "\r\n".join([
+        f"HTTP/1.1 {status}",
+        "Content-Type: application/json",
+        f"Content-Length: {len(body)}",
+        "Connection: keep-alive",
+    ]) + "\r\n\r\n"
+    return head.encode("latin-1") + body
+
+
 # ----------------------------------------------------------------------
 
 
@@ -774,6 +825,313 @@ class TestWrites:
         assert [status for status, _, _ in _responses(b"".join(writes))] == [202]
 
 
+# -- POST /event: the batch path ----------------------------------------
+
+
+@pytest.fixture(scope="module")
+def event_streams(small_dataset, trained):
+    """Multi-event streams; fraud donors are guaranteed cross-cluster."""
+    table = trained.cluster_model.ua_to_cluster
+
+    def donor_ok(victim_key, donor_key):
+        victim, donor = table.get(victim_key), table.get(donor_key)
+        return victim is not None and donor is not None and victim != donor
+
+    streams = build_event_streams(
+        small_dataset, EventStreamConfig(seed=11), donor_ok=donor_ok
+    )
+    fraud = [s for s in streams if s.scenario in (
+        StreamScenario.ENGINE_SWAP,
+        StreamScenario.SPOOF_UPDATE,
+        StreamScenario.HIJACK_HANDOFF,
+    )]
+    benign = [s for s in streams if s.scenario is StreamScenario.BENIGN_RECOLLECT]
+    return fraud + benign[: 200 - len(fraud)]
+
+
+def _event_server(trained, **kwargs):
+    """A front end over the per-request service with a session layer."""
+    service = ScoringService(trained)
+    sessions = SessionScoringService(service, ttl_seconds=1e9)
+    app = CollectionApp(service, sessions=sessions)
+    kwargs.setdefault("host", "127.0.0.1")
+    kwargs.setdefault("port", 0)
+    return AsyncIngestServer(service, app, **kwargs)
+
+
+def _converse(port, raw, timeout=30.0):
+    """Send ``raw`` while reading; everything the server sent until it
+    closed.  (A reply stream this long can fill the socket both ways: a
+    client that only sends, then only reads, would deadlock.)"""
+    chunks = []
+    view = memoryview(raw)
+    sent = 0
+    deadline = time.monotonic() + timeout
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
+        sock.setblocking(False)
+        while True:
+            assert time.monotonic() < deadline, "no close from the server"
+            want_write = [sock] if sent < len(raw) else []
+            readable, writable, _ = select.select([sock], want_write, [], 5.0)
+            if writable:
+                try:
+                    sent += sock.send(view[sent : sent + (1 << 18)])
+                except BlockingIOError:
+                    pass
+            if readable:
+                chunk = sock.recv(1 << 20)
+                if not chunk:
+                    return b"".join(chunks)
+                chunks.append(chunk)
+
+
+def _event_essence(document):
+    revision = document["revision"]
+    return (
+        document["session_id"],
+        document["accepted"],
+        document["event_flagged"],
+        document["event_risk"],
+        document["reject_reason"],
+        document["session_flagged"],
+        document["session_risk"],
+        None if revision is None else revision["reason"],
+        document["event_seq"],
+        document["session_created"],
+    )
+
+
+class TestEventOrdering:
+    def test_back_to_back_events_of_one_session_are_folded_in_order(
+        self, trained, event_streams
+    ):
+        """200 sessions' events, each session's written back to back, in
+        one send.  The bridge gave them to four threads at once; a
+        follow-up folded before its first event reads `session_created`
+        and misses its revision."""
+        events = [e for stream in event_streams for e in stream.events]
+        assert len(event_streams) == 200 and len(events) > 800
+        reference = SessionScoringService(ScoringService(trained), ttl_seconds=1e9)
+        expected = [
+            _event_essence(reference.observe_wire(e.to_wire()).to_dict())
+            for e in events
+        ]
+        assert sum(1 for e in expected if e[7] is not None) >= 10
+        raw = b"".join(_http("POST", "/event", e.to_wire()) for e in events[:-1])
+        raw += _http("POST", "/event", events[-1].to_wire(), ["Connection: close"])
+        supervisor = ShardSupervisor.from_polygraph(
+            trained, config=ClusterConfig(n_shards=2, heartbeat_interval_s=5.0)
+        )
+        router = ClusterRouter(supervisor).start()
+        try:
+            sessions = ClusterSessionService(router, ttl_seconds=1e9)
+            app = CollectionApp(router, sessions=sessions)
+            with AsyncIngestServer(router, app, host="127.0.0.1", port=0) as server:
+                answers = _responses(_converse(server.port, raw))
+                assert server.event_total == len(events)
+                assert server.batch_rows_total == len(events)
+                assert server.batches_total < len(events) / 4
+        finally:
+            router.shutdown()
+        assert [status for status, _, _ in answers] == [202] * len(events)
+        actual = [_event_essence(json.loads(body)) for _, _, body in answers]
+        wrong = [i for i, pair in enumerate(zip(actual, expected)) if pair[0] != pair[1]]
+        assert wrong == []
+
+    def test_one_event_batch_in_flight_at_a_time(self, trained, wires):
+        running = []
+        overlaps = []
+        batches = []
+
+        class Watching:
+            def observe_many(self, bodies):
+                running.append(1)
+                overlaps.append(len(running))
+                batches.append(len(bodies))
+                time.sleep(0.01)
+                running.pop()
+                raise RuntimeError("answer 500, the test only counts")
+
+        service = ScoringService(trained)
+        app = CollectionApp(service, sessions=Watching())
+        server = AsyncIngestServer(
+            service, app, host="127.0.0.1", port=0, batch_max=8
+        )
+        raw = b"".join(_http("POST", "/event", b"{}") for _ in range(39))
+        raw += _http("POST", "/event", b"{}", ["Connection: close"])
+        with server:
+            clients = [
+                threading.Thread(target=_converse, args=(server.port, raw))
+                for _ in range(3)
+            ]
+            for client in clients:
+                client.start()
+            for client in clients:
+                client.join(30.0)
+                assert not client.is_alive()
+        assert sum(batches) == 120 and len(batches) >= 15
+        assert max(batches) <= 8
+        assert set(overlaps) == {1}
+
+
+class TestEventRendering:
+    def test_bytes_equal_the_bridge_for_every_kind_of_answer(
+        self, trained, event_streams
+    ):
+        swap = next(
+            s for s in event_streams if s.scenario is StreamScenario.ENGINE_SWAP
+        )
+        benign = next(
+            s for s in event_streams if s.scenario is StreamScenario.BENIGN_RECOLLECT
+        )
+        # Same surface under another browser's name: no flip, a UA change.
+        renamed = dataclasses.replace(
+            benign.events[1],
+            user_agent=next(
+                s.first.user_agent
+                for s in event_streams
+                if s.first.user_agent != benign.first.user_agent
+            ),
+        )
+        last = swap.events[-1]
+        # The clean first vector again: flips back, then clears nothing.
+        clean = [
+            dataclasses.replace(
+                swap.first,
+                event_type=EventType.RE_COLLECTION,
+                seq=last.seq + extra,
+                timestamp=last.timestamp + extra,
+            )
+            for extra in (1, 2)
+        ]
+        bodies = [
+            e.to_wire() for e in (*swap.events, *clean, benign.first, renamed)
+        ]
+        bodies.append(swap.first.to_wire())  # a replayed first event
+        bodies.append(b"not an envelope")
+        bodies.append(swap.first.to_wire().replace(b"page_load", b"hover"))
+        reference = SessionScoringService(ScoringService(trained), ttl_seconds=1e9)
+        observed = [reference.observe_wire(body) for body in bodies]
+        reasons = {o.revision.reason.value for o in observed if o.revision}
+        assert {"cluster_flip", "ua_change", "flag_cleared"} <= reasons
+        assert [o.verdict.reject_reason for o in observed[-3:-1]] == [
+            "duplicate", "malformed_event: malformed session event: "
+            "Expecting value: line 1 column 1 (char 0)",
+        ]
+        expected = [_parent_render_event(o) for o in observed]
+
+        # The frozen copy is what the bridge still answers …
+        bridged = _event_server(trained)
+        assert [
+            bridged._wsgi_call("POST", "/event", body, True) for body in bodies
+        ] == expected
+        # … what the batch worker renders …
+        assert _event_server(trained)._observe_batch(bodies) == expected
+        # … and what a client reads, `Connection: close` included.
+        raw = b"".join(_http("POST", "/event", body) for body in bodies[:-1])
+        raw += _http("POST", "/event", bodies[-1], ["Connection: close"])
+        with _event_server(trained) as server:
+            reply = _converse(server.port, raw)
+        expected[-1] = expected[-1].replace(b"keep-alive", b"close")
+        assert reply == b"".join(expected)
+
+
+class TestEventBatches:
+    def test_a_batch_leaves_in_one_write_and_is_counted(self, trained, event_streams):
+        bodies = [s.first.to_wire() for s in event_streams]
+        with _event_server(trained, batch_max=256) as server:
+            stream = b"".join(_http("POST", "/event", body) for body in bodies)
+            writes = _drive(server, [stream])
+            answers = _responses(b"".join(writes))
+            assert [status for status, _, _ in answers] == [202] * len(bodies)
+            assert len(writes) == server.writes_total <= 2
+            assert server.batches_total == 1
+            assert server.batch_rows_total == len(bodies)
+            assert (server.event_total, server.collect_total) == (len(bodies), 0)
+            lines = server.metrics_lines()
+            assert f"polygraph_ingest_event_requests {len(bodies)}" in lines
+            assert "polygraph_ingest_batches 1" in lines
+            assert f"polygraph_ingest_batch_rows {len(bodies)}" in lines
+
+    def test_a_failed_batch_answers_500_and_the_next_is_served(
+        self, trained, event_streams
+    ):
+        service = ScoringService(trained)
+        real = SessionScoringService(service, ttl_seconds=1e9)
+
+        class Poisoned:
+            def observe_many(self, bodies):
+                if any(b"poison" in body for body in bodies):
+                    raise RuntimeError("session layer bug")
+                return real.observe_many(bodies)
+
+        app = CollectionApp(service, sessions=Poisoned())
+        good = [s.first.to_wire() for s in event_streams[:5]]
+        stream = b"".join(
+            _http("POST", "/event", body) for body in [b"poison"] * 3 + good
+        )
+        stream += _http("GET", "/health")
+        with AsyncIngestServer(
+            service, app, host="127.0.0.1", port=0, batch_max=4
+        ) as server:
+            answers = _responses(b"".join(_drive(server, [stream])))
+            assert server._pending == 0
+        # The fourth request shared the poisoned batch; the rest did not.
+        assert [status for status, _, _ in answers] == [500] * 4 + [202] * 4 + [200]
+        assert json.loads(answers[0][2]) == {"error": "scoring failed"}
+        assert json.loads(answers[4][2])["session_id"] == event_streams[1].session_id
+
+    def test_what_is_not_a_batchable_event_takes_the_bridge(
+        self, trained, event_streams
+    ):
+        body = event_streams[0].first.to_wire()
+        stream = _http("POST", "/event") + _http("GET", "/event")
+        stream += _http("POST", "/event", body, ["Connection: close"])
+        with _event_server(trained) as server:
+            empty, wrong_method, fine = _responses(_exchange(server.port, stream))
+            assert server.event_total == 1
+        assert (empty[0], json.loads(empty[2])) == (
+            400, {"error": "bad content length"}
+        )
+        assert empty[1]["Connection"] == "keep-alive"
+        assert (wrong_method[0], json.loads(wrong_method[2])) == (
+            404, {"error": "unknown endpoint"}
+        )
+        assert fine[0] == 202
+        # No session layer: the app's own 404, and nothing is buffered.
+        with _serve(ScoringService(trained)) as server:
+            status, _, payload = _request(server.port, "POST", "/event", body)
+            assert server.event_total == 0 and server.batches_total == 0
+        assert (status, json.loads(payload)) == (
+            404, {"error": "session streaming not enabled"}
+        )
+
+    def test_event_backlog_pauses_reads_without_shedding(
+        self, trained, event_streams
+    ):
+        service = ScoringService(trained)
+        real = SessionScoringService(service, ttl_seconds=1e9)
+
+        class Slow:
+            def observe_many(self, bodies):
+                time.sleep(0.02)
+                return real.observe_many(bodies)
+
+        app = CollectionApp(service, sessions=Slow())
+        bodies = [s.first.to_wire() for s in event_streams[:20]]
+        with AsyncIngestServer(
+            service, app, host="127.0.0.1", port=0, batch_max=2, max_pending=2
+        ) as server:
+            responses = _pipeline(
+                server.port, [("POST", "/event", b) for b in bodies], timeout=30.0
+            )
+            assert server.backpressure_pauses > 0
+        assert [line.split(" ")[1] for line, _ in responses] == ["202"] * 20
+        assert [json.loads(body)["session_id"] for _, body in responses] == [
+            s.session_id for s in event_streams[:20]
+        ]
+
+
 # -- (a) any fragmentation of a pipelined stream, same bytes back ------
 
 _KINDS = ["good", "bad_json", "range", "oversized", "replay", "health", "empty"]
@@ -907,9 +1265,73 @@ class TestWriteSideBackpressure:
                     assert status == 202
                 assert self._backlog(server, sock)[0] < self.BOUND
                 # Once it reads, everything it sent is answered in order.
-                answered = self._finish(sock, stream, sent)
-            assert answered == count
+                one = _parent_render_verdict(_verdict())  # what `_Canned` earns
+                self._finish(sock, stream, sent, one * count)
             assert server.collect_total == count + 5
+
+    def test_unread_event_responses_stop_the_reading_too(self, trained, wires):
+        """Events are admitted work like collects: counted against the
+        watermark, and a client that never reads is no longer read."""
+        count = 50_000
+        document = json.loads(wires[0])
+        template = SessionEvent(
+            "bp-@@@@@@", EventType.PAGE_LOAD, 0, 1000.0,
+            document["ua"], tuple(document["f"]),
+        ).to_wire()
+        head, _, tail = template.partition(b"@@@@@@")
+        bodies = [head + b"%06d" % i + tail for i in range(count)]
+        stream = b"".join(_http("POST", "/event", body) for body in bodies)
+
+        class Accepting:
+            """Scores nothing: 100k real verdicts would be the test's time."""
+
+            polygraph = trained
+
+            def score_wire(self, wire, day=None):
+                return _verdict(session_id=wire[8 : wire.index(b'"', 8)].decode())
+
+        reference = SessionScoringService(Accepting())
+        replies = b"".join(
+            _parent_render_event(reference.observe_wire(body)) for body in bodies
+        )
+        assert replies.count(b" 202 Accepted") == count
+        service = ScoringService(trained)
+        app = CollectionApp(service, sessions=SessionScoringService(Accepting()))
+        others = [
+            SessionEvent(
+                f"other-{i}", EventType.PAGE_LOAD, 0, 1000.0,
+                document["ua"], tuple(document["f"]),
+            )
+            for i in range(5)
+        ]
+        server = AsyncIngestServer(
+            service, app, host="127.0.0.1", port=0,
+            max_pending=self.MAX_PENDING,
+        )
+        with server:
+            sock = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.settimeout(10.0)
+            with sock:
+                sock.connect(("127.0.0.1", server.port))
+                sock.setblocking(False)
+                sent = self._send_until_stalled(sock, stream)
+                assert sent < len(stream)
+                held, unanswered, reading = self._backlog(server, sock)
+                assert not reading
+                assert held < self.BOUND
+                assert unanswered <= self.MAX_PENDING
+                assert server._pending <= self.MAX_PENDING
+                for event in others:
+                    status, _, payload = _request(
+                        server.port, "POST", "/event", event.to_wire()
+                    )
+                    assert status == 202
+                    assert json.loads(payload)["session_id"] == event.session_id
+                assert self._backlog(server, sock)[0] < self.BOUND
+                self._finish(sock, stream, sent, replies)
+            assert server.event_total == count + 5
+            assert server.collect_total == 0
 
     @staticmethod
     def _send_until_stalled(sock, stream, quiet_s=1.0):
@@ -941,16 +1363,14 @@ class TestWriteSideBackpressure:
         return asyncio.run_coroutine_threadsafe(look(), server._loop).result(10.0)
 
     @staticmethod
-    def _finish(sock, stream, sent):
-        """Send the rest while reading; how many whole correct answers came."""
-        one = _parent_render_verdict(_verdict())  # what `_Canned` earns
-        expected = stream.count(b"POST /collect ")
+    def _finish(sock, stream, sent, replies):
+        """Send the rest while reading: exactly ``replies`` must come back."""
         view = memoryview(stream)
-        answered = 0
-        tail = b""
+        expected = memoryview(replies)
+        received = 0
         deadline = time.monotonic() + 60.0
-        while answered < expected:
-            assert time.monotonic() < deadline, f"{answered} answered"
+        while received < len(replies):
+            assert time.monotonic() < deadline, f"{received} bytes answered"
             want_write = [sock] if sent < len(stream) else []
             readable, writable, _ = select.select([sock], want_write, [], 5.0)
             if writable:
@@ -961,10 +1381,6 @@ class TestWriteSideBackpressure:
             if readable:
                 chunk = sock.recv(1 << 20)
                 assert chunk, "server closed the connection"
-                data = tail + chunk
-                whole = len(data) // len(one)
-                assert data[: whole * len(one)] == one * whole
-                answered += whole
-                tail = data[whole * len(one):]
-        assert not tail
-        return answered
+                assert chunk == expected[received : received + len(chunk)]
+                received += len(chunk)
+        assert sent == len(stream)

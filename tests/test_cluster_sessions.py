@@ -10,17 +10,35 @@ lanes, and each lane's durable event log lives in its own
 
 from __future__ import annotations
 
+import dataclasses
 import io
+import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
 
 from repro.cluster import ClusterConfig, ClusterRouter, ShardSupervisor
 from repro.cluster.sessions import ClusterSessionService
 from repro.service.api import CollectionApp
 from repro.service.scoring import ScoringService
 from repro.sessions import SessionScoringService
-from repro.traffic.events import EventStreamConfig, build_event_streams
+from repro.traffic.events import (
+    EventStreamConfig,
+    StreamScenario,
+    build_event_streams,
+)
+
+from tests.event_shapes import (
+    HOSTILE_SHAPES,
+    build_traffic,
+    differential,
+    first_difference,
+    lane_state,
+    scenario_streams,
+    traffic,
+    validator_state,
+)
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +136,129 @@ class TestLanePlacement:
             assert snapshot["shard"] == owner
         finally:
             cluster.supervisor.ring.add(owner)
+
+
+def _two_thread_shards(trained):
+    supervisor = ShardSupervisor.from_polygraph(
+        trained, config=ClusterConfig(n_shards=2, heartbeat_interval_s=5.0)
+    )
+    return ClusterRouter(supervisor).start()
+
+
+class TestLanePlacementByParsedId:
+    """A valid envelope's key order must not decide where its state goes."""
+
+    def test_reversed_key_streams_are_caught_like_canonical_ones(
+        self, small_dataset, trained
+    ):
+        swaps = [
+            stream
+            for stream in build_event_streams(
+                small_dataset,
+                EventStreamConfig(seed=5, engine_swap_sessions=40),
+            )
+            if stream.scenario is StreamScenario.ENGINE_SWAP
+        ]
+        assert len(swaps) == 40
+        router = _two_thread_shards(trained)
+        try:
+            caught = {}
+            for spelling in ("canonical", "reversed_keys"):
+                sessions = ClusterSessionService(router, ttl_seconds=1e9)
+                flagged = set()
+                for stream in swaps:
+                    for event in stream.events:
+                        event = dataclasses.replace(
+                            event, session_id=f"{spelling[0]}-{event.session_id}"
+                        )
+                        wire = (
+                            event.to_wire() if spelling == "canonical"
+                            else HOSTILE_SHAPES[spelling](event)
+                        )
+                        observed = sessions.observe_wire(wire)
+                        assert observed.verdict.accepted
+                        revision = observed.revision
+                        if revision is not None and revision.new_flagged:
+                            flagged.add(stream.session_id)
+                caught[spelling] = flagged
+                # Every event of a session found the session's one lane.
+                status = sessions.status_dict()
+                assert status["active_sessions"] == len(swaps)
+                assert len(
+                    [s for s in status["shards"].values() if s["events_total"]]
+                ) == 2
+        finally:
+            router.shutdown()
+        assert caught["canonical"]
+        assert caught["reversed_keys"] == caught["canonical"]
+
+
+class TestClusterObserveMany:
+    @pytest.fixture(scope="class")
+    def twin_routers(self, trained):
+        twins = _two_thread_shards(trained), _two_thread_shards(trained)
+        yield twins
+        for router in twins:
+            router.shutdown()
+
+    def test_any_split_equals_one_at_a_time(self, twin_routers, streams):
+        candidates = scenario_streams(streams)
+        example = itertools.count()
+
+        def shard_state(router):
+            return [
+                validator_state(shard.service.validator)
+                for _, shard in sorted(router.supervisor.shards.items())
+            ]
+
+        @settings(max_examples=60, deadline=None)
+        @given(drawn=traffic(len(candidates)))
+        def check(drawn):
+            wires = build_traffic(candidates, nonce=f"c{next(example)}", **drawn)
+            bounds = dict(
+                ttl_seconds=drawn["ttl_seconds"],
+                max_sessions=2 * drawn["max_sessions"],
+            )
+            batched = ClusterSessionService(twin_routers[0], **bounds)
+            sequential = ClusterSessionService(twin_routers[1], **bounds)
+            got, expected = differential(batched, sequential, wires, drawn["cuts"])
+            assert got == expected, first_difference(got, expected)
+            assert batched.status_dict() == sequential.status_dict()
+            for shard_id, lane in batched._lanes.items():
+                assert lane_state(lane) == lane_state(sequential._lanes[shard_id])
+            assert shard_state(twin_routers[0]) == shard_state(twin_routers[1])
+            assert (
+                twin_routers[0].validator.quarantine.counts()
+                == twin_routers[1].validator.quarantine.counts()
+            )
+
+        check()
+
+    def test_a_batch_is_one_router_call_in_arrival_order(self, cluster, streams):
+        calls = []
+        score_many = cluster.score_many
+
+        def recording(wires):
+            calls.append(list(wires))
+            return score_many(wires)
+
+        cluster.score_many = recording
+        sessions = ClusterSessionService(cluster, ttl_seconds=1e9)
+        events = [
+            event
+            for stream in scenario_streams(streams, per_scenario=2)
+            for event in stream.events
+        ]
+        wires = [event.to_wire() for event in events] + [b"not an envelope"]
+        observed = sessions.observe_many(wires)
+        assert len(calls) == 1
+        # Malformed envelopes are answered before the router is asked.
+        assert len(calls[0]) == len(events)
+        assert [json.loads(w)["sid"].split("@")[0] for w in calls[0]] == [
+            event.session_id for event in events
+        ]
+        assert [o.event_seq for o in observed] == [e.seq for e in events] + [-1]
+        assert len({sessions.lane_of(e.session_id) for e in events}) > 1
 
 
 class TestClusterSessionParity:

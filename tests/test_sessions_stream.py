@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import io
+import itertools
 import json
+import sys
+import threading
+from collections import OrderedDict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.core.pipeline import BrowserPolygraph
+from repro.runtime.service import RuntimeScoringService
 from repro.service.api import CollectionApp
 from repro.service.scoring import ScoringService
 from repro.sessions import (
@@ -18,8 +24,12 @@ from repro.sessions import (
     SessionTracker,
     classify_revision,
 )
-from repro.sessions.service import _derived_session_id
-from repro.sessions.tracker import EventRecord
+from repro.sessions.envelope import (
+    EnvelopeParser,
+    _derived_session_id,
+    inner_wire,
+)
+from repro.sessions.tracker import _SWEEP_EVERY, EventRecord
 from repro.traffic.events import (
     EventStreamConfig,
     EventType,
@@ -27,6 +37,18 @@ from repro.traffic.events import (
     StreamScenario,
     build_event_streams,
     interleave_events,
+)
+
+from tests.event_shapes import (
+    HOSTILE_SHAPES,
+    NEVER_MEMOIZED,
+    build_traffic,
+    differential,
+    first_difference,
+    lane_state,
+    scenario_streams,
+    traffic,
+    validator_state,
 )
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -249,6 +271,57 @@ class TestSessionTracker:
         assert tracker.sweep() == 3
         assert len(tracker) == 0
 
+    def test_touches_evict_the_expired_head(self):
+        clock = {"now": 0.0}
+        tracker = SessionTracker(ttl_seconds=10.0, clock=lambda: clock["now"])
+        for name in "abc":
+            tracker.get_or_create(name)
+        clock["now"] = 100.0
+        # Other sessions' touches — never a touch of a, b or c, so lazy
+        # expiry cannot be what removes them.
+        for touch in range(_SWEEP_EVERY - 3):
+            tracker.get_or_create(f"live-{touch % 7}")
+        assert tracker.active_ids() == [f"live-{i}" for i in (5, 6, 0, 1, 2, 3, 4)]
+        assert tracker.evicted_ttl == 3
+
+    def test_the_head_sweep_stops_at_the_first_live_session(self):
+        clock = {"now": 95.0}
+        tracker = SessionTracker(ttl_seconds=10.0, clock=lambda: clock["now"])
+        tracker.get_or_create("live")
+        # Touched later, but its last event carried an older timestamp:
+        # expired behind a live session.  The full sweep finds it, the
+        # head sweep leaves it to the lazy expiry.
+        state, _ = tracker.get_or_create("stale-behind")
+        state.last_seen = 0.0
+        clock["now"] = 100.0
+        for _ in range(_SWEEP_EVERY):
+            tracker.get_or_create("other")
+        assert tracker.active_ids() == ["live", "stale-behind", "other"]
+        assert tracker.sweep() == 1
+        assert tracker.active_ids() == ["live", "other"]
+
+    def test_a_touch_does_not_walk_the_live_sessions(self):
+        steps = itertools.count()
+
+        class Counting(OrderedDict):
+            def items(self):
+                for item in super().items():
+                    next(steps)
+                    yield item
+
+        tracker = SessionTracker(
+            max_sessions=100_000, ttl_seconds=1e9, clock=lambda: 0.0
+        )
+        tracker._sessions = Counting()
+        for number in range(50_000):
+            tracker.get_or_create(f"s{number}")
+        before = next(steps)
+        for number in range(4 * _SWEEP_EVERY):
+            tracker.get_or_create(f"s{number}")
+        # Four sweeps looked at the head of the map, not at 50k entries.
+        assert next(steps) - before - 1 <= 4
+        assert len(tracker) == 50_000
+
 
 # ----------------------------------------------------------------------
 # revision classification
@@ -442,6 +515,274 @@ class TestSessionScoringService:
         derived = _derived_session_id(long_sid, 12)
         assert len(derived) <= MAX_SESSION_ID_LENGTH
         assert derived != _derived_session_id(long_sid, 13)
+
+
+# ----------------------------------------------------------------------
+# the envelope parser and its memo
+
+
+def _fields(verdict):
+    return (
+        verdict.session_id,
+        verdict.accepted,
+        verdict.flagged,
+        verdict.risk_factor,
+        verdict.reject_reason,
+        verdict.inferred_release,
+        verdict.inferred_distance,
+    )
+
+
+def _full_parse(wire):
+    """What the parser must return, worked out without a memo."""
+    try:
+        event = SessionEvent.from_wire(wire)
+        return event, inner_wire(event)
+    except ValueError:
+        return None
+
+
+def _memo_parse(parser, wire):
+    try:
+        return parser.parse(wire)
+    except ValueError:
+        return None
+
+
+class TestEnvelopeParser:
+    def test_memo_answers_equal_the_full_parse_for_every_shape(self, streams):
+        parser = EnvelopeParser()
+        sample = scenario_streams(streams, per_scenario=2)
+        events = [event for stream in sample for event in stream.events]
+        # Cold, then warm: the second pass meets every admitted tail.
+        for _ in range(2):
+            for event in events:
+                wire = event.to_wire()
+                assert parser.parse(wire) == _full_parse(wire)
+                for name, shape in HOSTILE_SHAPES.items():
+                    hostile = shape(event)
+                    assert _memo_parse(parser, hostile) == _full_parse(hostile), name
+        assert parser._memo  # and the canonical tails did get in
+
+    def test_hits_skip_the_full_parse(self, streams, monkeypatch):
+        full_parses = []
+        from_wire = SessionEvent.from_wire
+        monkeypatch.setattr(
+            SessionEvent,
+            "from_wire",
+            classmethod(lambda cls, wire: full_parses.append(wire) or from_wire(wire)),
+        )
+        parser = EnvelopeParser()
+        events = [e for s in streams[:400] for e in s.events]
+        for event in events:
+            wire = event.to_wire()
+            assert parser.parse(wire) == (from_wire(wire), inner_wire(event))
+        tails = {e.to_wire().partition(b',"ua":')[2] for e in events}
+        assert len(full_parses) == len(tails) < len(events) / 2
+
+    @pytest.mark.parametrize("name", NEVER_MEMOIZED)
+    def test_non_canonical_envelopes_are_never_memoized(self, streams, name):
+        parser = EnvelopeParser()
+        stream = next(s for s in streams if len(s.events) >= 3)
+        for _ in range(2):
+            for event in stream.events:
+                wire = HOSTILE_SHAPES[name](event)
+                assert SessionEvent.from_wire(wire)  # it does parse
+                parser.parse(wire)
+        assert parser._memo == {}
+
+    def test_memo_is_bounded(self, streams, monkeypatch):
+        monkeypatch.setattr("repro.sessions.envelope._MEMO_LIMIT", 8)
+        parser = EnvelopeParser()
+        event = streams[0].first
+        for number in range(50):
+            values = (number,) + event.values[1:]
+            distinct = SessionEvent(
+                "s", event.event_type, 0, 1.0, event.user_agent, values
+            )
+            parser.parse(distinct.to_wire())
+            assert 1 <= len(parser._memo) <= 8
+
+    def test_first_event_parity_through_the_memo(self, trained, streams):
+        """What reaches the inner service for a first event is its
+        ``core_wire()``, memo hit or not, and the verdict is the
+        one-shot service's, field for field."""
+        handed = []
+
+        class Recording(ScoringService):
+            def score_wire(self, wire, day=None, tags=None):
+                handed.append(wire)
+                return super().score_wire(wire, day=day, tags=tags)
+
+        sessions = SessionScoringService(Recording(trained), ttl_seconds=1e9)
+        one_shot = ScoringService(trained)
+        firsts = [stream.first for stream in streams[:600]]
+        observed = sessions.observe_many([e.to_wire() for e in firsts])
+        assert handed == [e.core_wire() for e in firsts]
+        for event, observation in zip(firsts, observed):
+            expected = one_shot.score_wire(event.core_wire())
+            assert _fields(observation.verdict) == _fields(expected)
+        assert len(sessions._envelopes._memo) < len(firsts) / 2
+
+
+# ----------------------------------------------------------------------
+# observe_many against one-at-a-time scoring
+
+
+@pytest.fixture(scope="module", params=["per_request", "runtime"])
+def twin_inners(request, trained):
+    """Two identical inner services, fed identical wires for the whole
+    module: whatever one remembers (dedup window, quarantine, caches)
+    the other must remember too."""
+    if request.param == "per_request":
+        yield ScoringService(trained), ScoringService(trained)
+    else:
+        twins = (
+            RuntimeScoringService(trained).start(),
+            RuntimeScoringService(trained).start(),
+        )
+        yield twins
+        for runtime in twins:
+            runtime.shutdown()
+
+
+class TestObserveManyDifferential:
+    def test_any_split_equals_one_at_a_time(self, twin_inners, streams):
+        candidates = scenario_streams(streams)
+        example = itertools.count()
+
+        @settings(max_examples=150, deadline=None)
+        @given(drawn=traffic(len(candidates)))
+        def check(drawn):
+            wires = build_traffic(
+                candidates, nonce=f"n{next(example)}", **drawn
+            )
+            bounds = dict(
+                ttl_seconds=drawn["ttl_seconds"],
+                max_sessions=drawn["max_sessions"],
+            )
+            batched = SessionScoringService(twin_inners[0], **bounds)
+            sequential = SessionScoringService(twin_inners[1], **bounds)
+            got, expected = differential(
+                batched, sequential, wires, drawn["cuts"]
+            )
+            assert got == expected, first_difference(got, expected)
+            assert lane_state(batched) == lane_state(sequential)
+            assert validator_state(twin_inners[0].validator) == validator_state(
+                twin_inners[1].validator
+            )
+
+        check()
+
+    def test_observe_wire_and_observe_event_share_the_batch_core(
+        self, trained, streams
+    ):
+        by_wire = _session_service(trained)
+        by_event = _session_service(trained)
+        by_batch = _session_service(trained)
+        events = [
+            SessionEvent.from_wire(e.to_wire())  # the wire rounds timestamps
+            for s in scenario_streams(streams, per_scenario=2)
+            for e in s.events
+        ]
+        one = [by_wire.observe_wire(e.to_wire()).to_dict() for e in events]
+        two = [by_event.observe_event(e).to_dict() for e in events]
+        three = [
+            o.to_dict()
+            for o in by_batch.observe_many([e.to_wire() for e in events])
+        ]
+        assert one == two == three
+        assert lane_state(by_wire) == lane_state(by_event) == lane_state(by_batch)
+        assert any(document["revision"] for document in one)
+
+    def test_malformed_envelopes_never_reach_the_inner_service(self, trained):
+        class Untouchable:
+            polygraph = trained
+
+            def score_wire(self, wire, day=None):
+                raise AssertionError("a malformed envelope was scored")
+
+        sessions = SessionScoringService(Untouchable())
+        event = SessionEvent("s", EventType.FOCUS, 1, 2.0, "ua", (1, 2))
+        hostile = [
+            HOSTILE_SHAPES[name](event)
+            for name in ("truncated", "unknown_ev", "ts_overflow", "nested")
+        ]
+        observed = sessions.observe_many(hostile + [b"", b"[]", b"\xff"])
+        assert [o.event_seq for o in observed] == [-1] * 7
+        assert all(
+            o.verdict.reject_reason.startswith("malformed_event: ")
+            and not o.verdict.accepted
+            for o in observed
+        )
+        assert sessions.events_total == 0 and sessions._virtual_now == 0.0
+
+    def test_concurrent_batches_lose_nothing(self, trained, streams, monkeypatch):
+        """More threads than cores, each batching its own sessions into
+        one service while the shared envelope memo is cleared under
+        them: every thread reads its own sessions' sequential answers
+        and no event goes uncounted."""
+        monkeypatch.setattr("repro.sessions.envelope._MEMO_LIMIT", 4)
+        multi = [s for s in streams if len(s.events) >= 3][:48]
+        shares = [multi[i::6] for i in range(6)]
+        reference = _session_service(trained)
+        expected = [
+            [reference.observe_wire(e.to_wire()).to_dict() for s in share for e in s.events]
+            for share in shares
+        ]
+        sessions = _session_service(trained)
+        got = [None] * len(shares)
+
+        def work(number):
+            wires = [e.to_wire() for s in shares[number] for e in s.events]
+            documents = []
+            for start in range(0, len(wires), 5):
+                batch = sessions.observe_many(wires[start : start + 5])
+                documents.extend(o.to_dict() for o in batch)
+            got[number] = documents
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(n,)) for n in range(len(shares))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected
+        assert sessions.events_total == sum(len(share) for share in expected)
+        assert sessions.status_dict()["revision_reasons"] == (
+            reference.status_dict()["revision_reasons"]
+        )
+
+    def test_dated_batches_score_wire_by_wire(self, trained, streams):
+        """``score_many`` takes no day: a dated batch must not use it."""
+        from datetime import date
+
+        calls = []
+
+        class Bulk(ScoringService):
+            def score_many(self, wires):
+                calls.append(("many", len(wires)))
+                return [self.score_wire(w) for w in wires]
+
+            def score_wire(self, wire, day=None, tags=None):
+                calls.append(("one", day))
+                return super().score_wire(wire, day=day, tags=tags)
+
+        sessions = SessionScoringService(Bulk(trained), ttl_seconds=1e9)
+        wires = [s.first.to_wire() for s in streams[:3]]
+        sessions.observe_many(wires)
+        assert calls[0] == ("many", 3)
+        del calls[:]
+        day = date(2024, 1, 2)
+        sessions.observe_many([s.first.to_wire() for s in streams[3:6]], day=day)
+        assert calls == [("one", day)] * 3
 
 
 # ----------------------------------------------------------------------
