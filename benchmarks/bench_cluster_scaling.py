@@ -204,16 +204,6 @@ class CellResult:
         }
 
 
-def _runtime_config(cache_entries: int) -> RuntimeConfig:
-    return RuntimeConfig(
-        n_workers=1,
-        queue_capacity=4096,
-        max_batch_size=64,
-        max_linger_ms=1.0,
-        cache_entries=cache_entries,
-    )
-
-
 def _cell_name(n_shards: int, variant: str, neutral: bool) -> str:
     if neutral or variant == "shm":
         return f"shards-{n_shards}"
@@ -238,7 +228,7 @@ def run_cell(
             transport=transport,
             heartbeat_interval_s=1.0,
         ),
-        runtime_config=_runtime_config(cache_entries),
+        runtime_config=RuntimeConfig(cache_entries=cache_entries),
     )
     router = ClusterRouter(
         supervisor, RouterConfig(affinity="fingerprint")
@@ -342,7 +332,7 @@ def run_failover(
             transport="shm",
             heartbeat_interval_s=0.1,
         ),
-        runtime_config=_runtime_config(cache_entries),
+        runtime_config=RuntimeConfig(cache_entries=cache_entries),
     )
     router = ClusterRouter(
         supervisor, RouterConfig(affinity="fingerprint")

@@ -13,7 +13,7 @@ Subcommands:
 * ``experiment``  — regenerate any paper table/figure by name;
 * ``simulate``    — generate and save a synthetic FinOrg dataset;
 * ``serve``       — run the collection endpoint over a saved model or a
-  registry's live model (``--runtime`` switches to the micro-batched
+  registry's live model (``--runtime`` switches to the batched, cached
   scoring runtime and resumes any in-flight rollout; ``--shards N``
   serves a sharded cluster behind the consistent-hash router);
   SIGTERM/SIGINT drain in-flight requests before exiting;
@@ -27,8 +27,6 @@ Subcommands:
 * ``fuse``        — train (``train``) or inspect (``status``) the
   second-opinion fusion model; ``serve --fusion FUSION.json`` attaches
   it to the per-request scoring path (``POST /check``, ``GET /fusion``);
-* ``bench-runtime`` — measure per-request vs batched vs cached
-  throughput of the online path;
 * ``gauntlet``    — replay an accelerated production year against the
   live serving stack (``run``) or render a saved replay artifact
   (``report BENCH_gauntlet.json``).
@@ -171,13 +169,9 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--runtime",
         action="store_true",
-        help="use the micro-batched scoring runtime instead of the "
+        help="use the batched, cached scoring runtime instead of the "
         "per-request service",
     )
-    serve.add_argument("--workers", type=int, default=4)
-    serve.add_argument("--batch-size", type=int, default=64)
-    serve.add_argument("--linger-ms", type=float, default=2.0)
-    serve.add_argument("--queue-capacity", type=int, default=4096)
     serve.add_argument(
         "--cache-entries", type=int, default=8192, help="0 disables the cache"
     )
@@ -357,21 +351,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fuse_status.add_argument("fusion", help="fusion model .json path")
 
-    bench = sub.add_parser(
-        "bench-runtime",
-        help="throughput of per-request vs batched vs cached scoring",
-    )
-    bench.add_argument("--sessions", type=int, default=12_000)
-    bench.add_argument("--seed", type=int, default=7)
-    bench.add_argument("--concurrency", type=int, default=8)
-    bench.add_argument("--workers", type=int, default=4)
-    bench.add_argument("--batch-size", type=int, default=64)
-    bench.add_argument("--linger-ms", type=float, default=2.0)
-    bench.add_argument("--queue-capacity", type=int, default=4096)
-    bench.add_argument(
-        "--cache-entries", type=int, default=8192, help="0 disables the cache"
-    )
-
     gauntlet = sub.add_parser(
         "gauntlet",
         help="adversarial co-evolution replay against the serving stack",
@@ -547,12 +526,7 @@ def _runtime_config(args: argparse.Namespace) -> "RuntimeConfig":
     from repro.runtime.service import RuntimeConfig
 
     return RuntimeConfig(
-        n_workers=args.workers,
-        queue_capacity=args.queue_capacity,
-        max_batch_size=args.batch_size,
-        max_linger_ms=args.linger_ms,
-        cache_entries=args.cache_entries,
-        cache_ttl_seconds=getattr(args, "cache_ttl", 300.0),
+        cache_entries=args.cache_entries, cache_ttl_seconds=args.cache_ttl
     )
 
 
@@ -702,7 +676,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     f"resumed rollout of v{state.candidate_version} "
                     f"({state.status}, stage {state.stage_index})"
                 )
-        mode = "runtime (micro-batched)" if args.runtime else "per-request"
+        mode = "runtime (batched)" if args.runtime else "per-request"
         if args.fusion:
             from repro.fusion import FusionArm, FusionModel, FusionPolicy
             from repro.fusion import FusionPolicyConfig
@@ -1072,19 +1046,6 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_runtime(args: argparse.Namespace) -> int:
-    from repro.runtime.bench import run_throughput_benchmark
-
-    report = run_throughput_benchmark(
-        n_sessions=args.sessions,
-        seed=args.seed,
-        concurrency=args.concurrency,
-        config=_runtime_config(args),
-    )
-    print(report.render())
-    return 0
-
-
 def _cmd_gauntlet(args: argparse.Namespace) -> int:
     from repro.gauntlet import DayLedger, GauntletConfig, run_gauntlet
     from repro.gauntlet.report import (
@@ -1151,7 +1112,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "coverage": _cmd_coverage,
         "rollout": _cmd_rollout,
         "fuse": _cmd_fuse,
-        "bench-runtime": _cmd_bench_runtime,
         "gauntlet": _cmd_gauntlet,
     }
     try:

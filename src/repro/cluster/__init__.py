@@ -1,7 +1,7 @@
 """Sharded serving cluster: ring routing, shard supervision, replication.
 
 The single-process scoring runtime (``repro.runtime``) tops out at one
-process's throughput no matter how well its cache and batcher behave.
+process's throughput no matter how well its cache and batching behave.
 This package turns it into a horizontally-scaled cluster on one surface:
 
 * :mod:`repro.cluster.ring` — consistent-hash ring with virtual nodes;

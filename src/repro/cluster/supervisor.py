@@ -57,7 +57,7 @@ __all__ = [
 
 
 class ShardError(RuntimeError):
-    """A shard could not serve: dead process, stopped pool, bad replica."""
+    """A shard could not serve: dead process, stopped runtime, bad replica."""
 
 
 @dataclass(frozen=True)
@@ -165,17 +165,19 @@ class ThreadShard:
         return self
 
     def stop(self, drain: bool = True) -> None:
+        """Take the runtime away; a batch already being scored finishes."""
         service = self.service
         self.service = None
         if service is not None:
             service.shutdown(drain=drain)
 
     def kill(self) -> None:
-        """Crash simulation: die mid-batch, shedding the backlog."""
-        service = self.service
-        self.service = None
-        if service is not None:
-            service.shutdown(drain=False)
+        """Crash simulation: the shard stops answering.
+
+        A ``score_many`` already running finishes; every later call
+        raises :class:`ShardError` and the router fails over.
+        """
+        self.stop(drain=False)
 
     def restart(self) -> None:
         """Fresh runtime over the replica this shard already holds.
@@ -200,36 +202,26 @@ class ThreadShard:
         return service.submit_wire(wire)
 
     def score_chunk(self, wires: Sequence[bytes]) -> List[Verdict]:
-        """Pipelined scoring of one routed chunk."""
+        """Score one routed chunk as one batch."""
         service = self.service
         if service is None:
             raise ShardError(f"shard {self.shard_id} is not running")
-        window = max(1, service.config.queue_capacity // 2)
-        verdicts: List[Optional[Verdict]] = [None] * len(wires)
-        pending: List[tuple] = []
-        for index, wire in enumerate(wires):
-            pending.append((index, service.submit_wire(wire)))
-            if len(pending) >= window:
-                slot, handle = pending.pop(0)
-                verdicts[slot] = handle.result(timeout=30.0)
-        for slot, handle in pending:
-            verdicts[slot] = handle.result(timeout=30.0)
-        return verdicts  # type: ignore[return-value]
+        return service.score_many(wires)
 
     # -- control --------------------------------------------------------
 
     def ping(self) -> ShardStatus:
         service = self.service
-        if service is None or not service.pool.is_running:
+        if service is None:
             raise ShardError(f"shard {self.shard_id} is not running")
+        # No queue in front of an in-process runtime: depth is always 0.
         return ShardStatus(
             shard_id=self.shard_id,
             model_version=self.model_version,
             model_generation=self.polygraph.model_generation,
-            queue_depth=service.pool.queue_depth,
+            queue_depth=0,
             scored_count=service.scored_count,
             flagged_count=service.flagged_count,
-            queue_depth_peak=int(service.runtime_stats.peak("queue_depth")),
         )
 
     def install(
@@ -341,8 +333,6 @@ def _shard_worker(
         elif op == "shmuareset":
             ua_table.clear()
         elif op == "score":
-            handles = [service.submit_wire(wire) for wire in message[1]]
-            verdicts = [handle.result(timeout=30.0) for handle in handles]
             conn.send(
                 [
                     (
@@ -353,7 +343,7 @@ def _shard_worker(
                         v.reject_reason,
                         v.latency_ms,
                     )
-                    for v in verdicts
+                    for v in service.score_many(message[1])
                 ]
             )
         elif op == "ping":
@@ -361,10 +351,8 @@ def _shard_worker(
                 (
                     model_version,
                     polygraph.model_generation,
-                    service.pool.queue_depth,
                     service.scored_count,
                     service.flagged_count,
-                    int(service.runtime_stats.peak("queue_depth")),
                 )
             )
         elif op == "install":
@@ -656,18 +644,17 @@ class ProcessShard:
                 flagged_count=stats["flagged"],
                 queue_depth_peak=stats["ring_occupancy_peak"],
             )
-        reply = self._call(("ping",), timeout=5.0)
-        version, generation, depth, scored, flagged, depth_peak = reply
+        version, generation, scored, flagged = self._call(("ping",), timeout=5.0)
         # The child tracks installs it performed; before the first
-        # install its counter is 0 and the boot version stands.
+        # install its counter is 0 and the boot version stands.  Its
+        # runtime scores each pickled chunk as it arrives: no queue.
         return ShardStatus(
             shard_id=self.shard_id,
             model_version=version or self.model_version,
             model_generation=generation,
-            queue_depth=depth,
+            queue_depth=0,
             scored_count=scored,
             flagged_count=flagged,
-            queue_depth_peak=depth_peak,
         )
 
     def install(

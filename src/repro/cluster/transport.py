@@ -65,6 +65,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.detection import DetectionResult
+from repro.runtime.batch import Miss, answer_known, cache_keys, finish_misses
 from repro.runtime.cache import VerdictCache
 from repro.runtime.fastingest import WireIngest
 from repro.runtime.pool import overloaded_verdict
@@ -266,31 +267,6 @@ class SlotRing:
         self.free += count
 
 
-class _Miss:
-    """One cache-missed wire awaiting a slab round-trip."""
-
-    __slots__ = (
-        "index",
-        "session_id",
-        "values",
-        "globs",
-        "ua_key",
-        "cache_key",
-        "started",
-    )
-
-    def __init__(
-        self, index, session_id, values, globs, ua_key, cache_key, started
-    ) -> None:
-        self.index = index
-        self.session_id = session_id
-        self.values = values
-        self.globs = globs
-        self.ua_key = ua_key
-        self.cache_key = cache_key
-        self.started = started
-
-
 class ShmTransport:
     """Router-side scoring engine for one shared-memory process shard.
 
@@ -364,106 +340,30 @@ class ShmTransport:
         The chunk is the unit of accounting on this path: ingest takes
         the validator lock once (:meth:`WireIngest.ingest_many`), the
         cache is probed once (:meth:`VerdictCache.get_many`), and the
-        rejects/hits of a chunk share one latency stamp — a per-wire
-        clock on a bulk path mostly measures the clock.
+        loops that turn outcomes into verdicts are the ones the
+        in-process runtime runs (:mod:`repro.runtime.batch`).
         """
         started = time.perf_counter()
-        verdicts: List[Optional[Verdict]] = [None] * len(wires)
         prepared = self.ingest.ingest_many(wires)
         if self.coverage is not None:
             self.coverage.observe_many(
                 [f[4] for f in prepared if f.__class__ is tuple]
             )
         cache = self.cache
+        keys = cached = None
         if cache is not None:
-            # Rejected wires carry their RejectReason in ``prepared``;
-            # admitted ones the fields tuple.  make_key is inlined for
-            # identity quantization (ingest always hands back int
-            # tuples, which it reuses).
-            if cache.quantization_step <= 1:
-                keys = [
-                    (fields[4], fields[2])
-                    if fields.__class__ is tuple
-                    else None
-                    for fields in prepared
-                ]
-            else:
-                make_key = cache.make_key
-                keys = [
-                    make_key(fields[2], fields[4])
-                    if fields.__class__ is tuple
-                    else None
-                    for fields in prepared
-                ]
+            keys = cache_keys(cache, prepared)
             cached = cache.get_many(keys)
-        else:
-            keys = cached = None
-        misses: List[_Miss] = []
-        miss_append = misses.append
-        hit_scored = 0
-        hit_flagged = 0
-        namespace_probe = self._namespace_probe
-        vendor_risk = self._vendor_risk
-        verdict_new = Verdict.__new__
-        set_attr = object.__setattr__
-        latency_ms = (time.perf_counter() - started) * 1000.0
-        # Frozen-dataclass construction, amortized: the chunk shares one
-        # latency stamp, so all constant Verdict fields live in two
-        # per-chunk proto dicts; each verdict is a dict copy plus the
-        # per-wire fields, swapped in wholesale (``__init__`` would
-        # re-run ten guarded ``object.__setattr__`` calls per wire).
-        # Infer-mode provenance never crosses the slab (results rows are
-        # four ints), so the inferred_* fields stay None on this path.
-        reject_proto = {
-            "session_id": "", "accepted": False, "flagged": False,
-            "risk_factor": None, "reject_reason": None,
-            "latency_ms": latency_ms, "fused_flagged": None,
-            "fusion_cell": None, "second_probability": None,
-            "second_lift": None, "inferred_release": None,
-            "inferred_distance": None,
-        }
-        hit_proto = dict(reject_proto)
-        hit_proto["accepted"] = True
-        for i, fields in enumerate(prepared):
-            if fields.__class__ is not tuple:
-                verdict = verdict_new(Verdict)
-                state = reject_proto.copy()
-                state["reject_reason"] = fields.value
-                set_attr(verdict, "__dict__", state)
-                verdicts[i] = verdict
-                continue
-            if cached is not None:
-                result = cached[i]
-                if result is not None:
-                    # _escalate, inlined: the hit path only needs the
-                    # final (flagged, risk_factor) pair.
-                    globs = fields[3]
-                    if namespace_probe and globs:
-                        flagged = True
-                        risk = vendor_risk
-                    else:
-                        flagged = result.flagged
-                        risk = result.risk_factor
-                    hit_scored += 1
-                    if flagged:
-                        hit_flagged += 1
-                    verdict = verdict_new(Verdict)
-                    state = hit_proto.copy()
-                    state["session_id"] = fields[0]
-                    state["flagged"] = flagged
-                    state["risk_factor"] = risk
-                    set_attr(verdict, "__dict__", state)
-                    verdicts[i] = verdict
-                    continue
-                cache_key = keys[i]
-            else:
-                cache_key = None
-            miss_append(
-                _Miss(
-                    i, fields[0], fields[2], fields[3], fields[4],
-                    cache_key, started,
-                )
-            )
+        verdicts: List[Optional[Verdict]] = [None] * len(prepared)
+        # Infer-mode provenance never crosses the slab (result rows are
+        # four ints), so cached results carry no inferred_* fields and
+        # the out-of-table keys answer_known reports are not counted
+        # router-side.
+        misses, hit_scored, hit_flagged, _ = answer_known(
+            prepared, keys, cached, verdicts,
+            self._namespace_probe, self._vendor_risk,
+            (time.perf_counter() - started) * 1000.0,
+        )
         if hit_scored:
             with self._count_lock:
                 self.scored_count += hit_scored
@@ -471,17 +371,20 @@ class ShmTransport:
         if misses:
             with self.lock:
                 if self.broken:
-                    self._fail_misses(misses, verdicts)
+                    self._fail_misses(misses, verdicts, started)
                 else:
                     try:
-                        self._score_misses(misses, verdicts)
+                        self._score_misses(misses, verdicts, started)
                     except (EOFError, OSError, BrokenPipeError):
                         self.broken = True
-                        self._fail_misses(misses, verdicts)
+                        self._fail_misses(misses, verdicts, started)
         return verdicts
 
     def _score_misses(
-        self, misses: List[_Miss], verdicts: List[Optional[Verdict]]
+        self,
+        misses: List[Miss],
+        verdicts: List[Optional[Verdict]],
+        started: float,
     ) -> None:
         """Lease → write rows → send → (pipelined) ack.  Holds the lock."""
         pending = deque()
@@ -491,7 +394,7 @@ class ShmTransport:
         pos = 0
         while pos < len(misses) or pending:
             if pos >= len(misses):
-                self._complete_batch(pending.popleft(), verdicts)
+                self._complete_batch(pending.popleft(), verdicts, started)
                 continue
             lease = self.ring.lease(min(self.batch_rows, len(misses) - pos))
             if lease is None:
@@ -499,7 +402,7 @@ class ShmTransport:
                 # This is the backpressure point — upstream producers
                 # stall here instead of the ring dropping work.
                 self.backpressure_waits += 1
-                self._complete_batch(pending.popleft(), verdicts)
+                self._complete_batch(pending.popleft(), verdicts, started)
                 continue
             start, count = lease
             batch = misses[pos : pos + count]
@@ -519,69 +422,56 @@ class ShmTransport:
                 self.occupancy_peak = self.ring.occupancy
             pending.append((seq, start, count, batch))
             if len(pending) >= _PIPELINE_DEPTH:
-                self._complete_batch(pending.popleft(), verdicts)
+                self._complete_batch(pending.popleft(), verdicts, started)
 
-    def _complete_batch(self, entry, verdicts: List[Optional[Verdict]]) -> None:
+    def _complete_batch(
+        self, entry, verdicts: List[Optional[Verdict]], started: float
+    ) -> None:
         seq, start, count, batch = entry
         reply = self.conn.recv()
         if reply[0] == "shmerr" and reply[1] == seq:
             # Child failed this batch (model error): overload these
             # wires so the router's retry path re-routes them, keep
             # the transport up for the next batch.
-            for miss in batch:
-                verdicts[miss.index] = overloaded_verdict(
-                    miss.session_id,
-                    (time.perf_counter() - miss.started) * 1000.0,
-                )
+            self._fail_misses(batch, verdicts, started)
             self.ring.release(count)
             return
         if reply[0] != "shmdone" or reply[1] != seq:
             raise EOFError(f"shm protocol violation: {reply[:2]!r}")
-        generation = reply[2]
-        results = self.slab.results
-        cache = self.cache
-        completed = time.perf_counter()
-        scored = 0
-        flagged = 0
-        for j, miss in enumerate(batch):
-            row = results[start + j]
-            expected = int(row[1])
-            risk = int(row[3])
-            result = DetectionResult(
+        results = [
+            DetectionResult(
                 ua_key=miss.ua_key,
-                predicted_cluster=int(row[0]),
+                predicted_cluster=predicted,
                 expected_cluster=None if expected < 0 else expected,
-                flagged=bool(row[2]),
+                flagged=bool(flagged),
                 risk_factor=None if risk < 0 else risk,
             )
-            if cache is not None and miss.cache_key is not None:
-                cache.put(miss.cache_key, result, generation=generation)
-            final = self._escalate(result, miss.globs)
-            scored += 1
-            if final.flagged:
-                flagged += 1
-            verdicts[miss.index] = Verdict(
-                session_id=miss.session_id,
-                accepted=True,
-                flagged=final.flagged,
-                risk_factor=final.risk_factor,
-                reject_reason=None,
-                latency_ms=(completed - miss.started) * 1000.0,
+            for miss, (predicted, expected, flagged, risk) in zip(
+                batch, self.slab.results[start : start + count].tolist()
             )
+        ]
+        flagged, _ = finish_misses(
+            batch, results, reply[2], self.cache, verdicts,
+            self._namespace_probe, self._vendor_risk,
+            (time.perf_counter() - started) * 1000.0,
+        )
         self.ring.release(count)
         with self._count_lock:
-            self.scored_count += scored
+            self.scored_count += count
             self.flagged_count += flagged
 
     def _fail_misses(
-        self, misses: List[_Miss], verdicts: List[Optional[Verdict]]
+        self,
+        misses: List[Miss],
+        verdicts: List[Optional[Verdict]],
+        started: float,
     ) -> None:
-        """Overload every miss not yet answered (pipe died mid-chunk)."""
-        now = time.perf_counter()
+        """Overload every miss not yet answered (pipe or child failed)."""
+        latency_ms = (time.perf_counter() - started) * 1000.0
         for miss in misses:
             if verdicts[miss.index] is None:
                 verdicts[miss.index] = overloaded_verdict(
-                    miss.session_id, (now - miss.started) * 1000.0
+                    miss.session_id, latency_ms
                 )
 
     def _intern_ua(self, ua_key: str) -> int:
@@ -592,25 +482,6 @@ class ShmTransport:
         self._ua_index[ua_key] = idx
         self.conn.send(("shmua", idx, ua_key))
         return idx
-
-    def _escalate(
-        self, result: DetectionResult, globs: Tuple[str, ...]
-    ) -> DetectionResult:
-        """Namespace-probe escalation, config handshaked from the child.
-
-        Must mirror ``BrowserPolygraph.escalate_result`` exactly: the
-        child ships raw results, so the parent re-applies Section 8
-        per request (after caching the raw result, like the runtime).
-        """
-        if self._namespace_probe and globs:
-            return DetectionResult(
-                ua_key=result.ua_key,
-                predicted_cluster=result.predicted_cluster,
-                expected_cluster=result.expected_cluster,
-                flagged=True,
-                risk_factor=self._vendor_risk,
-            )
-        return result
 
     # ------------------------------------------------------------------
     # lifecycle / introspection

@@ -90,7 +90,7 @@ class CoverageBand:
 class CoverageTracker:
     """Per-vendor unknown-UA rates against the live known-release table.
 
-    Thread-safe: the runtime worker pool and cluster shard transports
+    Thread-safe: the runtime's callers and cluster shard transports
     feed ``observe``/``observe_many`` concurrently while ``/coverage``
     and ``/metrics`` read snapshots.
     """

@@ -71,7 +71,11 @@ class FingerprintPayload:
                 service_time_ms=0.0,
                 suspicious_globals=tuple(str(g) for g in body.get("g", ())),
             )
-        except (ValueError, KeyError, TypeError) as exc:
+        except (
+            ValueError, KeyError, TypeError, RecursionError, OverflowError
+        ) as exc:
+            # A 1 KB body can nest ~1000 deep (RecursionError) or carry
+            # 1e999 (OverflowError in int()); both are just malformed.
             raise ValueError(f"malformed fingerprint payload: {exc}") from exc
 
     @property

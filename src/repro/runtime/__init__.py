@@ -9,24 +9,25 @@ paper's own design point — coarse-grained fingerprints are deliberately
 low-cardinality (the Section 7 anonymity-set analysis), so live traffic
 contains thousands of distinct fingerprints, not millions:
 
-* :mod:`repro.runtime.batcher` — a micro-batcher coalescing concurrent
-  requests into single vectorized ``detect_vectors`` calls, flushing on
-  batch size or linger, whichever triggers first;
+* :mod:`repro.runtime.service` — :class:`RuntimeScoringService`, whose
+  ``score_many`` answers a whole batch on the calling thread: rejects
+  and cache hits without the model, every miss through one vectorized
+  ``evaluate_vectors`` call per rollout arm;
+* :mod:`repro.runtime.batch` — the loops that turn a batch's ingest
+  outcomes, cache probe and model results into verdicts, shared with
+  the router side of the shm shard transport;
+* :mod:`repro.runtime.fastingest` — wire-contract enforcement with
+  parse memoization, one lock round trip per batch;
 * :mod:`repro.runtime.cache` — an LRU+TTL verdict cache keyed by the
   quantized feature vector plus the parsed user-agent equivalence
   class, invalidated on every model swap;
-* :mod:`repro.runtime.pool` — a worker pool draining a bounded queue
-  with backpressure (typed ``Overloaded`` sheds, graceful drain);
 * :mod:`repro.runtime.stats` — the runtime metrics registry (batch-size
-  distribution, queue depth, cache hit rate, per-stage latency
-  percentiles) rendered into ``/metrics``;
-* :mod:`repro.runtime.service` — :class:`RuntimeScoringService`, the
-  drop-in wiring of all four behind the ``score_wire`` contract;
-* :mod:`repro.runtime.bench` — the per-request vs batched vs cached
-  throughput driver shared by the CLI and the benchmark suite.
+  distribution, cache hit rate, per-stage latency percentiles)
+  rendered into ``/metrics``;
+* :mod:`repro.runtime.pool` — the typed ``Overloaded`` verdict, and
+  the bounded worker pool the rollout's shadow scorer runs on.
 """
 
-from repro.runtime.batcher import MicroBatcher
 from repro.runtime.cache import VerdictCache, quantize_vector
 from repro.runtime.pool import Overloaded, WorkerPool, overloaded_verdict
 from repro.runtime.service import (
@@ -37,7 +38,6 @@ from repro.runtime.service import (
 from repro.runtime.stats import RuntimeStats, percentile
 
 __all__ = [
-    "MicroBatcher",
     "Overloaded",
     "PendingVerdict",
     "RuntimeConfig",

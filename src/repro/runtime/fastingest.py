@@ -212,7 +212,12 @@ class WireIngest:
                 () if raw_globs is _MISSING
                 else tuple(str(g) for g in raw_globs)
             )
-        except (ValueError, KeyError, TypeError) as exc:
+        except (
+            ValueError, KeyError, TypeError, RecursionError, OverflowError
+        ) as exc:
+            # RecursionError: a body nested ~1000 deep; OverflowError:
+            # int(1e999).  Both fit in 1 KB, and an escape here would
+            # fail every other wire of the batch.
             return RejectReason.MALFORMED, str(exc)[:120]
         if not session_id or len(session_id) > MAX_SESSION_ID_LENGTH:
             return RejectReason.BAD_SESSION_ID, session_id[:80]

@@ -1,23 +1,20 @@
 """The worker pool: a bounded queue with backpressure and graceful drain.
 
-The online path must degrade predictably under overload.  Rather than
-queueing unboundedly (and blowing the Section 3 latency budget for
-every queued request), the pool's queue is bounded: when it is full,
-:meth:`WorkerPool.submit` refuses the request and the scoring runtime
-answers with a typed :class:`Overloaded` verdict — an explicit shed the
-caller's risk engine can treat as "retry later", which is operationally
-honest in a way a 30-second queue wait is not.
-
-Workers drain the queue and hand each request to ``handler``.  After
-handling, a worker whose queue is empty invokes the ``idle`` hook (the
-runtime flushes the micro-batcher there, so a trickle of traffic never
-waits out the full linger), and the same hook runs on queue-poll
-timeouts to bound the linger when traffic stops entirely.
+Work that must never slow the latency-critical path — the rollout's
+shadow comparisons — runs behind this pool.  Its queue is bounded:
+when it is full, :meth:`WorkerPool.submit` refuses the item and the
+caller records an explicit shed, which is operationally honest in a
+way an unbounded backlog is not.  Workers block on the queue and hand
+each item to ``handler``.
 
 ``shutdown(drain=True)`` stops intake, lets the workers finish every
-queued request, and joins them — zero unanswered requests.  With
-``drain=False`` the queued requests are handed to ``on_discard``
-instead (the runtime sheds them), which still leaves zero unanswered.
+queued item, and joins them.  With ``drain=False`` the backlog is
+dropped first.
+
+This module also defines the typed :class:`Overloaded` verdict a
+serving path answers with when it refuses a request unscored (a dead
+shard, a broken slab pipe, an unroutable key); the cluster router's
+failover keys on it.
 """
 
 from __future__ import annotations
@@ -70,18 +67,9 @@ class WorkerPool:
         Number of worker threads.
     queue_capacity:
         Bound on the request queue; beyond it :meth:`submit` sheds.
-    idle:
-        Optional hook run by a worker when the queue is (momentarily)
-        empty, and on queue-poll timeouts.
-    on_discard:
-        Optional hook run for each queued item dropped by a
-        non-draining shutdown.
     stats:
         Shared :class:`RuntimeStats`; queue depth/peak gauges and the
         ``requests_shed`` counter land here.
-    poll_interval_s:
-        Worker queue-poll timeout; bounds how stale the ``idle`` hook
-        can be when traffic stops.
     """
 
     def __init__(
@@ -89,10 +77,7 @@ class WorkerPool:
         handler: Callable[[object], None],
         n_workers: int = 4,
         queue_capacity: int = 2048,
-        idle: Optional[Callable[[], None]] = None,
-        on_discard: Optional[Callable[[object], None]] = None,
         stats: Optional[RuntimeStats] = None,
-        poll_interval_s: float = 0.005,
     ) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
@@ -101,10 +86,7 @@ class WorkerPool:
         self.handler = handler
         self.n_workers = n_workers
         self.queue_capacity = queue_capacity
-        self.idle = idle
-        self.on_discard = on_discard
         self.stats = stats if stats is not None else RuntimeStats()
-        self.poll_interval_s = poll_interval_s
         self._queue: "queue.Queue[object]" = queue.Queue(maxsize=queue_capacity)
         self._threads: List[threading.Thread] = []
         self._accepting = False
@@ -145,11 +127,10 @@ class WorkerPool:
         return True
 
     def shutdown(self, drain: bool = True, timeout: Optional[float] = 10.0) -> None:
-        """Stop intake, settle every queued request, join the workers.
+        """Stop intake, settle the backlog, join the workers.
 
         With ``drain=True`` the workers finish the backlog first; with
-        ``drain=False`` the backlog is handed to ``on_discard``.  Either
-        way no request is left unanswered.
+        ``drain=False`` it is dropped.
         """
         with self._lock:
             if not self._started:
@@ -158,11 +139,9 @@ class WorkerPool:
         if not drain:
             while True:
                 try:
-                    item = self._queue.get_nowait()
+                    self._queue.get_nowait()
                 except queue.Empty:
                     break
-                if not isinstance(item, _Sentinel) and self.on_discard:
-                    self.on_discard(item)
         for _ in self._threads:
             self._queue.put(_SENTINEL)
         for thread in self._threads:
@@ -179,10 +158,6 @@ class WorkerPool:
         """Requests currently queued (approximate)."""
         return self._queue.qsize()
 
-    def queue_empty(self) -> bool:
-        """Whether the queue is (momentarily) empty."""
-        return self._queue.empty()
-
     @property
     def is_running(self) -> bool:
         """Whether the workers are alive."""
@@ -193,12 +168,7 @@ class WorkerPool:
 
     def _worker_loop(self) -> None:
         while True:
-            try:
-                item = self._queue.get(timeout=self.poll_interval_s)
-            except queue.Empty:
-                if self.idle is not None:
-                    self.idle()
-                continue
+            item = self._queue.get()
             if isinstance(item, _Sentinel):
                 return
             try:
@@ -207,5 +177,3 @@ class WorkerPool:
                 fail = getattr(item, "fail", None)
                 if fail is not None:
                     fail(exc)
-            if self.idle is not None and self._queue.empty():
-                self.idle()

@@ -2,37 +2,42 @@
 
 :class:`RuntimeScoringService` is the web-scale variant of
 :class:`~repro.service.scoring.ScoringService`: the same wire contract,
-the same verdicts, a very different execution model.
+the same verdicts, a batch at a time instead of a request at a time.
 
-Request lifecycle::
+Batch lifecycle — all of it on the calling thread::
 
-    submit_wire(wire)
-        │  fast ingest (wire contract, memoized UA class, dedup)
-        ├─ reject ──────────────► Verdict(accepted=False)        (inline)
-        │
-        ├─ verdict-cache probe
-        │    hit ───────────────► Verdict from cached result     (inline)
-        │
-        └─ miss → bounded queue ─► worker → micro-batcher
-                       │                        │ full / linger / idle
-                       │ full                   ▼
-                       ▼               one detect_vectors() call
-              Overloaded verdict       fills cache, completes handles
+    score_many(wires)
+        │  ingest_many: wire contract, memoized parse, dedup  (one lock)
+        │  store.append / coverage / rollout.route             (if attached)
+        │  cache.get_many                                      (one lock)
+        ├─ rejects ─────────────► Verdict(accepted=False)  ┐ one latency
+        ├─ hits ────────────────► Verdict from cached result ┘ stamp
+        └─ misses ─► ONE evaluate_vectors() per rollout arm, against one
+                     (generation, detector) snapshot
+                        │ raises ─► Verdict("internal_error: <Name>")
+                        ▼
+                     cache.put(generation=) · escalate · Verdict
 
-The caller's thread performs only the cheap, always-required work
-(validation and the cache probe); the model only ever runs inside
-vectorized batch flushes.  Because coarse-grained fingerprints are
-deliberately low-cardinality (Section 7), a production-shaped replay
-hits the cache for the overwhelming majority of sessions and the model
-is consulted a few hundred times per hundred thousand requests.
+``score_wire(w)`` is ``score_many([w])[0]``; ``submit_wire(w)`` wraps
+the same call in an already-decided :class:`PendingVerdict` for callers
+written against a handle (the cluster router's hedged per-request
+path).  The service owns no thread and no queue: whoever forms the
+batch — the asyncio front end's coalescer, a shard chunk — lends the
+thread, and bounding admitted work is that caller's job (the front end
+stops reading sockets at its high watermark).
 
-Correctness contract: for any request sequence, the runtime produces
-the same ``(session_id, flagged, risk_factor)`` verdicts as the
-per-request :class:`ScoringService` — batching and caching are pure
-optimizations.  On retrain the pipeline swaps models atomically and
-notifies this service, which invalidates the verdict cache; in-flight
-batches score entirely against the snapshot they started with, and
-their results are refused by the cache afterwards (generation check).
+Because coarse-grained fingerprints are deliberately low-cardinality
+(Section 7), a production-shaped replay hits the cache for the
+overwhelming majority of sessions and the model is consulted a few
+hundred times per hundred thousand requests.
+
+Correctness contract: for any request sequence, cut into batches any
+way, the runtime produces the verdicts and counters of the per-request
+:class:`ScoringService` — batching and caching are pure optimizations.
+On retrain the pipeline swaps models atomically and notifies this
+service, which invalidates the verdict cache; a batch in flight scores
+entirely against the snapshot it took, and its results are refused by
+the cache afterwards (generation check).
 """
 
 from __future__ import annotations
@@ -41,19 +46,18 @@ import threading
 import time
 from dataclasses import dataclass
 from datetime import date
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.pipeline import BrowserPolygraph
 from repro.coverage.tracker import vendor_of
 from repro.fingerprint.script import FingerprintPayload
-from repro.runtime.batcher import MicroBatcher
+from repro.runtime.batch import Miss, answer_known, cache_keys, finish_misses
 from repro.runtime.cache import VerdictCache
 from repro.runtime.fastingest import WireIngest
-from repro.runtime.pool import WorkerPool, overloaded_verdict
 from repro.runtime.stats import RuntimeStats
-from repro.service.ingest import PayloadValidator, RejectReason
+from repro.service.ingest import PayloadValidator
 from repro.service.scoring import Verdict
 from repro.service.storage import SessionStore
 from repro.traffic.dataset import Dataset
@@ -63,29 +67,21 @@ __all__ = ["PendingVerdict", "RuntimeConfig", "RuntimeScoringService"]
 # Cache-key tag separating candidate-arm verdicts during a rollout.
 _CANDIDATE_ARM = "__candidate__"
 
+# rollout.route() for a wire that was never routed (rejected at ingest).
+_UNROUTED = (False, False)
+
 
 @dataclass(frozen=True)
 class RuntimeConfig:
-    """Knobs of the high-throughput runtime."""
+    """Knobs of the high-throughput runtime: the verdict cache's."""
 
-    n_workers: int = 4
-    queue_capacity: int = 4096
-    max_batch_size: int = 64
-    max_linger_ms: float = 2.0
     cache_entries: int = 8192  # 0 disables the verdict cache
     cache_ttl_seconds: Optional[float] = 300.0
     quantization_step: int = 1
-    latency_sample_every: int = 8  # sample 1-in-N total latencies
 
     def __post_init__(self) -> None:
-        if self.n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        if self.queue_capacity < 1:
-            raise ValueError("queue_capacity must be >= 1")
         if self.cache_entries < 0:
             raise ValueError("cache_entries must be >= 0")
-        if self.latency_sample_every < 1:
-            raise ValueError("latency_sample_every must be >= 1")
 
 
 class PendingVerdict:
@@ -115,67 +111,20 @@ class PendingVerdict:
             self._event.set()
 
 
-class _ScoreRequest:
-    """One cache-missed request travelling queue → batcher → flush."""
-
-    __slots__ = (
-        "handle",
-        "session_id",
-        "values",
-        "ua_key",
-        "suspicious_globals",
-        "cache_key",
-        "started_at",
-        "candidate",
-        "mirror",
-    )
-
-    def __init__(
-        self,
-        handle: PendingVerdict,
-        session_id: str,
-        values: Tuple[int, ...],
-        ua_key: str,
-        suspicious_globals: Tuple[str, ...],
-        cache_key: Optional[tuple],
-        started_at: float,
-        candidate: bool = False,
-        mirror: bool = False,
-    ) -> None:
-        self.handle = handle
-        self.session_id = session_id
-        self.values = values
-        self.ua_key = ua_key
-        self.suspicious_globals = suspicious_globals
-        self.cache_key = cache_key
-        self.started_at = started_at
-        self.candidate = candidate
-        self.mirror = mirror
-
-    def fail(self, exc: BaseException) -> None:
-        """Answer the caller with a typed internal-error verdict."""
-        self.handle._complete(
-            Verdict(
-                session_id=self.session_id,
-                accepted=False,
-                flagged=False,
-                risk_factor=None,
-                reject_reason=f"internal_error: {type(exc).__name__}",
-                latency_ms=(time.perf_counter() - self.started_at) * 1000.0,
-            )
-        )
-
-
 class RuntimeScoringService:
-    """Micro-batched, cached, pooled scoring over a fitted pipeline.
+    """Batched, cached scoring over a fitted pipeline.
 
     Drop-in for :class:`ScoringService` where it matters: ``score_wire``
     takes the same bytes and returns the same :class:`Verdict`; the
     ``validator`` (quarantine, dedup window) and optional ``store`` are
     honoured; ``scored_count`` / ``flagged_count`` / ``flag_rate`` keep
-    their meanings.  New surface: :meth:`submit_wire` (non-blocking
-    handle), :meth:`shutdown` (graceful drain), :attr:`runtime_stats`
-    and :meth:`runtime_metrics_lines` (for ``/metrics``).
+    their meanings.  New surface: :meth:`score_many` (the batch core
+    everything else delegates to), :attr:`runtime_stats` and
+    :meth:`runtime_metrics_lines` (for ``/metrics``).
+
+    Thread-safe: :meth:`score_many` may be entered from any number of
+    threads at once.  A batch takes the ingest lock once, the cache
+    lock once per probe and per put, and the counter lock once.
     """
 
     def __init__(
@@ -204,37 +153,22 @@ class RuntimeScoringService:
                 stats=self.runtime_stats,
             )
             self.cache.set_model_generation(polygraph.model_generation)
-        self.batcher = MicroBatcher(
-            self._score_batch,
-            max_batch_size=config.max_batch_size,
-            max_linger_ms=config.max_linger_ms,
-        )
-        self.pool = WorkerPool(
-            handler=self._handle_request,
-            n_workers=config.n_workers,
-            queue_capacity=config.queue_capacity,
-            idle=self._idle_flush,
-            on_discard=self._discard_request,
-            stats=self.runtime_stats,
-        )
         self.scored_count = 0
         self.flagged_count = 0
         # Per-vendor unknown-UA volume (polygraph_unknown_ua_total) and
         # the optional coverage tracker fed from every scoring path.
         self.unknown_ua_counts: Dict[str, int] = {}
         self.coverage = None
-        self._sample_every = config.latency_sample_every
-        self._lock = threading.Lock()  # scored/flagged counters
+        self._lock = threading.Lock()  # scored/flagged/unknown counters
         # Wire-contract enforcement lives in the shared fast-ingest
         # engine (also used router-side by the shm shard transport);
         # parse memos are model-independent and survive retrains,
         # except the UA memo which is cleared on model swap.
         self._ingest = WireIngest(self.validator)
-        self._closed = False
         # Optional rollout manager (repro.rollout): routes sessions to a
         # candidate arm and mirrors live verdicts for shadow comparison.
-        # Read once per request without the lock — attribute loads are
-        # atomic, and a stale read only means one request routes with
+        # Read once per batch without the lock — attribute loads are
+        # atomic, and a stale read only means one batch routes with
         # the old split, which the stage-transition cache invalidation
         # already accounts for.
         self._rollout = None
@@ -244,130 +178,184 @@ class RuntimeScoringService:
     # lifecycle
 
     def start(self) -> "RuntimeScoringService":
-        """Start the worker pool (idempotent)."""
-        self.pool.start()
+        """Nothing to start (no thread, no queue); returns ``self``."""
         return self
 
     def shutdown(self, drain: bool = True) -> None:
-        """Stop intake and settle every outstanding request.
+        """Detach from the pipeline's retrain notifications.
 
-        ``drain=True`` scores the backlog before returning;
-        ``drain=False`` sheds it with :class:`Overloaded` verdicts.
-        Either way, every handle ever returned by :meth:`submit_wire`
-        is resolved when this returns.
+        ``drain`` is accepted for the callers that stop scoring services
+        uniformly; there is no backlog to drain or shed — every
+        :meth:`score_many` has answered by the time it returns.
         """
-        self._closed = True
-        self.pool.shutdown(drain=drain)
-        self.batcher.flush()
         self.polygraph.remove_retrain_listener(self._on_model_swap)
 
     def __enter__(self) -> "RuntimeScoringService":
         return self.start()
 
     def __exit__(self, *exc_info) -> None:
-        self.shutdown(drain=True)
+        self.shutdown()
 
     # ------------------------------------------------------------------
     # scoring
 
     def score_wire(self, wire: bytes, day: Optional[date] = None) -> Verdict:
-        """The synchronous online path: submit and wait."""
-        return self.submit_wire(wire, day=day).result()
+        """The per-request surface: a batch of one."""
+        return self.score_many([wire], day=day)[0]
 
     def submit_wire(
         self, wire: bytes, day: Optional[date] = None
     ) -> PendingVerdict:
-        """Validate, probe the cache, and queue a model call if needed.
+        """:meth:`score_wire` behind an already-decided handle."""
+        return PendingVerdict(self.score_many([wire], day=day)[0])
 
-        Returns immediately: rejects, cache hits and sheds come back
-        already decided; only cache misses wait on a batch flush.
+    def score_many(
+        self, wires: Sequence[bytes], day: Optional[date] = None
+    ) -> List[Verdict]:
+        """Score one batch on the calling thread; verdicts in input order.
+
+        Rejects and cache hits are answered without the model; all of
+        the batch's misses go through one vectorized model call per
+        rollout arm, against one ``(generation, detector)`` snapshot.
+        A model call that raises answers its misses with a typed
+        ``internal_error`` verdict instead of propagating — the rest of
+        the batch, and the next batch, are served normally.
         """
         started = time.perf_counter()
-        rejected, fields = self._ingest_fast(wire)
-        if rejected is not None:
-            return PendingVerdict(
-                Verdict(
-                    session_id="",
-                    accepted=False,
-                    flagged=False,
-                    risk_factor=None,
-                    reject_reason=rejected.value,
-                    latency_ms=(time.perf_counter() - started) * 1000.0,
-                )
-            )
-        session_id, user_agent, values, globs, ua_key = fields
+        prepared = self._ingest.ingest_many(wires)
         if self.store is not None:
-            self.store.append(
-                FingerprintPayload(session_id, user_agent, values, 0.0, globs),
-                day=day,
+            self.store.append_many(
+                (FingerprintPayload(f[0], f[1], f[2], 0.0, f[3]), day)
+                for f in prepared
+                if f.__class__ is tuple
+            )
+        if self.coverage is not None:
+            # Fed in arrival order, classified against the tracker's own
+            # copy of the live release table (re-synced on model swap).
+            self.coverage.observe_many(
+                [f[4] for f in prepared if f.__class__ is tuple], day=day
             )
         rollout = self._rollout
-        candidate = mirror = False
+        routes = None
         if rollout is not None:
-            candidate, mirror = rollout.route(session_id)
-        cache_key: Optional[tuple] = None
-        if self.cache is not None:
-            cache_key = self.cache.make_key(values, ua_key)
-            if candidate:
+            route = rollout.route
+            routes = [
+                route(f[0]) if f.__class__ is tuple else _UNROUTED
+                for f in prepared
+            ]
+        cache = self.cache
+        keys = cached = None
+        if cache is not None:
+            keys = cache_keys(cache, prepared)
+            if routes is not None:
                 # Arm-tagged key: the candidate's verdicts must never be
                 # served to live-arm sessions (or vice versa) while both
                 # models answer from the same cache.
-                cache_key = (_CANDIDATE_ARM,) + cache_key
-            result = self.cache.get(cache_key)
-            if result is not None:
-                if mirror:
-                    rollout.mirror(values, ua_key, result)
-                if globs:
-                    result = self.polygraph.escalate_result(result, globs)
-                with self._lock:
-                    self.scored_count += 1
-                    if result.flagged:
-                        self.flagged_count += 1
-                    if not result.known_ua:
-                        vendor = vendor_of(result.ua_key)
-                        self.unknown_ua_counts[vendor] = (
-                            self.unknown_ua_counts.get(vendor, 0) + 1
-                        )
-                if self.coverage is not None:
-                    self.coverage.observe(
-                        result.ua_key, known=result.known_ua, day=day
-                    )
-                latency = (time.perf_counter() - started) * 1000.0
-                if self.scored_count % self._sample_every == 0:
-                    self.runtime_stats.observe_stage("total", latency)
-                return PendingVerdict(
-                    Verdict(
-                        session_id=session_id,
-                        accepted=True,
-                        flagged=result.flagged,
-                        risk_factor=result.risk_factor,
-                        reject_reason=None,
-                        latency_ms=latency,
-                        inferred_release=result.inferred_release,
-                        inferred_distance=result.inferred_distance,
-                    )
-                )
-        handle = PendingVerdict()
-        request = _ScoreRequest(
-            handle,
-            session_id,
-            values,
-            ua_key,
-            globs,
-            cache_key,
-            started,
-            candidate=candidate,
-            mirror=mirror,
+                keys = [
+                    (_CANDIDATE_ARM,) + key if candidate else key
+                    for key, (candidate, _) in zip(keys, routes)
+                ]
+            cached = cache.get_many(keys)
+        config = self.polygraph.config
+        probe = config.enable_namespace_probe
+        risk = config.vendor_mismatch_risk
+        verdicts: List[Optional[Verdict]] = [None] * len(prepared)
+        misses, scored, flagged, unknown = answer_known(
+            prepared, keys, cached, verdicts, probe, risk,
+            (time.perf_counter() - started) * 1000.0,
         )
-        if not self.pool.is_running and not self._closed:
-            self.pool.start()
-        if not self.pool.submit(request):
-            return PendingVerdict(
-                overloaded_verdict(
-                    session_id, (time.perf_counter() - started) * 1000.0
+        live, candidates = misses, []
+        if routes is not None:
+            if cached is not None:
+                for (_, mirror), fields, result in zip(routes, prepared, cached):
+                    if mirror and result is not None:
+                        rollout.mirror(fields[2], fields[4], result)
+            live = [m for m in misses if not routes[m.index][0]]
+            candidates = [m for m in misses if routes[m.index][0]]
+        arms = []  # (misses, generation, detector, is the candidate's)
+        if candidates:
+            candidate_detector = rollout.candidate_detector()
+            if candidate_detector is None:
+                # The rollout ended between routing and scoring: serve
+                # these from the live model, uncached (their arm-tagged
+                # keys belong to a rollout that is over).
+                for miss in candidates:
+                    miss.cache_key = None
+                live = live + candidates
+            else:
+                arms.append(
+                    (candidates, self.polygraph.model_generation,
+                     candidate_detector, True)
                 )
+        if live:
+            arms.insert(0, (live, *self.polygraph.detection_snapshot(), False))
+        stats = self.runtime_stats
+        for arm, generation, detector, is_candidate in arms:
+            model_started = time.perf_counter()
+            results = self._evaluate(arm, detector, verdicts, started)
+            if results is None:
+                continue
+            model_ms = (time.perf_counter() - model_started) * 1000.0
+            if is_candidate:
+                rollout.observe_candidate_batch(len(arm), model_ms)
+            else:
+                stats.observe_stage("model", model_ms)
+                if routes is not None:
+                    for miss, result in zip(arm, results):
+                        if routes[miss.index][1]:
+                            rollout.mirror(miss.values, miss.ua_key, result)
+            arm_flagged, arm_unknown = finish_misses(
+                arm, results, generation, cache, verdicts, probe, risk,
+                (time.perf_counter() - started) * 1000.0,
             )
-        return handle
+            scored += len(arm)
+            flagged += arm_flagged
+            unknown += arm_unknown
+        if scored:
+            with self._lock:
+                self.scored_count += scored
+                self.flagged_count += flagged
+                counts = self.unknown_ua_counts
+                for ua_key in unknown:
+                    vendor = vendor_of(ua_key)
+                    counts[vendor] = counts.get(vendor, 0) + 1
+        stats.observe_stage("total", (time.perf_counter() - started) * 1000.0)
+        return verdicts  # type: ignore[return-value]
+
+    def _evaluate(
+        self,
+        misses: List[Miss],
+        detector,
+        verdicts: List[Optional[Verdict]],
+        started: float,
+    ) -> Optional[list]:
+        """One vectorized model call over one arm's misses.
+
+        Returns the raw results, or ``None`` after answering every miss
+        with a typed ``internal_error`` verdict because the call raised:
+        a caller always gets an answer, never the model's exception.
+        """
+        try:
+            results = detector.evaluate_vectors(
+                np.asarray([m.values for m in misses], dtype=float),
+                [m.ua_key for m in misses],
+            )
+        except Exception as exc:  # noqa: BLE001 — answer, don't raise
+            self.runtime_stats.incr("internal_errors")
+            reason = f"internal_error: {type(exc).__name__}"
+            latency_ms = (time.perf_counter() - started) * 1000.0
+            for miss in misses:
+                verdicts[miss.index] = Verdict(
+                    session_id=miss.session_id,
+                    accepted=False,
+                    flagged=False,
+                    risk_factor=None,
+                    reject_reason=reason,
+                    latency_ms=latency_ms,
+                )
+            return None
+        self.runtime_stats.observe_batch(len(misses))
+        return results
 
     # ------------------------------------------------------------------
     # rollout
@@ -458,7 +446,6 @@ class RuntimeScoringService:
         stats = self.runtime_stats
         stats.set_counter("requests_total", self.requests_total)
         stats.set_counter("requests_rejected", self.rejected_count)
-        stats.set_gauge("queue_depth", self.pool.queue_depth)
         stats.set_gauge(
             "polygraph_model_generation",
             self.polygraph.model_generation,
@@ -481,136 +468,3 @@ class RuntimeScoringService:
         if self.coverage is not None:
             lines.extend(self.coverage.metrics_lines())
         return lines
-
-    # ------------------------------------------------------------------
-    # internals
-
-    def _ingest_fast(
-        self, wire: bytes
-    ) -> Tuple[Optional[RejectReason], Optional[tuple]]:
-        """Wire-contract enforcement via the shared fast-ingest engine.
-
-        See :class:`~repro.runtime.fastingest.WireIngest` — identical
-        checks in identical order to ``PayloadValidator.ingest_wire``,
-        with parse/UA memoization.  Parity is pinned by tests.
-        """
-        return self._ingest.ingest(wire)
-
-    def _handle_request(self, request: _ScoreRequest) -> None:
-        self.batcher.submit(request)
-
-    def _idle_flush(self) -> None:
-        if self.batcher.pending_count == 0:
-            return
-        if self.pool.queue_empty():
-            self.batcher.flush()
-        else:
-            self.batcher.poll()
-
-    def _discard_request(self, request: _ScoreRequest) -> None:
-        self.runtime_stats.incr("requests_shed")
-        request.handle._complete(
-            overloaded_verdict(
-                request.session_id,
-                (time.perf_counter() - request.started_at) * 1000.0,
-            )
-        )
-
-    def _score_batch(self, requests: Sequence[_ScoreRequest]) -> None:
-        """Score one coalesced batch, one vectorized model call per arm."""
-        rollout = self._rollout
-        live_requests: List[_ScoreRequest] = []
-        candidate_requests: List[_ScoreRequest] = []
-        for request in requests:
-            (candidate_requests if request.candidate else live_requests).append(
-                request
-            )
-        candidate_detector = None
-        if candidate_requests:
-            if rollout is not None:
-                candidate_detector = rollout.candidate_detector()
-            if candidate_detector is None:
-                # The rollout ended while these requests were queued:
-                # serve them from the live model, uncached (their
-                # arm-tagged keys belong to a rollout that is over).
-                for request in candidate_requests:
-                    request.cache_key = None
-                live_requests.extend(candidate_requests)
-                candidate_requests = []
-        stats = self.runtime_stats
-        stats.observe_batch(len(requests))
-        if live_requests:
-            model_started = time.perf_counter()
-            generation, detector = self.polygraph.detection_snapshot()
-            matrix = np.asarray([r.values for r in live_requests], dtype=float)
-            results = detector.evaluate_vectors(
-                matrix, [r.ua_key for r in live_requests]
-            )
-            stats.observe_stage(
-                "model", (time.perf_counter() - model_started) * 1000.0
-            )
-            if rollout is not None:
-                for request, result in zip(live_requests, results):
-                    if request.mirror:
-                        rollout.mirror(request.values, request.ua_key, result)
-            self._complete_arm(live_requests, results, generation)
-        if candidate_requests:
-            candidate_started = time.perf_counter()
-            generation = self.polygraph.model_generation
-            matrix = np.asarray(
-                [r.values for r in candidate_requests], dtype=float
-            )
-            results = candidate_detector.evaluate_vectors(
-                matrix, [r.ua_key for r in candidate_requests]
-            )
-            rollout.observe_candidate_batch(
-                len(candidate_requests),
-                (time.perf_counter() - candidate_started) * 1000.0,
-            )
-            self._complete_arm(candidate_requests, results, generation)
-
-    def _complete_arm(
-        self,
-        requests: Sequence[_ScoreRequest],
-        results: Sequence,
-        generation: int,
-    ) -> None:
-        """Cache, escalate, and answer one arm's share of a batch."""
-        completed_at = time.perf_counter()
-        scored = 0
-        flagged = 0
-        unknown: Dict[str, int] = {}
-        coverage = self.coverage
-        for request, result in zip(requests, results):
-            if self.cache is not None and request.cache_key is not None:
-                self.cache.put(request.cache_key, result, generation=generation)
-            final = self.polygraph.escalate_result(
-                result, request.suspicious_globals
-            )
-            scored += 1
-            if final.flagged:
-                flagged += 1
-            if not final.known_ua:
-                vendor = vendor_of(final.ua_key)
-                unknown[vendor] = unknown.get(vendor, 0) + 1
-            if coverage is not None:
-                coverage.observe(final.ua_key, known=final.known_ua)
-            request.handle._complete(
-                Verdict(
-                    session_id=request.session_id,
-                    accepted=True,
-                    flagged=final.flagged,
-                    risk_factor=final.risk_factor,
-                    reject_reason=None,
-                    latency_ms=(completed_at - request.started_at) * 1000.0,
-                    inferred_release=final.inferred_release,
-                    inferred_distance=final.inferred_distance,
-                )
-            )
-        with self._lock:
-            self.scored_count += scored
-            self.flagged_count += flagged
-            for vendor, count in unknown.items():
-                self.unknown_ua_counts[vendor] = (
-                    self.unknown_ua_counts.get(vendor, 0) + count
-                )

@@ -2,12 +2,12 @@
 
 One thread-safe registry for everything the high-throughput scoring
 runtime wants to observe about itself: monotonic counters (requests,
-cache hits, sheds, batches), gauges with peak tracking (queue depth),
-the batch-size distribution, and per-stage latency percentiles over a
-bounded reservoir.  ``/metrics`` renders the registry Prometheus-style
-next to the existing scoring counters, so one scrape shows whether the
-micro-batcher is actually coalescing and whether the verdict cache is
-earning its memory.
+cache hits, model calls), gauges with peak tracking (the shadow
+mirror's queue depth), the distribution of rows per model call, and
+per-stage latency percentiles over a bounded reservoir.  ``/metrics``
+renders the registry Prometheus-style next to the existing scoring
+counters, so one scrape shows how wide the model calls are and whether
+the verdict cache is earning its memory.
 
 Latency reservoirs are bounded deques: old observations fall off, so
 the percentiles track recent behaviour rather than the whole process

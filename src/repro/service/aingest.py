@@ -22,11 +22,11 @@ on each:
 * **batch coalescing** — ``POST /collect`` bodies from *all*
   connections land in one coalescing buffer; a batcher slices it into
   chunks and feeds them to the scoring service's widest interface
-  (``score_many`` on the cluster router, ``submit_wire`` pipelining on
-  the micro-batched runtime, ``score_wire`` otherwise) on a small
-  thread pool, several batches in flight at once.  A finished batch
-  fills its slots and then flushes each connection it touched *once*;
-  responses are rendered once per distinct verdict in the batch;
+  (``score_many`` on the cluster router and the runtime, ``score_wire``
+  per wire otherwise) on a small thread pool, several batches in
+  flight at once.  A finished batch fills its slots and then flushes
+  each connection it touched *once*; responses are rendered once per
+  distinct verdict in the batch;
 * **events batch too, in order** — ``POST /event`` bodies land in a
   second coalescing buffer and are handed to the session layer's
   ``observe_many`` a batch at a time.  Exactly **one event batch is in
@@ -365,8 +365,8 @@ class AsyncIngestServer:
     """Asyncio front end feeding a scoring service in coalesced batches.
 
     ``service`` is anything speaking ``score_wire`` — the cluster
-    router, the micro-batched runtime, or the per-request service; the
-    widest batch interface it offers is used.  ``app`` is the WSGI
+    router, the batched runtime, or the per-request service; its
+    ``score_many`` is used when it has one.  ``app`` is the WSGI
     :class:`CollectionApp` wrapping the *same* service, used verbatim
     for every endpoint except ``POST /collect`` and — when it has a
     session layer attached (``app.sessions``) — ``POST /event``, whose
@@ -394,6 +394,14 @@ class AsyncIngestServer:
         if max_pending < batch_max:
             raise ValueError("max_pending must be >= batch_max")
         self.service = service
+        score_many = getattr(service, "score_many", None)
+        if score_many is None:
+            score_wire = service.score_wire
+
+            def score_many(wires: List[bytes]) -> list:
+                return [score_wire(wire) for wire in wires]
+
+        self._score_many = score_many
         self.app = app
         self.host = host
         self.port = port
@@ -574,17 +582,7 @@ class AsyncIngestServer:
 
     def _score_batch(self, wires: List[bytes]) -> List[bytes]:
         """Runs on the scoring thread pool; returns rendered responses."""
-        score_many = getattr(self.service, "score_many", None)
-        if score_many is not None:
-            verdicts = score_many(wires)
-        else:
-            submit = getattr(self.service, "submit_wire", None)
-            if submit is not None:
-                # The micro-batched runtime pipelines: submit everything
-                # first, then collect — misses share pool batches.
-                verdicts = [p.result() for p in [submit(w) for w in wires]]
-            else:
-                verdicts = [self.service.score_wire(w) for w in wires]
+        verdicts = self._score_many(wires)
         # A batch holds few distinct answers (a shard stamps one latency
         # on a whole chunk), and formatting one costs more than scoring
         # a cache hit: render each distinct response once.

@@ -329,7 +329,7 @@ class CollectionApp:
                 f'polygraph_payloads_rejected_by_reason{{reason="{reason.value}"}} {count}'
             )
         # The high-throughput runtime contributes its own registry
-        # (cache hit rate, batch sizes, queue depth, stage latencies).
+        # (cache hit rate, batch sizes, stage latencies).
         runtime_lines = getattr(self.service, "runtime_metrics_lines", None)
         if runtime_lines is not None:
             lines.extend(runtime_lines())

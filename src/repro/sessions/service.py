@@ -2,7 +2,7 @@
 
 :class:`SessionScoringService` wraps either scoring service
 (per-request :class:`~repro.service.scoring.ScoringService` or the
-micro-batched :class:`~repro.runtime.service.RuntimeScoringService`)
+batched :class:`~repro.runtime.service.RuntimeScoringService`)
 and adds session state on top.  The contract that keeps it honest:
 
 * **First-event parity.**  The first event of a session is scored by

@@ -17,6 +17,19 @@ from hypothesis import strategies as st
 from repro.traffic.events import SessionEvent, StreamScenario
 
 
+# /collect bodies inside the 1 KiB wire cap that raise something other
+# than ValueError/KeyError/TypeError out of a naive parse: RecursionError
+# from json.loads (twice), OverflowError from int(1e999).  One of these
+# in a coalesced batch must cost one ``malformed`` answer, not the batch.
+POISON_BODIES = {
+    "nested-sid": b'{"sid":' + b"[" * 1010,
+    "brackets": b"[" * 1020,
+    "overflow": (
+        b'{"sid":"abcdefgh12345678","ua":"Mozilla/5.0","f":[1e999],"g":[]}'
+    ),
+}
+
+
 def _dump(document: dict) -> bytes:
     return json.dumps(document, separators=(",", ":")).encode("utf-8")
 

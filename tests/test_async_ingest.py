@@ -38,6 +38,7 @@ from repro.cluster import ClusterConfig, ClusterRouter, ShardSupervisor
 from repro.cluster.sessions import ClusterSessionService
 from repro.fingerprint.script import MAX_PAYLOAD_BYTES
 from repro.runtime.pool import OVERLOADED_REASON, overloaded_verdict
+from repro.runtime.service import RuntimeScoringService
 from repro.service import aingest
 from repro.service.aingest import AsyncIngestServer
 from repro.service.api import CollectionApp
@@ -52,6 +53,7 @@ from repro.traffic.events import (
     build_event_streams,
 )
 from repro.traffic.replay import iter_wire_payloads
+from tests.event_shapes import POISON_BODIES
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +172,45 @@ class TestCollectParity:
                 sock.sendall(b"POST /collect HTTP/1.1\r\nHost: t\r\n\r\n")
                 reply = sock.recv(65536)
             assert reply.startswith(b"HTTP/1.1 411")
+
+
+class TestPoisonBody:
+    """One hostile body must not fail the 255 requests coalesced with it."""
+
+    @pytest.mark.parametrize(
+        "poison", POISON_BODIES.values(), ids=POISON_BODIES.keys()
+    )
+    def test_poison_is_400_and_its_neighbours_are_served(
+        self, trained, small_dataset, poison
+    ):
+        neighbours = list(iter_wire_payloads(small_dataset, 255))
+        reference = ScoringService(trained)
+        expected = [
+            (202, v.flagged, v.risk_factor)
+            for v in map(reference.score_wire, neighbours)
+        ]
+        bodies = neighbours[:128] + [poison] + neighbours[128:]
+        service = RuntimeScoringService(trained)
+        try:
+            # The linger lets the whole pipelined burst land in one batch.
+            with _serve(service, batch_max=256, linger_ms=100.0) as server:
+                answers = _pipeline(
+                    server.port, [("POST", "/collect", body) for body in bodies]
+                )
+                assert server.batch_rows_total == 256
+                assert server.batches_total <= 2
+        finally:
+            service.shutdown()
+        documents = [json.loads(payload) for _, payload in answers]
+        assert answers[128][0].split()[1] == "400"
+        assert documents[128]["reject_reason"] == "malformed"
+        assert [
+            (int(status.split()[1]), d["flagged"], d["risk_factor"])
+            for (status, _), d in zip(
+                answers[:128] + answers[129:], documents[:128] + documents[129:]
+            )
+        ] == expected
+        assert service.validator.quarantine.counts() == {RejectReason.MALFORMED: 1}
 
 
 class TestWsgiPassthrough:

@@ -134,15 +134,6 @@ def test_missing_command_rejected():
         main([])
 
 
-def test_bench_runtime_smoke(capsys):
-    assert main(
-        ["bench-runtime", "--sessions", "1500", "--concurrency", "2"]
-    ) == 0
-    out = capsys.readouterr().out
-    assert "speedup" in out
-    assert "cache hit rate" in out
-
-
 def test_rollout_cli_lifecycle(artifacts, tmp_path, capsys):
     from datetime import date
 
@@ -216,17 +207,17 @@ def test_serve_parser_accepts_runtime_flags(artifacts):
             "serve",
             model_path,
             "--runtime",
-            "--workers", "2",
-            "--batch-size", "16",
-            "--linger-ms", "1.5",
-            "--queue-capacity", "128",
             "--cache-entries", "512",
             "--cache-ttl", "60",
             "--port", "0",
         ]
     )
     assert isinstance(args, argparse.Namespace)
-    assert args.runtime and args.workers == 2 and args.cache_ttl == 60.0
+    assert args.runtime and args.cache_entries == 512 and args.cache_ttl == 60.0
+    # The runtime has no queue, worker pool or batcher to tune.
+    for flag in ("--workers", "--batch-size", "--linger-ms", "--queue-capacity"):
+        with pytest.raises(SystemExit):
+            _build_parser().parse_args(["serve", model_path, "--runtime", flag, "2"])
 
 
 def test_serve_parser_accepts_cluster_flags(artifacts):
@@ -258,8 +249,7 @@ def test_build_cluster_serves_a_router(artifacts):
     _, model_path = artifacts
     args = argparse.Namespace(
         model=model_path, shards=2, shard_backend="thread",
-        affinity="session", hedge_ms=None, workers=1, batch_size=16,
-        linger_ms=1.0, queue_capacity=256, cache_entries=128, cache_ttl=60.0,
+        affinity="session", hedge_ms=None, cache_entries=128, cache_ttl=60.0,
         transport="shm", ring_slots=256,
     )
     router, managers = _build_cluster(args, None)
@@ -447,14 +437,14 @@ def test_build_service_selects_runtime(artifacts):
     _, model_path = artifacts
     pipeline = BrowserPolygraph.load(model_path)
     base = argparse.Namespace(
-        runtime=False, workers=2, batch_size=16, linger_ms=1.0,
-        queue_capacity=64, cache_entries=128, cache_ttl=60.0,
+        runtime=False, cache_entries=128, cache_ttl=60.0,
     )
     assert isinstance(_build_service(pipeline, base), ScoringService)
     base.runtime = True
     service = _build_service(pipeline, base)
     try:
         assert isinstance(service, RuntimeScoringService)
-        assert service.pool.is_running
+        assert service.cache.max_entries == 128
+        assert service.cache.ttl_seconds == 60.0
     finally:
         service.shutdown()

@@ -26,7 +26,7 @@ from repro.rollout import (
     save_state,
     session_bucket,
 )
-from repro.runtime.service import RuntimeConfig, RuntimeScoringService
+from repro.runtime.service import RuntimeScoringService
 from repro.service.api import CollectionApp
 from repro.service.scoring import ScoringService
 from repro.traffic.replay import iter_payloads
@@ -68,11 +68,8 @@ def registry(tmp_path, trained):
     return reg
 
 
-def _runtime(registry, **config_kwargs):
-    live = registry.load(1)
-    kwargs = {"n_workers": 2, "max_linger_ms": 0.5}
-    kwargs.update(config_kwargs)
-    return RuntimeScoringService(live, config=RuntimeConfig(**kwargs)).start()
+def _runtime(registry):
+    return RuntimeScoringService(registry.load(1)).start()
 
 
 def _manager(registry, runtime, tmp_path, **overrides):

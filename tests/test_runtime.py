@@ -1,11 +1,9 @@
-"""Unit tests for the runtime building blocks: stats, cache, batcher, pool."""
+"""Unit tests for the runtime building blocks: stats, cache, pool."""
 
 import threading
-import time
 
 import pytest
 
-from repro.runtime.batcher import MicroBatcher
 from repro.runtime.cache import VerdictCache, quantize_vector
 from repro.runtime.pool import Overloaded, WorkerPool, overloaded_verdict
 from repro.runtime.stats import RuntimeStats, percentile
@@ -206,7 +204,7 @@ class TestVerdictCache:
 
 
 class _Request:
-    """Minimal batcher/pool request: records completion and failure."""
+    """Minimal pool request: records failure."""
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -214,65 +212,6 @@ class _Request:
 
     def fail(self, exc: BaseException) -> None:
         self.failure = exc
-
-
-class TestMicroBatcher:
-    def test_flushes_inline_when_full(self):
-        batches = []
-        batcher = MicroBatcher(batches.append, max_batch_size=3)
-        assert not batcher.submit(_Request("a"))
-        assert not batcher.submit(_Request("b"))
-        assert batcher.submit(_Request("c"))  # third submit flushes
-        assert len(batches) == 1
-        assert [r.name for r in batches[0]] == ["a", "b", "c"]
-        assert batcher.pending_count == 0
-
-    def test_poll_respects_linger(self):
-        clock = FakeClock()
-        batches = []
-        batcher = MicroBatcher(
-            batches.append, max_batch_size=64, max_linger_ms=2.0, clock=clock
-        )
-        batcher.submit(_Request("a"))
-        clock.advance(0.001)  # 1ms < linger
-        assert batcher.poll() == 0
-        clock.advance(0.0015)  # 2.5ms total >= linger
-        assert batcher.poll() == 1
-        assert len(batches) == 1
-
-    def test_flush_unconditional(self):
-        batches = []
-        batcher = MicroBatcher(batches.append)
-        assert batcher.flush() == 0  # nothing pending
-        batcher.submit(_Request("a"))
-        assert batcher.flush() == 1
-        assert batcher.pending_count == 0
-
-    def test_next_deadline_tracks_oldest(self):
-        clock = FakeClock(100.0)
-        batcher = MicroBatcher(lambda b: None, max_linger_ms=2.0, clock=clock)
-        assert batcher.next_deadline() is None
-        batcher.submit(_Request("a"))
-        clock.advance(0.001)
-        batcher.submit(_Request("b"))  # deadline pinned to the oldest
-        assert batcher.next_deadline() == pytest.approx(100.002)
-
-    def test_scorer_failure_fans_out(self):
-        def boom(batch):
-            raise RuntimeError("model down")
-
-        batcher = MicroBatcher(boom, max_batch_size=2)
-        a, b = _Request("a"), _Request("b")
-        batcher.submit(a)
-        batcher.submit(b)
-        assert isinstance(a.failure, RuntimeError)
-        assert isinstance(b.failure, RuntimeError)
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            MicroBatcher(lambda b: None, max_batch_size=0)
-        with pytest.raises(ValueError):
-            MicroBatcher(lambda b: None, max_linger_ms=-1.0)
 
 
 class TestOverloaded:
@@ -336,7 +275,6 @@ class TestWorkerPool:
     def test_nondrain_shutdown_discards_backlog(self):
         release = threading.Event()
         entered = threading.Event()
-        discarded = []
         handled = []
 
         def slow(item):
@@ -344,28 +282,28 @@ class TestWorkerPool:
             release.wait(timeout=5.0)
             handled.append(item)
 
-        pool = WorkerPool(
-            slow,
-            n_workers=1,
-            queue_capacity=16,
-            on_discard=discarded.append,
-        )
+        pool = WorkerPool(slow, n_workers=1, queue_capacity=16)
         pool.start()
         first = _Request("in-flight")
         pool.submit(first)
         assert entered.wait(timeout=5.0)
-        backlog = [_Request("q1"), _Request("q2")]
-        for item in backlog:
-            assert pool.submit(item)
+        for name in ("q1", "q2"):
+            assert pool.submit(_Request(name))
         stopper = threading.Thread(
             target=pool.shutdown, kwargs={"drain": False}, daemon=True
         )
         stopper.start()
-        time.sleep(0.05)  # let shutdown drain the backlog to on_discard
+        # shutdown empties the queue before it waits for the worker:
+        # release the worker only once the backlog is out of its reach.
+        while stopper.is_alive() and any(
+            isinstance(item, _Request) for item in list(pool._queue.queue)
+        ):
+            stopper.join(timeout=0.01)
         release.set()
         stopper.join(timeout=5.0)
-        assert discarded == backlog
+        assert not stopper.is_alive()
         assert handled == [first]
+        assert pool.queue_depth == 0
 
     def test_submit_after_shutdown_sheds(self):
         pool = WorkerPool(lambda item: None, n_workers=1)
@@ -383,16 +321,6 @@ class TestWorkerPool:
         pool.submit(request)
         pool.shutdown(drain=True)
         assert isinstance(request.failure, ValueError)
-
-    def test_idle_hook_runs_when_queue_empties(self):
-        idled = threading.Event()
-        pool = WorkerPool(
-            lambda item: None, n_workers=1, idle=idled.set, poll_interval_s=0.001
-        )
-        pool.start()
-        pool.submit(_Request("a"))
-        assert idled.wait(timeout=5.0)
-        pool.shutdown(drain=True)
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
