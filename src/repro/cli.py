@@ -197,20 +197,18 @@ def _build_parser() -> argparse.ArgumentParser:
         help="ring routing key: session id (sticky canary buckets) or "
         "fingerprint bytes (partitions the verdict-cache key space)",
     )
+    # Shim: benchmarks/e2e/e2ebench/workloads.py (frozen) passes
+    # "--transport shm"; the flag goes when ROADMAP item 1(a)'s
+    # benchmark PR drops the argument.
     serve.add_argument(
-        "--transport",
-        choices=["shm", "pickle"],
-        default="shm",
-        help="process-shard transport: zero-copy shared-memory feature "
-        "rings (shm) or pickled wires over the control pipe (pickle); "
-        "ignored for thread shards",
+        "--transport", choices=["shm"], default="shm", help=argparse.SUPPRESS
     )
     serve.add_argument(
         "--ring-slots",
         type=int,
         default=4096,
         help="slots per shard in the shared-memory feature ring "
-        "(shm transport only)",
+        "(process shards only)",
     )
     serve.add_argument(
         "--ingest",
@@ -219,13 +217,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="HTTP front end: one-request-per-thread WSGI (sync) or the "
         "pipelined asyncio server with batch coalescing and read-side "
         "backpressure (async)",
-    )
-    serve.add_argument(
-        "--hedge-ms",
-        type=float,
-        default=None,
-        help="latency budget in ms after which a request is hedged to "
-        "the next same-version replica (default: no hedging)",
     )
     serve.add_argument(
         "--session-ttl",
@@ -553,7 +544,6 @@ def _build_cluster(args: argparse.Namespace, registry):
     config = ClusterConfig(
         n_shards=args.shards,
         backend=args.shard_backend,
-        transport=args.transport,
         ring_slots=args.ring_slots,
     )
     runtime_config = _runtime_config(args)
@@ -565,10 +555,7 @@ def _build_cluster(args: argparse.Namespace, registry):
         supervisor = ShardSupervisor(
             args.model, config=config, runtime_config=runtime_config
         )
-    router = ClusterRouter(
-        supervisor,
-        RouterConfig(affinity=args.affinity, hedge_after_ms=args.hedge_ms),
-    ).start()
+    router = ClusterRouter(supervisor, RouterConfig(affinity=args.affinity)).start()
     managers = []
     if registry is not None and args.shard_backend == "thread":
         managers = supervisor.attach_rollout(registry)
@@ -650,11 +637,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        service, managers = _build_cluster(args, registry)
+        from repro.cluster import ShardError
+
+        try:
+            service, managers = _build_cluster(args, registry)
+        except ShardError as exc:
+            print(f"serve: cannot start cluster: {exc}", file=sys.stderr)
+            return 2
         transport_note = (
-            f", {args.transport} transport"
-            if args.shard_backend == "process"
-            else ""
+            ", shm transport" if args.shard_backend == "process" else ""
         )
         mode = (
             f"cluster ({args.shards} {args.shard_backend} shards, "
@@ -810,8 +801,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     if router:
         print(
             f"router: {router['requests_total']} requests "
-            f"({router['affinity']} affinity), {router['hedged_total']} hedged "
-            f"({router['hedge_wins_total']} wins), "
+            f"({router['affinity']} affinity), "
             f"{router['failovers_total']} failovers, "
             f"{router['unroutable_total']} unroutable"
         )

@@ -9,9 +9,8 @@ This package turns it into a horizontally-scaled cluster on one surface:
 * :mod:`repro.cluster.supervisor` — N shard replicas (threads by
   default, processes optionally), heartbeat health checks, automatic
   drain/restart, ring-range re-routing while a shard is down.
-* :mod:`repro.cluster.router` — the ``score_wire`` facade with
-  failover and latency-budget hedging; first same-generation verdict
-  wins.
+* :mod:`repro.cluster.router` — the ``score_many`` facade: one chunk
+  per shard, bulk failover to the next untried replica.
 * :mod:`repro.cluster.distribution` — digest-verified model replication
   from the registry with a quorum-gated serving-version flip.
 """

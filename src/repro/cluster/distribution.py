@@ -7,13 +7,15 @@ the artifact's digest before adopting it, so a torn copy or a tampered
 file is refused at the shard boundary, not discovered in verdicts.
 
 The serving version only *flips* — becomes the generation the cluster
-advertises and the router hedges within — once a configurable quorum of
-shards has converged on it.  A lagging or failed shard keeps serving
-the previous generation in its entirety; because the router never
-hedges or fails over across versions, a single session sees verdicts
-from exactly one generation at a time, never a mixture.  The laggard is
-retried (:meth:`ModelDistributor.retry_lagging`) until it converges or
-the supervisor replaces it.
+advertises — once a configurable quorum of shards has converged on it.
+A shard serves its generation whole: a lagging or failed shard keeps
+answering the sessions it owns on the previous generation in its
+entirety, and no verdict is ever assembled from two generations.  The
+router's failover does not filter replicas by version, so a session sees
+another generation only if its owner dies mid-flip — the next replica
+then answers on *its* generation, whole, rather than refusing.  The
+laggard is retried (:meth:`ModelDistributor.retry_lagging`) until it
+converges or the supervisor replaces it.
 """
 
 from __future__ import annotations

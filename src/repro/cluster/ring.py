@@ -145,7 +145,7 @@ class HashRing:
     def preference(self, key: bytes, limit: Optional[int] = None) -> List[str]:
         """Distinct nodes in ring order starting at ``key``'s owner.
 
-        The failover/hedging order: entry 0 is the primary, entry 1 the
+        The failover order: entry 0 is the primary, entry 1 the
         shard that would inherit the key if the primary left the ring,
         and so on.  Deterministic for a fixed membership.
         """

@@ -1,35 +1,36 @@
-"""The cluster router: one ``score_wire`` surface over many shards.
+"""The cluster router: one ``score_many`` surface over many shards.
 
 :class:`ClusterRouter` speaks the same contract as
-:class:`~repro.service.scoring.ScoringService` — ``score_wire`` in,
+:class:`~repro.service.scoring.ScoringService` — wires in,
 :class:`~repro.service.scoring.Verdict` out, plus the counters and
 metrics hooks :class:`~repro.service.api.CollectionApp` reads — so the
 WSGI app and the CLI serve path do not know whether one shard or eight
 sit behind them.
 
-Routing is the ring's job (``preference(key)`` yields the primary and
-its failover successors); the router's job is what happens when the
-primary disappoints:
+There is one way through: :meth:`ClusterRouter.score_many` partitions a
+batch by ring owner and scores each shard's chunk with one
+``score_chunk`` call; ``score_wire(w)`` is ``score_many([w])[0]``.
 
-* **Failover** — a shard that raises, sheds (``overloaded``), or is
-  off the ring re-routes the request to the next replica in ring order.
-* **Hedging** — with a latency budget configured, a request still
-  undecided at the budget is *also* submitted to the next replica and
-  the first verdict wins.  Hedges only go to replicas holding the same
-  model version as the primary, so the winning verdict is byte-identical
-  either way (latency aside) and a rollout can never race a hedge into
-  a mixed-generation answer.
+**Failover.**  Wires a shard leaves unanswered — it raised, it is off
+the ring, or its transport broke mid-chunk and shed them as
+``overloaded`` — are re-partitioned over each wire's *next untried*
+replica in ring-preference order and scored as chunks through the same
+call, a hop at a time, until answered or out of replicas (then the
+answer is ``overloaded``, counted ``unroutable``).  No wire is asked of
+the same replica twice, and each is counted once, under the shard that
+answered it.
 
-Both paths preserve the invariant the determinism tests pin down: for a
-fixed model generation, a hedged or re-routed request returns exactly
-the verdict a single-shard service would have produced.
+The invariant the determinism tests pin down: for a fixed model
+generation a re-routed wire gets exactly the verdict a single-shard
+service would have produced.  Failover does not filter replicas by model
+version — during a quorum flip a re-routed wire is answered on the next
+replica's generation, whole (see :mod:`repro.cluster.distribution`).
 """
 
 from __future__ import annotations
 
 import os
 import threading
-import time
 from typing import Dict, List, Optional, Sequence
 
 from repro.cluster.ring import _SID_PREFIX, wire_routing_key
@@ -41,7 +42,6 @@ from repro.service.scoring import Verdict
 
 __all__ = ["ClusterRouter", "RouterConfig"]
 
-_POLL_S = 0.0002  # first-wins poll interval while a hedge is in flight
 _ROUTE_MEMO_LIMIT = 65_536  # distinct routing keys memoized per epoch
 
 # Per-shard dispatch threads only pay off when there is a second CPU to
@@ -99,36 +99,21 @@ class _RouterValidator:
 
 
 class RouterConfig:
-    """Routing policy knobs.
+    """Routing policy.
 
-    Parameters
-    ----------
-    affinity:
-        ``"session"`` routes by session id (the default; canary buckets
-        and dedup windows stay shard-sticky).  ``"fingerprint"`` routes
-        by the payload's fingerprint bytes, partitioning the verdict
-        cache's key space so aggregate cache capacity scales with the
-        shard count.
-    hedge_after_ms:
-        Latency budget after which an undecided request is hedged to the
-        next same-version replica.  ``None`` disables hedging.
-    request_timeout_s:
-        Hard ceiling on one request's life in the router.
+    ``affinity="session"`` routes by session id (the default; canary
+    buckets and dedup windows stay shard-sticky).  ``"fingerprint"``
+    routes by the payload's fingerprint bytes, partitioning the verdict
+    cache's key space so aggregate cache capacity scales with the shard
+    count.
     """
 
-    __slots__ = ("affinity", "hedge_after_ms", "request_timeout_s")
+    __slots__ = ("affinity",)
 
-    def __init__(
-        self,
-        affinity: str = "session",
-        hedge_after_ms: Optional[float] = None,
-        request_timeout_s: float = 30.0,
-    ) -> None:
+    def __init__(self, affinity: str = "session") -> None:
         if affinity not in ("session", "fingerprint"):
             raise ValueError("affinity must be 'session' or 'fingerprint'")
         self.affinity = affinity
-        self.hedge_after_ms = hedge_after_ms
-        self.request_timeout_s = request_timeout_s
 
 
 class ClusterRouter:
@@ -150,8 +135,6 @@ class ClusterRouter:
         self.scored_count = 0
         self.flagged_count = 0
         self.requests_total = 0
-        self.hedged_total = 0
-        self.hedge_wins_total = 0
         self.failovers_total = 0
         self.unroutable_total = 0
         self._routed: Dict[str, int] = {}
@@ -198,18 +181,8 @@ class ClusterRouter:
     # scoring
 
     def score_wire(self, wire: bytes, day=None) -> Verdict:
-        """Route, score, and failover/hedge one wire payload."""
-        with self._lock:
-            self.requests_total += 1
-        key = wire_routing_key(wire, self.config.affinity)
-        candidates = self.supervisor.route(key)
-        verdict = self._score_routed(wire, candidates)
-        if verdict is None:
-            with self._lock:
-                self.unroutable_total += 1
-            verdict = overloaded_verdict(session_id="")
-        self._account(verdict)
-        return verdict
+        """The per-request surface: a batch of one."""
+        return self.score_many([wire])[0]
 
     def _owner_of(self, key: bytes) -> Optional[str]:
         """Memoized ring owner lookup for the bulk path."""
@@ -235,28 +208,21 @@ class ClusterRouter:
         return shard_id
 
     def score_many(self, wires: Sequence[bytes]) -> List[Verdict]:
-        """Bulk path: partition by ring owner, score chunks concurrently.
+        """Partition by ring owner, score the chunks, fail over the rest.
 
-        Shard chunks are dispatched concurrently (one on the calling
-        thread, the others on a thread each) — shards are process- (or
-        pool-) parallel, so scoring them sequentially would serialize
-        the whole cluster behind one dispatcher, which is exactly the
-        plateau this transport exists to break.  Wires
-        whose chunk hits a dead or shedding shard are individually
-        re-routed through :meth:`score_wire` afterwards — nothing is
-        lost, order is kept.
+        Verdicts come back in input order; nothing is lost.  Re-entrant:
+        all per-call state is local, shared counters are lock-guarded.
         """
         results: List[Optional[Verdict]] = [None] * len(wires)
         chunks: Dict[str, List[int]] = {}
         chunks_get = chunks.get
-        affinity = self.config.affinity
-        fingerprint = affinity == "fingerprint"
+        fingerprint = self.config.affinity == "fingerprint"
         unroutable = 0
         # Fused partition loop: ``wire_routing_key`` and the memo probe
         # of ``_owner_of`` inlined — two function calls per wire are
         # measurable at hundreds of kwps.  The epoch check runs once
         # per chunk; a membership change mid-loop lands wires on the
-        # old owner, and the retry pass below re-routes them, exactly
+        # old owner, and the failover pass below re-routes them, exactly
         # as it does for a chunk already in flight during the change.
         ring = self.supervisor.ring
         memo = self._route_memo
@@ -286,18 +252,36 @@ class ClusterRouter:
             with self._lock:
                 self.requests_total += unroutable
                 self.unroutable_total += unroutable
-        retries: Dict[str, List[int]] = {}
+        unanswered = self._dispatch(chunks, wires, results)
+        if unanswered:
+            self._fail_over(unanswered, wires, results)
+        return results  # type: ignore[return-value]
+
+    def _dispatch(
+        self,
+        chunks: Dict[str, List[int]],
+        wires: Sequence[bytes],
+        results: List[Optional[Verdict]],
+    ) -> Dict[str, List[int]]:
+        """Score every shard's chunk; return what each left unanswered.
+
+        Chunks are dispatched concurrently (one on the calling thread,
+        the others on a thread each) — shards are process- (or pool-)
+        parallel, so scoring them sequentially would serialize the whole
+        cluster behind one dispatcher.  A shard that leaves wires
+        unanswered is reported to the supervisor.
+        """
+        unanswered: Dict[str, List[int]] = {}
         items = list(chunks.items())
 
         def dispatch(shard_id: str, indices: List[int]) -> None:
             try:
-                retries[shard_id] = self._score_chunk_into(
-                    shard_id, indices, wires, results
-                )
+                left = self._score_chunk_into(shard_id, indices, wires, results)
             except Exception:  # noqa: BLE001 — a dead dispatcher loses wires
-                retries[shard_id] = [
-                    i for i in indices if results[i] is None
-                ]
+                left = [i for i in indices if results[i] is None]
+            if left:
+                self.supervisor.note_failure(shard_id)
+                unanswered[shard_id] = left
 
         # The caller would only wait for its threads: it scores the last
         # chunk itself, so N shards cost N-1 thread starts per batch.
@@ -316,14 +300,52 @@ class ClusterRouter:
             dispatch(shard_id, indices)
         for thread in threads:
             thread.join()
-        for shard_id, retry in retries.items():
-            if retry:
-                self.supervisor.note_failure(shard_id)
-                with self._lock:
-                    self.failovers_total += len(retry)
-                for i in retry:
-                    results[i] = self.score_wire(wires[i])
-        return results  # type: ignore[return-value]
+        return unanswered
+
+    def _fail_over(
+        self,
+        unanswered: Dict[str, List[int]],
+        wires: Sequence[bytes],
+        results: List[Optional[Verdict]],
+    ) -> None:
+        """Re-score unanswered wires on their next untried replicas.
+
+        One hop per pass: every wire a shard left unanswered moves to
+        the first replica in its ring-preference order it has not been
+        asked of yet, the moved wires are scored as chunks (in arrival
+        order within a shard, like any chunk), and whatever *those*
+        shards leave unanswered goes round again.  A wire out of
+        replicas is answered ``overloaded``.  Terminates: each pass
+        adds one shard to every remaining wire's tried set.
+        """
+        affinity = self.config.affinity
+        route = self.supervisor.route
+        tried: Dict[int, set] = {}
+        while unanswered:
+            chunks: Dict[str, List[int]] = {}
+            unroutable = 0
+            for index, failed in sorted(
+                (i, shard_id)
+                for shard_id, indices in unanswered.items()
+                for i in indices
+            ):
+                asked = tried.setdefault(index, set())
+                asked.add(failed)
+                key = wire_routing_key(wires[index], affinity)
+                target = next(
+                    (s.shard_id for s in route(key) if s.shard_id not in asked),
+                    None,
+                )
+                if target is None:
+                    unroutable += 1
+                    results[index] = overloaded_verdict(session_id="")
+                else:
+                    chunks.setdefault(target, []).append(index)
+            with self._lock:
+                self.failovers_total += sum(map(len, chunks.values()))
+                self.requests_total += unroutable
+                self.unroutable_total += unroutable
+            unanswered = self._dispatch(chunks, wires, results)
 
     def _score_chunk_into(
         self,
@@ -332,7 +354,7 @@ class ClusterRouter:
         wires: Sequence[bytes],
         results: List[Optional[Verdict]],
     ) -> List[int]:
-        """Score one shard's chunk in place; return indices to re-route.
+        """Score one shard's chunk in place; return the indices it left.
 
         Runs concurrently with the other shards' chunks: writes only to
         its own ``results`` slots, and all shared counters are lock-guarded.
@@ -342,7 +364,12 @@ class ClusterRouter:
             return indices
         try:
             verdicts = shard.score_chunk([wires[i] for i in indices])
-        except (ShardError, TimeoutError):
+        except ShardError:
+            # A refusal is reported here and again by ``_dispatch`` as a
+            # chunk that needed failover: with the default
+            # ``unhealthy_after=2`` a dead shard leaves the ring within
+            # the batch that found it dead, while one that only shed
+            # part of a chunk gets a second chance.
             self.supervisor.note_failure(shard_id)
             return indices
         retry: List[int] = []
@@ -369,99 +396,6 @@ class ClusterRouter:
         return retry
 
     # ------------------------------------------------------------------
-    # routing internals
-
-    def _score_routed(self, wire: bytes, candidates: List) -> Optional[Verdict]:
-        """Submit along the preference list; hedge; first verdict wins."""
-        pending = list(candidates)
-        in_flight: List[tuple] = []
-        version: Optional[int] = None
-        primary = None
-
-        def submit_next() -> bool:
-            nonlocal version, primary
-            while pending:
-                shard = pending.pop(0)
-                if version is not None and shard.model_version != version:
-                    continue  # replicas on another generation cannot answer
-                try:
-                    handle = shard.submit_wire(wire)
-                except ShardError:
-                    self.supervisor.note_failure(shard.shard_id)
-                    with self._lock:
-                        self.failovers_total += 1
-                    continue
-                if version is None:
-                    version = shard.model_version
-                    primary = shard
-                with self._lock:
-                    self._routed[shard.shard_id] = (
-                        self._routed.get(shard.shard_id, 0) + 1
-                    )
-                in_flight.append((shard, handle))
-                return True
-            return False
-
-        submit_next()
-        budget = self.config.hedge_after_ms
-        deadline = time.monotonic() + self.config.request_timeout_s
-        hedge_at = None if budget is None else time.monotonic() + budget / 1000.0
-        while in_flight:
-            if budget is None and len(in_flight) == 1:
-                # Fast path: no hedging configured, block on the handle.
-                shard, handle = in_flight.pop(0)
-                try:
-                    verdict = handle.result(
-                        timeout=max(0.0, deadline - time.monotonic())
-                    )
-                except TimeoutError:
-                    self.supervisor.note_failure(shard.shard_id)
-                    with self._lock:
-                        self.failovers_total += 1
-                    submit_next()
-                    continue
-            else:
-                now = time.monotonic()
-                if now > deadline:
-                    break
-                if hedge_at is not None and now >= hedge_at:
-                    hedge_at = None  # at most one hedge per request
-                    if submit_next():
-                        with self._lock:
-                            self.hedged_total += 1
-                decided = next(
-                    (pair for pair in in_flight if pair[1].done()), None
-                )
-                if decided is None:
-                    time.sleep(_POLL_S)
-                    continue
-                in_flight.remove(decided)
-                shard, handle = decided
-                verdict = handle.result(timeout=0.0)
-            if verdict.reject_reason == OVERLOADED_REASON:
-                # Shed or died under us: count it and try a replica.
-                self.supervisor.note_failure(shard.shard_id)
-                with self._lock:
-                    self.failovers_total += 1
-                if not in_flight:
-                    submit_next()
-                continue
-            if primary is not None and shard is not primary:
-                with self._lock:
-                    self.hedge_wins_total += 1
-            return verdict
-        return None
-
-    def _account(self, verdict: Verdict) -> None:
-        if verdict.accepted:
-            with self._lock:
-                self.scored_count += 1
-                if verdict.flagged:
-                    self.flagged_count += 1
-        else:
-            self.validator.quarantine.record(verdict.reject_reason or "unknown")
-
-    # ------------------------------------------------------------------
     # observability
 
     def cluster_status(self) -> dict:
@@ -473,10 +407,7 @@ class ClusterRouter:
         with self._lock:
             status["router"] = {
                 "affinity": self.config.affinity,
-                "hedge_after_ms": self.config.hedge_after_ms,
                 "requests_total": self.requests_total,
-                "hedged_total": self.hedged_total,
-                "hedge_wins_total": self.hedge_wins_total,
                 "failovers_total": self.failovers_total,
                 "unroutable_total": self.unroutable_total,
                 "routed_by_shard": dict(sorted(self._routed.items())),
@@ -496,10 +427,6 @@ class ClusterRouter:
                 f"polygraph_cluster_serving_version {status['serving_version']}",
                 "# TYPE polygraph_cluster_requests_total counter",
                 f"polygraph_cluster_requests_total {self.requests_total}",
-                "# TYPE polygraph_cluster_hedged_total counter",
-                f"polygraph_cluster_hedged_total {self.hedged_total}",
-                "# TYPE polygraph_cluster_hedge_wins_total counter",
-                f"polygraph_cluster_hedge_wins_total {self.hedge_wins_total}",
                 "# TYPE polygraph_cluster_failovers_total counter",
                 f"polygraph_cluster_failovers_total {self.failovers_total}",
                 "# TYPE polygraph_cluster_routed_total counter",
@@ -535,7 +462,6 @@ class ClusterRouter:
     _TRANSPORT_METRICS = (
         ("zero_copy_batches", "zero_copy_batches_total", "counter"),
         ("zero_copy_rows", "zero_copy_rows_total", "counter"),
-        ("pickle_fallbacks", "pickle_fallbacks_total", "counter"),
         ("backpressure_waits", "backpressure_pauses_total", "counter"),
         ("cache_hits", "cache_hits_total", "counter"),
         ("cache_misses", "cache_misses_total", "counter"),
@@ -560,10 +486,4 @@ class ClusterRouter:
                     f'polygraph_transport_{metric}{{shard="{shard_id}"}} '
                     f"{stats[key]}"
                 )
-        lines.append("# TYPE polygraph_transport_shm_mode gauge")
-        for shard_id, stats in sorted(per_shard.items()):
-            lines.append(
-                f'polygraph_transport_shm_mode{{shard="{shard_id}"}} '
-                f'{1 if stats["mode"] == "shm" else 0}'
-            )
         return lines

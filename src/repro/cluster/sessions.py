@@ -12,10 +12,8 @@ session id's ring position choosing the lane.
 Scoring itself still flows through the
 :class:`~repro.cluster.router.ClusterRouter`: a batch of envelopes is
 parsed once, scored with **one** ``router.score_many`` over the whole
-batch — the router's bulk path, so failover and the shared-memory shard
-transport apply (hedging does not: like ``/collect`` under the async
-front end, a bulk chunk fails over but is never raced) — and then each
-event is folded into its lane in arrival order.  The router hands every
+batch — so failover and the shared-memory shard transport apply — and
+then each event is folded into its lane in arrival order.  The router hands every
 shard its wires in arrival order too, so the shards' dedup windows see
 what one-at-a-time scoring would show them.  The lane only owns the
 session *state*: sticky verdicts, revision tracking, TTL/capacity

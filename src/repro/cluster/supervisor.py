@@ -1,17 +1,17 @@
 """Shard lifecycle: replicas, heartbeats, failover, restart.
 
-A *shard* is one complete scoring stack — its own model replica, its
-own :class:`~repro.runtime.service.RuntimeScoringService`, its own
-verdict cache — behind a small uniform surface (``submit_wire``,
-``score_chunk``, ``ping``, ``install``, ``restart``).  Two backends:
+A *shard* is one model replica behind a small uniform surface
+(``score_chunk``, ``ping``, ``install``, ``kill``, ``restart``).  Two
+backends:
 
-* :class:`ThreadShard` — the shard's runtime lives in this process.
-  The default: cheap to boot, trivially debuggable, and the right shape
-  for the single-host deployment the benchmarks measure.
-* :class:`ProcessShard` — the shard's runtime lives in a child process
-  behind a pipe, one process per shard.  Buys real CPU parallelism and
-  fault isolation (a crashed shard is a dead process, not a corrupted
-  heap) at the cost of per-chunk serialization.
+* :class:`ThreadShard` — the replica and its
+  :class:`~repro.runtime.service.RuntimeScoringService` live in this
+  process.  The default: cheap to boot, trivially debuggable.
+* :class:`ProcessShard` — the replica lives in a child process, one
+  process per shard, reached through the shared-memory slab of
+  :mod:`repro.cluster.transport`; ingest, dedup and the verdict cache
+  run router-side and only cache misses cross.  Buys fault isolation (a
+  crashed shard is a dead process, not a corrupted heap).
 
 Both backends *load their own model replica from a file* and verify it
 against the registry's sha256 digest before serving — the replication
@@ -28,22 +28,19 @@ re-routing is a ring lookup away the moment the node is removed.
 from __future__ import annotations
 
 import multiprocessing
-import queue
 import signal
 import tempfile
 import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.cluster.ring import HashRing
-from repro.cluster.transport import ShmSlab, ShmTransport
+from repro.cluster.transport import ShmSlab, ShmTransport, attach_slab_views
 from repro.core.model_store import stored_digest
 from repro.core.pipeline import BrowserPolygraph
 from repro.fingerprint.features import N_FEATURES
-from repro.runtime.pool import OVERLOADED_REASON, overloaded_verdict
-from repro.runtime.service import PendingVerdict, RuntimeConfig, RuntimeScoringService
+from repro.runtime.service import RuntimeConfig, RuntimeScoringService
 from repro.service.scoring import Verdict
 
 __all__ = [
@@ -62,19 +59,13 @@ class ShardError(RuntimeError):
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Topology and health-checking knobs of the serving cluster.
-
-    ``transport`` selects how routed chunks reach *process* shards:
-    ``"shm"`` (default) scores through the zero-copy shared-memory
-    slab of :mod:`repro.cluster.transport` with router-side ingest and
-    verdict cache; ``"pickle"`` keeps the legacy pickle-over-pipe path.
-    Thread shards always score in-process, so the field is inert for
-    ``backend="thread"``.
-    """
+    """Topology and health-checking knobs of the serving cluster."""
 
     n_shards: int = 2
     backend: str = "thread"  # "thread" | "process"
-    transport: str = "shm"  # "shm" | "pickle" (process backend only)
+    # Shim: benchmarks/e2e (frozen) passes transport="shm"; the field
+    # goes when ROADMAP item 1(a)'s benchmark PR drops the argument.
+    transport: str = "shm"
     vnodes: int = 64
     heartbeat_interval_s: float = 0.25
     unhealthy_after: int = 2  # consecutive failures before removal
@@ -86,8 +77,8 @@ class ClusterConfig:
             raise ValueError("n_shards must be >= 1")
         if self.backend not in ("thread", "process"):
             raise ValueError("backend must be 'thread' or 'process'")
-        if self.transport not in ("shm", "pickle"):
-            raise ValueError("transport must be 'shm' or 'pickle'")
+        if self.transport != "shm":
+            raise ValueError("transport must be 'shm'")
         if self.unhealthy_after < 1:
             raise ValueError("unhealthy_after must be >= 1")
         if self.heartbeat_interval_s <= 0:
@@ -195,12 +186,6 @@ class ThreadShard:
 
     # -- serving --------------------------------------------------------
 
-    def submit_wire(self, wire: bytes) -> PendingVerdict:
-        service = self.service
-        if service is None:
-            raise ShardError(f"shard {self.shard_id} is not running")
-        return service.submit_wire(wire)
-
     def score_chunk(self, wires: Sequence[bytes]) -> List[Verdict]:
         """Score one routed chunk as one batch."""
         service = self.service
@@ -246,55 +231,45 @@ class ThreadShard:
 
 
 def _shard_worker(
-    conn,
-    model_path: str,
-    runtime_config: RuntimeConfig,
-    slab_name: Optional[str] = None,
-    n_slots: int = 0,
-    n_features: int = 0,
+    conn, model_path: str, slab_name: str, n_slots: int, n_features: int
 ) -> None:
-    """Child-process main loop: one scoring runtime behind a pipe.
+    """Child-process main loop: one model replica behind a pipe and a slab.
 
-    With ``slab_name`` set (shm transport), the child attaches the
-    parent-created slab and handshakes
+    The child attaches the parent-created slab and handshakes
     ``("shm_ready", attached, namespace_probe, vendor_risk, generation)``
     — the parent needs the escalation config because ingest and the
-    Section 8 escalation run router-side in shm mode, and the child
-    only evaluates raw feature rows (``shmscore``) straight out of the
-    slab with one vectorized model call.  A failed attach degrades to
-    the pickle protocol (``attached=False``); the ``score`` op stays
-    available either way.
+    Section 8 escalation run router-side, and the child only evaluates
+    raw feature rows (``shmscore``) straight out of the slab with one
+    vectorized model call.  ``attached=False`` tells the parent the slab
+    could not be mapped; it reaps this child and raises.
     """
     # Terminal Ctrl-C delivers SIGINT to the whole foreground process
-    # group; the supervisor stops children through a ("stop", drain)
-    # pipe message, so the signal would only interrupt conn.recv()
-    # with a stray traceback mid-drain.
+    # group; the supervisor stops children through a ("stop",) pipe
+    # message, so the signal would only interrupt conn.recv() with a
+    # stray traceback mid-drain.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     polygraph = BrowserPolygraph.load(model_path)
-    service = RuntimeScoringService(polygraph, config=runtime_config).start()
     model_version = 0
-    shm_meta = shm_results = shm_rows = None
-    close_slab = None
     ua_table: Dict[int, str] = {}
-    if slab_name is not None:
-        from repro.cluster.transport import attach_slab_views
-
-        try:
-            shm_meta, shm_results, shm_rows, close_slab = attach_slab_views(
-                slab_name, n_slots, n_features
-            )
-            attached = True
-        except Exception:  # noqa: BLE001 — degrade to pickle, don't die
-            attached = False
-        conn.send(
-            (
-                "shm_ready",
-                attached,
-                bool(polygraph.config.enable_namespace_probe),
-                int(polygraph.config.vendor_mismatch_risk),
-                polygraph.model_generation,
-            )
+    try:
+        shm_meta, shm_results, shm_rows, close_slab = attach_slab_views(
+            slab_name, n_slots, n_features
         )
+        attached = True
+    except Exception:  # noqa: BLE001 — report it; the parent decides
+        attached = False
+    conn.send(
+        (
+            "shm_ready",
+            attached,
+            bool(polygraph.config.enable_namespace_probe),
+            int(polygraph.config.vendor_mismatch_risk),
+            polygraph.model_generation,
+        )
+    )
+    if not attached:
+        conn.close()
+        return
     while True:
         try:
             message = conn.recv()
@@ -332,29 +307,8 @@ def _shard_worker(
             ua_table[message[1]] = message[2]
         elif op == "shmuareset":
             ua_table.clear()
-        elif op == "score":
-            conn.send(
-                [
-                    (
-                        v.session_id,
-                        v.accepted,
-                        v.flagged,
-                        v.risk_factor,
-                        v.reject_reason,
-                        v.latency_ms,
-                    )
-                    for v in service.score_many(message[1])
-                ]
-            )
         elif op == "ping":
-            conn.send(
-                (
-                    model_version,
-                    polygraph.model_generation,
-                    service.scored_count,
-                    service.flagged_count,
-                )
-            )
+            conn.send((model_version, polygraph.model_generation))
         elif op == "install":
             _, path, digest, version = message
             try:
@@ -366,59 +320,33 @@ def _shard_worker(
             except Exception as exc:  # noqa: BLE001 — reply, don't die
                 conn.send(("error", f"{type(exc).__name__}: {exc}"))
         elif op == "stop":
-            service.shutdown(drain=bool(message[1]))
             conn.send(("stopped",))
             break
-    if close_slab is not None:
-        shm_meta = shm_results = shm_rows = None
-        try:
-            close_slab()
-        except BufferError:
-            pass
+    shm_meta = shm_results = shm_rows = None
+    try:
+        close_slab()
+    except BufferError:
+        pass
     conn.close()
-
-
-class _Call:
-    """One control-plane request travelling through the I/O thread."""
-
-    __slots__ = ("message", "event", "reply", "error")
-
-    def __init__(self, message: tuple) -> None:
-        self.message = message
-        self.event = threading.Event()
-        self.reply = None
-        self.error: Optional[BaseException] = None
-
-    def wait(self, timeout: float):
-        if not self.event.wait(timeout):
-            raise ShardError("shard control call timed out")
-        if self.error is not None:
-            raise self.error
-        return self.reply
 
 
 class ProcessShard:
     """One scoring shard hosted in a child process.
 
-    Two transports:
+    Ingest, dedup and the verdict cache run router-side in a
+    :class:`~repro.cluster.transport.ShmTransport`; only cache misses
+    cross the process boundary, as zero-copy feature rows in a
+    shared-memory slab.  The shard owns no thread: every pipe use —
+    scoring, heartbeat pings, installs — happens on the caller's thread
+    under the transport lock, and :meth:`score_chunk` works in
+    sub-chunks so pings and installs interleave between them.
 
-    * ``"shm"`` (default via :class:`ClusterConfig`): ingest, dedup and
-      the verdict cache run router-side in a
-      :class:`~repro.cluster.transport.ShmTransport`; only cache misses
-      cross the process boundary, as zero-copy feature rows in a
-      shared-memory slab.  The transport lock serializes pipe use, and
-      :meth:`score_chunk` works in sub-chunks so heartbeat pings and
-      installs interleave between them.
-    * ``"pickle"``: the legacy path — all pipe traffic flows through a
-      single I/O thread; scoring submissions coalesce into chunks (one
-      pickle round-trip scores many wires) and control calls interleave
-      between chunks.
-
-    Either way a dead child fails outstanding submissions with
+    A dead child fails the misses in flight with
     :data:`~repro.runtime.pool.OVERLOADED_REASON` verdicts, which the
-    router treats as its cue to re-route.  If slab creation or the
-    child-side attach fails, the shard degrades to pickle and counts
-    the wires it scores that way (``pickle_fallbacks``).
+    router treats as its cue to re-route.  A slab that cannot be created
+    or attached fails :meth:`start` with :class:`ShardError`, with the
+    child reaped and no segment left behind — there is no second data
+    plane to degrade to.
 
     Crash/restart semantics: the slab outlives the child.  ``restart``
     spawns a fresh child that re-attaches the *same* slab by name, with
@@ -426,7 +354,6 @@ class ProcessShard:
     :meth:`ThreadShard.restart` after a crash.
     """
 
-    _CHUNK = 128
     _SHM_SUBCHUNK = 4096
 
     def __init__(
@@ -436,18 +363,13 @@ class ProcessShard:
         runtime_config: RuntimeConfig = RuntimeConfig(),
         expected_digest: Optional[str] = None,
         model_version: int = 1,
-        transport: str = "shm",
         ring_slots: int = 4096,
     ) -> None:
         self.shard_id = shard_id
         self.model_path = Path(model_path)
         self.runtime_config = runtime_config
         self.model_version = model_version
-        self._expected_digest = expected_digest
         _verify_replica(self.model_path, expected_digest)
-        if transport not in ("shm", "pickle"):
-            raise ValueError("transport must be 'shm' or 'pickle'")
-        self.transport_mode = transport
         self.ring_slots = ring_slots
         methods = multiprocessing.get_all_start_methods()
         self._ctx = multiprocessing.get_context(
@@ -455,15 +377,10 @@ class ProcessShard:
         )
         self._process = None
         self._conn = None
-        self._inbox: "queue.Queue[object]" = queue.Queue()
-        self._io_thread: Optional[threading.Thread] = None
         self._alive = False
         self._slab: Optional[ShmSlab] = None
         self._transport: Optional[ShmTransport] = None
-        self.pickle_fallback_wires = 0  # wires over pickle while shm requested
-        # Cluster-shared CoverageTracker; applied to each fresh shm
-        # transport (pickle-fallback wires are not fed — the routed
-        # pickle path has no parent-side ingest to observe).
+        # Cluster-shared CoverageTracker; applied to each fresh transport.
         self.coverage = None
 
     # -- lifecycle ------------------------------------------------------
@@ -471,84 +388,63 @@ class ProcessShard:
     def start(self) -> "ProcessShard":
         if self._alive:
             return self
-        slab_name: Optional[str] = None
-        if self.transport_mode == "shm":
+        try:
             if self._slab is None:
-                try:
-                    self._slab = ShmSlab(self.ring_slots, N_FEATURES)
-                except (OSError, ValueError):
-                    self._slab = None  # no shared memory here: pickle fallback
-            if self._slab is not None:
-                slab_name = self._slab.name
-        parent_conn, child_conn = self._ctx.Pipe()
-        self._process = self._ctx.Process(
-            target=_shard_worker,
-            args=(
-                child_conn,
-                str(self.model_path),
-                self.runtime_config,
-                slab_name,
-                self._slab.n_slots if self._slab is not None else 0,
-                self._slab.n_features if self._slab is not None else 0,
-            ),
-            name=f"polygraph-shard-{self.shard_id}",
-            daemon=True,
-        )
-        self._process.start()
-        child_conn.close()
-        self._conn = parent_conn
-        self._transport = None
-        if slab_name is not None:
-            try:
-                if not parent_conn.poll(30.0):
-                    raise ShardError(
-                        f"shard {self.shard_id} shm handshake timed out"
-                    )
-                reply = parent_conn.recv()
-                tag, attached, namespace_probe, vendor_risk, generation = reply
-                if tag != "shm_ready":
-                    raise ShardError(
-                        f"shard {self.shard_id} bad handshake: {tag!r}"
-                    )
-            except (EOFError, OSError, ValueError) as exc:
-                self.kill()
-                self._reap()
-                raise ShardError(
-                    f"shard {self.shard_id} died during shm handshake"
-                ) from exc
-            if attached:
-                self._transport = ShmTransport(
-                    self._slab,
-                    parent_conn,
-                    self.runtime_config,
-                    namespace_probe=namespace_probe,
-                    vendor_risk=vendor_risk,
-                    generation=generation,
-                )
-                self._transport.coverage = self.coverage
-        self._alive = True
-        if self._transport is None:
-            self._io_thread = threading.Thread(
-                target=self._io_loop,
-                name=f"polygraph-shard-io-{self.shard_id}",
+                self._slab = ShmSlab(self.ring_slots, N_FEATURES)
+            parent_conn, child_conn = self._ctx.Pipe()
+            self._process = self._ctx.Process(
+                target=_shard_worker,
+                args=(
+                    child_conn,
+                    str(self.model_path),
+                    self._slab.name,
+                    self._slab.n_slots,
+                    self._slab.n_features,
+                ),
+                name=f"polygraph-shard-{self.shard_id}",
                 daemon=True,
             )
-            self._io_thread.start()
+            self._process.start()
+            child_conn.close()
+            self._conn = parent_conn
+            if not parent_conn.poll(30.0):
+                raise ShardError("handshake timed out")
+            tag, attached, namespace_probe, vendor_risk, generation = (
+                parent_conn.recv()
+            )
+            if tag != "shm_ready":
+                raise ShardError(f"bad handshake: {tag!r}")
+            if not attached:
+                raise ShardError("child could not attach the slab")
+        except (EOFError, OSError, ValueError, ShardError) as exc:
+            # No slab, no shard: reap the child, unlink the segment.
+            self.kill()
+            self._reap()
+            self._close_slab()
+            raise ShardError(
+                f"shard {self.shard_id} cannot start its shared-memory "
+                f"transport: {type(exc).__name__}: {exc}"
+            ) from exc
+        self._transport = ShmTransport(
+            self._slab,
+            parent_conn,
+            self.runtime_config,
+            namespace_probe=namespace_probe,
+            vendor_risk=vendor_risk,
+            generation=generation,
+        )
+        self._transport.coverage = self.coverage
+        self._alive = True
         return self
 
     def stop(self, drain: bool = True) -> None:
-        if not self._alive:
-            self._reap()
-            self._close_slab()
-            return
-        try:
-            if self._transport is not None:
-                self._direct_call(("stop", drain), timeout=30.0)
-            else:
-                self._call(("stop", drain), timeout=30.0)
-        except ShardError:
-            pass
-        self._alive = False
+        """Stop the child; nothing is queued, so ``drain`` has no effect."""
+        if self._alive:
+            try:
+                self._call(("stop",), timeout=30.0)
+            except ShardError:
+                pass
+            self._alive = False
         self._reap()
         self._close_slab()
 
@@ -584,137 +480,70 @@ class ProcessShard:
         self._conn = None
         if conn is not None:
             conn.close()
-        thread = self._io_thread
-        self._io_thread = None
-        if thread is not None and thread is not threading.current_thread():
-            thread.join(timeout=5.0)
 
     # -- serving --------------------------------------------------------
 
-    def submit_wire(self, wire: bytes) -> PendingVerdict:
-        if not self._alive:
-            raise ShardError(f"shard {self.shard_id} is not running")
-        transport = self._transport
-        if transport is not None:
-            # Synchronous under the transport lock: the handle comes
-            # back already decided (hedging still works — the poller
-            # sees an instantly-done handle).
-            verdict = transport.score_one(wire)
-            if transport.broken:
-                self._alive = False
-            return PendingVerdict(verdict)
-        handle = PendingVerdict()
-        self._inbox.put((wire, handle))
-        return handle
-
     def score_chunk(self, wires: Sequence[bytes]) -> List[Verdict]:
         transport = self._transport
-        if transport is not None:
-            if not self._alive:
-                raise ShardError(f"shard {self.shard_id} is not running")
-            verdicts: List[Verdict] = []
-            # Sub-chunks bound how long the transport lock is held so
-            # heartbeat pings and installs interleave mid-chunk.
-            for begin in range(0, len(wires), self._SHM_SUBCHUNK):
-                verdicts.extend(
-                    transport.score_wires(
-                        wires[begin : begin + self._SHM_SUBCHUNK]
-                    )
-                )
-            if transport.broken:
-                self._alive = False
-            return verdicts
-        handles = [self.submit_wire(wire) for wire in wires]
-        return [handle.result(timeout=30.0) for handle in handles]
+        if not self._alive or transport is None:
+            raise ShardError(f"shard {self.shard_id} is not running")
+        verdicts: List[Verdict] = []
+        # Sub-chunks bound how long the transport lock is held so
+        # heartbeat pings and installs interleave mid-chunk.
+        for begin in range(0, len(wires), self._SHM_SUBCHUNK):
+            verdicts.extend(
+                transport.score_wires(wires[begin : begin + self._SHM_SUBCHUNK])
+            )
+        if transport.broken:
+            self._alive = False
+        return verdicts
 
     # -- control --------------------------------------------------------
 
     def ping(self) -> ShardStatus:
-        transport = self._transport
-        if transport is not None:
-            reply = self._direct_call(("ping",), timeout=5.0)
-            version, generation = reply[0], reply[1]
-            stats = transport.transport_stats()
-            return ShardStatus(
-                shard_id=self.shard_id,
-                model_version=version or self.model_version,
-                model_generation=generation,
-                queue_depth=stats["ring_occupancy"],
-                scored_count=stats["scored"],
-                flagged_count=stats["flagged"],
-                queue_depth_peak=stats["ring_occupancy_peak"],
-            )
-        version, generation, scored, flagged = self._call(("ping",), timeout=5.0)
         # The child tracks installs it performed; before the first
-        # install its counter is 0 and the boot version stands.  Its
-        # runtime scores each pickled chunk as it arrives: no queue.
+        # install its counter is 0 and the boot version stands.
+        version, generation = self._call(("ping",), timeout=5.0)
+        stats = self._transport.transport_stats()
         return ShardStatus(
             shard_id=self.shard_id,
             model_version=version or self.model_version,
             model_generation=generation,
-            queue_depth=0,
-            scored_count=scored,
-            flagged_count=flagged,
+            queue_depth=stats["ring_occupancy"],
+            scored_count=stats["scored"],
+            flagged_count=stats["flagged"],
+            queue_depth_peak=stats["ring_occupancy_peak"],
         )
 
     def install(
         self, path: Union[str, Path], digest: Optional[str], version: int
     ) -> int:
-        message = ("install", str(path), digest, version)
-        if self._transport is not None:
-            reply = self._direct_call(message, timeout=30.0)
-        else:
-            reply = self._call(message, timeout=30.0)
+        reply = self._call(("install", str(path), digest, version), timeout=30.0)
         if reply[0] != "ok":
             raise ShardError(f"shard {self.shard_id} install failed: {reply[1]}")
-        if self._transport is not None:
-            # The child swapped models: drop the router-side cache and
-            # derived parse state, pinned to the child's new generation
-            # so in-flight stale batch results are refused.
-            self._transport.on_model_swap(reply[2])
-            if self.coverage is not None:
-                # Re-seed the shared tracker's known-release table from
-                # the replica the child just adopted (installs are rare;
-                # one parent-side load keeps classification aligned).
-                replica = BrowserPolygraph.load(path)
-                self.coverage.set_known_keys(
-                    replica.cluster_model.ua_to_cluster, generation=reply[2]
-                )
+        # The child swapped models: drop the router-side cache and
+        # derived parse state, pinned to the child's new generation
+        # so in-flight stale batch results are refused.
+        self._transport.on_model_swap(reply[2])
+        if self.coverage is not None:
+            # Re-seed the shared tracker's known-release table from
+            # the replica the child just adopted (installs are rare;
+            # one parent-side load keeps classification aligned).
+            replica = BrowserPolygraph.load(path)
+            self.coverage.set_known_keys(
+                replica.cluster_model.ua_to_cluster, generation=reply[2]
+            )
         self.model_path = Path(path)
         self.model_version = version
         return version
 
     def transport_stats(self) -> Optional[dict]:
-        """Counter snapshot of this shard's transport (process backend)."""
+        """Counter snapshot of this shard's transport (``None`` until started)."""
         transport = self._transport
-        if transport is not None:
-            return transport.transport_stats()
-        return {
-            "mode": "pickle",
-            "broken": False,
-            "zero_copy_batches": 0,
-            "zero_copy_rows": 0,
-            "pickle_fallbacks": self.pickle_fallback_wires,
-            "backpressure_waits": 0,
-            "ring_slots": 0,
-            "ring_occupancy": 0,
-            "ring_occupancy_peak": 0,
-            "cache_hits": 0,
-            "cache_misses": 0,
-            "cache_entries": 0,
-            "scored": 0,
-            "flagged": 0,
-        }
+        return transport.transport_stats() if transport is not None else None
 
     def _call(self, message: tuple, timeout: float):
-        if not self._alive:
-            raise ShardError(f"shard {self.shard_id} is not running")
-        call = _Call(message)
-        self._inbox.put(call)
-        return call.wait(timeout)
-
-    def _direct_call(self, message: tuple, timeout: float):
-        """Control call over the shared pipe (shm mode: no I/O thread)."""
+        """One control round trip over the pipe the transport shares."""
         transport = self._transport
         if not self._alive or transport is None:
             raise ShardError(f"shard {self.shard_id} is not running")
@@ -734,88 +563,6 @@ class ProcessShard:
                 raise ShardError(
                     f"shard {self.shard_id} pipe broke: {type(exc).__name__}"
                 ) from exc
-
-    # -- pipe pump ------------------------------------------------------
-
-    def _io_loop(self) -> None:
-        conn = self._conn
-        pending_scores: List[tuple] = []
-        while self._alive:
-            try:
-                item = self._inbox.get(timeout=0.01)
-            except queue.Empty:
-                item = None
-            try:
-                if isinstance(item, _Call):
-                    self._flush_scores(conn, pending_scores)
-                    conn.send(item.message)
-                    item.reply = conn.recv()
-                    item.event.set()
-                    if item.message[0] == "stop":
-                        return
-                    continue
-                if item is not None:
-                    pending_scores.append(item)
-                    # Coalesce whatever else is already queued.
-                    while len(pending_scores) < self._CHUNK:
-                        try:
-                            extra = self._inbox.get_nowait()
-                        except queue.Empty:
-                            break
-                        if isinstance(extra, _Call):
-                            self._inbox.put(extra)
-                            break
-                        pending_scores.append(extra)
-                self._flush_scores(conn, pending_scores)
-            except (EOFError, OSError, BrokenPipeError) as exc:
-                self._alive = False
-                for _, handle in pending_scores:
-                    handle._complete(overloaded_verdict())
-                pending_scores = []
-                if isinstance(item, _Call):
-                    item.error = ShardError(
-                        f"shard {self.shard_id} pipe broke: {type(exc).__name__}"
-                    )
-                    item.event.set()
-                self._drain_inbox()
-                return
-
-    def _flush_scores(self, conn, pending: List[tuple]) -> None:
-        if not pending:
-            return
-        wires = [wire for wire, _ in pending]
-        if self.transport_mode == "shm":
-            # Only reachable when the slab could not be created or
-            # attached: shm was requested but pickle is serving.
-            self.pickle_fallback_wires += len(wires)
-        conn.send(("score", wires))
-        replies = conn.recv()
-        for (_, handle), reply in zip(pending, replies):
-            sid, accepted, flagged, risk, reason, latency = reply
-            handle._complete(
-                Verdict(
-                    session_id=sid,
-                    accepted=accepted,
-                    flagged=flagged,
-                    risk_factor=risk,
-                    reject_reason=reason,
-                    latency_ms=latency,
-                )
-            )
-        pending.clear()
-
-    def _drain_inbox(self) -> None:
-        """Fail everything queued behind a dead pipe (nothing hangs)."""
-        while True:
-            try:
-                item = self._inbox.get_nowait()
-            except queue.Empty:
-                return
-            if isinstance(item, _Call):
-                item.error = ShardError(f"shard {self.shard_id} is not running")
-                item.event.set()
-            else:
-                item[1]._complete(overloaded_verdict())
 
 
 # ----------------------------------------------------------------------
@@ -876,7 +623,6 @@ class ShardSupervisor:
                     runtime_config=runtime_config,
                     expected_digest=expected_digest,
                     model_version=model_version,
-                    transport=config.transport,
                     ring_slots=config.ring_slots,
                 )
             self.shards[shard_id] = shard
@@ -938,9 +684,15 @@ class ShardSupervisor:
 
     def start(self) -> "ShardSupervisor":
         with self._lock:
-            for shard_id, shard in self.shards.items():
-                shard.start()
-                self.ring.add(shard_id)
+            try:
+                for shard_id, shard in self.shards.items():
+                    shard.start()
+                    self.ring.add(shard_id)
+            except Exception:
+                # A cluster starts whole or not at all: stop the shards
+                # already up (children, slabs) before re-raising.
+                self.shutdown(drain=False)
+                raise
             if self._heartbeat is None:
                 self._stop.clear()
                 self._heartbeat = threading.Thread(
@@ -1117,10 +869,10 @@ class ShardSupervisor:
     def unknown_ua_counts(self) -> Dict[str, int]:
         """Per-vendor unknown-UA totals summed across shard-local runtimes.
 
-        Thread shards count in-process; process shards keep the counter
-        child-side, so they contribute only through the coverage
-        tracker's ``polygraph_coverage_unknown_total`` when one is
-        attached.
+        Thread shards count in their runtimes; process shards have no
+        runtime (ingest runs in the router-side transport), so they
+        contribute only through the coverage tracker's
+        ``polygraph_coverage_unknown_total`` when one is attached.
         """
         totals: Dict[str, int] = {}
         with self._lock:

@@ -1,14 +1,11 @@
 """Zero-copy shared-memory transport between router and process shards.
 
-The pickle-over-``Pipe`` transport serializes every wire payload twice
-(request out, verdict back) and funnels both through a single reader
-thread; profiles of ``bench_cluster_scaling`` show that this plumbing —
-not scoring — is what flattens the shard-scaling curve.  This module
-replaces it for process-backed shards:
+The only data plane a :class:`~repro.cluster.supervisor.ProcessShard`
+has.  Wire payloads never cross the process boundary:
 
 * **Router-side ingest + verdict cache.**  The wire contract
   (:class:`~repro.runtime.fastingest.WireIngest`) and the
-  :class:`~repro.runtime.cache.VerdictCache` move to the parent, one
+  :class:`~repro.runtime.cache.VerdictCache` run in the parent, one
   instance per shard.  Coarse-grained fingerprints are low-cardinality
   by design, so the overwhelming majority of wires resolve to a cache
   hit that never crosses the process boundary at all.
@@ -43,8 +40,7 @@ the child sees it before any batch referencing it).
 
 Failure semantics: a pipe error marks the transport ``broken``, every
 unanswered miss in flight completes with an :func:`overloaded_verdict`
-(exactly the pickle path's crash behaviour, so the router's existing
-failover/retry logic re-routes them), and the supervisor restart spawns
+(the router's failover re-routes them), and the supervisor restart spawns
 a fresh child that re-attaches the *same* slab by name with a fresh
 transport — cold cache and dedup window after a crash, matching
 ``ThreadShard.restart``.
@@ -151,10 +147,10 @@ class ShmSlab:
         try:
             self._shm.close()
         except (BufferError, OSError):
-            return
+            pass  # a view is still exported; the name goes regardless
         try:
             self._shm.unlink()
-        except (FileNotFoundError, OSError):
+        except OSError:
             pass
 
 
@@ -324,10 +320,6 @@ class ShmTransport:
 
     # ------------------------------------------------------------------
     # scoring
-
-    def score_one(self, wire: bytes) -> Verdict:
-        """Score a single wire (the routed / hedged per-request path)."""
-        return self.score_wires([wire])[0]
 
     def score_wires(self, wires: Sequence[bytes]) -> List[Verdict]:
         """Ingest, cache-probe, and score one chunk of wires.
@@ -507,7 +499,6 @@ class ShmTransport:
             "broken": self.broken,
             "zero_copy_batches": self.zero_copy_batches,
             "zero_copy_rows": self.zero_copy_rows,
-            "pickle_fallbacks": 0,
             "backpressure_waits": self.backpressure_waits,
             "ring_slots": self.ring.n_slots,
             "ring_occupancy": self.ring.occupancy,

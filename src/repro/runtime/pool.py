@@ -173,7 +173,5 @@ class WorkerPool:
                 return
             try:
                 self.handler(item)
-            except Exception as exc:  # noqa: BLE001 — a bad request must not kill the worker
-                fail = getattr(item, "fail", None)
-                if fail is not None:
-                    fail(exc)
+            except Exception:  # noqa: BLE001 — a bad item must not kill the worker
+                pass

@@ -18,13 +18,11 @@ Batch lifecycle — all of it on the calling thread::
                         ▼
                      cache.put(generation=) · escalate · Verdict
 
-``score_wire(w)`` is ``score_many([w])[0]``; ``submit_wire(w)`` wraps
-the same call in an already-decided :class:`PendingVerdict` for callers
-written against a handle (the cluster router's hedged per-request
-path).  The service owns no thread and no queue: whoever forms the
-batch — the asyncio front end's coalescer, a shard chunk — lends the
-thread, and bounding admitted work is that caller's job (the front end
-stops reading sockets at its high watermark).
+``score_wire(w)`` is ``score_many([w])[0]``.  The service owns no
+thread and no queue: whoever forms the batch — the asyncio front end's
+coalescer, a shard chunk — lends the thread, and bounding admitted work
+is that caller's job (the front end stops reading sockets at its high
+watermark).
 
 Because coarse-grained fingerprints are deliberately low-cardinality
 (Section 7), a production-shaped replay hits the cache for the
@@ -85,30 +83,18 @@ class RuntimeConfig:
 
 
 class PendingVerdict:
-    """Handle to a verdict that may not have been decided yet."""
+    """An already-decided verdict behind the old handle surface."""
 
-    __slots__ = ("_verdict", "_event")
+    __slots__ = ("_verdict",)
 
-    def __init__(self, verdict: Optional[Verdict] = None) -> None:
+    def __init__(self, verdict: Verdict) -> None:
         self._verdict = verdict
-        self._event = None if verdict is not None else threading.Event()
 
     def done(self) -> bool:
-        """Whether the verdict has been decided."""
-        return self._verdict is not None
+        return True
 
     def result(self, timeout: Optional[float] = None) -> Verdict:
-        """Block until the verdict is decided and return it."""
-        if self._verdict is None:
-            assert self._event is not None
-            if not self._event.wait(timeout):
-                raise TimeoutError("verdict not decided within timeout")
         return self._verdict
-
-    def _complete(self, verdict: Verdict) -> None:
-        self._verdict = verdict
-        if self._event is not None:
-            self._event.set()
 
 
 class RuntimeScoringService:
@@ -203,10 +189,12 @@ class RuntimeScoringService:
         """The per-request surface: a batch of one."""
         return self.score_many([wire], day=day)[0]
 
+    # Shim: benchmarks/e2e/e2ebench/trace.py (frozen) replays through
+    # submit_wire(w).result(); it and PendingVerdict go when ROADMAP
+    # item 1(a)'s benchmark PR replays score_many instead.
     def submit_wire(
         self, wire: bytes, day: Optional[date] = None
     ) -> PendingVerdict:
-        """:meth:`score_wire` behind an already-decided handle."""
         return PendingVerdict(self.score_many([wire], day=day)[0])
 
     def score_many(

@@ -173,7 +173,7 @@ class CollectionApp:
             envelope = json.loads(body.decode("utf-8"))
             if not isinstance(envelope, dict):
                 raise ValueError("not an object")
-        except (ValueError, UnicodeDecodeError):
+        except (ValueError, UnicodeDecodeError, RecursionError):
             return self._respond(
                 start_response, "400 Bad Request", {"error": "malformed body"}
             )

@@ -231,13 +231,19 @@ def test_serve_parser_accepts_cluster_flags(artifacts):
             "--shards", "4",
             "--shard-backend", "thread",
             "--affinity", "fingerprint",
-            "--hedge-ms", "5.0",
+            "--transport", "shm",
         ]
     )
     assert args.shards == 4
     assert args.shard_backend == "thread"
     assert args.affinity == "fingerprint"
-    assert args.hedge_ms == 5.0
+    # One way through the cluster: nothing to hedge, one transport.
+    for flag, value in (("--hedge-ms", "5"), ("--transport", "pickle")):
+        with pytest.raises(SystemExit) as refused:
+            _build_parser().parse_args(
+                ["serve", model_path, "--shards", "2", flag, value]
+            )
+        assert refused.value.code == 2
 
 
 def test_build_cluster_serves_a_router(artifacts):
@@ -249,8 +255,7 @@ def test_build_cluster_serves_a_router(artifacts):
     _, model_path = artifacts
     args = argparse.Namespace(
         model=model_path, shards=2, shard_backend="thread",
-        affinity="session", hedge_ms=None, cache_entries=128, cache_ttl=60.0,
-        transport="shm", ring_slots=256,
+        affinity="session", cache_entries=128, cache_ttl=60.0, ring_slots=256,
     )
     router, managers = _build_cluster(args, None)
     try:
@@ -260,6 +265,24 @@ def test_build_cluster_serves_a_router(artifacts):
         assert router.cluster_status()["n_shards"] == 2
     finally:
         router.shutdown()
+
+
+def test_serve_exits_2_when_the_cluster_cannot_start(
+    artifacts, capsys, monkeypatch
+):
+    import repro.cluster.supervisor as supervisor_mod
+
+    def no_shm(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(supervisor_mod, "ShmSlab", no_shm)
+    _, model_path = artifacts
+    code = main(["serve", model_path, "--shards", "2", "--shard-backend", "process"])
+    assert code == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.strip().splitlines()
+    assert line.startswith("serve: cannot start cluster: shard s0 ")
+    assert "No space left on device" in line
 
 
 def test_cluster_status_command_against_live_server(artifacts, capsys):
@@ -285,6 +308,10 @@ def test_cluster_status_command_against_live_server(artifacts, capsys):
         out = capsys.readouterr().out
         assert "2/2 shards healthy" in out
         assert "s0" in out and "s1" in out
+        assert (
+            "router: 0 requests (session affinity), 0 failovers, 0 unroutable"
+            in out
+        )
     finally:
         httpd.shutdown()
         thread.join(timeout=5)

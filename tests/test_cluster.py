@@ -2,8 +2,9 @@
 
 The contract under test is the one the ISSUE pins down: placement is
 deterministic and minimal-movement, a killed shard loses no requests,
-hedged/re-routed requests are byte-identical to single-shard scoring,
-and a rollout flip at quorum never mixes generations for one session.
+re-routed requests are byte-identical to single-shard scoring — for any
+kill schedule and any cut into batches — and a rollout flip at quorum
+never gives one session a mixed-generation verdict.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import (
     ClusterConfig,
@@ -25,7 +28,7 @@ from repro.cluster import (
 from repro.cluster.ring import HashRing, wire_routing_key
 from repro.core.pipeline import BrowserPolygraph
 from repro.core.retraining import ModelRegistry
-from repro.runtime.pool import OVERLOADED_REASON
+from repro.runtime.pool import OVERLOADED_REASON, overloaded_verdict
 from repro.service.api import CollectionApp
 from repro.service.scoring import ScoringService
 from repro.traffic.generator import TrafficConfig, TrafficSimulator
@@ -193,20 +196,6 @@ class TestClusterScoring:
         finally:
             router.shutdown()
 
-    def test_hedged_requests_are_byte_identical(self, trained, wires):
-        sample = wires[:150]
-        reference = ScoringService(trained)
-        expected = [_essence(reference.score_wire(w)) for w in sample]
-        with ShardSupervisor.from_polygraph(
-            trained, config=ClusterConfig(n_shards=2, heartbeat_interval_s=5.0)
-        ) as supervisor:
-            router = ClusterRouter(
-                supervisor, RouterConfig(hedge_after_ms=0.0)
-            )
-            verdicts = [router.score_wire(w) for w in sample]
-            assert [_essence(v) for v in verdicts] == expected
-            assert router.hedged_total == len(sample)
-
     def test_fingerprint_affinity_matches_session_affinity(self, trained, wires):
         sample = wires[:200]
         outcomes = []
@@ -232,6 +221,217 @@ class TestClusterScoring:
             assert quarantine.total_rejects == 1
             counts = quarantine.counts()
             assert {reason.value for reason in counts} == {"malformed"}
+
+
+# ----------------------------------------------------------------------
+# failover: any kill schedule, any cut
+
+
+_SHARD_IDS = ("s0", "s1", "s2")
+
+# Batch sizes, cycled until the wires run out.
+_cuts = st.lists(st.integers(1, 128), min_size=1, max_size=24)
+
+# shard -> (where in the run it fails, as a share of the batches; how):
+# "dead" refuses every chunk, "sheds" answers every other wire of a
+# chunk and sheds the rest as ``overloaded`` (a pipe breaking mid-chunk).
+_failures = st.dictionaries(
+    st.sampled_from(_SHARD_IDS),
+    st.tuples(st.floats(0.0, 1.0), st.sampled_from(["dead", "sheds"])),
+)
+
+
+def _batches(wires, cuts):
+    out, start, turn = [], 0, 0
+    while start < len(wires):
+        size = cuts[turn % len(cuts)]
+        out.append(wires[start : start + size])
+        start += size
+        turn += 1
+    return out
+
+
+class TestFailoverProperty:
+    """Heartbeat parked: only router-reported failures move the ring."""
+
+    @pytest.fixture(scope="class")
+    def traffic(self, wires):
+        """~300 wires, every 10th a stateless reject (no duplicate sids:
+        a dedup window is per shard and does not survive its shard)."""
+        mixed = list(wires[:300])
+        for i in range(0, len(mixed), 10):
+            mixed[i] = (
+                b"\x00 not json %d" % i
+                if i % 20
+                else mixed[i].replace(b'"f":[', b'"f":[999999,', 1)
+            )
+        return mixed
+
+    def _run(self, trained, traffic, affinity, cuts, failures, per_wire):
+        """Score ``traffic`` under the schedule; return (router, verdicts, asked)."""
+        supervisor = ShardSupervisor.from_polygraph(
+            trained,
+            config=ClusterConfig(n_shards=3, heartbeat_interval_s=3600.0),
+        )
+        router = ClusterRouter(supervisor, RouterConfig(affinity=affinity)).start()
+        asked = {shard_id: [] for shard_id in _SHARD_IDS}
+        shedding = set()
+        try:
+            for shard_id, shard in supervisor.shards.items():
+                # Record what each replica is asked, whatever the
+                # schedule has done to it by then.
+                def surface(chunk, shard_id=shard_id, real=shard.score_chunk):
+                    asked[shard_id].extend(chunk)
+                    if shard_id not in shedding:
+                        return real(chunk)
+                    answered = iter(real(chunk[::2]))
+                    return [
+                        overloaded_verdict() if i % 2 else next(answered)
+                        for i in range(len(chunk))
+                    ]
+
+                shard.score_chunk = surface
+            batches = _batches(traffic, cuts)
+            due = {}
+            for shard_id, (share, how) in failures.items():
+                due.setdefault(int(share * len(batches)), []).append((shard_id, how))
+            verdicts = []
+            for number, batch in enumerate(batches):
+                for shard_id, how in due.get(number, ()):
+                    if how == "dead":
+                        supervisor.kill(shard_id)
+                    else:
+                        shedding.add(shard_id)
+                if per_wire:
+                    verdicts.extend(router.score_wire(w) for w in batch)
+                else:
+                    verdicts.extend(router.score_many(batch))
+            return router, verdicts, asked
+        finally:
+            router.shutdown()
+
+    def test_any_schedule_with_a_survivor_matches_the_reference(
+        self, trained, traffic
+    ):
+        reference = ScoringService(trained)
+        expected = [_essence(reference.score_wire(w)) for w in traffic]
+        expected_rejects = {
+            reason.value: n
+            for reason, n in reference.validator.quarantine.counts().items()
+        }
+        assert len(expected_rejects) == 2
+
+        @settings(max_examples=40, deadline=None)
+        @given(
+            affinity=st.sampled_from(["session", "fingerprint"]),
+            cuts=_cuts,
+            failures=_failures.filter(lambda f: len(f) < len(_SHARD_IDS)),
+            per_wire=st.booleans(),
+        )
+        def check(affinity, cuts, failures, per_wire):
+            router, verdicts, asked = self._run(
+                trained, traffic, affinity, cuts, failures, per_wire
+            )
+            assert [_essence(v) for v in verdicts] == expected
+            status = router.cluster_status()["router"]
+            assert status["requests_total"] == len(traffic)
+            assert status["unroutable_total"] == 0
+            assert sum(status["routed_by_shard"].values()) == len(traffic)
+            assert router.scored_count == reference.scored_count
+            assert router.flagged_count == reference.flagged_count
+            assert {
+                reason.value: n
+                for reason, n in router.validator.quarantine.counts().items()
+            } == expected_rejects
+            for shard_id, chunked in asked.items():
+                assert len(set(chunked)) == len(chunked), shard_id
+            if not failures:
+                assert status["failovers_total"] == 0
+
+        check()
+
+    def test_every_shard_dead_answers_overloaded(self, trained, traffic):
+        @settings(max_examples=10, deadline=None)
+        @given(
+            affinity=st.sampled_from(["session", "fingerprint"]),
+            cuts=_cuts,
+            per_wire=st.booleans(),
+        )
+        def check(affinity, cuts, per_wire):
+            failures = {shard_id: (0.0, "dead") for shard_id in _SHARD_IDS}
+            router, verdicts, asked = self._run(
+                trained, traffic, affinity, cuts, failures, per_wire
+            )
+            assert len(verdicts) == len(traffic)
+            assert all(v.reject_reason == OVERLOADED_REASON for v in verdicts)
+            status = router.cluster_status()["router"]
+            assert status["unroutable_total"] == len(traffic)
+            assert status["requests_total"] == len(traffic)
+            assert sum(status["routed_by_shard"].values()) == 0
+            assert router.scored_count == 0
+            for shard_id, chunked in asked.items():
+                assert len(set(chunked)) == len(chunked), shard_id
+
+        check()
+
+
+class TestReentrancy:
+    def test_concurrent_batches_fail_over_with_exact_counters(
+        self, trained, wires
+    ):
+        """The async front end's collect and event batches enter
+        ``score_many`` at once; a dead shard under them loses neither a
+        wire nor a count."""
+        import sys
+        import threading
+
+        reference = ScoringService(trained)
+        expected = {w: _essence(reference.score_wire(w)) for w in wires}
+        supervisor = ShardSupervisor.from_polygraph(
+            trained,
+            config=ClusterConfig(n_shards=3, heartbeat_interval_s=3600.0),
+        )
+        router = ClusterRouter(supervisor).start()
+        n_threads = 6
+        got = [[] for _ in range(n_threads)]
+        started = threading.Barrier(n_threads + 1)
+
+        def producer(lane):
+            mine = wires[lane::n_threads]
+            started.wait(timeout=10.0)
+            for begin in range(0, len(mine), 10):
+                batch = mine[begin : begin + 10]
+                got[lane].extend(zip(batch, router.score_many(batch)))
+
+        threads = [
+            threading.Thread(target=producer, args=(lane,), daemon=True)
+            for lane in range(n_threads)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            # Dead but still on the ring when every producer starts: they
+            # find out, report it and route around it concurrently.
+            supervisor.kill("s1")
+            started.wait(timeout=10.0)
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads)
+            answered = [pair for lane in got for pair in lane]
+            assert len(answered) == len(wires)
+            assert all(_essence(v) == expected[w] for w, v in answered)
+            status = router.cluster_status()["router"]
+            assert status["requests_total"] == len(wires)
+            assert status["unroutable_total"] == 0
+            assert status["failovers_total"] > 0
+            assert sum(status["routed_by_shard"].values()) == len(wires)
+            assert router.scored_count == reference.scored_count
+            assert router.flagged_count == reference.flagged_count
+        finally:
+            sys.setswitchinterval(interval)
+            router.shutdown()
 
 
 class TestProcessBackend:
@@ -282,9 +482,7 @@ class TestDistribution:
         supervisor = ShardSupervisor.from_registry(
             registry, config=ClusterConfig(n_shards=3, heartbeat_interval_s=5.0)
         )
-        router = ClusterRouter(
-            supervisor, RouterConfig(hedge_after_ms=0.0)
-        ).start()
+        router = ClusterRouter(supervisor).start()
         try:
             distributor = ModelDistributor(supervisor, registry, quorum=2)
             assert supervisor.serving_version == 1
@@ -305,27 +503,17 @@ class TestDistribution:
             # The laggard serves its old generation whole — never a mix.
             assert blocked.model_version == 1
 
-            # Sessions the laggard owns are answered by it alone: with
-            # hedging forced on, no hedge may cross generations.
+            # Sessions the laggard owns are answered by it alone.
             owned = [
                 w
                 for w in wires
                 if supervisor.ring.node_for(wire_routing_key(w)) == "s1"
             ][:25]
             assert owned, "expected some sessions routed to s1"
-            hedges_before = router.hedged_total
             verdicts = [router.score_wire(w) for w in owned]
             assert all(v.accepted for v in verdicts)
-            assert router.hedged_total == hedges_before
-
-            # Same-version replicas may still hedge for each other.
-            other = [
-                w
-                for w in wires
-                if supervisor.ring.node_for(wire_routing_key(w)) != "s1"
-            ][:10]
-            router.score_wire(other[0])
-            assert router.hedged_total > hedges_before
+            routed = router.cluster_status()["router"]["routed_by_shard"]
+            assert routed == {"s1": len(owned)}
 
             # Unblock and converge: the retry brings the laggard over.
             blocked.install = original_install
@@ -333,6 +521,39 @@ class TestDistribution:
             assert retried.converged
             assert distributor.lagging_shards() == []
             assert supervisor.shard_versions() == {"s0": 2, "s1": 2, "s2": 2}
+        finally:
+            router.shutdown()
+
+    def test_owner_dying_mid_flip_fails_over_onto_the_next_generation(
+        self, registry, alt_trained, wires
+    ):
+        """Failover does not filter by version: a wire whose lagging
+        owner dies is answered by the next replica, on that replica's
+        generation, whole — not refused."""
+        supervisor = ShardSupervisor.from_registry(
+            registry, config=ClusterConfig(n_shards=3, heartbeat_interval_s=3600.0)
+        )
+        router = ClusterRouter(supervisor).start()
+        try:
+            blocked = supervisor.shards["s1"]
+            blocked.install = lambda *a, **k: (_ for _ in ()).throw(
+                ShardError("install blocked")
+            )
+            assert ModelDistributor(supervisor, registry, quorum=2).publish(2).flipped
+            owned = [
+                w
+                for w in wires
+                if supervisor.ring.node_for(wire_routing_key(w)) == "s1"
+            ][:40]
+            supervisor.kill("s1")
+            verdicts = router.score_many(owned)
+            reference = ScoringService(alt_trained)
+            assert [_essence(v) for v in verdicts] == [
+                _essence(reference.score_wire(w)) for w in owned
+            ]
+            routed = router.cluster_status()["router"]["routed_by_shard"]
+            assert routed.get("s1", 0) == 0
+            assert sum(routed.values()) == len(owned)
         finally:
             router.shutdown()
 

@@ -364,6 +364,26 @@ class TestFusionEndpoints:
         assert status == "400 Bad Request"
         assert json.loads(response)["error"] == "malformed body"
 
+    # The floor keeps the plain test above under its own id; the two
+    # hostile bodies ride in a parametrised sibling.
+    @pytest.mark.parametrize(
+        "body, error",
+        [
+            (b'{"sid":' + b"[" * 1100, "malformed body"),  # RecursionError
+            (
+                b'{"sid":"abcdefgh12345678","ua":"Mozilla/5.0",'
+                b'"f":[1e999],"g":[]}',
+                None,  # parses (inf); the wire validator refuses it
+            ),
+        ],
+        ids=["nested-brackets", "overflow"],
+    )
+    def test_check_answers_a_hostile_body_400(self, app, body, error):
+        status, _, response = _request(app, "POST", "/check", body)
+        assert status == "400 Bad Request"
+        if error is not None:
+            assert json.loads(response)["error"] == error
+
     def test_fusion_status_endpoint(self, app):
         status, _, body = _request(app, "GET", "/fusion")
         assert status == "200 OK"

@@ -204,14 +204,10 @@ class TestVerdictCache:
 
 
 class _Request:
-    """Minimal pool request: records failure."""
+    """Minimal pool item."""
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.failure = None
-
-    def fail(self, exc: BaseException) -> None:
-        self.failure = exc
 
 
 class TestOverloaded:
@@ -311,16 +307,20 @@ class TestWorkerPool:
         pool.shutdown(drain=True)
         assert not pool.submit(_Request("late"))
 
-    def test_handler_exception_fails_request(self):
-        def boom(item):
-            raise ValueError("bad request")
+    def test_worker_survives_a_handler_exception(self):
+        handled = []
 
-        pool = WorkerPool(boom, n_workers=1)
+        def boom_once(item):
+            if item.name == "bad":
+                raise ValueError("bad item")
+            handled.append(item.name)
+
+        pool = WorkerPool(boom_once, n_workers=1)
         pool.start()
-        request = _Request("a")
-        pool.submit(request)
+        for name in ("bad", "good"):
+            assert pool.submit(_Request(name))
         pool.shutdown(drain=True)
-        assert isinstance(request.failure, ValueError)
+        assert handled == ["good"]
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):

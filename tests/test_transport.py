@@ -2,24 +2,30 @@
 
 The contract under test is the one the transport ISSUE pins down: the
 slot ring backpressures instead of dropping work, a crashed child
-re-attaches the *same* slab after restart, the pickle fallback keeps
-serving (and counts) when shared memory is unavailable, and the bulk
-router-side paths (``ingest_many``, ``get_many``) are observably
-identical to their per-wire equivalents.
+re-attaches the *same* slab after restart, a slab that cannot be created
+or attached fails the shard with a typed error and leaks nothing (there
+is no second data plane to fall back to), and the bulk router-side paths
+(``ingest_many``, ``get_many``) are observably identical to their
+per-wire equivalents.
 """
 
 from __future__ import annotations
 
+import glob
+import multiprocessing
 import time
 
 import pytest
 
+import repro.cluster.supervisor as supervisor_mod
 from repro.cluster import (
     ClusterConfig,
     ClusterRouter,
     RouterConfig,
+    ShardError,
     ShardSupervisor,
 )
+from repro.runtime.pool import OVERLOADED_REASON
 from repro.cluster.transport import ShmSlab, SlotRing, attach_slab_views
 from repro.runtime.cache import VerdictCache
 from repro.runtime.fastingest import WireIngest
@@ -263,6 +269,11 @@ class TestGetManyParity:
 # transport failure modes (process shards)
 
 
+def _attach_denied(*args):
+    """Stands in for ``attach_slab_views``; the forked child inherits it."""
+    raise OSError(13, "Permission denied")
+
+
 class TestTransportFailureModes:
     def test_tiny_ring_backpressures_without_losing_work(self, trained, wires):
         """Slot exhaustion stalls the producer; every wire is answered."""
@@ -371,45 +382,148 @@ class TestTransportFailureModes:
                 router.shutdown()
         assert outcomes[0] == outcomes[1]
 
-    def test_pickle_fallback_serves_and_counts(
-        self, trained, wires, monkeypatch
-    ):
-        """shm requested but unavailable: pickle serves, and says so."""
-        import repro.cluster.supervisor as supervisor_mod
-
-        def no_shm(*args, **kwargs):
-            raise OSError("shared memory unavailable")
-
-        monkeypatch.setattr(supervisor_mod, "ShmSlab", no_shm)
-        sample = wires[:50]
+    def test_shm_verdicts_hold_while_the_cache_thrashes(self, trained, wires):
+        """Fingerprint affinity over three shm shards whose caches are
+        far smaller than the distinct fingerprints, replayed twice: rows
+        are evicted and re-scored, verdicts stay the reference's."""
+        replay = wires + [
+            w.replace(b'{"sid":"', b'{"sid":"p2-', 1) for w in wires
+        ]
         reference = ScoringService(trained)
-        expected = [_essence(reference.score_wire(w)) for w in sample]
+        expected = [_essence(reference.score_wire(w)) for w in replay]
         supervisor = ShardSupervisor.from_polygraph(
             trained,
             config=ClusterConfig(
-                n_shards=1,
-                backend="process",
-                transport="shm",
-                heartbeat_interval_s=5.0,
+                n_shards=3, backend="process", heartbeat_interval_s=5.0
+            ),
+            runtime_config=RuntimeConfig(cache_entries=4),
+        )
+        router = ClusterRouter(
+            supervisor, RouterConfig(affinity="fingerprint")
+        ).start()
+        try:
+            verdicts = []
+            for start in range(0, len(replay), 50):
+                verdicts += router.score_many(replay[start : start + 50])
+            assert [_essence(v) for v in verdicts] == expected
+            stats = supervisor.transport_stats().values()
+            held = sum(s["cache_entries"] for s in stats)
+            assert held <= 12
+            assert sum(s["cache_misses"] for s in stats) > 4 * held
+            assert sum(s["cache_hits"] for s in stats) > 0
+        finally:
+            router.shutdown()
+
+    @pytest.mark.parametrize("cause", ["create", "attach"])
+    def test_slab_failure_at_start_up_raises_and_leaks_nothing(
+        self, trained, monkeypatch, cause
+    ):
+        """No slab, no cluster: a typed error, every child reaped, every
+        segment unlinked — including the shard that had already started."""
+        if cause == "create":
+            real_slab, created = supervisor_mod.ShmSlab, []
+
+            def slab(*args):  # /dev/shm fills up after the first shard
+                if created:
+                    raise OSError(28, "No space left on device")
+                created.append(real_slab(*args))
+                return created[0]
+
+            monkeypatch.setattr(supervisor_mod, "ShmSlab", slab)
+            failing = "s1"
+        else:
+            monkeypatch.setattr(supervisor_mod, "attach_slab_views", _attach_denied)
+            failing = "s0"
+        segments = set(glob.glob("/dev/shm/psm_*"))
+        supervisor = ShardSupervisor.from_polygraph(
+            trained,
+            config=ClusterConfig(
+                n_shards=2, backend="process", heartbeat_interval_s=5.0
+            ),
+        )
+        with pytest.raises(ShardError, match=f"shard {failing} cannot start"):
+            supervisor.start()
+        assert multiprocessing.active_children() == []
+        assert set(glob.glob("/dev/shm/psm_*")) == segments
+        assert supervisor._heartbeat is None
+        assert all(s.transport_stats() is None for s in supervisor.shards.values())
+
+    def test_slab_failure_at_restart_keeps_the_shard_off_the_ring(
+        self, trained, wires, monkeypatch
+    ):
+        """The survivors answer the dead shard's arcs, every sweep
+        retries, and the first sweep after the fault clears recovers."""
+        reference = ScoringService(trained)
+        expected = [_essence(reference.score_wire(w)) for w in wires]
+        supervisor = ShardSupervisor.from_polygraph(
+            trained,
+            # Heartbeat parked: the test drives the sweeps.
+            config=ClusterConfig(
+                n_shards=2, backend="process", heartbeat_interval_s=3600.0
             ),
         )
         router = ClusterRouter(supervisor).start()
         try:
-            verdicts = router.score_many(sample)
+            owners = {supervisor.ring.node_for(w[8:w.find(b'"', 8)]) for w in wires}
+            assert owners == {"s0", "s1"}
+            verdicts = router.score_many(wires[:100])
+            with monkeypatch.context() as fault:
+                fault.setattr(supervisor_mod, "attach_slab_views", _attach_denied)
+                supervisor.kill("s1")
+                verdicts += router.score_many(wires[100:200])
+                for _ in range(2):
+                    supervisor.check_once()
+                    assert supervisor.healthy_count == 1
+                    assert "s1" not in supervisor.ring
+                    assert multiprocessing.active_children() == [
+                        supervisor.shards["s0"]._process
+                    ]
+                verdicts += router.score_many(wires[200:])
+            assert not any(v.reject_reason == OVERLOADED_REASON for v in verdicts)
             assert [_essence(v) for v in verdicts] == expected
-            shard = supervisor.shards["s0"]
-            assert shard.pickle_fallback_wires == len(sample)
-            stats = shard.transport_stats()
-            assert stats["mode"] == "pickle"
-            assert stats["pickle_fallbacks"] == len(sample)
-            text = "\n".join(router.runtime_metrics_lines())
-            assert 'polygraph_transport_shm_mode{shard="s0"} 0' in text
-            assert (
-                f'polygraph_transport_pickle_fallbacks_total{{shard="s0"}} '
-                f"{len(sample)}" in text
-            )
+            supervisor.check_once()
+            assert supervisor.healthy_count == 2
+            assert supervisor.restarts("s1") == 1
+            fresh = [
+                w.replace(b'{"sid":"', b'{"sid":"r2-', 1) for w in wires[:60]
+            ]
+            routed = router.cluster_status()["router"]["routed_by_shard"]
+            again = router.score_many(fresh)
+            assert all(v.accepted for v in again)
+            after = router.cluster_status()["router"]["routed_by_shard"]
+            assert after["s1"] > routed.get("s1", 0)
         finally:
             router.shutdown()
+
+    def test_a_started_process_cluster_owns_one_thread(self, trained):
+        """Process shards have no I/O thread: only the heartbeat runs."""
+        import threading
+
+        before = set(threading.enumerate())
+        supervisor = ShardSupervisor.from_polygraph(
+            trained,
+            config=ClusterConfig(
+                n_shards=2, backend="process", heartbeat_interval_s=5.0
+            ),
+        ).start()
+        try:
+            started = set(threading.enumerate()) - before
+            assert [t.name for t in started] == ["polygraph-cluster-heartbeat"]
+        finally:
+            supervisor.shutdown()
+
+    def test_shm_is_the_only_transport(self, tmp_path, trained):
+        from repro.cluster import ProcessShard, ThreadShard
+
+        assert ClusterConfig(transport="shm").transport == "shm"
+        with pytest.raises(ValueError):
+            ClusterConfig(transport="pickle")
+        path = tmp_path / "model.json"
+        trained.save(path)
+        with pytest.raises(TypeError):
+            ProcessShard("s0", path, transport="pickle")
+        for shard_type in (ThreadShard, ProcessShard):
+            assert not hasattr(shard_type, "submit_wire")
 
     def test_transport_metrics_absent_for_thread_clusters(
         self, trained, wires
