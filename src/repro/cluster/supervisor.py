@@ -239,9 +239,10 @@ def _shard_worker(
     ``("shm_ready", attached, namespace_probe, vendor_risk, generation)``
     — the parent needs the escalation config because ingest and the
     Section 8 escalation run router-side, and the child only evaluates
-    raw feature rows (``shmscore``) straight out of the slab with one
-    vectorized model call.  ``attached=False`` tells the parent the slab
-    could not be mapped; it reaps this child and raises.
+    raw feature rows (``shmscore``, which names the batch's user-agent
+    classes) straight out of the slab with one vectorized model call.
+    ``attached=False`` tells the parent the slab could not be mapped; it
+    reaps this child and raises.
     """
     # Terminal Ctrl-C delivers SIGINT to the whole foreground process
     # group; the supervisor stops children through a ("stop",) pipe
@@ -250,7 +251,6 @@ def _shard_worker(
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     polygraph = BrowserPolygraph.load(model_path)
     model_version = 0
-    ua_table: Dict[int, str] = {}
     try:
         shm_meta, shm_results, shm_rows, close_slab = attach_slab_views(
             slab_name, n_slots, n_features
@@ -277,36 +277,30 @@ def _shard_worker(
             break
         op = message[0]
         if op == "shmscore":
-            _, seq, start, count = message
+            _, seq, start, count, ua_keys = message
             try:
                 generation, detector = polygraph.detection_snapshot()
                 user_agents = [
-                    ua_table[index]
+                    ua_keys[index]
                     for index in shm_meta[start : start + count].tolist()
                 ]
                 results = detector.evaluate_vectors(
                     shm_rows[start : start + count], user_agents
                 )
-                out = shm_results
-                for offset, result in enumerate(results):
-                    row = out[start + offset]
-                    row[0] = result.predicted_cluster
-                    row[1] = (
+                shm_results[start : start + count] = [
+                    (
+                        result.predicted_cluster,
                         -1
                         if result.expected_cluster is None
-                        else result.expected_cluster
+                        else result.expected_cluster,
+                        1 if result.flagged else 0,
+                        -1 if result.risk_factor is None else result.risk_factor,
                     )
-                    row[2] = 1 if result.flagged else 0
-                    row[3] = (
-                        -1 if result.risk_factor is None else result.risk_factor
-                    )
+                    for result in results
+                ]
                 conn.send(("shmdone", seq, generation))
             except Exception as exc:  # noqa: BLE001 — reply, don't die
                 conn.send(("shmerr", seq, f"{type(exc).__name__}: {exc}"))
-        elif op == "shmua":
-            ua_table[message[1]] = message[2]
-        elif op == "shmuareset":
-            ua_table.clear()
         elif op == "ping":
             conn.send((model_version, polygraph.model_generation))
         elif op == "install":

@@ -15,8 +15,8 @@ has.  Wire payloads never cross the process boundary:
   ``multiprocessing.shared_memory`` slab; the child scores them with
   one vectorized model call reading the rows in place (zero copy on
   both sides) and writes compact integer results back into the slab.
-  Only tiny control tuples — ``("shmscore", seq, start, n)`` out,
-  ``("shmdone", seq, generation)`` back — travel over the pipe.
+  Only small control tuples — ``("shmscore", seq, start, n, ua_keys)``
+  out, ``("shmdone", seq, generation)`` back — travel over the pipe.
 
 * **Slot ring with FIFO lease/ack.**  Slab rows are leased in
   contiguous runs from a ring cursor and released when the child acks
@@ -29,14 +29,14 @@ has.  Wire payloads never cross the process boundary:
 Slab layout (all little-endian, offsets in bytes)::
 
     0     header   int64[8]      [MAGIC, n_slots, n_features, 0...]
-    64    meta     int64[S]      per-slot interned user-agent index
+    64    meta     int64[S]      per-slot index into the batch's ua_keys
     64+8S results  int64[S, 4]   (predicted, expected|-1, flagged, risk|-1)
     64+40S rows    float64[S, F] feature vectors, fixed stride
 
-User-agent keys are interned: the parent assigns each distinct
-``ua_key`` a small integer and tells the child once
-(``("shmua", idx, key)``, fire-and-forget — pipe ordering guarantees
-the child sees it before any batch referencing it).
+Each batch names its own user-agent classes: ``ua_keys`` is the tuple
+of distinct ``ua_key``s among the batch's rows (a handful — classes are
+bounded by the release calendar) and ``meta`` holds each row's index
+into it, so no table outlives the batch on either side of the pipe.
 
 Failure semantics: a pipe error marks the transport ``broken``, every
 unanswered miss in flight completes with an :func:`overloaded_verdict`
@@ -81,12 +81,6 @@ __all__ = [
 SLAB_MAGIC = 0x504F4C59  # "POLY"
 
 _HEADER_BYTES = 64  # int64[8]
-
-# Distinct user-agent equivalence classes are bounded by the release
-# calendar (a few hundred in practice); the table cap only guards
-# against pathological traffic, and overflowing it resets the intern
-# table on both sides rather than falling off the fast path.
-_UA_TABLE_LIMIT = 65_536
 
 # Rows shipped per ("shmscore", ...) control message.  Large enough to
 # amortize the pipe round-trip into one vectorized model call, small
@@ -267,8 +261,8 @@ class ShmTransport:
     """Router-side scoring engine for one shared-memory process shard.
 
     Owns the shard's ingest (wire contract + dedup window), verdict
-    cache, user-agent intern table, and slot ring; talks to the child
-    over ``conn`` with tiny control tuples.  All pipe + ring state is
+    cache, and slot ring; talks to the child over ``conn`` with small
+    control tuples.  All pipe + ring state is
     serialized by :attr:`lock` — the owning shard must hold it for
     *any* use of ``conn`` (heartbeat pings, model installs), and should
     score large chunks in sub-chunks so health checks can interleave.
@@ -302,7 +296,6 @@ class ShmTransport:
             self.cache.set_model_generation(generation)
         self.ring = SlotRing(slab.n_slots)
         self.batch_rows = max(1, min(batch_rows, slab.n_slots))
-        self._ua_index: Dict[str, int] = {}
         self._namespace_probe = namespace_probe
         self._vendor_risk = vendor_risk
         self._seq = 0
@@ -382,7 +375,6 @@ class ShmTransport:
         pending = deque()
         rows = self.slab.rows
         meta = self.slab.meta
-        ua_index = self._ua_index
         pos = 0
         while pos < len(misses) or pending:
             if pos >= len(misses):
@@ -399,15 +391,15 @@ class ShmTransport:
             start, count = lease
             batch = misses[pos : pos + count]
             pos += count
-            for j, miss in enumerate(batch):
-                idx = ua_index.get(miss.ua_key)
-                if idx is None:
-                    idx = self._intern_ua(miss.ua_key)
-                meta[start + j] = idx
-                rows[start + j] = miss.values
+            ua_slot: Dict[str, int] = {}
+            slot_of = ua_slot.setdefault
+            meta[start : start + count] = [
+                slot_of(miss.ua_key, len(ua_slot)) for miss in batch
+            ]
+            rows[start : start + count] = [miss.values for miss in batch]
             seq = self._seq
             self._seq += 1
-            self.conn.send(("shmscore", seq, start, count))
+            self.conn.send(("shmscore", seq, start, count, tuple(ua_slot)))
             self.zero_copy_batches += 1
             self.zero_copy_rows += count
             if self.ring.occupancy > self.occupancy_peak:
@@ -430,18 +422,25 @@ class ShmTransport:
             return
         if reply[0] != "shmdone" or reply[1] != seq:
             raise EOFError(f"shm protocol violation: {reply[:2]!r}")
-        results = [
-            DetectionResult(
-                ua_key=miss.ua_key,
-                predicted_cluster=predicted,
-                expected_cluster=None if expected < 0 else expected,
-                flagged=bool(flagged),
-                risk_factor=None if risk < 0 else risk,
-            )
-            for miss, (predicted, expected, flagged, risk) in zip(
-                batch, self.slab.results[start : start + count].tolist()
-            )
-        ]
+        # One result object per distinct (ua_key, result row) — the
+        # memo ``evaluate_vectors`` keeps child-side, rebuilt here.
+        memo: Dict[tuple, DetectionResult] = {}
+        results = []
+        for miss, row in zip(
+            batch, self.slab.results[start : start + count].tolist()
+        ):
+            key = (miss.ua_key, *row)
+            result = memo.get(key)
+            if result is None:
+                predicted, expected, flagged, risk = row
+                result = memo[key] = DetectionResult(
+                    ua_key=miss.ua_key,
+                    predicted_cluster=predicted,
+                    expected_cluster=None if expected < 0 else expected,
+                    flagged=bool(flagged),
+                    risk_factor=None if risk < 0 else risk,
+                )
+            results.append(result)
         flagged, _ = finish_misses(
             batch, results, reply[2], self.cache, verdicts,
             self._namespace_probe, self._vendor_risk,
@@ -465,15 +464,6 @@ class ShmTransport:
                 verdicts[miss.index] = overloaded_verdict(
                     miss.session_id, latency_ms
                 )
-
-    def _intern_ua(self, ua_key: str) -> int:
-        if len(self._ua_index) >= _UA_TABLE_LIMIT:
-            self.conn.send(("shmuareset",))
-            self._ua_index.clear()
-        idx = len(self._ua_index)
-        self._ua_index[ua_key] = idx
-        self.conn.send(("shmua", idx, ua_key))
-        return idx
 
     # ------------------------------------------------------------------
     # lifecycle / introspection

@@ -175,13 +175,12 @@ def finish_misses(
     uncached.  Returns ``(flagged, unknown)`` as :func:`answer_known`
     does; every miss passed in counts as scored.
     """
-    put = cache.put if cache is not None else None
+    if cache is not None:
+        cache.put_many([miss.cache_key for miss in misses], results, generation)
     unknown: List[str] = []
     flagged_count = 0
     proto = dict(_REJECTED, accepted=True, latency_ms=latency_ms)
     for miss, result in zip(misses, results):
-        if put is not None and miss.cache_key is not None:
-            put(miss.cache_key, result, generation=generation)
         state = proto.copy()
         state["session_id"] = miss.session_id
         if _accept(state, result, namespace_probe and miss.globs, vendor_risk, unknown):

@@ -18,7 +18,7 @@ byte-identical verdict fields to a model call.
 
 Invalidation contract: every model swap (retrain, drift-triggered
 promotion, load) must call :meth:`invalidate`, and entries computed
-against an older model generation are dropped at :meth:`put` time —
+against an older model generation are dropped at :meth:`put_many` time —
 a flush that raced a retrain cannot poison the cache with stale
 verdicts.
 """
@@ -182,6 +182,23 @@ class VerdictCache:
         longer matches the cache's model generation — the caller scored
         against a model that has since been swapped out.
         """
+        return self.put_many((key,), (value,), generation)
+
+    def put_many(
+        self,
+        keys: Sequence[Optional[tuple]],
+        values: Sequence[object],
+        generation: Optional[int] = None,
+    ) -> bool:
+        """Insert one model call's results under one lock and one clock read.
+
+        ``values[i]`` was computed against model ``generation`` for
+        ``keys[i]``; ``None`` keys are skipped (wires served uncached).
+        A stale ``generation`` refuses the whole call, counting one
+        stale drop per non-``None`` key.  Contents, LRU order and
+        counters end up exactly as a :meth:`put` per key would leave
+        them, except that every entry shares the one timestamp.
+        """
         now = self._clock()
         with self._lock:
             if (
@@ -189,13 +206,19 @@ class VerdictCache:
                 and self._model_generation is not None
                 and generation != self._model_generation
             ):
-                self._stale_drops += 1
+                self._stale_drops += sum(key is not None for key in keys)
                 return False
-            self._entries[key] = (now, value)
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self._evictions += 1
+            entries = self._entries
+            move_to_end = entries.move_to_end
+            max_entries = self.max_entries
+            for key, value in zip(keys, values):
+                if key is None:
+                    continue
+                entries[key] = (now, value)
+                move_to_end(key)
+                while len(entries) > max_entries:
+                    entries.popitem(last=False)
+                    self._evictions += 1
             return True
 
     def invalidate(self, generation: Optional[int] = None) -> int:

@@ -13,15 +13,23 @@ redundant for repeated byte patterns:
   equivalence class (``vendor-version``), bounded and cleared whole;
 * the **wire-suffix memo** keys the bytes *after* the session id:
   live payloads from the same browser differ only in ``sid``, so a
-  repeated suffix skips the JSON parse and the static checks entirely.
+  repeated suffix skips the JSON parse and the static checks entirely;
+* the **UA-slice memo** maps the raw bytes between ``"ua":"`` and the
+  next quote to ``(user_agent, ua_key)``: a never-seen suffix in the
+  collection script's own shape is read from byte slices (UA from this
+  memo, each feature from a table of JSON's spelling of every
+  admissible value) without building a JSON tree.
 
-Parity with ``PayloadValidator.ingest_wire`` is pinned by the runtime
-test suite; anything structurally unusual (escaped session ids,
-reordered keys, duplicate ``sid`` keys) bails to the full parse.
+The slice read can only *admit*: anything it cannot vouch for — a
+``g`` key, reordered or duplicate keys, spacing, escapes, floats,
+out-of-range values — takes the full parse, which is where every
+static ``RejectReason`` and quarantine detail comes from.  Parity with
+``PayloadValidator.ingest_wire`` is pinned by the runtime test suite.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import threading
@@ -51,6 +59,24 @@ _SID_PREFIX = b'{"sid":"'
 # parse.  One C-level scan replaces an ``in`` scan plus a ``min()``.
 _SID_UNSAFE = re.compile(rb"[\x00-\x1f\\]").search
 
+# The collection script's own tail, after the sid's closing quote:
+# ``","ua":"`` UA ``","f":[`` INTS ``]}``.
+_UA_OPEN = b'","ua":"'
+_F_OPEN = b'","f":['
+_TAIL_CLOSE = b"]}"
+
+
+@functools.lru_cache(maxsize=None)
+def _feature_spellings() -> Dict[bytes, int]:
+    """JSON's own spelling of every admissible feature value.
+
+    One lookup is the ``int()``, the canonical-form check (no sign, no
+    leading zero, no fraction, no exponent, no spacing) and the
+    ``MAX_FEATURE_VALUE`` check.  Built on first use, not at import:
+    shard children import this module and never ingest.
+    """
+    return {b"%d" % value: value for value in range(MAX_FEATURE_VALUE + 1)}
+
 
 class WireIngest:
     """Wire-contract enforcement with parse memoization.
@@ -71,6 +97,8 @@ class WireIngest:
         "validator",
         "_lock",
         "_ua_class",
+        "_ua_slices",
+        "_feature_of",
         "_wire_memo",
         "requests_total",
         "rejected_count",
@@ -80,6 +108,8 @@ class WireIngest:
         self.validator = validator if validator is not None else PayloadValidator()
         self._lock = threading.Lock()
         self._ua_class: Dict[str, Optional[str]] = {}
+        self._ua_slices: Dict[bytes, Tuple[str, str]] = {}
+        self._feature_of = _feature_spellings().__getitem__
         self._wire_memo: Dict[bytes, tuple] = {}
         self.requests_total = 0
         self.rejected_count = 0
@@ -178,9 +208,9 @@ class WireIngest:
                 raw_sid = wire[8:quote]
                 tail = wire[quote:]
                 # Memo first: keys are only ever inserted after a full
-                # parse validated the suffix (including that it holds
-                # no second "sid" key), so a hit re-checks just the
-                # sid.  Escapes or control bytes in the sid change its
+                # parse or a slice read validated the suffix (including
+                # that it holds no second "sid" key), so a hit re-checks
+                # just the sid.  Escapes or control bytes in the sid change its
                 # JSON meaning — those still force the full parse.
                 cached = self._wire_memo.get(tail)
                 if cached is not None:
@@ -199,6 +229,9 @@ class WireIngest:
                                 )
                             return (session_id,) + cached
                 elif _SID_UNSAFE(raw_sid) is None:
+                    fields = self._read_canonical(raw_sid, tail)
+                    if fields is not None:
+                        return fields
                     if b'"sid"' not in tail:
                         sid_bytes = raw_sid
                         suffix = tail
@@ -247,6 +280,68 @@ class WireIngest:
                 memo.clear()
             memo[suffix] = (user_agent, values, globs, ua_key)
         return session_id, user_agent, values, globs, ua_key
+
+    def _read_canonical(self, raw_sid: bytes, tail: bytes) -> Optional[tuple]:
+        """First sight of a tail in the script's own shape, read from slices.
+
+        Returns the fields tuple :meth:`_prepare`'s full parse would
+        return, or ``None`` for "take the full parse".  It can only
+        admit: the tail must be exactly ``","ua":"`` + UA + ``","f":[``
+        + INTS + ``]}`` with a UA the slice memo knows (or can learn),
+        every INTS part in the spelling table and the validator's
+        arity; ``raw_sid`` (already free of escapes and control bytes)
+        must be UTF-8 of an admissible length.  An admitted tail enters
+        the wire-suffix memo exactly as a fully parsed one does.
+        """
+        if not (tail.startswith(_UA_OPEN) and tail.endswith(_TAIL_CLOSE)):
+            return None
+        ua_end = tail.find(b'"', 8)  # -1 fails the next test too
+        if not tail.startswith(_F_OPEN, ua_end):
+            return None
+        ua_slice = tail[8:ua_end]
+        ua = self._ua_slices.get(ua_slice)
+        if ua is None:
+            ua = self._learn_ua_slice(ua_slice)
+            if ua is None:
+                return None
+        try:
+            values = tuple(map(self._feature_of, tail[ua_end + 7 : -2].split(b",")))
+            session_id = raw_sid.decode("utf-8")
+        except (KeyError, UnicodeDecodeError):
+            return None
+        if (
+            len(values) != self.validator.expected_features
+            or not session_id
+            or len(session_id) > MAX_SESSION_ID_LENGTH
+        ):
+            return None
+        memo = self._wire_memo
+        if len(memo) >= _WIRE_MEMO_LIMIT:
+            memo.clear()
+        user_agent, ua_key = ua
+        memo[tail] = (user_agent, values, (), ua_key)
+        return session_id, user_agent, values, (), ua_key
+
+    def _learn_ua_slice(self, ua_slice: bytes) -> Optional[Tuple[str, str]]:
+        """Memoize raw UA bytes → ``(user_agent, ua_key)``, or ``None``.
+
+        Learned only when the bytes mean themselves in JSON (no escape,
+        no control byte, valid UTF-8) and the UA parses.
+        """
+        if _SID_UNSAFE(ua_slice) is not None:
+            return None
+        try:
+            user_agent = ua_slice.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+        ua_key = self.ua_class_of(user_agent)
+        if ua_key is None:
+            return None
+        memo = self._ua_slices
+        if len(memo) >= _UA_MEMO_LIMIT:
+            memo.clear()
+        ua = memo[ua_slice] = (user_agent, ua_key)
+        return ua
 
     # ------------------------------------------------------------------
 
@@ -300,6 +395,13 @@ class WireIngest:
         return ua_key
 
     def clear_ua_memo(self) -> None:
-        """Drop the UA memo (model swaps clear derived parse state)."""
+        """Drop every memo that holds a UA-derived value.
+
+        ``ua_key`` is a pure function of the UA string, so no memo can
+        go stale across a model swap: this bounds memory, it is not an
+        invalidation.  All three memos hold ``ua_key``s and go together.
+        """
         with self._lock:
             self._ua_class.clear()
+            self._ua_slices.clear()
+            self._wire_memo.clear()

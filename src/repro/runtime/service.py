@@ -16,7 +16,7 @@ Batch lifecycle — all of it on the calling thread::
                      (generation, detector) snapshot
                         │ raises ─► Verdict("internal_error: <Name>")
                         ▼
-                     cache.put(generation=) · escalate · Verdict
+                     cache.put_many(generation=) · escalate · Verdict
 
 ``score_wire(w)`` is ``score_many([w])[0]``.  The service owns no
 thread and no queue: whoever forms the batch — the asyncio front end's
@@ -110,7 +110,8 @@ class RuntimeScoringService:
 
     Thread-safe: :meth:`score_many` may be entered from any number of
     threads at once.  A batch takes the ingest lock once, the cache
-    lock once per probe and per put, and the counter lock once.
+    lock once for the probe and once per model call's results, and the
+    counter lock once.
     """
 
     def __init__(

@@ -1,13 +1,27 @@
-"""Unit tests for the runtime building blocks: stats, cache, pool."""
+"""Unit tests for the runtime building blocks: stats, cache, ingest, pool."""
 
+import dataclasses
+import itertools
+import json
+import re
 import threading
+import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.browsers.profiles import BrowserProfile
+from repro.browsers.useragent import Vendor, format_user_agent
+from repro.fingerprint.script import CollectionScript
+from repro.runtime import fastingest
 from repro.runtime.cache import VerdictCache, quantize_vector
+from repro.runtime.fastingest import WireIngest
 from repro.runtime.pool import Overloaded, WorkerPool, overloaded_verdict
 from repro.runtime.stats import RuntimeStats, percentile
 from repro.service.scoring import Verdict
+from repro.traffic.events import EventType, SessionEvent
+from tests.event_shapes import HOSTILE_SHAPES, POISON_BODIES
 
 
 class FakeClock:
@@ -327,3 +341,304 @@ class TestWorkerPool:
             WorkerPool(lambda item: None, n_workers=0)
         with pytest.raises(ValueError):
             WorkerPool(lambda item: None, queue_capacity=0)
+
+
+# ----------------------------------------------------------------------
+# put_many: one model call's results, inserted as a put per key would
+
+
+class TestPutManyEqualsAPutLoop:
+    _keys = st.lists(st.one_of(st.none(), st.integers(0, 11)), max_size=24)
+    # (keys, seconds to advance first, swap the model first, put as stale)
+    _call = st.tuples(
+        _keys, st.sampled_from([0.0, 3.0, 11.0]), st.booleans(), st.booleans()
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        calls=st.lists(_call, min_size=1, max_size=6),
+        capacity=st.sampled_from([1, 4, 8192]),
+        ttl=st.sampled_from([None, 10.0]),
+    )
+    def test_contents_order_and_counters(self, calls, capacity, ttl):
+        """Nones, in-batch duplicates and re-inserted keys included: the
+        entries (LRU order, timestamps, last value put) and counters of
+        the batch insert are the per-key loop's."""
+        clock = FakeClock()
+        batched = VerdictCache(max_entries=capacity, ttl_seconds=ttl, clock=clock)
+        looped = VerdictCache(max_entries=capacity, ttl_seconds=ttl, clock=clock)
+        generation = 1
+        for cache in (batched, looped):
+            cache.set_model_generation(generation)
+        serial = itertools.count()
+        for keys, seconds, swap, stale in calls:
+            clock.advance(seconds)
+            if swap:
+                generation += 1
+                for cache in (batched, looped):
+                    cache.invalidate(generation)
+            keys = [None if k is None else ("ua", (k,)) for k in keys]
+            values = [next(serial) for _ in keys]
+            put_as = generation - 1 if stale else generation
+            accepted = batched.put_many(keys, values, put_as)
+            assert accepted is (not stale)
+            for key, value in zip(keys, values):
+                if key is not None:
+                    assert looped.put(key, value, generation=put_as) is accepted
+            assert list(batched._entries.items()) == list(looped._entries.items())
+            assert batched.evictions == looped.evictions
+            assert batched.stale_drops == looped.stale_drops
+            assert len(batched) <= capacity
+            # Probing moves LRU order and expires: keep both in step.
+            probe = [("ua", (k,)) for k in range(0, 12, 3)]
+            assert batched.get_many(probe) == [looped.get(k) for k in probe]
+
+    def test_refused_call_counts_a_drop_per_key(self):
+        cache = VerdictCache()
+        cache.set_model_generation(2)
+        keys = [("ua", (1,)), None, ("ua", (2,)), ("ua", (1,))]
+        assert not cache.put_many(keys, "abcd", generation=1)
+        assert cache.stale_drops == 3
+        assert len(cache) == 0
+
+
+# ----------------------------------------------------------------------
+# the slice read of a canonical first sight, against the full parse
+
+
+class _FullParseOnly(WireIngest):
+    """The twin: the slice path answers "take the full parse", always."""
+
+    __slots__ = ()
+
+    def _read_canonical(self, raw_sid, tail):
+        return None
+
+
+_SID_MARK = b"@@"  # replaced per pass, so the warm pass brings fresh sids
+
+_NATURAL = [
+    CollectionScript().run(profile.environment(), profile.user_agent(), "s")
+    for profile in (
+        BrowserProfile(Vendor.CHROME, 112), BrowserProfile(Vendor.CHROME, 70000),
+        BrowserProfile(Vendor.FIREFOX, 110), BrowserProfile(Vendor.EDGE, 111),
+        BrowserProfile(Vendor.EDGE, 18),
+    )
+]
+_STREAM = SessionEvent(
+    "@@e", EventType.PAGE_LOAD, 0, 12.5, _NATURAL[0].user_agent, _NATURAL[0].values
+)
+_EVENT_MEMBERS = re.compile(rb'"ev":"[a-z_]+","seq":\d+,"ts":[0-9.]+,')
+
+_MODES = ("insert", "overwrite", "delete")
+_MUTATIONS = (
+    b'"', b"\\", b",", b"]", b"[", b"}", b"{", b" ", b"-", b"0", b"007",
+    b"10001", b"1e3", b"1.0", b"\xff", b"\xc3\xa9", b"\x00", b"\x7f",
+    b'"sid":"x",', b',"g":[]', b'","ua":"', b'","f":[', b"]}",
+    b"\xed\xa0\x80", b"\xef\xbb\xbf",
+)
+
+
+def _mutate(wire, token, at, mode):
+    """``token`` inserted at, written over, or its length cut out of ``at``."""
+    keep_from = at if mode == "insert" else at + len(token)
+    return wire[:at] + (b"" if mode == "delete" else token) + wire[keep_from:]
+
+
+@st.composite
+def _natural_wire(draw):
+    payload = draw(st.sampled_from(_NATURAL))
+    values = list(payload.values)
+    for position, value in draw(
+        st.lists(
+            st.tuples(st.integers(0, 27), st.sampled_from([0, 10_000, 10_001, -1, 7])),
+            max_size=2,
+        )
+    ):
+        values[position] = value
+    arity = draw(st.sampled_from([28, 28, 28, 27, 29]))
+    values = (values + [1])[:arity]
+    payload = dataclasses.replace(
+        payload,
+        session_id=draw(
+            st.sampled_from(["", "@@", "@@", "é@@", "@@☃", "x" * 62 + "@@", "x" * 63 + "@@"])
+        ),
+        user_agent=payload.user_agent + draw(st.sampled_from(["", "", " é", ' "q"'])),
+        values=tuple(values),
+        suspicious_globals=draw(
+            st.sampled_from([(), (), ("callPhantom",), ("g",) * 40])
+        ),
+    )
+    if draw(st.booleans()):
+        return payload.to_wire()  # non-ASCII goes out \u-escaped
+    return json.dumps(
+        json.loads(payload.to_wire()), separators=(",", ":"), ensure_ascii=False
+    ).encode("utf-8")
+
+
+def _collect_core(shape):
+    """A hostile envelope shape cut down to its ``/collect`` members,
+    by bytes — where the shape moved them the envelope goes as it is."""
+    return _EVENT_MEMBERS.sub(b"", HOSTILE_SHAPES[shape](_STREAM), count=1)
+
+
+_LANDMARKS = (b'{"sid":"', b'","ua":"', b'","f":[', b"]", b"}")
+
+
+def _cut_points(wire):
+    """Where the slices are cut: both ends of every landmark present."""
+    found = [(wire.find(mark), len(mark)) for mark in _LANDMARKS]
+    return [at + step for at, size in found if at >= 0 for step in (0, size)] or [0]
+
+
+@st.composite
+def _mutated(draw, wires):
+    wire = draw(wires)
+    for token, at, mode in draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(_MUTATIONS),
+                # Anywhere, or within two bytes of a cut point.
+                st.one_of(
+                    st.integers(0, 1023),
+                    st.tuples(st.integers(0, 9), st.integers(-2, 2)),
+                ),
+                st.sampled_from(_MODES),
+            ),
+            max_size=3,
+        )
+    ):
+        if isinstance(at, tuple):
+            cuts = _cut_points(wire)
+            at = cuts[at[0] % len(cuts)] + at[1]
+        wire = _mutate(wire, token, at % (len(wire) + 1), mode)
+    return wire
+
+
+_ingest_wires = st.lists(
+    _mutated(
+        st.one_of(
+            _natural_wire(),
+            _natural_wire(),
+            st.sampled_from(sorted(HOSTILE_SHAPES)).map(_collect_core),
+            st.sampled_from(sorted(POISON_BODIES.values())),
+        )
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+def _ingest_state(ingest):
+    validator = ingest.validator
+    _, ids, seen = validator.dedup_state()
+    return (
+        validator.quarantine.entries(),
+        ingest.requests_total,
+        ingest.rejected_count,
+        validator.accepted_count,
+        list(ids),
+        set(seen),
+    )
+
+
+def _canonical(sid, payload=_NATURAL[0]):
+    return dataclasses.replace(payload, session_id=sid).to_wire()
+
+
+class TestSliceReadEqualsFullParse:
+    @settings(max_examples=400, deadline=None)
+    @given(wires=_ingest_wires)
+    def test_cold_then_warm_match_the_full_parse_twin(self, wires):
+        """Same fields, same quarantine entries in order, same counters
+        and dedup window — first sight, then again under fresh sids with
+        whatever either side memoized."""
+        subject, twin = WireIngest(), _FullParseOnly()
+        for nonce in (b"c-", b"w-"):
+            batch = [wire.replace(_SID_MARK, nonce) for wire in wires]
+            assert subject.ingest_many(batch) == twin.ingest_many(batch)
+            assert _ingest_state(subject) == _ingest_state(twin)
+
+    def test_every_single_mutation_of_a_canonical_wire(self):
+        """Each token inserted at, written over and cut out of every
+        position of the one shape the slices admit."""
+        wire = _canonical("@@")
+        mutants = [
+            _mutate(wire, token, at, mode)
+            for token in _MUTATIONS
+            for at in range(len(wire) + 1)
+            for mode in _MODES
+        ]
+        admitted = 0
+        for mutant in mutants:
+            # A pair per mutant: every one of them is a first sight.
+            subject, twin = WireIngest(), _FullParseOnly()
+            for nonce in (b"c-", b"w-"):
+                batch = [mutant.replace(_SID_MARK, nonce)]
+                assert subject.ingest_many(batch) == twin.ingest_many(batch), mutant
+                assert _ingest_state(subject) == _ingest_state(twin), mutant
+            admitted += subject.validator.accepted_count
+        assert 1000 < admitted < len(mutants)  # mostly hostile, not only
+
+    def test_every_hostile_shape_and_poison_body_alone(self):
+        bodies = [_collect_core(shape) for shape in sorted(HOSTILE_SHAPES)]
+        bodies += POISON_BODIES.values()
+        subject, twin = WireIngest(), _FullParseOnly()
+        for _ in range(2):
+            assert subject.ingest_many(bodies) == twin.ingest_many(bodies)
+            assert _ingest_state(subject) == _ingest_state(twin)
+
+    @staticmethod
+    def _count_full_parses(monkeypatch):
+        calls = []
+
+        def loads(text):
+            calls.append(text)
+            return json.loads(text)
+
+        monkeypatch.setattr(fastingest, "json", types.SimpleNamespace(loads=loads))
+        return calls
+
+    def test_a_canonical_wire_never_reaches_the_full_parser(self, monkeypatch):
+        full_parses = self._count_full_parses(monkeypatch)
+        ingest = WireIngest()
+        payload = _NATURAL[0]
+        assert ingest.ingest_many([_canonical("first"), _canonical("again")]) == [
+            (sid, payload.user_agent, payload.values, (), "chrome-112")
+            for sid in ("first", "again")
+        ]
+        assert full_parses == []
+
+    @pytest.mark.parametrize("shape", ["globals", "reordered", "floats"])
+    def test_what_the_slices_cannot_vouch_for_takes_the_full_parse(
+        self, monkeypatch, shape
+    ):
+        document = json.loads(_canonical("sid-1"))
+        if shape == "globals":
+            document["g"] = ["callPhantom"]
+        elif shape == "reordered":
+            document = {key: document[key] for key in ("sid", "f", "ua")}
+        else:
+            document["f"] = [float(value) for value in document["f"]]
+        wire = json.dumps(document, separators=(",", ":")).encode("utf-8")
+        full_parses = self._count_full_parses(monkeypatch)
+        (fields,) = WireIngest().ingest_many([wire])
+        assert len(full_parses) == 1
+        assert fields[2] == _NATURAL[0].values and fields[4] == "chrome-112"
+        assert fields[3] == (("callPhantom",) if shape == "globals" else ())
+
+    def test_the_ua_slice_memo_is_bounded_and_cleared_with_the_others(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(fastingest, "_UA_MEMO_LIMIT", 4)
+        ingest = WireIngest()
+        for version in range(100, 111):
+            payload = dataclasses.replace(
+                _NATURAL[0], user_agent=format_user_agent(Vendor.CHROME, version)
+            )
+            (fields,) = ingest.ingest_many([_canonical(f"v{version}", payload)])
+            assert fields[4] == f"chrome-{version}"
+            assert 1 <= len(ingest._ua_slices) <= 4
+        assert ingest._ua_class and ingest._wire_memo
+        ingest.clear_ua_memo()
+        assert not (ingest._ua_class or ingest._ua_slices or ingest._wire_memo)

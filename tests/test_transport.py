@@ -12,12 +12,17 @@ per-wire equivalents.
 from __future__ import annotations
 
 import glob
+import itertools
 import multiprocessing
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.cluster.supervisor as supervisor_mod
+from repro.browsers.profiles import BrowserProfile
+from repro.browsers.useragent import Vendor, format_user_agent
 from repro.cluster import (
     ClusterConfig,
     ClusterRouter,
@@ -27,6 +32,7 @@ from repro.cluster import (
 )
 from repro.runtime.pool import OVERLOADED_REASON
 from repro.cluster.transport import ShmSlab, SlotRing, attach_slab_views
+from repro.fingerprint.script import CollectionScript
 from repro.runtime.cache import VerdictCache
 from repro.runtime.fastingest import WireIngest
 from repro.runtime.service import RuntimeConfig
@@ -539,3 +545,90 @@ class TestTransportFailureModes:
             assert "polygraph_transport_" not in text
         finally:
             router.shutdown()
+
+
+# ----------------------------------------------------------------------
+# a batch names its own user-agent classes
+
+
+def _collected(sid, user_agent, surface):
+    """The wire of ``surface``'s fingerprint under a claimed user-agent."""
+    return CollectionScript().run(surface.environment(), user_agent, sid).to_wire()
+
+
+class TestBatchUaKeys:
+    def test_forged_versions_never_rescore_another_rows_class(self, trained):
+        """65,536 distinct classes through one shard, then a chunk that
+        mixes the first class with one more new one: each row is scored
+        against its own claimed release (any version parses, so the
+        classes a client can name are not bounded by the calendar)."""
+        chrome, firefox = BrowserProfile(Vendor.CHROME, 112), BrowserProfile(Vendor.FIREFOX, 110)
+        legitimate = _collected("legit", chrome.user_agent(), chrome)
+        forged = [
+            _collected(f"forged-{n}", format_user_agent(Vendor.CHROME, 70_000 + n), chrome)
+            for n in range(65_536)
+        ]
+        last = [_collected("spoof", chrome.user_agent(), firefox), forged.pop()]
+        expected = [_essence(ScoringService(trained).score_wire(w)) for w in last]
+        assert expected[0][2:4] == (True, 20) and not expected[1][2]
+        supervisor = ShardSupervisor.from_polygraph(
+            trained,
+            config=ClusterConfig(
+                n_shards=1, backend="process", heartbeat_interval_s=5.0
+            ),
+        )
+        router = ClusterRouter(supervisor).start()
+        try:
+            assert router.score_many([legitimate])[0].accepted
+            assert all(v.accepted for v in router.score_many(forged))
+            assert [_essence(v) for v in router.score_many(last)] == expected
+        finally:
+            router.shutdown()
+
+    @pytest.fixture(scope="class")
+    def uncached(self, trained):
+        """One process shard, no verdict cache: every row crosses the slab."""
+        supervisor = ShardSupervisor.from_polygraph(
+            trained,
+            config=ClusterConfig(
+                n_shards=1, backend="process", heartbeat_interval_s=5.0
+            ),
+            runtime_config=RuntimeConfig(cache_entries=0),
+        )
+        router = ClusterRouter(supervisor).start()
+        yield router, supervisor.shards["s0"]._transport
+        router.shutdown()
+
+    _SURFACES = [
+        BrowserProfile(Vendor.CHROME, 112),
+        BrowserProfile(Vendor.FIREFOX, 110),
+        BrowserProfile(Vendor.EDGE, 111),
+    ]
+    _CLAIMS = [p.user_agent() for p in _SURFACES] + [
+        format_user_agent(Vendor.CHROME, 70_000),
+        format_user_agent(Vendor.FIREFOX, 99),
+    ]
+    _serial = itertools.count()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        picks=st.lists(
+            st.tuples(st.integers(0, 4), st.integers(0, 2)), min_size=1, max_size=40
+        ),
+        batch_rows=st.integers(1, 7),
+    )
+    def test_interleaved_classes_in_any_slab_batch_size(
+        self, trained, uncached, picks, batch_rows
+    ):
+        router, transport = uncached
+        transport.batch_rows = batch_rows
+        nonce = next(self._serial)
+        chunk = [
+            _collected(f"i{nonce}-{n}", self._CLAIMS[claim], self._SURFACES[surface])
+            for n, (claim, surface) in enumerate(picks)
+        ]
+        reference = ScoringService(trained)
+        expected = [_essence(reference.score_wire(w)) for w in chunk]
+        batches = transport.zero_copy_batches
+        assert [_essence(v) for v in router.score_many(chunk)] == expected
+        assert transport.zero_copy_batches - batches >= len(chunk) / batch_rows
