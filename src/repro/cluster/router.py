@@ -138,11 +138,12 @@ class ClusterRouter:
         self.failovers_total = 0
         self.unroutable_total = 0
         self._routed: Dict[str, int] = {}
-        # Ring lookups memoized per routing key: coarse fingerprints
-        # repeat constantly, so the bulk path resolves almost every
-        # wire with one dict probe instead of a hash + bisect.  The
-        # ring's epoch counter invalidates the memo on any membership
-        # change (shard death, restart, scale events).
+        # Ring lookups memoized per routing key under ``fingerprint``
+        # affinity: coarse fingerprints repeat constantly, so the bulk
+        # path resolves almost every wire with one dict probe instead
+        # of a hash + bisect.  The ring's epoch counter invalidates the
+        # memo on any membership change (shard death, restart, scale
+        # events).  Session ids do not repeat; they are not memoized.
         self._route_memo: Dict[bytes, str] = {}
         self._route_epoch = -1
         # Optional cluster-wide CoverageTracker (repro.coverage).
@@ -185,26 +186,30 @@ class ClusterRouter:
         return self.score_many([wire])[0]
 
     def _owner_of(self, key: bytes) -> Optional[str]:
-        """Memoized ring owner lookup for the bulk path."""
+        """Ring owner of a key the bulk path's memo probe did not answer.
+
+        Remembered under ``fingerprint`` affinity only: a session id
+        never comes back (a follow-up event scores under ``sid@seq``),
+        so a memo keyed on it would pay an insert per wire, hit nothing
+        and hold 65,536 ids.
+        """
         ring = self.supervisor.ring
-        memo = self._route_memo
         epoch = ring.epoch
-        if epoch != self._route_epoch:
-            memo.clear()
-            self._route_epoch = epoch
-        shard_id = memo.get(key)
-        if shard_id is None:
-            try:
-                shard_id = ring.node_for(key)
-            except (IndexError, KeyError):
-                # The heartbeat thread mutated the ring mid-lookup; take
-                # the supervisor's lock and resolve consistently.
-                owned = self.supervisor.route(key)
-                shard_id = owned[0].shard_id if owned else None
-            if shard_id is not None:
-                if len(memo) >= _ROUTE_MEMO_LIMIT:
-                    memo.clear()
-                memo[key] = shard_id
+        try:
+            shard_id = ring.node_for(key)
+        except (IndexError, KeyError):
+            # The heartbeat thread mutated the ring mid-lookup; take
+            # the supervisor's lock and resolve consistently.
+            owned = self.supervisor.route(key)
+            shard_id = owned[0].shard_id if owned else None
+        if shard_id is not None and self.config.affinity == "fingerprint":
+            memo = self._route_memo
+            if epoch != self._route_epoch:
+                memo.clear()
+                self._route_epoch = epoch
+            if len(memo) >= _ROUTE_MEMO_LIMIT:
+                memo.clear()
+            memo[key] = shard_id
         return shard_id
 
     def score_many(self, wires: Sequence[bytes]) -> List[Verdict]:
@@ -237,7 +242,7 @@ class ClusterRouter:
                 quote = wire.find(b'"', 8)
                 if quote >= 8:
                     key = wire[quote:] if fingerprint else wire[8:quote]
-            shard_id = memo_get(key)
+            shard_id = memo_get(key) if fingerprint else None
             if shard_id is None:
                 shard_id = owner_of(key)
                 if shard_id is None:

@@ -13,11 +13,14 @@ Scoring itself still flows through the
 :class:`~repro.cluster.router.ClusterRouter`: a batch of envelopes is
 parsed once, scored with **one** ``router.score_many`` over the whole
 batch — so failover and the shared-memory shard transport apply — and
-then each event is folded into its lane in arrival order.  The router hands every
-shard its wires in arrival order too, so the shards' dedup windows see
-what one-at-a-time scoring would show them.  The lane only owns the
-session *state*: sticky verdicts, revision tracking, TTL/capacity
-eviction.
+then folded **once per lane**: the batch's events are grouped by lane,
+arrival order kept inside each group, and every lane folds its share
+under one span of its own lock (lanes share no state, clock, counter
+or log directory, so the order *between* lanes is nobody's business).
+The router hands every shard its wires in arrival order too, so the
+shards' dedup windows see what one-at-a-time scoring would show them.
+The lane only owns the session *state*: sticky verdicts, revision
+tracking, TTL/capacity eviction.
 
 Lane choice follows :meth:`HashRing.node_for` over the **parsed**
 session id, the same placement the router uses under ``--affinity
@@ -122,11 +125,35 @@ class ClusterSessionService:
     def observe_many(
         self, wires: Sequence[bytes], day=None
     ) -> List[SessionObservation]:
-        """Score a batch of envelopes: one router call, folds in order."""
-        return observe_batch(self._envelopes, self.router, self._fold, wires, day)
+        """Score a batch of envelopes: one router call, one fold per lane."""
+        return observe_batch(
+            self._envelopes, self.router, self._fold_many, wires, day
+        )
 
-    def _fold(self, event, verdict) -> SessionObservation:
-        return self._lanes[self.lane_of(event.session_id)].fold(event, verdict)
+    def _fold_many(self, events, verdicts) -> List[SessionObservation]:
+        """Fold each lane's share of the batch, in arrival order.
+
+        Lanes share no state, clock, counter or log directory, so only
+        the order *inside* a lane matters; the observations go back to
+        the positions their events came from.
+        """
+        lane_of = self.lane_of
+        shares: Dict[str, List[int]] = {}
+        for index, event in enumerate(events):
+            shard_id = lane_of(event.session_id)
+            share = shares.get(shard_id)
+            if share is None:
+                share = shares[shard_id] = []
+            share.append(index)
+        observations: List[Optional[SessionObservation]] = [None] * len(events)
+        for shard_id, share in shares.items():
+            folded = self._lanes[shard_id].fold_many(
+                [events[index] for index in share],
+                [verdicts[index] for index in share],
+            )
+            for index, observation in zip(share, folded):
+                observations[index] = observation
+        return observations  # type: ignore[return-value]
 
     def observe_wire(self, wire: bytes, day=None) -> SessionObservation:
         """Score one event envelope: a batch of one."""

@@ -58,10 +58,11 @@ from __future__ import annotations
 import asyncio
 import io
 import json
+import re
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Deque, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.fingerprint.script import MAX_PAYLOAD_BYTES
 from repro.runtime.pool import OVERLOADED_REASON
@@ -79,6 +80,11 @@ _RETRY_AFTER_SECONDS = "1"
 
 _KEEP_ALIVE_LINE = b"\r\nConnection: keep-alive\r\n"
 _CLOSE_LINE = b"\r\nConnection: close\r\n"
+
+# /event response templates (see ``_observe_batch``).
+_EVENT_TEMPLATE_LIMIT = 1024
+_EVENT_BODY_OPENS = b'\r\n\r\n{"session_id": "'
+_PLAIN_SID = re.compile(r"[\x20\x21\x23-\x5b\x5d-\x7e]*").fullmatch
 
 
 def _render(status: str, headers: List[Tuple[str, str]], body: bytes,
@@ -434,6 +440,8 @@ class AsyncIngestServer:
         self._buffer: List[Tuple[bytes, _Connection, list]] = []
         self._events: List[Tuple[bytes, _Connection, list]] = []
         self._event_batch_running = False
+        # Written by the one event batch in flight, so never by two threads.
+        self._event_templates: Dict[tuple, Tuple[bytes, bytes]] = {}
         self._wakeup: Optional[asyncio.Event] = None
         self._stop_async: Optional[asyncio.Event] = None
         self._executor: Optional[ThreadPoolExecutor] = None
@@ -639,17 +647,46 @@ class AsyncIngestServer:
     def _observe_batch(self, bodies: List[bytes]) -> List[bytes]:
         """Runs on the scoring thread pool; returns rendered responses.
 
-        Status and document are ``CollectionApp._event``'s, byte for byte.
+        Status and document are ``CollectionApp._event``'s, byte for
+        byte.  Almost every answer differs from an earlier one in its
+        session id alone, so an answer without a revision is rendered
+        once per *shape* — every field but the id, and the id's length
+        (it sets ``Content-Length``) — and kept cut in two around the
+        id.  Only an id that JSON writes as it stands (printable ASCII,
+        no quote, no backslash: :class:`EnvelopeParser`'s rule for
+        slicing one) may be put between the halves.
         """
         headers = [("Content-Type", "application/json")]
+        templates = self._event_templates
         responses = []
         for observation in self.app.sessions.observe_many(bodies):
-            status = (
-                "202 Accepted" if observation.verdict.accepted
-                else "400 Bad Request"
-            )
+            verdict = observation.verdict
+            session_id = verdict.session_id
+            key = None
+            if observation.revision is None and _PLAIN_SID(session_id):
+                key = (
+                    verdict.accepted, verdict.flagged, verdict.risk_factor,
+                    verdict.reject_reason, observation.session_flagged,
+                    observation.session_risk, observation.event_seq,
+                    observation.session_created, len(session_id),
+                )
+                halves = templates.get(key)
+                if halves is not None:
+                    responses.append(
+                        halves[0] + session_id.encode("ascii") + halves[1]
+                    )
+                    continue
+            status = "202 Accepted" if verdict.accepted else "400 Bad Request"
             body = json.dumps(observation.to_dict()).encode("utf-8")
-            responses.append(_render(status, headers, body, True))
+            raw = _render(status, headers, body, True)
+            if key is not None:
+                # ``event_seq`` and the reject reason are the client's
+                # to choose: bounded, and cleared whole at the bound.
+                if len(templates) >= _EVENT_TEMPLATE_LIMIT:
+                    templates.clear()
+                cut = raw.index(_EVENT_BODY_OPENS) + len(_EVENT_BODY_OPENS)
+                templates[key] = (raw[:cut], raw[cut + len(session_id):])
+            responses.append(raw)
         return responses
 
     def _event_batch_done(self, done, batch) -> None:

@@ -65,6 +65,9 @@ _HEAD = re.compile(
     rb',"ts":((?:0|[1-9][0-9]{0,14})(?:\.[0-9]{1,9})?)'
 ).fullmatch
 
+_event_new = SessionEvent.__new__
+_set_attr = object.__setattr__
+
 
 def _derived_session_id(session_id: str, seq: int) -> str:
     """The inner-service id for a follow-up event.
@@ -132,12 +135,23 @@ class EnvelopeParser:
                     if fingerprint is not None:
                         kind, seq, timestamp = head.groups()
                         seq = int(seq)
-                        event = SessionEvent(
-                            sid.decode("ascii"),
-                            _EVENT_TYPES[kind],
-                            seq,
-                            float(timestamp),
-                            *fingerprint,
+                        user_agent, values, suspicious_globals = fingerprint
+                        # Built by ``__dict__`` swap, as
+                        # :mod:`repro.runtime.batch` builds verdicts:
+                        # every field is already of its final type.
+                        event = _event_new(SessionEvent)
+                        _set_attr(
+                            event,
+                            "__dict__",
+                            {
+                                "session_id": sid.decode("ascii"),
+                                "event_type": _EVENT_TYPES[kind],
+                                "seq": seq,
+                                "timestamp": float(timestamp),
+                                "user_agent": user_agent,
+                                "values": values,
+                                "suspicious_globals": suspicious_globals,
+                            },
                         )
                         return event, _spliced(sid, seq, tail)
         event = SessionEvent.from_wire(wire)

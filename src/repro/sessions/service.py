@@ -22,12 +22,24 @@ and adds session state on top.  The contract that keeps it honest:
 The unit of work is the **batch**: :func:`observe_batch` parses every
 envelope (once — see :mod:`repro.sessions.envelope`), scores all inner
 wires with *one* call to the inner service's widest interface, then
-folds each event into its session in arrival order.  ``observe_wire``
-is a batch of one and ``observe_event`` enters at the scoring step, so
-there is a single implementation of each step.  Scoring reads no
-session state and folding reads no scoring state, which is why any
-split of a wire sequence into batches leaves exactly the observations,
-counters and tracker state that one-at-a-time scoring would.
+folds the events into their sessions with *one*
+:meth:`SessionScoringService.fold_many`: the cluster lookups first,
+without a lock, then every event in arrival order under one lock span,
+then the durable log.  ``observe_wire`` is a batch of one,
+``observe_event`` enters at the scoring step and ``fold`` is
+``fold_many`` of one, so there is a single implementation of each
+step.  Scoring reads no session state and folding reads no scoring
+state, which is why any split of a wire sequence into batches leaves
+exactly the observations, counters and tracker state that
+one-at-a-time scoring would.
+
+What an event leaves behind is built for being kept: an
+:class:`~repro.sessions.tracker.EventRecord` is a tuple and a
+:class:`~repro.sessions.tracker.SessionState` has slots and no sets
+until a second distinct vector or UA key shows up.  What lives only as
+long as its response — the observation, a follow-up's re-labelled
+verdict — is built by ``__dict__`` swap, as :mod:`repro.runtime.batch`
+builds verdicts.
 
 Cluster-flip detection needs the *predicted cluster*, which the inner
 services' :class:`Verdict` deliberately omits.  A small LRU memo maps
@@ -87,16 +99,50 @@ class SessionObservation:
         }
 
 
+# Frozen-dataclass construction by ``__dict__`` swap — the idiom, and
+# the reason, are :mod:`repro.runtime.batch`'s.  Only for objects that
+# live as long as their response: a retained one would keep a private
+# dict where a class-built one shares its keys.
+_new = object.__new__
+_set_attr = object.__setattr__
+
+
+def _observation(
+    verdict: Verdict,
+    session_flagged: bool,
+    session_risk: Optional[int],
+    revision: Optional[VerdictRevision],
+    event_seq: int,
+    session_created: bool,
+) -> SessionObservation:
+    observation = _new(SessionObservation)
+    _set_attr(
+        observation,
+        "__dict__",
+        {
+            "verdict": verdict,
+            "session_flagged": session_flagged,
+            "session_risk": session_risk,
+            "revision": revision,
+            "event_seq": event_seq,
+            "session_created": session_created,
+        },
+    )
+    return observation
+
+
 def _unscored(verdict: Verdict, event_seq: int) -> SessionObservation:
     """The observation of an event that never reached a session."""
-    return SessionObservation(
-        verdict=verdict,
-        session_flagged=False,
-        session_risk=None,
-        revision=None,
-        event_seq=event_seq,
-        session_created=False,
-    )
+    return _observation(verdict, False, None, None, event_seq, False)
+
+
+def _relabelled(verdict: Verdict, session_id: str) -> Verdict:
+    """``verdict`` under another session id, every other field kept."""
+    state = verdict.__dict__.copy()
+    state["session_id"] = session_id
+    relabelled = _new(verdict.__class__)
+    _set_attr(relabelled, "__dict__", state)
+    return relabelled
 
 
 def _score_wires(
@@ -116,19 +162,23 @@ def _score_wires(
 def observe_batch(
     envelopes: EnvelopeParser,
     inner,
-    fold: Callable[[SessionEvent, Verdict], SessionObservation],
+    fold_many: Callable[
+        [Sequence[SessionEvent], Sequence[Verdict]], List[SessionObservation]
+    ],
     wires: Sequence[bytes],
     day: Optional[date] = None,
 ) -> List[SessionObservation]:
-    """Parse, score once, fold in arrival order; one observation per wire.
+    """Parse, score once, fold once; one observation per wire.
 
-    ``fold`` owns the session state: the single-process service passes
-    its own :meth:`SessionScoringService.fold`, the cluster facade one
-    that picks the session's lane first.  A malformed envelope is
-    answered here and reaches neither the inner service nor ``fold``.
+    ``fold_many`` owns the session state: the single-process service
+    passes its own :meth:`SessionScoringService.fold_many`, the cluster
+    facade one that groups the events by session lane first.  A
+    malformed envelope is answered here and reaches neither the inner
+    service nor ``fold_many``.
     """
     observations: List[Optional[SessionObservation]] = [None] * len(wires)
-    parsed: List[Tuple[int, SessionEvent]] = []
+    indices: List[int] = []
+    events: List[SessionEvent] = []
     inner_wires: List[bytes] = []
     for index, wire in enumerate(wires):
         try:
@@ -146,11 +196,12 @@ def observe_batch(
                 -1,
             )
             continue
-        parsed.append((index, event))
+        indices.append(index)
+        events.append(event)
         inner_wires.append(scored_as)
     verdicts = _score_wires(inner, inner_wires, day)
-    for (index, event), verdict in zip(parsed, verdicts):
-        observations[index] = fold(event, verdict)
+    for index, observation in zip(indices, fold_many(events, verdicts)):
+        observations[index] = observation
     return observations  # type: ignore[return-value]
 
 
@@ -227,7 +278,9 @@ class SessionScoringService:
         Equal, observation for observation and counter for counter, to
         calling :meth:`observe_wire` on each in turn.
         """
-        return observe_batch(self._envelopes, self.inner, self.fold, wires, day)
+        return observe_batch(
+            self._envelopes, self.inner, self.fold_many, wires, day
+        )
 
     def observe_wire(self, wire: bytes, day: Optional[date] = None) -> SessionObservation:
         """Score one event-envelope payload: a batch of one."""
@@ -241,71 +294,91 @@ class SessionScoringService:
         return self.fold(event, verdict)
 
     def fold(self, event: SessionEvent, verdict: Verdict) -> SessionObservation:
-        """Reconcile one scored event with its session's sticky verdict.
+        """Reconcile one scored event: a batch of one."""
+        return self.fold_many([event], [verdict])[0]
 
-        The only step that touches session state; callers fold a
-        session's events in the order they arrived.
+    def fold_many(
+        self, events: Sequence[SessionEvent], verdicts: Sequence[Verdict]
+    ) -> List[SessionObservation]:
+        """Reconcile scored events with their sessions' sticky verdicts.
+
+        The only step that touches session state; ``events`` are folded
+        in the order given, which for any one session must be the order
+        its events arrived in.  The cluster lookups come first and take
+        no lock (a memo miss is a model call); then one lock span covers
+        the whole batch, and the durable log is written after it.
         """
+        detect = self._detect
+        results = [
+            detect(event.values, event.user_agent) if verdict.accepted else None
+            for event, verdict in zip(events, verdicts)
+        ]
+        tracker = self.tracker
+        get_or_create = tracker.get_or_create
+        max_events = tracker.max_events_per_session
+        logged: Optional[list] = None if self.event_log is None else []
+        observations: List[SessionObservation] = []
         with self._lock:
-            if event.timestamp > self._virtual_now:
-                self._virtual_now = event.timestamp
-        if not verdict.accepted:
-            return _unscored(verdict, event.seq)
-        # Report under the real session id, whatever id scored inside.
-        if verdict.session_id != event.session_id:
-            verdict = Verdict(
-                session_id=event.session_id,
-                accepted=verdict.accepted,
-                flagged=verdict.flagged,
-                risk_factor=verdict.risk_factor,
-                reject_reason=verdict.reject_reason,
-                latency_ms=verdict.latency_ms,
-            )
-
-        result = self._detect(event.values, event.user_agent)
-        ua_key = result.ua_key if result is not None else None
-
-        state, created = self.tracker.get_or_create(event.session_id)
-        with self._lock:
-            self.events_total += 1
-            revision = self._reconcile_locked(state, event, verdict, result, ua_key)
-            record = EventRecord(
-                seq=event.seq,
-                event_type=event.event_type.value,
-                timestamp=event.timestamp,
-                flagged=verdict.flagged,
-                risk_factor=verdict.risk_factor,
-                predicted_cluster=(
-                    result.predicted_cluster if result is not None else None
-                ),
-                ua_key=ua_key,
-            )
-            state.record_event(
-                record, tuple(event.values), self.tracker.max_events_per_session
-            )
-            session_flagged = state.flagged
-            session_risk = state.risk_factor
-            if verdict.fused_flagged is not None:
-                self._record_fusion_locked(event.session_id, verdict)
-        if self.event_log is not None:
-            self.event_log.append(
-                session_id=event.session_id,
-                event_type=event.event_type.value,
-                seq=event.seq,
-                timestamp=event.timestamp,
-                ua_key=ua_key if ua_key is not None else "",
-                values=event.values,
-                flagged=verdict.flagged,
-                risk=verdict.risk_factor,
-            )
-        return SessionObservation(
-            verdict=verdict,
-            session_flagged=session_flagged,
-            session_risk=session_risk,
-            revision=revision,
-            event_seq=event.seq,
-            session_created=created,
-        )
+            for event, verdict, result in zip(events, verdicts, results):
+                # Event time moves for every parsed event, scored or not.
+                if event.timestamp > self._virtual_now:
+                    self._virtual_now = event.timestamp
+                if not verdict.accepted:
+                    observations.append(_unscored(verdict, event.seq))
+                    continue
+                session_id = event.session_id
+                # Report under the real session id, whatever id scored inside.
+                if verdict.session_id != session_id:
+                    verdict = _relabelled(verdict, session_id)
+                if result is not None:
+                    ua_key = result.ua_key
+                    cluster = result.predicted_cluster
+                else:
+                    ua_key = cluster = None
+                state, created = get_or_create(session_id)
+                self.events_total += 1
+                revision = self._reconcile_locked(state, event, verdict, result, ua_key)
+                state.record_event(
+                    EventRecord(
+                        event.seq,
+                        event.event_type.value,
+                        event.timestamp,
+                        verdict.flagged,
+                        verdict.risk_factor,
+                        cluster,
+                        ua_key,
+                    ),
+                    tuple(event.values),
+                    max_events,
+                )
+                if verdict.fused_flagged is not None:
+                    self._record_fusion_locked(session_id, verdict)
+                if logged is not None:
+                    logged.append((event, verdict, ua_key))
+                observations.append(
+                    _observation(
+                        verdict,
+                        state.flagged,
+                        state.risk_factor,
+                        revision,
+                        event.seq,
+                        created,
+                    )
+                )
+        if logged:
+            append = self.event_log.append
+            for event, verdict, ua_key in logged:
+                append(
+                    session_id=event.session_id,
+                    event_type=event.event_type.value,
+                    seq=event.seq,
+                    timestamp=event.timestamp,
+                    ua_key=ua_key if ua_key is not None else "",
+                    values=event.values,
+                    flagged=verdict.flagged,
+                    risk=verdict.risk_factor,
+                )
+        return observations
 
     def _reconcile_locked(
         self,

@@ -18,7 +18,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 __all__ = ["EventRecord", "SessionState", "SessionTracker"]
 
@@ -26,9 +26,14 @@ __all__ = ["EventRecord", "SessionState", "SessionTracker"]
 _SWEEP_EVERY = 512
 
 
-@dataclass(frozen=True)
-class EventRecord:
-    """One scored event, as kept in a session's bounded log."""
+class EventRecord(NamedTuple):
+    """One scored event, as kept in a session's bounded log.
+
+    A tuple, not a dataclass: a session retains up to
+    ``max_events_per_session`` of these, and a tuple of scalars costs
+    one allocation, no per-field ``__setattr__`` and — once the
+    collector has looked at it — no GC tracking.
+    """
 
     seq: int
     event_type: str
@@ -50,9 +55,16 @@ class EventRecord:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class SessionState:
-    """Everything the service remembers about one live session."""
+    """Everything the service remembers about one live session.
+
+    ``distinct_vectors`` / ``distinct_ua_keys`` are ``len(set(...))`` of
+    what the session has shown, but almost every session shows one
+    vector under one UA key, so the sets exist only from the *second*
+    distinct value on: until then the one vector seen is
+    ``last_values`` and the one UA key seen is ``_ua_seen``.
+    """
 
     session_id: str
     created_at: float
@@ -73,8 +85,11 @@ class SessionState:
     escalation_count: int = 0
     # Bounded typed event log (newest last; oldest dropped at the cap).
     events: List[EventRecord] = field(default_factory=list)
-    _vector_set: set = field(default_factory=set, repr=False)
-    _ua_set: set = field(default_factory=set, repr=False)
+    _vector_set: Optional[set] = field(default=None, repr=False)
+    _ua_set: Optional[set] = field(default=None, repr=False)
+    # ``last_ua_key`` cannot stand in for it: an event without a UA key
+    # resets that to ``None`` and is not counted.
+    _ua_seen: Optional[str] = field(default=None, repr=False)
 
     def record_event(
         self, record: EventRecord, values: Tuple[int, ...], max_events: int
@@ -83,14 +98,31 @@ class SessionState:
         self.event_count += 1
         if record.flagged:
             self.flagged_events += 1
-        if values not in self._vector_set:
-            self._vector_set.add(values)
-            self.distinct_vectors = len(self._vector_set)
-        if record.ua_key is not None and record.ua_key not in self._ua_set:
-            self._ua_set.add(record.ua_key)
-            self.distinct_ua_keys = len(self._ua_set)
+        vectors = self._vector_set
+        if vectors is not None:
+            if values not in vectors:
+                vectors.add(values)
+                self.distinct_vectors = len(vectors)
+        elif self.distinct_vectors == 0:
+            self.distinct_vectors = 1
+        elif values != self.last_values:
+            self._vector_set = {self.last_values, values}
+            self.distinct_vectors = 2
+        ua_key = record.ua_key
+        if ua_key is not None:
+            ua_keys = self._ua_set
+            if ua_keys is not None:
+                if ua_key not in ua_keys:
+                    ua_keys.add(ua_key)
+                    self.distinct_ua_keys = len(ua_keys)
+            elif self.distinct_ua_keys == 0:
+                self._ua_seen = ua_key
+                self.distinct_ua_keys = 1
+            elif ua_key != self._ua_seen:
+                self._ua_set = {self._ua_seen, ua_key}
+                self.distinct_ua_keys = 2
         self.last_cluster = record.predicted_cluster
-        self.last_ua_key = record.ua_key
+        self.last_ua_key = ua_key
         self.last_values = values
         self.last_seen = record.timestamp
         self.events.append(record)

@@ -1077,6 +1077,207 @@ class TestEventRendering:
         assert reply == b"".join(expected)
 
 
+class _Scripted:
+    """An inner service that answers by script: every wire is accepted
+    and clean unless ``answers`` says otherwise for its event's seq (a
+    follow-up arrives as ``sid@seq``).  The session id goes back as
+    sent, whatever it holds."""
+
+    def __init__(self, trained, answers=None) -> None:
+        self.polygraph = trained
+        self.answers = answers or {}
+
+    def score_wire(self, wire, day=None):
+        session_id = json.loads(wire)["sid"]
+        seq = int(session_id.rpartition("@")[2]) if "@" in session_id else 0
+        return _verdict(session_id=session_id, **self.answers.get(seq, {}))
+
+
+def _scripted_server(trained, answers=None):
+    """A front end whose session layer sits on a :class:`_Scripted`
+    inner service, and a reference session layer over a twin of it."""
+    service = ScoringService(trained)
+    sessions = SessionScoringService(_Scripted(trained, answers), ttl_seconds=1e9)
+    server = AsyncIngestServer(
+        service, CollectionApp(service, sessions=sessions), host="127.0.0.1", port=0
+    )
+    reference = SessionScoringService(_Scripted(trained, answers), ttl_seconds=1e9)
+    return server, reference
+
+
+def _full_renders(monkeypatch):
+    """Count the responses that did not come from a template."""
+    rendered = []
+    render = aingest._render
+
+    def counting(*args):
+        rendered.append(args)
+        return render(*args)
+
+    monkeypatch.setattr(aingest, "_render", counting)
+    return rendered
+
+
+class TestEventTemplates:
+    """An answer put together from a shape template must be the bytes
+    the full render writes — and an answer that cannot be must not be."""
+
+    @staticmethod
+    def _session(event_streams, session_id, n_events=3):
+        benign = next(
+            s for s in event_streams
+            if s.scenario is StreamScenario.BENIGN_RECOLLECT and len(s.events) >= 3
+        )
+        return [
+            dataclasses.replace(event, session_id=session_id)
+            for event in benign.events[:n_events]
+        ]
+
+    def test_ids_of_any_length_share_one_batch(
+        self, trained, event_streams, monkeypatch
+    ):
+        server, reference = _scripted_server(trained)
+        rendered = _full_renders(monkeypatch)
+        for turn in "abc":
+            sessions = [
+                self._session(event_streams, turn * length)
+                for length in (1, 2, 9, 10, 11, 40)
+            ]
+            # Interleaved: neighbours in the batch differ in id length.
+            bodies = [e.to_wire() for events in zip(*sessions) for e in events]
+            expected = [
+                _parent_render_event(reference.observe_wire(b)) for b in bodies
+            ]
+            del rendered[:]
+            assert server._observe_batch(bodies) == expected
+            # One render per (seq, id length) the first time, none after.
+            assert len(rendered) == (len(bodies) if turn == "a" else 0)
+
+    @pytest.mark.parametrize(
+        "hostile",
+        ['ab"cd', "ab\\cd", "ab\x01cd", "ab\x7fcd", "ab\u00e9cd", "ab\ud800cd"],
+        ids=["quote", "backslash", "control", "del", "non_ascii", "surrogate"],
+    )
+    def test_an_id_json_would_escape_takes_the_full_render(
+        self, trained, event_streams, monkeypatch, hostile
+    ):
+        server, reference = _scripted_server(trained)
+        rendered = _full_renders(monkeypatch)
+        # A plain id of the same length goes first: its templates are
+        # there for the taking when the hostile one arrives.
+        for plain, renders in (("abXcd", 6), ("abYcd", 3)):
+            events = self._session(event_streams, plain) + self._session(
+                event_streams, hostile
+            )
+            bodies = [e.to_wire() for e in events]
+            expected = [
+                _parent_render_event(reference.observe_wire(b)) for b in bodies
+            ]
+            del rendered[:]
+            assert server._observe_batch(bodies) == expected
+            # The second plain id is served from the first one's templates;
+            # the hostile id never is and never leaves one.
+            assert len(rendered) == renders
+            assert len(server._event_templates) == 3
+
+    def test_revisions_rejects_and_malformed_envelopes(
+        self, trained, event_streams, monkeypatch
+    ):
+        answers = {
+            1: dict(flagged=True, risk_factor=3),
+            2: dict(flagged=True, risk_factor=5),
+            4: dict(accepted=False, reject_reason="duplicate"),
+            5: dict(accepted=False, reject_reason=OVERLOADED_REASON),
+        }
+        server, reference = _scripted_server(trained, answers)
+        rendered = _full_renders(monkeypatch)
+        swap = next(
+            s for s in event_streams if s.scenario is StreamScenario.ENGINE_SWAP
+        )
+        steady = self._session(event_streams, "steady", n_events=1)[0]
+        renamed_agent = next(
+            s.first.user_agent
+            for s in event_streams
+            if s.first.user_agent != steady.user_agent
+        )
+        for turn in "ab":
+            events = [
+                # clean, flag raised, risk increase, flag cleared, two rejects
+                dataclasses.replace(steady, session_id=f"steady-{turn}", seq=seq)
+                for seq in range(6)
+            ]
+            events += [
+                dataclasses.replace(e, session_id=f"swap-{turn}") for e in swap.events
+            ]
+            events += [
+                dataclasses.replace(steady, session_id=f"renamed-{turn}"),
+                dataclasses.replace(
+                    steady, session_id=f"renamed-{turn}", seq=3,
+                    user_agent=renamed_agent,
+                ),
+            ]
+            bodies = [e.to_wire() for e in events]
+            bodies += [b"not an envelope", bodies[0].replace(b"page_load", b"hover")]
+            observed = [reference.observe_wire(body) for body in bodies]
+            assert {o.revision.reason.value for o in observed if o.revision} == {
+                "flag_raised", "risk_increase", "flag_cleared", "cluster_flip",
+                "ua_change",
+            }
+            assert [o.verdict.reject_reason for o in observed[4:6]] == [
+                "duplicate", OVERLOADED_REASON,
+            ]
+            assert observed[-1].verdict.reject_reason.startswith("malformed_event: ")
+            del rendered[:]
+            assert server._observe_batch(bodies) == [
+                _parent_render_event(o) for o in observed
+            ]
+            revised = sum(o.revision is not None for o in observed)
+            # An answer with a revision is rendered in full every time.
+            assert len(rendered) >= revised
+            if turn == "b":
+                assert len(rendered) == revised
+
+    def test_a_template_answer_closes_the_connection_when_asked(
+        self, trained, event_streams
+    ):
+        server, reference = _scripted_server(trained)
+        firsts = [
+            self._session(event_streams, f"close-{n}", n_events=1)[0] for n in range(6)
+        ]
+        bodies = [e.to_wire() for e in firsts]
+        expected = [_parent_render_event(reference.observe_wire(b)) for b in bodies]
+        expected[-1] = expected[-1].replace(b"keep-alive", b"close")
+        raw = b"".join(_http("POST", "/event", body) for body in bodies[:-1])
+        raw += _http("POST", "/event", bodies[-1], ["Connection: close"])
+        with server:
+            # One at a time first, so the last answer is a template's.
+            warm = self._session(event_streams, "close-w", n_events=1)[0].to_wire()
+            assert _request(server.port, "POST", "/event", warm)[0] == 202
+            assert len(server._event_templates) == 1
+            assert _converse(server.port, raw) == b"".join(expected)
+            assert len(server._event_templates) == 1
+
+    def test_the_memo_is_bounded_when_the_client_picks_the_shape(
+        self, trained, event_streams, monkeypatch
+    ):
+        monkeypatch.setattr(aingest, "_EVENT_TEMPLATE_LIMIT", 8)
+        server, reference = _scripted_server(trained)
+        first = self._session(event_streams, "x", n_events=1)[0]
+        for start in range(0, 60, 5):
+            # A session may open on any seq, and an id have any length.
+            bodies = [
+                dataclasses.replace(
+                    first, session_id="s" * (1 + seq % 7) + str(seq), seq=seq
+                ).to_wire()
+                for seq in range(start, start + 5)
+            ]
+            expected = [
+                _parent_render_event(reference.observe_wire(b)) for b in bodies
+            ]
+            assert server._observe_batch(bodies) == expected
+            assert 1 <= len(server._event_templates) <= 8
+
+
 class TestEventBatches:
     def test_a_batch_leaves_in_one_write_and_is_counted(self, trained, event_streams):
         bodies = [s.first.to_wire() for s in event_streams]

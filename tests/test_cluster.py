@@ -210,6 +210,43 @@ class TestClusterScoring:
                 )
         assert outcomes[0] == outcomes[1]
 
+    def test_ring_owners_are_memoized_for_fingerprints_not_session_ids(
+        self, trained, wires
+    ):
+        """A session id never comes back, so remembering its owner buys
+        nothing; a fingerprint does, so its owner is looked up once.
+        Either way a wire goes where the ring says."""
+        sample = []
+        for number in range(1_000):
+            document = json.loads(wires[number % len(wires)])
+            document["sid"] = f"memo-{number:04d}"
+            sample.append(json.dumps(document, separators=(",", ":")).encode())
+        sizes = {}
+        for affinity in ("session", "fingerprint"):
+            with ShardSupervisor.from_polygraph(
+                trained,
+                config=ClusterConfig(n_shards=3, heartbeat_interval_s=5.0),
+            ) as supervisor:
+                router = ClusterRouter(supervisor, RouterConfig(affinity=affinity))
+                for start in range(0, len(sample), 100):
+                    router.score_many(sample[start : start + 100])
+                owners = [
+                    supervisor.ring.node_for(wire_routing_key(wire, affinity))
+                    for wire in sample
+                ]
+                routed = router.cluster_status()["router"]["routed_by_shard"]
+                assert routed == {
+                    shard_id: owners.count(shard_id) for shard_id in sorted(set(owners))
+                }
+                assert len(set(owners)) == 3
+                sizes[affinity] = len(router._route_memo)
+                if affinity == "fingerprint":
+                    assert router._route_memo == {
+                        key: supervisor.ring.node_for(key)
+                        for key in {wire_routing_key(w, affinity) for w in sample}
+                    }
+        assert sizes["session"] == 0 < sizes["fingerprint"] <= len(wires)
+
     def test_rejects_are_aggregated_like_a_validator(self, trained):
         with ShardSupervisor.from_polygraph(
             trained, config=ClusterConfig(n_shards=2, heartbeat_interval_s=5.0)
