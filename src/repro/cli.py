@@ -37,32 +37,32 @@ from __future__ import annotations
 import argparse
 import sys
 from datetime import date
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
-from repro.analysis import experiments
 from repro.core.pipeline import BrowserPolygraph
-from repro.traffic.dataset import Dataset
-from repro.traffic.generator import TrafficConfig, TrafficSimulator
 
 __all__ = ["main"]
 
-_EXPERIMENTS: Dict[str, Callable[[], "experiments.ExperimentResult"]] = {
-    "table2": experiments.table2_performance,
-    "table3": experiments.table3_cluster_table,
-    "table4": experiments.table4_flagging,
-    "table5": experiments.table5_fraud_browsers,
-    "table6": experiments.table6_drift,
-    "table7": experiments.table7_entropy,
-    "table9": experiments.table9_k6,
-    "table10": experiments.table10_cluster_sensitivity,
-    "table11": experiments.table11_pca_sensitivity,
-    "table12": experiments.table12_feature_sensitivity,
-    "table13": experiments.table13_finegrained_windows,
-    "table14": experiments.table14_finegrained_macos,
-    "fig2": experiments.fig2_pca_variance,
-    "fig3": experiments.fig3_fig4_elbow,
-    "fig4": experiments.fig3_fig4_elbow,
-    "fig5": experiments.fig5_anonymity,
+# Paper artifact -> its function in ``repro.analysis.experiments``, which
+# (like the traffic simulator) is imported only by the subcommands that
+# use it: ``serve`` starts without the experiment suite.
+_EXPERIMENTS: Dict[str, str] = {
+    "table2": "table2_performance",
+    "table3": "table3_cluster_table",
+    "table4": "table4_flagging",
+    "table5": "table5_fraud_browsers",
+    "table6": "table6_drift",
+    "table7": "table7_entropy",
+    "table9": "table9_k6",
+    "table10": "table10_cluster_sensitivity",
+    "table11": "table11_pca_sensitivity",
+    "table12": "table12_feature_sensitivity",
+    "table13": "table13_finegrained_windows",
+    "table14": "table14_finegrained_macos",
+    "fig2": "fig2_pca_variance",
+    "fig3": "fig3_fig4_elbow",
+    "fig4": "fig3_fig4_elbow",
+    "fig5": "fig5_anonymity",
 }
 
 
@@ -223,9 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="enable event-stream session scoring (POST /event, "
-        "GET /session/{id}) with this idle TTL in seconds; behind "
-        "--shards, session state partitions into per-shard lanes "
-        "(requires --affinity session)",
+        "GET /session/{id}) with this idle TTL in seconds",
     )
     serve.add_argument(
         "--session-max",
@@ -379,6 +377,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.traffic.generator import TrafficConfig, TrafficSimulator
+
     config = TrafficConfig(
         seed=args.seed, start=args.start, end=args.end
     ).scaled(args.sessions)
@@ -391,12 +391,21 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_train(args: argparse.Namespace) -> int:
+def _training_window(args: argparse.Namespace):
+    """``--dataset`` if given, else a simulated window of ``--sessions``."""
     if args.dataset:
-        dataset = Dataset.load(args.dataset)
-    else:
-        config = TrafficConfig(seed=args.seed).scaled(args.sessions)
-        dataset = TrafficSimulator(config).generate()
+        from repro.traffic.dataset import Dataset
+
+        return Dataset.load(args.dataset)
+    from repro.traffic.generator import TrafficConfig, TrafficSimulator
+
+    return TrafficSimulator(
+        TrafficConfig(seed=args.seed).scaled(args.sessions)
+    ).generate()
+
+
+def _cmd_train(args: argparse.Namespace) -> int:
+    dataset = _training_window(args)
     pipeline = BrowserPolygraph().fit(dataset, jobs=args.jobs)
     pipeline.save(args.model)
     print(
@@ -414,6 +423,8 @@ def _cmd_retrain(args: argparse.Namespace) -> int:
         )
         return 2
     if args.dataset:
+        from repro.traffic.dataset import Dataset
+
         dataset = Dataset.load(args.dataset)
     else:
         from repro.service.storage import SessionStore
@@ -453,6 +464,8 @@ def _cmd_store(args: argparse.Namespace) -> int:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
+    from repro.traffic.dataset import Dataset
+
     pipeline = BrowserPolygraph.load(args.model)
     dataset = Dataset.load(args.dataset)
     report = pipeline.detect(dataset)
@@ -474,6 +487,8 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 
 def _cmd_drift(args: argparse.Namespace) -> int:
+    from repro.traffic.dataset import Dataset
+
     pipeline = BrowserPolygraph.load(args.model)
     dataset = Dataset.load(args.dataset)
     records = pipeline.drift_report(dataset)
@@ -491,6 +506,7 @@ def _cmd_drift(args: argparse.Namespace) -> int:
 
 
 def _cmd_figures(_: argparse.Namespace) -> int:
+    from repro.analysis import experiments
     from repro.analysis.figures import render_figures
 
     pca = [row[1] for row in experiments.fig2_pca_variance().rows]
@@ -557,7 +573,7 @@ def _build_cluster(args: argparse.Namespace, registry):
         )
     router = ClusterRouter(supervisor, RouterConfig(affinity=args.affinity)).start()
     managers = []
-    if registry is not None and args.shard_backend == "thread":
+    if registry is not None:
         managers = supervisor.attach_rollout(registry)
         state = managers[0].state if managers else None
         if state is not None and state.in_flight:
@@ -612,6 +628,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.service.api import CollectionApp
 
+    if args.registry and args.shards and args.shard_backend == "process":
+        print(
+            "serve: --registry with process shards would serve without "
+            "its rollout (rollout managers attach to thread shards only); "
+            "use --runtime or --shard-backend thread",
+            file=sys.stderr,
+        )
+        return 2
     registry = None
     if args.registry:
         from repro.core.retraining import ModelRegistry
@@ -629,14 +653,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
     managers = []
     if args.shards:
-        if args.session_ttl is not None and args.affinity != "session":
-            print(
-                "serve: --session-ttl with --shards requires "
-                "--affinity session (session state is partitioned by "
-                "the session id's ring position)",
-                file=sys.stderr,
-            )
-            return 2
         from repro.cluster import ShardError
 
         try:
@@ -685,32 +701,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             mode += ", fusion"
     sessions = None
     if args.session_ttl is not None:
-        if args.shards:
-            from repro.cluster.sessions import ClusterSessionService
+        from repro.sessions import SessionEventLog, SessionScoringService
 
-            sessions = ClusterSessionService(
-                service,
-                ttl_seconds=args.session_ttl,
-                max_sessions=args.session_max,
-                event_log_root=args.session_log,
-            )
-            mode += (
-                f", session streams (ttl {args.session_ttl:g}s, "
-                f"{args.shards} lanes)"
-            )
-        else:
-            from repro.sessions import SessionEventLog, SessionScoringService
-
-            event_log = (
-                SessionEventLog(args.session_log) if args.session_log else None
-            )
-            sessions = SessionScoringService(
-                service,
-                event_log=event_log,
-                ttl_seconds=args.session_ttl,
-                max_sessions=args.session_max,
-            )
-            mode += f", session streams (ttl {args.session_ttl:g}s)"
+        event_log = SessionEventLog(args.session_log) if args.session_log else None
+        sessions = SessionScoringService(
+            service,
+            event_log=event_log,
+            ttl_seconds=args.session_ttl,
+            max_sessions=args.session_max,
+        )
+        mode += f", session streams (ttl {args.session_ttl:g}s)"
     coverage_tracker = None
     if args.coverage:
         from datetime import date as _date
@@ -1005,11 +1005,7 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     from dataclasses import replace as _replace
 
     pipeline = BrowserPolygraph.load(args.model)
-    if args.dataset:
-        dataset = Dataset.load(args.dataset)
-    else:
-        config = TrafficConfig(seed=args.seed).scaled(args.sessions)
-        dataset = TrafficSimulator(config).generate()
+    dataset = _training_window(args)
     prop = PropagationConfig()
     overrides = {
         "n_neighbors": args.neighbors,
@@ -1076,9 +1072,11 @@ def _cmd_gauntlet(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from repro.analysis import experiments
+
     names = sorted(_EXPERIMENTS) if args.name == "all" else [args.name]
     for name in names:
-        print(_EXPERIMENTS[name]().render())
+        print(getattr(experiments, _EXPERIMENTS[name])().render())
         print()
     return 0
 

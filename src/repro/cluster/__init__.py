@@ -18,7 +18,6 @@ This package turns it into a horizontally-scaled cluster on one surface:
 from repro.cluster.distribution import DistributionReport, ModelDistributor
 from repro.cluster.ring import HashRing, ring_hash, wire_routing_key
 from repro.cluster.router import ClusterRouter, RouterConfig
-from repro.cluster.sessions import ClusterSessionService
 from repro.cluster.supervisor import (
     ClusterConfig,
     ProcessShard,
@@ -31,7 +30,6 @@ from repro.cluster.supervisor import (
 __all__ = [
     "ClusterConfig",
     "ClusterRouter",
-    "ClusterSessionService",
     "DistributionReport",
     "HashRing",
     "ModelDistributor",

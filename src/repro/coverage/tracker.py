@@ -39,6 +39,51 @@ __all__ = [
 VENDOR_LABELS = ("chrome", "edge", "firefox", "other")
 
 
+# Distinct unknown UA keys counted for ``top_unknown``.  A forged
+# ``Chrome/<v>`` costs an attacker nothing, so past this many keys the
+# counts become space-saving estimates (Metwally et al., 2005): a new
+# key takes a least-counted key's slot and inherits its count.  Up to
+# the cap every count is exact.
+_TOP_UNKNOWN_KEYS = 1024
+
+
+class _TopKeys:
+    """Space-saving heavy-hitter counts over at most ``capacity`` keys.
+
+    ``counts`` is an ordinary :class:`Counter` (first-seen order, so
+    ``most_common`` ties break as an unbounded one's would); the
+    count -> keys index finds a least-counted key in O(1).
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self.counts: Counter = Counter()
+        self._by_count: Dict[int, Dict[str, None]] = {}
+        self._min = 0
+
+    def add(self, key: str) -> None:
+        count = self.counts.get(key, 0)
+        if count:
+            self._unfile(key, count)
+        elif len(self.counts) >= self.capacity:
+            count = self._min
+            victim = next(iter(self._by_count[count]))
+            self._unfile(victim, count)
+            del self.counts[victim]
+        self.counts[key] = count + 1
+        self._by_count.setdefault(count + 1, {})[key] = None
+        if count == 0:
+            self._min = 1
+
+    def _unfile(self, key: str, count: int) -> None:
+        keys = self._by_count[count]
+        del keys[key]
+        if not keys:
+            del self._by_count[count]
+            if count == self._min:
+                self._min = count + 1
+
+
 def vendor_of(ua_key: str) -> str:
     """Vendor label of a ``vendor-version`` key (``"other"`` if not in scope)."""
     vendor = str(ua_key).rsplit("-", 1)[0].lower()
@@ -113,7 +158,7 @@ class CoverageTracker:
         self._window_unknown: Dict[str, int] = {v: 0 for v in VENDOR_LABELS}
         self._observed: Dict[str, int] = {v: 0 for v in VENDOR_LABELS}
         self._unknown: Dict[str, int] = {v: 0 for v in VENDOR_LABELS}
-        self._unknown_keys: Counter = Counter()
+        self._unknown_keys = _TopKeys(_TOP_UNKNOWN_KEYS)
         self._last_day: Optional[date] = None
 
     # -- known-release table ------------------------------------------
@@ -184,7 +229,7 @@ class CoverageTracker:
         if not known:
             self._window_unknown[vendor] += 1
             self._unknown[vendor] += 1
-            self._unknown_keys[key] += 1
+            self._unknown_keys.add(key)
         self._observed[vendor] += 1
         if day is not None:
             self._last_day = day
@@ -261,7 +306,7 @@ class CoverageTracker:
         with self._lock:
             top_unknown = [
                 {"ua_key": key, "count": count}
-                for key, count in self._unknown_keys.most_common(5)
+                for key, count in self._unknown_keys.counts.most_common(5)
             ]
             known = len(self._known_keys)
             generation = self._generation

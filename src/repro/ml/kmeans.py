@@ -151,8 +151,9 @@ class KMeans:
                 f"got {data.shape[1]}"
             )
         sq_norms = np.einsum("ij,ij->i", data, data)
-        labels, _ = _assign_rows(data, sq_norms, self.cluster_centers_)
-        return labels
+        return _pairwise_sq_distances(
+            data, sq_norms, self.cluster_centers_
+        ).argmin(axis=1)
 
     def transform(self, matrix: np.ndarray) -> np.ndarray:
         """Distances from each row to every centroid."""
@@ -304,7 +305,7 @@ def _assign_weighted(
 def _assign_rows(
     data: np.ndarray, sq_norms: np.ndarray, centers: np.ndarray
 ) -> Tuple[np.ndarray, float]:
-    """Plain per-row assignment (prediction/scoring path)."""
+    """Plain per-row assignment and inertia (the scoring path)."""
     distances_sq = _pairwise_sq_distances(data, sq_norms, centers)
     labels = distances_sq.argmin(axis=1)
     inertia = float(

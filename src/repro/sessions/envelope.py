@@ -109,10 +109,10 @@ def _spliced(sid: bytes, seq: int, tail: bytes) -> bytes:
 class EnvelopeParser:
     """``wire -> (event, inner wire)``, memoized on the fingerprint tail.
 
-    One instance may serve any number of threads and session lanes: the
-    memo maps a tail to the immutable ``(user_agent, values, globals)``
-    it parses to, reads and writes are single dict operations, and a
-    racing recompute inserts the same entry.
+    One instance may serve any number of threads: the memo maps a tail
+    to the immutable ``(user_agent, values, globals)`` it parses to,
+    reads and writes are single dict operations, and a racing
+    recompute inserts the same entry.
     """
 
     __slots__ = ("_memo",)

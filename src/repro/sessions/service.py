@@ -1,9 +1,12 @@
 """Session-stream scoring: per-event verdicts with mid-session revision.
 
-:class:`SessionScoringService` wraps either scoring service
-(per-request :class:`~repro.service.scoring.ScoringService` or the
-batched :class:`~repro.runtime.service.RuntimeScoringService`)
-and adds session state on top.  The contract that keeps it honest:
+:class:`SessionScoringService` wraps any scoring service — the
+per-request :class:`~repro.service.scoring.ScoringService`, the batched
+:class:`~repro.runtime.service.RuntimeScoringService` or the sharded
+cluster's :class:`~repro.cluster.router.ClusterRouter` — and adds
+session state on top.  Whatever the deployment, the state has one home:
+one tracker, one lock, one event log, one ``--session-max`` bound.  The
+contract that keeps it honest:
 
 * **First-event parity.**  The first event of a session is scored by
   forwarding its *exact* single-vector wire bytes through the inner
@@ -19,10 +22,11 @@ and adds session state on top.  The contract that keeps it honest:
   risk factor only ratchets up; clean follow-ups are reported as
   informational ``flag_cleared`` revisions without lowering anything.
 
-The unit of work is the **batch**: :func:`observe_batch` parses every
-envelope (once — see :mod:`repro.sessions.envelope`), scores all inner
-wires with *one* call to the inner service's widest interface, then
-folds the events into their sessions with *one*
+The unit of work is the **batch**: :meth:`SessionScoringService.observe_many`
+parses every envelope (once — see :mod:`repro.sessions.envelope`),
+scores all inner wires with *one* call to the inner service's widest
+interface (the router's ``score_many`` behind ``--shards``), then folds
+the events into their sessions with *one*
 :meth:`SessionScoringService.fold_many`: the cluster lookups first,
 without a lock, then every event in arrival order under one lock span,
 then the durable log.  ``observe_wire`` is a batch of one,
@@ -54,7 +58,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from datetime import date
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.detection import DetectionResult
 from repro.service.scoring import Verdict
@@ -68,7 +72,7 @@ from repro.sessions.store import SessionEventLog
 from repro.sessions.tracker import EventRecord, SessionState, SessionTracker
 from repro.traffic.events import SessionEvent
 
-__all__ = ["SessionObservation", "SessionScoringService", "observe_batch"]
+__all__ = ["SessionObservation", "SessionScoringService"]
 
 _DETECT_MEMO_LIMIT = 8192
 
@@ -159,61 +163,16 @@ def _score_wires(
     return [inner.score_wire(wire, day=day) for wire in wires]
 
 
-def observe_batch(
-    envelopes: EnvelopeParser,
-    inner,
-    fold_many: Callable[
-        [Sequence[SessionEvent], Sequence[Verdict]], List[SessionObservation]
-    ],
-    wires: Sequence[bytes],
-    day: Optional[date] = None,
-) -> List[SessionObservation]:
-    """Parse, score once, fold once; one observation per wire.
-
-    ``fold_many`` owns the session state: the single-process service
-    passes its own :meth:`SessionScoringService.fold_many`, the cluster
-    facade one that groups the events by session lane first.  A
-    malformed envelope is answered here and reaches neither the inner
-    service nor ``fold_many``.
-    """
-    observations: List[Optional[SessionObservation]] = [None] * len(wires)
-    indices: List[int] = []
-    events: List[SessionEvent] = []
-    inner_wires: List[bytes] = []
-    for index, wire in enumerate(wires):
-        try:
-            event, scored_as = envelopes.parse(wire)
-        except ValueError as exc:
-            observations[index] = _unscored(
-                Verdict(
-                    session_id="",
-                    accepted=False,
-                    flagged=False,
-                    risk_factor=None,
-                    reject_reason=f"malformed_event: {str(exc)[:80]}",
-                    latency_ms=0.0,
-                ),
-                -1,
-            )
-            continue
-        indices.append(index)
-        events.append(event)
-        inner_wires.append(scored_as)
-    verdicts = _score_wires(inner, inner_wires, day)
-    for index, observation in zip(indices, fold_many(events, verdicts)):
-        observations[index] = observation
-    return observations  # type: ignore[return-value]
-
-
 class SessionScoringService:
     """Stateful, revisable scoring over an inner one-shot service.
 
     Parameters
     ----------
     inner:
-        A started :class:`ScoringService` or
-        :class:`RuntimeScoringService`; all single-vector scoring goes
-        through it unchanged.
+        A started :class:`ScoringService`, :class:`RuntimeScoringService`
+        or :class:`~repro.cluster.router.ClusterRouter`; all
+        single-vector scoring goes through it unchanged, and its
+        ``polygraph`` answers the cluster lookups.
     tracker:
         Session state bounds; a default tracker is created if omitted
         (``ttl_seconds`` then applies to it).
@@ -278,9 +237,35 @@ class SessionScoringService:
         Equal, observation for observation and counter for counter, to
         calling :meth:`observe_wire` on each in turn.
         """
-        return observe_batch(
-            self._envelopes, self.inner, self.fold_many, wires, day
-        )
+        observations: List[Optional[SessionObservation]] = [None] * len(wires)
+        indices: List[int] = []
+        events: List[SessionEvent] = []
+        inner_wires: List[bytes] = []
+        parse = self._envelopes.parse
+        for index, wire in enumerate(wires):
+            try:
+                event, scored_as = parse(wire)
+            except ValueError as exc:
+                # Answered here: reaches neither the inner service nor the fold.
+                observations[index] = _unscored(
+                    Verdict(
+                        session_id="",
+                        accepted=False,
+                        flagged=False,
+                        risk_factor=None,
+                        reject_reason=f"malformed_event: {str(exc)[:80]}",
+                        latency_ms=0.0,
+                    ),
+                    -1,
+                )
+                continue
+            indices.append(index)
+            events.append(event)
+            inner_wires.append(scored_as)
+        verdicts = _score_wires(self.inner, inner_wires, day)
+        for index, observation in zip(indices, self.fold_many(events, verdicts)):
+            observations[index] = observation
+        return observations  # type: ignore[return-value]
 
     def observe_wire(self, wire: bytes, day: Optional[date] = None) -> SessionObservation:
         """Score one event-envelope payload: a batch of one."""

@@ -205,14 +205,14 @@ def cut_batches(wires: Sequence[bytes], cuts: Sequence[int]) -> List[List[bytes]
     return batches
 
 
-def lane_state(lane) -> tuple:
+def sessions_state(sessions) -> tuple:
     """Everything one :class:`SessionScoringService` remembers."""
-    tracker = lane.tracker
+    tracker = sessions.tracker
     return (
-        lane.status_dict(),
-        lane._virtual_now,
+        sessions.status_dict(),
+        sessions._virtual_now,
         [(sid, tracker._sessions[sid].to_dict()) for sid in tracker.active_ids()],
-        dict(lane._fusion_by_sid),
+        dict(sessions._fusion_by_sid),
     )
 
 

@@ -1,11 +1,10 @@
-"""The session fold as it stood before batches were folded per lane.
+"""The session fold as it stood before batches were folded at once.
 
 A frozen copy of what one event used to go through — ``fold`` with its
 two lock spans, a ``SessionState`` that allocates both of its sets when
-the session opens, dataclass records built field by field, the lane
-picked per event — kept, like ``_parent_render_event``, as the reference
-the batch fold must equal observation for observation, state for state
-and log row for log row.  Nothing here calls ``fold_many``.  (The copy
+the session opens, dataclass records built field by field — kept, like
+``_parent_render_event``, as the reference the batch fold must equal
+observation for observation, state for state and log row for log row.  Nothing here calls ``fold_many``.  (The copy
 is exact, so it also re-labels a follow-up verdict from six fields and
 drops the fusion and inferred-release ones; the differentials run over
 inner services that never set them.)
@@ -16,11 +15,8 @@ Not a test module itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 from typing import List, Optional, Tuple
 
-from repro.cluster.ring import HashRing
-from repro.cluster.sessions import ClusterSessionService
 from repro.service.scoring import Verdict
 from repro.sessions.service import SessionObservation, SessionScoringService
 from repro.sessions.tracker import _SWEEP_EVERY, SessionTracker
@@ -218,40 +214,3 @@ class ParentFoldService(SessionScoringService):
             event_seq=event.seq,
             session_created=created,
         )
-
-
-class LaneRouter:
-    """What :class:`ClusterSessionService` asks of a router, answered by
-    one in-process scoring service: a ring of lane ids and a scorer."""
-
-    def __init__(self, inner, n_lanes: int) -> None:
-        self.polygraph = inner.polygraph
-        self.score_wire = inner.score_wire
-        ring = HashRing()
-        shards = {}
-        for number in range(n_lanes):
-            ring.add(str(number))
-            shards[str(number)] = None
-        self.supervisor = SimpleNamespace(ring=ring, shards=shards)
-
-
-def parent_lanes(router, **kwargs):
-    """A :class:`ClusterSessionService` of frozen lanes that picks the
-    lane per event, as ``_fold`` did."""
-    service = ClusterSessionService(router, **kwargs)
-    for shard_id, lane in list(service._lanes.items()):
-        service._lanes[shard_id] = ParentFoldService(
-            router,
-            ttl_seconds=lane.tracker.ttl_seconds,
-            max_sessions=lane.tracker.max_sessions,
-            event_log=lane.event_log,
-        )
-
-    def fold_each(events, verdicts):
-        return [
-            service._lanes[service.lane_of(event.session_id)].fold(event, verdict)
-            for event, verdict in zip(events, verdicts)
-        ]
-
-    service._fold_many = fold_each
-    return service

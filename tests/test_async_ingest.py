@@ -35,7 +35,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterConfig, ClusterRouter, ShardSupervisor
-from repro.cluster.sessions import ClusterSessionService
 from repro.fingerprint.script import MAX_PAYLOAD_BYTES
 from repro.runtime.pool import OVERLOADED_REASON, overloaded_verdict
 from repro.runtime.service import RuntimeScoringService
@@ -965,7 +964,7 @@ class TestEventOrdering:
         )
         router = ClusterRouter(supervisor).start()
         try:
-            sessions = ClusterSessionService(router, ttl_seconds=1e9)
+            sessions = SessionScoringService(router, ttl_seconds=1e9)
             app = CollectionApp(router, sessions=sessions)
             with AsyncIngestServer(router, app, host="127.0.0.1", port=0) as server:
                 answers = _responses(_converse(server.port, raw))

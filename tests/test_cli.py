@@ -285,6 +285,49 @@ def test_serve_exits_2_when_the_cluster_cannot_start(
     assert "No space left on device" in line
 
 
+def test_serve_refuses_a_registry_on_process_shards(artifacts, tmp_path, capsys):
+    """Rollout managers attach to thread shards only: serving a registry
+    on process shards would drop its rollout without a word."""
+    from datetime import date
+
+    from repro.core.pipeline import BrowserPolygraph
+    from repro.core.retraining import ModelRegistry
+
+    _, model_path = artifacts
+    registry_dir = str(tmp_path / "registry")
+    ModelRegistry(registry_dir).promote(
+        BrowserPolygraph.load(model_path), date(2023, 7, 1), "bootstrap"
+    )
+    code = main(
+        ["serve", "--registry", registry_dir, "--shards", "2",
+         "--shard-backend", "process"]
+    )
+    assert code == 2
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert line.startswith("serve: --registry with process shards")
+    assert "--runtime" in line and "--shard-backend thread" in line
+
+
+def test_importing_the_cli_leaves_the_experiment_suite_out():
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    probe = (
+        "import sys, repro.cli; "
+        "print('repro.analysis.experiments' in sys.modules)"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.stdout.strip() == "False"
+
+
 def test_cluster_status_command_against_live_server(artifacts, capsys):
     import threading
     from wsgiref.simple_server import make_server

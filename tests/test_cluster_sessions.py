@@ -1,11 +1,13 @@
-"""Shard-affine session lanes behind the cluster router.
+"""The session layer behind the cluster router.
 
-Pins the satellite contract that lifted the old ``--session-ttl
-requires single-process mode`` restriction: lane placement follows the
-ring, scoring still flows through the router (so verdicts match the
-single-process session layer), ``GET /sessions`` aggregates across
-lanes, and each lane's durable event log lives in its own
-``shard-<id>`` subdirectory.
+Behind ``--shards`` the session state still has one home — one
+:class:`SessionScoringService` whose inner service is the router — so
+scoring flows through the router (failover, the shm transport) while
+the fold, the tracker and ``GET /sessions`` are the single-process
+ones.  Pins parity with the single-process layer, the router's
+one-call-per-batch contract, reversed-key envelopes finding their
+session, the endpoints through a cluster, and the
+``ClusterSessionService`` alias the frozen e2e tracer still imports.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import pytest
 from hypothesis import given, settings
 
 from repro.cluster import ClusterConfig, ClusterRouter, ShardSupervisor
-from repro.cluster.sessions import ClusterSessionService
 from repro.service.api import CollectionApp
 from repro.service.scoring import ScoringService
 from repro.sessions import SessionScoringService
@@ -34,8 +35,8 @@ from tests.event_shapes import (
     build_traffic,
     differential,
     first_difference,
-    lane_state,
     scenario_streams,
+    sessions_state,
     traffic,
     validator_state,
 )
@@ -54,13 +55,16 @@ def streams(small_dataset, trained):
     )
 
 
+def _two_thread_shards(trained):
+    supervisor = ShardSupervisor.from_polygraph(
+        trained, config=ClusterConfig(n_shards=2, heartbeat_interval_s=5.0)
+    )
+    return ClusterRouter(supervisor).start()
+
+
 @pytest.fixture()
 def cluster(trained):
-    supervisor = ShardSupervisor.from_polygraph(
-        trained,
-        config=ClusterConfig(n_shards=3, heartbeat_interval_s=5.0),
-    )
-    router = ClusterRouter(supervisor).start()
+    router = _two_thread_shards(trained)
     yield router
     router.shutdown()
 
@@ -88,65 +92,9 @@ def _essence(observation):
     )
 
 
-class TestLanePlacement:
-    def test_lane_follows_the_ring(self, cluster):
-        sessions = ClusterSessionService(cluster, ttl_seconds=1e9)
-        ring = cluster.supervisor.ring
-        for i in range(50):
-            sid = f"sess-{i}"
-            assert sessions.lane_of(sid) == ring.node_for(sid.encode())
-
-    def test_drained_ring_places_deterministically(self, cluster):
-        sessions = ClusterSessionService(cluster, ttl_seconds=1e9)
-        ring = cluster.supervisor.ring
-        for shard_id in list(cluster.supervisor.shards):
-            ring.remove(shard_id)
-        lanes = {f"sess-{i}": sessions.lane_of(f"sess-{i}") for i in range(30)}
-        # Stable across calls, valid lane ids, and not all one lane.
-        assert all(
-            sessions.lane_of(sid) == lane for sid, lane in lanes.items()
-        )
-        assert set(lanes.values()) <= set(cluster.supervisor.shards)
-        assert len(set(lanes.values())) > 1
-
-    def test_state_lands_in_the_owning_lane(self, cluster, streams):
-        sessions = ClusterSessionService(cluster, ttl_seconds=1e9)
-        stream = streams[0]
-        sessions.observe_wire(stream.first.to_wire())
-        owner = sessions.lane_of(stream.session_id)
-        snapshot = sessions.session_snapshot(stream.session_id)
-        assert snapshot is not None
-        assert snapshot["shard"] == owner
-        # The other lanes hold nothing for this session.
-        for shard_id, lane in sessions._lanes.items():
-            state = lane.session_snapshot(stream.session_id)
-            assert (state is None) == (shard_id != owner)
-
-    def test_snapshot_probes_other_lanes_after_ring_movement(
-        self, cluster, streams
-    ):
-        sessions = ClusterSessionService(cluster, ttl_seconds=1e9)
-        stream = streams[0]
-        sessions.observe_wire(stream.first.to_wire())
-        owner = sessions.lane_of(stream.session_id)
-        cluster.supervisor.ring.remove(owner)
-        try:
-            snapshot = sessions.session_snapshot(stream.session_id)
-            assert snapshot is not None
-            assert snapshot["shard"] == owner
-        finally:
-            cluster.supervisor.ring.add(owner)
-
-
-def _two_thread_shards(trained):
-    supervisor = ShardSupervisor.from_polygraph(
-        trained, config=ClusterConfig(n_shards=2, heartbeat_interval_s=5.0)
-    )
-    return ClusterRouter(supervisor).start()
-
-
 class TestLanePlacementByParsedId:
-    """A valid envelope's key order must not decide where its state goes."""
+    """A valid envelope's key order must not decide which session state
+    it finds: the fold keys on the parsed id, not on envelope bytes."""
 
     def test_reversed_key_streams_are_caught_like_canonical_ones(
         self, small_dataset, trained
@@ -164,7 +112,7 @@ class TestLanePlacementByParsedId:
         try:
             caught = {}
             for spelling in ("canonical", "reversed_keys"):
-                sessions = ClusterSessionService(router, ttl_seconds=1e9)
+                sessions = SessionScoringService(router, ttl_seconds=1e9)
                 flagged = set()
                 for stream in swaps:
                     for event in stream.events:
@@ -181,12 +129,10 @@ class TestLanePlacementByParsedId:
                         if revision is not None and revision.new_flagged:
                             flagged.add(stream.session_id)
                 caught[spelling] = flagged
-                # Every event of a session found the session's one lane.
+                # Every follow-up found the state its first event opened.
                 status = sessions.status_dict()
                 assert status["active_sessions"] == len(swaps)
-                assert len(
-                    [s for s in status["shards"].values() if s["events_total"]]
-                ) == 2
+                assert status["events_total"] == sum(len(s.events) for s in swaps)
         finally:
             router.shutdown()
         assert caught["canonical"]
@@ -219,13 +165,11 @@ class TestClusterObserveMany:
                 ttl_seconds=drawn["ttl_seconds"],
                 max_sessions=2 * drawn["max_sessions"],
             )
-            batched = ClusterSessionService(twin_routers[0], **bounds)
-            sequential = ClusterSessionService(twin_routers[1], **bounds)
+            batched = SessionScoringService(twin_routers[0], **bounds)
+            sequential = SessionScoringService(twin_routers[1], **bounds)
             got, expected = differential(batched, sequential, wires, drawn["cuts"])
             assert got == expected, first_difference(got, expected)
-            assert batched.status_dict() == sequential.status_dict()
-            for shard_id, lane in batched._lanes.items():
-                assert lane_state(lane) == lane_state(sequential._lanes[shard_id])
+            assert sessions_state(batched) == sessions_state(sequential)
             assert shard_state(twin_routers[0]) == shard_state(twin_routers[1])
             assert (
                 twin_routers[0].validator.quarantine.counts()
@@ -243,7 +187,7 @@ class TestClusterObserveMany:
             return score_many(wires)
 
         cluster.score_many = recording
-        sessions = ClusterSessionService(cluster, ttl_seconds=1e9)
+        sessions = SessionScoringService(cluster, ttl_seconds=1e9)
         events = [
             event
             for stream in scenario_streams(streams, per_scenario=2)
@@ -258,7 +202,8 @@ class TestClusterObserveMany:
             event.session_id for event in events
         ]
         assert [o.event_seq for o in observed] == [e.seq for e in events] + [-1]
-        assert len({sessions.lane_of(e.session_id) for e in events}) > 1
+        routed = cluster.cluster_status()["router"]["routed_by_shard"]
+        assert sorted(routed) == sorted(cluster.supervisor.shards)
 
 
 class TestClusterSessionParity:
@@ -268,73 +213,10 @@ class TestClusterSessionParity:
         single = SessionScoringService(
             ScoringService(trained), ttl_seconds=1e9
         )
-        sharded = ClusterSessionService(cluster, ttl_seconds=1e9)
+        sharded = SessionScoringService(cluster, ttl_seconds=1e9)
         expected = [_essence(o) for o in _observe_all(single, streams)]
         actual = [_essence(o) for o in _observe_all(sharded, streams)]
         assert actual == expected
-
-    def test_aggregate_status_sums_the_lanes(self, cluster, streams):
-        sessions = ClusterSessionService(cluster, ttl_seconds=1e9)
-        _observe_all(sessions, streams)
-        status = sessions.status_dict()
-        assert status["partitions"] == 3
-        assert set(status["shards"]) == set(cluster.supervisor.shards)
-        for field in (
-            "active_sessions",
-            "events_total",
-            "revisions_total",
-            "escalations_total",
-        ):
-            assert status[field] == sum(
-                lane[field] for lane in status["shards"].values()
-            )
-        assert status["events_total"] == sum(
-            len(s.events) for s in streams[:12]
-        )
-        # At least two lanes actually saw traffic.
-        active = [
-            lane
-            for lane in status["shards"].values()
-            if lane["events_total"] > 0
-        ]
-        assert len(active) > 1
-
-    def test_metrics_keep_single_process_names_plus_per_shard(
-        self, cluster, streams
-    ):
-        sessions = ClusterSessionService(cluster, ttl_seconds=1e9)
-        _observe_all(sessions, streams, limit=4)
-        text = "\n".join(sessions.metrics_lines())
-        assert "polygraph_session_active " in text
-        assert "polygraph_session_events_total " in text
-        for shard_id in cluster.supervisor.shards:
-            assert (
-                f'polygraph_session_active_by_shard{{shard="{shard_id}"}}'
-                in text
-            )
-
-
-class TestEventLogSubdirectories:
-    def test_each_lane_writes_its_own_subdirectory(
-        self, cluster, streams, tmp_path
-    ):
-        sessions = ClusterSessionService(
-            cluster, ttl_seconds=1e9, event_log_root=tmp_path / "logs"
-        )
-        observed = _observe_all(sessions, streams)
-        assert observed
-        touched = {
-            sessions.lane_of(s.session_id) for s in streams[:12]
-        }
-        appended = 0
-        for shard_id in touched:
-            lane_dir = tmp_path / "logs" / f"shard-{shard_id}"
-            assert lane_dir.is_dir(), shard_id
-            lane_log = sessions._lanes[shard_id].event_log
-            assert lane_log is not None
-            assert lane_log.root == lane_dir
-            appended += lane_log.appended
-        assert appended == len(observed)
 
 
 class TestSessionsEndpointThroughTheCluster:
@@ -356,7 +238,7 @@ class TestSessionsEndpointThroughTheCluster:
     def test_event_and_sessions_endpoints(self, cluster, streams):
         app = CollectionApp(
             cluster,
-            sessions=ClusterSessionService(cluster, ttl_seconds=1e9),
+            sessions=SessionScoringService(cluster, ttl_seconds=1e9),
         )
         stream = next(s for s in streams if len(s.events) >= 2)
         for event in stream.events:
@@ -370,8 +252,30 @@ class TestSessionsEndpointThroughTheCluster:
         )
         assert status == "200 OK"
         assert document["event_count"] == len(stream.events)
-        assert document["shard"] in cluster.supervisor.shards
+        assert "shard" not in document
         status, document = self._call(app, "GET", "/sessions")
         assert status == "200 OK"
-        assert document["partitions"] == 3
+        assert "partitions" not in document and "shards" not in document
         assert document["events_total"] == len(stream.events)
+        assert document["max_sessions"] == 100_000
+
+
+class TestTheFrozenTracerAlias:
+    """``benchmarks/e2e/e2ebench/trace.py`` is frozen and still imports
+    ``ClusterSessionService``; built the way it builds it, the alias
+    must be the single-process layer over the router."""
+
+    def test_trace_construction_matches_the_single_process_layer(
+        self, cluster, trained, streams
+    ):
+        from repro.cluster.sessions import ClusterSessionService
+
+        assert ClusterSessionService is SessionScoringService
+        sessions = ClusterSessionService(cluster, ttl_seconds=600.0)
+        single = SessionScoringService(ScoringService(trained), ttl_seconds=600.0)
+        every_scenario = scenario_streams(streams)
+        actual = [_essence(o) for o in _observe_all(sessions, every_scenario)]
+        expected = [_essence(o) for o in _observe_all(single, every_scenario)]
+        assert actual == expected
+        assert any(revision is not None for *_, revision, _, _ in actual)
+        assert sessions.status_dict() == single.status_dict()

@@ -158,6 +158,47 @@ class TestCoverageTracker:
         assert "polygraph_coverage_generation 5" in lines
         assert 'polygraph_coverage_unknown_total{vendor="chrome"} 1' in lines
 
+    def test_forged_versions_cannot_grow_the_unknown_key_counter(self):
+        from repro.coverage.tracker import _TOP_UNKNOWN_KEYS
+
+        tracker = self._tracker()
+        tracker.set_known_keys(["chrome-117"])
+        day = date(2024, 3, 1)
+        # Space-saving keeps any key seen more than (observations / cap)
+        # times — 64 here — and estimates no forged key above that.
+        for _ in range(200):
+            tracker.observe("chrome-999", day=day)
+        forged = [f"chrome-{version}" for version in range(1_000, 66_000)]
+        assert tracker.observe_many(forged, day=day) == 65_000
+        assert len(tracker._unknown_keys.counts) == _TOP_UNKNOWN_KEYS
+        # The real heavy hitter keeps its slot and leads the top list.
+        status = tracker.status_dict()
+        assert status["top_unknown"][0]["ua_key"] == "chrome-999"
+        assert status["top_unknown"][0]["count"] == 200
+        assert status["vendors"]["chrome"]["unknown"] == 65_200
+
+    def test_unknown_key_counts_are_exact_up_to_the_cap(self):
+        from collections import Counter
+
+        from repro.coverage.tracker import _TOP_UNKNOWN_KEYS
+
+        tracker = self._tracker()
+        # Exactly as many distinct keys as the cap, heavy and light ones
+        # interleaved, so every slot is taken and none is ever recycled.
+        keys = [
+            f"chrome-{n % _TOP_UNKNOWN_KEYS}"
+            for n in range(_TOP_UNKNOWN_KEYS * 3)
+            if n % 5 or n % 7
+        ]
+        keys += [f"chrome-{n}" for n in range(0, _TOP_UNKNOWN_KEYS, 9)] * 4
+        assert len(set(keys)) == _TOP_UNKNOWN_KEYS
+        tracker.observe_many(keys, day=date(2024, 3, 1))
+        assert tracker._unknown_keys.counts == Counter(keys)
+        assert tracker.status_dict()["top_unknown"] == [
+            {"ua_key": key, "count": count}
+            for key, count in Counter(keys).most_common(5)
+        ]
+
 
 class TestRefreshPlanner:
     def _pair(self, known, **config):

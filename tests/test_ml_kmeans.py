@@ -53,6 +53,18 @@ def test_predict_on_training_data_matches_labels(rng):
     assert np.array_equal(model.predict(data), model.labels_)
 
 
+def test_predict_labels_are_the_assignment_without_its_inertia(rng):
+    from repro.ml.kmeans import _assign_rows
+
+    data = _blobs(rng, [(0, 0), (6, 0), (3, 5)], scale=1.5)
+    model = KMeans(n_clusters=3, random_state=0).fit(data)
+    sq_norms = np.einsum("ij,ij->i", data, data)
+    expected, _ = _assign_rows(data, sq_norms, model.cluster_centers_)
+    labels = model.predict(data)
+    assert labels.dtype == expected.dtype
+    assert np.array_equal(labels, expected)
+
+
 def test_deterministic_given_seed(rng):
     data = _blobs(rng, [(0, 0), (6, 0), (3, 5)])
     a = KMeans(n_clusters=3, random_state=42).fit(data)

@@ -1,10 +1,10 @@
 """The batch fold against references it cannot agree with by construction.
 
-``fold_many`` folds a lane's share of a batch under one lock span over
-tuple-backed records and lazily allocated per-session sets; the frozen
-per-event fold in :mod:`tests.parent_fold` does none of that.  Whatever
-the cut, the bounds and the number of lanes, both must leave the same
-observations, the same lane state and the same durable log rows.
+``fold_many`` folds a batch under one lock span over tuple-backed
+records and lazily allocated per-session sets; the frozen per-event
+fold in :mod:`tests.parent_fold` does none of that.  Whatever the cut
+and the bounds, both must leave the same observations, the same
+session state and the same durable log rows.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.sessions import ClusterSessionService
 from repro.fusion.arm import FusionArm
 from repro.fusion.model import FusionModel
 from repro.service.scoring import ScoringService, Verdict
@@ -35,15 +34,10 @@ from tests.event_shapes import (
     build_traffic,
     differential,
     first_difference,
-    lane_state,
     scenario_streams,
+    sessions_state,
 )
-from tests.parent_fold import (
-    LaneRouter,
-    ParentFoldService,
-    ParentSessionState,
-    parent_lanes,
-)
+from tests.parent_fold import ParentFoldService, ParentSessionState
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -96,32 +90,20 @@ def _fold_traffic(n_streams: int):
             "cuts": st.lists(st.integers(1, 40), min_size=1, max_size=20),
             "ttl_seconds": st.sampled_from([_TTL, 1e9]),
             "max_sessions": st.sampled_from([1, 3, 100_000]),
-            "n_lanes": st.sampled_from([1, 2]),
             "logged": st.booleans(),
         }
     )
 
 
-def _twins(inners, n_lanes, log_root, **bounds):
-    """The service under test, its frozen twin, and their lanes in pairs."""
-    if n_lanes == 1:
-        logs = [
-            None if log_root is None else SessionEventLog(log_root / side)
-            for side in ("new", "frozen")
-        ]
-        new = SessionScoringService(inners[0], event_log=logs[0], **bounds)
-        frozen = ParentFoldService(inners[1], event_log=logs[1], **bounds)
-        return new, frozen, [(new, frozen)]
-    roots = [None if log_root is None else log_root / side for side in ("new", "frozen")]
-    new = ClusterSessionService(
-        LaneRouter(inners[0], n_lanes), event_log_root=roots[0], **bounds
-    )
-    frozen = parent_lanes(
-        LaneRouter(inners[1], n_lanes), event_log_root=roots[1], **bounds
-    )
-    return new, frozen, [
-        (lane, frozen._lanes[shard_id]) for shard_id, lane in new._lanes.items()
+def _twins(inners, log_root, **bounds):
+    """The service under test and its frozen twin."""
+    logs = [
+        None if log_root is None else SessionEventLog(log_root / side)
+        for side in ("new", "frozen")
     ]
+    new = SessionScoringService(inners[0], event_log=logs[0], **bounds)
+    frozen = ParentFoldService(inners[1], event_log=logs[1], **bounds)
+    return new, frozen
 
 
 def _log_rows(log):
@@ -135,7 +117,7 @@ class TestFoldManyAgainstTheFrozenFold:
         windows stay identical too."""
         return ScoringService(trained), ScoringService(trained)
 
-    def test_any_cut_any_bounds_any_lanes(self, twin_inners, streams, tmp_path):
+    def test_any_cut_any_bounds(self, twin_inners, streams, tmp_path):
         candidates = scenario_streams(streams)
         example = itertools.count()
 
@@ -155,18 +137,16 @@ class TestFoldManyAgainstTheFrozenFold:
                 drawn["rnd"],
                 nonce=f"f{number}",
             )
-            new, frozen, lanes = _twins(
+            new, frozen = _twins(
                 twin_inners,
-                drawn["n_lanes"],
                 tmp_path / str(number) if drawn["logged"] else None,
                 ttl_seconds=drawn["ttl_seconds"],
-                max_sessions=drawn["n_lanes"] * drawn["max_sessions"],
+                max_sessions=drawn["max_sessions"],
             )
             got, expected = differential(new, frozen, wires, drawn["cuts"])
             assert got == expected, first_difference(got, expected)
-            for lane, frozen_lane in lanes:
-                assert lane_state(lane) == lane_state(frozen_lane)
-                assert _log_rows(lane.event_log) == _log_rows(frozen_lane.event_log)
+            assert sessions_state(new) == sessions_state(frozen)
+            assert _log_rows(new.event_log) == _log_rows(frozen.event_log)
 
         check()
 
@@ -197,7 +177,7 @@ class TestFoldManyAgainstTheFrozenFold:
             documents = [
                 [o.to_dict() for o in service.observe_many(batch)] for batch in batches
             ]
-            services.append((documents, lane_state(service)))
+            services.append((documents, sessions_state(service)))
         assert services[0] == services[1]
         documents, (status, virtual_now, tracked, _) = services[0]
         assert [d["session_created"] for d in documents[0]] == [True, True, True]
@@ -219,7 +199,7 @@ class TestFoldManyAgainstTheFrozenFold:
         at_once = SessionScoringService(inner, ttl_seconds=1e9)
         singles = [one_by_one.fold(e, v) for e, v in zip(events, verdicts)]
         assert singles == at_once.fold_many(events, verdicts)
-        assert lane_state(one_by_one) == lane_state(at_once)
+        assert sessions_state(one_by_one) == sessions_state(at_once)
 
 
 class TestDistinctAggregates:

@@ -45,8 +45,8 @@ from tests.event_shapes import (
     build_traffic,
     differential,
     first_difference,
-    lane_state,
     scenario_streams,
+    sessions_state,
     traffic,
     validator_state,
 )
@@ -667,7 +667,7 @@ class TestObserveManyDifferential:
                 batched, sequential, wires, drawn["cuts"]
             )
             assert got == expected, first_difference(got, expected)
-            assert lane_state(batched) == lane_state(sequential)
+            assert sessions_state(batched) == sessions_state(sequential)
             assert validator_state(twin_inners[0].validator) == validator_state(
                 twin_inners[1].validator
             )
@@ -692,7 +692,11 @@ class TestObserveManyDifferential:
             for o in by_batch.observe_many([e.to_wire() for e in events])
         ]
         assert one == two == three
-        assert lane_state(by_wire) == lane_state(by_event) == lane_state(by_batch)
+        assert (
+            sessions_state(by_wire)
+            == sessions_state(by_event)
+            == sessions_state(by_batch)
+        )
         assert any(document["revision"] for document in one)
 
     def test_malformed_envelopes_never_reach_the_inner_service(self, trained):
