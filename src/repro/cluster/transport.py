@@ -36,7 +36,12 @@ Slab layout (all little-endian, offsets in bytes)::
 Each batch names its own user-agent classes: ``ua_keys`` is the tuple
 of distinct ``ua_key``s among the batch's rows (a handful — classes are
 bounded by the release calendar) and ``meta`` holds each row's index
-into it, so no table outlives the batch on either side of the pipe.
+into it, so the slab itself carries no table between batches.  The
+decoded results do outlive the batch: the parent keeps one
+``DetectionResult`` per distinct ``(ua_key, result row)`` across
+batches.  The key is the result's whole content, so an entry never goes
+stale across installs; the memo is cleared whole at
+``_RESULT_MEMO_LIMIT`` entries.
 
 Failure semantics: a pipe error marks the transport ``broken``, every
 unanswered miss in flight completes with an :func:`overloaded_verdict`
@@ -77,6 +82,10 @@ __all__ = [
     "attach_slab_views",
     "slab_nbytes",
 ]
+
+# Decoded slab results kept across batches; cleared whole at the limit
+# (ua_key is attacker-chosen, so the memo needs a bound of its own).
+_RESULT_MEMO_LIMIT = 8192
 
 SLAB_MAGIC = 0x504F4C59  # "POLY"
 
@@ -299,6 +308,8 @@ class ShmTransport:
         self._namespace_probe = namespace_probe
         self._vendor_risk = vendor_risk
         self._seq = 0
+        # (ua_key, *result row) -> DetectionResult; guarded by ``lock``.
+        self._results: Dict[tuple, DetectionResult] = {}
         self.broken = False
         # Optional CoverageTracker (repro.coverage), shared across the
         # cluster's transports; fed with admitted UA keys per chunk.
@@ -423,8 +434,9 @@ class ShmTransport:
         if reply[0] != "shmdone" or reply[1] != seq:
             raise EOFError(f"shm protocol violation: {reply[:2]!r}")
         # One result object per distinct (ua_key, result row) — the
-        # memo ``evaluate_vectors`` keeps child-side, rebuilt here.
-        memo: Dict[tuple, DetectionResult] = {}
+        # child's decision table, decoded once here.  The key is the
+        # result's whole content, so no install can make an entry stale.
+        memo = self._results
         results = []
         for miss, row in zip(
             batch, self.slab.results[start : start + count].tolist()
@@ -432,6 +444,8 @@ class ShmTransport:
             key = (miss.ua_key, *row)
             result = memo.get(key)
             if result is None:
+                if len(memo) >= _RESULT_MEMO_LIMIT:
+                    memo.clear()
                 predicted, expected, flagged, risk = row
                 result = memo[key] = DetectionResult(
                     ua_key=miss.ua_key,

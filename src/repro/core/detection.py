@@ -14,6 +14,16 @@ for the paper (mobile browsers, exotic engines); the
 flagged, or scored against the nearest known release of the same vendor
 and engine (``"infer"`` — the interim coverage mode that bridges the
 blind window between a release shipping and the next retrain).
+
+The decision is a pure function of ``(detector, claimed UA, predicted
+cluster)``, and a detector belongs to one model generation (every
+install builds a new one), so each detector answers from a **decision
+table** filled on first use.  Only keys in the trained table enter it,
+which bounds it at known keys × k.  Every other key — unknown releases,
+forged versions, unparseable keys, raw ``Mozilla/...`` strings — is
+attacker-chosen, so its decisions live in a side memo cleared whole at
+:data:`_SIDE_MEMO_LIMIT`.  The serve path's model call is therefore the
+projection plus a dict read.
 """
 
 from __future__ import annotations
@@ -35,6 +45,10 @@ from repro.core.risk import risk_factor
 from repro.traffic.dataset import Dataset
 
 __all__ = ["DetectionReport", "DetectionResult", "FraudDetector"]
+
+# Side-memo bound for decisions on keys outside the trained table;
+# cleared whole at the limit, like ``WireIngest``'s memos.
+_SIDE_MEMO_LIMIT = 8192
 
 
 @dataclass(frozen=True)
@@ -131,14 +145,17 @@ class FraudDetector:
             )
         for versions in self._known_releases.values():
             versions.sort()
+        # (user_agent, cluster) -> decision: the table for known keys,
+        # the bounded side memo for every other key.
+        self._table: Dict[Tuple[str, int], DetectionResult] = {}
+        self._side: Dict[Tuple[str, int], DetectionResult] = {}
 
     # ------------------------------------------------------------------
 
     def evaluate_vector(self, vector: np.ndarray, user_agent: str) -> DetectionResult:
         """Evaluate one session from its raw feature vector and UA."""
-        parsed = self._parse(user_agent)
         predicted = self.model.predict_cluster(np.asarray(vector))
-        return self._decide(parsed, predicted)
+        return self.decision(user_agent, predicted)
 
     def evaluate_vectors(
         self, matrix: np.ndarray, user_agents: Sequence[str]
@@ -148,10 +165,8 @@ class FraudDetector:
         ``matrix`` is an ``(n, n_features)`` array of raw feature rows
         and ``user_agents`` the matching claimed user-agents (full
         ``Mozilla/...`` strings or ``vendor-version`` keys).  The model
-        chain runs once on the whole matrix, and the per-session
-        decision is memoized on ``(user_agent, predicted cluster)`` —
-        coarse-grained fingerprints are low-cardinality by design, so a
-        large batch costs a handful of Algorithm 1 evaluations.
+        chain runs once on the whole matrix; each row's decision is a
+        read of the detector's decision table (see :meth:`decision`).
 
         Row ``i`` of the return value is identical to
         ``evaluate_vector(matrix[i], user_agents[i])``.
@@ -161,35 +176,27 @@ class FraudDetector:
             raise ValueError(f"expected a 2-D matrix, got shape {data.shape}")
         if data.shape[0] != len(user_agents):
             raise ValueError("matrix rows and user_agents must align")
-        predicted = self.model.predict_clusters(data)
-        memo: Dict = {}
-        results: List[DetectionResult] = []
-        for user_agent, cluster in zip(user_agents, predicted):
-            key = (user_agent, int(cluster))
-            result = memo.get(key)
-            if result is None:
-                result = self._decide(self._parse(str(user_agent)), key[1])
-                memo[key] = result
-            results.append(result)
-        return results
+        predicted = self.model.predict_clusters(data).tolist()
+        return [self.decision(ua, c) for ua, c in zip(user_agents, predicted)]
 
     def evaluate_dataset(self, dataset: Dataset) -> DetectionReport:
-        """Evaluate every session of a dataset (vectorized prediction)."""
+        """Evaluate every session of a dataset (vectorized prediction).
+
+        Decisions come from the detector's decision table, so 205k rows
+        cost a few hundred Algorithm 1 evaluations over its lifetime.
+        """
         predicted = self.model.predict_clusters(dataset.matrix())
-        n = len(dataset)
+        results = [
+            self.decision(ua, c)
+            for ua, c in zip(dataset.ua_keys.tolist(), predicted.tolist())
+        ]
+        n = len(results)
         expected = np.full(n, -1, dtype=np.int64)
         flagged = np.zeros(n, dtype=bool)
         risks = np.full(n, -1, dtype=np.int64)
-        # The decision depends only on (ua_key, predicted cluster); memoize
-        # it so 205k rows cost a few hundred Algorithm 1 evaluations.
-        memo: Dict = {}
-        for idx in range(n):
-            key = (dataset.ua_keys[idx], int(predicted[idx]))
-            result = memo.get(key)
-            if result is None:
-                result = self._decide_key(str(key[0]), key[1])
-                memo[key] = result
-            expected[idx] = -1 if result.expected_cluster is None else result.expected_cluster
+        for idx, result in enumerate(results):
+            if result.expected_cluster is not None:
+                expected[idx] = result.expected_cluster
             flagged[idx] = result.flagged
             if result.risk_factor is not None:
                 risks[idx] = result.risk_factor
@@ -200,6 +207,34 @@ class FraudDetector:
             flagged=flagged,
             risk_factors=risks,
         )
+
+    def decision(self, user_agent: str, cluster: int) -> DetectionResult:
+        """The verdict for ``user_agent`` claimed from ``cluster``.
+
+        Equal to deciding from scratch — parse the claimed user-agent,
+        then Algorithm 1 against the predicted cluster — but computed
+        once per ``(user_agent, cluster)`` for this detector's lifetime
+        (keys outside the trained table: until the side memo fills).
+        """
+        key = (user_agent, cluster)
+        result = self._table.get(key)
+        if result is None:
+            result = self._side.get(key)
+            if result is None:
+                result = self._fill(user_agent, cluster)
+        return result
+
+    def _fill(self, user_agent: str, cluster: int) -> DetectionResult:
+        user_agent = str(user_agent)
+        result = self._decide(self._parse(user_agent), cluster)
+        if user_agent in self.model.ua_to_cluster:
+            self._table[user_agent, cluster] = result
+        else:
+            side = self._side
+            if len(side) >= _SIDE_MEMO_LIMIT:
+                side.clear()
+            side[user_agent, cluster] = result
+        return result
 
     # ------------------------------------------------------------------
 

@@ -38,7 +38,7 @@ import re
 from typing import Dict, Tuple
 
 from repro.service.ingest import MAX_SESSION_ID_LENGTH
-from repro.traffic.events import EventType, SessionEvent
+from repro.traffic.events import MAX_EVENT_TIMESTAMP, EventType, SessionEvent
 
 __all__ = ["EnvelopeParser", "inner_wire"]
 
@@ -132,8 +132,10 @@ class EnvelopeParser:
                     sid = wire[8:quote]
                     tail = wire[cut:]
                     fingerprint = self._memo.get(tail)
-                    if fingerprint is not None:
-                        kind, seq, timestamp = head.groups()
+                    kind, seq, timestamp = head.groups()
+                    timestamp = float(timestamp)
+                    # Past the event calendar: the full parse rejects it.
+                    if fingerprint is not None and timestamp < MAX_EVENT_TIMESTAMP:
                         seq = int(seq)
                         user_agent, values, suspicious_globals = fingerprint
                         # Built by ``__dict__`` swap, as
@@ -147,7 +149,7 @@ class EnvelopeParser:
                                 "session_id": sid.decode("ascii"),
                                 "event_type": _EVENT_TYPES[kind],
                                 "seq": seq,
-                                "timestamp": float(timestamp),
+                                "timestamp": timestamp,
                                 "user_agent": user_agent,
                                 "values": values,
                                 "suspicious_globals": suspicious_globals,

@@ -46,11 +46,14 @@ verdict — is built by ``__dict__`` swap, as :mod:`repro.runtime.batch`
 builds verdicts.
 
 Cluster-flip detection needs the *predicted cluster*, which the inner
-services' :class:`Verdict` deliberately omits.  A small LRU memo maps
+services' :class:`Verdict` deliberately omits.  A bounded memo maps
 ``(values, user_agent)`` to the pipeline's full
 :class:`DetectionResult`; coarse fingerprints are low-cardinality, so
 in steady state this costs one extra model call per distinct surface,
-not per event.
+not per event.  The memo belongs to one model generation: each batch
+takes one detection snapshot and starts a fresh memo when the
+generation has moved, so a revision never compares a cluster from the
+old model with one from the new.
 """
 
 from __future__ import annotations
@@ -59,6 +62,8 @@ import threading
 from dataclasses import dataclass
 from datetime import date
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.detection import DetectionResult
 from repro.service.scoring import Verdict
@@ -201,6 +206,7 @@ class SessionScoringService:
         self._lock = threading.Lock()
         self._envelopes = EnvelopeParser()
         self._detect_memo: Dict[tuple, Optional[DetectionResult]] = {}
+        self._detect_generation: Optional[int] = None
         # Counters for /metrics.
         self.events_total = 0
         self.revisions_total = 0
@@ -293,11 +299,12 @@ class SessionScoringService:
         no lock (a memo miss is a model call); then one lock span covers
         the whole batch, and the durable log is written after it.
         """
-        detect = self._detect
-        results = [
-            detect(event.values, event.user_agent) if verdict.accepted else None
-            for event, verdict in zip(events, verdicts)
-        ]
+        results = self._detect_many(
+            [
+                (event.values, event.user_agent) if verdict.accepted else None
+                for event, verdict in zip(events, verdicts)
+            ]
+        )
         tracker = self.tracker
         get_or_create = tracker.get_or_create
         max_events = tracker.max_events_per_session
@@ -451,21 +458,49 @@ class SessionScoringService:
         while len(self._fusion_by_sid) > self.tracker.max_sessions:
             self._fusion_by_sid.pop(next(iter(self._fusion_by_sid)))
 
-    def _detect(self, values: Tuple[int, ...], user_agent: str):
-        """Memoized full detection result for cluster-flip tracking."""
-        key = (values, user_agent)
-        memo = self._detect_memo
-        if key in memo:
-            return memo[key]
+    def _detect_many(
+        self, keys: Sequence[Optional[tuple]]
+    ) -> List[Optional[DetectionResult]]:
+        """Full detection results for cluster-flip tracking.
+
+        ``keys[i]`` is an accepted event's ``(values, user_agent)``, or
+        ``None`` for an event that gets no result.  The whole batch is
+        decided by one detector snapshot, memoized per model generation.
+        """
+        if not any(keys):
+            return [None] * len(keys)
         try:
-            result = self.inner.polygraph.detect_session(list(values), user_agent)
+            generation, detector = self.inner.polygraph.detection_snapshot()
         except Exception:
-            result = None
+            return [None] * len(keys)
         with self._lock:
-            if len(memo) >= _DETECT_MEMO_LIMIT:
-                memo.clear()
-            memo[key] = result
-        return result
+            if generation != self._detect_generation:
+                self._detect_memo = {}
+                self._detect_generation = generation
+            memo = self._detect_memo
+        results: List[Optional[DetectionResult]] = []
+        for key in keys:
+            if key is None:
+                results.append(None)
+                continue
+            if key in memo:
+                results.append(memo[key])
+                continue
+            values, user_agent = key
+            try:
+                result = detector.evaluate_vector(np.asarray(values), user_agent)
+            except Exception:
+                result = None
+            with self._lock:
+                if len(memo) >= _DETECT_MEMO_LIMIT:
+                    memo.clear()
+                memo[key] = result
+            results.append(result)
+        return results
+
+    def _detect(self, values: Tuple[int, ...], user_agent: str):
+        """One event's full detection result: a batch of one."""
+        return self._detect_many([(values, user_agent)])[0]
 
     # ------------------------------------------------------------------
     # introspection

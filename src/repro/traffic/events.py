@@ -41,6 +41,7 @@ from repro.fingerprint.script import FingerprintPayload
 from repro.traffic.dataset import Dataset
 
 __all__ = [
+    "MAX_EVENT_TIMESTAMP",
     "EventStreamConfig",
     "EventType",
     "SessionEvent",
@@ -49,6 +50,11 @@ __all__ = [
     "build_event_streams",
     "interleave_events",
 ]
+
+# An envelope's ``ts`` is epoch seconds in [0, MAX_EVENT_TIMESTAMP):
+# 1970-01-01 up to 10000-01-01.  Anything else — NaN, an infinity, 1e308
+# — would move the session layer's event clock past every TTL for good.
+MAX_EVENT_TIMESTAMP = 253_402_300_800.0
 
 try:  # pragma: no cover - enum import kept local to avoid cycles
     from enum import Enum
@@ -148,7 +154,7 @@ class SessionEvent:
                 session_id=str(body["sid"]),
                 event_type=EventType(str(body["ev"])),
                 seq=int(body["seq"]),
-                timestamp=float(body.get("ts", 0.0)),
+                timestamp=_timestamp(body.get("ts", 0.0)),
                 user_agent=str(body["ua"]),
                 values=tuple(int(v) for v in body["f"]),
                 suspicious_globals=tuple(
@@ -163,6 +169,13 @@ class SessionEvent:
             # but "[".  Either would otherwise escape as a 500 — and
             # take the rest of its batch with it.
             raise ValueError(f"malformed session event: {exc}") from exc
+
+
+def _timestamp(value) -> float:
+    timestamp = float(value)
+    if not 0.0 <= timestamp < MAX_EVENT_TIMESTAMP:  # NaN fails too
+        raise ValueError(f"ts {timestamp!r} outside the event calendar")
+    return timestamp
 
 
 @dataclass(frozen=True)

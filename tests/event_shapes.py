@@ -86,6 +86,12 @@ HOSTILE_SHAPES: Dict[str, Callable[[SessionEvent], bytes]] = {
     # An integer no float can hold: OverflowError inside the parse.
     "ts_overflow": _respell_ts(lambda number: b"9" * 400),
     "ts_missing": _edit(lambda d: d.__delitem__("ts")),
+    # Outside the event calendar: each would stop the session clock.
+    "ts_infinity": _respell_ts(lambda number: b"Infinity"),
+    "ts_nan": _respell_ts(lambda number: b"NaN"),
+    "ts_1e308": _respell_ts(lambda number: b"1e308"),
+    # Canonically spelled, so it meets the memo's hit path.
+    "ts_far_future": _respell_ts(lambda number: b"999999999999999"),
     "unknown_ev": _set("ev", "hover"),
     "extra_key": _set("x", 1),
     "dup_sid": lambda e: e.to_wire()[:-1] + b',"sid":"someone-else"}',

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import itertools
 import json
@@ -490,6 +491,32 @@ class TestSessionScoringService:
         assert not observation.verdict.accepted
         assert observation.verdict.reject_reason.startswith("malformed_event")
 
+    def test_a_model_swap_starts_a_fresh_cluster_memo(
+        self, trained, relabelled_model, streams
+    ):
+        """Install, then the same fingerprint in a new session: the
+        recorded cluster is the live model's, not the memoized answer
+        of the model it replaced."""
+        polygraph = BrowserPolygraph(trained.config).install(trained.cluster_model)
+        sessions = SessionScoringService(ScoringService(polygraph), ttl_seconds=1e9)
+        first = streams[0].first
+
+        def recorded(session_id):
+            event = SessionEvent(
+                session_id, first.event_type, 0, first.timestamp,
+                first.user_agent, first.values,
+            )
+            assert sessions.observe_wire(event.to_wire()).verdict.accepted
+            (record,) = sessions.session_snapshot(session_id)["events"]
+            return record["predicted_cluster"]
+
+        before = recorded("before-install")
+        polygraph.install(relabelled_model)
+        after = recorded("after-install")
+        live = polygraph.detect_session(first.values, first.user_agent)
+        assert after == live.predicted_cluster
+        assert after == (before + 1) % trained.config.n_clusters
+
     def test_metrics_lines(self, trained, streams):
         sessions = _session_service(trained)
         for stream in streams[:20]:
@@ -720,6 +747,31 @@ class TestObserveManyDifferential:
             for o in observed
         )
         assert sessions.events_total == 0 and sessions._virtual_now == 0.0
+
+    def test_timestamps_outside_the_calendar_never_move_the_clock(
+        self, trained, streams
+    ):
+        """Non-finite and far-future ``ts`` are typed rejects, cold and
+        through the envelope memo, and the event clock stays finite."""
+        sessions = _session_service(trained, ttl_seconds=1800.0)
+        stream = next(s for s in streams if len(s.events) >= 3)
+        names = ("ts_infinity", "ts_nan", "ts_1e308", "ts_far_future")
+        # The second pass, under fresh ids, meets memoized tails.
+        for session_id in ("cold", "warm"):
+            for event in stream.events:
+                event = dataclasses.replace(event, session_id=session_id)
+                assert sessions.observe_wire(event.to_wire()).verdict.accepted
+                for name in names:
+                    observation = sessions.observe_wire(HOSTILE_SHAPES[name](event))
+                    assert observation.verdict.reject_reason.startswith(
+                        "malformed_event: "
+                    ), name
+            snapshot = sessions.session_snapshot(session_id)
+            assert snapshot["event_count"] == len(stream.events)
+        assert sessions._envelopes._memo
+        assert sessions._virtual_now == max(
+            round(event.timestamp, 3) for event in stream.events
+        )
 
     def test_concurrent_batches_lose_nothing(self, trained, streams, monkeypatch):
         """More threads than cores, each batching its own sessions into

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import glob
 import itertools
+import json
 import multiprocessing
 import time
 
@@ -32,6 +33,7 @@ from repro.cluster import (
 )
 from repro.runtime.pool import OVERLOADED_REASON
 from repro.cluster.transport import ShmSlab, SlotRing, attach_slab_views
+from repro.core.pipeline import BrowserPolygraph
 from repro.fingerprint.script import CollectionScript
 from repro.runtime.cache import VerdictCache
 from repro.runtime.fastingest import WireIngest
@@ -632,3 +634,100 @@ class TestBatchUaKeys:
         batches = transport.zero_copy_batches
         assert [_essence(v) for v in router.score_many(chunk)] == expected
         assert transport.zero_copy_batches - batches >= len(chunk) / batch_rows
+
+
+# ----------------------------------------------------------------------
+# decoded results outlive the batch, keyed by their content
+
+
+def _resent(wires, prefix):
+    """``wires`` again under fresh session ids (the dedup window)."""
+    resent = []
+    for number, wire in enumerate(wires):
+        body = json.loads(wire)
+        body["sid"] = f"{prefix}-{number}"
+        resent.append(json.dumps(body, separators=(",", ":")).encode())
+    return resent
+
+
+def _content(result):
+    return (
+        result.ua_key,
+        result.predicted_cluster,
+        -1 if result.expected_cluster is None else result.expected_cluster,
+        int(result.flagged),
+        -1 if result.risk_factor is None else result.risk_factor,
+    )
+
+
+class TestResultMemo:
+    def test_decoded_results_follow_the_shards_generation(
+        self, trained, relabelled_model, wires, tmp_path
+    ):
+        """Two process shards, no verdict cache, so every row crosses
+        the slab.  A repeat batch reuses what was decoded; after both
+        shards install a model with other cluster ids the router's
+        results carry the new clusters, and every memo entry is keyed by
+        the whole content of the result it holds."""
+        path = tmp_path / "relabelled.json"
+        digest = BrowserPolygraph(trained.config).install(relabelled_model).save(path)
+        supervisor = ShardSupervisor.from_polygraph(
+            trained,
+            config=ClusterConfig(
+                n_shards=2, backend="process", heartbeat_interval_s=5.0
+            ),
+            runtime_config=RuntimeConfig(cache_entries=0),
+        )
+        router = ClusterRouter(supervisor).start()
+        try:
+            transports = [shard._transport for shard in supervisor.shards.values()]
+            router.score_many(_resent(wires, "a"))
+            decoded = [dict(t._results) for t in transports]
+            assert all(decoded)
+            router.score_many(_resent(wires, "b"))
+            for transport, before in zip(transports, decoded):
+                kept = before.keys() & transport._results.keys()
+                assert kept and all(transport._results[key] is before[key] for key in kept)
+
+            for shard in supervisor.shards.values():
+                shard.install(path, digest, 2)
+            again = _resent(wires, "c")
+            reference = ScoringService(BrowserPolygraph.load(path))
+            assert [_essence(v) for v in router.score_many(again)] == [
+                _essence(reference.score_wire(w)) for w in again
+            ]
+            k = trained.config.n_clusters
+            shifted = {
+                (ua, (row[0] + 1) % k, -1 if row[1] < 0 else (row[1] + 1) % k, *row[2:])
+                for before in decoded
+                for ua, *row in before
+            }
+            assert shifted <= {key for t in transports for key in t._results}
+            assert all(
+                _content(result) == key
+                for t in transports
+                for key, result in t._results.items()
+            )
+        finally:
+            router.shutdown()
+
+    def test_memo_is_cleared_whole_at_its_bound(self, trained, wires, monkeypatch):
+        monkeypatch.setattr("repro.cluster.transport._RESULT_MEMO_LIMIT", 4)
+        supervisor = ShardSupervisor.from_polygraph(
+            trained,
+            config=ClusterConfig(
+                n_shards=1, backend="process", heartbeat_interval_s=5.0
+            ),
+            runtime_config=RuntimeConfig(cache_entries=0),
+        )
+        router = ClusterRouter(supervisor).start()
+        try:
+            (shard,) = supervisor.shards.values()
+            chunk = _resent(wires, "bound")
+            reference = ScoringService(trained)
+            assert [_essence(v) for v in router.score_many(chunk)] == [
+                _essence(reference.score_wire(w)) for w in chunk
+            ]
+            assert 0 < len(shard._transport._results) <= 4
+        finally:
+            router.shutdown()
