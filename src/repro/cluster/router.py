@@ -36,9 +36,8 @@ from typing import Dict, List, Optional, Sequence
 from repro.cluster.ring import _SID_PREFIX, wire_routing_key
 from repro.cluster.supervisor import ShardError, ShardSupervisor
 from repro.core.pipeline import BrowserPolygraph
-from repro.runtime.pool import OVERLOADED_REASON, overloaded_verdict
 from repro.service.ingest import RejectReason
-from repro.service.scoring import Verdict
+from repro.service.scoring import OVERLOADED_REASON, Verdict, overloaded_verdict
 
 __all__ = ["ClusterRouter", "RouterConfig"]
 

@@ -336,7 +336,7 @@ class ProcessShard:
     sub-chunks so pings and installs interleave between them.
 
     A dead child fails the misses in flight with
-    :data:`~repro.runtime.pool.OVERLOADED_REASON` verdicts, which the
+    :data:`~repro.service.scoring.OVERLOADED_REASON` verdicts, which the
     router treats as its cue to re-route.  A slab that cannot be created
     or attached fails :meth:`start` with :class:`ShardError`, with the
     child reaped and no segment left behind — there is no second data

@@ -69,10 +69,9 @@ from repro.core.detection import DetectionResult
 from repro.runtime.batch import Miss, answer_known, cache_keys, finish_misses
 from repro.runtime.cache import VerdictCache
 from repro.runtime.fastingest import WireIngest
-from repro.runtime.pool import overloaded_verdict
 from repro.runtime.stats import RuntimeStats
 from repro.service.ingest import PayloadValidator
-from repro.service.scoring import Verdict
+from repro.service.scoring import Verdict, overloaded_verdict
 
 __all__ = [
     "SLAB_MAGIC",
@@ -299,7 +298,6 @@ class ShmTransport:
             self.cache = VerdictCache(
                 max_entries=config.cache_entries,
                 ttl_seconds=config.cache_ttl_seconds,
-                quantization_step=config.quantization_step,
                 stats=self.stats,
             )
             self.cache.set_model_generation(generation)

@@ -4,7 +4,7 @@ The PR-2 :class:`~repro.rollout.manager.RolloutManager` evaluates its
 guardrails continuously, on every piece of shadow evidence — correct in
 production, where evidence arrives on the same clock as everything
 else.  Under an accelerated replay that coupling breaks determinism:
-shadow workers drain on *wall* time, so the instant a breach fires
+the shadow thread drains on *wall* time, so the instant a breach fires
 would vary between identical-seed runs, and with it the set of sessions
 the candidate served.  The gauntlet therefore runs the rollout the way
 it runs everything else — on day boundaries:
@@ -239,7 +239,7 @@ class ClusterRolloutBinding:
                 self._follower_base[shard_id] = self._report_counts(fresh)
 
     def close(self) -> None:
-        """Join every manager's shadow workers."""
+        """Join every manager's shadow thread."""
         self.primary.close()
         for follower in self.followers.values():
             follower.close()

@@ -19,7 +19,6 @@ from repro.ml.elbow import (
 )
 from repro.ml.isolation_forest import IsolationForest
 from repro.ml.kmeans import KMeans
-from repro.ml.minibatch_kmeans import MiniBatchKMeans
 from repro.ml.parallel import parallel_map, resolve_jobs
 from repro.ml.rows import row_groups
 from repro.ml.metrics import (
@@ -38,7 +37,6 @@ __all__ = [
     "ElbowResult",
     "IsolationForest",
     "KMeans",
-    "MiniBatchKMeans",
     "PCA",
     "StandardScaler",
     "anonymity_set_sizes",

@@ -43,17 +43,16 @@ class RolloutConfig:
     min_stage_verdicts:
         Candidate verdicts a canary stage must serve before it may
         advance (prevents promoting through an idle stage).
-    shadow_workers / shadow_queue_capacity:
-        Sizing of the shadow scorer's private worker pool; mirrored
-        requests beyond the queue bound are shed silently (shadowing
-        must never apply backpressure to real traffic).
+
+    The shadow scorer itself has no knobs: one thread, and at most
+    :data:`~repro.rollout.shadow.MAX_PENDING_ROWS` mirrored rows
+    pending; the rest are shed (shadowing must never apply
+    backpressure to real traffic).
     """
 
     stages: Tuple[float, ...] = (0.01, 0.05, 0.25, 1.0)
     shadow_sample_rate: float = 0.25
     min_stage_verdicts: int = 500
-    shadow_workers: int = 1
-    shadow_queue_capacity: int = 2048
 
     def __post_init__(self) -> None:
         if not self.stages:
@@ -70,10 +69,6 @@ class RolloutConfig:
             raise ValueError("shadow_sample_rate must lie in (0, 1]")
         if self.min_stage_verdicts < 1:
             raise ValueError("min_stage_verdicts must be >= 1")
-        if self.shadow_workers < 1:
-            raise ValueError("shadow_workers must be >= 1")
-        if self.shadow_queue_capacity < 1:
-            raise ValueError("shadow_queue_capacity must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ production through the stages the config prescribes::
                        (generation bump → verdict-cache invalidation),
                        registry entry marked live
 
-Guardrails are evaluated on every shadow comparison and every candidate
-batch; any breach triggers an automatic :meth:`rollback` — traffic
+Guardrails are evaluated on every drained shadow batch and every
+candidate batch; any breach triggers an automatic :meth:`rollback` — traffic
 routes back to the prior model instantly, the verdict cache is
 invalidated so no candidate verdict survives, and the registry entry is
 marked rolled back.  Every transition persists :class:`RolloutState`
@@ -178,7 +178,7 @@ class RolloutManager:
             return state
 
     def close(self) -> None:
-        """Join the shadow workers (call when the owning service stops)."""
+        """Join the shadow thread (call when the owning service stops)."""
         shadow = self._shadow
         self._shadow = None
         if shadow is not None:
@@ -301,25 +301,31 @@ class RolloutManager:
             mirror = False
         return candidate, mirror
 
-    def mirror(self, values, ua_key, result) -> None:
-        """Hand a live-arm verdict to the shadow scorer (non-blocking).
+    def mirror_many(self, rows) -> None:
+        """Hand a batch's live-arm verdicts to the shadow scorer.
 
-        Interim inferred *flags* (``unknown_ua_policy="infer"`` flagging
-        an unknown release scored against its nearest known neighbour)
-        are not comparison evidence: a candidate retrained to *know*
-        that release is expected to disagree with them, and counting
-        those disagreements would veto exactly the refreshes the
-        coverage planner schedules.  Inferred pass verdicts still
-        mirror — a candidate that flags traffic live waves through is
+        ``rows`` are ``(values, ua_key, live result)`` triples; the call
+        never blocks on the comparison.  Interim inferred *flags*
+        (``unknown_ua_policy="infer"`` flagging an unknown release
+        scored against its nearest known neighbour) are not comparison
+        evidence: a candidate retrained to *know* that release is
+        expected to disagree with them, and counting those
+        disagreements would veto exactly the refreshes the coverage
+        planner schedules.  Inferred pass verdicts still mirror — a
+        candidate that flags traffic live waves through is
         overblocking, which the guardrails must keep seeing (the chaos
         drill's stale candidate fails exactly this way).
         """
         shadow = self._shadow
         if shadow is None:
             return
-        if getattr(result, "inferred_release", None) is not None and result.flagged:
-            return
-        shadow.mirror(values, ua_key, result.flagged, result.risk_factor)
+        shadow.mirror_many(
+            [
+                (values, ua_key, result.flagged, result.risk_factor)
+                for values, ua_key, result in rows
+                if not (result.flagged and result.inferred_release is not None)
+            ]
+        )
 
     def candidate_detector(self):
         """The frozen detector snapshot canary batches score against."""
@@ -428,10 +434,8 @@ class RolloutManager:
             self.candidate,
             self.report,
             stats=self.runtime.runtime_stats,
-            n_workers=self.config.shadow_workers,
-            queue_capacity=self.config.shadow_queue_capacity,
             on_comparison=self._maybe_rollback,
-        ).start()
+        )
         self.runtime.attach_rollout(self)
 
     def _detach(self) -> None:
@@ -439,9 +443,9 @@ class RolloutManager:
             self.runtime.detach_rollout(self)
         shadow = self._shadow
         if shadow is not None:
-            # Stop intake only: this may run on a shadow worker thread
-            # (auto-rollback fires from on_comparison), where joining the
-            # pool would deadlock.  close() joins later.
+            # Stop intake only: this may run on the shadow thread
+            # (auto-rollback fires from on_comparison), which cannot
+            # join itself.  close() joins later.
             shadow.stop()
 
     def _maybe_rollback(self) -> None:

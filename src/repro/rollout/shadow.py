@@ -1,10 +1,12 @@
 """Shadow scoring: the candidate sees traffic, users never see it.
 
 A configurable sample of live-arm requests is mirrored to the candidate
-model *after* the live verdict is decided, on a private
-:class:`~repro.runtime.pool.WorkerPool` — the mirror path can fall
-arbitrarily far behind (or shed outright) without ever adding a
-microsecond to the latency-critical path.
+model *after* the live verdict is decided.  :class:`ShadowScorer` owns
+one daemon thread and one bounded list of pending rows: a scoring batch
+hands over its mirrored rows in one call, and the thread swaps out
+everything pending and compares it with one candidate model call.  The
+mirror path can fall behind (or shed outright) without ever adding a
+model call to the latency-critical path.
 
 Every comparison lands in a :class:`DisagreementReport`: the overall
 verdict-mismatch rate, the same broken down per user-agent release
@@ -18,18 +20,23 @@ from __future__ import annotations
 import threading
 import time
 from collections import Counter
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.pipeline import BrowserPolygraph
-from repro.runtime.pool import WorkerPool
 from repro.runtime.stats import RuntimeStats
 
-__all__ = ["DisagreementReport", "ShadowScorer"]
+__all__ = ["MAX_PENDING_ROWS", "DisagreementReport", "ShadowScorer"]
 
 # Risk-factor histogram key for sessions the model did not flag.
 _CLEAN = -1
+
+# Mirrored rows waiting for the shadow thread; beyond it a mirror sheds.
+MAX_PENDING_ROWS = 2048
+
+# One mirrored row: (values, ua_key, live flagged, live risk factor).
+MirroredRow = Tuple[Tuple[int, ...], str, bool, Optional[int]]
 
 
 class DisagreementReport:
@@ -48,37 +55,28 @@ class DisagreementReport:
 
     # ------------------------------------------------------------------
 
-    def record(
-        self,
-        ua_key: str,
-        live_flagged: bool,
-        live_risk: Optional[int],
-        candidate_flagged: bool,
-        candidate_risk: Optional[int],
-    ) -> None:
-        """Fold one mirrored comparison into the report."""
-        mismatch = (live_flagged, live_risk) != (candidate_flagged, candidate_risk)
+    def record_many(self, rows: Sequence[MirroredRow], results: Sequence) -> None:
+        """Fold one batch: each mirrored row against the candidate's
+        detection result for it (``results`` in row order)."""
         with self._lock:
-            self.comparisons += 1
-            if mismatch:
-                self.mismatches += 1
-            if live_flagged:
-                self.live_flagged += 1
-            if candidate_flagged:
-                self.candidate_flagged += 1
-            entry = self._per_ua.setdefault(ua_key, [0, 0])
-            entry[0] += 1
-            if mismatch:
-                entry[1] += 1
-            self._live_risk[live_risk if live_risk is not None else _CLEAN] += 1
-            self._candidate_risk[
-                candidate_risk if candidate_risk is not None else _CLEAN
-            ] += 1
+            for (_, ua_key, live_flagged, live_risk), result in zip(rows, results):
+                entry = self._per_ua.setdefault(ua_key, [0, 0])
+                entry[0] += 1
+                if (live_flagged, live_risk) != (result.flagged, result.risk_factor):
+                    self.mismatches += 1
+                    entry[1] += 1
+                self.live_flagged += bool(live_flagged)
+                self.candidate_flagged += bool(result.flagged)
+                self._live_risk[_CLEAN if live_risk is None else live_risk] += 1
+                self._candidate_risk[
+                    _CLEAN if result.risk_factor is None else result.risk_factor
+                ] += 1
+            self.comparisons += len(rows)
 
-    def note_shed(self) -> None:
-        """Count a mirrored request the shadow pool refused (full queue)."""
+    def note_shed(self, n: int) -> None:
+        """Count ``n`` mirrored rows that were never compared."""
         with self._lock:
-            self.shed += 1
+            self.shed += n
 
     # ------------------------------------------------------------------
 
@@ -184,12 +182,17 @@ class DisagreementReport:
 
 
 class ShadowScorer:
-    """Scores mirrored traffic against the candidate, asynchronously.
+    """Scores mirrored traffic against the candidate, off the live path.
 
-    ``mirror`` enqueues ``(values, ua_key, live verdict)`` and returns
-    immediately; a private worker pool runs the candidate model and
-    folds the comparison into ``report``.  ``on_comparison`` (the
-    rollout manager's guardrail check) fires after each comparison.
+    The scorer's thread starts with it.  :meth:`mirror_many` appends a
+    batch's mirrored rows to the pending list (up to
+    :data:`MAX_PENDING_ROWS`; the rest are shed) and returns at once.
+    The thread swaps out everything pending, runs one candidate
+    ``evaluate_vectors`` over it and folds the comparisons into
+    ``report``; ``on_comparison`` (the rollout manager's guardrail
+    check) then fires once per drained batch.  A candidate call that
+    raises settles its rows as shed, and the thread serves the next
+    batch.
     """
 
     def __init__(
@@ -197,8 +200,6 @@ class ShadowScorer:
         candidate: BrowserPolygraph,
         report: DisagreementReport,
         stats: Optional[RuntimeStats] = None,
-        n_workers: int = 1,
-        queue_capacity: int = 2048,
         on_comparison: Optional[Callable[[], None]] = None,
     ) -> None:
         if not candidate.is_fitted:
@@ -209,76 +210,101 @@ class ShadowScorer:
         self.report = report
         self.stats = stats if stats is not None else RuntimeStats()
         self.on_comparison = on_comparison
-        self._accepting = True
-        self._submitted = 0
-        self._compared = 0
-        self._count_lock = threading.Lock()
-        self.pool = WorkerPool(
-            handler=self._compare,
-            n_workers=n_workers,
-            queue_capacity=queue_capacity,
-            stats=self.stats,
+        self._cond = threading.Condition()
+        self._pending: List[MirroredRow] = []
+        self._comparing = False  # a swapped-out batch is not settled yet
+        self._accepting = self._running = True
+        self._thread = threading.Thread(
+            target=self._run, name="polygraph-shadow", daemon=True
         )
-
-    # ------------------------------------------------------------------
-
-    def start(self) -> "ShadowScorer":
-        self.pool.start()
-        return self
+        self._thread.start()
 
     def stop(self) -> None:
         """Stop accepting mirrors (cheap; callable from any thread)."""
-        self._accepting = False
+        with self._cond:
+            self._accepting = False
 
     def shutdown(self, drain: bool = True) -> None:
-        """Stop and join the shadow workers."""
-        self._accepting = False
-        self.pool.shutdown(drain=drain)
+        """Stop intake, settle or drop what is pending, join the thread.
+
+        With ``drain=True`` the thread compares everything pending
+        first; with ``drain=False`` pending rows are dropped uncounted.
+        """
+        with self._cond:
+            self._accepting = self._running = False
+            if not drain:
+                self._pending = []
+            self._cond.notify_all()
+        self._thread.join(timeout=10.0)
+        self.stats.set_gauge("queue_depth", 0)
 
     # ------------------------------------------------------------------
 
-    def mirror(
-        self,
-        values: Tuple[int, ...],
-        ua_key: str,
-        live_flagged: bool,
-        live_risk: Optional[int],
-    ) -> bool:
-        """Enqueue one live-arm verdict for candidate comparison."""
-        if not self._accepting:
-            return False
-        if not self.pool.submit((values, ua_key, live_flagged, live_risk)):
-            self.report.note_shed()
-            return False
-        with self._count_lock:
-            self._submitted += 1
-        return True
+    def mirror_many(self, rows: Sequence[MirroredRow]) -> int:
+        """Queue a batch's mirrored rows; returns how many were accepted.
+
+        Rows beyond :data:`MAX_PENDING_ROWS` pending are shed (counted in
+        ``report.shed`` and ``requests_shed``): shadowing never applies
+        backpressure to real traffic.  After :meth:`stop` nothing is
+        accepted.
+        """
+        with self._cond:
+            if not self._accepting:
+                return 0
+            accepted = min(len(rows), MAX_PENDING_ROWS - len(self._pending))
+            if accepted:
+                self._pending.extend(rows[:accepted])
+                self._cond.notify_all()
+            depth = len(self._pending)
+        shed = len(rows) - accepted
+        if shed:
+            self.report.note_shed(shed)
+            self.stats.incr("requests_shed", shed)
+        self.stats.set_gauge("queue_depth", depth)
+        return accepted
 
     def drain(self, timeout: float = 10.0) -> bool:
-        """Wait for every accepted mirror to be compared (tests, shutdown)."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            with self._count_lock:
-                if self._compared >= self._submitted:
-                    return True
-            time.sleep(0.002)
-        return False
+        """Wait until every accepted row is settled (tests, day steps).
+
+        A batch is settled once it is compared (or shed) and its
+        ``on_comparison`` hook has returned.
+        """
+        with self._cond:
+            return self._cond.wait_for(
+                lambda: not self._pending and not self._comparing, timeout
+            )
 
     # ------------------------------------------------------------------
 
-    def _compare(self, item: tuple) -> None:
-        values, ua_key, live_flagged, live_risk = item
-        started = time.perf_counter()
-        result = self._detector.evaluate_vectors(
-            np.asarray([values], dtype=float), [ua_key]
-        )[0]
-        self.stats.observe_stage(
-            "shadow", (time.perf_counter() - started) * 1000.0
-        )
-        self.report.record(
-            ua_key, live_flagged, live_risk, result.flagged, result.risk_factor
-        )
-        with self._count_lock:
-            self._compared += 1
-        if self.on_comparison is not None:
-            self.on_comparison()
+    def _run(self) -> None:
+        cond = self._cond
+        while True:
+            with cond:
+                cond.wait_for(lambda: self._pending or not self._running)
+                if not self._pending:
+                    return
+                batch, self._pending = self._pending, []
+                self._comparing = True
+            started = time.perf_counter()
+            try:
+                results = self._detector.evaluate_vectors(
+                    np.asarray([row[0] for row in batch], dtype=float),
+                    [row[1] for row in batch],
+                )
+            except Exception:  # noqa: BLE001 — mirrored, never compared
+                self.report.note_shed(len(batch))
+            else:
+                self.stats.observe_stage(
+                    "shadow", (time.perf_counter() - started) * 1000.0
+                )
+                self.report.record_many(batch, results)
+                if self.on_comparison is not None:
+                    try:
+                        self.on_comparison()
+                    except Exception:  # noqa: BLE001 — keep the thread alive
+                        pass
+            # Settled only now, so a drain also waits out the guardrail
+            # check this batch triggered.
+            with cond:
+                self._comparing = False
+                cond.notify_all()

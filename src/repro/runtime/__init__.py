@@ -19,17 +19,18 @@ contains thousands of distinct fingerprints, not millions:
 * :mod:`repro.runtime.fastingest` — wire-contract enforcement with
   parse memoization, one lock round trip per batch;
 * :mod:`repro.runtime.cache` — an LRU+TTL verdict cache keyed by the
-  quantized feature vector plus the parsed user-agent equivalence
-  class, invalidated on every model swap;
+  exact feature vector plus the parsed user-agent equivalence class,
+  invalidated on every model swap;
 * :mod:`repro.runtime.stats` — the runtime metrics registry (batch-size
   distribution, cache hit rate, per-stage latency percentiles)
-  rendered into ``/metrics``;
-* :mod:`repro.runtime.pool` — the typed ``Overloaded`` verdict, and
-  the bounded worker pool the rollout's shadow scorer runs on.
+  rendered into ``/metrics``.
+
+The typed ``Overloaded`` shed verdict lives next to ``Verdict`` in
+:mod:`repro.service.scoring`; the rollout's shadow scorer owns its own
+thread (:mod:`repro.rollout.shadow`).
 """
 
-from repro.runtime.cache import VerdictCache, quantize_vector
-from repro.runtime.pool import Overloaded, WorkerPool, overloaded_verdict
+from repro.runtime.cache import VerdictCache
 from repro.runtime.service import (
     PendingVerdict,
     RuntimeConfig,
@@ -38,14 +39,10 @@ from repro.runtime.service import (
 from repro.runtime.stats import RuntimeStats, percentile
 
 __all__ = [
-    "Overloaded",
     "PendingVerdict",
     "RuntimeConfig",
     "RuntimeScoringService",
     "RuntimeStats",
     "VerdictCache",
-    "WorkerPool",
-    "overloaded_verdict",
     "percentile",
-    "quantize_vector",
 ]

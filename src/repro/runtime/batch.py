@@ -93,17 +93,11 @@ def cache_keys(cache: VerdictCache, prepared: Sequence) -> List[Optional[tuple]]
 
     ``prepared`` is what :meth:`WireIngest.ingest_many` returns: the
     fields tuple of an admitted wire, or its ``RejectReason``.
-    ``make_key`` is inlined for identity quantization (ingest always
-    hands back int tuples, which it reuses).
+    ``cache.make_key`` is inlined: ingest always hands back int tuples,
+    which the key reuses.
     """
-    if cache.quantization_step <= 1:
-        return [
-            (fields[4], fields[2]) if fields.__class__ is tuple else None
-            for fields in prepared
-        ]
-    make_key = cache.make_key
     return [
-        make_key(fields[2], fields[4]) if fields.__class__ is tuple else None
+        (fields[4], fields[2]) if fields.__class__ is tuple else None
         for fields in prepared
     ]
 

@@ -1,4 +1,4 @@
-"""The verdict cache: LRU + TTL over quantized fingerprints.
+"""The verdict cache: LRU + TTL over exact fingerprints.
 
 The paper's whole privacy argument (Section 7) is that coarse-grained
 fingerprints are *low-entropy*: a 28-integer vector plus a parsed
@@ -9,7 +9,7 @@ pairs — so a small cache in front of the model absorbs almost every
 request, and repeat fingerprints skip the scaler→PCA→KMeans chain
 entirely.
 
-Keys are the quantized feature tuple plus the parsed user-agent
+Keys are the exact integer feature tuple plus the parsed user-agent
 equivalence class (``vendor-version``, the unit the cluster table is
 keyed by) — never the raw session.  Values are
 :class:`~repro.core.detection.DetectionResult` objects, which carry no
@@ -32,20 +32,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 from repro.runtime.stats import RuntimeStats
 
-__all__ = ["VerdictCache", "quantize_vector"]
-
-
-def quantize_vector(values: Sequence[int], step: int = 1) -> Tuple[int, ...]:
-    """Quantize a feature vector into its cache-key form.
-
-    With ``step=1`` (the deployed default) this is the identity on the
-    integer features, which is what keeps the cache *pure*: distinct
-    vectors never collide.  Coarser steps trade purity for hit rate and
-    exist for capacity experiments only.
-    """
-    if step <= 1:
-        return tuple(int(v) for v in values)
-    return tuple(int(v) // step * step for v in values)
+__all__ = ["VerdictCache"]
 
 
 class VerdictCache:
@@ -58,8 +45,6 @@ class VerdictCache:
     ttl_seconds:
         Entries older than this are expired on probe.  ``None`` disables
         the TTL (pure LRU).
-    quantization_step:
-        Passed to :func:`quantize_vector` when building keys.
     clock:
         Injectable monotonic clock (seconds) for tests.
     stats:
@@ -73,7 +58,6 @@ class VerdictCache:
         self,
         max_entries: int = 8192,
         ttl_seconds: Optional[float] = 300.0,
-        quantization_step: int = 1,
         clock: Callable[[], float] = time.monotonic,
         stats: Optional[RuntimeStats] = None,
     ) -> None:
@@ -83,7 +67,6 @@ class VerdictCache:
             raise ValueError("ttl_seconds must be positive (or None)")
         self.max_entries = max_entries
         self.ttl_seconds = ttl_seconds
-        self.quantization_step = max(1, int(quantization_step))
         self.stats = stats if stats is not None else RuntimeStats()
         self._clock = clock
         self._lock = threading.Lock()
@@ -104,11 +87,10 @@ class VerdictCache:
 
     def make_key(self, values: Sequence[int], ua_class: str) -> tuple:
         """Cache key for a feature vector and a parsed UA class."""
-        if self.quantization_step <= 1 and type(values) is tuple:
-            # Identity quantization on an already-int tuple: the hot
-            # path hands us the ingest-validated tuple, reuse it.
+        if type(values) is tuple:
+            # The hot path hands us the ingest-validated int tuple: reuse it.
             return (ua_class, values)
-        return (ua_class, quantize_vector(values, self.quantization_step))
+        return (ua_class, tuple(int(v) for v in values))
 
     def get(self, key: tuple) -> Optional[object]:
         """Probe the cache; returns the cached result or ``None``."""

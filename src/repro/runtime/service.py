@@ -17,6 +17,7 @@ Batch lifecycle — all of it on the calling thread::
                         │ raises ─► Verdict("internal_error: <Name>")
                         ▼
                      cache.put_many(generation=) · escalate · Verdict
+        rollout.mirror_many: the batch's mirrored live-arm rows, one call
 
 ``score_wire(w)`` is ``score_many([w])[0]``.  The service owns no
 thread and no queue: whoever forms the batch — the asyncio front end's
@@ -75,7 +76,6 @@ class RuntimeConfig:
 
     cache_entries: int = 8192  # 0 disables the verdict cache
     cache_ttl_seconds: Optional[float] = 300.0
-    quantization_step: int = 1
 
     def __post_init__(self) -> None:
         if self.cache_entries < 0:
@@ -136,7 +136,6 @@ class RuntimeScoringService:
             self.cache = VerdictCache(
                 max_entries=config.cache_entries,
                 ttl_seconds=config.cache_ttl_seconds,
-                quantization_step=config.quantization_step,
                 stats=self.runtime_stats,
             )
             self.cache.set_model_generation(polygraph.model_generation)
@@ -253,12 +252,14 @@ class RuntimeScoringService:
             prepared, keys, cached, verdicts, probe, risk,
             (time.perf_counter() - started) * 1000.0,
         )
-        live, candidates = misses, []
+        live, candidates, mirrored = misses, [], []
         if routes is not None:
             if cached is not None:
-                for (_, mirror), fields, result in zip(routes, prepared, cached):
-                    if mirror and result is not None:
-                        rollout.mirror(fields[2], fields[4], result)
+                mirrored = [
+                    (fields[2], fields[4], result)
+                    for (_, mirror), fields, result in zip(routes, prepared, cached)
+                    if mirror and result is not None
+                ]
             live = [m for m in misses if not routes[m.index][0]]
             candidates = [m for m in misses if routes[m.index][0]]
         arms = []  # (misses, generation, detector, is the candidate's)
@@ -290,9 +291,11 @@ class RuntimeScoringService:
             else:
                 stats.observe_stage("model", model_ms)
                 if routes is not None:
-                    for miss, result in zip(arm, results):
-                        if routes[miss.index][1]:
-                            rollout.mirror(miss.values, miss.ua_key, result)
+                    mirrored += [
+                        (miss.values, miss.ua_key, result)
+                        for miss, result in zip(arm, results)
+                        if routes[miss.index][1]
+                    ]
             arm_flagged, arm_unknown = finish_misses(
                 arm, results, generation, cache, verdicts, probe, risk,
                 (time.perf_counter() - started) * 1000.0,
@@ -300,6 +303,8 @@ class RuntimeScoringService:
             scored += len(arm)
             flagged += arm_flagged
             unknown += arm_unknown
+        if mirrored:
+            rollout.mirror_many(mirrored)
         if scored:
             with self._lock:
                 self.scored_count += scored

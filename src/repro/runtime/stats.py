@@ -2,8 +2,9 @@
 
 One thread-safe registry for everything the high-throughput scoring
 runtime wants to observe about itself: monotonic counters (requests,
-cache hits, model calls), gauges with peak tracking (the shadow
-mirror's queue depth), the distribution of rows per model call, and
+cache hits, model calls, rows the shadow scorer shed), gauges with
+peak tracking (``queue_depth``: rows pending in the rollout's shadow
+scorer, set per mirrored batch), the distribution of rows per model call, and
 per-stage latency percentiles over a bounded reservoir.  ``/metrics``
 renders the registry Prometheus-style next to the existing scoring
 counters, so one scrape shows how wide the model calls are and whether

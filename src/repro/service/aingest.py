@@ -65,7 +65,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.fingerprint.script import MAX_PAYLOAD_BYTES
-from repro.runtime.pool import OVERLOADED_REASON
+from repro.service.scoring import OVERLOADED_REASON
 
 __all__ = ["AsyncIngestServer"]
 

@@ -39,7 +39,7 @@ import json
 from typing import Callable, Iterable, List, Tuple
 
 from repro.fingerprint.script import MAX_PAYLOAD_BYTES
-from repro.service.scoring import ScoringService
+from repro.service.scoring import OVERLOADED_REASON, ScoringService
 
 __all__ = ["CollectionApp"]
 
@@ -133,10 +133,6 @@ class CollectionApp:
             "latency_ms": round(verdict.latency_ms, 3),
         }
         if not verdict.accepted:
-            # Imported here: repro.runtime imports this package's
-            # scoring types, so a module-level import would be circular.
-            from repro.runtime.pool import OVERLOADED_REASON
-
             document["reject_reason"] = verdict.reject_reason
             if verdict.reject_reason == OVERLOADED_REASON:
                 # Overload is the server's condition, not the payload's:

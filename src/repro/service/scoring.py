@@ -18,7 +18,13 @@ from repro.service.ingest import IngestResult, PayloadValidator
 from repro.service.storage import SessionStore
 from repro.traffic.dataset import Dataset
 
-__all__ = ["ScoringService", "Verdict"]
+__all__ = [
+    "OVERLOADED_REASON",
+    "Overloaded",
+    "ScoringService",
+    "Verdict",
+    "overloaded_verdict",
+]
 
 
 @dataclass(frozen=True)
@@ -52,6 +58,31 @@ class Verdict:
     def actionable(self) -> bool:
         """Whether the risk engine should consider this session."""
         return self.accepted and self.flagged
+
+
+OVERLOADED_REASON = "overloaded"
+
+
+@dataclass(frozen=True)
+class Overloaded(Verdict):
+    """A typed shed verdict: the request was refused unscored.
+
+    A serving path answers with it when it cannot score a request (a
+    dead shard, a broken slab pipe, an unroutable key); the cluster
+    router's failover keys on it, and the front ends answer it 503.
+    """
+
+
+def overloaded_verdict(session_id: str = "", latency_ms: float = 0.0) -> Overloaded:
+    """Build the shed verdict for one refused request."""
+    return Overloaded(
+        session_id=session_id,
+        accepted=False,
+        flagged=False,
+        risk_factor=None,
+        reject_reason=OVERLOADED_REASON,
+        latency_ms=latency_ms,
+    )
 
 
 class ScoringService:

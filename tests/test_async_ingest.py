@@ -36,13 +36,17 @@ from hypothesis import strategies as st
 
 from repro.cluster import ClusterConfig, ClusterRouter, ShardSupervisor
 from repro.fingerprint.script import MAX_PAYLOAD_BYTES
-from repro.runtime.pool import OVERLOADED_REASON, overloaded_verdict
 from repro.runtime.service import RuntimeScoringService
 from repro.service import aingest
 from repro.service.aingest import AsyncIngestServer
 from repro.service.api import CollectionApp
 from repro.service.ingest import RejectReason
-from repro.service.scoring import ScoringService, Verdict
+from repro.service.scoring import (
+    OVERLOADED_REASON,
+    ScoringService,
+    Verdict,
+    overloaded_verdict,
+)
 from repro.sessions import SessionScoringService
 from repro.traffic.events import (
     EventStreamConfig,

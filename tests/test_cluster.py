@@ -28,9 +28,8 @@ from repro.cluster import (
 from repro.cluster.ring import HashRing, wire_routing_key
 from repro.core.pipeline import BrowserPolygraph
 from repro.core.retraining import ModelRegistry
-from repro.runtime.pool import OVERLOADED_REASON, overloaded_verdict
 from repro.service.api import CollectionApp
-from repro.service.scoring import ScoringService
+from repro.service.scoring import OVERLOADED_REASON, ScoringService, overloaded_verdict
 from repro.traffic.generator import TrafficConfig, TrafficSimulator
 from repro.traffic.replay import iter_wire_payloads
 

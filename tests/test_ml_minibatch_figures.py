@@ -1,70 +1,8 @@
-"""MiniBatchKMeans and ASCII-figure rendering tests."""
+"""ASCII-figure rendering tests."""
 
-import numpy as np
 import pytest
 
 from repro.analysis.figures import bar_chart, line_chart, render_figures
-from repro.ml.kmeans import KMeans
-from repro.ml.metrics import majority_cluster_accuracy
-from repro.ml.minibatch_kmeans import MiniBatchKMeans
-
-
-def _blobs(rng, centers, n_per=300, scale=0.15):
-    return np.vstack(
-        [c + rng.normal(0.0, scale, size=(n_per, len(c))) for c in centers]
-    )
-
-
-class TestMiniBatchKMeans:
-    def test_recovers_separated_blobs(self, rng):
-        centers = [(0.0, 0.0), (10.0, 0.0), (0.0, 10.0)]
-        data = _blobs(rng, centers)
-        model = MiniBatchKMeans(n_clusters=3, random_state=0).fit(data)
-        found = sorted(
-            tuple(np.round(c).astype(int)) for c in model.cluster_centers_
-        )
-        assert found == [(0, 0), (0, 10), (10, 0)]
-
-    def test_inertia_close_to_full_kmeans(self, rng):
-        data = _blobs(rng, [(0, 0), (6, 0), (0, 6), (6, 6)], scale=0.5)
-        full = KMeans(n_clusters=4, n_init=4, random_state=0).fit(data)
-        mini = MiniBatchKMeans(n_clusters=4, random_state=0).fit(data)
-        assert mini.inertia_ <= full.inertia_ * 1.25
-
-    def test_predict_consistent_with_labels(self, rng):
-        data = _blobs(rng, [(0, 0), (8, 8)])
-        model = MiniBatchKMeans(n_clusters=2, random_state=0).fit(data)
-        assert np.array_equal(model.predict(data), model.labels_)
-
-    def test_majority_accuracy_on_era_like_duplicates(self, rng):
-        # The pipeline's duplicate-heavy regime.
-        base = rng.normal(0.0, 5.0, size=(6, 4))
-        data = np.repeat(base, 500, axis=0)
-        labels = [f"ua-{i}" for i in range(6) for _ in range(500)]
-        model = MiniBatchKMeans(n_clusters=6, random_state=1).fit(data)
-        assert majority_cluster_accuracy(labels, model.labels_) > 0.95
-
-    def test_deterministic_given_seed(self, rng):
-        data = _blobs(rng, [(0, 0), (5, 5)])
-        a = MiniBatchKMeans(n_clusters=2, random_state=3).fit(data)
-        b = MiniBatchKMeans(n_clusters=2, random_state=3).fit(data)
-        assert np.allclose(a.cluster_centers_, b.cluster_centers_)
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            MiniBatchKMeans(n_clusters=0)
-        with pytest.raises(ValueError):
-            MiniBatchKMeans(n_clusters=2, batch_size=0)
-        with pytest.raises(ValueError):
-            MiniBatchKMeans(n_clusters=2, n_iterations=0)
-
-    def test_predict_before_fit_rejected(self):
-        with pytest.raises(RuntimeError):
-            MiniBatchKMeans(n_clusters=2).predict(np.zeros((1, 2)))
-
-    def test_too_few_samples_rejected(self):
-        with pytest.raises(ValueError):
-            MiniBatchKMeans(n_clusters=5).fit(np.zeros((3, 2)))
 
 
 class TestFigures:

@@ -1,10 +1,15 @@
 """Safe model rollout: shadow scoring, canary ramp, automatic rollback."""
 
 import json
+import sys
+import threading
 from datetime import date
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.detection import DetectionResult
 from repro.core.retraining import (
     STATUS_CANDIDATE,
     STATUS_LIVE,
@@ -22,11 +27,14 @@ from repro.rollout import (
     RolloutError,
     RolloutManager,
     RolloutState,
+    ShadowScorer,
     load_state,
     save_state,
     session_bucket,
 )
+from repro.rollout.shadow import MAX_PENDING_ROWS
 from repro.runtime.service import RuntimeScoringService
+from repro.runtime.stats import RuntimeStats
 from repro.service.api import CollectionApp
 from repro.service.scoring import ScoringService
 from repro.traffic.replay import iter_payloads
@@ -175,13 +183,34 @@ class TestRolloutState:
         assert state.stage_fraction == 1.0
 
 
+class _Candidate:
+    """A candidate's answer for one row: only what the report reads."""
+
+    def __init__(self, flagged, risk_factor):
+        self.flagged = flagged
+        self.risk_factor = risk_factor
+
+
+def _fold(report, comparisons):
+    """``record_many`` over (ua_key, live flagged, live risk, candidate
+    flagged, candidate risk) tuples, as one batch."""
+    report.record_many(
+        [((), ua_key, flagged, risk) for ua_key, flagged, risk, _, _ in comparisons],
+        [_Candidate(flagged, risk) for _, _, _, flagged, risk in comparisons],
+    )
+
+
 class TestDisagreementReport:
     def test_rates_and_per_ua(self):
         report = DisagreementReport()
-        for _ in range(8):
-            report.record("chrome-112", False, None, False, None)
-        report.record("firefox-119", False, None, True, 3)
-        report.record("firefox-119", True, 2, True, 2)
+        _fold(report, [("chrome-112", False, None, False, None)] * 8)
+        _fold(
+            report,
+            [
+                ("firefox-119", False, None, True, 3),
+                ("firefox-119", True, 2, True, 2),
+            ],
+        )
         assert report.comparisons == 10
         assert report.disagreement_rate == pytest.approx(0.1)
         assert report.flag_rate_delta == pytest.approx(0.1)
@@ -190,8 +219,8 @@ class TestDisagreementReport:
 
     def test_snapshot_restore_roundtrip(self):
         report = DisagreementReport()
-        report.record("chrome-112", False, None, True, 5)
-        report.note_shed()
+        _fold(report, [("chrome-112", False, None, True, 5)])
+        report.note_shed(1)
         restored = DisagreementReport.restore(report.snapshot())
         assert restored.snapshot() == report.snapshot()
         assert restored.disagreement_rate == report.disagreement_rate
@@ -219,14 +248,293 @@ class TestInferredVerdictMirroring:
         seen = []
 
         class _Shadow:
-            def mirror(self, values, ua_key, flagged, risk):
-                seen.append((ua_key, flagged))
+            def mirror_many(self, rows):
+                seen.append([(ua_key, flagged) for _, ua_key, flagged, _ in rows])
 
         manager._shadow = _Shadow()
-        manager.mirror(None, "chrome-200", self._Result(True, "chrome-114"))
-        manager.mirror(None, "chrome-200", self._Result(False, "chrome-114"))
-        manager.mirror(None, "chrome-114", self._Result(True, None))
-        assert seen == [("chrome-200", False), ("chrome-114", True)]
+        manager.mirror_many(
+            [
+                (None, "chrome-200", self._Result(True, "chrome-114")),
+                (None, "chrome-200", self._Result(False, "chrome-114")),
+                (None, "chrome-114", self._Result(True, None)),
+            ]
+        )
+        # One shadow call for the batch, inferred flags filtered out.
+        assert seen == [[("chrome-200", False), ("chrome-114", True)]]
+
+
+class _StubDetector:
+    """A candidate detector driven by the mirrored rows themselves.
+
+    A row's ``values`` carry the candidate's answer: ``(flagged, risk)``
+    with ``-1`` for no risk.  ``gate`` holds a call in flight; a batch
+    holding the UA key ``"boom"`` raises.
+    """
+
+    def __init__(self):
+        self.gate = threading.Event()
+        self.gate.set()
+        self.entered = threading.Event()
+        self.calls = []  # rows per candidate call
+
+    def evaluate_vectors(self, matrix, ua_keys):
+        self.entered.set()
+        assert self.gate.wait(timeout=5.0)
+        self.calls.append(len(ua_keys))
+        if "boom" in ua_keys:
+            raise ValueError("candidate failed")
+        return [
+            _Candidate(bool(flagged), None if risk < 0 else int(risk))
+            for flagged, risk in matrix
+        ]
+
+
+class _StubCandidate:
+    is_fitted = True
+
+    def __init__(self):
+        self.detector = _StubDetector()
+
+    def detection_snapshot(self):
+        return 1, self.detector
+
+
+def _row(ua_key="chrome-112", flagged=False, risk=None, answer=(False, None)):
+    """One mirrored row whose candidate answer is ``answer``."""
+    candidate_flagged, candidate_risk = answer
+    values = (int(candidate_flagged), -1 if candidate_risk is None else candidate_risk)
+    return values, ua_key, flagged, risk
+
+
+class TestShadowScorer:
+    """One thread, one bounded list of pending rows, one call per batch."""
+
+    def _scorer(self, **kwargs):
+        candidate = _StubCandidate()
+        scorer = ShadowScorer(candidate, DisagreementReport(), **kwargs)
+        return scorer, candidate.detector
+
+    def test_compares_every_accepted_row(self):
+        scorer, _ = self._scorer()
+        thread = scorer._thread
+        for _ in range(4):
+            assert scorer.mirror_many([_row() for _ in range(8)]) == 8
+        scorer.shutdown(drain=True)
+        assert scorer.report.comparisons == 32
+        assert scorer.report.shed == 0
+        assert not thread.is_alive()
+
+    def test_one_candidate_call_and_hook_per_drained_batch(self):
+        hooks = []
+        scorer, detector = self._scorer(on_comparison=lambda: hooks.append(1))
+        detector.gate.clear()
+        scorer.mirror_many([_row()])
+        assert detector.entered.wait(timeout=5.0)  # first batch in flight
+        scorer.mirror_many([_row()] * 3)
+        scorer.mirror_many([_row()] * 4)
+        detector.gate.set()
+        assert scorer.drain()
+        assert detector.calls == [1, 7]
+        assert hooks == [1, 1]
+        scorer.shutdown()
+
+    def test_rows_beyond_the_bound_are_shed(self):
+        stats = RuntimeStats()
+        scorer, detector = self._scorer(stats=stats)
+        detector.gate.clear()
+        assert scorer.mirror_many([_row()]) == 1
+        assert detector.entered.wait(timeout=5.0)  # swapped out, not pending
+        rows = [_row()] * (MAX_PENDING_ROWS - 2)
+        assert scorer.mirror_many(rows) == MAX_PENDING_ROWS - 2
+        assert scorer.mirror_many([_row()] * 5) == 2  # what fits
+        assert scorer.mirror_many([_row()]) == 0
+        assert scorer.report.shed == 4
+        assert stats.counter("requests_shed") == 4
+        assert stats.gauge("queue_depth") == MAX_PENDING_ROWS
+        detector.gate.set()
+        assert scorer.drain()
+        assert scorer.report.comparisons == 1 + MAX_PENDING_ROWS
+        scorer.shutdown()
+
+    def test_drain_on_shutdown_leaves_nothing_unanswered(self):
+        stats = RuntimeStats()
+        scorer, detector = self._scorer(stats=stats)
+        detector.gate.clear()
+        for _ in range(5):
+            assert scorer.mirror_many([_row()]) == 1
+        detector.gate.set()
+        scorer.shutdown(drain=True)
+        assert scorer.report.comparisons == 5
+        assert stats.gauge("queue_depth") == 0
+
+    def test_nondrain_shutdown_discards_backlog(self):
+        scorer, detector = self._scorer()
+        detector.gate.clear()
+        scorer.mirror_many([_row()])
+        assert detector.entered.wait(timeout=5.0)
+        assert scorer.mirror_many([_row(), _row()]) == 2
+        stopper = threading.Thread(
+            target=scorer.shutdown, kwargs={"drain": False}, daemon=True
+        )
+        stopper.start()
+        # shutdown drops the backlog before it joins the thread: release
+        # the batch in flight only once the backlog is out of its reach.
+        while stopper.is_alive() and scorer._pending:
+            stopper.join(timeout=0.01)
+        detector.gate.set()
+        stopper.join(timeout=5.0)
+        assert not stopper.is_alive()
+        assert detector.calls == [1]
+        assert scorer.report.comparisons == 1
+
+    def test_refused_after_stop(self):
+        scorer, detector = self._scorer()
+        scorer.stop()
+        assert scorer.mirror_many([_row()]) == 0
+        scorer.shutdown()
+        assert scorer.mirror_many([_row()]) == 0
+        assert detector.calls == []
+        assert scorer.report.comparisons == scorer.report.shed == 0
+
+    def test_survives_a_raising_candidate(self):
+        hooks = []
+        scorer, detector = self._scorer(on_comparison=lambda: hooks.append(1))
+        assert scorer.mirror_many([_row("boom"), _row()]) == 2
+        # The failed batch is settled — its rows shed, mirrored but never
+        # compared — so drain does not sit out its timeout.
+        assert scorer.drain(timeout=1.0)
+        assert (scorer.report.comparisons, scorer.report.shed) == (0, 2)
+        assert hooks == []
+        assert scorer.mirror_many([_row(), _row(answer=(True, 4))]) == 2
+        assert scorer.drain(timeout=1.0)
+        assert (scorer.report.comparisons, scorer.report.mismatches) == (2, 1)
+        assert hooks == [1]
+        assert detector.calls == [2, 2]
+        scorer.shutdown()
+
+
+    def test_concurrent_mirrors_lose_no_row(self):
+        """More producers than cores, a 10 µs switch interval: every row
+        handed over is either compared or shed, none lost or doubled."""
+        scorer, _ = self._scorer()
+        per_thread, batch = 300, [_row(), _row("firefox-119")]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            producers = [
+                threading.Thread(
+                    target=lambda: [
+                        scorer.mirror_many(batch) for _ in range(per_thread)
+                    ]
+                )
+                for _ in range(6)
+            ]
+            for producer in producers:
+                producer.start()
+            for producer in producers:
+                producer.join(timeout=30.0)
+            assert not any(producer.is_alive() for producer in producers)
+            assert scorer.drain()
+        finally:
+            sys.setswitchinterval(switch)
+            scorer.shutdown()
+        report = scorer.report
+        assert report.comparisons + report.shed == 6 * per_thread * len(batch)
+        per_ua = report.per_ua().values()
+        assert sum(entry["comparisons"] for entry in per_ua) == report.comparisons
+
+
+class _ParentReport(DisagreementReport):
+    """The per-row fold as it stood before batches were folded at once.
+
+    A frozen copy of ``DisagreementReport.record`` (and, in
+    :func:`_parent_mirror`, of the manager's per-row ``mirror`` filter),
+    kept as the reference ``record_many`` must equal.
+    """
+
+    def record(
+        self, ua_key, live_flagged, live_risk, candidate_flagged, candidate_risk
+    ):
+        mismatch = (live_flagged, live_risk) != (candidate_flagged, candidate_risk)
+        with self._lock:
+            self.comparisons += 1
+            if mismatch:
+                self.mismatches += 1
+            if live_flagged:
+                self.live_flagged += 1
+            if candidate_flagged:
+                self.candidate_flagged += 1
+            entry = self._per_ua.setdefault(ua_key, [0, 0])
+            entry[0] += 1
+            if mismatch:
+                entry[1] += 1
+            self._live_risk[live_risk if live_risk is not None else -1] += 1
+            self._candidate_risk[
+                candidate_risk if candidate_risk is not None else -1
+            ] += 1
+
+
+def _parent_mirror(reference, ua_key, result, answer):
+    if getattr(result, "inferred_release", None) is not None and result.flagged:
+        return
+    reference.record(ua_key, result.flagged, result.risk_factor, *answer)
+
+
+_UA_KEYS = [
+    f"{vendor}-{version}"
+    for vendor in ("chrome", "firefox", "edge", "opera")
+    for version in (110, 111, 112, 113, 200)
+] + ["Mozilla/5.0 (X11; Linux x86_64)", "unknown-unknown"]
+_RISK = st.one_of(st.none(), st.integers(0, 20))
+# (ua_key, live flagged, live risk, inferred release, candidate answer,
+#  cache hit)
+_MIRRORED = st.tuples(
+    st.sampled_from(_UA_KEYS),
+    st.booleans(),
+    _RISK,
+    st.one_of(st.none(), st.sampled_from(_UA_KEYS)),
+    st.tuples(st.booleans(), _RISK),
+    st.booleans(),
+)
+
+
+class TestRecordManyEqualsPerRowRecord:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        stream=st.lists(_MIRRORED, max_size=80),
+        cuts=st.lists(st.integers(1, 16), max_size=12),
+    )
+    def test_any_cut_folds_like_the_per_row_record(self, stream, cuts):
+        reference = _ParentReport()
+        manager = RolloutManager(None, state_path="unused-rollout.json")
+        scorer = ShadowScorer(_StubCandidate(), DisagreementReport())
+        manager._shadow = scorer
+        batches, start = [], 0
+        for size in cuts + [len(stream)]:
+            batches.append(stream[start:start + size])
+            start += size
+        try:
+            for batch in batches:
+                # score_many mirrors a batch's cache hits before its misses.
+                rows = []
+                for ua_key, flagged, risk, inferred, answer, _ in sorted(
+                    batch, key=lambda mirrored: not mirrored[5]
+                ):
+                    live = DetectionResult(
+                        ua_key=ua_key,
+                        predicted_cluster=0,
+                        expected_cluster=0,
+                        flagged=flagged,
+                        risk_factor=risk,
+                        inferred_release=inferred,
+                    )
+                    rows.append((_row(answer=answer)[0], ua_key, live))
+                    _parent_mirror(reference, ua_key, live, answer)
+                manager.mirror_many(rows)
+            assert scorer.drain()
+        finally:
+            scorer.shutdown()
+        assert scorer.report.snapshot() == reference.snapshot()
 
 
 class TestHealthyRollout:

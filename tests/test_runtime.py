@@ -1,10 +1,9 @@
-"""Unit tests for the runtime building blocks: stats, cache, ingest, pool."""
+"""Unit tests for the runtime building blocks: stats, cache, ingest."""
 
 import dataclasses
 import itertools
 import json
 import re
-import threading
 import types
 
 import pytest
@@ -15,11 +14,10 @@ from repro.browsers.profiles import BrowserProfile
 from repro.browsers.useragent import Vendor, format_user_agent
 from repro.fingerprint.script import CollectionScript
 from repro.runtime import fastingest
-from repro.runtime.cache import VerdictCache, quantize_vector
+from repro.runtime.cache import VerdictCache
 from repro.runtime.fastingest import WireIngest
-from repro.runtime.pool import Overloaded, WorkerPool, overloaded_verdict
 from repro.runtime.stats import RuntimeStats, percentile
-from repro.service.scoring import Verdict
+from repro.service.scoring import Overloaded, Verdict, overloaded_verdict
 from repro.traffic.events import EventType, SessionEvent
 from tests.event_shapes import HOSTILE_SHAPES, POISON_BODIES
 
@@ -119,21 +117,13 @@ class TestRuntimeStats:
             RuntimeStats(reservoir=0)
 
 
-class TestQuantize:
-    def test_identity_step(self):
-        assert quantize_vector((1, 2, 3)) == (1, 2, 3)
-
-    def test_coarser_step_buckets(self):
-        assert quantize_vector((0, 7, 13, 19), step=10) == (0, 0, 10, 10)
-
-
 class TestVerdictCache:
     def test_make_key_reuses_int_tuple(self):
         cache = VerdictCache()
         values = (1, 2, 3)
         key = cache.make_key(values, "chrome-112")
         assert key == ("chrome-112", (1, 2, 3))
-        assert key[1] is values  # identity quantization, no copy
+        assert key[1] is values  # the ingest tuple is reused, no copy
 
     def test_hit_and_miss_counters(self):
         cache = VerdictCache()
@@ -217,13 +207,6 @@ class TestVerdictCache:
             VerdictCache(ttl_seconds=0.0)
 
 
-class _Request:
-    """Minimal pool item."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-
 class TestOverloaded:
     def test_typed_shed_verdict(self):
         verdict = overloaded_verdict("s-1", 0.5)
@@ -232,115 +215,6 @@ class TestOverloaded:
         assert not verdict.accepted
         assert verdict.reject_reason == "overloaded"
         assert verdict.session_id == "s-1"
-
-
-class TestWorkerPool:
-    def test_handles_everything_submitted(self):
-        handled = []
-        pool = WorkerPool(handled.append, n_workers=2, queue_capacity=64)
-        pool.start()
-        items = [_Request(str(i)) for i in range(32)]
-        assert all(pool.submit(item) for item in items)
-        pool.shutdown(drain=True)
-        assert len(handled) == 32
-        assert not pool.is_running
-
-    def test_backpressure_sheds_when_full(self):
-        release = threading.Event()
-        entered = threading.Event()
-
-        def slow(item):
-            entered.set()
-            release.wait(timeout=5.0)
-
-        stats = RuntimeStats()
-        pool = WorkerPool(slow, n_workers=1, queue_capacity=1, stats=stats)
-        pool.start()
-        assert pool.submit(_Request("in-flight"))
-        assert entered.wait(timeout=5.0)  # worker is now blocked
-        assert pool.submit(_Request("queued"))
-        shed = sum(1 for _ in range(3) if not pool.submit(_Request("extra")))
-        assert shed == 3  # queue full: everything beyond capacity shed
-        assert stats.counter("requests_shed") == 3
-        release.set()
-        pool.shutdown(drain=True)
-
-    def test_drain_on_shutdown_leaves_nothing_unanswered(self):
-        release = threading.Event()
-        handled = []
-
-        def slow(item):
-            release.wait(timeout=5.0)
-            handled.append(item)
-
-        pool = WorkerPool(slow, n_workers=1, queue_capacity=16)
-        pool.start()
-        for i in range(5):
-            assert pool.submit(_Request(str(i)))
-        release.set()
-        pool.shutdown(drain=True)
-        assert len(handled) == 5
-        assert pool.queue_depth == 0
-
-    def test_nondrain_shutdown_discards_backlog(self):
-        release = threading.Event()
-        entered = threading.Event()
-        handled = []
-
-        def slow(item):
-            entered.set()
-            release.wait(timeout=5.0)
-            handled.append(item)
-
-        pool = WorkerPool(slow, n_workers=1, queue_capacity=16)
-        pool.start()
-        first = _Request("in-flight")
-        pool.submit(first)
-        assert entered.wait(timeout=5.0)
-        for name in ("q1", "q2"):
-            assert pool.submit(_Request(name))
-        stopper = threading.Thread(
-            target=pool.shutdown, kwargs={"drain": False}, daemon=True
-        )
-        stopper.start()
-        # shutdown empties the queue before it waits for the worker:
-        # release the worker only once the backlog is out of its reach.
-        while stopper.is_alive() and any(
-            isinstance(item, _Request) for item in list(pool._queue.queue)
-        ):
-            stopper.join(timeout=0.01)
-        release.set()
-        stopper.join(timeout=5.0)
-        assert not stopper.is_alive()
-        assert handled == [first]
-        assert pool.queue_depth == 0
-
-    def test_submit_after_shutdown_sheds(self):
-        pool = WorkerPool(lambda item: None, n_workers=1)
-        pool.start()
-        pool.shutdown(drain=True)
-        assert not pool.submit(_Request("late"))
-
-    def test_worker_survives_a_handler_exception(self):
-        handled = []
-
-        def boom_once(item):
-            if item.name == "bad":
-                raise ValueError("bad item")
-            handled.append(item.name)
-
-        pool = WorkerPool(boom_once, n_workers=1)
-        pool.start()
-        for name in ("bad", "good"):
-            assert pool.submit(_Request(name))
-        pool.shutdown(drain=True)
-        assert handled == ["good"]
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            WorkerPool(lambda item: None, n_workers=0)
-        with pytest.raises(ValueError):
-            WorkerPool(lambda item: None, queue_capacity=0)
 
 
 # ----------------------------------------------------------------------

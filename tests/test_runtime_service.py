@@ -1,6 +1,7 @@
 """RuntimeScoringService: parity, concurrency, retraining, lifecycle."""
 
 import copy
+import dataclasses
 import io
 import itertools
 import json
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.browsers.profiles import BrowserProfile
-from repro.browsers.useragent import Vendor, format_user_agent, parse_user_agent
+from repro.browsers.useragent import Vendor, format_user_agent
 from repro.cluster import ClusterConfig, ClusterRouter, ShardSupervisor
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import BrowserPolygraph
@@ -23,7 +24,6 @@ from repro.core.retraining import ModelRegistry
 from repro.coverage import CoverageConfig, CoverageTracker
 from repro.fingerprint.script import MAX_PAYLOAD_BYTES, CollectionScript
 from repro.rollout import GuardrailConfig, RolloutConfig, RolloutManager
-from repro.runtime.cache import quantize_vector
 from repro.runtime.service import RuntimeConfig, RuntimeScoringService
 from repro.service.api import CollectionApp
 from repro.service.api import _MAX_BODY as API_MAX_BODY
@@ -111,7 +111,7 @@ class TestRuntimeConfig:
         config = RuntimeConfig()
         assert config.cache_entries > 0
         assert config.cache_ttl_seconds > 0
-        assert config.quantization_step == 1
+        assert len(dataclasses.fields(config)) == 2
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -121,6 +121,8 @@ class TestRuntimeConfig:
             {"queue_capacity": 0},
             {"cache_entries": -1},
             {"latency_sample_every": 0},
+            # Cache keys are exact: no coarser quantization.
+            {"quantization_step": 4},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -459,56 +461,6 @@ class TestBatchDifferential:
         assert manager.controller.stage_verdicts == 0
         assert not any(key[0] == "__candidate__" for key in runtime.cache._entries)
         assert len(runtime.cache) > 0  # the live-routed rows were cached
-
-    @settings(max_examples=15, deadline=None)
-    @given(picks=_picks, cuts=_cuts, cache_entries=st.sampled_from([4, 8192]))
-    def test_coarse_quantization_answers_from_the_right_class(
-        self, models, rows, picks, cuts, cache_entries
-    ):
-        """``quantization_step`` > 1 makes the cache lossy by design: a
-        hit is the verdict of *some* wire with the same user-agent class
-        and the same quantized vector — which wire depends on how the
-        traffic was cut (within one batch every miss is scored before
-        any is cached).  So the invariant is membership, not equality:
-        each answer is one the per-request service gave to that class."""
-        config, model, _ = models
-        step = 4
-        wires = _traffic(
-            rows, picks, kinds=("row", "unknown", "derivative", "bad_json", "replay")
-        )
-        runtime = RuntimeScoringService(
-            _pipeline(config, model),
-            config=RuntimeConfig(
-                cache_entries=cache_entries, quantization_step=step
-            ),
-        )
-        twin = ScoringService(_pipeline(config, model))
-        actual = []
-        for batch in _batches(wires, cuts):
-            actual += runtime.score_many(batch)
-        runtime.shutdown()
-        expected = [twin.score_wire(wire) for wire in wires]
-        keys, classes = [], {}
-        for wire, verdict in zip(wires, expected):
-            key = None
-            if verdict.accepted:
-                body = json.loads(wire)
-                key = (
-                    parse_user_agent(body["ua"]).key(),
-                    quantize_vector(body["f"], step),
-                )
-                classes.setdefault(key, set()).add(_essence(verdict)[2:])
-            keys.append(key)
-        for key, ours, theirs in zip(keys, actual, expected):
-            assert _fields(ours)[:2] == _fields(theirs)[:2]
-            assert ours.reject_reason == theirs.reject_reason
-            if ours.accepted:
-                assert _essence(ours)[2:] in classes[key]
-        assert runtime.requests_total == len(wires)
-        assert runtime.rejected_count == twin.validator.quarantine.total_rejects
-        assert runtime.scored_count == twin.scored_count
-        assert runtime.flagged_count == sum(v.accepted and v.flagged for v in actual)
-        assert runtime.unknown_ua_counts == twin.unknown_ua_counts
 
 
 @pytest.fixture(scope="module")
@@ -937,7 +889,8 @@ class TestMetricsExposure:
         # One model call (the first wire); the two repeats were hits.
         assert "polygraph_runtime_batches_total 1" in text
         assert "polygraph_runtime_batched_requests_total 1" in text
-        # No queue: the gauge only appears with a shadow mirror's pool.
+        # No queue: the gauge only appears once a rollout's shadow
+        # scorer has been handed mirrored rows.
         assert "polygraph_runtime_queue_depth" not in text
         assert "polygraph_sessions_scored 3" in text
 

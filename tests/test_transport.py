@@ -31,7 +31,6 @@ from repro.cluster import (
     ShardError,
     ShardSupervisor,
 )
-from repro.runtime.pool import OVERLOADED_REASON
 from repro.cluster.transport import ShmSlab, SlotRing, attach_slab_views
 from repro.core.pipeline import BrowserPolygraph
 from repro.fingerprint.script import CollectionScript
@@ -39,7 +38,7 @@ from repro.runtime.cache import VerdictCache
 from repro.runtime.fastingest import WireIngest
 from repro.runtime.service import RuntimeConfig
 from repro.service.ingest import RejectReason
-from repro.service.scoring import ScoringService
+from repro.service.scoring import OVERLOADED_REASON, ScoringService
 from repro.traffic.replay import iter_wire_payloads
 
 
