@@ -15,7 +15,8 @@ Subcommands:
 * ``serve``       — run the collection endpoint over a saved model or a
   registry's live model (``--runtime`` switches to the batched, cached
   scoring runtime and resumes any in-flight rollout; ``--shards N``
-  serves a sharded cluster behind the consistent-hash router);
+  serves a model file from a sharded cluster behind the consistent-hash
+  router — a registry is served by one process, never by shards);
   SIGTERM/SIGINT drain in-flight requests before exiting;
 * ``cluster``     — inspect a running cluster (``status`` pretty-prints
   the server's ``GET /cluster`` document);
@@ -27,9 +28,9 @@ Subcommands:
 * ``fuse``        — train (``train``) or inspect (``status``) the
   second-opinion fusion model; ``serve --fusion FUSION.json`` attaches
   it to the per-request scoring path (``POST /check``, ``GET /fusion``);
-* ``gauntlet``    — replay an accelerated production year against the
-  live serving stack (``run``) or render a saved replay artifact
-  (``report BENCH_gauntlet.json``).
+* ``gauntlet``    — replay an accelerated production year against one
+  scoring runtime and its rollout manager (``run``) or render a saved
+  replay artifact (``report BENCH_gauntlet.json``).
 """
 
 from __future__ import annotations
@@ -180,8 +181,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=0,
-        help="serve a sharded cluster with N scoring shards behind the "
-        "consistent-hash router (0: single-process)",
+        help="serve a model file from a sharded cluster with N scoring "
+        "shards behind the consistent-hash router (0: single-process; "
+        "not with --registry)",
     )
     serve.add_argument(
         "--shard-backend",
@@ -354,7 +356,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     gauntlet_run.add_argument("--seed", type=int, default=7)
     gauntlet_run.add_argument("--sessions-per-day", type=int, default=420)
-    gauntlet_run.add_argument("--shards", type=int, default=2)
     gauntlet_run.add_argument("--bootstrap-sessions", type=int, default=18_000)
     gauntlet_run.add_argument(
         "--drill-day",
@@ -548,8 +549,8 @@ def _build_service(pipeline: BrowserPolygraph, args: argparse.Namespace):
     return ScoringService(pipeline)
 
 
-def _build_cluster(args: argparse.Namespace, registry):
-    """The sharded path of ``serve``: supervisor + router (+ rollout)."""
+def _build_cluster(args: argparse.Namespace):
+    """The sharded path of ``serve``: supervisor + router over a model file."""
     from repro.cluster import (
         ClusterConfig,
         ClusterRouter,
@@ -562,27 +563,10 @@ def _build_cluster(args: argparse.Namespace, registry):
         backend=args.shard_backend,
         ring_slots=args.ring_slots,
     )
-    runtime_config = _runtime_config(args)
-    if registry is not None:
-        supervisor = ShardSupervisor.from_registry(
-            registry, config=config, runtime_config=runtime_config
-        )
-    else:
-        supervisor = ShardSupervisor(
-            args.model, config=config, runtime_config=runtime_config
-        )
-    router = ClusterRouter(supervisor, RouterConfig(affinity=args.affinity)).start()
-    managers = []
-    if registry is not None:
-        managers = supervisor.attach_rollout(registry)
-        state = managers[0].state if managers else None
-        if state is not None and state.in_flight:
-            print(
-                f"resumed rollout of v{state.candidate_version} on "
-                f"{len(managers)} shards ({state.status}, "
-                f"stage {state.stage_index})"
-            )
-    return router, managers
+    supervisor = ShardSupervisor(
+        args.model, config=config, runtime_config=_runtime_config(args)
+    )
+    return ClusterRouter(supervisor, RouterConfig(affinity=args.affinity)).start()
 
 
 def _serve_until_signalled(httpd) -> None:
@@ -628,11 +612,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.service.api import CollectionApp
 
-    if args.registry and args.shards and args.shard_backend == "process":
+    if args.registry and args.shards:
         print(
-            "serve: --registry with process shards would serve without "
-            "its rollout (rollout managers attach to thread shards only); "
-            "use --runtime or --shard-backend thread",
+            "serve: --registry with --shards would serve without its "
+            "rollout (a registry's rollouts run on one process); "
+            "use --runtime",
             file=sys.stderr,
         )
         return 2
@@ -656,7 +640,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         from repro.cluster import ShardError
 
         try:
-            service, managers = _build_cluster(args, registry)
+            service = _build_cluster(args)
         except ShardError as exc:
             print(f"serve: cannot start cluster: {exc}", file=sys.stderr)
             return 2
@@ -785,7 +769,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         print(f"cluster status: cannot reach {endpoint}: {exc}", file=sys.stderr)
         return 2
     print(
-        f"backend {document['backend']}, serving v{document['serving_version']}, "
+        f"backend {document['backend']}, "
         f"{document['healthy_shards']}/{document['n_shards']} shards healthy, "
         f"{document['vnodes']} vnodes/shard"
     )
@@ -1046,7 +1030,6 @@ def _cmd_gauntlet(args: argparse.Namespace) -> int:
             days=args.days,
             seed=args.seed,
             sessions_per_day=args.sessions_per_day,
-            n_shards=args.shards,
             bootstrap_sessions=args.bootstrap_sessions,
             drill_day=args.drill_day if args.drill_day >= 0 else None,
             jobs=args.jobs,

@@ -1,4 +1,4 @@
-"""Sharded serving cluster: ring routing, shard supervision, replication.
+"""Sharded serving cluster: ring routing and shard supervision.
 
 The single-process scoring runtime (``repro.runtime``) tops out at one
 process's throughput no matter how well its cache and batching behave.
@@ -11,11 +11,15 @@ This package turns it into a horizontally-scaled cluster on one surface:
   drain/restart, ring-range re-routing while a shard is down.
 * :mod:`repro.cluster.router` — the ``score_many`` facade: one chunk
   per shard, bulk failover to the next untried replica.
-* :mod:`repro.cluster.distribution` — digest-verified model replication
-  from the registry with a quorum-gated serving-version flip.
+
+A cluster serves the model file it booted with.  It has no rollout and
+no model replication: a registry's model changes (shadow -> canary ->
+promote, rollback) reach serving through one
+:class:`~repro.runtime.service.RuntimeScoringService` and its
+:class:`~repro.rollout.manager.RolloutManager` (``serve --registry
+--runtime``, and the gauntlet).
 """
 
-from repro.cluster.distribution import DistributionReport, ModelDistributor
 from repro.cluster.ring import HashRing, ring_hash, wire_routing_key
 from repro.cluster.router import ClusterRouter, RouterConfig
 from repro.cluster.supervisor import (
@@ -30,9 +34,7 @@ from repro.cluster.supervisor import (
 __all__ = [
     "ClusterConfig",
     "ClusterRouter",
-    "DistributionReport",
     "HashRing",
-    "ModelDistributor",
     "ProcessShard",
     "RouterConfig",
     "ShardError",

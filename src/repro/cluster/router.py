@@ -20,11 +20,9 @@ answer is ``overloaded``, counted ``unroutable``).  No wire is asked of
 the same replica twice, and each is counted once, under the shard that
 answered it.
 
-The invariant the determinism tests pin down: for a fixed model
-generation a re-routed wire gets exactly the verdict a single-shard
-service would have produced.  Failover does not filter replicas by model
-version — during a quorum flip a re-routed wire is answered on the next
-replica's generation, whole (see :mod:`repro.cluster.distribution`).
+The invariant the determinism tests pin down: a re-routed wire gets
+exactly the verdict a single-shard service would have produced — every
+shard serves the same model file for its whole life.
 """
 
 from __future__ import annotations
@@ -157,10 +155,6 @@ class ClusterRouter:
 
     def shutdown(self, drain: bool = True) -> None:
         self.supervisor.shutdown(drain=drain)
-
-    @property
-    def rollout(self):
-        return self.supervisor.rollout
 
     def attach_coverage(self, tracker) -> "ClusterRouter":
         """Share one CoverageTracker across the whole cluster.
@@ -427,8 +421,6 @@ class ClusterRouter:
                 f"polygraph_cluster_shards {status['n_shards']}",
                 "# TYPE polygraph_cluster_healthy_shards gauge",
                 f"polygraph_cluster_healthy_shards {status['healthy_shards']}",
-                "# TYPE polygraph_cluster_serving_version gauge",
-                f"polygraph_cluster_serving_version {status['serving_version']}",
                 "# TYPE polygraph_cluster_requests_total counter",
                 f"polygraph_cluster_requests_total {self.requests_total}",
                 "# TYPE polygraph_cluster_failovers_total counter",

@@ -1,8 +1,7 @@
 """Shard lifecycle: replicas, heartbeats, failover, restart.
 
 A *shard* is one model replica behind a small uniform surface
-(``score_chunk``, ``ping``, ``install``, ``kill``, ``restart``).  Two
-backends:
+(``score_chunk``, ``ping``, ``kill``, ``restart``).  Two backends:
 
 * :class:`ThreadShard` — the replica and its
   :class:`~repro.runtime.service.RuntimeScoringService` live in this
@@ -13,9 +12,13 @@ backends:
   run router-side and only cache misses cross.  Buys fault isolation (a
   crashed shard is a dead process, not a corrupted heap).
 
-Both backends *load their own model replica from a file* and verify it
-against the registry's sha256 digest before serving — the replication
-contract: no shard ever serves bytes the registry cannot account for.
+Both backends *load their own model replica from a file* and, before
+serving, verify it against the sha256 digest recorded when it was
+saved: no shard ever serves bytes nobody can account for.  A shard serves the
+model it booted with for its whole life; model changes (rollouts,
+retrains) reach serving through one
+:class:`~repro.runtime.service.RuntimeScoringService` and its
+:class:`~repro.rollout.manager.RolloutManager`, never through shards.
 
 :class:`ShardSupervisor` owns N shards plus the consistent-hash ring.
 A heartbeat thread pings every shard; ``unhealthy_after`` consecutive
@@ -101,7 +104,7 @@ class ShardStatus:
 
 
 def _verify_replica(path: Path, expected_digest: Optional[str]) -> None:
-    """Refuse a replica whose bytes the registry cannot account for."""
+    """Refuse a replica whose bytes do not match the recorded digest."""
     if expected_digest is None:
         return
     on_disk = stored_digest(path)
@@ -120,9 +123,9 @@ class ThreadShard:
     """One scoring shard hosted in this process.
 
     The shard loads its *own* :class:`BrowserPolygraph` replica from
-    ``model_path`` (digest-verified), so installs and generation bumps
-    on one shard never touch another — exactly the isolation a
-    multi-host deployment would have, minus the network.
+    ``model_path`` (digest-verified), so no state is shared with another
+    shard — exactly the isolation a multi-host deployment would have,
+    minus the network.
     """
 
     def __init__(
@@ -209,18 +212,6 @@ class ThreadShard:
             flagged_count=service.flagged_count,
         )
 
-    def install(
-        self, path: Union[str, Path], digest: Optional[str], version: int
-    ) -> int:
-        """Adopt a new replica: load, digest-verify, atomic swap."""
-        path = Path(path)
-        _verify_replica(path, digest)
-        replica = BrowserPolygraph.load(path)
-        self.polygraph.install(replica.cluster_model)
-        self.model_path = path
-        self.model_version = version
-        return version
-
     def transport_stats(self) -> Optional[dict]:
         """Thread shards score in-process — no transport to report."""
         return None
@@ -250,7 +241,6 @@ def _shard_worker(
     # stray traceback mid-drain.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     polygraph = BrowserPolygraph.load(model_path)
-    model_version = 0
     try:
         shm_meta, shm_results, shm_rows, close_slab = attach_slab_views(
             slab_name, n_slots, n_features
@@ -302,17 +292,7 @@ def _shard_worker(
             except Exception as exc:  # noqa: BLE001 — reply, don't die
                 conn.send(("shmerr", seq, f"{type(exc).__name__}: {exc}"))
         elif op == "ping":
-            conn.send((model_version, polygraph.model_generation))
-        elif op == "install":
-            _, path, digest, version = message
-            try:
-                _verify_replica(Path(path), digest)
-                replica = BrowserPolygraph.load(path)
-                polygraph.install(replica.cluster_model)
-                model_version = version
-                conn.send(("ok", version, polygraph.model_generation))
-            except Exception as exc:  # noqa: BLE001 — reply, don't die
-                conn.send(("error", f"{type(exc).__name__}: {exc}"))
+            conn.send(polygraph.model_generation)
         elif op == "stop":
             conn.send(("stopped",))
             break
@@ -331,9 +311,9 @@ class ProcessShard:
     :class:`~repro.cluster.transport.ShmTransport`; only cache misses
     cross the process boundary, as zero-copy feature rows in a
     shared-memory slab.  The shard owns no thread: every pipe use —
-    scoring, heartbeat pings, installs — happens on the caller's thread
-    under the transport lock, and :meth:`score_chunk` works in
-    sub-chunks so pings and installs interleave between them.
+    scoring and heartbeat pings — happens on the caller's thread under
+    the transport lock, and :meth:`score_chunk` works in sub-chunks so
+    pings interleave between them.
 
     A dead child fails the misses in flight with
     :data:`~repro.service.scoring.OVERLOADED_REASON` verdicts, which the
@@ -483,7 +463,7 @@ class ProcessShard:
             raise ShardError(f"shard {self.shard_id} is not running")
         verdicts: List[Verdict] = []
         # Sub-chunks bound how long the transport lock is held so
-        # heartbeat pings and installs interleave mid-chunk.
+        # heartbeat pings interleave mid-chunk.
         for begin in range(0, len(wires), self._SHM_SUBCHUNK):
             verdicts.extend(
                 transport.score_wires(wires[begin : begin + self._SHM_SUBCHUNK])
@@ -495,41 +475,17 @@ class ProcessShard:
     # -- control --------------------------------------------------------
 
     def ping(self) -> ShardStatus:
-        # The child tracks installs it performed; before the first
-        # install its counter is 0 and the boot version stands.
-        version, generation = self._call(("ping",), timeout=5.0)
+        generation = self._call(("ping",), timeout=5.0)
         stats = self._transport.transport_stats()
         return ShardStatus(
             shard_id=self.shard_id,
-            model_version=version or self.model_version,
+            model_version=self.model_version,
             model_generation=generation,
             queue_depth=stats["ring_occupancy"],
             scored_count=stats["scored"],
             flagged_count=stats["flagged"],
             queue_depth_peak=stats["ring_occupancy_peak"],
         )
-
-    def install(
-        self, path: Union[str, Path], digest: Optional[str], version: int
-    ) -> int:
-        reply = self._call(("install", str(path), digest, version), timeout=30.0)
-        if reply[0] != "ok":
-            raise ShardError(f"shard {self.shard_id} install failed: {reply[1]}")
-        # The child swapped models: drop the router-side cache and
-        # derived parse state, pinned to the child's new generation
-        # so in-flight stale batch results are refused.
-        self._transport.on_model_swap(reply[2])
-        if self.coverage is not None:
-            # Re-seed the shared tracker's known-release table from
-            # the replica the child just adopted (installs are rare;
-            # one parent-side load keeps classification aligned).
-            replica = BrowserPolygraph.load(path)
-            self.coverage.set_known_keys(
-                replica.cluster_model.ua_to_cluster, generation=reply[2]
-            )
-        self.model_path = Path(path)
-        self.model_version = version
-        return version
 
     def transport_stats(self) -> Optional[dict]:
         """Counter snapshot of this shard's transport (``None`` until started)."""
@@ -583,8 +539,8 @@ class ShardSupervisor:
         sha256 recorded by the registry for that file; every shard
         verifies its replica against it before serving.
     model_version:
-        The registry version the replicas correspond to; becomes the
-        initial serving version.
+        The registry version the replicas correspond to (reported per
+        shard in :meth:`status_dict`).
     """
 
     def __init__(
@@ -598,7 +554,6 @@ class ShardSupervisor:
         self.config = config
         self.runtime_config = runtime_config
         self.model_path = Path(model_path)
-        self.expected_digest = expected_digest
         self.shards: Dict[str, object] = {}
         for index in range(config.n_shards):
             shard_id = f"s{index}"
@@ -624,34 +579,12 @@ class ShardSupervisor:
         self._health: Dict[str, _Health] = {
             shard_id: _Health() for shard_id in self.shards
         }
-        self._serving_version = model_version
         self._lock = threading.RLock()
         self._heartbeat: Optional[threading.Thread] = None
         self._stop = threading.Event()
         self._owned_tmp: Optional[tempfile.TemporaryDirectory] = None
-        self.rollout_managers: List[object] = []
 
     # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def from_registry(
-        cls,
-        registry,
-        config: ClusterConfig = ClusterConfig(),
-        runtime_config: RuntimeConfig = RuntimeConfig(),
-    ) -> "ShardSupervisor":
-        """Replicate the registry's live model across the shards."""
-        version = registry.live_version
-        if version < 1:
-            raise LookupError("the registry has no live model to replicate")
-        entry = next(e for e in registry.versions() if e["version"] == version)
-        return cls(
-            Path(registry.root) / entry["path"],
-            config=config,
-            runtime_config=runtime_config,
-            expected_digest=entry.get("sha256"),
-            model_version=version,
-        )
 
     @classmethod
     def from_polygraph(
@@ -732,16 +665,6 @@ class ShardSupervisor:
         with self._lock:
             return [self.shards[sid] for sid in self.ring.preference(key)]
 
-    @property
-    def serving_version(self) -> int:
-        """The model version the quorum of the cluster has converged on."""
-        with self._lock:
-            return self._serving_version
-
-    def set_serving_version(self, version: int) -> None:
-        with self._lock:
-            self._serving_version = version
-
     # -- health ---------------------------------------------------------
 
     def note_failure(self, shard_id: str) -> None:
@@ -807,39 +730,6 @@ class ShardSupervisor:
         while not self._stop.wait(self.config.heartbeat_interval_s):
             self.check_once()
 
-    # -- rollout integration -------------------------------------------
-
-    def attach_rollout(self, registry, config=None) -> List[object]:
-        """Resume the registry's persisted rollout on every shard.
-
-        Each thread shard gets its own
-        :class:`~repro.rollout.manager.RolloutManager` resumed from the
-        *same* persisted state file, so every shard routes arms with the
-        same salt and the same stage fraction — a session's sticky
-        canary bucket agrees no matter which shard answers it.  (The
-        process backend scores across a pipe and cannot host an
-        in-process manager; arm routing there needs the child to resume
-        the state itself, which this PR does not wire.)
-        """
-        if self.config.backend != "thread":
-            raise NotImplementedError(
-                "rollout attach requires the thread backend"
-            )
-        from repro.rollout import RolloutManager
-
-        managers: List[object] = []
-        for shard in self.shards.values():
-            manager = RolloutManager(registry, runtime=shard.service, config=config)
-            manager.resume()
-            managers.append(manager)
-        self.rollout_managers = managers
-        return managers
-
-    @property
-    def rollout(self):
-        """The first shard's rollout manager (``/rollout`` endpoint)."""
-        return self.rollout_managers[0] if self.rollout_managers else None
-
     # -- coverage -------------------------------------------------------
 
     def attach_coverage(self, tracker) -> None:
@@ -883,13 +773,6 @@ class ShardSupervisor:
 
     # -- introspection --------------------------------------------------
 
-    def shard_versions(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                shard_id: shard.model_version
-                for shard_id, shard in self.shards.items()
-            }
-
     def transport_stats(self) -> Dict[str, dict]:
         """Per-shard transport counters (empty for the thread backend)."""
         with self._lock:
@@ -923,7 +806,6 @@ class ShardSupervisor:
                 "backend": self.config.backend,
                 "n_shards": self.config.n_shards,
                 "healthy_shards": sum(1 for s in shards if s["healthy"]),
-                "serving_version": self._serving_version,
                 "vnodes": self.config.vnodes,
                 "shards": shards,
             }

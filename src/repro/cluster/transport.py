@@ -39,8 +39,8 @@ bounded by the release calendar) and ``meta`` holds each row's index
 into it, so the slab itself carries no table between batches.  The
 decoded results do outlive the batch: the parent keeps one
 ``DetectionResult`` per distinct ``(ua_key, result row)`` across
-batches.  The key is the result's whole content, so an entry never goes
-stale across installs; the memo is cleared whole at
+batches.  The key is the result's whole content, so an entry can never
+answer for another result; the memo is cleared whole at
 ``_RESULT_MEMO_LIMIT`` entries.
 
 Failure semantics: a pipe error marks the transport ``broken``, every
@@ -272,7 +272,7 @@ class ShmTransport:
     cache, and slot ring; talks to the child over ``conn`` with small
     control tuples.  All pipe + ring state is
     serialized by :attr:`lock` — the owning shard must hold it for
-    *any* use of ``conn`` (heartbeat pings, model installs), and should
+    *any* use of ``conn`` (heartbeat pings), and should
     score large chunks in sub-chunks so health checks can interleave.
     """
 
@@ -433,7 +433,7 @@ class ShmTransport:
             raise EOFError(f"shm protocol violation: {reply[:2]!r}")
         # One result object per distinct (ua_key, result row) — the
         # child's decision table, decoded once here.  The key is the
-        # result's whole content, so no install can make an entry stale.
+        # result's whole content, so an entry is never stale.
         memo = self._results
         results = []
         for miss, row in zip(
@@ -479,12 +479,6 @@ class ShmTransport:
 
     # ------------------------------------------------------------------
     # lifecycle / introspection
-
-    def on_model_swap(self, generation: int) -> None:
-        """Model install completed child-side: drop derived state."""
-        if self.cache is not None:
-            self.cache.invalidate(generation)
-        self.ingest.clear_ua_memo()
 
     def transport_stats(self) -> Dict[str, object]:
         """Counter snapshot for ``/metrics`` and ``cluster_status``."""

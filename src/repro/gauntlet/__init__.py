@@ -18,13 +18,13 @@ from repro.gauntlet.orchestrator import (
     run_gauntlet,
 )
 from repro.gauntlet.report import render_report, render_timeline
-from repro.gauntlet.rollout import ClusterRolloutBinding, RolloutEvent
+from repro.gauntlet.rollout import DayBoundaryRollout, RolloutEvent
 from repro.gauntlet.traffic import DayTrafficFactory
 
 __all__ = [
     "AdversaryConfig",
     "AdversaryDirector",
-    "ClusterRolloutBinding",
+    "DayBoundaryRollout",
     "DayLedger",
     "DayTrafficFactory",
     "DIGEST_COLUMNS",

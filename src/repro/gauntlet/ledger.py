@@ -7,9 +7,10 @@ share one schema and one diff tool (``benchio diff``).
 
 Determinism contract: :meth:`DayLedger.digest` hashes only the columns
 in :data:`DIGEST_COLUMNS` — the event history that must be a pure
-function of the seed.  Latency percentiles, failover counts and shard
-restarts are recorded but excluded: they depend on wall-clock
-scheduling, and two identical-seed runs legitimately differ there.
+function of the seed.  Latency percentiles are recorded but excluded:
+they depend on wall-clock scheduling, and two identical-seed runs
+legitimately differ there.  The breach name rides along unhashed; the
+rollback it explains is in the hashed rollout columns.
 """
 
 from __future__ import annotations
@@ -66,8 +67,6 @@ DIGEST_COLUMNS: Sequence[str] = (
 TIMING_COLUMNS: Sequence[str] = (
     "p50_ms",
     "p99_ms",
-    "failovers",
-    "shard_restarts",
     "breach",
 )
 

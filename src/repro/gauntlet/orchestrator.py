@@ -2,7 +2,7 @@
 
 An accelerated "production year": a :class:`VirtualClock` advances
 day by day through the release calendar while the *live serving stack*
-— sharded cluster, router, flag-rate monitor, drift scheduler,
+— the batched scoring runtime, flag-rate monitor, drift scheduler,
 retraining orchestrator, shadow/canary rollout — runs exactly the code
 it runs everywhere else.  Each virtual day:
 
@@ -12,20 +12,21 @@ it runs everywhere else.  Each virtual day:
    yesterday's genuine sessions, buys stolen profiles and attacks,
    adapting its category mix and spoof targets to what the defender
    flagged;
-3. every session is scored through the real
-   :class:`~repro.cluster.router.ClusterRouter`;
+3. every session is scored through one
+   :class:`~repro.runtime.service.RuntimeScoringService` with one
+   rollout manager attached — the pair ``serve --registry --runtime``
+   builds;
 4. the monitor and the Section 6.6 drift schedule decide whether the
    :class:`~repro.core.retraining.RetrainingOrchestrator` runs, and any
    staged candidate walks the shadow -> canary -> promote ramp through
-   the cluster-wide rollout binding (guardrail breaches roll back);
+   the day-boundary rollout (guardrail breaches roll back);
 5. one row lands in the :class:`~repro.gauntlet.ledger.DayLedger`.
 
 A scheduled **chaos drill** stages a deliberately broken candidate (a
 stale training window with the unknown-UA policy misflipped to
-``"flag"`` — the classic bad-config push) straight into canary and
-kills a shard the same day; the day-boundary guardrails must roll it
-back under churn.  The drill is part of the replay, so the acceptance
-bench proves the rollback path on every run.
+``"flag"`` — the classic bad-config push) straight into canary; the
+day-boundary guardrails must roll it back.  The drill is part of the
+replay, so the acceptance bench proves the rollback path on every run.
 
 Everything here is a deterministic function of
 :class:`GauntletConfig` — identical configs produce bit-identical
@@ -42,9 +43,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.cluster.distribution import ModelDistributor
-from repro.cluster.router import ClusterRouter, RouterConfig
-from repro.cluster.supervisor import ClusterConfig, ShardSupervisor
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import BrowserPolygraph
 from repro.core.retraining import ModelRegistry, RetrainingOrchestrator
@@ -53,9 +51,10 @@ from repro.fraudbrowsers.marketplace import Marketplace
 from repro.gauntlet.adversary import AdversaryConfig, AdversaryDirector
 from repro.gauntlet.clock import VirtualClock
 from repro.gauntlet.ledger import DayLedger
-from repro.gauntlet.rollout import ClusterRolloutBinding
+from repro.gauntlet.rollout import DayBoundaryRollout
 from repro.gauntlet.traffic import DayTrafficFactory
 from repro.rollout.config import GuardrailConfig, RolloutConfig
+from repro.runtime.service import RuntimeScoringService
 from repro.runtime.stats import percentile
 from repro.service.monitoring import DriftScheduler, FlagRateMonitor
 from repro.traffic.dataset import Dataset
@@ -82,9 +81,6 @@ class GauntletConfig:
     bootstrap_days: int = 120
     bootstrap_sessions: int = 18_000
     bootstrap_infection_rate: float = 0.01
-
-    # -- serving cluster -----------------------------------------------
-    n_shards: int = 2
 
     # -- retraining ----------------------------------------------------
     max_window_sessions: int = 30_000
@@ -113,7 +109,6 @@ class GauntletConfig:
     # -- chaos drill ---------------------------------------------------
     drill_day: Optional[int] = 40  # day index; None disables the drill
     drill_stale_rows: int = 2_000
-    drill_kill_shard: bool = True
 
     # -- adversary -----------------------------------------------------
     attacks_per_day: int = 12
@@ -156,6 +151,8 @@ class GauntletResult:
     rollout_events: List[Tuple[str, int, str]]
     retraining: List[dict]
     registry_versions: List[dict]
+    # ISO day the chaos drill's candidate went to canary (None: no drill).
+    drill_day: Optional[str] = None
 
 
 def run_gauntlet(config: GauntletConfig) -> GauntletResult:
@@ -194,9 +191,8 @@ class GauntletOrchestrator:
         self._tmp: Optional[tempfile.TemporaryDirectory] = None
         self.registry: Optional[ModelRegistry] = None
         self.retrainer: Optional[RetrainingOrchestrator] = None
-        self.supervisor: Optional[ShardSupervisor] = None
-        self.router: Optional[ClusterRouter] = None
-        self.binding: Optional[ClusterRolloutBinding] = None
+        self.runtime: Optional[RuntimeScoringService] = None
+        self.rollout: Optional[DayBoundaryRollout] = None
         self._bootstrap_train: Optional[Dataset] = None
         self.coverage_tracker: Optional[CoverageTracker] = None
         self.planner: Optional[RefreshPlanner] = None
@@ -205,8 +201,6 @@ class GauntletOrchestrator:
         self._deferred_force = False
         self._last_alarm_check: Optional[date] = None
         self._drill_done = False
-        self._prev_failovers = 0
-        self._prev_restarts = 0
 
     # ------------------------------------------------------------------
     # setup
@@ -220,7 +214,7 @@ class GauntletOrchestrator:
         return Path(self._tmp.name)
 
     def bootstrap(self) -> None:
-        """Train v1 on the pre-replay window and raise the cluster."""
+        """Train v1 on the pre-replay window and start serving it."""
         cfg = self.config
         window = TrafficConfig().scaled(cfg.bootstrap_sessions)
         window = replace(
@@ -274,25 +268,10 @@ class GauntletOrchestrator:
                 cooldown_days=cfg.coverage_cooldown_days,
             )
 
-        # The heartbeat interval is pushed out past any single day's
-        # scoring: shard recovery runs synchronously at day boundaries
-        # (`_recover`), never mid-day — a restart racing the scoring
-        # loop would make the served-arm session set timing-dependent.
-        self.supervisor = ShardSupervisor.from_registry(
+        self.runtime = RuntimeScoringService(self.registry.load()).start()
+        self.rollout = DayBoundaryRollout(
             self.registry,
-            config=ClusterConfig(
-                n_shards=cfg.n_shards,
-                backend="thread",
-                heartbeat_interval_s=3600.0,
-            ),
-        )
-        self.router = ClusterRouter(
-            self.supervisor, RouterConfig(affinity="session")
-        ).start()
-        distributor = ModelDistributor(self.supervisor, self.registry)
-        self.binding = ClusterRolloutBinding(
-            self.registry,
-            self.supervisor,
+            self.runtime,
             clock=self.clock.time,
             config=RolloutConfig(
                 stages=cfg.canary_stages,
@@ -305,9 +284,8 @@ class GauntletOrchestrator:
                 min_comparisons=cfg.min_comparisons,
             ),
             seed=cfg.seed,
-            distributor=distributor,
         )
-        self.retrainer.rollout = self.binding
+        self.retrainer.rollout = self.rollout
 
         # Pre-replay infections: the marketplace opens with aged stock
         # harvested from the bootstrap window, so shelf age matters from
@@ -321,7 +299,7 @@ class GauntletOrchestrator:
     # the day loop
 
     def run(self) -> GauntletResult:
-        """Replay every configured day; always tears the cluster down."""
+        """Replay every configured day; always tears the runtime down."""
         self.bootstrap()
         planned = {
             plan.check_date: plan
@@ -338,7 +316,7 @@ class GauntletOrchestrator:
             ledger=self.ledger,
             summary=self.ledger.summary(),
             adversary=self.adversary.state_summary(),
-            rollout_events=list(self.binding.events),
+            rollout_events=list(self.rollout.events),
             retraining=[
                 {
                     "check_date": o.check_date.isoformat(),
@@ -351,6 +329,7 @@ class GauntletOrchestrator:
                 for o in self.retrainer.history
             ],
             registry_versions=self.registry.versions(),
+            drill_day=self._drill_day,
         )
 
     def _run_day(self, index: int, planned: Dict[date, object]) -> None:
@@ -370,9 +349,9 @@ class GauntletOrchestrator:
             rows, rng, sid_prefix=f"g{cfg.seed}-d{index:03d}"
         )
 
-        # -- scoring through the live cluster --------------------------
+        # -- scoring through the live runtime --------------------------
         wires = list(iter_wire_payloads(dataset))
-        verdicts = self.router.score_many(wires)
+        verdicts = self.runtime.score_many(wires)
         flags = np.array(
             [v.accepted and v.flagged for v in verdicts], dtype=bool
         )
@@ -411,7 +390,7 @@ class GauntletOrchestrator:
         decision = None
         if self.coverage_tracker is not None:
             self.coverage_tracker.set_known_keys(
-                table, generation=self.supervisor.serving_version
+                table, generation=self.registry.live_version
             )
             self.coverage_tracker.observe_many(
                 [str(key) for key in dataset.ua_keys], day=day
@@ -432,17 +411,12 @@ class GauntletOrchestrator:
             self.planner.note_retrain(day)
 
         # -- rollout day boundary --------------------------------------
-        self.binding.note_traffic(
+        self.rollout.note_traffic(
             str(sid) for sid in dataset.session_ids
         )
-        event = self.binding.day_step()
-        self._recover()
+        event = self.rollout.day_step()
 
-        failovers = self.router.failovers_total
-        restarts = sum(
-            self.supervisor.restarts(sid) for sid in self.supervisor.shards
-        )
-        state = self.binding.state
+        state = self.rollout.state
         in_flight = state is not None and state.in_flight
         self.ledger.record(
             day=day.isoformat(),
@@ -470,7 +444,7 @@ class GauntletOrchestrator:
             rollbacks=int(event.action == "rollback"),
             rollout_status=state.status if state is not None else None,
             rollout_stage=state.stage_index if in_flight else None,
-            serving_version=self.supervisor.serving_version,
+            serving_version=self.registry.live_version,
             marketplace_stock=self.marketplace.stock,
             stock_age_days=round(self.marketplace.average_age_days(day), 2),
             adaptations=adaptations_today,
@@ -485,12 +459,8 @@ class GauntletOrchestrator:
             ),
             p50_ms=round(percentile(latencies, 50), 3),
             p99_ms=round(percentile(latencies, 99), 3),
-            failovers=failovers - self._prev_failovers,
-            shard_restarts=restarts - self._prev_restarts,
             breach=event.breach.name if event.breach is not None else None,
         )
-        self._prev_failovers = failovers
-        self._prev_restarts = restarts
 
     # ------------------------------------------------------------------
     # drift checks
@@ -506,7 +476,7 @@ class GauntletOrchestrator:
                 >= self.config.alarm_cooldown_days
             )
         )
-        retry = self._deferred_check and not self.binding.in_flight
+        retry = self._deferred_check and not self.rollout.in_flight
         coverage = decision is not None and decision.retrain
         if not (due or alarm or retry or coverage):
             return None
@@ -537,22 +507,22 @@ class GauntletOrchestrator:
     # the chaos drill
 
     _drill_version: Optional[int] = None
+    _drill_day: Optional[str] = None
 
     def _maybe_drill(self, index: int, day: date) -> bool:
-        """Stage the bad-config candidate into canary; kill a shard.
+        """Stage the bad-config candidate straight into canary.
 
         The candidate is trained on a stale slice of the bootstrap
         window with ``unknown_ua_policy="flag"`` — it flags every
         release that shipped since, so the day-boundary disagreement
-        guardrail must catch it.  Killing a second shard the same day
-        proves the rollback verdicts survive mid-ramp churn.
+        guardrail must catch it.
         """
         cfg = self.config
         if (
             cfg.drill_day is None
             or self._drill_done
             or index < cfg.drill_day
-            or self.binding.in_flight
+            or self.rollout.in_flight
         ):
             return False
         stale = self._bootstrap_train.rows(
@@ -565,48 +535,22 @@ class GauntletOrchestrator:
             candidate, day, "chaos drill: stale window, unknown-ua misconfig"
         )
         self._drill_version = version
-        self.binding.begin(candidate, version)
-        self.binding.force_advance()  # shadow -> canary stage 0
-        if cfg.drill_kill_shard and cfg.n_shards > 1:
-            victim = sorted(self.supervisor.shards)[-1]
-            self.supervisor.kill(victim)
+        self._drill_day = day.isoformat()
+        self.rollout.begin(candidate, version)
+        self.rollout.force_advance()  # shadow -> canary stage 0
         self._drill_done = True
         return True
 
     # ------------------------------------------------------------------
-    # recovery and teardown
-
-    def _recover(self, max_sweeps: int = 10) -> None:
-        """Synchronously restart dead shards, then re-sync arm routing."""
-        def all_up() -> bool:
-            return (
-                self.supervisor.healthy_count == len(self.supervisor.shards)
-                and all(
-                    shard.service is not None
-                    for shard in self.supervisor.shards.values()
-                )
-            )
-
-        if all_up():
-            return
-        for _ in range(max_sweeps):
-            self.supervisor.check_once()
-            if all_up():
-                break
-        else:
-            raise RuntimeError("cluster failed to recover after chaos drill")
-        self.binding.rebind()
+    # teardown
 
     def shutdown(self) -> None:
         """Tear everything down (idempotent)."""
-        if self.binding is not None:
-            self.binding.close()
-        if self.router is not None:
-            self.router.shutdown(drain=True)
-            self.router = None
-        elif self.supervisor is not None:
-            self.supervisor.shutdown(drain=True)
-        self.supervisor = None
+        if self.rollout is not None:
+            self.rollout.close()
+        if self.runtime is not None:
+            self.runtime.shutdown(drain=True)
+            self.runtime = None
         if self._tmp is not None:
             self._tmp.cleanup()
             self._tmp = None

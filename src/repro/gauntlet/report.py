@@ -167,8 +167,6 @@ def render_timeline(ledger: DayLedger, limit: Optional[int] = None) -> str:
         if ledger.column("rollbacks")[i]:
             breach = ledger.column("breach")[i]
             events.append(f"ROLLBACK ({breach})")
-        if ledger.column("shard_restarts")[i]:
-            events.append(f"{ledger.column('shard_restarts')[i]} shard restart(s)")
         if ledger.column("monitor_alarm")[i]:
             events.append("monitor ALARM")
         if ledger.column("adaptations")[i]:

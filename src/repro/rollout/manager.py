@@ -443,9 +443,9 @@ class RolloutManager:
             self.runtime.detach_rollout(self)
         shadow = self._shadow
         if shadow is not None:
-            # Stop intake only: this may run on the shadow thread
-            # (auto-rollback fires from on_comparison), which cannot
-            # join itself.  close() joins later.
+            # No join: this may run on the shadow thread (auto-rollback
+            # fires from on_comparison), which cannot join itself.  The
+            # stopped thread exits once its pending rows are settled.
             shadow.stop()
 
     def _maybe_rollback(self) -> None:

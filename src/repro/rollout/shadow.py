@@ -192,7 +192,8 @@ class ShadowScorer:
     ``report``; ``on_comparison`` (the rollout manager's guardrail
     check) then fires once per drained batch.  A candidate call that
     raises settles its rows as shed, and the thread serves the next
-    batch.
+    batch.  After :meth:`stop` or :meth:`shutdown` the thread settles
+    what is pending and exits.
     """
 
     def __init__(
@@ -213,16 +214,19 @@ class ShadowScorer:
         self._cond = threading.Condition()
         self._pending: List[MirroredRow] = []
         self._comparing = False  # a swapped-out batch is not settled yet
-        self._accepting = self._running = True
+        self._running = True
         self._thread = threading.Thread(
             target=self._run, name="polygraph-shadow", daemon=True
         )
         self._thread.start()
 
     def stop(self) -> None:
-        """Stop accepting mirrors (cheap; callable from any thread)."""
+        """Stop accepting mirrors; the thread exits once what is pending
+        is settled.  Never joins, so the thread may call it itself (a
+        guardrail breach rolls back from ``on_comparison``)."""
         with self._cond:
-            self._accepting = False
+            self._running = False
+            self._cond.notify_all()
 
     def shutdown(self, drain: bool = True) -> None:
         """Stop intake, settle or drop what is pending, join the thread.
@@ -231,7 +235,7 @@ class ShadowScorer:
         first; with ``drain=False`` pending rows are dropped uncounted.
         """
         with self._cond:
-            self._accepting = self._running = False
+            self._running = False
             if not drain:
                 self._pending = []
             self._cond.notify_all()
@@ -249,7 +253,7 @@ class ShadowScorer:
         accepted.
         """
         with self._cond:
-            if not self._accepting:
+            if not self._running:
                 return 0
             accepted = min(len(rows), MAX_PENDING_ROWS - len(self._pending))
             if accepted:

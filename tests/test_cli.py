@@ -257,10 +257,9 @@ def test_build_cluster_serves_a_router(artifacts):
         model=model_path, shards=2, shard_backend="thread",
         affinity="session", cache_entries=128, cache_ttl=60.0, ring_slots=256,
     )
-    router, managers = _build_cluster(args, None)
+    router = _build_cluster(args)
     try:
         assert isinstance(router, ClusterRouter)
-        assert managers == []
         assert router.supervisor.healthy_count == 2
         assert router.cluster_status()["n_shards"] == 2
     finally:
@@ -286,8 +285,8 @@ def test_serve_exits_2_when_the_cluster_cannot_start(
 
 
 def test_serve_refuses_a_registry_on_process_shards(artifacts, tmp_path, capsys):
-    """Rollout managers attach to thread shards only: serving a registry
-    on process shards would drop its rollout without a word."""
+    """A registry's rollouts run on one process: serving it from shards
+    of either backend would drop its rollout without a word."""
     from datetime import date
 
     from repro.core.pipeline import BrowserPolygraph
@@ -298,14 +297,15 @@ def test_serve_refuses_a_registry_on_process_shards(artifacts, tmp_path, capsys)
     ModelRegistry(registry_dir).promote(
         BrowserPolygraph.load(model_path), date(2023, 7, 1), "bootstrap"
     )
-    code = main(
-        ["serve", "--registry", registry_dir, "--shards", "2",
-         "--shard-backend", "process"]
-    )
-    assert code == 2
-    (line,) = capsys.readouterr().err.strip().splitlines()
-    assert line.startswith("serve: --registry with process shards")
-    assert "--runtime" in line and "--shard-backend thread" in line
+    for backend in ("process", "thread"):
+        code = main(
+            ["serve", "--registry", registry_dir, "--shards", "2",
+             "--shard-backend", backend]
+        )
+        assert code == 2
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("serve: --registry with --shards")
+        assert "--runtime" in line
 
 
 def test_importing_the_cli_leaves_the_experiment_suite_out():

@@ -1,10 +1,9 @@
-"""Sharded serving cluster: ring, router, supervisor, distribution.
+"""Sharded serving cluster: ring, router, supervisor.
 
-The contract under test is the one the ISSUE pins down: placement is
-deterministic and minimal-movement, a killed shard loses no requests,
-re-routed requests are byte-identical to single-shard scoring — for any
-kill schedule and any cut into batches — and a rollout flip at quorum
-never gives one session a mixed-generation verdict.
+The contract under test: placement is deterministic and
+minimal-movement, a killed shard loses no requests, and re-routed
+requests are byte-identical to single-shard scoring — for any kill
+schedule and any cut into batches.
 """
 
 from __future__ import annotations
@@ -20,17 +19,13 @@ from hypothesis import strategies as st
 from repro.cluster import (
     ClusterConfig,
     ClusterRouter,
-    ModelDistributor,
     RouterConfig,
     ShardError,
     ShardSupervisor,
 )
 from repro.cluster.ring import HashRing, wire_routing_key
-from repro.core.pipeline import BrowserPolygraph
-from repro.core.retraining import ModelRegistry
 from repro.service.api import CollectionApp
 from repro.service.scoring import OVERLOADED_REASON, ScoringService, overloaded_verdict
-from repro.traffic.generator import TrafficConfig, TrafficSimulator
 from repro.traffic.replay import iter_wire_payloads
 
 
@@ -48,13 +43,6 @@ def _essence(verdict):
 @pytest.fixture(scope="module")
 def wires(small_dataset):
     return [w for _, w in zip(range(600), iter_wire_payloads(small_dataset))]
-
-
-@pytest.fixture(scope="module")
-def alt_trained():
-    """A second model whose verdicts can differ from ``trained``'s."""
-    dataset = TrafficSimulator(TrafficConfig(seed=23).scaled(4_000)).generate()
-    return BrowserPolygraph().fit(dataset)
 
 
 # ----------------------------------------------------------------------
@@ -167,6 +155,19 @@ class TestClusterScoring:
             verdicts = router.score_many(wires)
             assert [_essence(v) for v in verdicts] == expected
             assert router.scored_count == sum(1 for v in verdicts if v.accepted)
+
+    def test_a_replica_with_the_wrong_digest_refuses_to_boot(
+        self, trained, tmp_path
+    ):
+        path = tmp_path / "model.json"
+        digest = trained.save(path)
+        ShardSupervisor(
+            path, config=ClusterConfig(n_shards=1), expected_digest=digest
+        ).shutdown()
+        with pytest.raises(ShardError, match="digest mismatch"):
+            ShardSupervisor(
+                path, config=ClusterConfig(n_shards=1), expected_digest="0" * 64
+            )
 
     def test_killed_shard_loses_no_requests(self, trained, wires):
         reference = ScoringService(trained)
@@ -496,126 +497,6 @@ class TestProcessBackend:
             assert supervisor.healthy_count == 2
         finally:
             router.shutdown()
-
-
-# ----------------------------------------------------------------------
-# replicated distribution
-
-
-class TestDistribution:
-    @pytest.fixture()
-    def registry(self, tmp_path, trained, alt_trained):
-        from datetime import date
-
-        registry = ModelRegistry(tmp_path / "registry")
-        registry.promote(trained, date(2023, 7, 1), "bootstrap")
-        registry.stage_candidate(alt_trained, date(2023, 8, 1), "retrain")
-        return registry
-
-    def test_quorum_flip_keeps_lagging_shard_on_old_generation(
-        self, registry, wires
-    ):
-        supervisor = ShardSupervisor.from_registry(
-            registry, config=ClusterConfig(n_shards=3, heartbeat_interval_s=5.0)
-        )
-        router = ClusterRouter(supervisor).start()
-        try:
-            distributor = ModelDistributor(supervisor, registry, quorum=2)
-            assert supervisor.serving_version == 1
-
-            # Wedge one shard so the push can only reach a quorum.
-            blocked = supervisor.shards["s1"]
-            original_install = blocked.install
-            blocked.install = lambda *a, **k: (_ for _ in ()).throw(
-                ShardError("install blocked")
-            )
-            report = distributor.publish(2)
-            assert report.flipped
-            assert report.serving_version == 2
-            assert report.installed == ["s0", "s2"]
-            assert set(report.failed) == {"s1"}
-            assert not report.converged
-            assert distributor.lagging_shards() == ["s1"]
-            # The laggard serves its old generation whole — never a mix.
-            assert blocked.model_version == 1
-
-            # Sessions the laggard owns are answered by it alone.
-            owned = [
-                w
-                for w in wires
-                if supervisor.ring.node_for(wire_routing_key(w)) == "s1"
-            ][:25]
-            assert owned, "expected some sessions routed to s1"
-            verdicts = [router.score_wire(w) for w in owned]
-            assert all(v.accepted for v in verdicts)
-            routed = router.cluster_status()["router"]["routed_by_shard"]
-            assert routed == {"s1": len(owned)}
-
-            # Unblock and converge: the retry brings the laggard over.
-            blocked.install = original_install
-            retried = distributor.retry_lagging()
-            assert retried.converged
-            assert distributor.lagging_shards() == []
-            assert supervisor.shard_versions() == {"s0": 2, "s1": 2, "s2": 2}
-        finally:
-            router.shutdown()
-
-    def test_owner_dying_mid_flip_fails_over_onto_the_next_generation(
-        self, registry, alt_trained, wires
-    ):
-        """Failover does not filter by version: a wire whose lagging
-        owner dies is answered by the next replica, on that replica's
-        generation, whole — not refused."""
-        supervisor = ShardSupervisor.from_registry(
-            registry, config=ClusterConfig(n_shards=3, heartbeat_interval_s=3600.0)
-        )
-        router = ClusterRouter(supervisor).start()
-        try:
-            blocked = supervisor.shards["s1"]
-            blocked.install = lambda *a, **k: (_ for _ in ()).throw(
-                ShardError("install blocked")
-            )
-            assert ModelDistributor(supervisor, registry, quorum=2).publish(2).flipped
-            owned = [
-                w
-                for w in wires
-                if supervisor.ring.node_for(wire_routing_key(w)) == "s1"
-            ][:40]
-            supervisor.kill("s1")
-            verdicts = router.score_many(owned)
-            reference = ScoringService(alt_trained)
-            assert [_essence(v) for v in verdicts] == [
-                _essence(reference.score_wire(w)) for w in owned
-            ]
-            routed = router.cluster_status()["router"]["routed_by_shard"]
-            assert routed.get("s1", 0) == 0
-            assert sum(routed.values()) == len(owned)
-        finally:
-            router.shutdown()
-
-    def test_digest_mismatch_refuses_the_replica(self, registry, tmp_path):
-        supervisor = ShardSupervisor.from_registry(
-            registry, config=ClusterConfig(n_shards=2, heartbeat_interval_s=5.0)
-        ).start()
-        try:
-            entry = [e for e in registry.versions() if e["version"] == 2][0]
-            path = registry.root / entry["path"]
-            shard = supervisor.shards["s0"]
-            with pytest.raises(ShardError):
-                shard.install(path, "0" * 64, 2)
-            assert shard.model_version == 1
-        finally:
-            supervisor.shutdown()
-
-    def test_quorum_bounds_are_validated(self, registry):
-        supervisor = ShardSupervisor.from_registry(
-            registry, config=ClusterConfig(n_shards=2, heartbeat_interval_s=5.0)
-        )
-        with pytest.raises(ValueError):
-            ModelDistributor(supervisor, registry, quorum=3)
-        with pytest.raises(ValueError):
-            ModelDistributor(supervisor, registry, quorum=0)
-        supervisor.shutdown()
 
 
 # ----------------------------------------------------------------------

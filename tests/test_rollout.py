@@ -306,6 +306,10 @@ def _row(ua_key="chrome-112", flagged=False, risk=None, answer=(False, None)):
     return values, ua_key, flagged, risk
 
 
+def _shadow_threads():
+    return [t for t in threading.enumerate() if t.name == "polygraph-shadow"]
+
+
 class TestShadowScorer:
     """One thread, one bounded list of pending rows, one call per batch."""
 
@@ -395,6 +399,19 @@ class TestShadowScorer:
         assert scorer.mirror_many([_row()]) == 0
         assert detector.calls == []
         assert scorer.report.comparisons == scorer.report.shed == 0
+
+    def test_stop_settles_what_is_pending_then_exits(self):
+        scorer, detector = self._scorer()
+        detector.gate.clear()
+        assert scorer.mirror_many([_row()]) == 1
+        assert detector.entered.wait(timeout=5.0)
+        assert scorer.mirror_many([_row(), _row()]) == 2
+        scorer.stop()
+        detector.gate.set()
+        scorer._thread.join(timeout=5.0)
+        assert not scorer._thread.is_alive()
+        assert detector.calls == [1, 2]
+        assert scorer.report.comparisons == 3
 
     def test_survives_a_raising_candidate(self):
         hooks = []
@@ -665,6 +682,25 @@ class TestBrokenCandidate:
                 _fields(broken_scores.score_wire(w))
                 for w in _stage_wires(small_dataset, "post", 300)
             ] != expected
+        finally:
+            manager.close()
+            runtime.shutdown()
+
+    def test_rollbacks_leave_no_shadow_thread_behind(self, registry, tmp_path):
+        """Each rollback stops its shadow scorer from inside ``_detach``
+        (which must not join); the stopped thread still exits on its
+        own, so K begin → rollback cycles leave none alive."""
+        before = set(_shadow_threads())
+        runtime = _runtime(registry)
+        manager = _manager(registry, runtime, tmp_path)
+        try:
+            for _ in range(3):
+                manager.begin(registry.load(2), 2, salt=SALT)
+                assert manager.rollback().status == ROLLED_BACK
+            started = [t for t in _shadow_threads() if t not in before]
+            for thread in started:
+                thread.join(timeout=5.0)
+            assert not [t for t in started if t.is_alive()]
         finally:
             manager.close()
             runtime.shutdown()
