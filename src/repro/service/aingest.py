@@ -29,7 +29,7 @@ on each:
   distinct verdict in the batch;
 * **events batch too, in order** — ``POST /event`` bodies land in a
   second coalescing buffer and are handed to the session layer's
-  ``observe_many`` a batch at a time.  Exactly **one event batch is in
+  ``observe_rows`` a batch at a time.  Exactly **one event batch is in
   flight**; the next one forms while it runs (that wait is the only
   linger), so a session's events are folded in the order they were
   parsed however a client pipelines them, and delivery is the same
@@ -114,24 +114,41 @@ _LENGTH_REQUIRED = _error("411 Length Required", "content-length required",
                           False)
 
 
+# What ``bytes.strip()`` strips.  A header line may begin with none of
+# it and a field name may end with none of it (RFC 9112 §5.1, §5.2);
+# both are checked by indexing, which builds no object.
+_WHITESPACE = frozenset(b" \t\r\n\x0b\x0c")
+
+
 def _read_head(head: bytearray):
     """Parse one request head, given without its terminating blank line.
 
     Returns ``(method, target, body_length, keep_alive)``, or the
     response (``bytes``) that refuses the request and ends the
-    connection.
+    connection.  The connection persists as RFC 9112 §9.3 says: unless
+    a ``Connection`` header lists ``close``, and for HTTP/1.0 only if
+    one lists ``keep-alive``.
     """
-    request_line, *header_lines = head.split(b"\r\n")
-    request_line = request_line.split(b" ", 2)
+    lines = iter(head.split(b"\r\n"))
+    request_line = next(lines).split(b" ", 2)
     if len(request_line) != 3:
         return _MALFORMED
     length = -1
-    keep_alive = True
-    for line in header_lines:
+    close = False
+    keep_alive = request_line[2] == b"HTTP/1.1"
+    for line in lines:
+        # A line that begins with whitespace continues the one before
+        # (obs-fold), and a name that ends with it is not the name a
+        # strict proxy reads: either way two hops would disagree on
+        # which headers — a ``Content-Length`` among them — were sent.
+        if line[0] in _WHITESPACE:  # the head holds no empty line
+            return _MALFORMED
         name, colon, value = line.partition(b":")
         if not colon:
             continue
-        name = name.strip().lower()
+        if name and name[-1] in _WHITESPACE:
+            return _MALFORMED
+        name = name.lower()
         if name == b"content-length":
             value = value.strip()
             try:
@@ -146,7 +163,15 @@ def _read_head(head: bytearray):
                 return _MALFORMED
             length = claimed
         elif name == b"connection":
-            keep_alive = value.strip().lower() != b"close"
+            value = value.strip().lower()
+            if value == b"close":
+                close = True
+            elif value == b"keep-alive":
+                keep_alive = True
+            else:  # a list of options
+                options = [option.strip() for option in value.split(b",")]
+                close = close or b"close" in options
+                keep_alive = keep_alive or b"keep-alive" in options
         elif name == b"transfer-encoding":
             # No endpoint takes a chunked body, and ignoring the header
             # while a proxy in front honours it desyncs the framing.
@@ -155,7 +180,7 @@ def _read_head(head: bytearray):
         if request_line[0] == b"POST":
             return _LENGTH_REQUIRED
         length = 0
-    return request_line[0], request_line[1], length, keep_alive
+    return request_line[0], request_line[1], length, keep_alive and not close
 
 
 def _render_verdict(accepted: bool, flagged: bool, risk_factor: Optional[int],
@@ -376,7 +401,7 @@ class AsyncIngestServer:
     :class:`CollectionApp` wrapping the *same* service, used verbatim
     for every endpoint except ``POST /collect`` and — when it has a
     session layer attached (``app.sessions``) — ``POST /event``, whose
-    bodies go to that layer's ``observe_many``.
+    bodies go to that layer's ``observe_rows``.
 
     The server owns one event-loop thread; ``start()``/``close()``
     manage it directly, while ``serve_forever()``/``shutdown()`` match
@@ -654,21 +679,26 @@ class AsyncIngestServer:
         (it sets ``Content-Length``) — and kept cut in two around the
         id.  Only an id that JSON writes as it stands (printable ASCII,
         no quote, no backslash: :class:`EnvelopeParser`'s rule for
-        slicing one) may be put between the halves.
+        slicing one) may be put between the halves.  The session layer
+        answers in rows, and a template answer is put together from its
+        row alone; only a full render builds the observation.
         """
+        # Here, not at the top: a server without a session layer never
+        # loads it.
+        from repro.sessions.service import SessionObservation
+
         headers = [("Content-Type", "application/json")]
         templates = self._event_templates
         responses = []
-        for observation in self.app.sessions.observe_many(bodies):
-            verdict = observation.verdict
-            session_id = verdict.session_id
+        for row in self.app.sessions.observe_rows(bodies):
+            (session_id, verdict, session_flagged, session_risk, revision,
+             event_seq, session_created) = row
             key = None
-            if observation.revision is None and _PLAIN_SID(session_id):
+            if revision is None and _PLAIN_SID(session_id):
                 key = (
                     verdict.accepted, verdict.flagged, verdict.risk_factor,
-                    verdict.reject_reason, observation.session_flagged,
-                    observation.session_risk, observation.event_seq,
-                    observation.session_created, len(session_id),
+                    verdict.reject_reason, session_flagged, session_risk,
+                    event_seq, session_created, len(session_id),
                 )
                 halves = templates.get(key)
                 if halves is not None:
@@ -677,8 +707,8 @@ class AsyncIngestServer:
                     )
                     continue
             status = "202 Accepted" if verdict.accepted else "400 Bad Request"
-            body = json.dumps(observation.to_dict()).encode("utf-8")
-            raw = _render(status, headers, body, True)
+            body = json.dumps(SessionObservation.from_row(row).to_dict())
+            raw = _render(status, headers, body.encode("utf-8"), True)
             if key is not None:
                 # ``event_seq`` and the reject reason are the client's
                 # to choose: bounded, and cleared whole at the bound.

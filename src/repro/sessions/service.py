@@ -37,13 +37,23 @@ state, which is why any split of a wire sequence into batches leaves
 exactly the observations, counters and tracker state that
 one-at-a-time scoring would.
 
-What an event leaves behind is built for being kept: an
+**Rows, and where they become objects.**  The fold yields one
+:data:`EventRow` per event — ``(session_id, verdict, session_flagged,
+session_risk, revision, event_seq, session_created)`` — whose verdict
+still carries the id the inner service scored it under.  The front end
+takes the rows themselves (:meth:`SessionScoringService.observe_rows`)
+and answers most of them from a response template, so a batch it
+serves builds no per-event object at all.  A
+:class:`SessionObservation`, and a follow-up's re-labelled verdict in
+it, is built from a row (:meth:`SessionObservation.from_row`) only
+where one escapes: the library calls (``observe_many`` and everything
+on top of it, ``fold_many``) and the front end's full render.  Those
+objects live as long as their response and are built by ``__dict__``
+swap, as :mod:`repro.runtime.batch` builds verdicts.  What an event
+leaves behind is built for being kept: an
 :class:`~repro.sessions.tracker.EventRecord` is a tuple and a
 :class:`~repro.sessions.tracker.SessionState` has slots and no sets
-until a second distinct vector or UA key shows up.  What lives only as
-long as its response — the observation, a follow-up's re-labelled
-verdict — is built by ``__dict__`` swap, as :mod:`repro.runtime.batch`
-builds verdicts.
+until a second distinct vector or UA key shows up.
 
 Cluster-flip detection needs the *predicted cluster*, which the inner
 services' :class:`Verdict` deliberately omits.  A bounded memo maps
@@ -75,11 +85,22 @@ from repro.sessions.revision import (
 )
 from repro.sessions.store import SessionEventLog
 from repro.sessions.tracker import EventRecord, SessionState, SessionTracker
-from repro.traffic.events import SessionEvent
+from repro.traffic.events import EventType, SessionEvent
 
-__all__ = ["SessionObservation", "SessionScoringService"]
+__all__ = ["EventRow", "SessionObservation", "SessionScoringService"]
 
 _DETECT_MEMO_LIMIT = 8192
+
+#: One folded event: ``(session_id, verdict, session_flagged,
+#: session_risk, revision, event_seq, session_created)``.  The verdict
+#: keeps the id it was scored under; ``session_id`` is the one answered.
+EventRow = Tuple[
+    str, Verdict, bool, Optional[int], Optional[VerdictRevision], int, bool
+]
+
+# ``EventType.value`` is an enum property; a dict read is a fifth of it.
+_EVENT_TYPE_NAMES = {event_type: event_type.value for event_type in EventType}
+_tuple_new = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -106,6 +127,15 @@ class SessionObservation:
             "event_seq": self.event_seq,
             "session_created": self.session_created,
         }
+
+    @staticmethod
+    def from_row(row: EventRow) -> "SessionObservation":
+        """The observation a folded :data:`EventRow` stands for."""
+        session_id, verdict = row[0], row[1]
+        # Report under the real session id, whatever id scored inside.
+        if verdict.session_id != session_id:
+            verdict = _relabelled(verdict, session_id)
+        return _observation(verdict, *row[2:])
 
 
 # Frozen-dataclass construction by ``__dict__`` swap — the idiom, and
@@ -140,9 +170,9 @@ def _observation(
     return observation
 
 
-def _unscored(verdict: Verdict, event_seq: int) -> SessionObservation:
-    """The observation of an event that never reached a session."""
-    return _observation(verdict, False, None, None, event_seq, False)
+def _unscored(verdict: Verdict, event_seq: int) -> EventRow:
+    """The row of an event that never reached a session."""
+    return (verdict.session_id, verdict, False, None, None, event_seq, False)
 
 
 def _relabelled(verdict: Verdict, session_id: str) -> Verdict:
@@ -241,9 +271,44 @@ class SessionScoringService:
         """Score a batch of event envelopes (``POST /event`` bodies).
 
         Equal, observation for observation and counter for counter, to
-        calling :meth:`observe_wire` on each in turn.
+        calling :meth:`observe_wire` on each in turn.  The fold goes
+        through :meth:`fold_many`, the library's fold step, so a
+        subclass that replaces that step (the tests' frozen per-event
+        fold does) replaces it here too; :meth:`observe_rows` folds with
+        the row core itself.
         """
-        observations: List[Optional[SessionObservation]] = [None] * len(wires)
+        rows, indices, events, verdicts = self._parse_and_score(wires, day)
+        observations = [
+            None if row is None else SessionObservation.from_row(row)
+            for row in rows
+        ]
+        for index, observation in zip(indices, self.fold_many(events, verdicts)):
+            observations[index] = observation
+        return observations  # type: ignore[return-value]
+
+    def observe_rows(
+        self, wires: Sequence[bytes], day: Optional[date] = None
+    ) -> List[EventRow]:
+        """:meth:`observe_many`, answered as rows rather than objects.
+
+        What the async front end calls: the same parse, scoring and
+        fold, with :meth:`SessionObservation.from_row` of each row
+        equal to the corresponding observation ``observe_many`` returns.
+        """
+        rows, indices, events, verdicts = self._parse_and_score(wires, day)
+        for index, row in zip(indices, self._fold_rows(events, verdicts)):
+            rows[index] = row
+        return rows  # type: ignore[return-value]
+
+    def _parse_and_score(self, wires: Sequence[bytes], day: Optional[date]):
+        """Parse every envelope; score the parsed ones in one inner call.
+
+        Returns ``(rows, indices, events, verdicts)``: one slot per wire,
+        holding the answer of a malformed envelope — it reaches neither
+        the inner service nor the fold — and ``None`` elsewhere, then
+        the slot, event and inner verdict of every parsed envelope.
+        """
+        rows: List[Optional[EventRow]] = [None] * len(wires)
         indices: List[int] = []
         events: List[SessionEvent] = []
         inner_wires: List[bytes] = []
@@ -252,8 +317,7 @@ class SessionScoringService:
             try:
                 event, scored_as = parse(wire)
             except ValueError as exc:
-                # Answered here: reaches neither the inner service nor the fold.
-                observations[index] = _unscored(
+                rows[index] = _unscored(
                     Verdict(
                         session_id="",
                         accepted=False,
@@ -268,10 +332,7 @@ class SessionScoringService:
             indices.append(index)
             events.append(event)
             inner_wires.append(scored_as)
-        verdicts = _score_wires(self.inner, inner_wires, day)
-        for index, observation in zip(indices, self.fold_many(events, verdicts)):
-            observations[index] = observation
-        return observations  # type: ignore[return-value]
+        return rows, indices, events, _score_wires(self.inner, inner_wires, day)
 
     def observe_wire(self, wire: bytes, day: Optional[date] = None) -> SessionObservation:
         """Score one event-envelope payload: a batch of one."""
@@ -293,11 +354,25 @@ class SessionScoringService:
     ) -> List[SessionObservation]:
         """Reconcile scored events with their sessions' sticky verdicts.
 
+        :meth:`_fold_rows`, each row built into its observation.
+        """
+        from_row = SessionObservation.from_row
+        return [from_row(row) for row in self._fold_rows(events, verdicts)]
+
+    def _fold_rows(
+        self, events: Sequence[SessionEvent], verdicts: Sequence[Verdict]
+    ) -> List[EventRow]:
+        """The fold: one :data:`EventRow` per event.
+
         The only step that touches session state; ``events`` are folded
         in the order given, which for any one session must be the order
         its events arrived in.  The cluster lookups come first and take
-        no lock (a memo miss is a model call); then one lock span covers
-        the whole batch, and the durable log is written after it.
+        no lock (a memo miss is a model call).  Then one span covers the
+        whole batch: the service lock, and inside it the tracker's —
+        the lock order is always service → tracker.  The tracker's
+        clock is still read per event, because the batch's own events
+        move event time and may expire a session between two of them.
+        The durable log is written after the span.
         """
         results = self._detect_many(
             [
@@ -306,63 +381,73 @@ class SessionScoringService:
             ]
         )
         tracker = self.tracker
-        get_or_create = tracker.get_or_create
+        touch = tracker._touch_locked
+        clock = tracker._clock
         max_events = tracker.max_events_per_session
         logged: Optional[list] = None if self.event_log is None else []
-        observations: List[SessionObservation] = []
-        with self._lock:
-            for event, verdict, result in zip(events, verdicts, results):
-                # Event time moves for every parsed event, scored or not.
-                if event.timestamp > self._virtual_now:
-                    self._virtual_now = event.timestamp
-                if not verdict.accepted:
-                    observations.append(_unscored(verdict, event.seq))
-                    continue
-                session_id = event.session_id
-                # Report under the real session id, whatever id scored inside.
-                if verdict.session_id != session_id:
-                    verdict = _relabelled(verdict, session_id)
-                if result is not None:
-                    ua_key = result.ua_key
-                    cluster = result.predicted_cluster
-                else:
-                    ua_key = cluster = None
-                state, created = get_or_create(session_id)
-                self.events_total += 1
-                revision = self._reconcile_locked(state, event, verdict, result, ua_key)
-                state.record_event(
-                    EventRecord(
-                        event.seq,
-                        event.event_type.value,
-                        event.timestamp,
-                        verdict.flagged,
-                        verdict.risk_factor,
-                        cluster,
-                        ua_key,
-                    ),
-                    tuple(event.values),
-                    max_events,
-                )
-                if verdict.fused_flagged is not None:
-                    self._record_fusion_locked(session_id, verdict)
-                if logged is not None:
-                    logged.append((event, verdict, ua_key))
-                observations.append(
-                    _observation(
-                        verdict,
-                        state.flagged,
-                        state.risk_factor,
-                        revision,
-                        event.seq,
-                        created,
+        rows: List[EventRow] = []
+        append = rows.append
+        folded = 0
+        with self._lock, tracker._lock:
+            try:
+                for event, verdict, result in zip(events, verdicts, results):
+                    # Event time moves for every parsed event, scored or not.
+                    timestamp = event.timestamp
+                    if timestamp > self._virtual_now:
+                        self._virtual_now = timestamp
+                    if not verdict.accepted:
+                        append(_unscored(verdict, event.seq))
+                        continue
+                    session_id = event.session_id
+                    if result is not None:
+                        ua_key = result.ua_key
+                        cluster = result.predicted_cluster
+                    else:
+                        ua_key = cluster = None
+                    state, created = touch(session_id, clock())
+                    folded += 1
+                    revision = self._reconcile_locked(
+                        state, event, verdict, result, ua_key
                     )
-                )
+                    state.record_event(
+                        _tuple_new(
+                            EventRecord,
+                            (
+                                event.seq,
+                                _EVENT_TYPE_NAMES[event.event_type],
+                                timestamp,
+                                verdict.flagged,
+                                verdict.risk_factor,
+                                cluster,
+                                ua_key,
+                            ),
+                        ),
+                        tuple(event.values),
+                        max_events,
+                    )
+                    if verdict.fused_flagged is not None:
+                        self._record_fusion_locked(session_id, verdict)
+                    if logged is not None:
+                        logged.append((event, verdict, ua_key))
+                    append(
+                        (
+                            session_id,
+                            verdict,
+                            state.flagged,
+                            state.risk_factor,
+                            revision,
+                            event.seq,
+                            created,
+                        )
+                    )
+            finally:
+                self.events_total += folded
         if logged:
-            append = self.event_log.append
+            append_row = self.event_log.append
             for event, verdict, ua_key in logged:
-                append(
+                append_row(
                     session_id=event.session_id,
-                    event_type=event.event_type.value,
+                    event_type=_EVENT_TYPE_NAMES[event.event_type],
                     seq=event.seq,
                     timestamp=event.timestamp,
                     ua_key=ua_key if ua_key is not None else "",
@@ -370,7 +455,7 @@ class SessionScoringService:
                     flagged=verdict.flagged,
                     risk=verdict.risk_factor,
                 )
-        return observations
+        return rows
 
     def _reconcile_locked(
         self,
@@ -423,7 +508,7 @@ class SessionScoringService:
         revision = VerdictRevision(
             session_id=event.session_id,
             seq=event.seq,
-            event_type=event.event_type.value,
+            event_type=_EVENT_TYPE_NAMES[event.event_type],
             reason=reason,
             old_flagged=old_flagged,
             new_flagged=state.flagged,

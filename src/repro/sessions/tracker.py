@@ -153,7 +153,10 @@ class SessionTracker:
     Thread-safe: the scoring service touches it from whatever thread a
     request arrives on.  ``get_or_create`` refreshes LRU recency; a
     session that outlives ``ttl_seconds`` without a new event is evicted
-    lazily when next touched or during a periodic sweep.
+    lazily when next touched or during a periodic sweep.  The session
+    service's batch fold takes ``_lock`` once and calls
+    :meth:`_touch_locked` per event, always while holding its own lock
+    first (service → tracker), never the other way round.
     """
 
     def __init__(
@@ -193,27 +196,34 @@ class SessionTracker:
         """
         now = self._clock()
         with self._lock:
-            self._touches += 1
-            if self._touches % _SWEEP_EVERY == 0:
-                self._sweep_stale_locked(now)
-            state = self._sessions.get(session_id)
-            if state is not None:
-                if now - state.last_seen > self.ttl_seconds:
-                    del self._sessions[session_id]
-                    self.evicted_ttl += 1
-                    state = None
-                else:
-                    self._sessions.move_to_end(session_id)
-            if state is not None:
+            return self._touch_locked(session_id, now)
+
+    def _touch_locked(
+        self, session_id: str, now: float
+    ) -> Tuple[SessionState, bool]:
+        """:meth:`get_or_create` at time ``now``, with ``_lock`` held.
+
+        The whole per-event step — TTL check, LRU touch, creation,
+        capacity eviction and the sweep every ``_SWEEP_EVERY`` touches —
+        so a caller folding a batch enters the lock once for all of it.
+        """
+        self._touches += 1
+        if self._touches % _SWEEP_EVERY == 0:
+            self._sweep_stale_locked(now)
+        sessions = self._sessions
+        state = sessions.get(session_id)
+        if state is not None:
+            if now - state.last_seen <= self.ttl_seconds:
+                sessions.move_to_end(session_id)
                 return state, False
-            state = SessionState(
-                session_id=session_id, created_at=now, last_seen=now
-            )
-            self._sessions[session_id] = state
-            while len(self._sessions) > self.max_sessions:
-                self._sessions.popitem(last=False)
-                self.evicted_capacity += 1
-            return state, True
+            del sessions[session_id]
+            self.evicted_ttl += 1
+        state = SessionState(session_id=session_id, created_at=now, last_seen=now)
+        sessions[session_id] = state
+        while len(sessions) > self.max_sessions:
+            sessions.popitem(last=False)
+            self.evicted_capacity += 1
+        return state, True
 
     def peek(self, session_id: str) -> Optional[SessionState]:
         """The live state without refreshing recency (``None`` if gone)."""

@@ -48,6 +48,7 @@ from repro.service.scoring import (
     overloaded_verdict,
 )
 from repro.sessions import SessionScoringService
+from repro.sessions import service as session_service
 from repro.traffic.events import (
     EventStreamConfig,
     EventType,
@@ -566,10 +567,17 @@ class TestFraming:
                   ["Content-Length: " + "9" * 5000], length=False),
             _http("POST", "/collect", b"x",
                   [f"Content-Length: {MAX_PAYLOAD_BYTES + 129}"], length=False),
+            # RFC 9112 §5.1: no whitespace between a field name and its colon.
+            _http("POST", "/collect", b"abcde", ["Content-Length : 5"],
+                  length=False),
+            # RFC 9112 §5.2: an obs-fold continuation line.
+            _http("POST", "/collect", b"abcde", ["X-Pad: a", " Content-Length: 5"],
+                  length=False),
         ],
         ids=["head-too-long", "head-never-ends", "no-request-line", "empty-head",
              "length-not-a-number", "length-negative", "length-signed",
-             "length-underscore", "length-huge", "length-over-cap"],
+             "length-underscore", "length-huge", "length-over-cap",
+             "space-before-colon", "obs-fold"],
     )
     def test_untrustworthy_head_is_400_and_close(self, server, raw):
         (status, headers, body), = _responses(_exchange(server.port, raw))
@@ -636,6 +644,29 @@ class TestFraming:
         (status, headers, _), = _responses(_exchange(server.port, raw))
         assert status in (200, 202)
         assert headers["Connection"] == "close"
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"GET /health HTTP/1.0\r\nHost: t\r\n\r\n",
+            _http("GET", "/health", extra=["Connection: keep-alive, close"]),
+        ],
+        ids=["http-1.0-without-keep-alive", "keep-alive-and-close"],
+    )
+    def test_a_connection_that_does_not_persist_is_answered_close(
+        self, server, raw
+    ):
+        # RFC 9112 §9.3; what follows on the socket is never parsed.
+        raw += _http("GET", "/health")
+        (status, headers, _), = _responses(_exchange(server.port, raw))
+        assert (status, headers["Connection"]) == (200, "close")
+
+    def test_http_1_0_with_keep_alive_persists(self, server):
+        raw = b"GET /health HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n"
+        raw += _http("GET", "/health", extra=["Connection: close"])
+        first, second = _responses(_exchange(server.port, raw))
+        assert (first[0], first[1]["Connection"]) == (200, "keep-alive")
+        assert (second[0], second[1]["Connection"]) == (200, "close")
 
     def test_clean_eof_between_requests_closes_quietly(self, server):
         with socket.create_connection(
@@ -988,7 +1019,7 @@ class TestEventOrdering:
         batches = []
 
         class Watching:
-            def observe_many(self, bodies):
+            def observe_rows(self, bodies):
                 running.append(1)
                 overlaps.append(len(running))
                 batches.append(len(bodies))
@@ -1240,6 +1271,28 @@ class TestEventTemplates:
             if turn == "b":
                 assert len(rendered) == revised
 
+    def test_a_template_answer_builds_no_observation(
+        self, trained, event_streams, monkeypatch
+    ):
+        server, reference = _scripted_server(trained)
+        warm, served = (
+            [e.to_wire() for e in self._session(event_streams, session_id)]
+            for session_id in ("warm-1", "warm-2")
+        )
+        expected = [_parent_render_event(reference.observe_wire(b)) for b in served]
+        server._observe_batch(warm)
+        built = []
+        observation = session_service._observation
+
+        def counting(*args):
+            built.append(args)
+            return observation(*args)
+
+        # Every SessionObservation is built here.
+        monkeypatch.setattr(session_service, "_observation", counting)
+        assert server._observe_batch(served) == expected
+        assert built == []
+
     def test_a_template_answer_closes_the_connection_when_asked(
         self, trained, event_streams
     ):
@@ -1305,10 +1358,10 @@ class TestEventBatches:
         real = SessionScoringService(service, ttl_seconds=1e9)
 
         class Poisoned:
-            def observe_many(self, bodies):
+            def observe_rows(self, bodies):
                 if any(b"poison" in body for body in bodies):
                     raise RuntimeError("session layer bug")
-                return real.observe_many(bodies)
+                return real.observe_rows(bodies)
 
         app = CollectionApp(service, sessions=Poisoned())
         good = [s.first.to_wire() for s in event_streams[:5]]
@@ -1358,9 +1411,9 @@ class TestEventBatches:
         real = SessionScoringService(service, ttl_seconds=1e9)
 
         class Slow:
-            def observe_many(self, bodies):
+            def observe_rows(self, bodies):
                 time.sleep(0.02)
-                return real.observe_many(bodies)
+                return real.observe_rows(bodies)
 
         app = CollectionApp(service, sessions=Slow())
         bodies = [s.first.to_wire() for s in event_streams[:20]]

@@ -21,6 +21,7 @@ from repro.fusion.model import FusionModel
 from repro.service.scoring import ScoringService, Verdict
 from repro.sessions import SessionEventLog, SessionScoringService
 from repro.sessions.envelope import inner_wire
+from repro.sessions import tracker as tracker_module
 from repro.sessions.tracker import EventRecord, SessionState
 from repro.traffic.events import (
     EventStreamConfig,
@@ -37,6 +38,7 @@ from tests.event_shapes import (
     scenario_streams,
     sessions_state,
 )
+from tests import parent_fold
 from tests.parent_fold import ParentFoldService, ParentSessionState
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -149,6 +151,19 @@ class TestFoldManyAgainstTheFrozenFold:
             assert _log_rows(new.event_log) == _log_rows(frozen.event_log)
 
         check()
+
+    def test_any_cut_any_bounds_with_a_sweep_every_other_touch(
+        self, twin_inners, streams, tmp_path, monkeypatch
+    ):
+        """The property again, with sweeps landing inside batches.
+
+        A drawn batch holds ~30 events at most, so at the real cadence
+        of 512 touches no sweep ever runs inside the fold's one tracker
+        lock span; at 2, most batches hold several."""
+        monkeypatch.setattr(tracker_module, "_SWEEP_EVERY", 2)
+        # The frozen tracker imported the cadence by value.
+        monkeypatch.setattr(parent_fold, "_SWEEP_EVERY", 2)
+        self.test_any_cut_any_bounds(twin_inners, streams, tmp_path)
 
     def test_a_session_expires_and_another_is_evicted_inside_one_batch(
         self, trained, streams

@@ -517,6 +517,22 @@ class TestSessionScoringService:
         assert after == live.predicted_cluster
         assert after == (before + 1) % trained.config.n_clusters
 
+    def test_the_cluster_memo_is_bounded(self, trained, streams, monkeypatch):
+        """Past ``_DETECT_MEMO_LIMIT`` surfaces the memo starts over,
+        and every session still records its own fingerprint's cluster."""
+        monkeypatch.setattr("repro.sessions.service._DETECT_MEMO_LIMIT", 4)
+        by_surface = {(s.first.values, s.first.user_agent): s.first for s in streams}
+        firsts = list(by_surface.values())[:12]
+        assert len(firsts) == 12
+        sessions = _session_service(trained)
+        for start in range(0, len(firsts), 3):
+            sessions.observe_many([e.to_wire() for e in firsts[start : start + 3]])
+            assert 0 < len(sessions._detect_memo) <= 4
+        for event in firsts:
+            (record,) = sessions.session_snapshot(event.session_id)["events"]
+            live = trained.detect_session(event.values, event.user_agent)
+            assert record["predicted_cluster"] == live.predicted_cluster
+
     def test_metrics_lines(self, trained, streams):
         sessions = _session_service(trained)
         for stream in streams[:20]:
