@@ -7,7 +7,7 @@ metrics hooks :class:`~repro.service.api.CollectionApp` reads — so the
 WSGI app and the CLI serve path do not know whether one shard or eight
 sit behind them.
 
-There is one way through: :meth:`ClusterRouter.score_many` partitions a
+There is one way through: :meth:`ClusterRouter.score_rows` partitions a
 batch by ring owner and scores each shard's chunk with one
 ``score_chunk`` call; ``score_wire(w)`` is ``score_many([w])[0]``.
 
@@ -211,6 +211,13 @@ class ClusterRouter:
         Verdicts come back in input order; nothing is lost.  Re-entrant:
         all per-call state is local, shared counters are lock-guarded.
         """
+        return self.score_rows(wires, None, None)
+
+    def score_rows(self, wires: Sequence[bytes], rows, found, day=None) -> List[Verdict]:
+        """:meth:`score_many` beside the session layer's envelope rows:
+        :meth:`RuntimeScoringService.score_rows`, without a day."""
+        if found is not None:
+            found[:] = [None] * len(wires)
         results: List[Optional[Verdict]] = [None] * len(wires)
         chunks: Dict[str, List[int]] = {}
         chunks_get = chunks.get
@@ -250,16 +257,14 @@ class ClusterRouter:
             with self._lock:
                 self.requests_total += unroutable
                 self.unroutable_total += unroutable
-        unanswered = self._dispatch(chunks, wires, results)
+        batch = (wires, rows, results, found)
+        unanswered = self._dispatch(chunks, batch)
         if unanswered:
-            self._fail_over(unanswered, wires, results)
+            self._fail_over(unanswered, batch)
         return results  # type: ignore[return-value]
 
     def _dispatch(
-        self,
-        chunks: Dict[str, List[int]],
-        wires: Sequence[bytes],
-        results: List[Optional[Verdict]],
+        self, chunks: Dict[str, List[int]], batch: tuple
     ) -> Dict[str, List[int]]:
         """Score every shard's chunk; return what each left unanswered.
 
@@ -271,10 +276,11 @@ class ClusterRouter:
         """
         unanswered: Dict[str, List[int]] = {}
         items = list(chunks.items())
+        results = batch[2]
 
         def dispatch(shard_id: str, indices: List[int]) -> None:
             try:
-                left = self._score_chunk_into(shard_id, indices, wires, results)
+                left = self._score_chunk_into(shard_id, indices, *batch)
             except Exception:  # noqa: BLE001 — a dead dispatcher loses wires
                 left = [i for i in indices if results[i] is None]
             if left:
@@ -300,12 +306,7 @@ class ClusterRouter:
             thread.join()
         return unanswered
 
-    def _fail_over(
-        self,
-        unanswered: Dict[str, List[int]],
-        wires: Sequence[bytes],
-        results: List[Optional[Verdict]],
-    ) -> None:
+    def _fail_over(self, unanswered: Dict[str, List[int]], batch: tuple) -> None:
         """Re-score unanswered wires on their next untried replicas.
 
         One hop per pass: every wire a shard left unanswered moves to
@@ -316,6 +317,7 @@ class ClusterRouter:
         replicas is answered ``overloaded``.  Terminates: each pass
         adds one shard to every remaining wire's tried set.
         """
+        wires, _, results, _ = batch
         affinity = self.config.affinity
         route = self.supervisor.route
         tried: Dict[int, set] = {}
@@ -343,14 +345,16 @@ class ClusterRouter:
                 self.failovers_total += sum(map(len, chunks.values()))
                 self.requests_total += unroutable
                 self.unroutable_total += unroutable
-            unanswered = self._dispatch(chunks, wires, results)
+            unanswered = self._dispatch(chunks, batch)
 
     def _score_chunk_into(
         self,
         shard_id: str,
         indices: List[int],
         wires: Sequence[bytes],
+        rows: Optional[Sequence[tuple]],
         results: List[Optional[Verdict]],
+        found: Optional[list],
     ) -> List[int]:
         """Score one shard's chunk in place; return the indices it left.
 
@@ -360,8 +364,14 @@ class ClusterRouter:
         shard = self.supervisor.shards.get(shard_id)
         if shard is None:
             return indices
+        chunk = [wires[i] for i in indices]
+        part: Optional[list] = None if found is None else []
         try:
-            verdicts = shard.score_chunk([wires[i] for i in indices])
+            if part is None:  # ``score_many``'s chunk: the wires alone
+                verdicts = shard.score_chunk(chunk)
+            else:
+                chunk_rows = rows and [rows[i] for i in indices]
+                verdicts = shard.score_chunk(chunk, chunk_rows, part)
         except ShardError:
             # A refusal is reported here and again by ``_dispatch`` as a
             # chunk that needed failover: with the default
@@ -370,6 +380,9 @@ class ClusterRouter:
             # part of a chunk gets a second chance.
             self.supervisor.note_failure(shard_id)
             return indices
+        if part is not None:  # a shed wire's entry: its failover's, later
+            for i, entry in zip(indices, part):
+                found[i] = entry
         retry: List[int] = []
         scored = 0
         flagged = 0

@@ -189,12 +189,12 @@ class ThreadShard:
 
     # -- serving --------------------------------------------------------
 
-    def score_chunk(self, wires: Sequence[bytes]) -> List[Verdict]:
-        """Score one routed chunk as one batch."""
+    def score_chunk(self, wires: Sequence[bytes], rows=None, found=None) -> List[Verdict]:
+        """Score one routed chunk as one batch (rows: ``score_rows``)."""
         service = self.service
         if service is None:
             raise ShardError(f"shard {self.shard_id} is not running")
-        return service.score_many(wires)
+        return service.score_rows(wires, rows, found)
 
     # -- control --------------------------------------------------------
 
@@ -457,17 +457,21 @@ class ProcessShard:
 
     # -- serving --------------------------------------------------------
 
-    def score_chunk(self, wires: Sequence[bytes]) -> List[Verdict]:
+    def score_chunk(self, wires: Sequence[bytes], rows=None, found=None) -> List[Verdict]:
         transport = self._transport
         if not self._alive or transport is None:
             raise ShardError(f"shard {self.shard_id} is not running")
         verdicts: List[Verdict] = []
+        part: Optional[list] = None if found is None else []
         # Sub-chunks bound how long the transport lock is held so
         # heartbeat pings interleave mid-chunk.
         for begin in range(0, len(wires), self._SHM_SUBCHUNK):
+            end = begin + self._SHM_SUBCHUNK
             verdicts.extend(
-                transport.score_wires(wires[begin : begin + self._SHM_SUBCHUNK])
+                transport.score_wires(wires[begin:end], rows and rows[begin:end], part)
             )
+            if part is not None:
+                found[begin:end] = part
         if transport.broken:
             self._alive = False
         return verdicts

@@ -323,7 +323,7 @@ class ShmTransport:
     # ------------------------------------------------------------------
     # scoring
 
-    def score_wires(self, wires: Sequence[bytes]) -> List[Verdict]:
+    def score_wires(self, wires: Sequence[bytes], rows=None, found=None) -> List[Verdict]:
         """Ingest, cache-probe, and score one chunk of wires.
 
         Rejects and cache hits resolve entirely router-side; only the
@@ -335,10 +335,11 @@ class ShmTransport:
         the validator lock once (:meth:`WireIngest.ingest_many`), the
         cache is probed once (:meth:`VerdictCache.get_many`), and the
         loops that turn outcomes into verdicts are the ones the
-        in-process runtime runs (:mod:`repro.runtime.batch`).
+        in-process runtime runs (:mod:`repro.runtime.batch`); ``rows``
+        and ``found`` are ``score_rows``' (the model: a shard generation).
         """
         started = time.perf_counter()
-        prepared = self.ingest.ingest_many(wires)
+        prepared = self.ingest.ingest_many(wires, rows)
         if self.coverage is not None:
             self.coverage.observe_many(
                 [f[4] for f in prepared if f.__class__ is tuple]
@@ -348,6 +349,12 @@ class ShmTransport:
         if cache is not None:
             keys = cache_keys(cache, prepared)
             cached = cache.get_many(keys)
+        if found is not None:
+            generation = None if cache is None else cache.model_generation
+            found[:] = [
+                None if result is None else (generation, result)
+                for result in cached or [None] * len(prepared)
+            ]
         verdicts: List[Optional[Verdict]] = [None] * len(prepared)
         # Infer-mode provenance never crosses the slab (result rows are
         # four ints), so cached results carry no inferred_* fields and
@@ -368,7 +375,7 @@ class ShmTransport:
                     self._fail_misses(misses, verdicts, started)
                 else:
                     try:
-                        self._score_misses(misses, verdicts, started)
+                        self._score_misses(misses, verdicts, started, found)
                     except (EOFError, OSError, BrokenPipeError):
                         self.broken = True
                         self._fail_misses(misses, verdicts, started)
@@ -379,6 +386,7 @@ class ShmTransport:
         misses: List[Miss],
         verdicts: List[Optional[Verdict]],
         started: float,
+        found: Optional[list],
     ) -> None:
         """Lease → write rows → send → (pipelined) ack.  Holds the lock."""
         pending = deque()
@@ -387,7 +395,7 @@ class ShmTransport:
         pos = 0
         while pos < len(misses) or pending:
             if pos >= len(misses):
-                self._complete_batch(pending.popleft(), verdicts, started)
+                self._complete_batch(pending.popleft(), verdicts, started, found)
                 continue
             lease = self.ring.lease(min(self.batch_rows, len(misses) - pos))
             if lease is None:
@@ -395,7 +403,7 @@ class ShmTransport:
                 # This is the backpressure point — upstream producers
                 # stall here instead of the ring dropping work.
                 self.backpressure_waits += 1
-                self._complete_batch(pending.popleft(), verdicts, started)
+                self._complete_batch(pending.popleft(), verdicts, started, found)
                 continue
             start, count = lease
             batch = misses[pos : pos + count]
@@ -415,11 +423,9 @@ class ShmTransport:
                 self.occupancy_peak = self.ring.occupancy
             pending.append((seq, start, count, batch))
             if len(pending) >= _PIPELINE_DEPTH:
-                self._complete_batch(pending.popleft(), verdicts, started)
+                self._complete_batch(pending.popleft(), verdicts, started, found)
 
-    def _complete_batch(
-        self, entry, verdicts: List[Optional[Verdict]], started: float
-    ) -> None:
+    def _complete_batch(self, entry, verdicts, started, found) -> None:
         seq, start, count, batch = entry
         reply = self.conn.recv()
         if reply[0] == "shmerr" and reply[1] == seq:
@@ -456,7 +462,7 @@ class ShmTransport:
         flagged, _ = finish_misses(
             batch, results, reply[2], self.cache, verdicts,
             self._namespace_probe, self._vendor_risk,
-            (time.perf_counter() - started) * 1000.0,
+            (time.perf_counter() - started) * 1000.0, found, reply[2],
         )
         self.ring.release(count)
         with self._count_lock:

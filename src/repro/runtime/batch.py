@@ -160,6 +160,8 @@ def finish_misses(
     namespace_probe: bool,
     vendor_risk: int,
     latency_ms: float,
+    found: Optional[list] = None,
+    model: object = None,
 ) -> Tuple[int, List[str]]:
     """Cache, escalate and answer misses whose raw results just arrived.
 
@@ -167,7 +169,8 @@ def finish_misses(
     against model ``generation`` — the cache refuses it if a retrain
     has landed since.  A miss whose ``cache_key`` is ``None`` is served
     uncached.  Returns ``(flagged, unknown)`` as :func:`answer_known`
-    does; every miss passed in counts as scored.
+    does; every miss passed in counts as scored.  ``found``, if given,
+    gets ``(model, result)`` at each miss's index (``score_rows``).
     """
     if cache is not None:
         cache.put_many([miss.cache_key for miss in misses], results, generation)
@@ -182,4 +185,6 @@ def finish_misses(
         verdict = _verdict_new(Verdict)
         _set_attr(verdict, "__dict__", state)
         verdicts[miss.index] = verdict
+        if found is not None:
+            found[miss.index] = (model, result)
     return flagged_count, unknown

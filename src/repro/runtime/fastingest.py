@@ -45,7 +45,7 @@ from repro.service.ingest import (
     RejectReason,
 )
 
-__all__ = ["WireIngest"]
+__all__ = ["WireIngest", "check_fingerprint", "ua_key_of"]
 
 _UA_MEMO_LIMIT = 4096
 _WIRE_MEMO_LIMIT = 8192
@@ -78,14 +78,46 @@ def _feature_spellings() -> Dict[bytes, int]:
     return {b"%d" % value: value for value in range(MAX_FEATURE_VALUE + 1)}
 
 
+def ua_key_of(user_agent: str) -> Optional[str]:
+    """A raw UA's parsed equivalence class (``ua_key``), or ``None``."""
+    try:
+        return parse_user_agent(user_agent).key()
+    except UserAgentError:
+        return None
+
+
+def check_fingerprint(user_agent, values, globs, expected_features, ua_class_of=ua_key_of):
+    """The wire contract's checks after the session id, in its order: the
+    ``ua_key`` of a fingerprint that passes them all, else the
+    ``(reason, detail)`` of the first it fails."""
+    if len(values) != expected_features:
+        return (
+            RejectReason.WRONG_ARITY,
+            f"{len(values)} values, expected {expected_features}",
+        )
+    # C-loop min/max instead of a per-element genexpr; the arity
+    # check above guarantees ``values`` is non-empty.
+    if min(values) < 0 or max(values) > MAX_FEATURE_VALUE:
+        return RejectReason.VALUE_RANGE, "feature out of range"
+    if len(globs) > MAX_SUSPICIOUS_GLOBALS:
+        return (
+            RejectReason.GLOBALS_OVERFLOW,
+            f"{len(globs)} suspicious globals",
+        )
+    ua_key = ua_class_of(user_agent)
+    if ua_key is None:
+        return RejectReason.UNPARSEABLE_UA, user_agent[:80]
+    return ua_key
+
+
 class WireIngest:
     """Wire-contract enforcement with parse memoization.
 
     One instance fronts one validator (one quarantine log, one dedup
-    window).  :meth:`ingest` is the whole surface: bytes in,
-    ``(reject_reason, fields)`` out, where ``fields`` is
-    ``(session_id, user_agent, values, suspicious_globals, ua_key)``
-    for admitted payloads.
+    window).  :meth:`ingest_many` is the whole surface: wires in, one
+    outcome per wire out — the :class:`RejectReason`, or for an
+    admitted payload ``(session_id, user_agent, values,
+    suspicious_globals, ua_key)``.
 
     Stateless checks run lock-free; the shared mutable state (the
     quarantine log, the dedup window, the counters) is touched under
@@ -116,35 +148,18 @@ class WireIngest:
 
     # ------------------------------------------------------------------
 
-    def ingest(
-        self, wire: bytes
-    ) -> Tuple[Optional[RejectReason], Optional[tuple]]:
-        """Validate one wire payload; admit or reject.
+    def ingest_many(
+        self, wires: Sequence[bytes], rows: Optional[Sequence[tuple]] = None
+    ) -> List[Union[RejectReason, tuple]]:
+        """Validate a chunk of wires: one validator-lock round trip.
 
         Identical checks in identical order to
         ``PayloadValidator.ingest_wire``, sharing the validator's
-        quarantine log and dedup window.  The fast path fires when the
-        wire opens with the canonical ``{"sid":"<id>"`` shape and its
-        suffix has been fully parsed and statically validated before:
-        then only the session-id checks and the dedup window run.
-        """
-        prepared = self._prepare(wire)
-        if len(prepared) != 5:
-            return self._reject(prepared[0], prepared[1])
-        return self._admit(*prepared)
-
-    def ingest_many(
-        self, wires: Sequence[bytes]
-    ) -> List[Union[RejectReason, tuple]]:
-        """Bulk :meth:`ingest`: one validator-lock round trip per chunk.
-
-        Returns one outcome per wire, in order: the admitted fields
-        tuple, or the :class:`RejectReason` (its detail already
-        recorded in the quarantine log).  One fused loop applies the
-        stateless checks (:meth:`_prepare`), the dedup window, and the
-        counters under a single lock acquisition — a 256-wire chunk
-        pays one lock, not 256, and no per-wire wrapper tuples.
-        Outcomes are wire-for-wire identical to :meth:`ingest` loops.
+        quarantine log and dedup window.  One fused loop applies the
+        stateless checks (:meth:`_prepare`), the dedup window and the
+        counters under a single lock acquisition.  ``rows[i]``, if
+        longer than one field, is what ``wires[i]`` was proven to parse
+        to (:mod:`repro.sessions.envelope`) and skips :meth:`_prepare`.
         """
         prepare = self._prepare
         validator = self.validator
@@ -160,9 +175,9 @@ class WireIngest:
         accepted = 0
         rejected = 0
         with self._lock:
-            for wire in wires:
-                prepared = prepare(wire)
-                if len(prepared) == 5:
+            for wire, row in zip(wires, rows or [None] * len(wires)):
+                prepared = prepare(wire) if row is None or len(row) == 1 else row
+                if len(prepared) != 2:
                     if window:
                         session_id = prepared[0]
                         if session_id in seen_set:
@@ -187,7 +202,7 @@ class WireIngest:
         return out
 
     def _prepare(self, wire: bytes):
-        """The lock-free half of :meth:`ingest`: every stateless check.
+        """The lock-free half of :meth:`ingest_many`: every stateless check.
 
         Returns the 5-tuple ``fields`` for candidates that still need
         the locked dedup-window pass, or the 2-tuple
@@ -254,23 +269,11 @@ class WireIngest:
             return RejectReason.MALFORMED, str(exc)[:120]
         if not session_id or len(session_id) > MAX_SESSION_ID_LENGTH:
             return RejectReason.BAD_SESSION_ID, session_id[:80]
-        if len(values) != validator.expected_features:
-            return (
-                RejectReason.WRONG_ARITY,
-                f"{len(values)} values, expected {validator.expected_features}",
-            )
-        # C-loop min/max instead of a per-element genexpr; the arity
-        # check above guarantees ``values`` is non-empty.
-        if min(values) < 0 or max(values) > MAX_FEATURE_VALUE:
-            return RejectReason.VALUE_RANGE, "feature out of range"
-        if len(globs) > MAX_SUSPICIOUS_GLOBALS:
-            return (
-                RejectReason.GLOBALS_OVERFLOW,
-                f"{len(globs)} suspicious globals",
-            )
-        ua_key = self.ua_class_of(user_agent)
-        if ua_key is None:
-            return RejectReason.UNPARSEABLE_UA, user_agent[:80]
+        ua_key = check_fingerprint(
+            user_agent, values, globs, validator.expected_features, self.ua_class_of
+        )
+        if ua_key.__class__ is tuple:
+            return ua_key
         # Memoize the statically-validated suffix — but only when the
         # byte-sliced sid round-trips to the JSON-parsed one, proving
         # the slice boundaries are exactly right for this shape.
@@ -345,36 +348,6 @@ class WireIngest:
 
     # ------------------------------------------------------------------
 
-    def _admit(
-        self,
-        session_id: str,
-        user_agent: str,
-        values: Tuple[int, ...],
-        globs: Tuple[str, ...],
-        ua_key: str,
-    ) -> Tuple[Optional[RejectReason], Optional[tuple]]:
-        """Dedup window + counters for a statically-valid payload."""
-        validator = self.validator
-        with self._lock:
-            if validator.is_duplicate(session_id):
-                validator.quarantine.record(RejectReason.DUPLICATE, session_id)
-                self.requests_total += 1
-                self.rejected_count += 1
-                return RejectReason.DUPLICATE, None
-            validator.remember(session_id)
-            validator.accepted_count += 1
-            self.requests_total += 1
-        return None, (session_id, user_agent, values, globs, ua_key)
-
-    def _reject(
-        self, reason: RejectReason, detail: str
-    ) -> Tuple[RejectReason, None]:
-        with self._lock:
-            self.validator.quarantine.record(reason, detail)
-            self.requests_total += 1
-            self.rejected_count += 1
-        return reason, None
-
     def ua_class_of(self, user_agent: str) -> Optional[str]:
         """Memoized raw UA string → parsed equivalence class (ua_key).
 
@@ -385,10 +358,7 @@ class WireIngest:
         ua_key = memo.get(user_agent, _MISSING)
         if ua_key is not _MISSING:
             return ua_key
-        try:
-            ua_key = parse_user_agent(user_agent).key()
-        except UserAgentError:
-            ua_key = None
+        ua_key = ua_key_of(user_agent)
         if len(memo) >= _UA_MEMO_LIMIT:
             memo.clear()
         memo[user_agent] = ua_key

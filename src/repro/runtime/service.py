@@ -6,8 +6,9 @@ the same verdicts, a batch at a time instead of a request at a time.
 
 Batch lifecycle — all of it on the calling thread::
 
-    score_many(wires)
-        │  ingest_many: wire contract, memoized parse, dedup  (one lock)
+    score_many(wires) · score_rows(wires, rows, found)
+        │  ingest_many: wire contract, memoized parse, dedup  (one lock;
+        │               a proven envelope row skips the parse)
         │  store.append / coverage / rollout.route             (if attached)
         │  cache.get_many                                      (one lock)
         ├─ rejects ─────────────► Verdict(accepted=False)  ┐ one latency
@@ -104,7 +105,7 @@ class RuntimeScoringService:
     takes the same bytes and returns the same :class:`Verdict`; the
     ``validator`` (quarantine, dedup window) and optional ``store`` are
     honoured; ``scored_count`` / ``flagged_count`` / ``flag_rate`` keep
-    their meanings.  New surface: :meth:`score_many` (the batch core
+    their meanings.  New surface: :meth:`score_rows` (the batch core
     everything else delegates to), :attr:`runtime_stats` and
     :meth:`runtime_metrics_lines` (for ``/metrics``).
 
@@ -209,8 +210,20 @@ class RuntimeScoringService:
         ``internal_error`` verdict instead of propagating — the rest of
         the batch, and the next batch, are served normally.
         """
+        return self.score_rows(wires, None, None, day)
+
+    def score_rows(
+        self, wires: Sequence[bytes], rows, found, day: Optional[date] = None
+    ) -> List[Verdict]:
+        """:meth:`score_many` beside the session layer's envelope rows.
+
+        ``rows[i]`` ends with the session a rollout routes ``wires[i]``
+        by (:meth:`WireIngest.ingest_many` reads the rest).  ``found``
+        gets the ``(model, result)`` behind each verdict, or ``None``:
+        the model is the live generation or the candidate's detector.
+        """
         started = time.perf_counter()
-        prepared = self._ingest.ingest_many(wires)
+        prepared = self._ingest.ingest_many(wires, rows)
         if self.store is not None:
             self.store.append_many(
                 (FingerprintPayload(f[0], f[1], f[2], 0.0, f[3]), day)
@@ -227,9 +240,12 @@ class RuntimeScoringService:
         routes = None
         if rollout is not None:
             route = rollout.route
+            # An event routes by its session, not by the ``sid@seq`` it
+            # scores under: a session's events stay on one arm.
+            at = 0 if rows is None else -1
             routes = [
-                route(f[0]) if f.__class__ is tuple else _UNROUTED
-                for f in prepared
+                route(key[at]) if f.__class__ is tuple else _UNROUTED
+                for f, key in zip(prepared, rows or prepared)
             ]
         cache = self.cache
         keys = cached = None
@@ -244,6 +260,13 @@ class RuntimeScoringService:
                     for key, (candidate, _) in zip(keys, routes)
                 ]
             cached = cache.get_many(keys)
+        if found is not None:
+            live = self.polygraph.model_generation
+            candidate = rollout and rollout.candidate_detector()
+            found[:] = [None] * len(prepared)
+            for i, result in enumerate(cached or ()):
+                if result is not None:
+                    found[i] = (candidate if routes and routes[i][0] else live, result)
         config = self.polygraph.config
         probe = config.enable_namespace_probe
         risk = config.vendor_mismatch_risk
@@ -299,6 +322,7 @@ class RuntimeScoringService:
             arm_flagged, arm_unknown = finish_misses(
                 arm, results, generation, cache, verdicts, probe, risk,
                 (time.perf_counter() - started) * 1000.0,
+                found, detector if is_candidate else generation,
             )
             scored += len(arm)
             flagged += arm_flagged

@@ -169,25 +169,16 @@ class PayloadValidator:
     # ------------------------------------------------------------------
     # dedup state, shared with the runtime's fast ingest path
 
-    @property
-    def dedup_enabled(self) -> bool:
-        """Whether replay rejection is active."""
-        return bool(self._dedup_window)
-
-    def is_duplicate(self, session_id: str) -> bool:
-        """Whether ``session_id`` is inside the dedup window."""
-        return bool(self._dedup_window) and session_id in self._seen_set
-
     def dedup_state(self) -> tuple:
         """The ``(window, ids_deque, id_set)`` triple, for bulk ingest.
 
-        :class:`~repro.runtime.fastingest.WireIngest` inlines the
-        :meth:`is_duplicate`/:meth:`remember` pair across a whole chunk
-        under one lock; the containers are shared, not copied.
+        :class:`~repro.runtime.fastingest.WireIngest` inlines the window
+        check and :meth:`_remember` across a whole chunk under one lock;
+        the containers are shared, not copied.
         """
         return self._dedup_window, self._seen_ids, self._seen_set
 
-    def remember(self, session_id: str) -> None:
+    def _remember(self, session_id: str) -> None:
         """Record an accepted session id in the dedup window."""
         if not self._dedup_window:
             return
@@ -196,9 +187,6 @@ class PayloadValidator:
             self._seen_set.discard(oldest)
         self._seen_ids.append(session_id)
         self._seen_set.add(session_id)
-
-    # Backwards-compatible alias.
-    _remember = remember
 
     def _reject(self, reason: RejectReason, detail: str) -> IngestResult:
         self.quarantine.record(reason, detail)

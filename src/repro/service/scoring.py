@@ -7,10 +7,11 @@ latency accounting against the Section 3 budget of 100ms.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 from datetime import date
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.pipeline import BrowserPolygraph
 from repro.coverage.tracker import vendor_of
@@ -123,6 +124,8 @@ class ScoringService:
         # Per-vendor unknown-UA volume, observable even without the
         # coverage subsystem attached (polygraph_unknown_ua_total).
         self.unknown_ua_counts: Dict[str, int] = {}
+        # ``.result``: the detection behind this thread's last verdict.
+        self._scored = threading.local()
         if fusion is not None:
             self.attach_fusion(fusion)
 
@@ -182,7 +185,7 @@ class ScoringService:
         payload = ingest.payload
         if self.store is not None:
             self.store.append(payload, day=day)
-        result = self.polygraph.detect_payload(payload)
+        result = self._scored.result = self.polygraph.detect_payload(payload)
         self.scored_count += 1
         if result.flagged:
             self.flagged_count += 1
@@ -225,6 +228,20 @@ class ScoringService:
             inferred_release=result.inferred_release,
             inferred_distance=result.inferred_distance,
         )
+
+    def score_rows(
+        self, wires: Sequence[bytes], rows, found: list, day: Optional[date] = None
+    ) -> List[Verdict]:
+        """:meth:`score_wire` on each wire (``rows`` are not read);
+        ``found`` gets the ``(generation, result)`` behind each verdict."""
+        scored, generation = self._scored, self.polygraph.model_generation
+        verdicts: List[Verdict] = []
+        found[:] = []
+        for wire in wires:
+            scored.result = None
+            verdicts.append(self.score_wire(wire, day=day))
+            found.append(None if scored.result is None else (generation, scored.result))
+        return verdicts
 
     def retrain(
         self, dataset: Dataset, align_rare: bool = True, jobs: int = 1

@@ -1,11 +1,12 @@
-"""Event envelopes in, single-vector wires out — parsed once.
+"""Event envelopes in, single-vector rows out — parsed once.
 
 An event envelope is a fingerprint wire with ``ev``/``seq``/``ts``
-spliced in after the session id.  The session layer needs two things
-from it: the :class:`~repro.traffic.events.SessionEvent` and the
-*inner wire* the wrapped scoring service is handed — the envelope's own
-``core_wire()`` for a first event (the parity anchor), the same bytes
-under a derived id (``sid@seq``) for a follow-up.
+spliced in after the session id.  The session layer needs three things
+from it: the event's own fields, the *inner wire* the wrapped scoring
+service is handed — the envelope's own ``core_wire()`` for a first
+event (the parity anchor), the same bytes under a derived id
+(``sid@seq``) for a follow-up — and, where it can be had, the *row*
+that wire parses to, so the batch core need not parse it again.
 
 Done naively that is a JSON decode, 28 ``int()`` calls and a JSON
 encode per event, for bytes that almost never differ: the paper's
@@ -28,19 +29,32 @@ session id to be printable ASCII without escapes (what ``json.dumps``
 emits unchanged) and the bytes between id and tail to be exactly
 ``,"ev":"<known type>","seq":<int>,"ts":<decimal>``; anything else takes
 the full parse.
+
+The same proof runs the wire contract's fingerprint checks
+(:func:`~repro.runtime.fastingest.check_fingerprint`) once per tail,
+and the memo keeps the ``ua_key`` they prove (``None`` if they fail).
+A hit on a proven tail whose inner wire passes the id-dependent checks
+(id length, wire size) yields the row ``(scored id, user_agent, values,
+globals, ua_key, session_id)`` — what ``WireIngest`` would parse from
+the inner wire, plus the event's session; any other event yields
+``(session_id,)`` and the batch core parses its wire.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import operator
 import re
 from typing import Dict, Tuple
 
+from repro.fingerprint.features import N_FEATURES
+from repro.fingerprint.script import MAX_PAYLOAD_BYTES
+from repro.runtime.fastingest import check_fingerprint
 from repro.service.ingest import MAX_SESSION_ID_LENGTH
 from repro.traffic.events import MAX_EVENT_TIMESTAMP, EventType, SessionEvent
 
-__all__ = ["EnvelopeParser", "inner_wire"]
+__all__ = ["EnvelopeParser", "event_fields", "inner_wire"]
 
 # Cleared whole at the limit, like fastingest's ``_WIRE_MEMO_LIMIT``.
 _MEMO_LIMIT = 8192
@@ -65,8 +79,10 @@ _HEAD = re.compile(
     rb',"ts":((?:0|[1-9][0-9]{0,14})(?:\.[0-9]{1,9})?)'
 ).fullmatch
 
-_event_new = SessionEvent.__new__
-_set_attr = object.__setattr__
+#: A :class:`SessionEvent`'s fields as a tuple, as ``parse_row`` yields.
+event_fields = operator.attrgetter(
+    *(field.name for field in dataclasses.fields(SessionEvent))
+)
 
 
 def _derived_session_id(session_id: str, seq: int) -> str:
@@ -99,29 +115,36 @@ def inner_wire(event: SessionEvent) -> bytes:
     return dataclasses.replace(event, session_id=derived).core_wire()
 
 
-def _spliced(sid: bytes, seq: int, tail: bytes) -> bytes:
-    """:func:`inner_wire` by slicing, for an ASCII id and a canonical tail."""
-    if seq:
-        sid = _derived_session_id(sid.decode("ascii"), seq).encode("ascii")
-    return _SID_PREFIX + sid + b'"' + tail
+def _spliced(session_id: str, seq: int, tail: bytes) -> Tuple[str, bytes]:
+    """The scored id and :func:`inner_wire`, by slicing, for an ASCII id
+    and a canonical tail."""
+    scored_as = _derived_session_id(session_id, seq) if seq else session_id
+    return scored_as, _SID_PREFIX + scored_as.encode("ascii") + b'"' + tail
 
 
 class EnvelopeParser:
-    """``wire -> (event, inner wire)``, memoized on the fingerprint tail.
+    """``wire -> (event fields, inner wire, row)``, memoized on the tail.
 
     One instance may serve any number of threads: the memo maps a tail
-    to the immutable ``(user_agent, values, globals)`` it parses to,
-    reads and writes are single dict operations, and a racing
+    to the immutable ``(user_agent, values, globals, ua_key)`` it parses
+    to, reads and writes are single dict operations, and a racing
     recompute inserts the same entry.
     """
 
-    __slots__ = ("_memo",)
+    __slots__ = ("_memo", "_arity")
 
-    def __init__(self) -> None:
+    def __init__(self, expected_features: int = N_FEATURES) -> None:
         self._memo: Dict[bytes, tuple] = {}
+        self._arity = expected_features  # the inner service's
 
     def parse(self, wire: bytes) -> Tuple[SessionEvent, bytes]:
-        """Parse one envelope (raises ``ValueError`` if malformed)."""
+        """``(event, inner wire)`` of one envelope."""
+        fields, inner, _ = self.parse_row(wire)
+        return SessionEvent(*fields), inner
+
+    def parse_row(self, wire: bytes) -> Tuple[tuple, bytes, tuple]:
+        """``(event_fields, inner wire, row)`` of one envelope (raises
+        ``ValueError`` if malformed)."""
         sid = tail = None
         if wire.startswith(_SID_PREFIX):
             quote = wire.find(b'"', 8)
@@ -137,32 +160,28 @@ class EnvelopeParser:
                     # Past the event calendar: the full parse rejects it.
                     if fingerprint is not None and timestamp < MAX_EVENT_TIMESTAMP:
                         seq = int(seq)
-                        user_agent, values, suspicious_globals = fingerprint
-                        # Built by ``__dict__`` swap, as
-                        # :mod:`repro.runtime.batch` builds verdicts:
-                        # every field is already of its final type.
-                        event = _event_new(SessionEvent)
-                        _set_attr(
-                            event,
-                            "__dict__",
-                            {
-                                "session_id": sid.decode("ascii"),
-                                "event_type": _EVENT_TYPES[kind],
-                                "seq": seq,
-                                "timestamp": timestamp,
-                                "user_agent": user_agent,
-                                "values": values,
-                                "suspicious_globals": suspicious_globals,
-                            },
-                        )
-                        return event, _spliced(sid, seq, tail)
+                        session_id = sid.decode("ascii")
+                        user_agent, values, suspicious_globals, ua_key = fingerprint
+                        scored_as, inner = _spliced(session_id, seq, tail)
+                        row = (session_id,)
+                        if ua_key is not None and len(inner) <= MAX_PAYLOAD_BYTES and (
+                            0 < len(scored_as) <= MAX_SESSION_ID_LENGTH
+                        ):
+                            row = (scored_as, user_agent, values,
+                                   suspicious_globals, ua_key, session_id)
+                        return (session_id, _EVENT_TYPES[kind], seq, timestamp,
+                                user_agent, values, suspicious_globals), inner, row
         event = SessionEvent.from_wire(wire)
         inner = inner_wire(event)
-        if tail is not None and _spliced(sid, event.seq, tail) == inner:
+        if tail is not None and inner == _spliced(sid.decode(), event.seq, tail)[1]:
+            ua_key = check_fingerprint(
+                event.user_agent, event.values, event.suspicious_globals, self._arity
+            )
             memo = self._memo
             if len(memo) >= _MEMO_LIMIT:
                 memo.clear()
             memo[tail] = (
-                event.user_agent, event.values, event.suspicious_globals
+                event.user_agent, event.values, event.suspicious_globals,
+                ua_key if ua_key.__class__ is str else None,
             )
-        return event, inner
+        return event_fields(event), inner, (event.session_id,)

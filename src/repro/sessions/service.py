@@ -24,18 +24,18 @@ contract that keeps it honest:
 
 The unit of work is the **batch**: :meth:`SessionScoringService.observe_many`
 parses every envelope (once — see :mod:`repro.sessions.envelope`),
-scores all inner wires with *one* call to the inner service's widest
-interface (the router's ``score_many`` behind ``--shards``), then folds
-the events into their sessions with *one*
-:meth:`SessionScoringService.fold_many`: the cluster lookups first,
-without a lock, then every event in arrival order under one lock span,
-then the durable log.  ``observe_wire`` is a batch of one,
-``observe_event`` enters at the scoring step and ``fold`` is
-``fold_many`` of one, so there is a single implementation of each
-step.  Scoring reads no session state and folding reads no scoring
-state, which is why any split of a wire sequence into batches leaves
-exactly the observations, counters and tracker state that
-one-at-a-time scoring would.
+scores all inner wires with *one* call to the inner service's
+``score_rows`` — the envelope's proven rows ride beside the wires, so
+the batch core does not parse them again, and it hands back the model
+and :class:`DetectionResult` behind each verdict — then folds the
+events into their sessions with *one* fold (``_fold_rows``): every
+event in arrival order under one lock span, then the durable log.
+``observe_wire`` is a batch of one, ``observe_event`` enters at the
+scoring step and ``fold`` is ``fold_many`` of one, so there is a
+single implementation of each step.  Scoring reads no session state
+and folding reads no scoring state, which is why any split of a wire
+sequence into batches leaves exactly the observations, counters and
+tracker state that one-at-a-time scoring would.
 
 **Rows, and where they become objects.**  The fold yields one
 :data:`EventRow` per event — ``(session_id, verdict, session_flagged,
@@ -56,14 +56,15 @@ leaves behind is built for being kept: an
 until a second distinct vector or UA key shows up.
 
 Cluster-flip detection needs the *predicted cluster*, which the inner
-services' :class:`Verdict` deliberately omits.  A bounded memo maps
-``(values, user_agent)`` to the pipeline's full
-:class:`DetectionResult`; coarse fingerprints are low-cardinality, so
-in steady state this costs one extra model call per distinct surface,
-not per event.  The memo belongs to one model generation: each batch
-takes one detection snapshot and starts a fresh memo when the
-generation has moved, so a revision never compares a cluster from the
-old model with one from the new.
+services' :class:`Verdict` deliberately omits.  It is read from the
+detection result the inner service scored the event with — the cached
+result on a hit, the model's (or the shard's decoded slab row) on a
+miss — so a never-seen fingerprint costs one batched model call.  Every
+event of a session is routed to one rollout arm, by the session id; a
+stage change or a model swap can still move it to another model, and
+since cluster labels of two models do not compare, the session's
+cluster is then re-based, not flipped.  ``fold_many``, handed verdicts
+without results, looks them up with one batched call of its own.
 """
 
 from __future__ import annotations
@@ -73,11 +74,10 @@ from dataclasses import dataclass
 from datetime import date
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.detection import DetectionResult
+from repro.fingerprint.features import N_FEATURES
 from repro.service.scoring import Verdict
-from repro.sessions.envelope import EnvelopeParser, inner_wire
+from repro.sessions.envelope import EnvelopeParser, event_fields, inner_wire
 from repro.sessions.revision import (
     RevisionReason,
     VerdictRevision,
@@ -88,8 +88,6 @@ from repro.sessions.tracker import EventRecord, SessionState, SessionTracker
 from repro.traffic.events import EventType, SessionEvent
 
 __all__ = ["EventRow", "SessionObservation", "SessionScoringService"]
-
-_DETECT_MEMO_LIMIT = 8192
 
 #: One folded event: ``(session_id, verdict, session_flagged,
 #: session_risk, revision, event_seq, session_created)``.  The verdict
@@ -184,20 +182,6 @@ def _relabelled(verdict: Verdict, session_id: str) -> Verdict:
     return relabelled
 
 
-def _score_wires(
-    inner, wires: Sequence[bytes], day: Optional[date] = None
-) -> List[Verdict]:
-    """Score inner wires with one call to ``inner``'s widest interface.
-
-    ``score_many`` (the cluster router's bulk path) takes no ``day``;
-    a dated replay, and any service without it, goes wire by wire.
-    """
-    score_many = getattr(inner, "score_many", None)
-    if score_many is not None and day is None:
-        return score_many(wires)
-    return [inner.score_wire(wire, day=day) for wire in wires]
-
-
 class SessionScoringService:
     """Stateful, revisable scoring over an inner one-shot service.
 
@@ -207,7 +191,8 @@ class SessionScoringService:
         A started :class:`ScoringService`, :class:`RuntimeScoringService`
         or :class:`~repro.cluster.router.ClusterRouter`; all
         single-vector scoring goes through it unchanged, and its
-        ``polygraph`` answers the cluster lookups.
+        ``score_rows`` hands back the detection result behind each
+        verdict (without it, the fold looks them up).
     tracker:
         Session state bounds; a default tracker is created if omitted
         (``ttl_seconds`` then applies to it).
@@ -234,9 +219,8 @@ class SessionScoringService:
         self.tracker = tracker
         self.event_log = event_log
         self._lock = threading.Lock()
-        self._envelopes = EnvelopeParser()
-        self._detect_memo: Dict[tuple, Optional[DetectionResult]] = {}
-        self._detect_generation: Optional[int] = None
+        validator = getattr(inner, "validator", None)
+        self._envelopes = EnvelopeParser(getattr(validator, "expected_features", N_FEATURES))
         # Counters for /metrics.
         self.events_total = 0
         self.revisions_total = 0
@@ -271,51 +255,28 @@ class SessionScoringService:
         """Score a batch of event envelopes (``POST /event`` bodies).
 
         Equal, observation for observation and counter for counter, to
-        calling :meth:`observe_wire` on each in turn.  The fold goes
-        through :meth:`fold_many`, the library's fold step, so a
-        subclass that replaces that step (the tests' frozen per-event
-        fold does) replaces it here too; :meth:`observe_rows` folds with
-        the row core itself.
+        calling :meth:`observe_wire` on each in turn.
         """
-        rows, indices, events, verdicts = self._parse_and_score(wires, day)
-        observations = [
-            None if row is None else SessionObservation.from_row(row)
-            for row in rows
-        ]
-        for index, observation in zip(indices, self.fold_many(events, verdicts)):
-            observations[index] = observation
-        return observations  # type: ignore[return-value]
+        from_row = SessionObservation.from_row
+        return [from_row(row) for row in self.observe_rows(wires, day)]
 
     def observe_rows(
         self, wires: Sequence[bytes], day: Optional[date] = None
     ) -> List[EventRow]:
-        """:meth:`observe_many`, answered as rows rather than objects.
+        """:meth:`observe_many` as rows (what the async front end calls).
 
-        What the async front end calls: the same parse, scoring and
-        fold, with :meth:`SessionObservation.from_row` of each row
-        equal to the corresponding observation ``observe_many`` returns.
-        """
-        rows, indices, events, verdicts = self._parse_and_score(wires, day)
-        for index, row in zip(indices, self._fold_rows(events, verdicts)):
-            rows[index] = row
-        return rows  # type: ignore[return-value]
-
-    def _parse_and_score(self, wires: Sequence[bytes], day: Optional[date]):
-        """Parse every envelope; score the parsed ones in one inner call.
-
-        Returns ``(rows, indices, events, verdicts)``: one slot per wire,
-        holding the answer of a malformed envelope — it reaches neither
-        the inner service nor the fold — and ``None`` elsewhere, then
-        the slot, event and inner verdict of every parsed envelope.
+        Every envelope is parsed, the parsed ones scored in one inner
+        call and folded; a malformed one reaches neither.
         """
         rows: List[Optional[EventRow]] = [None] * len(wires)
         indices: List[int] = []
-        events: List[SessionEvent] = []
+        events: List[tuple] = []
         inner_wires: List[bytes] = []
-        parse = self._envelopes.parse
+        inner_rows: List[tuple] = []
+        parse = self._envelopes.parse_row
         for index, wire in enumerate(wires):
             try:
-                event, scored_as = parse(wire)
+                event, scored_as, row = parse(wire)
             except ValueError as exc:
                 rows[index] = _unscored(
                     Verdict(
@@ -332,7 +293,20 @@ class SessionScoringService:
             indices.append(index)
             events.append(event)
             inner_wires.append(scored_as)
-        return rows, indices, events, _score_wires(self.inner, inner_wires, day)
+            inner_rows.append(row)
+        verdicts, found = self._score(inner_wires, inner_rows, day)
+        for index, row in zip(indices, self._fold_rows(events, verdicts, found)):
+            rows[index] = row
+        return rows  # type: ignore[return-value]
+
+    def _score(self, wires: Sequence[bytes], rows: Sequence[tuple], day):
+        """``(verdicts, found)`` for inner wires, in one inner call;
+        ``found`` is ``None`` from an inner service without ``score_rows``."""
+        score_rows = getattr(self.inner, "score_rows", None)
+        if score_rows is None:
+            return [self.inner.score_wire(wire, day=day) for wire in wires], None
+        found: list = []
+        return score_rows(wires, rows, found, day=day), found
 
     def observe_wire(self, wire: bytes, day: Optional[date] = None) -> SessionObservation:
         """Score one event-envelope payload: a batch of one."""
@@ -342,8 +316,11 @@ class SessionScoringService:
         self, event: SessionEvent, day: Optional[date] = None
     ) -> SessionObservation:
         """Score one already-parsed event."""
-        (verdict,) = _score_wires(self.inner, [inner_wire(event)], day)
-        return self.fold(event, verdict)
+        (verdict,), found = self._score(
+            [inner_wire(event)], [(event.session_id,)], day
+        )
+        (row,) = self._fold_rows([event_fields(event)], [verdict], found)
+        return SessionObservation.from_row(row)
 
     def fold(self, event: SessionEvent, verdict: Verdict) -> SessionObservation:
         """Reconcile one scored event: a batch of one."""
@@ -352,34 +329,33 @@ class SessionScoringService:
     def fold_many(
         self, events: Sequence[SessionEvent], verdicts: Sequence[Verdict]
     ) -> List[SessionObservation]:
-        """Reconcile scored events with their sessions' sticky verdicts.
-
-        :meth:`_fold_rows`, each row built into its observation.
-        """
-        from_row = SessionObservation.from_row
-        return [from_row(row) for row in self._fold_rows(events, verdicts)]
+        """Reconcile scored events with their sessions' sticky verdicts;
+        each one's cluster and ``ua_key`` are looked up in one batched call."""
+        rows = self._fold_rows([event_fields(e) for e in events], verdicts, None)
+        return [SessionObservation.from_row(row) for row in rows]
 
     def _fold_rows(
-        self, events: Sequence[SessionEvent], verdicts: Sequence[Verdict]
+        self, events: Sequence[tuple], verdicts: Sequence[Verdict], found
     ) -> List[EventRow]:
-        """The fold: one :data:`EventRow` per event.
+        """The fold, every caller's: one :data:`EventRow` per
+        :func:`event_fields` tuple.
+
+        ``found[i]`` is the ``(model, result)`` behind ``verdicts[i]``,
+        or ``None``; ``found`` is looked up if ``None``.  A session's
+        clusters compare only within one model: a move to another is a
+        re-base, not a flip.
 
         The only step that touches session state; ``events`` are folded
         in the order given, which for any one session must be the order
-        its events arrived in.  The cluster lookups come first and take
-        no lock (a memo miss is a model call).  Then one span covers the
-        whole batch: the service lock, and inside it the tracker's —
-        the lock order is always service → tracker.  The tracker's
-        clock is still read per event, because the batch's own events
-        move event time and may expire a session between two of them.
-        The durable log is written after the span.
+        its events arrived in.  One span covers the whole batch: the
+        service lock, and inside it the tracker's — the lock order is
+        always service → tracker.  The tracker's clock is still read
+        per event, because the batch's own events move event time and
+        may expire a session between two of them.  The durable log is
+        written after the span.
         """
-        results = self._detect_many(
-            [
-                (event.values, event.user_agent) if verdict.accepted else None
-                for event, verdict in zip(events, verdicts)
-            ]
-        )
+        if found is None:
+            found = self._looked_up(events, verdicts)
         tracker = self.tracker
         touch = tracker._touch_locked
         clock = tracker._clock
@@ -390,22 +366,24 @@ class SessionScoringService:
         folded = 0
         with self._lock, tracker._lock:
             try:
-                for event, verdict, result in zip(events, verdicts, results):
+                for event, verdict, scored in zip(events, verdicts, found):
+                    session_id, event_type, seq, timestamp, _, values, _ = event
                     # Event time moves for every parsed event, scored or not.
-                    timestamp = event.timestamp
                     if timestamp > self._virtual_now:
                         self._virtual_now = timestamp
                     if not verdict.accepted:
-                        append(_unscored(verdict, event.seq))
+                        append(_unscored(verdict, seq))
                         continue
-                    session_id = event.session_id
-                    if result is not None:
+                    if scored is not None:
+                        model, result = scored
                         ua_key = result.ua_key
                         cluster = result.predicted_cluster
                     else:
-                        ua_key = cluster = None
+                        model = result = ua_key = cluster = None
                     state, created = touch(session_id, clock())
                     folded += 1
+                    if model != state.last_model:
+                        state.last_cluster = None
                     revision = self._reconcile_locked(
                         state, event, verdict, result, ua_key
                     )
@@ -413,8 +391,8 @@ class SessionScoringService:
                         _tuple_new(
                             EventRecord,
                             (
-                                event.seq,
-                                _EVENT_TYPE_NAMES[event.event_type],
+                                seq,
+                                _EVENT_TYPE_NAMES[event_type],
                                 timestamp,
                                 verdict.flagged,
                                 verdict.risk_factor,
@@ -422,9 +400,10 @@ class SessionScoringService:
                                 ua_key,
                             ),
                         ),
-                        tuple(event.values),
+                        tuple(values),
                         max_events,
                     )
+                    state.last_model = model
                     if verdict.fused_flagged is not None:
                         self._record_fusion_locked(session_id, verdict)
                     if logged is not None:
@@ -436,7 +415,7 @@ class SessionScoringService:
                             state.flagged,
                             state.risk_factor,
                             revision,
-                            event.seq,
+                            seq,
                             created,
                         )
                     )
@@ -446,26 +425,43 @@ class SessionScoringService:
             append_row = self.event_log.append
             for event, verdict, ua_key in logged:
                 append_row(
-                    session_id=event.session_id,
-                    event_type=_EVENT_TYPE_NAMES[event.event_type],
-                    seq=event.seq,
-                    timestamp=event.timestamp,
+                    session_id=event[0],
+                    event_type=_EVENT_TYPE_NAMES[event[1]],
+                    seq=event[2],
+                    timestamp=event[3],
                     ua_key=ua_key if ua_key is not None else "",
-                    values=event.values,
+                    values=event[5],
                     flagged=verdict.flagged,
                     risk=verdict.risk_factor,
                 )
         return rows
 
+    def _looked_up(self, events: Sequence[tuple], verdicts: Sequence[Verdict]):
+        """``found`` for the accepted events, from one batched call
+        against the inner service's live model."""
+        found: list = [None] * len(events)
+        picked = [i for i, verdict in enumerate(verdicts) if verdict.accepted]
+        if picked:
+            try:
+                generation, detector = self.inner.polygraph.detection_snapshot()
+                values = [events[i][5] for i in picked]
+                results = detector.evaluate_vectors(values, [events[i][4] for i in picked])
+            except Exception:  # noqa: BLE001 — the events record no cluster
+                return found
+            for i, result in zip(picked, results):
+                found[i] = (generation, result)
+        return found
+
     def _reconcile_locked(
         self,
         state: SessionState,
-        event: SessionEvent,
+        event: tuple,
         verdict: Verdict,
         result: Optional[DetectionResult],
         ua_key: Optional[str],
     ) -> Optional[VerdictRevision]:
-        """Fold an event verdict into the sticky session verdict."""
+        """Fold an event verdict (its :func:`event_fields`) into the
+        sticky session verdict."""
         if state.event_count == 0:
             # First event: the session verdict *is* the event verdict.
             state.flagged = verdict.flagged
@@ -506,9 +502,9 @@ class SessionScoringService:
         elif reason is RevisionReason.UA_CHANGE:
             detail = f"ua_key {state.last_ua_key} -> {ua_key}"
         revision = VerdictRevision(
-            session_id=event.session_id,
-            seq=event.seq,
-            event_type=_EVENT_TYPE_NAMES[event.event_type],
+            session_id=event[0],
+            seq=event[2],
+            event_type=_EVENT_TYPE_NAMES[event[1]],
             reason=reason,
             old_flagged=old_flagged,
             new_flagged=state.flagged,
@@ -542,50 +538,6 @@ class SessionScoringService:
         self._fusion_by_sid[session_id] = entry
         while len(self._fusion_by_sid) > self.tracker.max_sessions:
             self._fusion_by_sid.pop(next(iter(self._fusion_by_sid)))
-
-    def _detect_many(
-        self, keys: Sequence[Optional[tuple]]
-    ) -> List[Optional[DetectionResult]]:
-        """Full detection results for cluster-flip tracking.
-
-        ``keys[i]`` is an accepted event's ``(values, user_agent)``, or
-        ``None`` for an event that gets no result.  The whole batch is
-        decided by one detector snapshot, memoized per model generation.
-        """
-        if not any(keys):
-            return [None] * len(keys)
-        try:
-            generation, detector = self.inner.polygraph.detection_snapshot()
-        except Exception:
-            return [None] * len(keys)
-        with self._lock:
-            if generation != self._detect_generation:
-                self._detect_memo = {}
-                self._detect_generation = generation
-            memo = self._detect_memo
-        results: List[Optional[DetectionResult]] = []
-        for key in keys:
-            if key is None:
-                results.append(None)
-                continue
-            if key in memo:
-                results.append(memo[key])
-                continue
-            values, user_agent = key
-            try:
-                result = detector.evaluate_vector(np.asarray(values), user_agent)
-            except Exception:
-                result = None
-            with self._lock:
-                if len(memo) >= _DETECT_MEMO_LIMIT:
-                    memo.clear()
-                memo[key] = result
-            results.append(result)
-        return results
-
-    def _detect(self, values: Tuple[int, ...], user_agent: str):
-        """One event's full detection result: a batch of one."""
-        return self._detect_many([(values, user_agent)])[0]
 
     # ------------------------------------------------------------------
     # introspection

@@ -75,6 +75,7 @@ class SessionState:
     # Last observed scoring context (cluster-flip / UA-change detection).
     last_cluster: Optional[int] = None
     last_ua_key: Optional[str] = None
+    last_model: object = None  # the model whose label ``last_cluster`` is
     last_values: Optional[Tuple[int, ...]] = None
     # Incremental aggregates.
     event_count: int = 0

@@ -131,14 +131,14 @@ def scenario_streams(streams, per_scenario: int = 3) -> list:
     return chosen
 
 
-def traffic(n_streams: int):
+def traffic(n_streams: int, shapes=HOSTILE_SHAPES):
     """Strategy: what :func:`build_traffic` needs besides the streams."""
     return st.fixed_dictionaries(
         {
             "picks": st.lists(
                 st.tuples(
                     st.integers(0, n_streams - 1),
-                    st.one_of(st.none(), st.sampled_from(sorted(HOSTILE_SHAPES))),
+                    st.one_of(st.none(), st.sampled_from(sorted(shapes))),
                 ),
                 min_size=1,
                 max_size=10,
@@ -159,7 +159,8 @@ def traffic(n_streams: int):
 
 
 def build_traffic(
-    candidates, picks, keep_order, replays, rnd, nonce: str, **_
+    candidates, picks, keep_order, replays, rnd, nonce: str,
+    shapes=HOSTILE_SHAPES, **_
 ) -> List[bytes]:
     """Envelope wires for the picked sessions, interleaved.
 
@@ -171,7 +172,7 @@ def build_traffic(
     """
     sessions: List[List[bytes]] = []
     for number, (index, shape) in enumerate(picks):
-        render = SessionEvent.to_wire if shape is None else HOSTILE_SHAPES[shape]
+        render = SessionEvent.to_wire if shape is None else shapes[shape]
         sessions.append(
             [
                 render(

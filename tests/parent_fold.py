@@ -7,7 +7,10 @@ the session opens, dataclass records built field by field — kept, like
 observation for observation, state for state and log row for log row.  Nothing here calls ``fold_many``.  (The copy
 is exact, so it also re-labels a follow-up verdict from six fields and
 drops the fusion and inferred-release ones; the differentials run over
-inner services that never set them.)
+inner services that never set them.)  The cluster an event records is
+looked up the way it was then, too: a second detection per distinct
+surface against the live model, memoized per model generation — not
+read from the result the inner service scored the event with.
 
 Not a test module itself.
 """
@@ -15,9 +18,13 @@ Not a test module itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
+from repro.core.detection import DetectionResult
 from repro.service.scoring import Verdict
+from repro.sessions.envelope import event_fields
 from repro.sessions.service import SessionObservation, SessionScoringService
 from repro.sessions.tracker import _SWEEP_EVERY, SessionTracker
 from repro.traffic.events import SessionEvent
@@ -131,6 +138,9 @@ class _ParentTracker(SessionTracker):
             return state, True
 
 
+_DETECT_MEMO_LIMIT = 8192
+
+
 def _parent_unscored(verdict: Verdict, event_seq: int) -> SessionObservation:
     return SessionObservation(
         verdict=verdict,
@@ -150,9 +160,43 @@ class ParentFoldService(SessionScoringService):
         self.tracker = _ParentTracker(
             max_sessions=max_sessions, ttl_seconds=ttl_seconds, clock=self._clock
         )
+        self._detect_memo: Dict[tuple, Optional[DetectionResult]] = {}
+        self._detect_generation: Optional[int] = None
 
-    def fold_many(self, events, verdicts) -> List[SessionObservation]:
-        return [self.fold(event, verdict) for event, verdict in zip(events, verdicts)]
+    def _fold_rows(self, events, verdicts, found) -> list:
+        # ``found`` is what the inner service scored with; the frozen
+        # fold looks every cluster up again instead.
+        rows = []
+        for fields, verdict in zip(events, verdicts):
+            o = self.fold(SessionEvent(*fields), verdict)
+            rows.append((
+                o.verdict.session_id, o.verdict, o.session_flagged,
+                o.session_risk, o.revision, o.event_seq, o.session_created,
+            ))
+        return rows
+
+    def _detect(self, values: Tuple[int, ...], user_agent: str):
+        try:
+            generation, detector = self.inner.polygraph.detection_snapshot()
+        except Exception:
+            return None
+        with self._lock:
+            if generation != self._detect_generation:
+                self._detect_memo = {}
+                self._detect_generation = generation
+            memo = self._detect_memo
+        key = (values, user_agent)
+        if key in memo:
+            return memo[key]
+        try:
+            result = detector.evaluate_vector(np.asarray(values), user_agent)
+        except Exception:
+            result = None
+        with self._lock:
+            if len(memo) >= _DETECT_MEMO_LIMIT:
+                memo.clear()
+            memo[key] = result
+        return result
 
     def fold(self, event: SessionEvent, verdict: Verdict) -> SessionObservation:
         with self._lock:
@@ -176,7 +220,9 @@ class ParentFoldService(SessionScoringService):
         state, created = self.tracker.get_or_create(event.session_id)
         with self._lock:
             self.events_total += 1
-            revision = self._reconcile_locked(state, event, verdict, result, ua_key)
+            revision = self._reconcile_locked(
+                state, event_fields(event), verdict, result, ua_key
+            )
             record = ParentEventRecord(
                 seq=event.seq,
                 event_type=event.event_type.value,

@@ -180,13 +180,13 @@ class TestClusterObserveMany:
 
     def test_a_batch_is_one_router_call_in_arrival_order(self, cluster, streams):
         calls = []
-        score_many = cluster.score_many
+        score_rows = cluster.score_rows
 
-        def recording(wires):
+        def recording(wires, rows, found, day=None):
             calls.append(list(wires))
-            return score_many(wires)
+            return score_rows(wires, rows, found, day=day)
 
-        cluster.score_many = recording
+        cluster.score_rows = recording
         sessions = SessionScoringService(cluster, ttl_seconds=1e9)
         events = [
             event

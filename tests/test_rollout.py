@@ -37,6 +37,8 @@ from repro.runtime.service import RuntimeScoringService
 from repro.runtime.stats import RuntimeStats
 from repro.service.api import CollectionApp
 from repro.service.scoring import ScoringService
+from repro.sessions import SessionScoringService
+from repro.traffic.events import EventType, SessionEvent
 from repro.traffic.replay import iter_payloads
 
 SALT = "fixed-test-salt"
@@ -552,6 +554,112 @@ class TestRecordManyEqualsPerRowRecord:
         finally:
             scorer.shutdown()
         assert scorer.report.snapshot() == reference.snapshot()
+
+
+class TestSessionsStayOnOneArm:
+    """Every event of a session is scored by the arm its session id
+    routes to, whatever id the event is scored under (``sid@seq``)."""
+
+    def test_a_session_never_flaps_between_models(
+        self, tmp_path, trained, small_dataset
+    ):
+        registry = ModelRegistry(tmp_path / "registry")
+        registry.promote(trained, date(2023, 7, 1), "bootstrap")
+        # A candidate that flags every known release: the arm that
+        # scored an event shows in its verdict.
+        registry.stage_candidate(
+            _break_model(registry.load(1)), date(2023, 8, 1), "broken"
+        )
+        runtime = _runtime(registry)
+        manager = _manager(
+            registry, runtime, tmp_path, shadow_sample_rate=0.01,
+            min_comparisons=10**9,
+        )
+        live, candidate = ScoringService(registry.load(1)), ScoringService(
+            registry.load(2)
+        )
+        payloads = [
+            p for p in iter_payloads(small_dataset, 400)
+            if not live.score_wire(p.to_wire()).flagged
+            and candidate.score_wire(p.to_wire()).flagged
+        ][:60]
+        assert len(payloads) == 60
+        try:
+            manager.start(2, salt=SALT)
+            assert manager.advance(force=True).status == CANARY
+            sessions = SessionScoringService(runtime, ttl_seconds=1e9)
+            events = [
+                SessionEvent(
+                    f"arm-{number}", EventType.FOCUS if seq else EventType.PAGE_LOAD,
+                    seq, 1000.0 + seq, payload.user_agent, payload.values,
+                )
+                for number, payload in enumerate(payloads)
+                for seq in range(5)
+            ]
+            observed = sessions.observe_many([e.to_wire() for e in events])
+            arms = {}
+            for event, observation in zip(events, observed):
+                assert observation.verdict.accepted
+                on_candidate = manager.route(event.session_id)[0]
+                assert observation.verdict.flagged is on_candidate, event
+                arms.setdefault(event.session_id, set()).add(on_candidate)
+            assert all(len(seen) == 1 for seen in arms.values())
+            assert {True, False} <= set().union(*arms.values())
+        finally:
+            manager.close()
+            runtime.shutdown()
+
+    def test_a_stage_change_re_bases_a_session_instead_of_flipping_it(
+        self, tmp_path, trained, relabelled_model, small_dataset
+    ):
+        """A stage advance moves some in-flight sessions to the candidate
+        and a rollback moves them back.  The candidate gives the same
+        verdicts under other cluster ids, as a retrain may: a moved
+        session's cluster is re-based on each move, never flipped."""
+        registry = ModelRegistry(tmp_path / "registry")
+        registry.promote(trained, date(2023, 7, 1), "bootstrap")
+        registry.stage_candidate(
+            registry.load(1).install(relabelled_model), date(2023, 8, 1),
+            "relabelled",
+        )
+        runtime = _runtime(registry)
+        manager = _manager(registry, runtime, tmp_path, min_comparisons=10**9)
+        sessions = SessionScoringService(runtime, ttl_seconds=1e9)
+        payloads = list(iter_payloads(small_dataset, 80))
+
+        def observe(seq):
+            return sessions.observe_many([
+                SessionEvent(
+                    f"stage-{number}", EventType.FOCUS if seq else EventType.PAGE_LOAD,
+                    seq, 1000.0 + seq, payload.user_agent, payload.values,
+                ).to_wire()
+                for number, payload in enumerate(payloads)
+            ])
+
+        try:
+            manager.start(2, salt=SALT)
+            observed = observe(0)
+            assert manager.advance(force=True).status == CANARY
+            observed += observe(1)
+            moved = [
+                f"stage-{number}" for number in range(len(payloads))
+                if manager.route(f"stage-{number}")[0]
+            ]
+            manager.rollback()
+            observed += observe(2)
+        finally:
+            manager.close()
+            runtime.shutdown()
+        assert all(o.verdict.accepted for o in observed)
+        assert [o.revision for o in observed] == [None] * len(observed)
+        assert 0 < len(moved) < len(payloads)
+        k = trained.config.n_clusters
+        for session_id in moved:
+            before, on_candidate, back = (
+                record["predicted_cluster"]
+                for record in sessions.session_snapshot(session_id)["events"]
+            )
+            assert on_candidate == (before + 1) % k and back == before
 
 
 class TestHealthyRollout:

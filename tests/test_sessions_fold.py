@@ -217,6 +217,26 @@ class TestFoldManyAgainstTheFrozenFold:
         assert sessions_state(one_by_one) == sessions_state(at_once)
 
 
+class TestFoldManyLooksItsResultsUp:
+    def test_fold_many_records_what_observing_records(self, trained, streams):
+        """``fold_many`` gets verdicts without the results they were
+        scored from, so it looks every cluster and ``ua_key`` up: it
+        folds, revises and records exactly as observing the events does."""
+        in_order = sorted(
+            (e for s in streams for e in s.events), key=lambda e: e.timestamp
+        )
+        wires = [e.to_wire() for e in in_order]
+        events = [SessionEvent.from_wire(wire) for wire in wires]
+        observing = SessionScoringService(ScoringService(trained), ttl_seconds=1e9)
+        observed = observing.observe_many(wires)
+        folding = SessionScoringService(ScoringService(trained), ttl_seconds=1e9)
+        assert folding.fold_many(events, [o.verdict for o in observed]) == observed
+        assert sessions_state(folding) == sessions_state(observing)
+        assert folding.status_dict()["revision_reasons"]["cluster_flip"] > 0
+        records = folding.session_snapshot(events[0].session_id)["events"]
+        assert records[0]["predicted_cluster"] is not None and records[0]["ua_key"]
+
+
 class TestDistinctAggregates:
     _VECTORS = [(1, 2, 3), (1, 2, 4), (9, 9, 9)]
     _UA_KEYS = [None, "chrome-100", "firefox-90", "edge-100"]

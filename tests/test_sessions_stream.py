@@ -517,21 +517,65 @@ class TestSessionScoringService:
         assert after == live.predicted_cluster
         assert after == (before + 1) % trained.config.n_clusters
 
-    def test_the_cluster_memo_is_bounded(self, trained, streams, monkeypatch):
-        """Past ``_DETECT_MEMO_LIMIT`` surfaces the memo starts over,
-        and every session still records its own fingerprint's cluster."""
-        monkeypatch.setattr("repro.sessions.service._DETECT_MEMO_LIMIT", 4)
+    @pytest.mark.parametrize("inner", ["per_request", "runtime"])
+    def test_a_model_swap_re_bases_a_sessions_cluster(
+        self, trained, relabelled_model, streams, inner
+    ):
+        """A session whose events straddle a model swap is not flipped:
+        clusters of two models do not compare, so its cluster is re-based
+        on the new model's, and the session's verdict stands."""
+        polygraph = BrowserPolygraph(trained.config).install(trained.cluster_model)
+        service = (
+            ScoringService(polygraph) if inner == "per_request"
+            else RuntimeScoringService(polygraph).start()
+        )
+        sessions = SessionScoringService(service, ttl_seconds=1e9)
+        first = streams[0].first
+
+        def observe(seq):
+            return sessions.observe_wire(
+                SessionEvent(
+                    "straddles-a-swap", first.event_type, seq,
+                    first.timestamp + seq, first.user_agent, first.values,
+                ).to_wire()
+            )
+
+        try:
+            assert observe(0).verdict.accepted
+            polygraph.install(relabelled_model)
+            after = [observe(1), observe(2)]
+        finally:
+            if inner == "runtime":
+                service.shutdown()
+        assert [o.revision for o in after] == [None, None]
+        records = sessions.session_snapshot("straddles-a-swap")["events"]
+        before = records[0]["predicted_cluster"]
+        moved = (before + 1) % trained.config.n_clusters
+        assert [r["predicted_cluster"] for r in records] == [before, moved, moved]
+
+    @pytest.mark.parametrize("inner", ["per_request", "runtime"])
+    def test_every_session_records_its_own_fingerprints_cluster(
+        self, trained, streams, inner
+    ):
+        """Many distinct surfaces in a few batches: each session's
+        record carries the cluster its own fingerprint scored to."""
         by_surface = {(s.first.values, s.first.user_agent): s.first for s in streams}
         firsts = list(by_surface.values())[:12]
         assert len(firsts) == 12
-        sessions = _session_service(trained)
+        service = (
+            ScoringService(trained) if inner == "per_request"
+            else RuntimeScoringService(trained).start()
+        )
+        sessions = SessionScoringService(service, ttl_seconds=1e9)
         for start in range(0, len(firsts), 3):
             sessions.observe_many([e.to_wire() for e in firsts[start : start + 3]])
-            assert 0 < len(sessions._detect_memo) <= 4
+        if inner == "runtime":
+            service.shutdown()
         for event in firsts:
             (record,) = sessions.session_snapshot(event.session_id)["events"]
             live = trained.detect_session(event.values, event.user_agent)
             assert record["predicted_cluster"] == live.predicted_cluster
+            assert record["ua_key"] == live.ua_key
 
     def test_metrics_lines(self, trained, streams):
         sessions = _session_service(trained)
@@ -832,29 +876,23 @@ class TestObserveManyDifferential:
             reference.status_dict()["revision_reasons"]
         )
 
-    def test_dated_batches_score_wire_by_wire(self, trained, streams):
-        """``score_many`` takes no day: a dated batch must not use it."""
+    def test_a_dated_batch_is_one_inner_call_with_its_day(self, trained, streams):
+        """A batch, dated or not, reaches the inner service as one
+        ``score_rows`` call carrying the batch's day."""
         from datetime import date
 
         calls = []
 
         class Bulk(ScoringService):
-            def score_many(self, wires):
-                calls.append(("many", len(wires)))
-                return [self.score_wire(w) for w in wires]
-
-            def score_wire(self, wire, day=None, tags=None):
-                calls.append(("one", day))
-                return super().score_wire(wire, day=day, tags=tags)
+            def score_rows(self, wires, rows, found, day=None):
+                calls.append((len(wires), day))
+                return super().score_rows(wires, rows, found, day=day)
 
         sessions = SessionScoringService(Bulk(trained), ttl_seconds=1e9)
-        wires = [s.first.to_wire() for s in streams[:3]]
-        sessions.observe_many(wires)
-        assert calls[0] == ("many", 3)
-        del calls[:]
+        sessions.observe_many([s.first.to_wire() for s in streams[:3]])
         day = date(2024, 1, 2)
         sessions.observe_many([s.first.to_wire() for s in streams[3:6]], day=day)
-        assert calls == [("one", day)] * 3
+        assert calls == [(3, None), (3, day)]
 
 
 # ----------------------------------------------------------------------

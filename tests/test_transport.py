@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 import repro.cluster.supervisor as supervisor_mod
 from repro.browsers.profiles import BrowserProfile
-from repro.browsers.useragent import Vendor, format_user_agent
+from repro.browsers.useragent import Vendor, format_user_agent, parse_user_agent
 from repro.cluster import (
     ClusterConfig,
     ClusterRouter,
@@ -36,7 +36,7 @@ from repro.fingerprint.script import CollectionScript
 from repro.runtime.cache import VerdictCache
 from repro.runtime.fastingest import WireIngest
 from repro.runtime.service import RuntimeConfig
-from repro.service.ingest import RejectReason
+from repro.service.ingest import PayloadValidator, RejectReason
 from repro.service.scoring import OVERLOADED_REASON, ScoringService
 from repro.traffic.replay import iter_wire_payloads
 
@@ -167,51 +167,58 @@ class TestIngestManyParity:
             + [good[2].replace(b'"f":[', b'"f":[999999,', 1)]  # range
         )
 
+    @staticmethod
+    def _contract(validator, wires):
+        """What sequential ingest — the wire contract itself, wire by
+        wire — answers: the reject reason, or the payload's fields."""
+        outcomes = []
+        for wire in wires:
+            result = validator.ingest_wire(wire)
+            payload = result.payload
+            outcomes.append(
+                result.reason if payload is None else (
+                    payload.session_id, payload.user_agent,
+                    payload.values, payload.suspicious_globals,
+                )
+            )
+        return outcomes
+
+    @staticmethod
+    def _essence(outcomes):
+        return [o[:4] if isinstance(o, tuple) else o for o in outcomes]
+
     def test_bulk_outcomes_match_sequential_ingest(self, wires):
         mixed = self._mixed_wires(wires)
-        sequential = WireIngest()
-        expected = [sequential.ingest(w) for w in mixed]
-        bulk = WireIngest()
-        outcomes = bulk.ingest_many(mixed)
-        assert len(outcomes) == len(mixed)
-        for outcome, (reason, fields) in zip(outcomes, expected):
-            if reason is None:
-                assert outcome == fields
-            else:
-                assert outcome is reason
+        expected = self._contract(PayloadValidator(), mixed)
+        outcomes = WireIngest().ingest_many(mixed)
+        assert self._essence(outcomes) == expected
+        assert all(
+            o[4] == parse_user_agent(o[1]).key()
+            for o in outcomes if isinstance(o, tuple)
+        )
 
     def test_bulk_counters_match_sequential_ingest(self, wires):
         mixed = self._mixed_wires(wires)
-        sequential = WireIngest()
-        for wire in mixed:
-            sequential.ingest(wire)
+        reference = PayloadValidator()
+        self._contract(reference, mixed)
         bulk = WireIngest()
         bulk.ingest_many(mixed)
-        assert bulk.requests_total == sequential.requests_total
-        assert bulk.rejected_count == sequential.rejected_count
-        assert (
-            bulk.validator.accepted_count
-            == sequential.validator.accepted_count
-        )
-        assert (
-            bulk.validator.quarantine.counts()
-            == sequential.validator.quarantine.counts()
-        )
+        assert bulk.requests_total == len(mixed)
+        assert bulk.rejected_count == reference.quarantine.total_rejects
+        assert bulk.validator.accepted_count == reference.accepted_count
+        assert bulk.validator.quarantine.counts() == reference.quarantine.counts()
 
     def test_bulk_dedup_window_evicts_like_sequential(self, wires):
         # A window of 3 with 5 admitted wires: the first two fall out,
         # so re-sending them is NOT a duplicate, but the last is.
-        from repro.service.ingest import PayloadValidator
-
         sample = wires[:5]
         replay = [sample[0], sample[4]]
-        sequential = WireIngest(PayloadValidator(dedup_window=3))
-        expected = [sequential.ingest(w)[0] for w in sample + replay]
+        expected = self._contract(
+            PayloadValidator(dedup_window=3), sample + replay
+        )
         bulk = WireIngest(PayloadValidator(dedup_window=3))
         outcomes = bulk.ingest_many(sample + replay)
-        assert [
-            o if isinstance(o, RejectReason) else None for o in outcomes
-        ] == expected
+        assert self._essence(outcomes) == expected
         assert outcomes[-1] is RejectReason.DUPLICATE
         assert isinstance(outcomes[-2], tuple)
 
