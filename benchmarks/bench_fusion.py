@@ -6,7 +6,12 @@ Three questions, each a gate:
    cluster verdict fields ``(session id, accepted, flagged, risk
    factor, reject reason)`` must be *bit-identical* to the plain
    :class:`ScoringService` scoring the same wires, and with fusion off
-   every provenance field must stay ``None``.
+   every provenance field must stay ``None``.  The fused cell is also
+   replayed through the batched :class:`RuntimeScoringService` that
+   ``serve`` runs, one wire per ``score_wire`` call (each row has its
+   own day and tags): every verdict field but the latency, and the
+   arm's counters, must equal the per-request replay's
+   (``runtime_parity``).
 2. **Catch** — Category-3/4 fraud (stolen-profile replay on a real or
    matched engine) is invisible to the cluster-mismatch verdict by
    construction; the second-opinion arm must flag a fixed minimum of
@@ -36,6 +41,7 @@ from repro.core.pipeline import BrowserPolygraph  # noqa: E402
 from repro.fusion import FusionArm, FusionModel  # noqa: E402
 from repro.fusion.labels import weak_labels  # noqa: E402
 from repro.fusion.policy import AgreementCell, FusionGuardrailConfig  # noqa: E402
+from repro.runtime.service import RuntimeScoringService  # noqa: E402
 from repro.service.scoring import ScoringService  # noqa: E402
 from repro.traffic.generator import TrafficConfig, TrafficSimulator  # noqa: E402
 from repro.traffic.replay import iter_wire_payloads  # noqa: E402
@@ -52,6 +58,18 @@ def _essence(verdict) -> tuple:
         verdict.flagged,
         verdict.risk_factor,
         verdict.reject_reason,
+    )
+
+
+def _fields(verdict) -> tuple:
+    """Every verdict field but the latency."""
+    return _essence(verdict) + (
+        verdict.fused_flagged,
+        verdict.fusion_cell,
+        verdict.second_probability,
+        verdict.second_lift,
+        verdict.inferred_release,
+        verdict.inferred_distance,
     )
 
 
@@ -94,24 +112,36 @@ def run_benchmark(n_sessions: int, seed: int, smoke: bool = False) -> dict:
     )
 
     # --- cell 2: cluster + fusion arm ----------------------------------
+    tags = [
+        (bool(labels.untrusted_ip[idx]), bool(labels.untrusted_cookie[idx]))
+        for idx in range(len(wires))
+    ]
     fused_service = ScoringService(
         polygraph, fusion=FusionArm(fusion_model, guardrails=guardrails)
     )
     started = time.perf_counter()
     fused_verdicts = [
-        fused_service.score_wire(
-            wire,
-            day=days[idx],
-            tags=(
-                bool(labels.untrusted_ip[idx]),
-                bool(labels.untrusted_cookie[idx]),
-            ),
-        )
+        fused_service.score_wire(wire, day=days[idx], tags=tags[idx])
         for idx, wire in enumerate(wires)
     ]
     fused_elapsed = time.perf_counter() - started
     fused_eps = len(wires) / fused_elapsed
     arm_status = fused_service.fusion.status_dict()
+
+    # --- the fused cell again, on the runtime `serve` runs -------------
+    runtime = RuntimeScoringService(polygraph)
+    runtime.attach_fusion(FusionArm(fusion_model, guardrails=guardrails))
+    runtime_verdicts = [
+        runtime.score_wire(wire, day=days[idx], tags=tags[idx])
+        for idx, wire in enumerate(wires)
+    ]
+    runtime.shutdown()
+    runtime_mismatches = sum(
+        1
+        for fused, replayed in zip(fused_verdicts, runtime_verdicts)
+        if _fields(fused) != _fields(replayed)
+    )
+    runtime_counters_equal = runtime.fusion.status_dict() == arm_status
 
     # --- gate 1: bit-identical cluster verdicts ------------------------
     mismatches = sum(
@@ -172,6 +202,12 @@ def run_benchmark(n_sessions: int, seed: int, smoke: bool = False) -> dict:
             "bit_identical": mismatches == 0,
             "fusion_off_provenance_clean": provenance_clean,
         },
+        "runtime_parity": {
+            "checked": len(wires),
+            "mismatches": runtime_mismatches,
+            "identical": runtime_mismatches == 0 and runtime_counters_equal,
+            "arm_counters_equal": runtime_counters_equal,
+        },
         "second_opinion_catch": {
             "cluster_flagged_by_category": cluster_by_cat,
             "second_only_by_category": catch_by_cat,
@@ -206,6 +242,7 @@ def _main(argv: Optional[List[str]] = None) -> int:
 
     cluster_cell, fusion_cell = result["cells"]
     parity = result["cluster_parity"]
+    runtime_parity = result["runtime_parity"]
     catch = result["second_opinion_catch"]
     print(
         f"cluster-only: {cluster_cell['wires_per_s']:.0f} wires/s "
@@ -224,6 +261,11 @@ def _main(argv: Optional[List[str]] = None) -> int:
         f"cluster parity: {parity['checked']} checked, "
         f"{parity['mismatches']} mismatches; fusion-off provenance "
         f"clean={parity['fusion_off_provenance_clean']}"
+    )
+    print(
+        f"runtime parity: {runtime_parity['checked']} checked, "
+        f"{runtime_parity['mismatches']} mismatches; arm counters "
+        f"equal={runtime_parity['arm_counters_equal']}"
     )
     print(
         "second-opinion-only catch by category: "
@@ -248,6 +290,7 @@ def _main(argv: Optional[List[str]] = None) -> int:
         extra={
             "throughput_ratio": result["throughput_ratio"],
             "cluster_parity": parity,
+            "runtime_parity": runtime_parity,
             "second_opinion_catch": catch,
         },
     )
@@ -261,6 +304,12 @@ def _main(argv: Optional[List[str]] = None) -> int:
     if not parity["fusion_off_provenance_clean"]:
         failures.append(
             "fusion-off verdicts carried non-None provenance fields"
+        )
+    if not runtime_parity["identical"]:
+        failures.append(
+            f"the runtime's fusion arm differed on "
+            f"{runtime_parity['mismatches']} verdicts (arm counters equal: "
+            f"{runtime_parity['arm_counters_equal']})"
         )
     if not args.smoke:
         if not fusion_cell["arm_enabled"]:

@@ -12,11 +12,11 @@ Subcommands:
 * ``drift``       — load a model and run the drift check on a window;
 * ``experiment``  — regenerate any paper table/figure by name;
 * ``simulate``    — generate and save a synthetic FinOrg dataset;
-* ``serve``       — run the collection endpoint over a saved model or a
-  registry's live model (``--runtime`` switches to the batched, cached
-  scoring runtime and resumes any in-flight rollout; ``--shards N``
-  serves a model file from a sharded cluster behind the consistent-hash
-  router — a registry is served by one process, never by shards);
+* ``serve``       — run the collection endpoint: the asyncio front end
+  over the batched, cached scoring runtime, for a saved model or a
+  registry's live model (whose in-flight rollout is resumed), or with
+  ``--shards N`` over a sharded cluster behind the consistent-hash
+  router (a model file only: a registry is served by one process);
   SIGTERM/SIGINT drain in-flight requests before exiting;
 * ``cluster``     — inspect a running cluster (``status`` pretty-prints
   the server's ``GET /cluster`` document);
@@ -27,7 +27,7 @@ Subcommands:
   one stage toward live, or ``abort``;
 * ``fuse``        — train (``train``) or inspect (``status``) the
   second-opinion fusion model; ``serve --fusion FUSION.json`` attaches
-  it to the per-request scoring path (``POST /check``, ``GET /fusion``);
+  it to the single-process runtime (``POST /check``, ``GET /fusion``);
 * ``gauntlet``    — replay an accelerated production year against one
   scoring runtime and its rollout manager (``run``) or render a saved
   replay artifact (``report BENCH_gauntlet.json``).
@@ -38,7 +38,7 @@ from __future__ import annotations
 import argparse
 import sys
 from datetime import date
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.core.pipeline import BrowserPolygraph
 
@@ -162,16 +162,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--registry",
-        help="serve the registry's live model instead of a model file; "
-        "with --runtime, an in-flight rollout is resumed",
+        help="serve the registry's live model instead of a model file "
+        "and resume its in-flight rollout",
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8040)
+    # Shims: benchmarks/e2e/e2ebench/workloads.py (frozen) passes
+    # "--runtime" and "--ingest async", which every serve now is; the
+    # flags go when ROADMAP item 1(a)'s benchmark PR drops the arguments.
+    serve.add_argument("--runtime", action="store_true", help=argparse.SUPPRESS)
     serve.add_argument(
-        "--runtime",
-        action="store_true",
-        help="use the batched, cached scoring runtime instead of the "
-        "per-request service",
+        "--ingest", choices=["async"], default="async", help=argparse.SUPPRESS
     )
     serve.add_argument(
         "--cache-entries", type=int, default=8192, help="0 disables the cache"
@@ -213,14 +214,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(process shards only)",
     )
     serve.add_argument(
-        "--ingest",
-        choices=["sync", "async"],
-        default="sync",
-        help="HTTP front end: one-request-per-thread WSGI (sync) or the "
-        "pipelined asyncio server with batch coalescing and read-side "
-        "backpressure (async)",
-    )
-    serve.add_argument(
         "--session-ttl",
         type=float,
         default=None,
@@ -243,7 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="FUSION_MODEL",
         help="attach a trained fusion model (see `fuse train`): enables "
         "POST /check and GET /fusion plus fused provenance on verdicts "
-        "(per-request single-process mode only)",
+        "(not with --shards)",
     )
     serve.add_argument(
         "--fusion-lift",
@@ -538,17 +531,6 @@ def _runtime_config(args: argparse.Namespace) -> "RuntimeConfig":
     )
 
 
-def _build_service(pipeline: BrowserPolygraph, args: argparse.Namespace):
-    """The scoring service ``serve`` wraps — runtime or per-request."""
-    if args.runtime:
-        from repro.runtime.service import RuntimeScoringService
-
-        return RuntimeScoringService(pipeline, config=_runtime_config(args)).start()
-    from repro.service.scoring import ScoringService
-
-    return ScoringService(pipeline)
-
-
 def _build_cluster(args: argparse.Namespace):
     """The sharded path of ``serve``: supervisor + router over a model file."""
     from repro.cluster import (
@@ -569,14 +551,13 @@ def _build_cluster(args: argparse.Namespace):
     return ClusterRouter(supervisor, RouterConfig(affinity=args.affinity)).start()
 
 
-def _serve_until_signalled(httpd) -> None:
-    """Run the server until SIGTERM/SIGINT, then stop accepting.
+def _serve_until_signalled(server, announce: Callable[[], None]) -> None:
+    """Start ``server``, ``announce()`` it, and close it on SIGTERM/SIGINT.
 
-    ``serve_forever`` runs on a background thread because calling
-    ``httpd.shutdown()`` from the serving thread deadlocks; the main
-    thread parks on an event that the signal handlers set.  On exit the
-    listener is stopped first, then the caller drains the scoring
-    backlog — no request dies mid-batch.
+    The front end runs its own event-loop thread; the main thread parks
+    on an event that the signal handlers set.  On exit the listener is
+    closed first, then the caller drains the scoring backlog — no
+    request dies mid-batch.
     """
     import signal
     import threading
@@ -592,50 +573,37 @@ def _serve_until_signalled(httpd) -> None:
             previous[signum] = signal.signal(signum, _request_stop)
         except ValueError:
             pass  # not on the main thread (tests); rely on Ctrl-C
-    server_thread = threading.Thread(
-        target=httpd.serve_forever, name="polygraph-http", daemon=True
-    )
-    server_thread.start()
     try:
+        server.start()
+        announce()
         stop.wait()
     except KeyboardInterrupt:
         pass
     finally:
         for signum, handler in previous.items():
             signal.signal(signum, handler)
-        httpd.shutdown()
-        server_thread.join(timeout=10.0)
+        server.close()
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from wsgiref.simple_server import make_server
-
+    from repro.service.aingest import AsyncIngestServer
     from repro.service.api import CollectionApp
 
-    if args.registry and args.shards:
+    if args.shards and (args.registry or args.fusion):
         print(
-            "serve: --registry with --shards would serve without its "
-            "rollout (a registry's rollouts run on one process); "
-            "use --runtime",
+            f"serve: {'--registry' if args.registry else '--fusion'} with "
+            "--shards: a registry's rollouts and the fusion arm run on "
+            "one process (the cluster router has neither)",
             file=sys.stderr,
         )
         return 2
-    registry = None
-    if args.registry:
-        from repro.core.retraining import ModelRegistry
-
-        registry = ModelRegistry(args.registry)
-    elif not args.model:
+    if not (args.model or args.registry):
         print("serve: provide a model path or --registry", file=sys.stderr)
         return 2
-    if args.fusion and (args.shards or args.runtime):
-        print(
-            "serve: --fusion requires the per-request single-process "
-            "path (the fusion arm is not batched or shard-aware yet)",
-            file=sys.stderr,
-        )
-        return 2
     managers = []
+    endpoints = (
+        "POST /collect, GET /health, GET /metrics, GET /rollout, GET /cluster"
+    )
     if args.shards:
         from repro.cluster import ShardError
 
@@ -644,19 +612,28 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         except ShardError as exc:
             print(f"serve: cannot start cluster: {exc}", file=sys.stderr)
             return 2
-        transport_note = (
-            ", shm transport" if args.shard_backend == "process" else ""
-        )
         mode = (
             f"cluster ({args.shards} {args.shard_backend} shards, "
-            f"{args.affinity} affinity{transport_note})"
+            f"{args.affinity} affinity"
+            + (", shm transport)" if args.shard_backend == "process" else ")")
         )
     else:
-        pipeline = (
-            registry.load() if registry else BrowserPolygraph.load(args.model)
-        )
-        service = _build_service(pipeline, args)
-        if registry is not None and args.runtime:
+        from repro.runtime.service import RuntimeScoringService
+
+        if args.registry:
+            from repro.core.retraining import ModelRegistry, RegistryError
+
+            registry = ModelRegistry(args.registry)
+            try:
+                pipeline = registry.load()
+            except RegistryError as exc:
+                print(f"serve: cannot read registry: {exc}", file=sys.stderr)
+                return 2
+        else:
+            pipeline = BrowserPolygraph.load(args.model)
+        service = RuntimeScoringService(pipeline, config=_runtime_config(args))
+        mode = "runtime (batched)"
+        if args.registry:
             from repro.rollout import RolloutManager
 
             manager = RolloutManager(registry, runtime=service)
@@ -667,7 +644,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     f"resumed rollout of v{state.candidate_version} "
                     f"({state.status}, stage {state.stage_index})"
                 )
-        mode = "runtime (batched)" if args.runtime else "per-request"
         if args.fusion:
             from repro.fusion import FusionArm, FusionModel, FusionPolicy
             from repro.fusion import FusionPolicyConfig
@@ -683,6 +659,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 )
             service.attach_fusion(FusionArm(fusion_model, policy=policy))
             mode += ", fusion"
+            endpoints += ", POST /check, GET /fusion"
     sessions = None
     if args.session_ttl is not None:
         from repro.sessions import SessionEventLog, SessionScoringService
@@ -695,6 +672,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_sessions=args.session_max,
         )
         mode += f", session streams (ttl {args.session_ttl:g}s)"
+        endpoints += ", POST /event, GET /session/{id}, GET /sessions"
     coverage_tracker = None
     if args.coverage:
         from datetime import date as _date
@@ -706,68 +684,64 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         coverage_tracker = CoverageTracker(clock=_date.today)
         service.attach_coverage(coverage_tracker)
         mode += ", coverage"
+        endpoints += ", GET /coverage"
     app = CollectionApp(service, sessions=sessions, coverage=coverage_tracker)
-    if args.ingest == "async":
-        from repro.service.aingest import AsyncIngestServer
-
-        server = AsyncIngestServer(service, app, host=args.host, port=args.port)
-        mode += ", async ingest"
-    else:
-        server = make_server(args.host, args.port, app)
+    server = AsyncIngestServer(service, app, host=args.host, port=args.port)
     # Long-lived serving process: everything built so far (the model,
-    # the shard plumbing, the WSGI app) lives until exit, so move it
-    # out of the collector's reach — otherwise every gen2 collection
-    # re-scans the whole model heap mid-request.
+    # the shard plumbing, the app) lives until exit, so move it out of
+    # the collector's reach — otherwise every gen2 collection re-scans
+    # the whole model heap mid-request.
     import gc
 
     gc.collect()
     gc.freeze()
-    with server as httpd:
-        endpoints = (
-            "POST /collect, GET /health, GET /metrics, GET /rollout, "
-            "GET /cluster"
+    try:
+        _serve_until_signalled(
+            server,
+            lambda: print(
+                f"serving {mode} scoring on http://{args.host}:{server.port} "
+                f"({endpoints})",
+                flush=True,
+            ),
         )
-        if sessions is not None:
-            endpoints += ", POST /event, GET /session/{id}, GET /sessions"
-        if coverage_tracker is not None:
-            endpoints += ", GET /coverage"
-        if getattr(service, "fusion", None) is not None:
-            endpoints += ", POST /check, GET /fusion"
-        print(
-            f"serving {mode} scoring on http://{args.host}:{args.port} "
-            f"({endpoints})"
-        )
-        try:
-            _serve_until_signalled(httpd)
-        finally:
-            print("draining in-flight requests before exit")
-            for manager in managers:
-                manager.save()
-                manager.close()
-            shutdown = getattr(service, "shutdown", None)
-            if shutdown is not None:
-                shutdown(drain=True)
+    finally:
+        print("draining in-flight requests before exit")
+        for manager in managers:
+            manager.save()
+            manager.close()
+        service.shutdown(drain=True)
     return 0
 
 
-def _cmd_cluster(args: argparse.Namespace) -> int:
+def _status_document(args: argparse.Namespace, path: str, absent: str):
+    """``(document, None)`` from ``GET --url path``, or ``(None, exit
+    code)`` after saying why not: 1 when the server answers 404 (the
+    feature is ``absent``), 2 when the document cannot be had."""
     import json as _json
     from urllib.error import HTTPError, URLError
     from urllib.request import urlopen
 
-    endpoint = args.url.rstrip("/") + "/cluster"
+    command = f"{args.command} status"
+    endpoint = args.url.rstrip("/") + path
     try:
         with urlopen(endpoint, timeout=5.0) as response:
-            document = _json.load(response)
+            return _json.load(response), None
     except HTTPError as exc:
         if exc.code == 404:
-            print(f"{args.url} is serving single-process (no cluster)")
-            return 1
-        print(f"cluster status: {endpoint} answered {exc.code}", file=sys.stderr)
-        return 2
+            print(f"{args.url} {absent}")
+            return None, 1
+        print(f"{command}: {endpoint} answered {exc.code}", file=sys.stderr)
     except (URLError, OSError) as exc:
-        print(f"cluster status: cannot reach {endpoint}: {exc}", file=sys.stderr)
-        return 2
+        print(f"{command}: cannot reach {endpoint}: {exc}", file=sys.stderr)
+    return None, 2
+
+
+def _cmd_cluster(args: argparse.Namespace) -> int:
+    document, code = _status_document(
+        args, "/cluster", "is serving single-process (no cluster)"
+    )
+    if document is None:
+        return code
     print(
         f"backend {document['backend']}, "
         f"{document['healthy_shards']}/{document['n_shards']} shards healthy, "
@@ -793,23 +767,11 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def _cmd_sessions(args: argparse.Namespace) -> int:
-    import json as _json
-    from urllib.error import HTTPError, URLError
-    from urllib.request import urlopen
-
-    endpoint = args.url.rstrip("/") + "/sessions"
-    try:
-        with urlopen(endpoint, timeout=5.0) as response:
-            document = _json.load(response)
-    except HTTPError as exc:
-        if exc.code == 404:
-            print(f"{args.url} is serving without session streams")
-            return 1
-        print(f"sessions status: {endpoint} answered {exc.code}", file=sys.stderr)
-        return 2
-    except (URLError, OSError) as exc:
-        print(f"sessions status: cannot reach {endpoint}: {exc}", file=sys.stderr)
-        return 2
+    document, code = _status_document(
+        args, "/sessions", "is serving without session streams"
+    )
+    if document is None:
+        return code
     print(
         f"{document['active_sessions']} active sessions "
         f"(ttl {document['ttl_seconds']:g}s, cap {document['max_sessions']}), "
@@ -831,23 +793,11 @@ def _cmd_sessions(args: argparse.Namespace) -> int:
 
 
 def _cmd_coverage(args: argparse.Namespace) -> int:
-    import json as _json
-    from urllib.error import HTTPError, URLError
-    from urllib.request import urlopen
-
-    endpoint = args.url.rstrip("/") + "/coverage"
-    try:
-        with urlopen(endpoint, timeout=5.0) as response:
-            document = _json.load(response)
-    except HTTPError as exc:
-        if exc.code == 404:
-            print(f"{args.url} is serving without coverage tracking")
-            return 1
-        print(f"coverage status: {endpoint} answered {exc.code}", file=sys.stderr)
-        return 2
-    except (URLError, OSError) as exc:
-        print(f"coverage status: cannot reach {endpoint}: {exc}", file=sys.stderr)
-        return 2
+    document, code = _status_document(
+        args, "/coverage", "is serving without coverage tracking"
+    )
+    if document is None:
+        return code
     generation = document["model_generation"]
     print(
         f"{document['known_releases']} known releases"

@@ -16,8 +16,8 @@ A cluster serves the model file it booted with.  It has no rollout and
 no model replication: a registry's model changes (shadow -> canary ->
 promote, rollback) reach serving through one
 :class:`~repro.runtime.service.RuntimeScoringService` and its
-:class:`~repro.rollout.manager.RolloutManager` (``serve --registry
---runtime``, and the gauntlet).
+:class:`~repro.rollout.manager.RolloutManager` (``serve --registry``,
+and the gauntlet).
 """
 
 from repro.cluster.ring import HashRing, ring_hash, wire_routing_key

@@ -25,6 +25,7 @@ ever adopting it.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -34,13 +35,22 @@ from repro.core.model_store import stored_digest
 from repro.core.pipeline import BrowserPolygraph
 from repro.traffic.dataset import Dataset
 
-__all__ = ["ModelRegistry", "RetrainingOrchestrator", "RetrainingOutcome"]
+__all__ = [
+    "ModelRegistry",
+    "RegistryError",
+    "RetrainingOrchestrator",
+    "RetrainingOutcome",
+]
 
 # Registry entry statuses.  Entries written before statuses existed are
 # treated as live (they were promoted directly).
 STATUS_LIVE = "live"
 STATUS_CANDIDATE = "candidate"
 STATUS_ROLLED_BACK = "rolled_back"
+
+
+class RegistryError(ValueError):
+    """A registry's index cannot be read (torn or not JSON)."""
 
 
 @dataclass(frozen=True)
@@ -73,10 +83,16 @@ class ModelRegistry:
     def _index(self) -> List[dict]:
         if not self._index_path.exists():
             return []
-        return json.loads(self._index_path.read_text())
+        try:
+            return json.loads(self._index_path.read_text())
+        except ValueError as exc:
+            raise RegistryError(f"{self._index_path}: {exc}") from None
 
     def _write_index(self, index: List[dict]) -> None:
-        self._index_path.write_text(json.dumps(index, indent=2))
+        # Temp file + rename: a crash mid-write leaves the old index.
+        tmp = self._index_path.with_name(self._index_path.name + ".tmp")
+        tmp.write_text(json.dumps(index, indent=2))
+        os.replace(tmp, self._index_path)
 
     def versions(self) -> List[dict]:
         """Promotion history, oldest first."""

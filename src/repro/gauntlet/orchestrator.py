@@ -14,8 +14,7 @@ it runs everywhere else.  Each virtual day:
    flagged;
 3. every session is scored through one
    :class:`~repro.runtime.service.RuntimeScoringService` with one
-   rollout manager attached — the pair ``serve --registry --runtime``
-   builds;
+   rollout manager attached — the pair ``serve --registry`` builds;
 4. the monitor and the Section 6.6 drift schedule decide whether the
    :class:`~repro.core.retraining.RetrainingOrchestrator` runs, and any
    staged candidate walks the shadow -> canary -> promote ramp through

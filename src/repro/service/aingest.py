@@ -1,12 +1,10 @@
-"""Pipelined asyncio ingest front end for the collection endpoint.
+"""Pipelined asyncio ingest front end: the HTTP server of every ``serve``.
 
-The WSGI path (``wsgiref`` + :class:`~repro.service.api.CollectionApp`)
-scores one request per server thread: parse, score, respond, repeat.
-That serializes the socket on the model call and caps ingest well below
-what the sharded scoring tier can absorb.  This module replaces the
-front of that pipeline with a single-threaded asyncio server that keeps
-many requests in flight per connection and spends as little as it can
-on each:
+One request per server thread (parse, score, respond, repeat) would
+serialize the socket on the model call and cap ingest well below what
+the batched runtime or the sharded scoring tier can absorb.  This
+module is a single-threaded asyncio server that keeps many requests in
+flight per connection and spends as little as it can on each:
 
 * **one parse pass per read** — every connection is an
   :class:`asyncio.Protocol` with one input buffer.  ``data_received``
@@ -44,12 +42,13 @@ on each:
   being read until the transport's write buffer drains, so a client
   that pipelines and never reads cannot grow server memory.
 
-Every other endpoint — and a ``POST /event`` that has no body, or no
-session layer to go to — is delegated to the existing
+Every other endpoint — ``/check`` among them, and a ``POST /event``
+that has no body, or no session layer to go to — is delegated to
 :class:`~repro.service.api.CollectionApp` through a minimal in-process
 WSGI bridge on the same thread pool, so ``/health``, ``/metrics``,
-``/cluster`` and the session lookups behave identically under either
-front end.  ``GET /metrics`` responses additionally carry this server's
+``/cluster`` and the session lookups are the app's own answers, and
+the batch paths' answers are checked against its handlers byte for
+byte.  ``GET /metrics`` responses additionally carry this server's
 ``polygraph_ingest_*`` counters.
 """
 
@@ -404,8 +403,7 @@ class AsyncIngestServer:
     bodies go to that layer's ``observe_rows``.
 
     The server owns one event-loop thread; ``start()``/``close()``
-    manage it directly, while ``serve_forever()``/``shutdown()`` match
-    the ``wsgiref`` surface the CLI's signal plumbing expects.
+    (or the context manager) manage it.
     """
 
     def __init__(
@@ -456,7 +454,6 @@ class AsyncIngestServer:
         self._thread: Optional[threading.Thread] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._started = threading.Event()
-        self._stopped = threading.Event()
         self._startup_error: Optional[BaseException] = None
         # -- loop-thread state (created in _main) --
         self._pending = 0
@@ -500,15 +497,6 @@ class AsyncIngestServer:
         if self._thread is not None:
             self._thread.join(timeout=10.0)
             self._thread = None
-        self._stopped.set()
-
-    # wsgiref-compatible surface for the CLI's signal plumbing.
-    def serve_forever(self) -> None:
-        self.start()
-        self._stopped.wait()
-
-    def shutdown(self) -> None:
-        self.close()
 
     def __enter__(self) -> "AsyncIngestServer":
         return self.start()
@@ -527,8 +515,6 @@ class AsyncIngestServer:
             if not self._started.is_set():
                 self._startup_error = exc
                 self._started.set()
-        finally:
-            self._stopped.set()
 
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()

@@ -1,7 +1,11 @@
-"""WSGI application for the collection endpoint.
+"""The collection endpoint's request handlers, as a WSGI application.
 
-A dependency-free HTTP surface around :class:`ScoringService`, runnable
-under any WSGI server (``wsgiref.simple_server`` works for demos):
+``serve`` puts :class:`CollectionApp` behind
+:class:`~repro.service.aingest.AsyncIngestServer`, which answers
+``POST /collect`` and ``POST /event`` from its own batch paths and
+calls the app for every other endpoint.  The app's ``/collect`` and
+``/event`` handlers over the per-request :class:`ScoringService` stay
+the reference those batch paths are checked against.  Endpoints:
 
 * ``POST /collect`` — one wire payload in the body; responds with the
   verdict as JSON (``202`` accepted, ``400`` rejected);

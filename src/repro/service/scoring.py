@@ -24,6 +24,7 @@ __all__ = [
     "Overloaded",
     "ScoringService",
     "Verdict",
+    "fused_fields",
     "overloaded_verdict",
 ]
 
@@ -84,6 +85,17 @@ def overloaded_verdict(session_id: str = "", latency_ms: float = 0.0) -> Overloa
         reject_reason=OVERLOADED_REASON,
         latency_ms=latency_ms,
     )
+
+
+def fused_fields(outcome) -> dict:
+    """A fusion arm's ``(opinion, fused)`` as :class:`Verdict` fields."""
+    opinion, fused = outcome
+    return {
+        "fused_flagged": fused.fused_flagged,
+        "fusion_cell": fused.cell.value,
+        "second_probability": opinion.probability,
+        "second_lift": opinion.lift,
+    }
 
 
 class ScoringService:
@@ -196,10 +208,7 @@ class ScoringService:
             )
         if self.coverage is not None:
             self.coverage.observe(result.ua_key, known=result.known_ua, day=day)
-        fused_flagged = None
-        fusion_cell = None
-        second_probability = None
-        second_lift = None
+        fused = {}
         if self.fusion is not None:
             outcome = self.fusion.consider(
                 payload.values,
@@ -209,11 +218,7 @@ class ScoringService:
                 tags=tags,
             )
             if outcome is not None:
-                opinion, fused = outcome
-                fused_flagged = fused.fused_flagged
-                fusion_cell = fused.cell.value
-                second_probability = opinion.probability
-                second_lift = opinion.lift
+                fused = fused_fields(outcome)
         return Verdict(
             session_id=payload.session_id,
             accepted=True,
@@ -221,12 +226,9 @@ class ScoringService:
             risk_factor=result.risk_factor,
             reject_reason=None,
             latency_ms=(time.perf_counter() - started) * 1000.0,
-            fused_flagged=fused_flagged,
-            fusion_cell=fusion_cell,
-            second_probability=second_probability,
-            second_lift=second_lift,
             inferred_release=result.inferred_release,
             inferred_distance=result.inferred_distance,
+            **fused,
         )
 
     def score_rows(

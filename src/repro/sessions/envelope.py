@@ -86,13 +86,18 @@ event_fields = operator.attrgetter(
 
 
 def _derived_session_id(session_id: str, seq: int) -> str:
-    """The inner-service id for a follow-up event.
+    """The id the inner service scores an event under.
 
-    ``sid@seq`` keeps derived ids readable in quarantine logs; when the
-    suffix would blow the wire contract's length cap the id collapses
-    to a fixed-width blake2b digest instead (still unique per
-    ``(sid, seq)``, still under the cap).
+    A follow-up is not a replay, so it gets an id the dedup window has
+    not seen: ``sid@seq``, readable in quarantine logs, or when the
+    suffix would blow the wire contract's length cap a fixed-width
+    blake2b digest (still unique per ``(sid, seq)``, still under the
+    cap).  A first event keeps its own id, and so does an event whose
+    own id the contract refuses (empty, or over the cap): it is refused
+    ``bad_session_id`` at every seq, as at seq 0.
     """
+    if not seq or not 0 < len(session_id) <= MAX_SESSION_ID_LENGTH:
+        return session_id
     derived = f"{session_id}@{seq}"
     if len(derived) <= MAX_SESSION_ID_LENGTH:
         return derived
@@ -103,22 +108,18 @@ def _derived_session_id(session_id: str, seq: int) -> str:
 
 
 def inner_wire(event: SessionEvent) -> bytes:
-    """The single-vector wire the inner service scores for ``event``.
-
-    A first event forwards its untouched ``core_wire()``; a follow-up is
-    not a replay, so it is scored under a derived id the dedup window
-    has not seen.
-    """
-    if event.seq == 0:
-        return event.core_wire()
-    derived = _derived_session_id(event.session_id, event.seq)
-    return dataclasses.replace(event, session_id=derived).core_wire()
+    """The single-vector wire the inner service scores for ``event``:
+    its ``core_wire()`` under :func:`_derived_session_id`."""
+    scored_as = _derived_session_id(event.session_id, event.seq)
+    if scored_as != event.session_id:
+        event = dataclasses.replace(event, session_id=scored_as)
+    return event.core_wire()
 
 
 def _spliced(session_id: str, seq: int, tail: bytes) -> Tuple[str, bytes]:
     """The scored id and :func:`inner_wire`, by slicing, for an ASCII id
     and a canonical tail."""
-    scored_as = _derived_session_id(session_id, seq) if seq else session_id
+    scored_as = _derived_session_id(session_id, seq)
     return scored_as, _SID_PREFIX + scored_as.encode("ascii") + b'"' + tail
 
 

@@ -305,7 +305,6 @@ def test_serve_refuses_a_registry_on_process_shards(artifacts, tmp_path, capsys)
         assert code == 2
         (line,) = capsys.readouterr().err.strip().splitlines()
         assert line.startswith("serve: --registry with --shards")
-        assert "--runtime" in line
 
 
 def test_importing_the_cli_leaves_the_experiment_suite_out():
@@ -464,57 +463,69 @@ def test_serve_drains_on_sigterm(artifacts):
     import threading
     import time
     from urllib.request import urlopen
-    from wsgiref.simple_server import make_server
 
     from repro.cli import _serve_until_signalled
     from repro.core.pipeline import BrowserPolygraph
+    from repro.runtime.service import RuntimeScoringService
+    from repro.service.aingest import AsyncIngestServer
     from repro.service.api import CollectionApp
-    from repro.service.scoring import ScoringService
 
     _, model_path = artifacts
-    service = ScoringService(BrowserPolygraph.load(model_path))
-    with make_server("127.0.0.1", 0, CollectionApp(service)) as httpd:
-        port = httpd.server_port
+    service = RuntimeScoringService(BrowserPolygraph.load(model_path))
+    server = AsyncIngestServer(
+        service, CollectionApp(service), host="127.0.0.1", port=0
+    )
+    announced = threading.Event()
+    answered = []
 
-        def _fire():
-            # Prove the server answers, then deliver a real SIGTERM.
-            deadline = time.time() + 5.0
-            while time.time() < deadline:
-                try:
-                    with urlopen(
-                        f"http://127.0.0.1:{port}/health", timeout=2.0
-                    ) as response:
-                        assert response.status == 200
-                    break
-                except OSError:
-                    time.sleep(0.05)
+    def _fire():
+        # Prove the server answers, then deliver a real SIGTERM.
+        try:
+            if announced.wait(10.0):
+                with urlopen(
+                    f"http://127.0.0.1:{server.port}/health", timeout=5.0
+                ) as response:
+                    answered.append(response.status)
+        finally:
             os.kill(os.getpid(), signal.SIGTERM)
 
-        threading.Thread(target=_fire, daemon=True).start()
-        before = signal.getsignal(signal.SIGTERM)
-        _serve_until_signalled(httpd)  # returns only because of the signal
-        assert signal.getsignal(signal.SIGTERM) is before
+    threading.Thread(target=_fire, daemon=True).start()
+    before = signal.getsignal(signal.SIGTERM)
+    started = time.monotonic()
+    _serve_until_signalled(server, announced.set)  # returns on the signal
+    service.shutdown()
+    assert answered == [200]
+    assert time.monotonic() - started < 10.0
+    assert signal.getsignal(signal.SIGTERM) is before
+    # The listener is closed: nothing answers on the port any more.
+    with pytest.raises(OSError):
+        urlopen(f"http://127.0.0.1:{server.port}/health", timeout=2.0)
 
 
-def test_build_service_selects_runtime(artifacts):
-    import argparse
+def test_serve_builds_the_runtime_behind_the_asyncio_front_end(
+    artifacts, monkeypatch, capsys
+):
+    import gc
 
-    from repro.cli import _build_service
-    from repro.core.pipeline import BrowserPolygraph
+    import repro.cli as cli
     from repro.runtime.service import RuntimeScoringService
-    from repro.service.scoring import ScoringService
+    from repro.service.aingest import AsyncIngestServer
 
-    _, model_path = artifacts
-    pipeline = BrowserPolygraph.load(model_path)
-    base = argparse.Namespace(
-        runtime=False, cache_entries=128, cache_ttl=60.0,
+    built = []
+    monkeypatch.setattr(
+        cli, "_serve_until_signalled", lambda server, announce: built.append(server)
     )
-    assert isinstance(_build_service(pipeline, base), ScoringService)
-    base.runtime = True
-    service = _build_service(pipeline, base)
+    _, model_path = artifacts
     try:
-        assert isinstance(service, RuntimeScoringService)
-        assert service.cache.max_entries == 128
-        assert service.cache.ttl_seconds == 60.0
+        code = main(
+            ["serve", model_path, "--cache-entries", "128", "--cache-ttl", "60"]
+        )
     finally:
-        service.shutdown()
+        gc.unfreeze()  # serve froze this process's heap
+    assert code == 0
+    (server,) = built
+    assert isinstance(server, AsyncIngestServer)
+    assert isinstance(server.service, RuntimeScoringService)
+    assert server.service.cache.max_entries == 128
+    assert server.service.cache.ttl_seconds == 60.0
+    assert "draining in-flight requests" in capsys.readouterr().out

@@ -81,7 +81,7 @@ ROW_SHAPES = {
     "sid_at_cap": _sid_of_length(MAX_SESSION_ID_LENGTH),
     # ``sid@1``..``sid@9`` fit, ``sid@10`` would not.
     "sid_near_cap": _sid_of_length(MAX_SESSION_ID_LENGTH - 2),
-    # A first event rejected for its id, follow-ups admitted.
+    # Rejected for its id at every seq, follow-ups included.
     "sid_over_cap": _sid_of_length(MAX_SESSION_ID_LENGTH + 1),
     "empty_sid": _edit(lambda d: d.__setitem__("sid", "")),
     "unknown_ua": _edit(
@@ -303,9 +303,32 @@ class TestTheRowPathIsTheBytesPath:
             "value_respelled", "too_many_globals", "oversized", "bad_ua",
             "wrong_arity",
         ):
-            # Only follow-ups of an over-cap or empty id can be rows.
-            follow_ups = name in ("sid_over_cap", "empty_sid")
-            assert (rows_taken[name] > 0) is follow_ups, name
+            assert rows_taken[name] == 0, name
+
+
+class TestEveryEventIsCheckedForItsOwnId:
+    @pytest.mark.parametrize("shape", ["empty_sid", "sid_over_cap"])
+    @pytest.mark.parametrize("inner", [ScoringService, RuntimeScoringService])
+    def test_a_follow_up_is_refused_as_its_first_event_is(
+        self, trained, streams, shape, inner
+    ):
+        """An id the wire contract refuses is refused at every seq: a
+        follow-up may not score under ``@1`` or ``ev-<digest>`` and open
+        a session its first event could not."""
+        stream = next(s for s in streams if len(s.events) >= 3)
+        wires = [ROW_SHAPES[shape](event) for event in stream.events]
+        for memo in (True, False):  # the row path (warm tail), the bytes path
+            sessions = SessionScoringService(inner(trained), ttl_seconds=1e9)
+            if not memo:
+                sessions._envelopes._memo = _NothingSticks()
+            observed = sessions.observe_many(wires) + sessions.observe_many(wires)
+            observed += [sessions.observe_wire(wire) for wire in wires]
+            assert [o.verdict.reject_reason for o in observed] == (
+                ["bad_session_id"] * len(observed)
+            ), (shape, memo)
+            assert not any(o.session_created for o in observed)
+            assert sessions.status_dict()["active_sessions"] == 0
+            assert sessions.events_total == 0
 
 
 class TestOneModelCallPerNeverSeenFingerprint:

@@ -436,9 +436,7 @@ class TestFusionCli:
         assert "fusion model over" in out
         assert "pipeline digest" in out
 
-    def test_serve_fusion_rejects_runtime_modes(
-        self, trained, tmp_path, capsys
-    ):
+    def test_serve_fusion_rejects_shards(self, trained, tmp_path, capsys):
         from repro.cli import main
 
         model_path = tmp_path / "model.json"
@@ -449,8 +447,9 @@ class TestFusionCli:
                 str(model_path),
                 "--fusion",
                 "whatever.json",
-                "--runtime",
+                "--shards",
+                "2",
             ]
         )
         assert rc == 2
-        assert "per-request" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("serve: --fusion with --shards")

@@ -10,6 +10,7 @@ from repro.core.retraining import (
     STATUS_LIVE,
     STATUS_ROLLED_BACK,
     ModelRegistry,
+    RegistryError,
     RetrainingOrchestrator,
 )
 from repro.traffic.generator import TrafficConfig, TrafficSimulator
@@ -123,6 +124,44 @@ class TestModelRegistry:
         index_path.write_text(json.dumps(index, indent=2))
         with pytest.raises(ValueError, match="digest"):
             registry.load(1)
+
+
+    def test_torn_index_is_a_typed_error_naming_the_file(self, trained, tmp_path):
+        registry = ModelRegistry(tmp_path)
+        registry.promote(trained, date(2023, 7, 1), "bootstrap")
+        index = tmp_path / "registry.json"
+        index.write_bytes(index.read_bytes()[:40])  # cut mid-entry
+        with pytest.raises(RegistryError, match="registry.json"):
+            ModelRegistry(tmp_path).live_version
+
+    def test_serve_refuses_a_torn_index(self, trained, tmp_path, capsys):
+        from repro.cli import main
+
+        ModelRegistry(tmp_path).promote(trained, date(2023, 7, 1), "bootstrap")
+        index = tmp_path / "registry.json"
+        index.write_bytes(index.read_bytes()[:40])
+        assert main(["serve", "--registry", str(tmp_path)]) == 2
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("serve: cannot read registry: ")
+        assert "registry.json" in line
+
+    def test_index_write_that_dies_leaves_the_old_index(
+        self, trained, tmp_path, monkeypatch
+    ):
+        import repro.core.retraining as retraining
+
+        registry = ModelRegistry(tmp_path)
+        registry.promote(trained, date(2023, 7, 1), "bootstrap")
+        before = (tmp_path / "registry.json").read_bytes()
+
+        def dies(src, dst):
+            raise OSError("killed before the rename")
+
+        monkeypatch.setattr(retraining.os, "replace", dies)
+        with pytest.raises(OSError):
+            registry.stage_candidate(trained, date(2023, 8, 1), "candidate")
+        assert (tmp_path / "registry.json").read_bytes() == before
+        assert [e["version"] for e in ModelRegistry(tmp_path).versions()] == [1]
 
 
 class TestOrchestrator:
