@@ -586,6 +586,7 @@ def _serve_until_signalled(server, announce: Callable[[], None]) -> None:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.durable import UnreadableFileError
     from repro.service.aingest import AsyncIngestServer
     from repro.service.api import CollectionApp
 
@@ -609,7 +610,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
         try:
             service = _build_cluster(args)
-        except ShardError as exc:
+        except (ShardError, UnreadableFileError) as exc:
             print(f"serve: cannot start cluster: {exc}", file=sys.stderr)
             return 2
         mode = (
@@ -620,35 +621,41 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     else:
         from repro.runtime.service import RuntimeScoringService
 
-        if args.registry:
-            from repro.core.retraining import ModelRegistry, RegistryError
+        # Every file is read, or refused by name, before anything serves.
+        what = "registry" if args.registry else "model"
+        try:
+            if args.registry:
+                from repro.core.retraining import ModelRegistry
 
-            registry = ModelRegistry(args.registry)
-            try:
+                registry = ModelRegistry(args.registry)
                 pipeline = registry.load()
-            except RegistryError as exc:
-                print(f"serve: cannot read registry: {exc}", file=sys.stderr)
-                return 2
-        else:
-            pipeline = BrowserPolygraph.load(args.model)
-        service = RuntimeScoringService(pipeline, config=_runtime_config(args))
+            else:
+                pipeline = BrowserPolygraph.load(args.model)
+            if args.fusion:
+                from repro.fusion import FusionModel
+
+                what = "fusion model"
+                fusion_model = FusionModel.load(args.fusion)
+            service = RuntimeScoringService(pipeline, config=_runtime_config(args))
+            if args.registry:
+                from repro.rollout import RolloutManager
+
+                what = "rollout state"
+                manager = RolloutManager(registry, runtime=service)
+                state = manager.resume()
+                managers = [manager]
+        except (UnreadableFileError, LookupError, OSError) as exc:
+            print(f"serve: cannot read {what}: {exc}", file=sys.stderr)
+            return 2
         mode = "runtime (batched)"
-        if args.registry:
-            from repro.rollout import RolloutManager
-
-            manager = RolloutManager(registry, runtime=service)
-            state = manager.resume()
-            managers = [manager]
-            if state is not None and state.in_flight:
-                print(
-                    f"resumed rollout of v{state.candidate_version} "
-                    f"({state.status}, stage {state.stage_index})"
-                )
+        if args.registry and state is not None and state.in_flight:
+            print(
+                f"resumed rollout of v{state.candidate_version} "
+                f"({state.status}, stage {state.stage_index})"
+            )
         if args.fusion:
-            from repro.fusion import FusionArm, FusionModel, FusionPolicy
-            from repro.fusion import FusionPolicyConfig
+            from repro.fusion import FusionArm, FusionPolicy, FusionPolicyConfig
 
-            fusion_model = FusionModel.load(args.fusion)
             policy = None
             if args.fusion_lift is not None:
                 policy = FusionPolicy(
@@ -704,8 +711,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 flush=True,
             ),
         )
-    finally:
+    except OSError as exc:
+        print(f"serve: cannot listen on {args.host}:{args.port}: {exc}", file=sys.stderr)
+        return 2
+    else:
         print("draining in-flight requests before exit")
+    finally:
         for manager in managers:
             manager.save()
             manager.close()

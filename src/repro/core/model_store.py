@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.core.clustering import ClusterModel
 from repro.core.config import PipelineConfig
+from repro.durable import read_json, write_atomic
 from repro.ml.kmeans import KMeans
 from repro.ml.pca import PCA
 from repro.ml.scaler import StandardScaler
@@ -42,8 +43,7 @@ def _content_digest(document: dict) -> str:
 
 def stored_digest(path: Union[str, Path]) -> Optional[str]:
     """The sha256 digest recorded inside a saved model file."""
-    document = json.loads(Path(path).read_text())
-    return document.get("sha256")
+    return read_json(path).get("sha256")
 
 
 def save_model(model: ClusterModel, path: Union[str, Path]) -> str:
@@ -82,31 +82,20 @@ def save_model(model: ClusterModel, path: Union[str, Path]) -> str:
     }
     digest = _content_digest(document)
     document["sha256"] = digest
-    Path(path).write_text(json.dumps(document, indent=2))
+    write_atomic(path, json.dumps(document, indent=2))
     return digest
 
 
 def load_model(path: Union[str, Path]) -> ClusterModel:
     """Restore a :class:`ClusterModel` saved with :func:`save_model`.
 
-    Raises ``ValueError`` when the file's recorded sha256 digest does
-    not match its content (truncated, bit-rotted, or hand-edited model
-    files must never load).  Files written before digests existed
-    (no ``sha256`` field) still load.
+    Raises :class:`~repro.durable.UnreadableFileError` (a
+    ``ValueError``) when the file is torn, of another format, or its
+    recorded sha256 digest does not match its content (truncated,
+    bit-rotted, or hand-edited model files must never load).  Files
+    written before digests existed (no ``sha256`` field) still load.
     """
-    document = json.loads(Path(path).read_text())
-    if document.get("format_version") != _FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported model format: {document.get('format_version')!r}"
-        )
-    recorded = document.pop("sha256", None)
-    if recorded is not None:
-        actual = _content_digest(document)
-        if actual != recorded:
-            raise ValueError(
-                f"model file {path} digest mismatch: recorded {recorded[:12]}..., "
-                f"content hashes to {actual[:12]}... (corrupt or hand-edited)"
-            )
+    document = read_json(path, format_version=_FORMAT_VERSION, digest=_content_digest)
     config_fields = dict(document["config"])
     config = PipelineConfig(**config_fields)
     model = ClusterModel(config)

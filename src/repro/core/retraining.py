@@ -25,7 +25,6 @@ ever adopting it.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -33,11 +32,11 @@ from typing import List, Optional, Union
 
 from repro.core.model_store import stored_digest
 from repro.core.pipeline import BrowserPolygraph
+from repro.durable import UnreadableFileError, read_json, write_atomic
 from repro.traffic.dataset import Dataset
 
 __all__ = [
     "ModelRegistry",
-    "RegistryError",
     "RetrainingOrchestrator",
     "RetrainingOutcome",
 ]
@@ -47,10 +46,6 @@ __all__ = [
 STATUS_LIVE = "live"
 STATUS_CANDIDATE = "candidate"
 STATUS_ROLLED_BACK = "rolled_back"
-
-
-class RegistryError(ValueError):
-    """A registry's index cannot be read (torn or not JSON)."""
 
 
 @dataclass(frozen=True)
@@ -80,34 +75,25 @@ class ModelRegistry:
         self.root.mkdir(parents=True, exist_ok=True)
         self._index_path = self.root / "registry.json"
 
-    def _index(self) -> List[dict]:
-        if not self._index_path.exists():
-            return []
-        try:
-            return json.loads(self._index_path.read_text())
-        except ValueError as exc:
-            raise RegistryError(f"{self._index_path}: {exc}") from None
-
-    def _write_index(self, index: List[dict]) -> None:
-        # Temp file + rename: a crash mid-write leaves the old index.
-        tmp = self._index_path.with_name(self._index_path.name + ".tmp")
-        tmp.write_text(json.dumps(index, indent=2))
-        os.replace(tmp, self._index_path)
-
     def versions(self) -> List[dict]:
         """Promotion history, oldest first."""
-        return self._index()
+        if not self._index_path.exists():
+            return []
+        return read_json(self._index_path)
+
+    def _write_index(self, index: List[dict]) -> None:
+        write_atomic(self._index_path, json.dumps(index, indent=2))
 
     @property
     def latest_version(self) -> int:
         """Highest stored version number (0 when empty)."""
-        index = self._index()
+        index = self.versions()
         return index[-1]["version"] if index else 0
 
     @property
     def live_version(self) -> int:
         """Version of the newest live entry (0 when none)."""
-        for entry in reversed(self._index()):
+        for entry in reversed(self.versions()):
             if entry.get("status", STATUS_LIVE) == STATUS_LIVE:
                 return entry["version"]
         return 0
@@ -122,7 +108,7 @@ class ModelRegistry:
         version = self.latest_version + 1
         model_path = self.root / f"model-v{version:03d}.json"
         digest = polygraph.save(model_path)
-        index = self._index()
+        index = self.versions()
         index.append(
             {
                 "version": version,
@@ -150,7 +136,7 @@ class ModelRegistry:
         return self._store(polygraph, check_date, reason, STATUS_CANDIDATE)
 
     def _set_status(self, version: int, status: str) -> None:
-        index = self._index()
+        index = self.versions()
         for entry in index:
             if entry["version"] == version:
                 entry["status"] = status
@@ -168,7 +154,7 @@ class ModelRegistry:
 
     def rollback(self) -> int:
         """Demote the newest live entry; return the prior live version."""
-        index = self._index()
+        index = self.versions()
         live = [
             e for e in index if e.get("status", STATUS_LIVE) == STATUS_LIVE
         ]
@@ -185,15 +171,15 @@ class ModelRegistry:
         under another version's name (the file's own content digest is
         verified separately on load).
         """
-        index = self._index()
+        index = self.versions()
         if not index:
-            raise LookupError("the registry is empty")
+            raise LookupError(f"{self._index_path}: the registry is empty")
         if version is None:
             live = [
                 e for e in index if e.get("status", STATUS_LIVE) == STATUS_LIVE
             ]
             if not live:
-                raise LookupError("the registry has no live model")
+                raise LookupError(f"{self._index_path}: the registry has no live model")
             entry = live[-1]
         else:
             matches = [e for e in index if e["version"] == version]
@@ -205,8 +191,8 @@ class ModelRegistry:
         if recorded is not None:
             on_disk = stored_digest(path)
             if on_disk is not None and on_disk != recorded:
-                raise ValueError(
-                    f"registry digest mismatch for v{entry['version']}: "
+                raise UnreadableFileError(
+                    f"{path}: registry digest mismatch for v{entry['version']}: "
                     f"index records {recorded[:12]}..., file carries "
                     f"{on_disk[:12]}... (file swapped or index stale)"
                 )

@@ -29,6 +29,7 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.browsers.useragent import parse_user_agent
+from repro.durable import UnreadableFileError, read_json, write_atomic
 from repro.fusion.calibration import (
     IsotonicCalibrator,
     reliability_report,
@@ -98,11 +99,9 @@ def _content_digest(document: dict) -> str:
 
 def load_fusion_document(path: Union[str, Path]) -> dict:
     """Read and digest-verify a saved fusion model document."""
-    document = json.loads(Path(path).read_text())
-    stored = document.pop("sha256", None)
-    if stored is None or _content_digest(document) != stored:
-        raise ValueError(f"fusion model {path} failed its content digest")
-    document["sha256"] = stored
+    document = read_json(path, format_version=_FORMAT_VERSION, digest=_content_digest)
+    if "sha256" not in document:
+        raise UnreadableFileError(f"{path}: fusion model carries no content digest")
     return document
 
 
@@ -407,7 +406,7 @@ class FusionModel:
             "pipeline_digest": self.pipeline_digest,
         }
         document["sha256"] = _content_digest(document)
-        Path(path).write_text(json.dumps(document, indent=2) + "\n")
+        write_atomic(path, json.dumps(document, indent=2) + "\n")
         return document["sha256"]
 
     @classmethod
@@ -416,11 +415,6 @@ class FusionModel:
     ) -> "FusionModel":
         """Load a saved model; verifies digests before serving it."""
         document = load_fusion_document(path)
-        if document.get("format_version") != _FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported fusion model format "
-                f"{document.get('format_version')!r}"
-            )
         return cls(
             config=PropagationConfig(**document["config"]),
             node_keys=[tuple(key) for key in document["node_keys"]],

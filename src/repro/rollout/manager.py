@@ -163,6 +163,16 @@ class RolloutManager:
                 return None
             self.state = state
             self.report = DisagreementReport.restore(state.report)
+            # Every outcome marks the registry (whose statuses share these
+            # names) before it saves this file: after a crash between the
+            # two, the state catches up with the registry.
+            marked = {e["version"]: e.get("status") for e in self.registry.versions()}
+            marked = marked.get(state.candidate_version)
+            ahead = {LIVE, ROLLED_BACK} - {state.status}
+            if state.status in (SHADOW, CANARY, LIVE) and marked in ahead:
+                state.status = marked
+                state.record(f"{marked}: recovered from the registry", self._clock())
+                save_state(state, self.state_path)
             if not state.in_flight:
                 return state
             try:

@@ -7,18 +7,19 @@ previous process stopped: which candidate against which baseline, the
 current stage, and — critically — the hashing ``salt``, so the sticky
 per-session traffic split is bit-identical across restarts.
 
-The state file is written atomically (temp file + ``os.replace``) on
-every transition, so a crash mid-write leaves the previous state
-intact rather than a truncated JSON document.
+The state file is rewritten on every transition through
+:func:`repro.durable.write_atomic`, so a crash mid-write leaves the
+previous state intact rather than a truncated JSON document.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
+
+from repro.durable import read_json, write_atomic
 
 __all__ = [
     "ABORTED",
@@ -100,10 +101,7 @@ class RolloutState:
 
 def save_state(state: RolloutState, path: Union[str, Path]) -> None:
     """Atomically persist ``state`` to ``path``."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(state.to_dict(), indent=2))
-    os.replace(tmp, path)
+    write_atomic(path, json.dumps(state.to_dict(), indent=2))
 
 
 def load_state(path: Union[str, Path]) -> Optional[RolloutState]:
@@ -111,4 +109,4 @@ def load_state(path: Union[str, Path]) -> Optional[RolloutState]:
     path = Path(path)
     if not path.exists():
         return None
-    return RolloutState.from_dict(json.loads(path.read_text()))
+    return RolloutState.from_dict(read_json(path))

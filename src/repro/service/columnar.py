@@ -8,15 +8,16 @@ every member of such an archive is a plain ``.npy`` blob at a known
 file offset, so :func:`read_segment` can hand back **memory-mapped
 views** — an export touches no row bytes until the training code does.
 
-Writes are atomic (temp file + ``os.replace``), so a crash mid-seal
-leaves either the old JSONL segment or the finished columnar one,
-never a half-written archive.
+A segment is serialized in memory and written with
+:func:`repro.durable.write_atomic`, so a crash mid-seal leaves either
+the old JSONL segment or the finished columnar one, never a
+half-written archive.
 """
 
 from __future__ import annotations
 
+import io
 import json
-import os
 import zipfile
 from pathlib import Path
 from typing import Dict, List, Sequence, Union
@@ -24,6 +25,7 @@ from typing import Dict, List, Sequence, Union
 import numpy as np
 
 from repro.browsers.useragent import parse_user_agent
+from repro.durable import write_atomic
 
 __all__ = [
     "COLUMNS",
@@ -37,7 +39,7 @@ __all__ = [
 # dtypes only; everything NumPy writes is fixed-width, so all are).
 COLUMNS = ("sid", "ua", "ua_key", "f", "day", "g")
 
-# The segment mechanics below (atomic write, header-only counting,
+# The segment mechanics below (durable write, header-only counting,
 # mmap reads) are column-set agnostic: callers with a different schema
 # — the session event log stores per-event rows — pass their own
 # ``column_set``; the session store keeps the historical default.
@@ -71,45 +73,20 @@ def records_to_columns(records: List[dict]) -> Dict[str, np.ndarray]:
     }
 
 
-def columns_to_records(columns: Dict[str, np.ndarray]) -> List[dict]:
-    """Reconstruct JSONL-style records from a column set (round-trip)."""
-    days = columns["day"].astype("datetime64[D]")
-    records = []
-    for idx in range(columns["sid"].shape[0]):
-        record = {
-            "sid": str(columns["sid"][idx]),
-            "ua": str(columns["ua"][idx]),
-            "f": [int(v) for v in columns["f"][idx]],
-            "day": str(days[idx]),
-        }
-        globs = str(columns["g"][idx])
-        if globs:
-            record["g"] = json.loads(globs)
-        records.append(record)
-    return records
-
-
 def write_segment(
     path: Union[str, Path],
     columns: Dict[str, np.ndarray],
     column_set: Sequence[str] = COLUMNS,
 ) -> int:
-    """Atomically write a columnar segment; returns its byte size."""
-    path = Path(path)
+    """Durably write a columnar segment; returns its byte size."""
     missing = [name for name in column_set if name not in columns]
     if missing:
         raise ValueError(f"columnar segment missing columns: {missing}")
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with tmp.open("wb") as handle:
-            # np.savez (uncompressed) keeps every member ZIP_STORED,
-            # which is what makes the mmap read path possible.
-            np.savez(handle, **{name: columns[name] for name in column_set})
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():
-            tmp.unlink()
-    return path.stat().st_size
+    buffer = io.BytesIO()
+    # np.savez (uncompressed) keeps every member ZIP_STORED, which is
+    # what makes the mmap read path possible.
+    np.savez(buffer, **{name: columns[name] for name in column_set})
+    return write_atomic(path, buffer.getbuffer())
 
 
 def segment_records(

@@ -27,7 +27,6 @@ scanned to reconcile.
 from __future__ import annotations
 
 import json
-import os
 from datetime import date
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
@@ -35,6 +34,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.browsers.useragent import parse_user_agent
+from repro.durable import read_json, write_atomic
 from repro.fingerprint.features import FEATURE_NAMES
 from repro.fingerprint.script import FingerprintPayload
 from repro.service import columnar
@@ -187,10 +187,10 @@ class SessionStore:
             self._segments[index].to_json()
             for index in sorted(self._segments)
         ]
-        payload = json.dumps({"version": 1, "segments": entries}, indent=2)
-        tmp = self.root / (_MANIFEST_NAME + ".tmp")
-        tmp.write_text(payload, encoding="utf-8")
-        os.replace(tmp, self.root / _MANIFEST_NAME)
+        write_atomic(
+            self.root / _MANIFEST_NAME,
+            json.dumps({"version": 1, "segments": entries}, indent=2),
+        )
         self._appends_since_flush = 0
 
     def migrate(self) -> List[Path]:
@@ -239,18 +239,6 @@ class SessionStore:
 
     def __len__(self) -> int:
         return sum(s.records for s in self._segments.values())
-
-    def iter_records(self) -> Iterator[dict]:
-        """Stream every stored record, oldest segment first."""
-        for index in sorted(self._segments):
-            segment = self._segments[index]
-            path = self.root / segment.name
-            if segment.format == FORMAT_COLUMNAR:
-                yield from columnar.columns_to_records(
-                    columnar.read_segment(path)
-                )
-            elif path.exists():
-                yield from self._iter_jsonl(path)
 
     def export_dataset(self) -> Dataset:
         """Materialize the whole store as a training dataset.
@@ -304,7 +292,7 @@ class SessionStore:
         path = self.root / _MANIFEST_NAME
         if not path.exists():
             return
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = read_json(path)
         for entry in data.get("segments", []):
             stem, suffix = entry["name"].rsplit(".", 1)
             index = int(stem.rsplit("-", 1)[1])
@@ -325,13 +313,18 @@ class SessionStore:
         Three cases per file: unknown to the manifest (legacy store or
         lost manifest — full scan once), known but grown (crash between
         append and flush — scan only the tail bytes), or known and
-        matching (trust the manifest; no I/O beyond ``stat``).
+        matching (trust the manifest; no I/O beyond ``stat``).  A JSONL
+        segment beside its own columnar seal is the original a migrate
+        died before deleting: the delete is finished here.
         """
         on_disk: Dict[int, Path] = {}
         for path in sorted(self.root.glob(f"{_SEGMENT_PREFIX}-*.jsonl")):
             on_disk[int(path.stem.rsplit("-", 1)[1])] = path
         for path in sorted(self.root.glob(f"{_SEGMENT_PREFIX}-*.npz")):
-            on_disk[int(path.stem.rsplit("-", 1)[1])] = path
+            index = int(path.stem.rsplit("-", 1)[1])
+            if index in on_disk:
+                on_disk[index].unlink()
+            on_disk[index] = path
 
         dirty = False
         for index in list(self._segments):
@@ -351,60 +344,37 @@ class SessionStore:
                     )
                     dirty = True
                 continue
-            if segment is None or segment.format != FORMAT_JSONL:
-                records, min_day, max_day = self._scan_jsonl(path, 0)
-                self._segments[index] = _Segment(
-                    index=index,
-                    format=FORMAT_JSONL,
-                    records=records,
-                    bytes=size,
-                    min_day=min_day,
-                    max_day=max_day,
-                )
+            if segment is None or segment.format != FORMAT_JSONL or size < segment.bytes:
+                # Unknown to the manifest, or truncated behind our back:
+                # count it from the start.
+                segment = self._segments[index] = _Segment(index, FORMAT_JSONL, 0, 0)
                 dirty = True
-            elif size != segment.bytes:
-                if size > segment.bytes:
-                    tail, min_day, max_day = self._scan_jsonl(
-                        path, segment.bytes
-                    )
-                    segment.records += tail
-                    if min_day is not None:
-                        segment.observe_day(min_day)
-                    if max_day is not None:
-                        segment.observe_day(max_day)
-                else:  # truncated behind our back: recount from scratch
-                    records, min_day, max_day = self._scan_jsonl(path, 0)
-                    segment.records = records
-                    segment.min_day = min_day
-                    segment.max_day = max_day
-                segment.bytes = size
+            if size != segment.bytes:
+                self._scan_jsonl(path, segment)
                 dirty = True
         if dirty:
             self.flush()
 
     @staticmethod
-    def _scan_jsonl(
-        path: Path, offset: int
-    ) -> Tuple[int, Optional[str], Optional[str]]:
-        """Count records (and day range) from ``offset`` to EOF."""
-        records = 0
-        min_day: Optional[str] = None
-        max_day: Optional[str] = None
-        with path.open("r", encoding="utf-8") as handle:
-            if offset:
-                handle.seek(offset)
+    def _scan_jsonl(path: Path, segment: _Segment) -> None:
+        """Count the records from ``segment.bytes`` to EOF into ``segment``.
+
+        A last line with no newline is a record a crash cut short: it
+        is dropped and the file truncated back to the last newline, so
+        the next append starts a whole line.
+        """
+        with path.open("r+b") as handle:
+            handle.seek(segment.bytes)
             for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                records += 1
-                day = json.loads(line).get("day")
-                if day is not None:
-                    if min_day is None or day < min_day:
-                        min_day = day
-                    if max_day is None or day > max_day:
-                        max_day = day
-        return records, min_day, max_day
+                if not line.endswith(b"\n"):
+                    handle.truncate(segment.bytes)
+                    break
+                segment.bytes += len(line)
+                if line.strip():
+                    segment.records += 1
+                    day = json.loads(line).get("day")
+                    if day is not None:
+                        segment.observe_day(day)
 
     @staticmethod
     def _iter_jsonl(path: Path) -> Iterator[dict]:

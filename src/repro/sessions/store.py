@@ -1,7 +1,7 @@
 """Durable sliding-window log of scored session events.
 
 Reuses the columnar segment mechanics from
-:mod:`repro.service.columnar` — atomic uncompressed ``.npz`` writes,
+:mod:`repro.service.columnar` — durable uncompressed ``.npz`` writes,
 memory-mapped reads — with an event-shaped column set: one row per
 *event*, not per session, carrying the interaction type, sequence
 number, absolute timestamp and scoring outcome next to the fingerprint.
@@ -9,21 +9,23 @@ number, absolute timestamp and scoring outcome next to the fingerprint.
 The log is a sliding window: an in-memory buffer absorbs appends, seals
 into an immutable segment every ``segment_events`` rows, and
 :meth:`prune` drops whole segments whose newest event has fallen out of
-the retention window.  A tiny JSON manifest (rewritten atomically)
-records per-segment time bounds so window queries and pruning decide
-from metadata without opening the archives.
+the retention window.  A tiny JSON manifest records per-segment time
+bounds so window queries and pruning decide from metadata without
+opening the archives.  Both go through :func:`repro.durable.write_atomic`,
+segment first: a crash between the two leaves a segment no manifest
+names, which the next seal of that number replaces.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import threading
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 import numpy as np
 
+from repro.durable import read_json, write_atomic
 from repro.service.columnar import read_segment, write_segment
 
 __all__ = ["EVENT_COLUMNS", "SessionEventLog"]
@@ -225,25 +227,6 @@ class SessionEventLog:
         records.sort(key=lambda r: (r["ts"], r["sid"], r["seq"]))
         return records
 
-    def events_for(self, session_id: str) -> List[dict]:
-        """All retained events of one session, seq order."""
-        with self._lock:
-            manifest = list(self._manifest)
-            buffered = [r for r in self._buffer if r["sid"] == session_id]
-        records: List[dict] = []
-        for entry in manifest:
-            columns = read_segment(
-                self.root / entry["name"], column_set=EVENT_COLUMNS
-            )
-            mask = columns["sid"] == session_id
-            if not mask.any():
-                continue
-            sub = {name: columns[name][mask] for name in EVENT_COLUMNS}
-            records.extend(_columns_to_records(sub))
-        records.extend(buffered)
-        records.sort(key=lambda r: r["seq"])
-        return records
-
     def stats(self) -> Dict[str, float]:
         with self._lock:
             return {
@@ -261,7 +244,7 @@ class SessionEventLog:
         path = self.root / _MANIFEST
         if not path.exists():
             return
-        document = json.loads(path.read_text())
+        document = read_json(path)
         self._manifest = [
             e for e in document.get("segments", [])
             if (self.root / e["name"]).exists()
@@ -274,7 +257,6 @@ class SessionEventLog:
             self._newest_ts = max(e["max_ts"] for e in self._manifest)
 
     def _write_manifest_locked(self) -> None:
-        path = self.root / _MANIFEST
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps({"segments": self._manifest}, indent=1))
-        os.replace(tmp, path)
+        write_atomic(
+            self.root / _MANIFEST, json.dumps({"segments": self._manifest}, indent=1)
+        )

@@ -284,6 +284,65 @@ def test_serve_exits_2_when_the_cluster_cannot_start(
     assert "No space left on device" in line
 
 
+@pytest.mark.parametrize(
+    "case", ["model", "rollout", "fusion", "empty registry", "no live entry"]
+)
+def test_serve_refuses_an_unreadable_file(artifacts, tmp_path, capsys, case):
+    """Every file serve reads is refused by name with exit 2, never a
+    traceback: torn files, and a registry with nothing to serve."""
+    from datetime import date
+
+    from repro.core.pipeline import BrowserPolygraph
+    from repro.core.retraining import ModelRegistry
+    from repro.rollout import RolloutState, save_state
+
+    _, model_path = artifacts
+    torn = tmp_path / "torn.json"
+    torn.write_bytes(open(model_path, "rb").read()[:200])
+    registry = ModelRegistry(tmp_path / "registry")
+    pipeline = BrowserPolygraph.load(model_path)
+    if case == "model":
+        argv, what, path = ["serve", str(torn)], "model", torn
+    elif case == "fusion":
+        argv, what, path = ["serve", model_path, "--fusion", str(torn)], "fusion model", torn
+    else:
+        argv = ["serve", "--registry", str(registry.root)]
+        what, path = "registry", registry.root / "registry.json"
+        if case == "rollout":
+            registry.promote(pipeline, date(2023, 7, 1), "bootstrap")
+            path = registry.root / "rollout.json"
+            save_state(RolloutState(2, 1, (1.0,), 0.5, "salt"), path)
+            path.write_bytes(path.read_bytes()[:50])
+            what = "rollout state"
+        elif case == "no live entry":
+            registry.stage_candidate(pipeline, date(2023, 7, 1), "staged only")
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    (line,) = err.strip().splitlines()
+    assert line.startswith(f"serve: cannot read {what}: {path}: "), line
+    assert "draining" not in out
+
+
+def test_serve_refuses_a_port_already_bound(artifacts, capsys):
+    import gc
+    import socket
+
+    _, model_path = artifacts
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        port = taken.getsockname()[1]
+        try:
+            code = main(["serve", model_path, "--port", str(port)])
+        finally:
+            gc.unfreeze()  # serve froze this process's heap
+    assert code == 2
+    out, err = capsys.readouterr()
+    (line,) = err.strip().splitlines()
+    assert line.startswith(f"serve: cannot listen on 127.0.0.1:{port}: "), line
+    assert "draining" not in out
+
+
 def test_serve_refuses_a_registry_on_process_shards(artifacts, tmp_path, capsys):
     """A registry's rollouts run on one process: serving it from shards
     of either backend would drop its rollout without a word."""

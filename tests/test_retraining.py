@@ -10,9 +10,9 @@ from repro.core.retraining import (
     STATUS_LIVE,
     STATUS_ROLLED_BACK,
     ModelRegistry,
-    RegistryError,
     RetrainingOrchestrator,
 )
+from repro.durable import UnreadableFileError
 from repro.traffic.generator import TrafficConfig, TrafficSimulator
 
 
@@ -129,10 +129,17 @@ class TestModelRegistry:
     def test_torn_index_is_a_typed_error_naming_the_file(self, trained, tmp_path):
         registry = ModelRegistry(tmp_path)
         registry.promote(trained, date(2023, 7, 1), "bootstrap")
+        registry.stage_candidate(trained, date(2023, 8, 1), "candidate")
         index = tmp_path / "registry.json"
-        index.write_bytes(index.read_bytes()[:40])  # cut mid-entry
-        with pytest.raises(RegistryError, match="registry.json"):
-            ModelRegistry(tmp_path).live_version
+        whole = index.read_bytes()
+        for cut in range(len(whole) + 1):
+            index.write_bytes(whole[:cut])
+            try:
+                versions = ModelRegistry(tmp_path).versions()
+            except UnreadableFileError as exc:
+                assert str(exc).startswith(f"{index}: "), (cut, exc)
+            else:
+                assert versions == json.loads(whole), cut
 
     def test_serve_refuses_a_torn_index(self, trained, tmp_path, capsys):
         from repro.cli import main
@@ -148,7 +155,7 @@ class TestModelRegistry:
     def test_index_write_that_dies_leaves_the_old_index(
         self, trained, tmp_path, monkeypatch
     ):
-        import repro.core.retraining as retraining
+        import repro.durable as durable
 
         registry = ModelRegistry(tmp_path)
         registry.promote(trained, date(2023, 7, 1), "bootstrap")
@@ -157,7 +164,7 @@ class TestModelRegistry:
         def dies(src, dst):
             raise OSError("killed before the rename")
 
-        monkeypatch.setattr(retraining.os, "replace", dies)
+        monkeypatch.setattr(durable.os, "replace", dies)
         with pytest.raises(OSError):
             registry.stage_candidate(trained, date(2023, 8, 1), "candidate")
         assert (tmp_path / "registry.json").read_bytes() == before

@@ -350,9 +350,9 @@ class TestBatchDifferential:
             assert [_essence(v) for v in actual] == [_essence(v) for v in expected]
             _assert_same_state(runtime, twin, len(wires))
             if attached:
-                assert list(our_store.iter_records()) == list(
-                    their_store.iter_records()
-                )
+                assert [p.read_bytes() for p in our_store.segments()] == [
+                    p.read_bytes() for p in their_store.segments()
+                ]
                 assert our_coverage.status_dict() == their_coverage.status_dict()
             if cache_entries:
                 assert len(runtime.cache) <= cache_entries

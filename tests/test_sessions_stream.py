@@ -921,7 +921,7 @@ class TestSessionEventLog:
         assert stats["segments"] == 1
         assert stats["sealed_events"] == 3
         assert stats["buffered_events"] == 2
-        events = log.events_for("a")
+        events = log.window()
         assert [e["seq"] for e in events] == list(range(5))
         assert events[4]["flagged"] and events[4]["risk"] == 4
         assert events[0]["risk"] is None
@@ -951,7 +951,7 @@ class TestSessionEventLog:
             self._append(log, "a", seq, float(seq))
         reopened = SessionEventLog(tmp_path, segment_events=2)
         assert reopened.stats()["segments"] == 2
-        assert [e["seq"] for e in reopened.events_for("a")] == [0, 1, 2, 3]
+        assert [e["seq"] for e in reopened.window()] == [0, 1, 2, 3]
 
 
 # ----------------------------------------------------------------------
