@@ -33,10 +33,6 @@ class ToolCost:
     avg_service_time_ms: float
     avg_payload_bytes: int
 
-    def as_row(self) -> tuple:
-        """(tool, avg ms, avg bytes) for table rendering."""
-        return (self.tool, self.avg_service_time_ms, self.avg_payload_bytes)
-
 
 def default_profiles() -> List[BrowserProfile]:
     """The five visits the paper averages over (Section 3)."""

@@ -155,7 +155,9 @@ def _build_parser() -> argparse.ArgumentParser:
     report.add_argument("--output", help="write markdown here instead of stdout")
 
     serve = sub.add_parser(
-        "serve", help="run the collection endpoint over a saved model"
+        "serve",
+        help="run the collection endpoint: the asyncio front end over the "
+        "batched runtime, for a model file or a registry's live model",
     )
     serve.add_argument(
         "model", nargs="?", help="model .json path (or use --registry)"
@@ -693,7 +695,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         mode += ", coverage"
         endpoints += ", GET /coverage"
     app = CollectionApp(service, sessions=sessions, coverage=coverage_tracker)
-    server = AsyncIngestServer(service, app, host=args.host, port=args.port)
+    server = AsyncIngestServer(app, host=args.host, port=args.port)
     # Long-lived serving process: everything built so far (the model,
     # the shard plumbing, the app) lives until exit, so move it out of
     # the collector's reach — otherwise every gen2 collection re-scans

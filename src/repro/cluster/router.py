@@ -4,8 +4,8 @@
 :class:`~repro.service.scoring.ScoringService` — wires in,
 :class:`~repro.service.scoring.Verdict` out, plus the counters and
 metrics hooks :class:`~repro.service.api.CollectionApp` reads — so the
-WSGI app and the CLI serve path do not know whether one shard or eight
-sit behind them.
+request handlers and the CLI serve path do not know whether one shard
+or eight sit behind them.
 
 There is one way through: :meth:`ClusterRouter.score_rows` partitions a
 batch by ring owner and scores each shard's chunk with one

@@ -40,8 +40,8 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from repro.cluster.ring import HashRing
 from repro.cluster.transport import ShmSlab, ShmTransport, attach_slab_views
-from repro.core.model_store import stored_digest
 from repro.core.pipeline import BrowserPolygraph
+from repro.durable import read_json
 from repro.fingerprint.features import N_FEATURES
 from repro.runtime.service import RuntimeConfig, RuntimeScoringService
 from repro.service.scoring import Verdict
@@ -107,7 +107,7 @@ def _verify_replica(path: Path, expected_digest: Optional[str]) -> None:
     """Refuse a replica whose bytes do not match the recorded digest."""
     if expected_digest is None:
         return
-    on_disk = stored_digest(path)
+    on_disk = read_json(path).get("sha256")
     if on_disk is not None and on_disk != expected_digest:
         raise ShardError(
             f"replica digest mismatch for {path.name}: expected "

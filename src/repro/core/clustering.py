@@ -140,13 +140,6 @@ class ClusterModel:
         """User-agent keys assigned to ``cluster`` (possibly empty)."""
         return list(self.cluster_table.get(int(cluster), []))
 
-    def empty_clusters(self) -> List[int]:
-        """Clusters holding no majority user-agent (Table 3's gaps)."""
-        self._check_fitted()
-        return sorted(
-            c for c in range(self.config.n_clusters) if not self.cluster_table.get(c)
-        )
-
     def reference_vector(self, ua_key: str) -> Optional[np.ndarray]:
         """Lab fingerprint of a pristine install of ``ua_key``."""
         try:

@@ -18,12 +18,12 @@ import numpy as np
 
 from repro.core.clustering import ClusterModel
 from repro.core.config import PipelineConfig
-from repro.durable import read_json, write_atomic
+from repro.durable import UnreadableFileError, read_json, write_atomic
 from repro.ml.kmeans import KMeans
 from repro.ml.pca import PCA
 from repro.ml.scaler import StandardScaler
 
-__all__ = ["load_model", "save_model", "stored_digest"]
+__all__ = ["load_model", "save_model"]
 
 _FORMAT_VERSION = 1
 
@@ -39,11 +39,6 @@ def _content_digest(document: dict) -> str:
     """
     payload = json.dumps(document, indent=2)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def stored_digest(path: Union[str, Path]) -> Optional[str]:
-    """The sha256 digest recorded inside a saved model file."""
-    return read_json(path).get("sha256")
 
 
 def save_model(model: ClusterModel, path: Union[str, Path]) -> str:
@@ -86,7 +81,9 @@ def save_model(model: ClusterModel, path: Union[str, Path]) -> str:
     return digest
 
 
-def load_model(path: Union[str, Path]) -> ClusterModel:
+def load_model(
+    path: Union[str, Path], expected_digest: Optional[str] = None
+) -> ClusterModel:
     """Restore a :class:`ClusterModel` saved with :func:`save_model`.
 
     Raises :class:`~repro.durable.UnreadableFileError` (a
@@ -94,8 +91,17 @@ def load_model(path: Union[str, Path]) -> ClusterModel:
     recorded sha256 digest does not match its content (truncated,
     bit-rotted, or hand-edited model files must never load).  Files
     written before digests existed (no ``sha256`` field) still load.
+    ``expected_digest`` is the digest a caller recorded elsewhere (the
+    registry's index); a file that records another one is refused too,
+    so a file swapped whole cannot serve under another version's name.
     """
     document = read_json(path, format_version=_FORMAT_VERSION, digest=_content_digest)
+    recorded = document.get("sha256")
+    if expected_digest is not None and recorded not in (None, expected_digest):
+        raise UnreadableFileError(
+            f"{path}: digest mismatch: expected {expected_digest[:12]}..., "
+            f"file carries {recorded[:12]}... (file swapped or index stale)"
+        )
     config_fields = dict(document["config"])
     config = PipelineConfig(**config_fields)
     model = ClusterModel(config)

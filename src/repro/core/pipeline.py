@@ -238,9 +238,12 @@ class BrowserPolygraph:
         return save_model(self.cluster_model, path)
 
     @classmethod
-    def load(cls, path: Union[str, Path]) -> "BrowserPolygraph":
-        """Restore a pipeline saved with :meth:`save`."""
-        model = load_model(path)
+    def load(
+        cls, path: Union[str, Path], expected_digest: Optional[str] = None
+    ) -> "BrowserPolygraph":
+        """Restore a pipeline saved with :meth:`save` (``expected_digest``:
+        see :func:`~repro.core.model_store.load_model`)."""
+        model = load_model(path, expected_digest)
         pipeline = cls(config=model.config, specs=model.specs)
         pipeline._install_model(model)
         return pipeline

@@ -30,9 +30,8 @@ from datetime import date
 from pathlib import Path
 from typing import List, Optional, Union
 
-from repro.core.model_store import stored_digest
 from repro.core.pipeline import BrowserPolygraph
-from repro.durable import UnreadableFileError, read_json, write_atomic
+from repro.durable import read_json, write_atomic
 from repro.traffic.dataset import Dataset
 
 __all__ = [
@@ -166,10 +165,10 @@ class ModelRegistry:
     def load(self, version: Optional[int] = None) -> BrowserPolygraph:
         """Load a model: the newest *live* entry by default.
 
-        The entry's recorded sha256 is checked against the model file's
-        before parsing, so a swapped or stale file on disk cannot serve
-        under another version's name (the file's own content digest is
-        verified separately on load).
+        The entry's recorded sha256 is checked against the one the model
+        file carries, in the same parse that loads it, so a swapped or
+        stale file on disk cannot serve under another version's name
+        (the file's own content digest is verified by that parse too).
         """
         index = self.versions()
         if not index:
@@ -186,17 +185,7 @@ class ModelRegistry:
             if not matches:
                 raise LookupError(f"no model version {version}")
             entry = matches[0]
-        path = self.root / entry["path"]
-        recorded = entry.get("sha256")
-        if recorded is not None:
-            on_disk = stored_digest(path)
-            if on_disk is not None and on_disk != recorded:
-                raise UnreadableFileError(
-                    f"{path}: registry digest mismatch for v{entry['version']}: "
-                    f"index records {recorded[:12]}..., file carries "
-                    f"{on_disk[:12]}... (file swapped or index stale)"
-                )
-        return BrowserPolygraph.load(path)
+        return BrowserPolygraph.load(self.root / entry["path"], entry.get("sha256"))
 
 
 class RetrainingOrchestrator:

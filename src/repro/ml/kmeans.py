@@ -135,10 +135,6 @@ class KMeans:
         self.n_iter_ = n_iter
         return self
 
-    def fit_predict(self, matrix: np.ndarray) -> np.ndarray:
-        """Fit and return the training-set labels."""
-        return self.fit(matrix).labels_
-
     def predict(self, matrix: np.ndarray) -> np.ndarray:
         """Assign each row of ``matrix`` to its nearest centroid."""
         self._check_fitted()

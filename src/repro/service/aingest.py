@@ -42,20 +42,17 @@ flight per connection and spends as little as it can on each:
   being read until the transport's write buffer drains, so a client
   that pipelines and never reads cannot grow server memory.
 
-Every other endpoint — ``/check`` among them, and a ``POST /event``
-that has no body, or no session layer to go to — is delegated to
-:class:`~repro.service.api.CollectionApp` through a minimal in-process
-WSGI bridge on the same thread pool, so ``/health``, ``/metrics``,
-``/cluster`` and the session lookups are the app's own answers, and
-the batch paths' answers are checked against its handlers byte for
-byte.  ``GET /metrics`` responses additionally carry this server's
-``polygraph_ingest_*`` counters.
+Every other request — ``/check`` among them, and a ``POST /event``
+that has no body, or no session layer to go to — is answered by
+:meth:`CollectionApp.handle <repro.service.api.CollectionApp.handle>`
+on the same thread pool, and its ``(status, headers, body)`` is
+rendered here like every other answer.  ``GET /metrics`` answers
+additionally carry this server's ``polygraph_ingest_*`` counters.
 """
 
 from __future__ import annotations
 
 import asyncio
-import io
 import json
 import re
 import threading
@@ -68,13 +65,17 @@ from repro.service.scoring import OVERLOADED_REASON
 
 __all__ = ["AsyncIngestServer"]
 
-# Mirrors the WSGI app: the body cap IS the wire-contract cap, plus the
-# fixed envelope allowance the /event and /check endpoints enjoy.
+# The body cap IS the wire-contract cap (paper Section 3's 1KB budget),
+# plus a fixed allowance for the fields the /event and /check envelopes
+# add: a larger wire would be quarantined as OVERSIZED anyway, so
+# reading it off the socket only buys an attacker free memory.
 _MAX_BODY = MAX_PAYLOAD_BYTES + 128
 
 # Hard parse limits: a request line + headers beyond this is hostile.
 _MAX_HEAD = 8192
 
+# Shed traffic should come back, just not immediately: a short client
+# backoff suffices.
 _RETRY_AFTER_SECONDS = "1"
 
 _KEEP_ALIVE_LINE = b"\r\nConnection: keep-alive\r\n"
@@ -88,15 +89,11 @@ _PLAIN_SID = re.compile(r"[\x20\x21\x23-\x5b\x5d-\x7e]*").fullmatch
 
 def _render(status: str, headers: List[Tuple[str, str]], body: bytes,
             keep_alive: bool) -> bytes:
-    """One HTTP/1.1 response as bytes; Content-Length always explicit."""
+    """One HTTP/1.1 response as bytes; ``Content-Length`` follows
+    ``headers``."""
     lines = [f"HTTP/1.1 {status}"]
-    has_length = False
-    for name, value in headers:
-        if name.lower() == "content-length":
-            has_length = True
-        lines.append(f"{name}: {value}")
-    if not has_length:
-        lines.append(f"Content-Length: {len(body)}")
+    lines.extend(f"{name}: {value}" for name, value in headers)
+    lines.append(f"Content-Length: {len(body)}")
     lines.append("Connection: " + ("keep-alive" if keep_alive else "close"))
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
 
@@ -184,7 +181,8 @@ def _read_head(head: bytearray):
 
 def _render_verdict(accepted: bool, flagged: bool, risk_factor: Optional[int],
                     reject_reason: Optional[str], latency_ms: float) -> bytes:
-    """Mirror ``CollectionApp._collect`` status + document exactly."""
+    """The ``POST /collect`` answer: 202, 400 with the reject reason,
+    or 503 with ``Retry-After`` when the service shed the wire."""
     document = {
         "accepted": accepted,
         "flagged": flagged,
@@ -292,10 +290,7 @@ class _Connection(asyncio.Protocol):
         slots = self.slots
         collect_buffer = server._buffer
         # Without a session layer the app answers /event itself (404).
-        event_buffer = (
-            None if getattr(server.app, "sessions", None) is None
-            else server._events
-        )
+        event_buffer = None if server.app.sessions is None else server._events
         max_pending = server.max_pending
         size = len(buf)
         pos = 0
@@ -394,13 +389,14 @@ class _Connection(asyncio.Protocol):
 class AsyncIngestServer:
     """Asyncio front end feeding a scoring service in coalesced batches.
 
-    ``service`` is anything speaking ``score_wire`` — the cluster
-    router, the batched runtime, or the per-request service; its
-    ``score_many`` is used when it has one.  ``app`` is the WSGI
-    :class:`CollectionApp` wrapping the *same* service, used verbatim
-    for every endpoint except ``POST /collect`` and — when it has a
-    session layer attached (``app.sessions``) — ``POST /event``, whose
-    bodies go to that layer's ``observe_rows``.
+    ``app`` is the :class:`~repro.service.api.CollectionApp` whose
+    ``handle`` answers every endpoint except ``POST /collect`` and —
+    when it has a session layer attached (``app.sessions``) —
+    ``POST /event``, whose bodies go to that layer's ``observe_rows``.
+    ``POST /collect`` bodies are scored by ``app.service``: anything
+    speaking ``score_wire`` — the cluster router, the batched runtime,
+    or the per-request service; its ``score_many`` is used when it has
+    one.
 
     The server owns one event-loop thread; ``start()``/``close()``
     (or the context manager) manage it.
@@ -408,8 +404,7 @@ class AsyncIngestServer:
 
     def __init__(
         self,
-        service,
-        app: Callable,
+        app,
         *,
         host: str = "127.0.0.1",
         port: int = 8040,
@@ -422,10 +417,9 @@ class AsyncIngestServer:
             raise ValueError("batch_max must be >= 1")
         if max_pending < batch_max:
             raise ValueError("max_pending must be >= batch_max")
-        self.service = service
-        score_many = getattr(service, "score_many", None)
+        score_many = getattr(app.service, "score_many", None)
         if score_many is None:
-            score_wire = service.score_wire
+            score_wire = app.service.score_wire
 
             def score_many(wires: List[bytes]) -> list:
                 return [score_wire(wire) for wire in wires]
@@ -658,8 +652,8 @@ class AsyncIngestServer:
     def _observe_batch(self, bodies: List[bytes]) -> List[bytes]:
         """Runs on the scoring thread pool; returns rendered responses.
 
-        Status and document are ``CollectionApp._event``'s, byte for
-        byte.  Almost every answer differs from an earlier one in its
+        Status 202 (400 for a rejected event) and the observation's
+        document.  Almost every answer differs from an earlier one in its
         session id alone, so an answer without a revision is rendered
         once per *shape* — every field but the id, and the id's length
         (it sets ``Content-Length``) — and kept cut in two around the
@@ -712,13 +706,13 @@ class AsyncIngestServer:
         self._deliver(done, batch)
 
     # ------------------------------------------------------------------
-    # WSGI bridge for every other endpoint
+    # every other endpoint: the app's handlers
 
     def _bridge(self, conn: _Connection, slot: list, method: str, path: str,
                 body: bytes) -> None:
-        """Answer one non-collect request from the app, off the loop."""
+        """Answer one request the batch paths do not take, off the loop."""
         call = self._loop.run_in_executor(
-            self._executor, self._wsgi_call, method, path, body, slot[1]
+            self._executor, self._answer, method, path, body, slot[1]
         )
 
         def fill(done) -> None:
@@ -731,34 +725,11 @@ class AsyncIngestServer:
 
         call.add_done_callback(fill)
 
-    def _wsgi_call(self, method: str, path: str, body: bytes,
-                   keep_alive: bool) -> bytes:
-        environ = {
-            "REQUEST_METHOD": method,
-            "PATH_INFO": path,
-            "QUERY_STRING": "",
-            "CONTENT_LENGTH": str(len(body)),
-            "SERVER_PROTOCOL": "HTTP/1.1",
-            "wsgi.input": io.BytesIO(body),
-        }
-        captured: List = []
-
-        def start_response(status, headers, exc_info=None):
-            captured[:] = [status, list(headers)]
-
-        chunks = self.app(environ, start_response)
-        try:
-            payload = b"".join(chunks)
-        finally:
-            close = getattr(chunks, "close", None)  # PEP 3333
-            if close is not None:
-                close()
-        status, headers = captured
-        if path == "/metrics" and status.startswith("200"):
+    def _answer(self, method: str, path: str, body: bytes,
+                keep_alive: bool) -> bytes:
+        status, headers, payload = self.app.handle(method, path, body)
+        if method == "GET" and path == "/metrics":
             payload += ("\n".join(self.metrics_lines()) + "\n").encode("utf-8")
-            headers = [
-                (k, v) for k, v in headers if k.lower() != "content-length"
-            ]
         return _render(status, headers, payload, keep_alive)
 
     # ------------------------------------------------------------------

@@ -1,25 +1,23 @@
-"""The collection endpoint's request handlers, as a WSGI application.
+"""The collection endpoint's request handlers.
 
-``serve`` puts :class:`CollectionApp` behind
-:class:`~repro.service.aingest.AsyncIngestServer`, which answers
-``POST /collect`` and ``POST /event`` from its own batch paths and
-calls the app for every other endpoint.  The app's ``/collect`` and
-``/event`` handlers over the per-request :class:`ScoringService` stay
-the reference those batch paths are checked against.  Endpoints:
+:class:`CollectionApp` answers every request the asyncio front end
+(:class:`~repro.service.aingest.AsyncIngestServer`) does not answer
+from its own batch paths: ``handle(method, path, body)`` returns the
+status line, the headers and the body, and the front end renders them
+onto the connection.  ``POST /collect`` and ``POST /event`` bodies are
+scored by the front end's batch paths, not here.  Endpoints:
 
-* ``POST /collect`` — one wire payload in the body; responds with the
-  verdict as JSON (``202`` accepted, ``400`` rejected);
 * ``GET  /health``  — liveness + model metadata;
 * ``GET  /metrics`` — scored/flagged counters and the quarantine
-  breakdown, Prometheus-style plain text;
+  breakdown, Prometheus-style plain text (the front end appends its
+  own ``polygraph_ingest_*`` series);
 * ``GET  /rollout`` — status of the in-flight model rollout (stage,
   disagreement report), when the runtime has one attached;
 * ``GET  /cluster`` — shard topology and routing counters, when a
   :class:`~repro.cluster.router.ClusterRouter` is serving (404 with a
   JSON body in single-process mode);
-* ``POST /event`` — one event-envelope payload; scored through the
-  session layer, responds with the per-event verdict plus the sticky
-  session verdict and any revision (404 when session streaming is off);
+* ``POST /event`` — only the two answers the front end does not batch:
+  404 when session streaming is off, 400 for an empty body;
 * ``GET  /session/{id}`` — live state of one session;
 * ``GET  /sessions`` — session-layer aggregate status;
 * ``POST /check`` — the risk engine's fused-verdict endpoint: a wire
@@ -40,31 +38,27 @@ outputs are inputs to FinOrg's risk engine, not to the client.
 from __future__ import annotations
 
 import json
-from typing import Callable, Iterable, List, Tuple
-
-from repro.fingerprint.script import MAX_PAYLOAD_BYTES
-from repro.service.scoring import OVERLOADED_REASON, ScoringService
+from typing import List, Tuple
 
 __all__ = ["CollectionApp"]
 
-# Shed traffic should come back, just not immediately: the runtime's
-# queue drains in milliseconds, so a short client backoff suffices.
-_RETRY_AFTER_SECONDS = "1"
+Response = Tuple[str, List[Tuple[str, str]], bytes]
 
-# The WSGI body cap IS the wire-contract cap (paper Section 3's 1KB
-# budget): anything larger would be quarantined as OVERSIZED by the
-# validator anyway, so reading it off the socket only buys an attacker
-# free memory.  Deriving it keeps the two caps from silently diverging.
-_MAX_BODY = MAX_PAYLOAD_BYTES
+
+def _json(status: str, document: dict) -> Response:
+    return (status, [("Content-Type", "application/json")],
+            json.dumps(document).encode("utf-8"))
 
 
 class CollectionApp:
-    """WSGI callable wrapping a scoring service.
+    """The request handlers over a scoring service.
 
-    ``service`` is either the per-request :class:`ScoringService` or the
+    ``service`` is either the per-request
+    :class:`~repro.service.scoring.ScoringService` or the
     high-throughput :class:`~repro.runtime.service.RuntimeScoringService`
-    — both speak the same ``score_wire`` contract, and the runtime
-    additionally contributes its metrics registry to ``/metrics``.
+    (or the cluster router) — all speak the same ``score_wire``
+    contract, and the runtime additionally contributes its metrics
+    registry to ``/metrics``.
 
     ``sessions`` optionally attaches a
     :class:`~repro.sessions.service.SessionScoringService` wrapping the
@@ -77,106 +71,52 @@ class CollectionApp:
     ``/metrics`` through the scoring service it is attached to.)
     """
 
-    def __init__(
-        self, service: ScoringService, sessions=None, coverage=None
-    ) -> None:
+    def __init__(self, service, sessions=None, coverage=None) -> None:
         self.service = service
         self.sessions = sessions
         self.coverage = coverage
-
-    # ------------------------------------------------------------------
-
-    def __call__(
-        self, environ: dict, start_response: Callable
-    ) -> Iterable[bytes]:
-        method = environ.get("REQUEST_METHOD", "GET")
-        path = environ.get("PATH_INFO", "/")
-        if method == "POST" and path == "/collect":
-            return self._collect(environ, start_response)
-        if method == "GET" and path == "/health":
-            return self._health(start_response)
-        if method == "GET" and path == "/metrics":
-            return self._metrics(start_response)
-        if method == "GET" and path == "/rollout":
-            return self._rollout(start_response)
-        if method == "GET" and path == "/cluster":
-            return self._cluster(start_response)
-        if method == "POST" and path == "/check":
-            return self._check(environ, start_response)
-        if method == "GET" and path == "/fusion":
-            return self._fusion(start_response)
-        if method == "GET" and path == "/coverage":
-            return self._coverage(start_response)
-        if method == "POST" and path == "/event":
-            return self._event(environ, start_response)
-        if method == "GET" and path == "/sessions":
-            return self._sessions(start_response)
-        if method == "GET" and path.startswith("/session/"):
-            return self._session(path[len("/session/"):], start_response)
-        return self._respond(
-            start_response, "404 Not Found", {"error": "unknown endpoint"}
-        )
-
-    # ------------------------------------------------------------------
-
-    def _collect(self, environ: dict, start_response: Callable) -> List[bytes]:
-        try:
-            length = int(environ.get("CONTENT_LENGTH") or 0)
-        except ValueError:
-            length = 0
-        if length <= 0 or length > _MAX_BODY:
-            return self._respond(
-                start_response, "400 Bad Request", {"error": "bad content length"}
-            )
-        body = environ["wsgi.input"].read(length)
-        verdict = self.service.score_wire(body)
-        document = {
-            "accepted": verdict.accepted,
-            "flagged": verdict.flagged,
-            "risk_factor": verdict.risk_factor,
-            "latency_ms": round(verdict.latency_ms, 3),
+        self._gets = {
+            "/health": self._health,
+            "/metrics": self._metrics,
+            "/rollout": self._rollout,
+            "/cluster": self._cluster,
+            "/fusion": self._fusion,
+            "/coverage": self._coverage,
+            "/sessions": self._sessions,
         }
-        if not verdict.accepted:
-            document["reject_reason"] = verdict.reject_reason
-            if verdict.reject_reason == OVERLOADED_REASON:
-                # Overload is the server's condition, not the payload's:
-                # 503 + Retry-After tells a well-behaved client to back
-                # off briefly instead of treating the session as bad.
-                return self._respond(
-                    start_response,
-                    "503 Service Unavailable",
-                    document,
-                    extra_headers=[("Retry-After", _RETRY_AFTER_SECONDS)],
-                )
-            return self._respond(start_response, "400 Bad Request", document)
-        return self._respond(start_response, "202 Accepted", document)
 
-    def _check(self, environ: dict, start_response: Callable) -> List[bytes]:
+    def handle(self, method: str, path: str, body: bytes = b"") -> Response:
+        """``(status, headers, body)`` for one request.
+
+        ``body`` has passed the front end's framing, which caps its
+        length; the front end adds ``Content-Length``.
+        """
+        if method == "GET":
+            handler = self._gets.get(path)
+            if handler is not None:
+                return handler()
+            if path.startswith("/session/"):
+                return self._session(path[len("/session/"):])
+        elif method == "POST":
+            if path == "/check":
+                return self._check(body)
+            if path == "/event":
+                return self._event()
+        return _json("404 Not Found", {"error": "unknown endpoint"})
+
+    # ------------------------------------------------------------------
+
+    def _check(self, body: bytes) -> Response:
         if getattr(self.service, "fusion", None) is None:
-            return self._respond(
-                start_response,
-                "404 Not Found",
-                {"error": "fusion not enabled"},
-            )
-        try:
-            length = int(environ.get("CONTENT_LENGTH") or 0)
-        except ValueError:
-            length = 0
-        # The check envelope adds the risk-engine context fields on top
-        # of the wire payload; a fixed allowance covers them.
-        if length <= 0 or length > _MAX_BODY + 128:
-            return self._respond(
-                start_response, "400 Bad Request", {"error": "bad content length"}
-            )
-        body = environ["wsgi.input"].read(length)
+            return _json("404 Not Found", {"error": "fusion not enabled"})
+        if not body:
+            return _json("400 Bad Request", {"error": "bad content length"})
         try:
             envelope = json.loads(body.decode("utf-8"))
             if not isinstance(envelope, dict):
                 raise ValueError("not an object")
         except (ValueError, UnicodeDecodeError, RecursionError):
-            return self._respond(
-                start_response, "400 Bad Request", {"error": "malformed body"}
-            )
+            return _json("400 Bad Request", {"error": "malformed body"})
         day = None
         if envelope.get("day"):
             from datetime import date
@@ -184,9 +124,7 @@ class CollectionApp:
             try:
                 day = date.fromisoformat(str(envelope["day"]))
             except ValueError:
-                return self._respond(
-                    start_response, "400 Bad Request", {"error": "bad day"}
-                )
+                return _json("400 Bad Request", {"error": "bad day"})
         tags = (
             bool(envelope.get("untrusted_ip", False)),
             bool(envelope.get("untrusted_cookie", False)),
@@ -208,83 +146,54 @@ class CollectionApp:
         }
         if not verdict.accepted:
             document["reject_reason"] = verdict.reject_reason
-            return self._respond(start_response, "400 Bad Request", document)
-        return self._respond(start_response, "200 OK", document)
+            return _json("400 Bad Request", document)
+        return _json("200 OK", document)
 
-    def _fusion(self, start_response: Callable) -> List[bytes]:
+    def _fusion(self) -> Response:
         arm = getattr(self.service, "fusion", None)
         if arm is None:
-            return self._respond(
-                start_response,
-                "404 Not Found",
-                {"error": "fusion not enabled"},
-            )
-        return self._respond(start_response, "200 OK", arm.status_dict())
+            return _json("404 Not Found", {"error": "fusion not enabled"})
+        return _json("200 OK", arm.status_dict())
 
-    def _coverage(self, start_response: Callable) -> List[bytes]:
+    def _coverage(self) -> Response:
         if self.coverage is None:
-            return self._respond(
-                start_response,
-                "404 Not Found",
-                {"error": "coverage tracking not enabled"},
+            return _json(
+                "404 Not Found", {"error": "coverage tracking not enabled"}
             )
-        return self._respond(
-            start_response, "200 OK", self.coverage.status_dict()
-        )
+        return _json("200 OK", self.coverage.status_dict())
 
-    def _event(self, environ: dict, start_response: Callable) -> List[bytes]:
+    def _event(self) -> Response:
+        # The front end batches every non-empty body to the session
+        # layer; what reaches here is the rest.
         if self.sessions is None:
-            return self._respond(
-                start_response,
-                "404 Not Found",
-                {"error": "session streaming not enabled"},
+            return _json(
+                "404 Not Found", {"error": "session streaming not enabled"}
             )
-        try:
-            length = int(environ.get("CONTENT_LENGTH") or 0)
-        except ValueError:
-            length = 0
-        # The envelope adds ev/seq/ts on top of the wire payload; a
-        # fixed allowance covers them without loosening the core cap.
-        if length <= 0 or length > _MAX_BODY + 128:
-            return self._respond(
-                start_response, "400 Bad Request", {"error": "bad content length"}
-            )
-        body = environ["wsgi.input"].read(length)
-        observation = self.sessions.observe_wire(body)
-        document = observation.to_dict()
-        if not observation.verdict.accepted:
-            return self._respond(start_response, "400 Bad Request", document)
-        return self._respond(start_response, "202 Accepted", document)
+        return _json("400 Bad Request", {"error": "bad content length"})
 
-    def _sessions(self, start_response: Callable) -> List[bytes]:
+    def _sessions(self) -> Response:
         if self.sessions is None:
-            return self._respond(
-                start_response,
-                "404 Not Found",
-                {"error": "session streaming not enabled"},
+            return _json(
+                "404 Not Found", {"error": "session streaming not enabled"}
             )
-        return self._respond(start_response, "200 OK", self.sessions.status_dict())
+        return _json("200 OK", self.sessions.status_dict())
 
-    def _session(self, session_id: str, start_response: Callable) -> List[bytes]:
+    def _session(self, session_id: str) -> Response:
         if self.sessions is None:
-            return self._respond(
-                start_response,
-                "404 Not Found",
-                {"error": "session streaming not enabled"},
+            return _json(
+                "404 Not Found", {"error": "session streaming not enabled"}
             )
         snapshot = self.sessions.session_snapshot(session_id)
         if snapshot is None:
-            return self._respond(
-                start_response,
+            return _json(
                 "404 Not Found",
                 {"error": "unknown or expired session", "session_id": session_id},
             )
-        return self._respond(start_response, "200 OK", snapshot)
+        return _json("200 OK", snapshot)
 
-    def _health(self, start_response: Callable) -> List[bytes]:
+    def _health(self) -> Response:
         model = self.service.polygraph.cluster_model
-        return self._respond(
-            start_response,
+        return _json(
             "200 OK",
             {
                 "status": "ok",
@@ -294,27 +203,22 @@ class CollectionApp:
             },
         )
 
-    def _rollout(self, start_response: Callable) -> List[bytes]:
+    def _rollout(self) -> Response:
         manager = getattr(self.service, "rollout", None)
         if manager is None:
-            return self._respond(
-                start_response,
-                "404 Not Found",
-                {"error": "no rollout in progress"},
-            )
-        return self._respond(start_response, "200 OK", manager.status_dict())
+            return _json("404 Not Found", {"error": "no rollout in progress"})
+        return _json("200 OK", manager.status_dict())
 
-    def _cluster(self, start_response: Callable) -> List[bytes]:
+    def _cluster(self) -> Response:
         status = getattr(self.service, "cluster_status", None)
         if status is None:
-            return self._respond(
-                start_response,
+            return _json(
                 "404 Not Found",
                 {"error": "not serving as a cluster", "mode": "single-process"},
             )
-        return self._respond(start_response, "200 OK", status())
+        return _json("200 OK", status())
 
-    def _metrics(self, start_response: Callable) -> List[bytes]:
+    def _metrics(self) -> Response:
         quarantine = self.service.validator.quarantine
         lines = [
             "# TYPE polygraph_sessions_scored counter",
@@ -353,29 +257,4 @@ class CollectionApp:
         if self.sessions is not None:
             lines.extend(self.sessions.metrics_lines())
         body = ("\n".join(lines) + "\n").encode("utf-8")
-        start_response(
-            "200 OK",
-            [
-                ("Content-Type", "text/plain; version=0.0.4"),
-                ("Content-Length", str(len(body))),
-            ],
-        )
-        return [body]
-
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _respond(
-        start_response: Callable,
-        status: str,
-        document: dict,
-        extra_headers: Iterable[Tuple[str, str]] = (),
-    ) -> List[bytes]:
-        body = json.dumps(document).encode("utf-8")
-        headers = [
-            ("Content-Type", "application/json"),
-            ("Content-Length", str(len(body))),
-        ]
-        headers.extend(extra_headers)
-        start_response(status, headers)
-        return [body]
+        return "200 OK", [("Content-Type", "text/plain; version=0.0.4")], body

@@ -7,12 +7,12 @@ latency accounting against the Section 3 budget of 100ms.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 from datetime import date
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.detection import DetectionResult
 from repro.core.pipeline import BrowserPolygraph
 from repro.coverage.tracker import vendor_of
 from repro.service.ingest import IngestResult, PayloadValidator
@@ -136,8 +136,6 @@ class ScoringService:
         # Per-vendor unknown-UA volume, observable even without the
         # coverage subsystem attached (polygraph_unknown_ua_total).
         self.unknown_ua_counts: Dict[str, int] = {}
-        # ``.result``: the detection behind this thread's last verdict.
-        self._scored = threading.local()
         if fusion is not None:
             self.attach_fusion(fusion)
 
@@ -183,6 +181,27 @@ class ScoringService:
         ``(untrusted_ip, untrusted_cookie)`` signals for the fusion
         arm; it is ignored when no arm is attached.
         """
+        return self._score_one(wire, day, tags)[0]
+
+    def score_rows(
+        self, wires: Sequence[bytes], rows, found: list, day: Optional[date] = None
+    ) -> List[Verdict]:
+        """:meth:`score_wire` on each wire (``rows`` are not read);
+        ``found`` gets the ``(generation, result)`` behind each verdict."""
+        generation = self.polygraph.model_generation
+        verdicts: List[Verdict] = []
+        found[:] = []
+        for wire in wires:
+            verdict, result = self._score_one(wire, day, None)
+            verdicts.append(verdict)
+            found.append(None if result is None else (generation, result))
+        return verdicts
+
+    def _score_one(
+        self, wire: bytes, day: Optional[date], tags: Optional[Tuple[bool, bool]]
+    ) -> Tuple[Verdict, Optional[DetectionResult]]:
+        """One wire's verdict and the detection behind it (``None`` when
+        the wire is rejected before the model sees it)."""
         started = time.perf_counter()
         ingest: IngestResult = self.validator.ingest_wire(wire)
         if not ingest.accepted:
@@ -193,11 +212,11 @@ class ScoringService:
                 risk_factor=None,
                 reject_reason=ingest.reason.value if ingest.reason else "unknown",
                 latency_ms=(time.perf_counter() - started) * 1000.0,
-            )
+            ), None
         payload = ingest.payload
         if self.store is not None:
             self.store.append(payload, day=day)
-        result = self._scored.result = self.polygraph.detect_payload(payload)
+        result = self.polygraph.detect_payload(payload)
         self.scored_count += 1
         if result.flagged:
             self.flagged_count += 1
@@ -229,21 +248,7 @@ class ScoringService:
             inferred_release=result.inferred_release,
             inferred_distance=result.inferred_distance,
             **fused,
-        )
-
-    def score_rows(
-        self, wires: Sequence[bytes], rows, found: list, day: Optional[date] = None
-    ) -> List[Verdict]:
-        """:meth:`score_wire` on each wire (``rows`` are not read);
-        ``found`` gets the ``(generation, result)`` behind each verdict."""
-        scored, generation = self._scored, self.polygraph.model_generation
-        verdicts: List[Verdict] = []
-        found[:] = []
-        for wire in wires:
-            scored.result = None
-            verdicts.append(self.score_wire(wire, day=day))
-            found.append(None if scored.result is None else (generation, scored.result))
-        return verdicts
+        ), result
 
     def retrain(
         self, dataset: Dataset, align_rare: bool = True, jobs: int = 1

@@ -46,11 +46,6 @@ class GroundTruth:
         """Whether the session originates from an attacker."""
         return self.kind is SessionKind.FRAUD
 
-    @property
-    def detectable_fraud(self) -> bool:
-        """Category 1/2 fraud — what coarse-grained detection targets."""
-        return self.is_fraud and self.category in (1, 2)
-
 
 @dataclass(frozen=True)
 class Session:

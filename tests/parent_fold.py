@@ -3,7 +3,7 @@
 A frozen copy of what one event used to go through — ``fold`` with its
 two lock spans, a ``SessionState`` that allocates both of its sets when
 the session opens, dataclass records built field by field — kept, like
-``_parent_render_event``, as the reference the batch fold must equal
+``parent_render.parent_render_event``, as the reference the batch fold must equal
 observation for observation, state for state and log row for log row.  Nothing here calls ``fold_many``.  (The copy
 is exact, so it also re-labels a follow-up verdict from six fields and
 drops the fusion and inferred-release ones; the differentials run over

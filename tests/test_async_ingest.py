@@ -2,15 +2,16 @@
 
 Exercises :class:`~repro.service.aingest.AsyncIngestServer` the way a
 client sees it — over TCP — pinning the contract the front end claims:
-``POST /collect`` verdicts match the WSGI app byte-for-field, every
-other endpoint passes through to the same app, responses on one
+``POST /collect`` verdicts match the reference byte-for-field, every
+other endpoint is the app's handler's answer, responses on one
 connection come back in request order even with pipelining, framing
 that cannot be trusted is refused and the connection closed, and both
 kinds of backpressure (too much admitted; a client that does not read)
 stop the reading instead of shedding work or growing memory.
 ``POST /event`` is held to the same contract on its own batch path:
-answers byte-identical to the WSGI app's, a session's pipelined events
-folded in the order they were sent, one batch in flight, backpressure.
+answers byte-identical to the frozen reference, a session's pipelined
+events folded in the order they were sent, one batch in flight,
+backpressure.
 
 Where the bytes on the wire or the number of writes matter, the
 connection protocol is driven directly on the server's loop with a
@@ -22,7 +23,6 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import http.client
-import io
 import itertools
 import json
 import select
@@ -58,6 +58,11 @@ from repro.traffic.events import (
 )
 from repro.traffic.replay import iter_wire_payloads
 from tests.event_shapes import POISON_BODIES
+from tests.parent_render import (
+    parent_bridge,
+    parent_render_event,
+    parent_render_verdict,
+)
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +73,7 @@ def wires(small_dataset):
 def _serve(service, **kwargs):
     kwargs.setdefault("host", "127.0.0.1")
     kwargs.setdefault("port", 0)  # ephemeral
-    return AsyncIngestServer(service, CollectionApp(service), **kwargs)
+    return AsyncIngestServer(CollectionApp(service), **kwargs)
 
 
 def _request(port, method, path, body=b""):
@@ -229,7 +234,7 @@ class TestWsgiPassthrough:
             status, _, payload = _request(server.port, "GET", "/metrics")
             assert status == 200
             text = payload.decode()
-            # The WSGI app's series and this server's own, merged.
+            # The app's series and this server's own, merged.
             assert "polygraph_sessions_scored" in text
             assert "polygraph_ingest_requests" in text
             assert "polygraph_ingest_collect_requests 1" in text
@@ -238,6 +243,77 @@ class TestWsgiPassthrough:
         with _serve(ScoringService(trained)) as server:
             status, _, _ = _request(server.port, "GET", "/nope")
             assert status == 404
+
+
+class _Part:
+    """A fusion arm, rollout, cluster, coverage tracker or session layer
+    answering from fixed documents."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def status_dict(self):
+        return {"part": self.name}
+
+    def metrics_lines(self):
+        return [f"polygraph_{self.name}_part 1"]
+
+    def session_snapshot(self, session_id):
+        return {"session_id": session_id} if session_id == "known" else None
+
+
+def _app(trained, kind):
+    """The bare app, or one with every optional part attached whose
+    ``/check`` verdict does not carry the clock."""
+    service = ScoringService(trained)
+    if kind == "bare":
+        return CollectionApp(service)
+    service.fusion, service.rollout = _Part("fusion"), _Part("rollout")
+    service.cluster_status = _Part("cluster").status_dict
+    service.score_wire = lambda wire, day=None, tags=None: _verdict(
+        fused_flagged=tags[0], fusion_cell="agree_benign",
+        second_probability=0.125, second_lift=0.5,
+    )
+    return CollectionApp(service, sessions=_Part("sessions"), coverage=_Part("coverage"))
+
+
+_GETS = ["/health", "/metrics", "/rollout", "/cluster", "/fusion", "/coverage",
+         "/sessions", "/session/known", "/session/nope", "/nope"]
+_HANDLED = [(kind, "GET", path, b"") for path in _GETS for kind in ("attached", "bare")]
+_HANDLED += [
+    ("bare", "POST", "/check", b"{}"),
+    ("attached", "POST", "/check", b"not json"),
+    ("attached", "POST", "/check", b'{"sid": "x", "day": "not-a-date"}'),
+    ("attached", "POST", "/check",
+     b'{"sid": "x", "ua": "u", "f": [], "day": "2023-06-01", "untrusted_ip": true}'),
+    ("attached", "POST", "/event", b""),
+    ("bare", "POST", "/event", b"{}"),
+    ("attached", "POST", "/collect", b""),
+]
+
+
+class TestHandledEndpoints:
+    @pytest.mark.parametrize(
+        "kind, method, path, body", _HANDLED,
+        ids=[f"{k}-{m}-{p}-{len(b)}" for k, m, p, b in _HANDLED],
+    )
+    def test_answers_equal_the_parent_bridge(self, trained, kind, method, path, body):
+        """Status line, header order and body of every answer the batch
+        paths do not give, keep-alive and close, equal the frozen
+        bridge's; ``/metrics`` with the ingest lines it was given."""
+        app = _app(trained, kind)
+        with AsyncIngestServer(app, host="127.0.0.1", port=0) as server:
+            scraped, own = [], server.metrics_lines
+            server.metrics_lines = lambda: scraped.append(own()) or scraped[-1]
+            raw = _http(method, path, body) + _http(
+                method, path, body, ["Connection: close"]
+            )
+            reply = _exchange(server.port, raw)
+        scraped = scraped or [[], []]  # only /metrics reads the ingest lines
+        assert reply == b"".join(
+            parent_bridge(app, method, path, body, scraped[i], keep_alive)
+            for i, keep_alive in enumerate((True, False))
+        )
 
 
 class TestKeepAliveOrdering:
@@ -477,70 +553,6 @@ def _drive(server, fragments, timeout=20.0):
     return future.result(timeout + 5.0)
 
 
-def _parent_render_verdict(verdict) -> bytes:
-    """The response bytes of the ``StreamReader`` front end this one
-    replaced, kept as the reference the new rendering must equal."""
-    document = {
-        "accepted": verdict.accepted,
-        "flagged": verdict.flagged,
-        "risk_factor": verdict.risk_factor,
-        "latency_ms": round(verdict.latency_ms, 3),
-    }
-    lines = ["Content-Type: application/json"]
-    if not verdict.accepted:
-        document["reject_reason"] = verdict.reject_reason
-        if verdict.reject_reason == OVERLOADED_REASON:
-            lines.append("Retry-After: 1")
-            status = "503 Service Unavailable"
-        else:
-            status = "400 Bad Request"
-    else:
-        status = "202 Accepted"
-    body = json.dumps(document).encode("utf-8")
-    lines.append(f"Content-Length: {len(body)}")
-    lines.append("Connection: keep-alive")
-    head = "\r\n".join([f"HTTP/1.1 {status}", *lines]) + "\r\n\r\n"
-    return head.encode("latin-1") + body
-
-
-def _parent_render_event(observation) -> bytes:
-    """What ``CollectionApp._event`` answered through the WSGI bridge
-    before events had a batch path of their own — document, key order,
-    headers — kept as the reference the batch path must equal."""
-    verdict, revision = observation.verdict, observation.revision
-    document = {
-        "session_id": verdict.session_id,
-        "accepted": verdict.accepted,
-        "event_flagged": verdict.flagged,
-        "event_risk": verdict.risk_factor,
-        "reject_reason": verdict.reject_reason,
-        "session_flagged": observation.session_flagged,
-        "session_risk": observation.session_risk,
-        "revision": None if revision is None else {
-            "session_id": revision.session_id,
-            "seq": revision.seq,
-            "event_type": revision.event_type,
-            "reason": revision.reason.value,
-            "old_flagged": revision.old_flagged,
-            "new_flagged": revision.new_flagged,
-            "old_risk": revision.old_risk,
-            "new_risk": revision.new_risk,
-            "detail": revision.detail,
-        },
-        "event_seq": observation.event_seq,
-        "session_created": observation.session_created,
-    }
-    body = json.dumps(document).encode("utf-8")
-    status = "202 Accepted" if verdict.accepted else "400 Bad Request"
-    head = "\r\n".join([
-        f"HTTP/1.1 {status}",
-        "Content-Type: application/json",
-        f"Content-Length: {len(body)}",
-        "Connection: keep-alive",
-    ]) + "\r\n\r\n"
-    return head.encode("latin-1") + body
-
-
 # ----------------------------------------------------------------------
 
 
@@ -703,16 +715,16 @@ def _read_one(sock):
 
 class TestOrderingAndErrors:
     def test_slow_bridge_request_holds_back_later_answers(self, trained, wires):
-        service = ScoringService(trained)
-        inner = CollectionApp(service)
+        app = CollectionApp(ScoringService(trained))
+        handle = app.handle
 
-        def slow_health(environ, start_response):
-            if environ["PATH_INFO"] == "/health":
+        def slow_health(method, path, body):
+            if path == "/health":
                 time.sleep(0.3)
-            return inner(environ, start_response)
+            return handle(method, path, body)
 
-        server = AsyncIngestServer(service, slow_health, host="127.0.0.1", port=0)
-        with server:
+        app.handle = slow_health
+        with AsyncIngestServer(app, host="127.0.0.1", port=0) as server:
             responses = _pipeline(
                 server.port,
                 [
@@ -730,9 +742,9 @@ class TestOrderingAndErrors:
             assert b"model_accuracy" in responses[1][1]
 
     def test_scoring_error_answers_500_per_request(self, trained):
-        service = _Canned(error=RuntimeError("shard pool gone"))
-        app = CollectionApp(ScoringService(trained))
-        with AsyncIngestServer(service, app, host="127.0.0.1", port=0) as server:
+        service = ScoringService(trained)
+        service.score_many = _Canned(error=RuntimeError("shard pool gone")).score_many
+        with _serve(service) as server:
             raw = b"".join(_http("POST", "/collect", b"{}") for _ in range(7))
             raw += _http("GET", "/health")
             raw += _http("POST", "/collect", b"{}", ["Connection: close"])
@@ -743,11 +755,12 @@ class TestOrderingAndErrors:
         assert answers[-1][1]["Connection"] == "close"
 
     def test_app_error_answers_500(self, trained):
-        def broken(environ, start_response):
+        def broken(method, path, body):
             raise RuntimeError("app bug")
 
-        service = ScoringService(trained)
-        with AsyncIngestServer(service, broken, host="127.0.0.1", port=0) as server:
+        app = CollectionApp(ScoringService(trained))
+        app.handle = broken
+        with AsyncIngestServer(app, host="127.0.0.1", port=0) as server:
             raw = _http("GET", "/health") + _http(
                 "GET", "/health", extra=["Connection: close"]
             )
@@ -778,36 +791,13 @@ class TestRendering:
         verdicts = self.SHAPES + self.SHAPES[::-1]
         server = _serve(_Canned(verdicts))
         rendered = server._score_batch([b"w"] * len(verdicts))
-        assert rendered == [_parent_render_verdict(v) for v in verdicts]
-
-    def test_document_and_status_equal_the_wsgi_app(self):
-        for verdict in self.SHAPES:
-
-            class One:
-                def score_wire(self, wire, verdict=verdict):
-                    return verdict
-
-            captured = []
-            chunks = CollectionApp(One())(
-                {
-                    "REQUEST_METHOD": "POST",
-                    "PATH_INFO": "/collect",
-                    "CONTENT_LENGTH": "1",
-                    "wsgi.input": io.BytesIO(b"w"),
-                },
-                lambda status, headers: captured.extend([status, dict(headers)]),
-            )
-            raw, = _serve(_Canned([verdict]))._score_batch([b"w"])
-            (status, headers, body), = _responses(raw)
-            assert f"{status} " == captured[0][:4]
-            assert body == b"".join(chunks)
-            assert headers.get("Retry-After") == captured[1].get("Retry-After")
+        assert rendered == [parent_render_verdict(v) for v in verdicts]
 
     def test_close_request_gets_the_same_bytes_but_for_the_header(self):
         with _serve(_Canned([overloaded_verdict("s", 0.0)])) as server:
             raw = _http("POST", "/collect", b"{}", ["Connection: close"])
             reply = _exchange(server.port, raw)
-        expected = _parent_render_verdict(overloaded_verdict("s", 0.0))
+        expected = parent_render_verdict(overloaded_verdict("s", 0.0))
         assert reply == expected.replace(b"keep-alive", b"close")
 
 
@@ -931,7 +921,7 @@ def _event_server(trained, **kwargs):
     app = CollectionApp(service, sessions=sessions)
     kwargs.setdefault("host", "127.0.0.1")
     kwargs.setdefault("port", 0)
-    return AsyncIngestServer(service, app, **kwargs)
+    return AsyncIngestServer(app, **kwargs)
 
 
 def _converse(port, raw, timeout=30.0):
@@ -1001,7 +991,7 @@ class TestEventOrdering:
         try:
             sessions = SessionScoringService(router, ttl_seconds=1e9)
             app = CollectionApp(router, sessions=sessions)
-            with AsyncIngestServer(router, app, host="127.0.0.1", port=0) as server:
+            with AsyncIngestServer(app, host="127.0.0.1", port=0) as server:
                 answers = _responses(_converse(server.port, raw))
                 assert server.event_total == len(events)
                 assert server.batch_rows_total == len(events)
@@ -1030,7 +1020,7 @@ class TestEventOrdering:
         service = ScoringService(trained)
         app = CollectionApp(service, sessions=Watching())
         server = AsyncIngestServer(
-            service, app, host="127.0.0.1", port=0, batch_max=8
+            app, host="127.0.0.1", port=0, batch_max=8
         )
         raw = b"".join(_http("POST", "/event", b"{}") for _ in range(39))
         raw += _http("POST", "/event", b"{}", ["Connection: close"])
@@ -1093,14 +1083,9 @@ class TestEventRendering:
             "duplicate", "malformed_event: malformed session event: "
             "Expecting value: line 1 column 1 (char 0)",
         ]
-        expected = [_parent_render_event(o) for o in observed]
+        expected = [parent_render_event(o) for o in observed]
 
-        # The frozen copy is what the bridge still answers …
-        bridged = _event_server(trained)
-        assert [
-            bridged._wsgi_call("POST", "/event", body, True) for body in bodies
-        ] == expected
-        # … what the batch worker renders …
+        # The frozen copy is what the batch worker renders …
         assert _event_server(trained)._observe_batch(bodies) == expected
         # … and what a client reads, `Connection: close` included.
         raw = b"".join(_http("POST", "/event", body) for body in bodies[:-1])
@@ -1133,7 +1118,7 @@ def _scripted_server(trained, answers=None):
     service = ScoringService(trained)
     sessions = SessionScoringService(_Scripted(trained, answers), ttl_seconds=1e9)
     server = AsyncIngestServer(
-        service, CollectionApp(service, sessions=sessions), host="127.0.0.1", port=0
+        CollectionApp(service, sessions=sessions), host="127.0.0.1", port=0
     )
     reference = SessionScoringService(_Scripted(trained, answers), ttl_seconds=1e9)
     return server, reference
@@ -1180,7 +1165,7 @@ class TestEventTemplates:
             # Interleaved: neighbours in the batch differ in id length.
             bodies = [e.to_wire() for events in zip(*sessions) for e in events]
             expected = [
-                _parent_render_event(reference.observe_wire(b)) for b in bodies
+                parent_render_event(reference.observe_wire(b)) for b in bodies
             ]
             del rendered[:]
             assert server._observe_batch(bodies) == expected
@@ -1205,7 +1190,7 @@ class TestEventTemplates:
             )
             bodies = [e.to_wire() for e in events]
             expected = [
-                _parent_render_event(reference.observe_wire(b)) for b in bodies
+                parent_render_event(reference.observe_wire(b)) for b in bodies
             ]
             del rendered[:]
             assert server._observe_batch(bodies) == expected
@@ -1263,7 +1248,7 @@ class TestEventTemplates:
             assert observed[-1].verdict.reject_reason.startswith("malformed_event: ")
             del rendered[:]
             assert server._observe_batch(bodies) == [
-                _parent_render_event(o) for o in observed
+                parent_render_event(o) for o in observed
             ]
             revised = sum(o.revision is not None for o in observed)
             # An answer with a revision is rendered in full every time.
@@ -1279,7 +1264,7 @@ class TestEventTemplates:
             [e.to_wire() for e in self._session(event_streams, session_id)]
             for session_id in ("warm-1", "warm-2")
         )
-        expected = [_parent_render_event(reference.observe_wire(b)) for b in served]
+        expected = [parent_render_event(reference.observe_wire(b)) for b in served]
         server._observe_batch(warm)
         built = []
         observation = session_service._observation
@@ -1301,7 +1286,7 @@ class TestEventTemplates:
             self._session(event_streams, f"close-{n}", n_events=1)[0] for n in range(6)
         ]
         bodies = [e.to_wire() for e in firsts]
-        expected = [_parent_render_event(reference.observe_wire(b)) for b in bodies]
+        expected = [parent_render_event(reference.observe_wire(b)) for b in bodies]
         expected[-1] = expected[-1].replace(b"keep-alive", b"close")
         raw = b"".join(_http("POST", "/event", body) for body in bodies[:-1])
         raw += _http("POST", "/event", bodies[-1], ["Connection: close"])
@@ -1328,7 +1313,7 @@ class TestEventTemplates:
                 for seq in range(start, start + 5)
             ]
             expected = [
-                _parent_render_event(reference.observe_wire(b)) for b in bodies
+                parent_render_event(reference.observe_wire(b)) for b in bodies
             ]
             assert server._observe_batch(bodies) == expected
             assert 1 <= len(server._event_templates) <= 8
@@ -1370,7 +1355,7 @@ class TestEventBatches:
         )
         stream += _http("GET", "/health")
         with AsyncIngestServer(
-            service, app, host="127.0.0.1", port=0, batch_max=4
+            app, host="127.0.0.1", port=0, batch_max=4
         ) as server:
             answers = _responses(b"".join(_drive(server, [stream])))
             assert server._pending == 0
@@ -1418,7 +1403,7 @@ class TestEventBatches:
         app = CollectionApp(service, sessions=Slow())
         bodies = [s.first.to_wire() for s in event_streams[:20]]
         with AsyncIngestServer(
-            service, app, host="127.0.0.1", port=0, batch_max=2, max_pending=2
+            app, host="127.0.0.1", port=0, batch_max=2, max_pending=2
         ) as server:
             responses = _pipeline(
                 server.port, [("POST", "/event", b) for b in bodies], timeout=30.0
@@ -1563,7 +1548,7 @@ class TestWriteSideBackpressure:
                     assert status == 202
                 assert self._backlog(server, sock)[0] < self.BOUND
                 # Once it reads, everything it sent is answered in order.
-                one = _parent_render_verdict(_verdict())  # what `_Canned` earns
+                one = parent_render_verdict(_verdict())  # what `_Canned` earns
                 self._finish(sock, stream, sent, one * count)
             assert server.collect_total == count + 5
 
@@ -1590,7 +1575,7 @@ class TestWriteSideBackpressure:
 
         reference = SessionScoringService(Accepting())
         replies = b"".join(
-            _parent_render_event(reference.observe_wire(body)) for body in bodies
+            parent_render_event(reference.observe_wire(body)) for body in bodies
         )
         assert replies.count(b" 202 Accepted") == count
         service = ScoringService(trained)
@@ -1603,7 +1588,7 @@ class TestWriteSideBackpressure:
             for i in range(5)
         ]
         server = AsyncIngestServer(
-            service, app, host="127.0.0.1", port=0,
+            app, host="127.0.0.1", port=0,
             max_pending=self.MAX_PENDING,
         )
         with server:

@@ -1,6 +1,7 @@
 """CLI end-to-end tests (via the in-process entry point)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -28,7 +29,7 @@ def test_simulate_writes_loadable_dataset(artifacts):
 
 def test_train_writes_model_json(artifacts):
     _, model_path = artifacts
-    document = json.loads(open(model_path).read())
+    document = json.loads(Path(model_path).read_text())
     assert document["format_version"] == 1
     assert len(document["kmeans"]["centers"]) == 11
     assert document["accuracy"] > 0.97
@@ -71,7 +72,7 @@ def test_retrain_from_dataset(artifacts, tmp_path, capsys):
     ) == 0
     out = capsys.readouterr().out
     assert "retrained on 6000 sessions" in out
-    document = json.loads(open(output).read())
+    document = json.loads(Path(output).read_text())
     assert document["format_version"] == 1
 
 
@@ -118,8 +119,8 @@ def test_train_with_jobs_matches_serial(artifacts, tmp_path):
     assert main(
         ["train", parallel_path, "--dataset", dataset_path, "--jobs", "2"]
     ) == 0
-    serial = json.loads(open(model_path).read())
-    parallel = json.loads(open(parallel_path).read())
+    serial = json.loads(Path(model_path).read_text())
+    parallel = json.loads(Path(parallel_path).read_text())
     assert parallel["kmeans"]["centers"] == serial["kmeans"]["centers"]
     assert parallel["accuracy"] == serial["accuracy"]
 
@@ -298,7 +299,7 @@ def test_serve_refuses_an_unreadable_file(artifacts, tmp_path, capsys, case):
 
     _, model_path = artifacts
     torn = tmp_path / "torn.json"
-    torn.write_bytes(open(model_path, "rb").read()[:200])
+    torn.write_bytes(Path(model_path).read_bytes()[:200])
     registry = ModelRegistry(tmp_path / "registry")
     pipeline = BrowserPolygraph.load(model_path)
     if case == "model":
@@ -387,11 +388,9 @@ def test_importing_the_cli_leaves_the_experiment_suite_out():
 
 
 def test_cluster_status_command_against_live_server(artifacts, capsys):
-    import threading
-    from wsgiref.simple_server import make_server
-
     from repro.cluster import ClusterConfig, ClusterRouter, ShardSupervisor
     from repro.core.pipeline import BrowserPolygraph
+    from repro.service.aingest import AsyncIngestServer
     from repro.service.api import CollectionApp
 
     _, model_path = artifacts
@@ -400,12 +399,10 @@ def test_cluster_status_command_against_live_server(artifacts, capsys):
         config=ClusterConfig(n_shards=2, heartbeat_interval_s=5.0),
     )
     router = ClusterRouter(supervisor).start()
-    httpd = make_server("127.0.0.1", 0, CollectionApp(router))
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    thread.start()
     try:
-        url = f"http://127.0.0.1:{httpd.server_port}"
-        assert main(["cluster", "status", "--url", url]) == 0
+        with AsyncIngestServer(CollectionApp(router), port=0) as server:
+            url = f"http://127.0.0.1:{server.port}"
+            assert main(["cluster", "status", "--url", url]) == 0
         out = capsys.readouterr().out
         assert "2/2 shards healthy" in out
         assert "s0" in out and "s1" in out
@@ -414,33 +411,21 @@ def test_cluster_status_command_against_live_server(artifacts, capsys):
             in out
         )
     finally:
-        httpd.shutdown()
-        thread.join(timeout=5)
-        httpd.server_close()
         router.shutdown()
 
 
 def test_cluster_status_reports_single_process_servers(artifacts, capsys):
-    import threading
-    from wsgiref.simple_server import make_server
-
     from repro.core.pipeline import BrowserPolygraph
+    from repro.service.aingest import AsyncIngestServer
     from repro.service.api import CollectionApp
     from repro.service.scoring import ScoringService
 
     _, model_path = artifacts
     service = ScoringService(BrowserPolygraph.load(model_path))
-    httpd = make_server("127.0.0.1", 0, CollectionApp(service))
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    thread.start()
-    try:
-        url = f"http://127.0.0.1:{httpd.server_port}"
+    with AsyncIngestServer(CollectionApp(service), port=0) as server:
+        url = f"http://127.0.0.1:{server.port}"
         assert main(["cluster", "status", "--url", url]) == 1
-        assert "single-process" in capsys.readouterr().out
-    finally:
-        httpd.shutdown()
-        thread.join(timeout=5)
-        httpd.server_close()
+    assert "single-process" in capsys.readouterr().out
 
 
 def test_cluster_status_unreachable_server(capsys):
@@ -459,11 +444,9 @@ def test_serve_parser_accepts_coverage_flag(artifacts):
 
 
 def test_coverage_status_command_against_live_server(artifacts, capsys):
-    import threading
-    from wsgiref.simple_server import make_server
-
     from repro.core.pipeline import BrowserPolygraph
     from repro.coverage import CoverageTracker
+    from repro.service.aingest import AsyncIngestServer
     from repro.service.api import CollectionApp
     from repro.service.scoring import ScoringService
 
@@ -471,44 +454,27 @@ def test_coverage_status_command_against_live_server(artifacts, capsys):
     service = ScoringService(BrowserPolygraph.load(model_path))
     tracker = CoverageTracker()
     service.attach_coverage(tracker)
-    httpd = make_server(
-        "127.0.0.1", 0, CollectionApp(service, coverage=tracker)
-    )
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    thread.start()
-    try:
-        url = f"http://127.0.0.1:{httpd.server_port}"
+    app = CollectionApp(service, coverage=tracker)
+    with AsyncIngestServer(app, port=0) as server:
+        url = f"http://127.0.0.1:{server.port}"
         assert main(["coverage", "status", "--url", url]) == 0
-        out = capsys.readouterr().out
-        assert "known releases" in out
-        assert "chrome" in out and "firefox" in out
-    finally:
-        httpd.shutdown()
-        thread.join(timeout=5)
-        httpd.server_close()
+    out = capsys.readouterr().out
+    assert "known releases" in out
+    assert "chrome" in out and "firefox" in out
 
 
 def test_coverage_status_reports_untracked_server(artifacts, capsys):
-    import threading
-    from wsgiref.simple_server import make_server
-
     from repro.core.pipeline import BrowserPolygraph
+    from repro.service.aingest import AsyncIngestServer
     from repro.service.api import CollectionApp
     from repro.service.scoring import ScoringService
 
     _, model_path = artifacts
     service = ScoringService(BrowserPolygraph.load(model_path))
-    httpd = make_server("127.0.0.1", 0, CollectionApp(service))
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    thread.start()
-    try:
-        url = f"http://127.0.0.1:{httpd.server_port}"
+    with AsyncIngestServer(CollectionApp(service), port=0) as server:
+        url = f"http://127.0.0.1:{server.port}"
         assert main(["coverage", "status", "--url", url]) == 1
-        assert "without coverage" in capsys.readouterr().out
-    finally:
-        httpd.shutdown()
-        thread.join(timeout=5)
-        httpd.server_close()
+    assert "without coverage" in capsys.readouterr().out
 
 
 def test_coverage_status_unreachable_server(capsys):
@@ -531,9 +497,7 @@ def test_serve_drains_on_sigterm(artifacts):
 
     _, model_path = artifacts
     service = RuntimeScoringService(BrowserPolygraph.load(model_path))
-    server = AsyncIngestServer(
-        service, CollectionApp(service), host="127.0.0.1", port=0
-    )
+    server = AsyncIngestServer(CollectionApp(service), host="127.0.0.1", port=0)
     announced = threading.Event()
     answered = []
 
@@ -584,7 +548,8 @@ def test_serve_builds_the_runtime_behind_the_asyncio_front_end(
     assert code == 0
     (server,) = built
     assert isinstance(server, AsyncIngestServer)
-    assert isinstance(server.service, RuntimeScoringService)
-    assert server.service.cache.max_entries == 128
-    assert server.service.cache.ttl_seconds == 60.0
+    service = server.app.service
+    assert isinstance(service, RuntimeScoringService)
+    assert service.cache.max_entries == 128
+    assert service.cache.ttl_seconds == 60.0
     assert "draining in-flight requests" in capsys.readouterr().out

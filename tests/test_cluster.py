@@ -8,9 +8,9 @@ schedule and any cut into batches.
 
 from __future__ import annotations
 
-import io
 import json
 import time
+from urllib.request import urlopen
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +24,7 @@ from repro.cluster import (
     ShardSupervisor,
 )
 from repro.cluster.ring import HashRing, wire_routing_key
+from repro.service.aingest import AsyncIngestServer
 from repro.service.api import CollectionApp
 from repro.service.scoring import OVERLOADED_REASON, ScoringService, overloaded_verdict
 from repro.traffic.replay import iter_wire_payloads
@@ -503,23 +504,6 @@ class TestProcessBackend:
 # HTTP surface
 
 
-def _wsgi(app, method, path, body=b""):
-    captured = {}
-
-    def start_response(status, headers):
-        captured["status"] = status
-        captured["headers"] = dict(headers)
-
-    environ = {
-        "REQUEST_METHOD": method,
-        "PATH_INFO": path,
-        "CONTENT_LENGTH": str(len(body)),
-        "wsgi.input": io.BytesIO(body),
-    }
-    chunks = app(environ, start_response)
-    return captured["status"], captured["headers"], b"".join(chunks)
-
-
 class TestClusterEndpoint:
     def test_cluster_endpoint_reports_topology(self, trained, wires):
         with ShardSupervisor.from_polygraph(
@@ -528,7 +512,7 @@ class TestClusterEndpoint:
             router = ClusterRouter(supervisor)
             router.score_many(wires[:50])
             app = CollectionApp(router)
-            status, _, body = _wsgi(app, "GET", "/cluster")
+            status, _, body = app.handle("GET", "/cluster")
             assert status == "200 OK"
             document = json.loads(body)
             assert document["n_shards"] == 2
@@ -536,21 +520,21 @@ class TestClusterEndpoint:
             assert len(document["shards"]) == 2
             assert document["router"]["requests_total"] == 50
 
-            status, _, body = _wsgi(app, "GET", "/metrics")
+            status, _, body = app.handle("GET", "/metrics")
             assert status == "200 OK"
             text = body.decode()
             assert "polygraph_cluster_shards 2" in text
             assert 'polygraph_cluster_shard_healthy{shard="s0"} 1' in text
 
-            status, _, body = _wsgi(app, "GET", "/health")
+            status, _, body = app.handle("GET", "/health")
             assert status == "200 OK"
             assert json.loads(body)["status"] == "ok"
 
     def test_cluster_endpoint_degrades_without_a_cluster(self, trained):
         app = CollectionApp(ScoringService(trained))
-        status, headers, body = _wsgi(app, "GET", "/cluster")
+        status, headers, body = app.handle("GET", "/cluster")
         assert status == "404 Not Found"
-        assert headers["Content-Type"] == "application/json"
+        assert headers == [("Content-Type", "application/json")]
         assert json.loads(body)["mode"] == "single-process"
 
     def test_collect_through_the_cluster(self, trained, wires):
@@ -558,6 +542,8 @@ class TestClusterEndpoint:
             trained, config=ClusterConfig(n_shards=2, heartbeat_interval_s=5.0)
         ) as supervisor:
             app = CollectionApp(ClusterRouter(supervisor))
-            status, _, body = _wsgi(app, "POST", "/collect", wires[0])
-            assert status == "202 Accepted"
-            assert json.loads(body)["accepted"] is True
+            with AsyncIngestServer(app, host="127.0.0.1", port=0) as server:
+                url = f"http://127.0.0.1:{server.port}/collect"
+                with urlopen(url, data=wires[0], timeout=10) as response:
+                    assert response.status == 202
+                    assert json.loads(response.read())["accepted"] is True

@@ -13,14 +13,15 @@ session, the endpoints through a cluster, and the
 from __future__ import annotations
 
 import dataclasses
-import io
 import itertools
 import json
+from urllib.request import urlopen
 
 import pytest
 from hypothesis import given, settings
 
 from repro.cluster import ClusterConfig, ClusterRouter, ShardSupervisor
+from repro.service.aingest import AsyncIngestServer
 from repro.service.api import CollectionApp
 from repro.service.scoring import ScoringService
 from repro.sessions import SessionScoringService
@@ -220,20 +221,10 @@ class TestClusterSessionParity:
 
 
 class TestSessionsEndpointThroughTheCluster:
-    def _call(self, app, method, path, body=b""):
-        captured = {}
-
-        def start_response(status, headers):
-            captured["status"] = status
-
-        environ = {
-            "REQUEST_METHOD": method,
-            "PATH_INFO": path,
-            "CONTENT_LENGTH": str(len(body)),
-            "wsgi.input": io.BytesIO(body),
-        }
-        chunks = app(environ, start_response)
-        return captured["status"], json.loads(b"".join(chunks))
+    def _call(self, server, path, body=None):
+        url = f"http://127.0.0.1:{server.port}{path}"
+        with urlopen(url, data=body, timeout=10) as response:
+            return response.status, json.loads(response.read())
 
     def test_event_and_sessions_endpoints(self, cluster, streams):
         app = CollectionApp(
@@ -241,20 +232,17 @@ class TestSessionsEndpointThroughTheCluster:
             sessions=SessionScoringService(cluster, ttl_seconds=1e9),
         )
         stream = next(s for s in streams if len(s.events) >= 2)
-        for event in stream.events:
-            status, document = self._call(
-                app, "POST", "/event", event.to_wire()
-            )
-            assert status == "202 Accepted", document
-            assert document["session_id"] == stream.session_id
-        status, document = self._call(
-            app, "GET", f"/session/{stream.session_id}"
-        )
-        assert status == "200 OK"
-        assert document["event_count"] == len(stream.events)
-        assert "shard" not in document
-        status, document = self._call(app, "GET", "/sessions")
-        assert status == "200 OK"
+        with AsyncIngestServer(app, host="127.0.0.1", port=0) as server:
+            for event in stream.events:
+                status, document = self._call(server, "/event", event.to_wire())
+                assert status == 202, document
+                assert document["session_id"] == stream.session_id
+            status, document = self._call(server, f"/session/{stream.session_id}")
+            assert status == 200
+            assert document["event_count"] == len(stream.events)
+            assert "shard" not in document
+            status, document = self._call(server, "/sessions")
+        assert status == 200
         assert "partitions" not in document and "shards" not in document
         assert document["events_total"] == len(stream.events)
         assert document["max_sessions"] == 100_000

@@ -1,6 +1,5 @@
 """Release-coverage intelligence: tracker bands, planner, infer policy."""
 
-import io
 import json
 from datetime import date, timedelta
 
@@ -358,12 +357,12 @@ class TestServiceIntegration:
     def test_coverage_endpoint(self, infer_pipeline):
         service = ScoringService(infer_pipeline)
         bare = CollectionApp(service)
-        status, _, body = _request(bare, "GET", "/coverage")
+        status, _, body = bare.handle("GET", "/coverage")
         assert status == "404 Not Found"
         tracker = CoverageTracker()
         service.attach_coverage(tracker)
         app = CollectionApp(service, coverage=tracker)
-        status, _, body = _request(app, "GET", "/coverage")
+        status, _, body = app.handle("GET", "/coverage")
         assert status == "200 OK"
         document = json.loads(body)
         assert set(document["vendors"]) == {
@@ -376,8 +375,8 @@ class TestServiceIntegration:
         service.attach_coverage(tracker)
         app = CollectionApp(service, coverage=tracker)
         top = _max_known(infer_pipeline, "chrome")
-        _request(app, "POST", "/collect", self._wire(top + 1, "cov-6"))
-        status, _, body = _request(app, "GET", "/metrics")
+        service.score_wire(self._wire(top + 1, "cov-6"))
+        status, _, body = app.handle("GET", "/metrics")
         assert status == "200 OK"
         text = body.decode("utf-8")
         assert 'polygraph_unknown_ua_total{vendor="chrome"} 1' in text
@@ -454,26 +453,3 @@ class TestLedgerBlindWindow:
         assert len(rebuilt) == 1
         assert rebuilt.summary()["unknown_ua_sessions"] == 0
         assert rebuilt.summary()["unknown_ua_detection_rate"] is None
-
-
-def _request(app, method, path, body=b""):
-    captured = {}
-
-    def start_response(status, headers):
-        captured["status"] = status
-        captured["headers"] = dict(headers)
-
-    from wsgiref.util import setup_testing_defaults
-
-    environ = {}
-    setup_testing_defaults(environ)
-    environ.update(
-        {
-            "REQUEST_METHOD": method,
-            "PATH_INFO": path,
-            "CONTENT_LENGTH": str(len(body)),
-            "wsgi.input": io.BytesIO(body),
-        }
-    )
-    chunks = app(environ, start_response)
-    return captured["status"], captured["headers"], b"".join(chunks)

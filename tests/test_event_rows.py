@@ -41,7 +41,7 @@ from tests.event_shapes import (
     traffic,
     validator_state,
 )
-from tests.test_async_ingest import _parent_render_event
+from tests.parent_render import parent_render_event
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -244,14 +244,12 @@ class TestTheRowPathIsTheBytesPath:
             # Without a memo every event goes by its spliced wire.
             bytes_side._envelopes._memo = _NothingSticks()
             rows_side._envelopes = _Counting(taken)
-            front = AsyncIngestServer(
-                by_rows, CollectionApp(by_rows, sessions=rows_side)
-            )
+            front = AsyncIngestServer(CollectionApp(by_rows, sessions=rows_side))
             got, expected = [], []
             for batch in cut_batches(wires, drawn["cuts"]):
                 got += front._observe_batch(batch)
                 expected += [
-                    _parent_render_event(o) for o in bytes_side.observe_many(batch)
+                    parent_render_event(o) for o in bytes_side.observe_many(batch)
                 ]
             assert got == expected, first_difference(got, expected)
             assert sessions_state(rows_side) == sessions_state(bytes_side)
@@ -289,10 +287,9 @@ class TestTheRowPathIsTheBytesPath:
                     pass
             rows_taken[name] = sum(len(row) > 1 for row in parsed)
             rows_side._envelopes._memo.clear()
-            got = AsyncIngestServer(
-                by_rows, CollectionApp(by_rows, sessions=rows_side)
-            )._observe_batch(wires)
-            expected = [_parent_render_event(o) for o in bytes_side.observe_many(wires)]
+            app = CollectionApp(by_rows, sessions=rows_side)
+            got = AsyncIngestServer(app)._observe_batch(wires)
+            expected = [parent_render_event(o) for o in bytes_side.observe_many(wires)]
             assert got == expected, (name, first_difference(got, expected))
             assert sessions_state(rows_side) == sessions_state(bytes_side), name
             assert state(by_rows) == state(by_bytes), name

@@ -1,6 +1,6 @@
-"""Detection explanations and the WSGI collection endpoint."""
+"""Detection explanations and the collection endpoint."""
 
-import io
+import http.client
 import json
 
 import numpy as np
@@ -13,6 +13,7 @@ from repro.fingerprint.collector import FingerprintCollector
 from repro.fingerprint.script import CollectionScript
 from repro.fraudbrowsers.base import FraudProfile
 from repro.fraudbrowsers.catalog import fraud_browser
+from repro.service.aingest import AsyncIngestServer
 from repro.service.api import CollectionApp
 from repro.service.ingest import PayloadValidator
 from repro.service.scoring import ScoringService
@@ -76,67 +77,50 @@ class TestExplain:
             explain_detection(ClusterModel(), np.zeros(28), "chrome-112")
 
 
-def _request(app, method, path, body=b""):
-    captured = {}
-
-    def start_response(status, headers):
-        captured["status"] = status
-        captured["headers"] = dict(headers)
-
-    from wsgiref.util import setup_testing_defaults
-
-    environ = {}
-    setup_testing_defaults(environ)
-    environ.update(
-        {
-            "REQUEST_METHOD": method,
-            "PATH_INFO": path,
-            "QUERY_STRING": "",
-            "CONTENT_LENGTH": str(len(body)),
-            "wsgi.input": io.BytesIO(body),
-        }
-    )
-    chunks = app(environ, start_response)
+def _request(server, method, path, body=b""):
+    """One request to the running front end: status line, headers, body."""
+    connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
     try:
-        payload = b"".join(chunks)
+        connection.request(method, path, body=body)
+        response = connection.getresponse()
+        status = f"{response.status} {response.reason}"
+        return status, dict(response.getheaders()), response.read()
     finally:
-        close = getattr(chunks, "close", None)  # PEP 3333
-        if close is not None:
-            close()
-    return captured["status"], captured["headers"], payload
+        connection.close()
+
+
+@pytest.fixture(scope="module")
+def server(trained):
+    service = ScoringService(trained, validator=PayloadValidator(dedup_window=0))
+    with AsyncIngestServer(CollectionApp(service), port=0) as running:
+        yield running
+
+
+def _wire(session_id="api-1"):
+    profile = BrowserProfile(Vendor.CHROME, 112)
+    return CollectionScript().run(
+        profile.environment(), profile.user_agent(), session_id
+    ).to_wire()
 
 
 class TestCollectionApp:
-    @pytest.fixture(scope="class")
-    def app(self, trained):
-        service = ScoringService(
-            trained, validator=PayloadValidator(dedup_window=0)
-        )
-        return CollectionApp(service)
-
-    def _wire(self, session_id="api-1"):
-        profile = BrowserProfile(Vendor.CHROME, 112)
-        return CollectionScript().run(
-            profile.environment(), profile.user_agent(), session_id
-        ).to_wire()
-
-    def test_collect_accepts_genuine_payload(self, app):
-        status, headers, body = _request(app, "POST", "/collect", self._wire())
+    def test_collect_accepts_genuine_payload(self, server):
+        status, headers, body = _request(server, "POST", "/collect", _wire())
         assert status == "202 Accepted"
         document = json.loads(body)
         assert document["accepted"] and not document["flagged"]
         assert headers["Content-Type"] == "application/json"
 
-    def test_collect_rejects_garbage(self, app):
-        status, _, body = _request(app, "POST", "/collect", b"not json")
+    def test_collect_rejects_garbage(self, server):
+        status, _, body = _request(server, "POST", "/collect", b"not json")
         assert status == "400 Bad Request"
         assert json.loads(body)["reject_reason"] == "malformed"
 
-    def test_collect_rejects_empty_body(self, app):
-        status, _, _ = _request(app, "POST", "/collect", b"")
+    def test_collect_rejects_empty_body(self, server):
+        status, _, _ = _request(server, "POST", "/collect", b"")
         assert status == "400 Bad Request"
 
-    def test_collect_flags_fraud(self, app):
+    def test_collect_flags_fraud(self, server):
         from repro.browsers.useragent import format_user_agent, parse_user_agent
 
         product = fraud_browser("GoLogin-3.3.23")
@@ -148,67 +132,38 @@ class TestCollectionApp:
             victim,
             "api-fraud",
         )
-        status, _, body = _request(app, "POST", "/collect", payload.to_wire())
+        status, _, body = _request(server, "POST", "/collect", payload.to_wire())
         assert status == "202 Accepted"
         document = json.loads(body)
         assert document["flagged"] and document["risk_factor"] == 20
 
-    def test_health_endpoint(self, app):
-        status, _, body = _request(app, "GET", "/health")
+    def test_health_endpoint(self, server):
+        status, _, body = _request(server, "GET", "/health")
         assert status == "200 OK"
         document = json.loads(body)
         assert document["status"] == "ok"
         assert document["clusters"] == 11
 
-    def test_metrics_endpoint(self, app):
-        status, headers, body = _request(app, "GET", "/metrics")
+    def test_metrics_endpoint(self, server):
+        status, headers, body = _request(server, "GET", "/metrics")
         assert status == "200 OK"
         text = body.decode()
         assert "polygraph_sessions_scored" in text
         assert "polygraph_payloads_rejected" in text
         assert headers["Content-Type"].startswith("text/plain")
 
-    def test_unknown_route(self, app):
-        status, _, _ = _request(app, "GET", "/nope")
+    def test_unknown_route(self, server):
+        status, _, _ = _request(server, "GET", "/nope")
         assert status == "404 Not Found"
-
-    def test_runs_under_wsgiref(self, app):
-        from wsgiref.validate import validator as wsgi_validator
-
-        status, _, body = _request(
-            wsgi_validator(app), "POST", "/collect", self._wire("api-val")
-        )
-        assert status == "202 Accepted"
 
 
 class TestHttpRoundtrip:
-    def test_real_http_server(self, trained):
-        """Serve the WSGI app on a real socket and POST a payload."""
-        import http.client
-        import threading
-        from wsgiref.simple_server import WSGIRequestHandler, make_server
-
-        class QuietHandler(WSGIRequestHandler):
-            def log_message(self, *args):  # silence request logging
-                pass
-
-        service = ScoringService(
-            trained, validator=PayloadValidator(dedup_window=0)
-        )
-        server = make_server(
-            "127.0.0.1", 0, CollectionApp(service), handler_class=QuietHandler
-        )
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+    def test_real_http_server(self, server):
+        """POST a payload, then GET /health, on one keep-alive connection."""
+        connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=5)
         try:
-            port = server.server_address[1]
-            profile = BrowserProfile(Vendor.CHROME, 112)
-            wire = CollectionScript().run(
-                profile.environment(), profile.user_agent(), "http-1"
-            ).to_wire()
-            connection = http.client.HTTPConnection("127.0.0.1", port, timeout=5)
             connection.request(
-                "POST", "/collect", body=wire,
+                "POST", "/collect", body=_wire("http-1"),
                 headers={"Content-Type": "application/json"},
             )
             response = connection.getresponse()
@@ -220,8 +175,5 @@ class TestHttpRoundtrip:
             health = connection.getresponse()
             assert health.status == 200
             assert json.loads(health.read())["clusters"] == 11
-            connection.close()
         finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
+            connection.close()

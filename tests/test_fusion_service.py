@@ -1,6 +1,5 @@
 """The fusion serving path: policy, guardrails, service, API, CLI."""
 
-import io
 import json
 
 import pytest
@@ -294,29 +293,6 @@ class TestScoringServiceFusion:
 # HTTP surface
 
 
-def _request(app, method, path, body=b""):
-    captured = {}
-
-    def start_response(status, headers):
-        captured["status"] = status
-        captured["headers"] = dict(headers)
-
-    from wsgiref.util import setup_testing_defaults
-
-    environ = {}
-    setup_testing_defaults(environ)
-    environ.update(
-        {
-            "REQUEST_METHOD": method,
-            "PATH_INFO": path,
-            "CONTENT_LENGTH": str(len(body)),
-            "wsgi.input": io.BytesIO(body),
-        }
-    )
-    chunks = app(environ, start_response)
-    return captured["status"], captured["headers"], b"".join(chunks)
-
-
 class TestFusionEndpoints:
     @pytest.fixture(scope="class")
     def app(self, trained, fusion_model):
@@ -335,17 +311,17 @@ class TestFusionEndpoints:
 
     def test_check_without_fusion_is_404(self, trained):
         app = CollectionApp(ScoringService(trained))
-        status, _, body = _request(app, "POST", "/check", b"{}")
+        status, _, body = app.handle("POST", "/check", b"{}")
         assert status == "404 Not Found"
         assert json.loads(body)["error"] == "fusion not enabled"
-        status, _, _ = _request(app, "GET", "/fusion")
+        status, _, _ = app.handle("GET", "/fusion")
         assert status == "404 Not Found"
 
     def test_check_returns_fused_verdict(self, app, small_dataset):
         body = self._envelope(
             small_dataset, day="2023-06-01", untrusted_ip=True
         )
-        status, _, response = _request(app, "POST", "/check", body)
+        status, _, response = app.handle("POST", "/check", body)
         assert status == "200 OK"
         document = json.loads(response)
         assert document["accepted"]
@@ -355,12 +331,12 @@ class TestFusionEndpoints:
 
     def test_check_rejects_bad_day(self, app, small_dataset):
         body = self._envelope(small_dataset, day="not-a-date")
-        status, _, response = _request(app, "POST", "/check", body)
+        status, _, response = app.handle("POST", "/check", body)
         assert status == "400 Bad Request"
         assert json.loads(response)["error"] == "bad day"
 
     def test_check_rejects_malformed_body(self, app):
-        status, _, response = _request(app, "POST", "/check", b"not json")
+        status, _, response = app.handle("POST", "/check", b"not json")
         assert status == "400 Bad Request"
         assert json.loads(response)["error"] == "malformed body"
 
@@ -379,13 +355,13 @@ class TestFusionEndpoints:
         ids=["nested-brackets", "overflow"],
     )
     def test_check_answers_a_hostile_body_400(self, app, body, error):
-        status, _, response = _request(app, "POST", "/check", body)
+        status, _, response = app.handle("POST", "/check", body)
         assert status == "400 Bad Request"
         if error is not None:
             assert json.loads(response)["error"] == error
 
     def test_fusion_status_endpoint(self, app):
-        status, _, body = _request(app, "GET", "/fusion")
+        status, _, body = app.handle("GET", "/fusion")
         assert status == "200 OK"
         document = json.loads(body)
         assert document["enabled"]
@@ -393,10 +369,10 @@ class TestFusionEndpoints:
         assert document["model"]["nodes"] > 0
 
     def test_metrics_include_fusion_counters(self, app, small_dataset):
-        _request(
-            app, "POST", "/check", self._envelope(small_dataset, idx=1)
+        app.handle(
+            "POST", "/check", self._envelope(small_dataset, idx=1)
         )
-        status, _, body = _request(app, "GET", "/metrics")
+        status, _, body = app.handle("GET", "/metrics")
         assert status == "200 OK"
         text = body.decode("utf-8")
         assert "polygraph_fusion_enabled 1" in text

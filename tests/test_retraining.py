@@ -2,6 +2,7 @@
 
 import json
 from datetime import date
+from pathlib import Path
 
 import pytest
 
@@ -120,10 +121,27 @@ class TestModelRegistry:
         registry.promote(trained, date(2023, 7, 1), "v1")
         index_path = tmp_path / "registry.json"
         index = json.loads(index_path.read_text())
+        digest = index[0]["sha256"]
         index[0]["sha256"] = "0" * 64  # index no longer matches the file
         index_path.write_text(json.dumps(index, indent=2))
-        with pytest.raises(ValueError, match="digest"):
+        with pytest.raises(UnreadableFileError, match="digest") as raised:
             registry.load(1)
+        message = str(raised.value)
+        assert message.startswith(f"{tmp_path / 'model-v001.json'}: ")
+        assert "0" * 12 in message and digest[:12] in message
+
+    def test_a_load_parses_the_model_file_once(self, trained, tmp_path, monkeypatch):
+        registry = ModelRegistry(tmp_path)
+        registry.promote(trained, date(2023, 7, 1), "v1")
+        read, reads = Path.read_bytes, []
+
+        def counting(path):
+            reads.append(path)
+            return read(path)
+
+        monkeypatch.setattr(Path, "read_bytes", counting)
+        registry.load()
+        assert reads.count(tmp_path / "model-v001.json") == 1
 
 
     def test_torn_index_is_a_typed_error_naming_the_file(self, trained, tmp_path):

@@ -948,25 +948,15 @@ class TestMetricsAndEndpoint:
         runtime = _runtime(registry)
         manager = _manager(registry, runtime, tmp_path)
 
-        def get(app, path):
-            captured = {}
-
-            def start_response(status, headers):
-                captured["status"] = status
-
-            body = b"".join(
-                app({"REQUEST_METHOD": "GET", "PATH_INFO": path}, start_response)
-            )
-            return captured["status"], json.loads(body.decode())
-
         try:
             app = CollectionApp(runtime)
-            status, body = get(app, "/rollout")
+            status, _, body = app.handle("GET", "/rollout")
             assert status.startswith("404")
 
             manager.start(2, salt=SALT)
-            status, body = get(app, "/rollout")
+            status, _, body = app.handle("GET", "/rollout")
             assert status.startswith("200")
+            body = json.loads(body)
             assert body["status"] == SHADOW
             assert body["candidate_version"] == 2
             assert body["baseline_version"] == 1

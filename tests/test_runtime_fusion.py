@@ -13,7 +13,6 @@ and through the session layer's sticky ``fused_verdict``.
 from __future__ import annotations
 
 import dataclasses
-import io
 import itertools
 import json
 from datetime import date
@@ -113,17 +112,10 @@ def _fields(verdict) -> dict:
 
 def _check(app, body: bytes):
     """``POST /check`` through the app: status and document, no latency."""
-    environ = {
-        "REQUEST_METHOD": "POST",
-        "PATH_INFO": "/check",
-        "CONTENT_LENGTH": str(len(body)),
-        "wsgi.input": io.BytesIO(body),
-    }
-    statuses = []
-    payload = b"".join(app(environ, lambda status, headers: statuses.append(status)))
+    status, _, payload = app.handle("POST", "/check", body)
     document = json.loads(payload)
     document.pop("latency_ms", None)
-    return statuses[0], document
+    return status, document
 
 
 _ITEM = st.tuples(

@@ -2,7 +2,6 @@
 
 import copy
 import dataclasses
-import io
 import itertools
 import json
 import sys
@@ -25,8 +24,8 @@ from repro.coverage import CoverageConfig, CoverageTracker
 from repro.fingerprint.script import MAX_PAYLOAD_BYTES, CollectionScript
 from repro.rollout import GuardrailConfig, RolloutConfig, RolloutManager
 from repro.runtime.service import RuntimeConfig, RuntimeScoringService
+from repro.service.aingest import _MAX_BODY as API_MAX_BODY
 from repro.service.api import CollectionApp
-from repro.service.api import _MAX_BODY as API_MAX_BODY
 from repro.service.ingest import PayloadValidator, RejectReason
 from repro.service.scoring import ScoringService
 from repro.service.storage import SessionStore
@@ -868,7 +867,8 @@ class TestLifecycle:
 
 class TestMetricsExposure:
     def test_api_body_cap_is_wire_contract_cap(self):
-        assert API_MAX_BODY == MAX_PAYLOAD_BYTES
+        # The wire contract's cap plus the /event and /check envelopes' allowance.
+        assert API_MAX_BODY == MAX_PAYLOAD_BYTES + 128
 
     def test_metrics_endpoint_includes_runtime(self, trained):
         service = RuntimeScoringService(trained).start()
@@ -876,10 +876,8 @@ class TestMetricsExposure:
         try:
             wire = _wire("metrics-1")
             for sid in ("metrics-1", "metrics-2", "metrics-3"):
-                app_wire = wire.replace(b"metrics-1", sid.encode())
-                status, _, _ = _wsgi(app, "POST", "/collect", app_wire)
-                assert status == "202 Accepted"
-            status, _, body = _wsgi(app, "GET", "/metrics")
+                assert service.score_wire(wire.replace(b"metrics-1", sid.encode())).accepted
+            status, _, body = app.handle("GET", "/metrics")
         finally:
             service.shutdown()
         assert status == "200 OK"
@@ -896,29 +894,6 @@ class TestMetricsExposure:
 
     def test_per_request_service_has_no_runtime_lines(self, trained):
         app = CollectionApp(ScoringService(trained))
-        status, _, body = _wsgi(app, "GET", "/metrics")
+        status, _, body = app.handle("GET", "/metrics")
         assert status == "200 OK"
         assert "polygraph_runtime_" not in body.decode()
-
-
-def _wsgi(app, method, path, body=b""):
-    captured = {}
-
-    def start_response(status, headers):
-        captured["status"] = status
-        captured["headers"] = dict(headers)
-
-    from wsgiref.util import setup_testing_defaults
-
-    environ = {}
-    setup_testing_defaults(environ)
-    environ.update(
-        {
-            "REQUEST_METHOD": method,
-            "PATH_INFO": path,
-            "CONTENT_LENGTH": str(len(body)),
-            "wsgi.input": io.BytesIO(body),
-        }
-    )
-    chunks = app(environ, start_response)
-    return captured["status"], captured["headers"], b"".join(chunks)

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
-import io
 import itertools
 import json
 import sys
 import threading
 from collections import OrderedDict
+from urllib.request import urlopen
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from hypothesis import given, settings
 
 from repro.core.pipeline import BrowserPolygraph
 from repro.runtime.service import RuntimeScoringService
+from repro.service.aingest import AsyncIngestServer
 from repro.service.api import CollectionApp
 from repro.service.scoring import ScoringService
 from repro.sessions import (
@@ -697,9 +698,9 @@ class TestEnvelopeParser:
         handed = []
 
         class Recording(ScoringService):
-            def score_wire(self, wire, day=None, tags=None):
-                handed.append(wire)
-                return super().score_wire(wire, day=day, tags=tags)
+            def score_rows(self, wires, rows, found, day=None):
+                handed.extend(wires)
+                return super().score_rows(wires, rows, found, day=day)
 
         sessions = SessionScoringService(Recording(trained), ttl_seconds=1e9)
         one_shot = ScoringService(trained)
@@ -959,19 +960,8 @@ class TestSessionEventLog:
 
 
 def _call(app, method, path, body=b""):
-    captured = {}
-
-    def start_response(status, headers):
-        captured["status"] = status
-
-    environ = {
-        "REQUEST_METHOD": method,
-        "PATH_INFO": path,
-        "CONTENT_LENGTH": str(len(body)),
-        "wsgi.input": io.BytesIO(body),
-    }
-    chunks = app(environ, start_response)
-    return captured["status"], json.loads(b"".join(chunks))
+    status, _, payload = app.handle(method, path, body)
+    return status, json.loads(payload)
 
 
 class TestSessionEndpoints:
@@ -984,17 +974,20 @@ class TestSessionEndpoints:
 
     def test_event_endpoint_round_trip(self, app, streams):
         stream = next(s for s in streams if len(s.events) >= 2)
-        for event in stream.events:
-            status, document = _call(app, "POST", "/event", event.to_wire())
-            assert status == "202 Accepted", document
-            assert document["session_id"] == stream.session_id
-            assert document["event_seq"] == event.seq
+        with AsyncIngestServer(app, port=0) as server:
+            for event in stream.events:
+                url = f"http://127.0.0.1:{server.port}/event"
+                with urlopen(url, data=event.to_wire(), timeout=10) as response:
+                    assert response.status == 202
+                    document = json.loads(response.read())
+                assert document["session_id"] == stream.session_id
+                assert document["event_seq"] == event.seq
         status, document = _call(app, "GET", f"/session/{stream.session_id}")
         assert status == "200 OK"
         assert document["event_count"] == len(stream.events)
 
     def test_sessions_status_endpoint(self, app, streams):
-        _call(app, "POST", "/event", streams[0].first.to_wire())
+        app.sessions.observe_wire(streams[0].first.to_wire())
         status, document = _call(app, "GET", "/sessions")
         assert status == "200 OK"
         assert document["events_total"] >= 1
@@ -1018,14 +1011,9 @@ class TestSessionEndpoints:
             assert "session" in document["error"]
 
     def test_metrics_include_session_registry(self, app, streams):
-        _call(app, "POST", "/event", streams[0].first.to_wire())
-        captured = {}
-
-        def start_response(status, headers):
-            captured["status"] = status
-
-        environ = {"REQUEST_METHOD": "GET", "PATH_INFO": "/metrics"}
-        body = b"".join(app(environ, start_response)).decode()
-        assert captured["status"] == "200 OK"
+        app.sessions.observe_wire(streams[0].first.to_wire())
+        status, _, body = app.handle("GET", "/metrics")
+        body = body.decode()
+        assert status == "200 OK"
         assert "polygraph_session_active" in body
         assert "polygraph_session_events_total" in body
