@@ -23,7 +23,7 @@ from repro.ml.metrics import (
 )
 from repro.traffic.dataset import Dataset
 
-__all__ = ["anonymity_figure", "feature_entropy_table", "unique_fingerprint_share"]
+__all__ = ["anonymity_figure", "feature_entropy_table"]
 
 
 def _fingerprints(dataset: Dataset) -> List[Tuple]:
@@ -33,12 +33,6 @@ def _fingerprints(dataset: Dataset) -> List[Tuple]:
 def anonymity_figure(dataset: Dataset) -> Dict[str, float]:
     """Percentage of fingerprints per anonymity-set-size bucket (Fig 5)."""
     return anonymity_survey(_fingerprints(dataset))
-
-
-def unique_fingerprint_share(dataset: Dataset) -> float:
-    """Fraction of fingerprints that are unique in the dataset."""
-    survey = anonymity_figure(dataset)
-    return survey.get("1", 0.0) / 100.0
 
 
 def feature_entropy_table(

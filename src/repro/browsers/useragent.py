@@ -121,18 +121,21 @@ def parse_user_agent(raw: str) -> ParsedUserAgent:
     if not raw or not raw.strip():
         raise UserAgentError("empty user-agent string")
 
-    match = _EDGEHTML_RE.search(raw)
-    if match:
-        return ParsedUserAgent(Vendor.EDGE, int(match.group(1)), raw)
-    match = _EDG_RE.search(raw)
-    if match:
-        return ParsedUserAgent(Vendor.EDGE, int(match.group(1)), raw)
-    match = _FIREFOX_RE.search(raw)
-    if match:
-        return ParsedUserAgent(Vendor.FIREFOX, int(match.group(1)), raw)
-    match = _CHROME_RE.search(raw)
-    if match:
-        return ParsedUserAgent(Vendor.CHROME, int(match.group(1)), raw)
+    for pattern, vendor in (
+        (_EDGEHTML_RE, Vendor.EDGE),
+        (_EDG_RE, Vendor.EDGE),
+        (_FIREFOX_RE, Vendor.FIREFOX),
+        (_CHROME_RE, Vendor.CHROME),
+    ):
+        match = pattern.search(raw)
+        if match:
+            version = int(match.group(1))
+            # A version-0 key would not parse back (parse_ua_key builds
+            # its string with format_user_agent, which refuses 0), so
+            # every path reads such a user-agent as unparseable.
+            if version <= 0:
+                raise UserAgentError(f"version must be positive in {raw[:120]!r}")
+            return ParsedUserAgent(vendor, version, raw)
     raise UserAgentError(f"unrecognized user-agent: {raw[:120]!r}")
 
 

@@ -607,6 +607,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     endpoints = (
         "POST /collect, GET /health, GET /metrics, GET /rollout, GET /cluster"
     )
+    event_log = None
+    if args.session_ttl is not None and args.session_log:
+        from repro.sessions import SessionEventLog
+
+        try:
+            event_log = SessionEventLog(args.session_log)
+        except (UnreadableFileError, OSError) as exc:
+            print(f"serve: cannot read session log: {exc}", file=sys.stderr)
+            return 2
     if args.shards:
         from repro.cluster import ShardError
 
@@ -671,9 +680,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             endpoints += ", POST /check, GET /fusion"
     sessions = None
     if args.session_ttl is not None:
-        from repro.sessions import SessionEventLog, SessionScoringService
+        from repro.sessions import SessionScoringService
 
-        event_log = SessionEventLog(args.session_log) if args.session_log else None
         sessions = SessionScoringService(
             service,
             event_log=event_log,
@@ -723,6 +731,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             manager.save()
             manager.close()
         service.shutdown(drain=True)
+        if event_log is not None:
+            event_log.seal()  # the events still buffered, on disk
     return 0
 
 

@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Sequence, Union
 from repro.cluster.ring import HashRing
 from repro.cluster.transport import ShmSlab, ShmTransport, attach_slab_views
 from repro.core.pipeline import BrowserPolygraph
-from repro.durable import read_json
+from repro.durable import UnreadableFileError, read_json
 from repro.fingerprint.features import N_FEATURES
 from repro.runtime.service import RuntimeConfig, RuntimeScoringService
 from repro.service.scoring import Verdict
@@ -103,18 +103,6 @@ class ShardStatus:
     queue_depth_peak: int = 0
 
 
-def _verify_replica(path: Path, expected_digest: Optional[str]) -> None:
-    """Refuse a replica whose bytes do not match the recorded digest."""
-    if expected_digest is None:
-        return
-    on_disk = read_json(path).get("sha256")
-    if on_disk is not None and on_disk != expected_digest:
-        raise ShardError(
-            f"replica digest mismatch for {path.name}: expected "
-            f"{expected_digest[:12]}..., file carries {on_disk[:12]}..."
-        )
-
-
 # ----------------------------------------------------------------------
 # thread backend
 
@@ -140,8 +128,11 @@ class ThreadShard:
         self.model_path = Path(model_path)
         self.runtime_config = runtime_config
         self.model_version = model_version
-        _verify_replica(self.model_path, expected_digest)
-        self.polygraph = BrowserPolygraph.load(self.model_path)
+        try:
+            # One parse: the load checks the recorded digest itself.
+            self.polygraph = BrowserPolygraph.load(self.model_path, expected_digest)
+        except UnreadableFileError as exc:
+            raise ShardError(f"replica refused: {exc}") from exc
         self.service: Optional[RuntimeScoringService] = None
         # Cluster-shared CoverageTracker (set by the supervisor); every
         # (re)started runtime re-attaches it.
@@ -343,7 +334,15 @@ class ProcessShard:
         self.model_path = Path(model_path)
         self.runtime_config = runtime_config
         self.model_version = model_version
-        _verify_replica(self.model_path, expected_digest)
+        if expected_digest is not None:
+            # Parent-side check: the child loads the replica on its own.
+            on_disk = read_json(self.model_path).get("sha256")
+            if on_disk not in (None, expected_digest):
+                raise ShardError(
+                    f"replica digest mismatch for {self.model_path.name}: "
+                    f"expected {expected_digest[:12]}..., file carries "
+                    f"{on_disk[:12]}..."
+                )
         self.ring_slots = ring_slots
         methods = multiprocessing.get_all_start_methods()
         self._ctx = multiprocessing.get_context(

@@ -26,7 +26,7 @@ from repro.core.pipeline import BrowserPolygraph
 from repro.core.preprocessing import Preprocessor
 from repro.core.retraining import ModelRegistry, RetrainingOrchestrator
 from repro.core.risk import risk_factor, user_agent_distance
-from repro.core.sampling import stratified_sample, stratum_counts
+from repro.core.sampling import stratified_sample
 
 __all__ = [
     "BrowserPolygraph",
@@ -44,6 +44,5 @@ __all__ = [
     "explain_detection",
     "risk_factor",
     "stratified_sample",
-    "stratum_counts",
     "user_agent_distance",
 ]

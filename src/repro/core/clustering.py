@@ -136,10 +136,6 @@ class ClusterModel:
         """Table cluster of a user-agent, or ``None`` if unknown."""
         return self.ua_to_cluster.get(ua_key)
 
-    def cluster_members(self, cluster: int) -> List[str]:
-        """User-agent keys assigned to ``cluster`` (possibly empty)."""
-        return list(self.cluster_table.get(int(cluster), []))
-
     def reference_vector(self, ua_key: str) -> Optional[np.ndarray]:
         """Lab fingerprint of a pristine install of ``ua_key``."""
         try:

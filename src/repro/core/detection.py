@@ -239,10 +239,15 @@ class FraudDetector:
     # ------------------------------------------------------------------
 
     def _parse(self, user_agent: str) -> Optional[ParsedUserAgent]:
+        # A ``vendor-version`` key, else a raw user-agent string read as
+        # the wire contract reads it (a prefix other than ``Mozilla/``
+        # does not make a parseable string unparseable).
         try:
-            if user_agent.startswith("Mozilla/"):
-                return parse_user_agent(user_agent)
             return parse_ua_key(user_agent)
+        except UserAgentError:
+            pass
+        try:
+            return parse_user_agent(user_agent)
         except UserAgentError:
             return None
 

@@ -20,15 +20,7 @@ import numpy as np
 
 from repro.traffic.dataset import Dataset
 
-__all__ = ["stratified_sample", "stratum_counts"]
-
-
-def stratum_counts(dataset: Dataset) -> Dict[str, int]:
-    """Sessions per user-agent stratum."""
-    counts: Dict[str, int] = defaultdict(int)
-    for key in dataset.ua_keys:
-        counts[str(key)] += 1
-    return dict(counts)
+__all__ = ["stratified_sample"]
 
 
 def stratified_sample(

@@ -178,11 +178,6 @@ class CoverageTracker:
         with self._lock:
             return str(ua_key) in self._known_keys
 
-    @property
-    def known_release_count(self) -> int:
-        with self._lock:
-            return len(self._known_keys)
-
     # -- observation feed ---------------------------------------------
 
     def observe(

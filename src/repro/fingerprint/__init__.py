@@ -26,7 +26,6 @@ from repro.fingerprint.features import (
     TIME_FEATURES,
     FeatureSpec,
     deviation_feature_indices,
-    time_feature_indices,
 )
 from repro.fingerprint.script import CollectionScript, FingerprintPayload
 
@@ -43,5 +42,4 @@ __all__ = [
     "deviation_feature_indices",
     "generate_candidates",
     "time_based_features",
-    "time_feature_indices",
 ]

@@ -47,12 +47,6 @@ class FingerprintCollector:
                 )
         return values
 
-    def collect_many(self, environments: Sequence[JSEnvironment]) -> np.ndarray:
-        """Stack fingerprints of several environments into a matrix."""
-        if not environments:
-            raise ValueError("no environments to collect from")
-        return np.vstack([self.collect(env) for env in environments])
-
     def feature_names(self) -> tuple:
         """The JavaScript expressions, in column order."""
         return tuple(spec.name for spec in self.specs)

@@ -23,7 +23,6 @@ __all__ = [
     "N_TIME",
     "TIME_FEATURES",
     "deviation_feature_indices",
-    "time_feature_indices",
 ]
 
 
@@ -116,8 +115,3 @@ N_FEATURES = len(FEATURE_SPECS)
 def deviation_feature_indices() -> List[int]:
     """Column indices of the deviation-based features (to be scaled)."""
     return [i for i, spec in enumerate(FEATURE_SPECS) if spec.kind == "deviation"]
-
-
-def time_feature_indices() -> List[int]:
-    """Column indices of the binary time-based features."""
-    return [i for i, spec in enumerate(FEATURE_SPECS) if spec.kind == "time"]

@@ -83,13 +83,6 @@ class FingerprintPayload:
         """Payload size on the wire."""
         return len(self.to_wire())
 
-    def within_budget(self) -> bool:
-        """Whether this payload meets both FinOrg constraints."""
-        return (
-            self.size_bytes <= MAX_PAYLOAD_BYTES
-            and self.service_time_ms <= MAX_SERVICE_TIME_MS
-        )
-
     def vector(self) -> np.ndarray:
         """Feature values as an int vector."""
         return np.asarray(self.values, dtype=np.int32)

@@ -23,7 +23,6 @@ from repro.fraudbrowsers.base import Category, FraudBrowser, FraudProfile
 from repro.fraudbrowsers.catalog import (
     FRAUD_BROWSERS,
     fraud_browser,
-    fraud_browsers_in_category,
 )
 from repro.fraudbrowsers.namespace_probe import MarkerHit, scan_environment, scan_globals
 from repro.fraudbrowsers.profiles import build_experiment_profiles
@@ -36,7 +35,6 @@ __all__ = [
     "MarkerHit",
     "build_experiment_profiles",
     "fraud_browser",
-    "fraud_browsers_in_category",
     "scan_environment",
     "scan_globals",
 ]

@@ -21,7 +21,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.browsers.releases import engine_for_vendor
-from repro.browsers.useragent import ParsedUserAgent, Vendor
+from repro.browsers.useragent import ParsedUserAgent
 from repro.jsengine.environment import JSEnvironment
 from repro.jsengine.evolution import Engine, EvolutionModel, default_model
 
@@ -154,13 +154,6 @@ class FraudBrowser:
             model=model,
             count_adjustments=adjustments,
         )
-
-    def claimable_vendors(self) -> Tuple[Vendor, ...]:
-        """Vendors the product's profile editor offers."""
-        if self.supports_custom_ua:
-            return (Vendor.CHROME, Vendor.EDGE, Vendor.FIREFOX)
-        return (Vendor.CHROME,)
-
 
 def hash_seed(text: str) -> int:
     """Stable non-salted hash for seeding per-product generators."""

@@ -8,11 +8,11 @@ its recall is lowest in Table 5).
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 from repro.fraudbrowsers.base import Category, FraudBrowser
 
-__all__ = ["FRAUD_BROWSERS", "fraud_browser", "fraud_browsers_in_category"]
+__all__ = ["FRAUD_BROWSERS", "fraud_browser"]
 
 FRAUD_BROWSERS: Tuple[FraudBrowser, ...] = (
     FraudBrowser(
@@ -48,8 +48,3 @@ def fraud_browser(full_name: str) -> FraudBrowser:
         if browser.full_name == full_name or browser.name == full_name:
             return browser
     raise KeyError(f"unknown fraud browser: {full_name!r}")
-
-
-def fraud_browsers_in_category(category: Category) -> List[FraudBrowser]:
-    """All products of one behavioural category."""
-    return [b for b in FRAUD_BROWSERS if b.category is category]

@@ -11,29 +11,23 @@ The fusion trainer is the one legitimate consumer: label propagation
 tags, by design.  To keep that boundary auditable, all fusion code
 reads tags through :func:`weak_labels` / :class:`WeakLabels` — and the
 tripwire in ``tests/test_tag_boundary.py`` replaces the raw columns
-with guards (:func:`with_guarded_tags`) and runs the full fit/detect
-path to prove the model-facing code never reads them.
+with guards that raise on any read and runs the full fit/detect path to
+prove the model-facing code never reads them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "WEAK_TAG_COLUMNS",
-    "WeakLabelLeak",
     "WeakLabels",
     "weak_labels",
-    "with_guarded_tags",
 ]
 
 WEAK_TAG_COLUMNS = ("untrusted_ip", "untrusted_cookie", "ato")
-
-
-class WeakLabelLeak(RuntimeError):
-    """A model-facing code path read a weak-tag column."""
 
 
 @dataclass(frozen=True)
@@ -69,45 +63,4 @@ def weak_labels(dataset) -> WeakLabels:
         untrusted_ip=np.asarray(dataset.untrusted_ip, dtype=bool).copy(),
         untrusted_cookie=np.asarray(dataset.untrusted_cookie, dtype=bool).copy(),
         ato=np.asarray(dataset.ato, dtype=bool).copy(),
-    )
-
-
-class _GuardedColumn:
-    """Stand-in for a tag column that detonates on any read.
-
-    Only ``shape`` survives (the dataset's alignment check needs it);
-    indexing, iteration, casting, or reduction raises
-    :class:`WeakLabelLeak` with the column name, so the tripwire test
-    points straight at the offending code path.
-    """
-
-    def __init__(self, name: str, length: int) -> None:
-        self._name = name
-        self.shape = (length,)
-
-    def _leak(self, *args, **kwargs):
-        raise WeakLabelLeak(
-            f"model-facing code read weak-tag column {self._name!r}; "
-            "only repro.fusion.labels.weak_labels may consume it"
-        )
-
-    __getitem__ = _leak
-    __iter__ = _leak
-    __array__ = _leak
-    __len__ = _leak
-    astype = _leak
-    sum = _leak
-    mean = _leak
-    tolist = _leak
-    copy = _leak
-
-
-def with_guarded_tags(dataset):
-    """A shallow dataset copy whose tag columns raise on access."""
-    n = len(dataset)
-    return replace(
-        dataset,
-        untrusted_ip=_GuardedColumn("untrusted_ip", n),
-        untrusted_cookie=_GuardedColumn("untrusted_cookie", n),
-        ato=_GuardedColumn("ato", n),
     )

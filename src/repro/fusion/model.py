@@ -322,56 +322,6 @@ class FusionModel:
         deltas = self.node_embeddings - embedding[None, :]
         return int(np.argmin(np.einsum("ij,ij->i", deltas, deltas)))
 
-    def score_dataset(self, dataset, labels: Optional[WeakLabels] = None) -> Dict:
-        """Vectorized second opinions over a dataset's rows.
-
-        ``labels`` supplies the infrastructure tags (via the sanctioned
-        accessor); omitted, all sessions score as trusted.  Returns
-        columns ``raw`` / ``probability`` / ``lift`` / ``matched``.
-        """
-        n = len(dataset)
-        if labels is None:
-            ip = np.zeros(n, dtype=bool)
-            cookie = np.zeros(n, dtype=bool)
-        else:
-            ip = labels.untrusted_ip
-            cookie = labels.untrusted_cookie
-        staleness = staleness_days(dataset.ua_keys, dataset.days)
-        buckets = staleness_bucket(staleness, self.config)
-        raw = np.empty(n, dtype=np.float64)
-        matched = np.zeros(n, dtype=bool)
-        misses = []
-        for row in range(n):
-            key = (
-                _fingerprint_digest(dataset.features[row]),
-                int(ip[row]),
-                int(cookie[row]),
-                int(buckets[row]),
-            )
-            node = self._node_of_key.get(key)
-            if node is None:
-                misses.append(row)
-                continue
-            matched[row] = True
-            raw[row] = self.node_scores[node]
-        for row in misses:
-            node = self._nearest_node(
-                dataset.features[row], bool(ip[row]), bool(cookie[row]),
-                int(buckets[row]),
-            )
-            raw[row] = self.node_scores[node]
-        probability = self.calibrator.transform(raw)
-        if self.base_rate > 0:
-            lift = probability / self.base_rate
-        else:
-            lift = np.zeros_like(probability)
-        return {
-            "raw": raw,
-            "probability": probability,
-            "lift": lift,
-            "matched": matched,
-        }
-
     # ------------------------------------------------------------------
     # persistence
 

@@ -276,10 +276,6 @@ class EvolutionModel:
     # ------------------------------------------------------------------
     # public queries
 
-    def knows_interface(self, interface: str) -> bool:
-        """Whether ``interface`` is part of the modeled catalog."""
-        return interface in self._profiles
-
     def property_count(self, interface: str, engine: Engine, version: int) -> int:
         """Own-property count of ``interface.prototype`` for a release.
 

@@ -194,10 +194,6 @@ class IsolationForest:
         scores = self.score_samples(matrix)
         return np.where(scores >= self.threshold_, -1, 1)
 
-    def inlier_mask(self, matrix: np.ndarray) -> np.ndarray:
-        """Boolean mask selecting the rows kept after outlier removal."""
-        return self.predict(matrix) == 1
-
     def _check_fitted(self) -> None:
         if not self.trees_:
             raise RuntimeError("IsolationForest is not fitted; call fit() first")

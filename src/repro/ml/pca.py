@@ -104,16 +104,6 @@ class PCA:
         """Equivalent to ``fit(matrix).transform(matrix)``."""
         return self.fit(matrix).transform(matrix)
 
-    def inverse_transform(self, projected: np.ndarray) -> np.ndarray:
-        """Map points from component space back to feature space."""
-        self._check_fitted()
-        data = np.asarray(projected, dtype=float)
-        if data.ndim != 2 or data.shape[1] != self.components_.shape[0]:
-            raise ValueError(
-                f"expected shape (n, {self.components_.shape[0]}), got {data.shape}"
-            )
-        return data @ self.components_ + self.mean_
-
     def cumulative_variance_ratio(self) -> np.ndarray:
         """Cumulative explained-variance curve (paper Figure 2)."""
         self._check_fitted()
@@ -122,16 +112,3 @@ class PCA:
     def _check_fitted(self) -> None:
         if self.components_ is None:
             raise RuntimeError("PCA is not fitted; call fit() first")
-
-
-def components_for_variance(matrix: np.ndarray, target_ratio: float) -> int:
-    """Smallest number of components whose cumulative variance reaches
-    ``target_ratio`` (used to pick 7 components at the 98.5% mark)."""
-    if not 0.0 < target_ratio <= 1.0:
-        raise ValueError("target_ratio must lie in (0, 1]")
-    pca = PCA().fit(matrix)
-    cumulative = pca.cumulative_variance_ratio()
-    hits = np.nonzero(cumulative >= target_ratio - 1e-12)[0]
-    if hits.size == 0:
-        return int(cumulative.size)
-    return int(hits[0]) + 1

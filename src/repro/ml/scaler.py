@@ -77,16 +77,6 @@ class StandardScaler:
         """Equivalent to ``fit(matrix).transform(matrix)``."""
         return self.fit(matrix).transform(matrix)
 
-    def inverse_transform(self, matrix: np.ndarray) -> np.ndarray:
-        """Undo :meth:`transform`."""
-        self._check_fitted()
-        data = _as_2d_float(matrix)
-        if data.shape[1] != self.n_features_in_:
-            raise ValueError(
-                f"expected {self.n_features_in_} features, got {data.shape[1]}"
-            )
-        return data * self.scale_ + self.mean_
-
     def _check_fitted(self) -> None:
         if self.mean_ is None or self.scale_ is None:
             raise RuntimeError("StandardScaler is not fitted; call fit() first")

@@ -31,8 +31,13 @@ _BUCKET_SCALE = float(2**64)
 
 
 def session_bucket(salt: str, session_id: str) -> float:
-    """Deterministic hash of a session id into ``[0, 1)``."""
-    digest = hashlib.sha256(f"{salt}:{session_id}".encode("utf-8")).digest()
+    """Deterministic hash of a session id into ``[0, 1)``.
+
+    A JSON-escaped lone surrogate is a valid id on the wire, so it is
+    hashed as it stands rather than refused by the UTF-8 codec."""
+    digest = hashlib.sha256(
+        f"{salt}:{session_id}".encode("utf-8", "surrogatepass")
+    ).digest()
     return int.from_bytes(digest[:8], "big") / _BUCKET_SCALE
 
 

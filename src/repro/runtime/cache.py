@@ -28,7 +28,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence
 
 from repro.runtime.stats import RuntimeStats
 
@@ -251,28 +251,10 @@ class VerdictCache:
             return self._misses
 
     @property
-    def evictions(self) -> int:
-        """Entries evicted under LRU pressure."""
-        with self._lock:
-            return self._evictions
-
-    @property
     def expirations(self) -> int:
         """Entries expired by the TTL."""
         with self._lock:
             return self._expirations
-
-    @property
-    def invalidations(self) -> int:
-        """Times :meth:`invalidate` ran (model swaps + rollout stage shifts)."""
-        with self._lock:
-            return self._invalidations
-
-    @property
-    def stale_drops(self) -> int:
-        """Puts refused because their model generation was stale."""
-        with self._lock:
-            return self._stale_drops
 
     @property
     def hit_rate(self) -> float:

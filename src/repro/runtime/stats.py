@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence
+from typing import Deque, Dict, List, Sequence
 
 __all__ = ["RuntimeStats", "percentile"]
 
@@ -124,19 +124,6 @@ class RuntimeStats:
                 series = deque(maxlen=self._reservoir)
                 self._stage_ms[stage] = series
             series.append(float(ms))
-
-    def batch_size_percentile(self, p: float) -> float:
-        """Percentile of the recent batch-size distribution."""
-        with self._lock:
-            return percentile(self._batch_sizes, p)
-
-    @property
-    def mean_batch_size(self) -> float:
-        """Mean recent batch size (0 when no batch flushed yet)."""
-        with self._lock:
-            if not self._batch_sizes:
-                return 0.0
-            return sum(self._batch_sizes) / len(self._batch_sizes)
 
     def stage_percentile(self, stage: str, p: float) -> float:
         """Latency percentile (ms) of ``stage`` over the reservoir."""

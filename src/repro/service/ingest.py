@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Deque, Iterable, List, Optional, Tuple
+from typing import Deque, List, Optional, Tuple
 
 from repro.browsers.useragent import UserAgentError, parse_user_agent
 from repro.fingerprint.features import N_FEATURES
@@ -161,10 +161,6 @@ class PayloadValidator:
         self._remember(payload.session_id)
         self.accepted_count += 1
         return IngestResult(accepted=True, payload=payload)
-
-    def ingest_batch(self, wires: Iterable[bytes]) -> List[IngestResult]:
-        """Validate a batch; order preserved."""
-        return [self.ingest_wire(wire) for wire in wires]
 
     # ------------------------------------------------------------------
     # dedup state, shared with the runtime's fast ingest path

@@ -30,9 +30,8 @@ the batch core does not parse them again, and it hands back the model
 and :class:`DetectionResult` behind each verdict — then folds the
 events into their sessions with *one* fold (``_fold_rows``): every
 event in arrival order under one lock span, then the durable log.
-``observe_wire`` is a batch of one, ``observe_event`` enters at the
-scoring step and ``fold`` is ``fold_many`` of one, so there is a
-single implementation of each step.  Scoring reads no session state
+``observe_wire`` is a batch of one, so there is a single
+implementation of each step.  Scoring reads no session state
 and folding reads no scoring state, which is why any split of a wire
 sequence into batches leaves exactly the observations, counters and
 tracker state that one-at-a-time scoring would.
@@ -47,7 +46,7 @@ serves builds no per-event object at all.  A
 :class:`SessionObservation`, and a follow-up's re-labelled verdict in
 it, is built from a row (:meth:`SessionObservation.from_row`) only
 where one escapes: the library calls (``observe_many`` and everything
-on top of it, ``fold_many``) and the front end's full render.  Those
+on top of it) and the front end's full render.  Those
 objects live as long as their response and are built by ``__dict__``
 swap, as :mod:`repro.runtime.batch` builds verdicts.  What an event
 leaves behind is built for being kept: an
@@ -63,8 +62,7 @@ miss — so a never-seen fingerprint costs one batched model call.  Every
 event of a session is routed to one rollout arm, by the session id; a
 stage change or a model swap can still move it to another model, and
 since cluster labels of two models do not compare, the session's
-cluster is then re-based, not flipped.  ``fold_many``, handed verdicts
-without results, looks them up with one batched call of its own.
+cluster is then re-based, not flipped.
 """
 
 from __future__ import annotations
@@ -77,7 +75,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.detection import DetectionResult
 from repro.fingerprint.features import N_FEATURES
 from repro.service.scoring import Verdict
-from repro.sessions.envelope import EnvelopeParser, event_fields, inner_wire
+from repro.sessions.envelope import EnvelopeParser
 from repro.sessions.revision import (
     RevisionReason,
     VerdictRevision,
@@ -85,7 +83,7 @@ from repro.sessions.revision import (
 )
 from repro.sessions.store import SessionEventLog
 from repro.sessions.tracker import EventRecord, SessionState, SessionTracker
-from repro.traffic.events import EventType, SessionEvent
+from repro.traffic.events import EventType
 
 __all__ = ["EventRow", "SessionObservation", "SessionScoringService"]
 
@@ -190,9 +188,8 @@ class SessionScoringService:
     inner:
         A started :class:`ScoringService`, :class:`RuntimeScoringService`
         or :class:`~repro.cluster.router.ClusterRouter`; all
-        single-vector scoring goes through it unchanged, and its
-        ``score_rows`` hands back the detection result behind each
-        verdict (without it, the fold looks them up).
+        single-vector scoring goes through its ``score_rows``, which
+        hands back the detection result behind each verdict.
     tracker:
         Session state bounds; a default tracker is created if omitted
         (``ttl_seconds`` then applies to it).
@@ -294,56 +291,24 @@ class SessionScoringService:
             events.append(event)
             inner_wires.append(scored_as)
             inner_rows.append(row)
-        verdicts, found = self._score(inner_wires, inner_rows, day)
+        found: list = []
+        verdicts = self.inner.score_rows(inner_wires, inner_rows, found, day=day)
         for index, row in zip(indices, self._fold_rows(events, verdicts, found)):
             rows[index] = row
         return rows  # type: ignore[return-value]
-
-    def _score(self, wires: Sequence[bytes], rows: Sequence[tuple], day):
-        """``(verdicts, found)`` for inner wires, in one inner call;
-        ``found`` is ``None`` from an inner service without ``score_rows``."""
-        score_rows = getattr(self.inner, "score_rows", None)
-        if score_rows is None:
-            return [self.inner.score_wire(wire, day=day) for wire in wires], None
-        found: list = []
-        return score_rows(wires, rows, found, day=day), found
 
     def observe_wire(self, wire: bytes, day: Optional[date] = None) -> SessionObservation:
         """Score one event-envelope payload: a batch of one."""
         return self.observe_many([wire], day=day)[0]
 
-    def observe_event(
-        self, event: SessionEvent, day: Optional[date] = None
-    ) -> SessionObservation:
-        """Score one already-parsed event."""
-        (verdict,), found = self._score(
-            [inner_wire(event)], [(event.session_id,)], day
-        )
-        (row,) = self._fold_rows([event_fields(event)], [verdict], found)
-        return SessionObservation.from_row(row)
-
-    def fold(self, event: SessionEvent, verdict: Verdict) -> SessionObservation:
-        """Reconcile one scored event: a batch of one."""
-        return self.fold_many([event], [verdict])[0]
-
-    def fold_many(
-        self, events: Sequence[SessionEvent], verdicts: Sequence[Verdict]
-    ) -> List[SessionObservation]:
-        """Reconcile scored events with their sessions' sticky verdicts;
-        each one's cluster and ``ua_key`` are looked up in one batched call."""
-        rows = self._fold_rows([event_fields(e) for e in events], verdicts, None)
-        return [SessionObservation.from_row(row) for row in rows]
-
     def _fold_rows(
         self, events: Sequence[tuple], verdicts: Sequence[Verdict], found
     ) -> List[EventRow]:
-        """The fold, every caller's: one :data:`EventRow` per
-        :func:`event_fields` tuple.
+        """The fold: one :data:`EventRow` per :func:`event_fields` tuple.
 
         ``found[i]`` is the ``(model, result)`` behind ``verdicts[i]``,
-        or ``None``; ``found`` is looked up if ``None``.  A session's
-        clusters compare only within one model: a move to another is a
-        re-base, not a flip.
+        or ``None``.  A session's clusters compare only within one
+        model: a move to another is a re-base, not a flip.
 
         The only step that touches session state; ``events`` are folded
         in the order given, which for any one session must be the order
@@ -354,8 +319,6 @@ class SessionScoringService:
         may expire a session between two of them.  The durable log is
         written after the span.
         """
-        if found is None:
-            found = self._looked_up(events, verdicts)
         tracker = self.tracker
         touch = tracker._touch_locked
         clock = tracker._clock
@@ -435,22 +398,6 @@ class SessionScoringService:
                     risk=verdict.risk_factor,
                 )
         return rows
-
-    def _looked_up(self, events: Sequence[tuple], verdicts: Sequence[Verdict]):
-        """``found`` for the accepted events, from one batched call
-        against the inner service's live model."""
-        found: list = [None] * len(events)
-        picked = [i for i, verdict in enumerate(verdicts) if verdict.accepted]
-        if picked:
-            try:
-                generation, detector = self.inner.polygraph.detection_snapshot()
-                values = [events[i][5] for i in picked]
-                results = detector.evaluate_vectors(values, [events[i][4] for i in picked])
-            except Exception:  # noqa: BLE001 — the events record no cluster
-                return found
-            for i, result in zip(picked, results):
-                found[i] = (generation, result)
-        return found
 
     def _reconcile_locked(
         self,

@@ -6,14 +6,16 @@ memory-mapped reads — with an event-shaped column set: one row per
 *event*, not per session, carrying the interaction type, sequence
 number, absolute timestamp and scoring outcome next to the fingerprint.
 
-The log is a sliding window: an in-memory buffer absorbs appends, seals
-into an immutable segment every ``segment_events`` rows, and
-:meth:`prune` drops whole segments whose newest event has fallen out of
-the retention window.  A tiny JSON manifest records per-segment time
-bounds so window queries and pruning decide from metadata without
-opening the archives.  Both go through :func:`repro.durable.write_atomic`,
-segment first: a crash between the two leaves a segment no manifest
-names, which the next seal of that number replaces.
+The log is a sliding window: an in-memory buffer absorbs appends and
+seals into an immutable segment every ``segment_events`` rows (and when
+``serve`` drains), and each seal drops the whole segments whose newest
+event has fallen out of the retention window.  A tiny JSON manifest
+records per-segment time bounds so window queries and pruning decide
+from metadata without opening the archives.  Both go through
+:func:`repro.durable.write_atomic`, segment first: a crash between the
+two leaves a segment no manifest names, which the next seal of that
+number replaces; a dropped segment's file is removed after the manifest
+that no longer names it.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ class SessionEventLog:
     segment_events:
         Buffered events per sealed segment.
     window_seconds:
-        Retention horizon; :meth:`prune` drops segments entirely older
+        Retention horizon; every seal drops the segments entirely older
         than ``newest_seen - window_seconds``.
     """
 
@@ -141,18 +143,20 @@ class SessionEventLog:
             if len(self._buffer) >= self.segment_events:
                 self._seal_locked()
 
-    def seal(self) -> Optional[Path]:
-        """Flush the buffer into a segment now (``None`` if empty)."""
+    def seal(self) -> None:
+        """Flush the buffer into a segment now (what a drain calls)."""
         with self._lock:
-            return self._seal_locked()
+            self._seal_locked()
 
-    def _seal_locked(self) -> Optional[Path]:
+    def _seal_locked(self) -> None:
+        """The buffer becomes a segment, and every segment wholly older
+        than the window (``newest_seen - window_seconds``) is dropped,
+        in one manifest write; the dropped files go after it."""
         if not self._buffer:
-            return None
+            return
         name = f"events-{self._next_segment:06d}.npz"
-        path = self.root / name
         columns = _records_to_columns(self._buffer)
-        size = write_segment(path, columns, column_set=EVENT_COLUMNS)
+        size = write_segment(self.root / name, columns, column_set=EVENT_COLUMNS)
         ts = columns["ts"]
         self._manifest.append(
             {
@@ -165,35 +169,14 @@ class SessionEventLog:
         )
         self._next_segment += 1
         self._buffer = []
+        cutoff = self._newest_ts - self.window_seconds
+        dropped = [entry for entry in self._manifest if entry["max_ts"] < cutoff]
+        if dropped:
+            self._manifest = [e for e in self._manifest if e["max_ts"] >= cutoff]
+            self.pruned_segments += len(dropped)
         self._write_manifest_locked()
-        return path
-
-    def prune(self, now: Optional[float] = None) -> int:
-        """Drop segments wholly outside the window; returns the count.
-
-        ``now`` defaults to the newest event timestamp ever appended,
-        so replay-driven logs (benchmarks, tests) prune against their
-        own virtual clock instead of wall time.
-        """
-        with self._lock:
-            if now is None:
-                now = self._newest_ts
-            if now == float("-inf"):
-                return 0
-            cutoff = now - self.window_seconds
-            keep, drop = [], []
-            for entry in self._manifest:
-                (drop if entry["max_ts"] < cutoff else keep).append(entry)
-            for entry in drop:
-                try:
-                    (self.root / entry["name"]).unlink()
-                except FileNotFoundError:
-                    pass
-            if drop:
-                self._manifest = keep
-                self.pruned_segments += len(drop)
-                self._write_manifest_locked()
-            return len(drop)
+        for entry in dropped:
+            (self.root / entry["name"]).unlink(missing_ok=True)
 
     # ------------------------------------------------------------------
     # reads

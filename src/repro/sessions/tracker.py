@@ -152,7 +152,7 @@ class SessionTracker:
     """Bounded map of live sessions with TTL and LRU eviction.
 
     Thread-safe: the scoring service touches it from whatever thread a
-    request arrives on.  ``get_or_create`` refreshes LRU recency; a
+    request arrives on.  A touch refreshes LRU recency; a
     session that outlives ``ttl_seconds`` without a new event is evicted
     lazily when next touched or during a periodic sweep.  The session
     service's batch fold takes ``_lock`` once and calls
@@ -187,22 +187,13 @@ class SessionTracker:
         with self._lock:
             return len(self._sessions)
 
-    def get_or_create(self, session_id: str) -> Tuple[SessionState, bool]:
-        """The live state for ``session_id`` (created if absent).
-
-        Returns ``(state, created)``.  An expired entry counts as
-        absent: it is evicted and replaced, so a returning session id
-        past its TTL starts a fresh stream rather than resurrecting
-        stale aggregates.
-        """
-        now = self._clock()
-        with self._lock:
-            return self._touch_locked(session_id, now)
-
     def _touch_locked(
         self, session_id: str, now: float
     ) -> Tuple[SessionState, bool]:
-        """:meth:`get_or_create` at time ``now``, with ``_lock`` held.
+        """The live state for ``session_id`` at time ``now`` (created
+        if absent: ``(state, created)``), with ``_lock`` held.  An
+        expired entry counts as absent, so a returning session id past
+        its TTL starts a fresh stream.
 
         The whole per-event step — TTL check, LRU touch, creation,
         capacity eviction and the sweep every ``_SWEEP_EVERY`` touches —
@@ -239,12 +230,6 @@ class SessionTracker:
                 return None
             return state
 
-    def sweep(self) -> int:
-        """Evict every expired session now; returns the eviction count."""
-        now = self._clock()
-        with self._lock:
-            return self._sweep_locked(now)
-
     def _sweep_stale_locked(self, now: float) -> None:
         """The opportunistic sweep: expired sessions off the stale end.
 
@@ -263,22 +248,6 @@ class SessionTracker:
                 break
             del sessions[session_id]
             self.evicted_ttl += 1
-
-    def _sweep_locked(self, now: float) -> int:
-        expired = [
-            sid
-            for sid, state in self._sessions.items()
-            if now - state.last_seen > self.ttl_seconds
-        ]
-        for sid in expired:
-            del self._sessions[sid]
-        self.evicted_ttl += len(expired)
-        return len(expired)
-
-    def active_ids(self) -> List[str]:
-        """Live session ids, least-recently-seen first."""
-        with self._lock:
-            return list(self._sessions)
 
     def stats(self) -> Dict[str, int]:
         """Counters for metrics export."""

@@ -150,15 +150,6 @@ class Dataset:
         """Sorted distinct ``vendor-version`` labels present."""
         return sorted(set(self.ua_keys.tolist()))
 
-    def tag_rates(self) -> dict:
-        """Marginal rates of the three FinOrg tags."""
-        n = max(1, len(self))
-        return {
-            "untrusted_ip": float(self.untrusted_ip.sum()) / n,
-            "untrusted_cookie": float(self.untrusted_cookie.sum()) / n,
-            "ato": float(self.ato.sum()) / n,
-        }
-
     def sessions(self) -> Iterator[Session]:
         """Iterate rows as :class:`Session` objects (small batches only)."""
         for idx in range(len(self)):

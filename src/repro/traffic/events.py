@@ -32,7 +32,7 @@ guarantee bit-identical first-event verdicts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -153,7 +153,7 @@ class SessionEvent:
             return cls(
                 session_id=str(body["sid"]),
                 event_type=EventType(str(body["ev"])),
-                seq=int(body["seq"]),
+                seq=_seq(body["seq"]),
                 timestamp=_timestamp(body.get("ts", 0.0)),
                 user_agent=str(body["ua"]),
                 values=tuple(int(v) for v in body["f"]),
@@ -169,6 +169,15 @@ class SessionEvent:
             # but "[".  Either would otherwise escape as a 500 — and
             # take the rest of its batch with it.
             raise ValueError(f"malformed session event: {exc}") from exc
+
+
+def _seq(value) -> int:
+    seq = int(value)
+    # The event log keeps ``seq`` in an int32 column: a wider one would
+    # fail the seal, and every batch after it.
+    if not -(1 << 31) <= seq < 1 << 31:
+        raise ValueError(f"seq {seq} outside int32")
+    return seq
 
 
 def _timestamp(value) -> float:
@@ -190,14 +199,6 @@ class SessionStream:
     @property
     def first(self) -> SessionEvent:
         return self.events[0]
-
-    def surface_changes(self) -> int:
-        """Number of events whose vector differs from its predecessor."""
-        changes = 0
-        for prev, cur in zip(self.events, self.events[1:]):
-            if prev.values != cur.values:
-                changes += 1
-        return changes
 
 
 @dataclass(frozen=True)

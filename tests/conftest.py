@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.pipeline import BrowserPolygraph
 from repro.traffic.generator import TrafficConfig, TrafficSimulator
+from tests.oracle import build_world
 
 
 @pytest.fixture(scope="session")
@@ -51,3 +52,9 @@ def relabelled_model(trained):
     }
     model._rebuild_table()
     return model
+
+
+@pytest.fixture(scope="session")
+def oracle_world(trained, small_dataset, tmp_path_factory):
+    """What every parity trace runs in (:mod:`tests.oracle`)."""
+    return build_world(trained, small_dataset, tmp_path_factory.mktemp("oracle"))

@@ -6,7 +6,6 @@ import pytest
 from repro.analysis.privacy import (
     anonymity_figure,
     feature_entropy_table,
-    unique_fingerprint_share,
 )
 from repro.analysis.reporting import render_table
 from repro.analysis.sensitivity import (
@@ -30,7 +29,7 @@ class TestPrivacy:
     def test_unique_share_is_small(self, small_dataset):
         # Paper: 0.3% unique.  Uniques come from Category-1 fraud and
         # rare perturbation combos.
-        share = unique_fingerprint_share(small_dataset)
+        share = anonymity_figure(small_dataset).get("1", 0.0) / 100.0
         assert 0.0 < share < 0.02
 
     def test_unique_fingerprints_are_mostly_fraud(self, small_dataset):

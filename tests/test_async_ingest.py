@@ -36,7 +36,6 @@ from hypothesis import strategies as st
 
 from repro.cluster import ClusterConfig, ClusterRouter, ShardSupervisor
 from repro.fingerprint.script import MAX_PAYLOAD_BYTES
-from repro.runtime.service import RuntimeScoringService
 from repro.service import aingest
 from repro.service.aingest import AsyncIngestServer
 from repro.service.api import CollectionApp
@@ -57,7 +56,7 @@ from repro.traffic.events import (
     build_event_streams,
 )
 from repro.traffic.replay import iter_wire_payloads
-from tests.event_shapes import POISON_BODIES
+from tests.oracle import POISON_BODIES, check
 from tests.parent_render import (
     parent_bridge,
     parent_render_event,
@@ -124,30 +123,10 @@ def _pipeline(port, requests, timeout=15.0):
 
 
 class TestCollectParity:
-    def test_collect_verdicts_match_the_reference(self, trained, wires):
-        sample = wires[:40]
-        reference = ScoringService(trained)
-        expected = [
-            (v.accepted, v.flagged, v.risk_factor)
-            for v in (reference.score_wire(w) for w in sample)
-        ]
-        with _serve(ScoringService(trained)) as server:
-            actual = []
-            for wire in sample:
-                status, _, payload = _request(
-                    server.port, "POST", "/collect", wire
-                )
-                assert status == 202
-                document = json.loads(payload)
-                actual.append(
-                    (
-                        document["accepted"],
-                        document["flagged"],
-                        document["risk_factor"],
-                    )
-                )
-            assert actual == expected
-            assert server.collect_total == len(sample)
+    def test_collect_verdicts_match_the_reference(self, oracle_world):
+        """Forty simulator rows, over a socket and the batch paths: the
+        reference's bytes."""
+        check(oracle_world, collects=[("row", n) for n in range(40)], cuts=[40])
 
     def test_malformed_wire_is_400_with_reason(self, trained):
         with _serve(ScoringService(trained)) as server:
@@ -186,40 +165,18 @@ class TestCollectParity:
 class TestPoisonBody:
     """One hostile body must not fail the 255 requests coalesced with it."""
 
-    @pytest.mark.parametrize(
-        "poison", POISON_BODIES.values(), ids=POISON_BODIES.keys()
-    )
-    def test_poison_is_400_and_its_neighbours_are_served(
-        self, trained, small_dataset, poison
-    ):
-        neighbours = list(iter_wire_payloads(small_dataset, 255))
-        reference = ScoringService(trained)
-        expected = [
-            (202, v.flagged, v.risk_factor)
-            for v in map(reference.score_wire, neighbours)
-        ]
-        bodies = neighbours[:128] + [poison] + neighbours[128:]
-        service = RuntimeScoringService(trained)
-        try:
-            # The linger lets the whole pipelined burst land in one batch.
-            with _serve(service, batch_max=256, linger_ms=100.0) as server:
-                answers = _pipeline(
-                    server.port, [("POST", "/collect", body) for body in bodies]
-                )
-                assert server.batch_rows_total == 256
-                assert server.batches_total <= 2
-        finally:
-            service.shutdown()
-        documents = [json.loads(payload) for _, payload in answers]
-        assert answers[128][0].split()[1] == "400"
-        assert documents[128]["reject_reason"] == "malformed"
-        assert [
-            (int(status.split()[1]), d["flagged"], d["risk_factor"])
-            for (status, _), d in zip(
-                answers[:128] + answers[129:], documents[:128] + documents[129:]
-            )
-        ] == expected
-        assert service.validator.quarantine.counts() == {RejectReason.MALFORMED: 1}
+    @pytest.mark.parametrize("poison", sorted(POISON_BODIES))
+    def test_poison_is_400_and_its_neighbours_are_served(self, oracle_world, poison):
+        rows = [("row", i) for i in range(255)]
+        reference = check(
+            oracle_world,
+            collects=rows[:128] + [("poison", sorted(POISON_BODIES).index(poison))]
+            + rows[128:],
+            cuts=[256],
+        )
+        assert reference.service.validator.quarantine.counts() == {
+            RejectReason.MALFORMED: 1
+        }
 
 
 class TestWsgiPassthrough:
@@ -1106,8 +1063,17 @@ class _Scripted:
         self.polygraph = trained
         self.answers = answers or {}
 
-    def score_wire(self, wire, day=None):
-        session_id = json.loads(wire)["sid"]
+    def score_rows(self, wires, rows, found, day=None):
+        """The scripted verdicts, each beside the live model's result."""
+        generation, detector = self.polygraph.detection_snapshot()
+        bodies = [json.loads(wire) for wire in wires]
+        found[:] = [
+            (generation, detector.evaluate_vector(body["f"], body["ua"]))
+            for body in bodies
+        ]
+        return [self._answer(body["sid"]) for body in bodies]
+
+    def _answer(self, session_id):
         seq = int(session_id.rpartition("@")[2]) if "@" in session_id else 0
         return _verdict(session_id=session_id, **self.answers.get(seq, {}))
 
@@ -1568,10 +1534,12 @@ class TestWriteSideBackpressure:
         class Accepting:
             """Scores nothing: 100k real verdicts would be the test's time."""
 
-            polygraph = trained
-
-            def score_wire(self, wire, day=None):
-                return _verdict(session_id=wire[8 : wire.index(b'"', 8)].decode())
+            def score_rows(self, wires, rows, found, day=None):
+                found[:] = [None] * len(wires)
+                return [
+                    _verdict(session_id=wire[8 : wire.index(b'"', 8)].decode())
+                    for wire in wires
+                ]
 
         reference = SessionScoringService(Accepting())
         replies = b"".join(

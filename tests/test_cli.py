@@ -286,7 +286,8 @@ def test_serve_exits_2_when_the_cluster_cannot_start(
 
 
 @pytest.mark.parametrize(
-    "case", ["model", "rollout", "fusion", "empty registry", "no live entry"]
+    "case",
+    ["model", "rollout", "fusion", "empty registry", "no live entry", "session log"],
 )
 def test_serve_refuses_an_unreadable_file(artifacts, tmp_path, capsys, case):
     """Every file serve reads is refused by name with exit 2, never a
@@ -306,6 +307,12 @@ def test_serve_refuses_an_unreadable_file(artifacts, tmp_path, capsys, case):
         argv, what, path = ["serve", str(torn)], "model", torn
     elif case == "fusion":
         argv, what, path = ["serve", model_path, "--fusion", str(torn)], "fusion model", torn
+    elif case == "session log":
+        path = tmp_path / "events" / "events_manifest.json"
+        path.parent.mkdir()
+        path.write_text('{"segments": [')
+        argv = ["serve", model_path, "--session-ttl", "60", "--session-log", str(path.parent)]
+        what = "session log"
     else:
         argv = ["serve", "--registry", str(registry.root)]
         what, path = "registry", registry.root / "registry.json"

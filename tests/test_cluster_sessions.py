@@ -31,7 +31,7 @@ from repro.traffic.events import (
     build_event_streams,
 )
 
-from tests.event_shapes import (
+from tests.oracle import (
     HOSTILE_SHAPES,
     build_traffic,
     differential,

@@ -15,7 +15,7 @@ from repro.core.drift import DriftDetector
 from repro.core.pipeline import BrowserPolygraph
 from repro.core.preprocessing import Preprocessor
 from repro.fingerprint.collector import FingerprintCollector
-from repro.fingerprint.features import deviation_feature_indices, time_feature_indices
+from repro.fingerprint.features import FEATURE_SPECS, deviation_feature_indices
 from repro.fingerprint.script import CollectionScript
 from repro.fraudbrowsers.base import FraudProfile
 from repro.fraudbrowsers.catalog import fraud_browser
@@ -56,7 +56,7 @@ class TestPreprocessor:
     def test_scales_only_deviation_columns(self, small_dataset):
         preprocessor = Preprocessor()
         scaled, _ = preprocessor.fit(small_dataset.matrix())
-        for idx in time_feature_indices():
+        for idx in [i for i, s in enumerate(FEATURE_SPECS) if s.kind == "time"]:
             assert set(np.unique(scaled[:, idx])) <= {0.0, 1.0}
         for idx in deviation_feature_indices()[:5]:
             assert abs(scaled[:, idx].mean()) < 1e-6
@@ -169,7 +169,7 @@ class TestDetection:
                 )
             )
         )
-        members = trained.cluster_model.cluster_members(engine_cluster)
+        members = trained.cluster_model.cluster_table.get(engine_cluster, [])
         assert members, "engine cluster should hold user-agents"
         claimed = members[0]
         vector = FingerprintCollector().collect(

@@ -68,7 +68,7 @@ class TestCoverageTracker:
         assert tracker.observe("chrome-117") is True
         assert tracker.observe("chrome-118") is False
         assert tracker.unknown_rate("chrome") == 0.5
-        assert tracker.known_release_count == 1
+        assert tracker.status_dict()["known_releases"] == 1
 
     def test_observe_many_counts_unknowns(self):
         tracker = self._tracker()
@@ -346,7 +346,7 @@ class TestServiceIntegration:
             config=CoverageConfig(window=50, min_observations=5)
         )
         service.attach_coverage(tracker)
-        assert tracker.known_release_count == len(
+        assert tracker.status_dict()["known_releases"] == len(
             infer_pipeline.cluster_model.ua_to_cluster
         )
         top = _max_known(infer_pipeline, "chrome")

@@ -13,26 +13,25 @@ batched model call that scores it, no second lookup.
 from __future__ import annotations
 
 import itertools
-import json
 
 import pytest
 from hypothesis import given, settings
 
-from repro.browsers.useragent import Vendor, format_user_agent
 from repro.cluster import ClusterConfig, ClusterRouter, ShardSupervisor
 from repro.core.detection import FraudDetector
 from repro.coverage.tracker import CoverageTracker
 from repro.runtime.service import RuntimeScoringService
 from repro.service.aingest import AsyncIngestServer
 from repro.service.api import CollectionApp
-from repro.service.ingest import MAX_FEATURE_VALUE, MAX_SESSION_ID_LENGTH
 from repro.service.scoring import ScoringService
 from repro.sessions import SessionScoringService
 from repro.sessions.envelope import EnvelopeParser
 from repro.traffic.events import EventStreamConfig, build_event_streams
 
-from tests.event_shapes import (
+from tests.oracle import (
     HOSTILE_SHAPES,
+    ROW_SHAPES,
+    NothingSticks,
     build_traffic,
     cut_batches,
     first_difference,
@@ -46,59 +45,6 @@ from tests.parent_render import parent_render_event
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
-def _edit(change):
-    def shape(event) -> bytes:
-        document = json.loads(event.to_wire())
-        change(document)
-        return json.dumps(document, separators=(",", ":")).encode("utf-8")
-
-    return shape
-
-
-def _sid_of_length(length: int):
-    def change(document):
-        document["sid"] = (document["sid"] + "x" * MAX_SESSION_ID_LENGTH)[:length]
-
-    return _edit(change)
-
-
-def _set_value(value):
-    def change(document):
-        document["f"][0] = value
-
-    return _edit(change)
-
-
-def _respell_first_value(document):
-    # JSON's ``1e1`` is the float 10.0: the event parses, its inner
-    # wire spells ``10``, so the tail can never be proven.
-    document["f"][0] = float(document["f"][0])
-
-
-# Envelopes aimed at the row path's edges, next to the hostile shapes.
-ROW_SHAPES = {
-    # ``sid@seq`` over the cap: follow-ups score as ``ev-<digest>``.
-    "sid_at_cap": _sid_of_length(MAX_SESSION_ID_LENGTH),
-    # ``sid@1``..``sid@9`` fit, ``sid@10`` would not.
-    "sid_near_cap": _sid_of_length(MAX_SESSION_ID_LENGTH - 2),
-    # Rejected for its id at every seq, follow-ups included.
-    "sid_over_cap": _sid_of_length(MAX_SESSION_ID_LENGTH + 1),
-    "empty_sid": _edit(lambda d: d.__setitem__("sid", "")),
-    "unknown_ua": _edit(
-        lambda d: d.__setitem__("ua", format_user_agent(Vendor.CHROME, 400))
-    ),
-    "value_over_range": _set_value(MAX_FEATURE_VALUE + 1),
-    "value_at_range": _set_value(MAX_FEATURE_VALUE),
-    "value_negative": _set_value(-1),
-    "value_respelled": lambda e: _edit(_respell_first_value)(e).replace(
-        b'"f":[%d.0' % e.values[0], b'"f":[%de0' % e.values[0], 1
-    ),
-    "too_many_globals": _edit(
-        lambda d: d.__setitem__("g", [f"__g{i}" for i in range(17)])
-    ),
-    # The envelope parses; its inner wire is past MAX_PAYLOAD_BYTES.
-    "oversized": _edit(lambda d: d.__setitem__("g", ["_" * 300] * 3)),
-}
 SHAPES = {**HOSTILE_SHAPES, **ROW_SHAPES}
 
 
@@ -114,11 +60,6 @@ class _Counting(EnvelopeParser):
         self.taken["events"] += 1
         self.taken["rows"] += len(parsed[2]) > 1
         return parsed
-
-
-class _NothingSticks(dict):
-    def __setitem__(self, key, value) -> None:
-        pass
 
 
 def _coverage(service):
@@ -242,7 +183,7 @@ class TestTheRowPathIsTheBytesPath:
             rows_side = SessionScoringService(by_rows, **bounds)
             bytes_side = SessionScoringService(by_bytes, **bounds)
             # Without a memo every event goes by its spliced wire.
-            bytes_side._envelopes._memo = _NothingSticks()
+            bytes_side._envelopes._memo = NothingSticks()
             rows_side._envelopes = _Counting(taken)
             front = AsyncIngestServer(CollectionApp(by_rows, sessions=rows_side))
             got, expected = [], []
@@ -269,7 +210,7 @@ class TestTheRowPathIsTheBytesPath:
         for name, shape in sorted(SHAPES.items()):
             rows_side = SessionScoringService(by_rows, ttl_seconds=1e9)
             bytes_side = SessionScoringService(by_bytes, ttl_seconds=1e9)
-            bytes_side._envelopes._memo = _NothingSticks()
+            bytes_side._envelopes._memo = NothingSticks()
             wires = [
                 shape(event.__class__(
                     f"edge-{name}-{turn}", event.event_type, event.seq,
@@ -317,7 +258,7 @@ class TestEveryEventIsCheckedForItsOwnId:
         for memo in (True, False):  # the row path (warm tail), the bytes path
             sessions = SessionScoringService(inner(trained), ttl_seconds=1e9)
             if not memo:
-                sessions._envelopes._memo = _NothingSticks()
+                sessions._envelopes._memo = NothingSticks()
             observed = sessions.observe_many(wires) + sessions.observe_many(wires)
             observed += [sessions.observe_wire(wire) for wire in wires]
             assert [o.verdict.reject_reason for o in observed] == (

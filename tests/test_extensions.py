@@ -1,5 +1,7 @@
 """Section 8 extensions: stratified sampling and the namespace probe."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from repro.browsers.profiles import BrowserProfile
 from repro.browsers.useragent import Vendor, parse_ua_key
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import BrowserPolygraph
-from repro.core.sampling import stratified_sample, stratum_counts
+from repro.core.sampling import stratified_sample
 from repro.fingerprint.script import CollectionScript
 from repro.fraudbrowsers.base import FraudProfile
 from repro.fraudbrowsers.catalog import fraud_browser
@@ -15,6 +17,11 @@ from repro.fraudbrowsers.namespace_probe import (
     scan_environment,
     scan_globals,
 )
+
+
+def stratum_counts(dataset) -> Counter:
+    """Sessions per user-agent stratum."""
+    return Counter(str(key) for key in dataset.ua_keys)
 
 
 class TestStratifiedSampling:
@@ -121,7 +128,7 @@ class TestProbeEscalation:
         engine_cluster = probing_polygraph.cluster_model.predict_cluster(
             self._antbrowser_payload("chrome-112").vector()
         )
-        claimed = probing_polygraph.cluster_model.cluster_members(engine_cluster)[0]
+        claimed = probing_polygraph.cluster_model.cluster_table[engine_cluster][0]
         payload = self._antbrowser_payload(claimed)
         result = probing_polygraph.detect_payload(payload)
         assert result.flagged
@@ -131,7 +138,7 @@ class TestProbeEscalation:
         engine_cluster = trained.cluster_model.predict_cluster(
             self._antbrowser_payload("chrome-112").vector()
         )
-        claimed = trained.cluster_model.cluster_members(engine_cluster)[0]
+        claimed = trained.cluster_model.cluster_table[engine_cluster][0]
         result = trained.detect_payload(self._antbrowser_payload(claimed))
         assert not result.flagged
 

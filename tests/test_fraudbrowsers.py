@@ -3,14 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.browsers.useragent import Vendor, parse_ua_key
+from repro.browsers.useragent import parse_ua_key
 from repro.fingerprint.collector import FingerprintCollector
 from repro.fraudbrowsers.base import Category, FraudProfile
-from repro.fraudbrowsers.catalog import (
-    FRAUD_BROWSERS,
-    fraud_browser,
-    fraud_browsers_in_category,
-)
+from repro.fraudbrowsers.catalog import FRAUD_BROWSERS, fraud_browser
 from repro.fraudbrowsers.profiles import build_experiment_profiles
 from repro.jsengine.environment import JSEnvironment
 from repro.jsengine.evolution import Engine
@@ -43,7 +39,7 @@ class TestCatalog:
             fraud_browser("HonestBrowser-1.0")
 
     def test_category_filter(self):
-        cat2 = fraud_browsers_in_category(Category.FIXED_ENGINE)
+        cat2 = [b for b in FRAUD_BROWSERS if b.category is Category.FIXED_ENGINE]
         assert len(cat2) >= 7
         assert all(b.category is Category.FIXED_ENGINE for b in cat2)
 
@@ -150,7 +146,3 @@ class TestExperimentProfiles:
         a = build_experiment_profiles(fraud_browser("GoLogin-3.3.23"), self._TABLE)
         b = build_experiment_profiles(fraud_browser("GoLogin-3.3.23"), self._TABLE)
         assert [p.claimed.key() for p in a] == [p.claimed.key() for p in b]
-
-    def test_claimable_vendors(self):
-        assert Vendor.FIREFOX in fraud_browser("GoLogin-3.3.23").claimable_vendors()
-        assert fraud_browser("Sphere-1.3").claimable_vendors() == (Vendor.CHROME,)

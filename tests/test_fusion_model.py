@@ -198,27 +198,6 @@ class TestFusionModel:
         )
         assert opinion.staleness_days == 0.0
 
-    def test_score_dataset_matches_pointwise_opinions(
-        self, fusion_model, small_dataset
-    ):
-        subset = small_dataset.rows(0, 200)
-        labels = weak_labels(subset)
-        scores = fusion_model.score_dataset(subset, labels=labels)
-        days = subset.days.astype("datetime64[D]").astype(object)
-        for idx in (0, 57, 199):
-            opinion = fusion_model.second_opinion(
-                subset.features[idx],
-                str(subset.user_agents[idx]),
-                day=days[idx],
-                untrusted_ip=bool(labels.untrusted_ip[idx]),
-                untrusted_cookie=bool(labels.untrusted_cookie[idx]),
-            )
-            assert scores["raw"][idx] == pytest.approx(opinion.raw)
-            assert scores["probability"][idx] == pytest.approx(
-                opinion.probability
-            )
-            assert bool(scores["matched"][idx]) == opinion.matched_node
-
     def test_save_load_round_trip(self, fusion_model, trained, tmp_path):
         path = tmp_path / "fusion.json"
         digest = fusion_model.save(path)

@@ -275,7 +275,7 @@ class TestScoringServiceFusion:
             user_agent=str(small_dataset.user_agents[0]),
             values=tuple(int(v) for v in small_dataset.features[0]),
         )
-        observation = sessions.observe_event(event)
+        observation = sessions.observe_wire(event.to_wire())
         assert observation.verdict.accepted
         assert observation.verdict.fused_flagged is not None
         snapshot = sessions.session_snapshot("fused-sid")

@@ -120,7 +120,7 @@ class TestEvolutionModel:
     def test_gecko_119_reverts_to_era_two_scale(self, model):
         # The 119 refactor exposes a surface sized like Firefox 93-100.
         for iface in GECKO_119_SHIFT:
-            if not model.knows_interface(iface):
+            if iface not in model._profiles:
                 continue
             v119 = model.property_count(iface, Engine.GECKO, 119)
             v100 = model.property_count(iface, Engine.GECKO, 100)

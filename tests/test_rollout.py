@@ -680,15 +680,16 @@ class TestHealthyRollout:
             assert manager.report.disagreement_rate == 0.0
             assert manager.evaluate() is None
 
-            invalidations_before = runtime.cache.invalidations
+            def invalidations():
+                runtime.cache.sync_stats()
+                return runtime.runtime_stats.counter("cache_invalidations")
+
+            invalidations_before = invalidations()
             for stage, prefix in enumerate(("canary0", "canary1")):
                 state = manager.advance()
                 assert state.status == CANARY and state.stage_index == stage
                 # Exactly one cache invalidation per stage transition.
-                assert (
-                    runtime.cache.invalidations
-                    == invalidations_before + stage + 1
-                )
+                assert invalidations() == invalidations_before + stage + 1
                 for wire in _stage_wires(small_dataset, prefix, 300):
                     runtime.score_wire(wire)
                 assert manager.drain_shadow()
@@ -700,7 +701,7 @@ class TestHealthyRollout:
             # Promotion = install: one generation bump, whose swap
             # listener performs the transition's single invalidation.
             assert runtime.polygraph.model_generation == generation_before + 1
-            assert runtime.cache.invalidations == invalidations_before + 3
+            assert invalidations() == invalidations_before + 3
             assert runtime.rollout is None
             assert registry.live_version == 2
             entry = registry.versions()[1]

@@ -3,7 +3,6 @@
 import dataclasses
 import itertools
 import json
-import re
 import types
 
 import pytest
@@ -18,8 +17,13 @@ from repro.runtime.cache import VerdictCache
 from repro.runtime.fastingest import WireIngest
 from repro.runtime.stats import RuntimeStats, percentile
 from repro.service.scoring import Overloaded, Verdict, overloaded_verdict
-from repro.traffic.events import EventType, SessionEvent
-from tests.event_shapes import HOSTILE_SHAPES, POISON_BODIES
+from tests.oracle import HOSTILE_SHAPES, POISON_BODIES, check, collect_wires, mutations
+
+
+def _counter(cache, name):
+    """A cache counter as ``/metrics`` reads it."""
+    cache.sync_stats()
+    return cache.stats.counter(f"cache_{name}")
 
 
 class FakeClock:
@@ -74,8 +78,9 @@ class TestRuntimeStats:
             stats.observe_batch(size)
         assert stats.counter("batches_total") == 3
         assert stats.counter("batched_requests_total") == 21
-        assert stats.mean_batch_size == 7.0
-        assert stats.batch_size_percentile(99) == 16
+        lines = stats.render_prometheus()
+        assert 'polygraph_runtime_batch_size{quantile="p99"} 16' in lines
+        assert "polygraph_runtime_batch_size_max 16" in lines
 
     def test_stage_latency_percentiles(self):
         stats = RuntimeStats()
@@ -142,7 +147,7 @@ class TestVerdictCache:
         cache.put(b, "B")
         assert cache.get(a) == "A"  # touch a: b becomes LRU
         cache.put(c, "C")
-        assert cache.evictions == 1
+        assert _counter(cache, "evictions") == 1
         assert cache.get(b) is None  # evicted
         assert cache.get(a) == "A"
         assert cache.get(c) == "C"
@@ -184,7 +189,7 @@ class TestVerdictCache:
         cache = VerdictCache()
         cache.set_model_generation(2)
         assert not cache.put(("ua", (1,)), "old", generation=1)
-        assert cache.stale_drops == 1
+        assert _counter(cache, "stale_drops") == 1
         assert len(cache) == 0
         assert cache.put(("ua", (1,)), "new", generation=2)
 
@@ -260,8 +265,8 @@ class TestPutManyEqualsAPutLoop:
                 if key is not None:
                     assert looped.put(key, value, generation=put_as) is accepted
             assert list(batched._entries.items()) == list(looped._entries.items())
-            assert batched.evictions == looped.evictions
-            assert batched.stale_drops == looped.stale_drops
+            for name in ("evictions", "stale_drops"):
+                assert _counter(batched, name) == _counter(looped, name)
             assert len(batched) <= capacity
             # Probing moves LRU order and expires: keep both in step.
             probe = [("ua", (k,)) for k in range(0, 12, 3)]
@@ -272,7 +277,7 @@ class TestPutManyEqualsAPutLoop:
         cache.set_model_generation(2)
         keys = [("ua", (1,)), None, ("ua", (2,)), ("ua", (1,))]
         assert not cache.put_many(keys, "abcd", generation=1)
-        assert cache.stale_drops == 3
+        assert _counter(cache, "stale_drops") == 3
         assert len(cache) == 0
 
 
@@ -280,187 +285,38 @@ class TestPutManyEqualsAPutLoop:
 # the slice read of a canonical first sight, against the full parse
 
 
-class _FullParseOnly(WireIngest):
-    """The twin: the slice path answers "take the full parse", always."""
-
-    __slots__ = ()
-
-    def _read_canonical(self, raw_sid, tail):
-        return None
+_CHROME = BrowserProfile(Vendor.CHROME, 112)
+_PAYLOAD = CollectionScript().run(_CHROME.environment(), _CHROME.user_agent(), "s")
 
 
-_SID_MARK = b"@@"  # replaced per pass, so the warm pass brings fresh sids
-
-_NATURAL = [
-    CollectionScript().run(profile.environment(), profile.user_agent(), "s")
-    for profile in (
-        BrowserProfile(Vendor.CHROME, 112), BrowserProfile(Vendor.CHROME, 70000),
-        BrowserProfile(Vendor.FIREFOX, 110), BrowserProfile(Vendor.EDGE, 111),
-        BrowserProfile(Vendor.EDGE, 18),
-    )
-]
-_STREAM = SessionEvent(
-    "@@e", EventType.PAGE_LOAD, 0, 12.5, _NATURAL[0].user_agent, _NATURAL[0].values
-)
-_EVENT_MEMBERS = re.compile(rb'"ev":"[a-z_]+","seq":\d+,"ts":[0-9.]+,')
-
-_MODES = ("insert", "overwrite", "delete")
-_MUTATIONS = (
-    b'"', b"\\", b",", b"]", b"[", b"}", b"{", b" ", b"-", b"0", b"007",
-    b"10001", b"1e3", b"1.0", b"\xff", b"\xc3\xa9", b"\x00", b"\x7f",
-    b'"sid":"x",', b',"g":[]', b'","ua":"', b'","f":[', b"]}",
-    b"\xed\xa0\x80", b"\xef\xbb\xbf",
-)
-
-
-def _mutate(wire, token, at, mode):
-    """``token`` inserted at, written over, or its length cut out of ``at``."""
-    keep_from = at if mode == "insert" else at + len(token)
-    return wire[:at] + (b"" if mode == "delete" else token) + wire[keep_from:]
-
-
-@st.composite
-def _natural_wire(draw):
-    payload = draw(st.sampled_from(_NATURAL))
-    values = list(payload.values)
-    for position, value in draw(
-        st.lists(
-            st.tuples(st.integers(0, 27), st.sampled_from([0, 10_000, 10_001, -1, 7])),
-            max_size=2,
-        )
-    ):
-        values[position] = value
-    arity = draw(st.sampled_from([28, 28, 28, 27, 29]))
-    values = (values + [1])[:arity]
-    payload = dataclasses.replace(
-        payload,
-        session_id=draw(
-            st.sampled_from(["", "@@", "@@", "é@@", "@@☃", "x" * 62 + "@@", "x" * 63 + "@@"])
-        ),
-        user_agent=payload.user_agent + draw(st.sampled_from(["", "", " é", ' "q"'])),
-        values=tuple(values),
-        suspicious_globals=draw(
-            st.sampled_from([(), (), ("callPhantom",), ("g",) * 40])
-        ),
-    )
-    if draw(st.booleans()):
-        return payload.to_wire()  # non-ASCII goes out \u-escaped
-    return json.dumps(
-        json.loads(payload.to_wire()), separators=(",", ":"), ensure_ascii=False
-    ).encode("utf-8")
-
-
-def _collect_core(shape):
-    """A hostile envelope shape cut down to its ``/collect`` members,
-    by bytes — where the shape moved them the envelope goes as it is."""
-    return _EVENT_MEMBERS.sub(b"", HOSTILE_SHAPES[shape](_STREAM), count=1)
-
-
-_LANDMARKS = (b'{"sid":"', b'","ua":"', b'","f":[', b"]", b"}")
-
-
-def _cut_points(wire):
-    """Where the slices are cut: both ends of every landmark present."""
-    found = [(wire.find(mark), len(mark)) for mark in _LANDMARKS]
-    return [at + step for at, size in found if at >= 0 for step in (0, size)] or [0]
-
-
-@st.composite
-def _mutated(draw, wires):
-    wire = draw(wires)
-    for token, at, mode in draw(
-        st.lists(
-            st.tuples(
-                st.sampled_from(_MUTATIONS),
-                # Anywhere, or within two bytes of a cut point.
-                st.one_of(
-                    st.integers(0, 1023),
-                    st.tuples(st.integers(0, 9), st.integers(-2, 2)),
-                ),
-                st.sampled_from(_MODES),
-            ),
-            max_size=3,
-        )
-    ):
-        if isinstance(at, tuple):
-            cuts = _cut_points(wire)
-            at = cuts[at[0] % len(cuts)] + at[1]
-        wire = _mutate(wire, token, at % (len(wire) + 1), mode)
-    return wire
-
-
-_ingest_wires = st.lists(
-    _mutated(
-        st.one_of(
-            _natural_wire(),
-            _natural_wire(),
-            st.sampled_from(sorted(HOSTILE_SHAPES)).map(_collect_core),
-            st.sampled_from(sorted(POISON_BODIES.values())),
-        )
-    ),
-    min_size=1,
-    max_size=12,
-)
-
-
-def _ingest_state(ingest):
-    validator = ingest.validator
-    _, ids, seen = validator.dedup_state()
-    return (
-        validator.quarantine.entries(),
-        ingest.requests_total,
-        ingest.rejected_count,
-        validator.accepted_count,
-        list(ids),
-        set(seen),
-    )
-
-
-def _canonical(sid, payload=_NATURAL[0]):
+def _canonical(sid, payload=_PAYLOAD):
     return dataclasses.replace(payload, session_id=sid).to_wire()
 
 
 class TestSliceReadEqualsFullParse:
-    @settings(max_examples=400, deadline=None)
-    @given(wires=_ingest_wires)
-    def test_cold_then_warm_match_the_full_parse_twin(self, wires):
-        """Same fields, same quarantine entries in order, same counters
-        and dedup window — first sight, then again under fresh sids with
-        whatever either side memoized."""
-        subject, twin = WireIngest(), _FullParseOnly()
-        for nonce in (b"c-", b"w-"):
-            batch = [wire.replace(_SID_MARK, nonce) for wire in wires]
-            assert subject.ingest_many(batch) == twin.ingest_many(batch)
-            assert _ingest_state(subject) == _ingest_state(twin)
+    """The runtime's slice read admits what the per-request full parse
+    admits, and answers what it answers: the oracle's traces of byte
+    edits, with the same fields, quarantine and dedup window."""
 
-    def test_every_single_mutation_of_a_canonical_wire(self):
+    def test_cold_then_warm_match_the_full_parse_twin(self, oracle_world):
+        """Edits of every row's wire, first sight, then the same edits
+        again under fresh sids with whatever either side memoized."""
+        picks = [("mutated", n) for n in range(0, 48 * 4000, 97)]
+        check(oracle_world, collects=picks + picks, cuts=[64, 1, 200])
+
+    def test_every_single_mutation_of_a_canonical_wire(self, oracle_world):
         """Each token inserted at, written over and cut out of every
-        position of the one shape the slices admit."""
-        wire = _canonical("@@")
-        mutants = [
-            _mutate(wire, token, at, mode)
-            for token in _MUTATIONS
-            for at in range(len(wire) + 1)
-            for mode in _MODES
-        ]
-        admitted = 0
-        for mutant in mutants:
-            # A pair per mutant: every one of them is a first sight.
-            subject, twin = WireIngest(), _FullParseOnly()
-            for nonce in (b"c-", b"w-"):
-                batch = [mutant.replace(_SID_MARK, nonce)]
-                assert subject.ingest_many(batch) == twin.ingest_many(batch), mutant
-                assert _ingest_state(subject) == _ingest_state(twin), mutant
-            admitted += subject.validator.accepted_count
-        assert 1000 < admitted < len(mutants)  # mostly hostile, not only
+        position of one row's wire: the one shape the slices admit."""
+        (wire,) = collect_wires(oracle_world.rows, [("row", 0)])
+        picks = [("mutated", 48 * m) for m in range(mutations(wire + b"99"))]
+        reference = check(oracle_world, collects=picks, cuts=[256])
+        admitted = reference.service.validator.accepted_count
+        assert 1000 < admitted < len(picks)  # mostly hostile, not only
 
-    def test_every_hostile_shape_and_poison_body_alone(self):
-        bodies = [_collect_core(shape) for shape in sorted(HOSTILE_SHAPES)]
-        bodies += POISON_BODIES.values()
-        subject, twin = WireIngest(), _FullParseOnly()
-        for _ in range(2):
-            assert subject.ingest_many(bodies) == twin.ingest_many(bodies)
-            assert _ingest_state(subject) == _ingest_state(twin)
+    def test_every_hostile_shape_and_poison_body_alone(self, oracle_world):
+        picks = [("shape", n) for n in range(len(HOSTILE_SHAPES))]
+        picks += [("poison", n) for n in range(len(POISON_BODIES))]
+        check(oracle_world, collects=picks * 2, cuts=[1])
 
     @staticmethod
     def _count_full_parses(monkeypatch):
@@ -476,7 +332,7 @@ class TestSliceReadEqualsFullParse:
     def test_a_canonical_wire_never_reaches_the_full_parser(self, monkeypatch):
         full_parses = self._count_full_parses(monkeypatch)
         ingest = WireIngest()
-        payload = _NATURAL[0]
+        payload = _PAYLOAD
         assert ingest.ingest_many([_canonical("first"), _canonical("again")]) == [
             (sid, payload.user_agent, payload.values, (), "chrome-112")
             for sid in ("first", "again")
@@ -498,7 +354,7 @@ class TestSliceReadEqualsFullParse:
         full_parses = self._count_full_parses(monkeypatch)
         (fields,) = WireIngest().ingest_many([wire])
         assert len(full_parses) == 1
-        assert fields[2] == _NATURAL[0].values and fields[4] == "chrome-112"
+        assert fields[2] == _PAYLOAD.values and fields[4] == "chrome-112"
         assert fields[3] == (("callPhantom",) if shape == "globals" else ())
 
     def test_the_ua_slice_memo_is_bounded_and_cleared_with_the_others(
@@ -508,7 +364,7 @@ class TestSliceReadEqualsFullParse:
         ingest = WireIngest()
         for version in range(100, 111):
             payload = dataclasses.replace(
-                _NATURAL[0], user_agent=format_user_agent(Vendor.CHROME, version)
+                _PAYLOAD, user_agent=format_user_agent(Vendor.CHROME, version)
             )
             (fields,) = ingest.ingest_many([_canonical(f"v{version}", payload)])
             assert fields[4] == f"chrome-{version}"

@@ -2,35 +2,36 @@
 
 import copy
 import dataclasses
-import itertools
 import json
 import sys
-import tempfile
 import threading
 from datetime import date
-from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.browsers.profiles import BrowserProfile
-from repro.browsers.useragent import Vendor, format_user_agent
+from repro.browsers.useragent import Vendor
 from repro.cluster import ClusterConfig, ClusterRouter, ShardSupervisor
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import BrowserPolygraph
 from repro.core.retraining import ModelRegistry
-from repro.coverage import CoverageConfig, CoverageTracker
+from repro.coverage import CoverageTracker
 from repro.fingerprint.script import MAX_PAYLOAD_BYTES, CollectionScript
-from repro.rollout import GuardrailConfig, RolloutConfig, RolloutManager
+from repro.rollout import RolloutConfig, RolloutManager
 from repro.runtime.service import RuntimeConfig, RuntimeScoringService
 from repro.service.aingest import _MAX_BODY as API_MAX_BODY
 from repro.service.api import CollectionApp
-from repro.service.ingest import PayloadValidator, RejectReason
+from repro.service.ingest import RejectReason
 from repro.service.scoring import ScoringService
-from repro.service.storage import SessionStore
 from repro.traffic.replay import iter_payloads
-from tests.event_shapes import POISON_BODIES
+from tests.oracle import (
+    COLLECT_KINDS,
+    POISON_BODIES,
+    check,
+    collect_wires,
+    cut_batches,
+    hostile_collects,
+)
 
 
 def _wires(dataset, limit):
@@ -132,95 +133,21 @@ class TestRuntimeConfig:
 class TestVerdictParity:
     """Batching and caching are pure optimizations: same verdicts."""
 
-    def test_replay_matches_baseline(self, trained, small_dataset, runtime):
-        wires = _wires(small_dataset, 1200)
-        baseline = ScoringService(trained)
-        expected = [_fields(baseline.score_wire(w)) for w in wires]
-        actual = [_fields(runtime.score_wire(w)) for w in wires]
-        assert actual == expected
-        assert runtime.scored_count == baseline.scored_count
-        assert runtime.flagged_count == baseline.flagged_count
+    def test_replay_matches_baseline(self, oracle_world):
+        check(oracle_world, collects=[("row", n) for n in range(1200)], cuts=[256])
 
-    def test_reject_parity_on_hostile_wires(self, trained):
-        good = json.loads(_wire("p-good").decode())
-        ua = good["ua"]
+    def test_reject_parity_on_hostile_wires(self, oracle_world):
+        """Every hostile spelling, oversized and garbage wire, and a
+        session id sent twice, through every path one at a time."""
+        hostile = len(hostile_collects("s", "u", [0]))
+        picks = [("hostile", n) for n in range(hostile)]
+        picks += [(kind, 3) for kind in ("oversized", "bad_json", "garbage_ua", "same_sid")]
+        check(oracle_world, collects=picks, cuts=[1])
 
-        def dumps(obj):
-            # Compact separators so the wires start with {"sid":" and
-            # genuinely exercise the runtime's fast-path guards.
-            return json.dumps(obj, separators=(",", ":")).encode()
-
-        hostile = [
-            b"x" * 2000,                                   # oversized
-            b"not json",                                   # malformed
-            b'{"sid":"a"',                                 # truncated json
-            dumps({"sid": "a", "ua": ua}),                 # missing features
-            dumps({"sid": "a", "ua": ua, "f": [1, 2]}),    # wrong arity
-            dumps({"sid": "", "ua": ua, "f": good["f"]}),
-            dumps({"sid": "x" * 99, "ua": ua, "f": good["f"]}),
-            dumps({"sid": "a", "ua": ua, "f": [-5] + good["f"][1:]}),
-            dumps({"sid": "a", "ua": ua, "f": good["f"], "g": ["g"] * 40}),
-            dumps({"sid": "a", "ua": "Not A Browser", "f": good["f"]}),
-            dumps({"sid": "a", "ua": ua, "f": good["f"], "g": None}),
-            dumps({"sid": 123, "ua": ua, "f": good["f"]}),
-            # key order the fast path cannot slice — must still parse
-            dumps({"ua": ua, "f": good["f"], "sid": "reordered"}),
-            # escaped quote in the sid — fast path must bail to the parser
-            dumps({"sid": 'a"b', "ua": ua, "f": good["f"]}),
-            # duplicate "sid" key — json.loads keeps the later one
-            b'{"sid":"first","sid":"second","ua":"%s","f":%s}'
-            % (ua.encode(), dumps(good["f"])),
-            _wire("dup-1"),
-            _wire("dup-1"),                                # duplicate session
-        ]
-        baseline = ScoringService(trained, validator=PayloadValidator())
-        service = RuntimeScoringService(trained, validator=PayloadValidator())
-        try:
-            expected = [_fields(baseline.score_wire(w)) for w in hostile]
-            actual = [_fields(service.score_wire(w)) for w in hostile]
-        finally:
-            service.shutdown()
-        assert actual == expected
-        assert (
-            service.validator.quarantine.counts()
-            == baseline.validator.quarantine.counts()
-        )
-
-    def test_wire_memo_fast_path_matches(self, trained, runtime):
-        baseline = ScoringService(trained)
-        first = _wire("memo-1")
-        second = _wire("memo-2")  # same fingerprint bytes, new sid
-        assert _fields(runtime.score_wire(first)) == _fields(
-            baseline.score_wire(first)
-        )
-        # second request takes the parsed-wire memo + verdict cache path
-        assert _fields(runtime.score_wire(second)) == _fields(
-            baseline.score_wire(second)
-        )
-        assert runtime.cache_hit_rate > 0.0
-
-
-# ----------------------------------------------------------------------
-# generated traffic, and the differential against the per-request twin
-
-_KINDS = (
-    "row", "row", "row", "row",          # natural simulator traffic
-    "unknown", "derivative", "garbage_ua", "globals",
-    "bad_json", "range", "oversized", "replay",   # single_mixed's hostile four
-    "nested", "overflow",                # the poison bodies
-    "same_sid",                          # a sid repeated right away
-)
-_UNKNOWN_RELEASES = (
-    format_user_agent(Vendor.CHROME, 131),
-    format_user_agent(Vendor.FIREFOX, 133),
-    format_user_agent(Vendor.EDGE, 132),
-)
-_pick = st.tuples(st.sampled_from(_KINDS), st.integers(0, 47))
-# Lengths drawn evenly: left alone, st.lists favours a handful of wires.
-_picks = st.integers(1, 400).flatmap(
-    lambda n: st.lists(_pick, min_size=n, max_size=n)
-)
-_cuts = st.lists(st.integers(1, 300), min_size=1, max_size=8)
+    def test_wire_memo_fast_path_matches(self, oracle_world):
+        """The second sight of a fingerprint takes the parsed-wire memo
+        and the verdict cache."""
+        check(oracle_world, collects=[("row", 0), ("row", 0), ("row", 48)], cuts=[1])
 
 
 @pytest.fixture(scope="module")
@@ -229,213 +156,38 @@ def rows(small_dataset):
     return [(p.user_agent, p.values) for p in iter_payloads(small_dataset, 48)]
 
 
-def _traffic(rows, picks, kinds=_KINDS):
-    """One wire per ``(kind, n)`` pick; sids unique unless the kind says so."""
-    wires = []
-    for position, (kind, n) in enumerate(picks):
-        if kind not in kinds:
-            kind = "row"
-        user_agent, values = rows[n % len(rows)]
-        body = {"sid": f"d{position}", "ua": user_agent, "f": list(values)}
-        if kind == "unknown":
-            body["ua"] = _UNKNOWN_RELEASES[n % len(_UNKNOWN_RELEASES)]
-        elif kind == "derivative":
-            # Another OS token and a derivative's suffix: a different
-            # string in the same vendor-version equivalence class.
-            body["ua"] = user_agent.replace(
-                "Windows NT 10.0; Win64; x64", "Macintosh; Intel Mac OS X 10_15_7"
-            ) + " OPR/98.0.0.0"
-        elif kind == "garbage_ua":
-            body["ua"] = "Not A Browser"
-        elif kind == "globals":
-            body["g"] = ["antBrowserInjected"]
-        elif kind == "range":
-            body["f"][5] = 10_001
-        elif kind == "oversized":
-            body["ua"] = user_agent + " " * (MAX_PAYLOAD_BYTES + 64)
-        elif kind == "same_sid" and position:
-            body["sid"] = f"d{position - 1}"
-        wire = _dumps(body)
-        if kind == "bad_json":
-            wire = wire[: len(wire) // 2]
-        elif kind == "nested":
-            wire = POISON_BODIES["nested-sid"]
-        elif kind == "overflow":
-            wire = POISON_BODIES["overflow"]
-        elif kind == "replay" and position:
-            wire = wires[position - 1 - n % position]
-        wires.append(wire)
-    return wires
-
-
-def _batches(wires, cuts):
-    """Cut ``wires`` into consecutive batches of the cycling sizes."""
-    out, position = [], 0
-    for size in itertools.cycle(cuts):
-        if position >= len(wires):
-            return out
-        out.append(wires[position : position + size])
-        position += size
-
-
-def _dedup_window(validator):
-    _, ids, seen = validator.dedup_state()
-    return list(ids), set(seen)
-
-
-def _assert_same_state(runtime, twin, n_wires):
-    """Every counter the issue names, runtime against per-request twin."""
-    assert runtime.scored_count == twin.scored_count
-    assert runtime.flagged_count == twin.flagged_count
-    assert runtime.unknown_ua_counts == twin.unknown_ua_counts
-    assert runtime.requests_total == n_wires
-    ours, theirs = runtime.validator, twin.validator
-    assert runtime.rejected_count == theirs.quarantine.total_rejects
-    assert ours.quarantine.counts() == theirs.quarantine.counts()
-    assert ours.accepted_count == theirs.accepted_count
-    assert _dedup_window(ours) == _dedup_window(theirs)
-
-
 class TestBatchDifferential:
     """Any cut of any wire sequence: the per-request service's answers."""
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        picks=_picks,
-        cuts=_cuts,
-        cache_entries=st.sampled_from([0, 4, 8192]),
-        attached=st.booleans(),
-        swap=st.booleans(),
-        day=st.sampled_from([None, date(2023, 7, 4)]),
-    )
-    def test_any_cut_matches_the_per_request_twin(
-        self, models, rows, picks, cuts, cache_entries, attached, swap, day
-    ):
-        """``attached``: a SessionStore and a CoverageTracker on both
-        sides.  ``swap``: a retrain lands between two batches (and, for
-        the twin, before the same wire)."""
-        config, model, other = models
-        wires = _traffic(rows, picks)
-        batches = _batches(wires, cuts)
-        swap_before = len(batches) // 2 if swap else None
-        with tempfile.TemporaryDirectory() as tmp:
-            sides = []
-            for name in ("runtime", "twin"):
-                store = coverage = None
-                if attached:
-                    store = SessionStore(Path(tmp) / name)
-                    coverage = CoverageTracker(
-                        config=CoverageConfig(window=16, min_observations=4)
-                    )
-                sides.append((_pipeline(config, model), store, coverage))
-            (ours, our_store, our_coverage), (theirs, their_store, their_coverage) = sides
-            runtime = RuntimeScoringService(
-                ours,
-                store=our_store,
-                config=RuntimeConfig(cache_entries=cache_entries),
+    def test_any_cut_matches_the_per_request_twin(self, oracle_world):
+        """Every kind of wire, a retrain between two batches, a store and
+        a coverage tracker attached, a dated batch: at each cut and
+        cache size (the drawn ones are ``tests/test_oracle.py``'s)."""
+        picks = [(kind, 5 * i) for i, kind in enumerate(COLLECT_KINDS * 6)]
+        for cuts, cache_entries, day in (
+            ([1], 0, None), ([37, 1, 120], 4, date(2023, 7, 4)), ([300], 8192, None)
+        ):
+            check(
+                oracle_world, collects=picks, cuts=cuts, cache_entries=cache_entries,
+                install_at=3, stored=True, day=day,
             )
-            twin = ScoringService(theirs, store=their_store)
-            if attached:
-                runtime.attach_coverage(our_coverage)
-                twin.attach_coverage(their_coverage)
-            actual, expected = [], []
-            for number, batch in enumerate(batches):
-                if number == swap_before:
-                    ours.install(other)
-                    theirs.install(other)
-                actual += runtime.score_many(batch, day=day)
-                expected += [twin.score_wire(wire, day=day) for wire in batch]
-            runtime.shutdown()
-            assert [_essence(v) for v in actual] == [_essence(v) for v in expected]
-            _assert_same_state(runtime, twin, len(wires))
-            if attached:
-                assert [p.read_bytes() for p in our_store.segments()] == [
-                    p.read_bytes() for p in their_store.segments()
-                ]
-                assert our_coverage.status_dict() == their_coverage.status_dict()
-            if cache_entries:
-                assert len(runtime.cache) <= cache_entries
-                probes = runtime.cache.hits + runtime.cache.misses
-                assert probes == twin.validator.accepted_count
 
-    @settings(max_examples=15, deadline=None)
-    @given(
-        picks=_picks,
-        cuts=_cuts,
-        cache_entries=st.sampled_from([0, 4, 8192]),
-    )
-    def test_canary_split_with_an_identical_candidate(
-        self, models, rows, registry, picks, cuts, cache_entries
-    ):
+    def test_canary_split_with_an_identical_candidate(self, oracle_world):
         """Routing, arm-tagged keys and mirroring all run, and — the
         candidate being the live model — change no verdict."""
-        config, model, _ = models
-        wires = _traffic(rows, picks)
-        runtime = RuntimeScoringService(
-            _pipeline(config, model),
-            config=RuntimeConfig(cache_entries=cache_entries),
-        )
-        twin = ScoringService(_pipeline(config, model))
-        with tempfile.TemporaryDirectory() as tmp:
-            manager = RolloutManager(
-                registry,
-                runtime=runtime,
-                config=RolloutConfig(
-                    stages=(0.25, 1.0), shadow_sample_rate=0.5,
-                    min_stage_verdicts=3,
-                ),
-                guardrails=GuardrailConfig(),
-                state_path=Path(tmp) / "rollout.json",
+        picks = [(kind, 5 * i) for i, kind in enumerate(COLLECT_KINDS * 6)]
+        for cache_entries in (0, 4, 8192):
+            check(
+                oracle_world, collects=picks, cuts=[37, 1, 120],
+                cache_entries=cache_entries, canary=True,
             )
-            manager.begin(
-                _pipeline(config, model), 2, baseline_version=1, salt="fixed-salt"
-            )
-            manager.advance(force=True)  # shadow -> 25% canary
-            try:
-                actual = []
-                for batch in _batches(wires, cuts):
-                    actual += runtime.score_many(batch)
-                expected = [twin.score_wire(wire) for wire in wires]
-                assert manager.drain_shadow()
-                assert manager.in_flight  # identical candidate: no rollback
-                routed = [
-                    manager.route(v.session_id) + (v.inferred_release,)
-                    for v in expected
-                    if v.accepted
-                ]
-                report = manager.report
-                stage_verdicts = manager.controller.stage_verdicts
-            finally:
-                manager.close()
-                runtime.shutdown()
-        assert [_essence(v) for v in actual] == [_essence(v) for v in expected]
-        _assert_same_state(runtime, twin, len(wires))
-        # Every mirror-routed row was mirrored, hit or miss — but for
-        # interim inferred *flags*, which the manager keeps out of the
-        # comparison (and which a verdict cannot tell from an escalation).
-        mirrored = report.comparisons + report.shed
-        assert mirrored <= sum(mirror for _, mirror, _ in routed)
-        assert mirrored >= sum(
-            mirror for _, mirror, inferred in routed if inferred is None
-        )
-        assert report.mismatches == 0
-        candidates = sum(candidate for candidate, _, _ in routed)
-        if cache_entries == 0:
-            assert stage_verdicts == candidates  # every row reached its arm
-        else:
-            assert stage_verdicts <= candidates
-        if cache_entries == 8192:  # nothing evicted
-            tagged = [
-                key for key in runtime.cache._entries if key[0] == "__candidate__"
-            ]
-            assert bool(tagged) == bool(candidates)
 
     def test_candidate_row_of_an_ended_rollout_is_served_live_uncached(
         self, models, rows, registry, tmp_path
     ):
         """The rollout ends between routing a batch and scoring it."""
         config, model, _ = models
-        wires = _traffic(rows, [("row", n) for n in range(200)])
+        wires = collect_wires(rows, [("row", n) for n in range(200)])
         runtime = RuntimeScoringService(_pipeline(config, model))
         twin = ScoringService(_pipeline(config, model))
         manager = RolloutManager(
@@ -449,7 +201,7 @@ class TestBatchDifferential:
         manager.candidate_detector = lambda: None  # what an ended rollout returns
         try:
             actual = runtime.score_many(wires)
-            candidates = sum(manager.route(f"d{n}")[0] for n in range(200))
+            candidates = sum(manager.route(f"c{n}")[0] for n in range(200))
         finally:
             manager.close()
             runtime.shutdown()
@@ -576,11 +328,16 @@ class TestConcurrentProducers:
         dedup window or a verdict filed under the wrong index would
         break the sums below."""
         config, model, _ = models
-        kinds = tuple(k for k in _KINDS if k != "same_sid")
+        # Kinds whose answers do not depend on which thread is first
+        # (a duplicate session id would).
+        kinds = (
+            "row", "unknown", "forged", "derivative", "garbage_ua", "globals",
+            "bad_json", "range", "oversized", "replay", "poison",
+        )
         picks = [
             (kinds[(7 * i) % len(kinds)], (5 * i) % 48) for i in range(1800)
         ]
-        wires = _traffic(rows, picks, kinds=kinds)
+        wires = collect_wires(rows, picks)
         twin = ScoringService(_pipeline(config, model))
         their_coverage = CoverageTracker()
         twin.attach_coverage(their_coverage)
@@ -600,7 +357,7 @@ class TestConcurrentProducers:
             mine = wires[index * share : (index + 1) * share]
             gate.wait(timeout=30.0)
             verdicts = []
-            for batch in _batches(mine, [37, 1, 120]):
+            for batch in cut_batches(mine, [37, 1, 120]):
                 verdicts += runtime.score_many(batch)
             results[index] = verdicts
 
@@ -699,7 +456,8 @@ class TestRetraining:
                 _essence(old.score_wire(w)) for w in wires
             ]
             # ... none of which the cache accepted.
-            assert service.cache.stale_drops == 80
+            service.cache.sync_stats()
+            assert service.runtime_stats.counter("cache_stale_drops") == 80
             assert len(service.cache) == 0
             assert service.cache.model_generation == pipeline.model_generation
             # The same fingerprints again: the new model's answers, cached.

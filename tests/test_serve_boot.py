@@ -3,8 +3,9 @@
 The real entry point runs in a child process on a port the kernel
 picks (``--port 0``; the banner names the bound one) and is driven over
 sockets: the asyncio front end over the batched runtime, with a
-registry's resumed rollout, a fusion arm, session streams and coverage
-composed on one process.  SIGTERM drains it and it exits 0.
+registry's resumed rollout, a fusion arm, session streams with their
+event log and coverage composed on one process.  SIGTERM drains it, the
+log's buffered events are sealed onto disk, and it exits 0.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import repro
 from repro.cli import main
 from repro.core.retraining import ModelRegistry
 from repro.fusion import FusionModel
+from repro.sessions import SessionEventLog
 from repro.traffic.events import EventType, SessionEvent
 from repro.traffic.replay import iter_wire_payloads
 
@@ -116,9 +118,10 @@ def test_serve_composes_every_layer_on_one_process(
         fusion_path
     )
 
+    log_dir = tmp_path / "events"
     server = _Server(
         ["--registry", registry_dir, "--fusion", fusion_path,
-         "--session-ttl", "60", "--coverage"]
+         "--session-ttl", "60", "--session-log", str(log_dir), "--coverage"]
     )
     try:
         mode, port = server.banner()
@@ -163,6 +166,9 @@ def test_serve_composes_every_layer_on_one_process(
         assert "draining in-flight requests before exit\n" in printed
     finally:
         server.kill()
+    # The drain sealed the one buffered event: it is on disk.
+    logged = SessionEventLog(log_dir).window(seconds=1e12)
+    assert [(r["sid"], r["seq"]) for r in logged] == [("boot-event", 0)]
 
     # The threaded WSGI front end is gone.
     with pytest.raises(SystemExit) as refused:

@@ -82,7 +82,7 @@ class TestValidator:
     def test_batch_preserves_order(self):
         validator = PayloadValidator()
         wires = [_payload("b-1").to_wire(), b"garbage", _payload("b-2").to_wire()]
-        results = validator.ingest_batch(wires)
+        results = [validator.ingest_wire(wire) for wire in wires]
         assert [r.accepted for r in results] == [True, False, True]
 
     def test_quarantine_counts(self):

@@ -1,16 +1,16 @@
-"""The batch fold against references it cannot agree with by construction.
+"""The batch fold against the frozen per-event fold, case by case.
 
-``fold_many`` folds a batch under one lock span over tuple-backed
-records and lazily allocated per-session sets; the frozen per-event
-fold in :mod:`tests.parent_fold` does none of that.  Whatever the cut
-and the bounds, both must leave the same observations, the same
-session state and the same durable log rows.
+``_fold_rows`` folds a batch under one lock span over tuple-backed
+records and lazily allocated per-session sets; the frozen fold in
+:mod:`tests.parent_fold` does none of that.  Any cut, any bounds and a
+sweep inside a batch are the oracle's (``tests/test_oracle.py``); here
+its cases: a drawn search with a sweep every other touch, traces
+spelled out, the aggregates, and a follow-up's provenance.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 from repro.fusion.arm import FusionArm
 from repro.fusion.model import FusionModel
 from repro.service.scoring import ScoringService, Verdict
-from repro.sessions import SessionEventLog, SessionScoringService
-from repro.sessions.envelope import inner_wire
+from repro.sessions import SessionScoringService
 from repro.sessions import tracker as tracker_module
+from repro.sessions.envelope import inner_wire
 from repro.sessions.tracker import EventRecord, SessionState
 from repro.traffic.events import (
     EventStreamConfig,
@@ -30,22 +30,20 @@ from repro.traffic.events import (
     build_event_streams,
 )
 
-from tests.event_shapes import (
-    HOSTILE_SHAPES,
-    build_traffic,
-    differential,
-    first_difference,
-    scenario_streams,
-    sessions_state,
-)
 from tests import parent_fold
+from tests.oracle import (
+    HOSTILE_SHAPES,
+    build_trace,
+    check,
+    run_oracle,
+    sessions_state,
+    traces,
+)
 from tests.parent_fold import ParentFoldService, ParentSessionState
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 _T0 = 1_000.0
-# Gaps between a session's events; the two long ones outlast the TTL.
-_GAPS = (0.001, 1.0, 400.0, 700.0, 5_000.0)
 _TTL = 600.0
 
 
@@ -62,108 +60,43 @@ def streams(small_dataset, trained):
     )
 
 
-def _retimed(stream, start: float, gaps):
-    """``stream``'s events on a clock of their own: the first at
-    ``_T0 + start``, each next one a drawn gap later."""
-    events = []
-    at = _T0 + start
-    for number, event in enumerate(stream.events):
-        events.append(dataclasses.replace(event, timestamp=round(at, 3)))
-        at += gaps[number % len(gaps)]
-    return dataclasses.replace(stream, events=tuple(events))
-
-
-def _fold_traffic(n_streams: int):
-    return st.fixed_dictionaries(
-        {
-            "sessions": st.lists(
-                st.tuples(
-                    st.integers(0, n_streams - 1),
-                    st.one_of(st.none(), st.sampled_from(sorted(HOSTILE_SHAPES))),
-                    st.sampled_from(_GAPS),  # when the session opens
-                    st.lists(st.sampled_from(_GAPS), min_size=1, max_size=4),
-                ),
-                min_size=1,
-                max_size=10,
-            ),
-            "keep_order": st.booleans(),
-            "replays": st.lists(st.integers(0, 1 << 16), max_size=4),
-            "rnd": st.randoms(use_true_random=False),
-            "cuts": st.lists(st.integers(1, 40), min_size=1, max_size=20),
-            "ttl_seconds": st.sampled_from([_TTL, 1e9]),
-            "max_sessions": st.sampled_from([1, 3, 100_000]),
-            "logged": st.booleans(),
-        }
-    )
-
-
-def _twins(inners, log_root, **bounds):
-    """The service under test and its frozen twin."""
-    logs = [
-        None if log_root is None else SessionEventLog(log_root / side)
-        for side in ("new", "frozen")
-    ]
-    new = SessionScoringService(inners[0], event_log=logs[0], **bounds)
-    frozen = ParentFoldService(inners[1], event_log=logs[1], **bounds)
-    return new, frozen
-
-
-def _log_rows(log):
-    return [] if log is None else log.window(seconds=1e12)
-
-
 class TestFoldManyAgainstTheFrozenFold:
-    @pytest.fixture(scope="class")
-    def twin_inners(self, trained):
-        """Fed identical wires for the whole class, so their dedup
-        windows stay identical too."""
-        return ScoringService(trained), ScoringService(trained)
-
-    def test_any_cut_any_bounds(self, twin_inners, streams, tmp_path):
-        candidates = scenario_streams(streams)
-        example = itertools.count()
-
-        @settings(max_examples=120, deadline=None)
-        @given(drawn=_fold_traffic(len(candidates)))
-        def check(drawn):
-            number = next(example)
-            retimed = [
-                _retimed(candidates[index], start, gaps)
-                for index, _, start, gaps in drawn["sessions"]
-            ]
-            wires = build_traffic(
-                retimed,
-                [(i, shape) for i, (_, shape, _, _) in enumerate(drawn["sessions"])],
-                drawn["keep_order"],
-                drawn["replays"],
-                drawn["rnd"],
-                nonce=f"f{number}",
+    def test_any_cut_any_bounds(self, oracle_world):
+        """Every scenario and hostile shape, cut fine and coarse, under
+        room for one session, three, or all, a TTL that expires sessions
+        mid-stream, with and without an event log (the drawn cuts and
+        bounds are ``tests/test_oracle.py``'s)."""
+        sessions = [(i % 15, shape) for i, shape in enumerate(sorted(HOSTILE_SHAPES))]
+        sessions += [(i, None) for i in range(15)]
+        for max_sessions, ttl_seconds, logged in (
+            (1, _TTL, True), (3, _TTL, False), (100_000, 1e9, True)
+        ):
+            check(
+                oracle_world, sessions=sessions, cuts=[1, 8, 40, 3], keep_order=False,
+                replays=[5, 99], max_sessions=max_sessions, ttl_seconds=ttl_seconds,
+                logged=logged,
             )
-            new, frozen = _twins(
-                twin_inners,
-                tmp_path / str(number) if drawn["logged"] else None,
-                ttl_seconds=drawn["ttl_seconds"],
-                max_sessions=drawn["max_sessions"],
-            )
-            got, expected = differential(new, frozen, wires, drawn["cuts"])
-            assert got == expected, first_difference(got, expected)
-            assert sessions_state(new) == sessions_state(frozen)
-            assert _log_rows(new.event_log) == _log_rows(frozen.event_log)
 
-        check()
+    def test_any_cut_any_bounds_with_a_sweep_every_other_touch(self, oracle_world):
+        """The oracle's property, with the tracker's head sweep landing
+        inside batches: at the real cadence of 512 touches no drawn
+        batch holds one."""
 
-    def test_any_cut_any_bounds_with_a_sweep_every_other_touch(
-        self, twin_inners, streams, tmp_path, monkeypatch
-    ):
-        """The property again, with sweeps landing inside batches.
+        @settings(max_examples=40, deadline=None)
+        @given(drawn=traces())
+        def holds(drawn):
+            run_oracle(oracle_world, build_trace(oracle_world, drawn))
 
-        A drawn batch holds ~30 events at most, so at the real cadence
-        of 512 touches no sweep ever runs inside the fold's one tracker
-        lock span; at 2, most batches hold several."""
-        monkeypatch.setattr(tracker_module, "_SWEEP_EVERY", 2)
-        # The frozen tracker imported the cadence by value.
-        monkeypatch.setattr(parent_fold, "_SWEEP_EVERY", 2)
-        self.test_any_cut_any_bounds(twin_inners, streams, tmp_path)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tracker_module, "_SWEEP_EVERY", 2)
+            # The frozen tracker imported the cadence by value.
+            patch.setattr(parent_fold, "_SWEEP_EVERY", 2)
+            holds()
+
+    def test_fold_is_a_batch_of_one(self, oracle_world):
+        """Each event alone in its batch folds as the frozen per-event
+        fold does."""
+        check(oracle_world, sessions=[(i, None) for i in range(15)], cuts=[1])
 
     def test_a_session_expires_and_another_is_evicted_inside_one_batch(
         self, trained, streams
@@ -202,39 +135,6 @@ class TestFoldManyAgainstTheFrozenFold:
         assert (status["evicted_capacity"], status["evicted_ttl"]) == (2, 1)
         assert virtual_now == _T0 + 10 * _TTL
         assert [sid for sid, _ in tracked] == ["fold-a"]
-
-    def test_fold_is_a_batch_of_one(self, trained, streams):
-        stream = next(s for s in streams if len(s.events) >= 3)
-        inner = ScoringService(trained)
-        events = list(stream.events)
-        verdicts = [
-            Verdict(e.session_id, True, False, None, None, 0.0) for e in events
-        ]
-        one_by_one = SessionScoringService(inner, ttl_seconds=1e9)
-        at_once = SessionScoringService(inner, ttl_seconds=1e9)
-        singles = [one_by_one.fold(e, v) for e, v in zip(events, verdicts)]
-        assert singles == at_once.fold_many(events, verdicts)
-        assert sessions_state(one_by_one) == sessions_state(at_once)
-
-
-class TestFoldManyLooksItsResultsUp:
-    def test_fold_many_records_what_observing_records(self, trained, streams):
-        """``fold_many`` gets verdicts without the results they were
-        scored from, so it looks every cluster and ``ua_key`` up: it
-        folds, revises and records exactly as observing the events does."""
-        in_order = sorted(
-            (e for s in streams for e in s.events), key=lambda e: e.timestamp
-        )
-        wires = [e.to_wire() for e in in_order]
-        events = [SessionEvent.from_wire(wire) for wire in wires]
-        observing = SessionScoringService(ScoringService(trained), ttl_seconds=1e9)
-        observed = observing.observe_many(wires)
-        folding = SessionScoringService(ScoringService(trained), ttl_seconds=1e9)
-        assert folding.fold_many(events, [o.verdict for o in observed]) == observed
-        assert sessions_state(folding) == sessions_state(observing)
-        assert folding.status_dict()["revision_reasons"]["cluster_flip"] > 0
-        records = folding.session_snapshot(events[0].session_id)["events"]
-        assert records[0]["predicted_cluster"] is not None and records[0]["ua_key"]
 
 
 class TestDistinctAggregates:
@@ -302,14 +202,17 @@ class TestFollowUpVerdictKeepsItsProvenance:
             self.polygraph = trained
             self.cells = iter(["both", "primary_only", "second_only"])
 
-        def score_wire(self, wire, day=None):
-            sid = wire[8 : wire.index(b'"', 8)].decode()
-            return Verdict(
-                sid, True, False, None, None, 0.0,
-                fused_flagged=True, fusion_cell=next(self.cells),
-                second_probability=0.75, second_lift=2.5,
-                inferred_release="chrome-101", inferred_distance=1,
-            )
+        def score_rows(self, wires, rows, found, day=None):
+            found[:] = [None] * len(wires)
+            return [
+                Verdict(
+                    wire[8 : wire.index(b'"', 8)].decode(), True, False, None,
+                    None, 0.0, fused_flagged=True, fusion_cell=next(self.cells),
+                    second_probability=0.75, second_lift=2.5,
+                    inferred_release="chrome-101", inferred_distance=1,
+                )
+                for wire in wires
+            ]
 
     def test_every_field_but_the_id_survives(self, trained, streams):
         stream = next(s for s in streams if len(s.events) >= 3)
@@ -363,5 +266,5 @@ class TestFollowUpVerdictKeepsItsProvenance:
     def test_a_plain_event_is_not_mistaken_for_a_follow_up(self, trained):
         sessions = SessionScoringService(self._Stamping(trained), ttl_seconds=1e9)
         event = SessionEvent("solo", EventType.PAGE_LOAD, 0, 1.0, "ua", (1, 2))
-        verdict = sessions.observe_event(event).verdict
+        verdict = sessions.observe_wire(event.to_wire()).verdict
         assert (verdict.session_id, verdict.fusion_cell) == ("solo", "both")

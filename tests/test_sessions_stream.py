@@ -41,7 +41,7 @@ from repro.traffic.events import (
     interleave_events,
 )
 
-from tests.event_shapes import (
+from tests.oracle import (
     HOSTILE_SHAPES,
     NEVER_MEMOIZED,
     build_traffic,
@@ -68,6 +68,17 @@ def streams(small_dataset, trained):
     return build_event_streams(
         small_dataset, EventStreamConfig(seed=11), donor_ok=donor_ok
     )
+
+
+def _touch(tracker, session_id):
+    """What the fold does for one event: touch the session at the clock."""
+    with tracker._lock:
+        return tracker._touch_locked(session_id, tracker._clock())
+
+
+def _surface_changes(stream) -> int:
+    """Events whose vector differs from their predecessor's."""
+    return sum(a.values != b.values for a, b in zip(stream.events, stream.events[1:]))
 
 
 def _session_service(trained, **kwargs):
@@ -181,14 +192,15 @@ class TestEventStreams:
             == config.engine_swap_sessions
         )
         for stream in by_scenario[StreamScenario.ENGINE_SWAP]:
-            assert stream.surface_changes() >= 1
+            assert _surface_changes(stream) >= 1
         for stream in by_scenario[StreamScenario.HIJACK_HANDOFF]:
             assert len({e.user_agent for e in stream.events}) == 2
         for stream in by_scenario[StreamScenario.BENIGN_RECOLLECT]:
-            assert stream.surface_changes() == 0
+            assert _surface_changes(stream) == 0
             assert len(stream.events) >= 2
         for stream in by_scenario[StreamScenario.SINGLE_SHOT]:
             assert len(stream.events) == 1
+
 
     def test_interleave_is_globally_ordered_and_seq_stable(self, streams):
         events = interleave_events(streams)
@@ -222,14 +234,14 @@ class TestSessionTracker:
     def test_ttl_eviction(self):
         clock = {"now": 0.0}
         tracker = SessionTracker(ttl_seconds=10.0, clock=lambda: clock["now"])
-        state, created = tracker.get_or_create("a")
+        state, created = _touch(tracker, "a")
         assert created
         state.record_event(self._record(0, 0.0), (1,), 32)
         clock["now"] = 5.0
-        _, created = tracker.get_or_create("a")
+        _, created = _touch(tracker, "a")
         assert not created
         clock["now"] = 20.0
-        _, created = tracker.get_or_create("a")
+        _, created = _touch(tracker, "a")
         assert created  # expired entry was replaced
         assert tracker.evicted_ttl == 1
 
@@ -243,10 +255,10 @@ class TestSessionTracker:
         tracker = SessionTracker(
             max_sessions=2, ttl_seconds=1e9, clock=lambda: clock["now"]
         )
-        tracker.get_or_create("a")
-        tracker.get_or_create("b")
-        tracker.get_or_create("a")  # refresh a
-        tracker.get_or_create("c")  # evicts b
+        _touch(tracker, "a")
+        _touch(tracker, "b")
+        _touch(tracker, "a")  # refresh a
+        _touch(tracker, "c")  # evicts b
         assert tracker.peek("b") is None
         assert tracker.peek("a") is not None
         assert tracker.evicted_capacity == 1
@@ -255,7 +267,7 @@ class TestSessionTracker:
         tracker = SessionTracker(
             max_events_per_session=3, clock=lambda: 0.0
         )
-        state, _ = tracker.get_or_create("a")
+        state, _ = _touch(tracker, "a")
         for seq in range(10):
             state.record_event(
                 self._record(seq, float(seq)), (seq,), tracker.max_events_per_session
@@ -264,43 +276,32 @@ class TestSessionTracker:
         assert state.event_count == 10
         assert state.distinct_vectors == 10
 
-    def test_sweep_evicts_expired(self):
-        clock = {"now": 0.0}
-        tracker = SessionTracker(ttl_seconds=10.0, clock=lambda: clock["now"])
-        for name in "abc":
-            tracker.get_or_create(name)
-        clock["now"] = 100.0
-        assert tracker.sweep() == 3
-        assert len(tracker) == 0
-
     def test_touches_evict_the_expired_head(self):
         clock = {"now": 0.0}
         tracker = SessionTracker(ttl_seconds=10.0, clock=lambda: clock["now"])
         for name in "abc":
-            tracker.get_or_create(name)
+            _touch(tracker, name)
         clock["now"] = 100.0
         # Other sessions' touches — never a touch of a, b or c, so lazy
         # expiry cannot be what removes them.
         for touch in range(_SWEEP_EVERY - 3):
-            tracker.get_or_create(f"live-{touch % 7}")
-        assert tracker.active_ids() == [f"live-{i}" for i in (5, 6, 0, 1, 2, 3, 4)]
+            _touch(tracker, f"live-{touch % 7}")
+        assert list(tracker._sessions) == [f"live-{i}" for i in (5, 6, 0, 1, 2, 3, 4)]
         assert tracker.evicted_ttl == 3
 
     def test_the_head_sweep_stops_at_the_first_live_session(self):
         clock = {"now": 95.0}
         tracker = SessionTracker(ttl_seconds=10.0, clock=lambda: clock["now"])
-        tracker.get_or_create("live")
+        _touch(tracker, "live")
         # Touched later, but its last event carried an older timestamp:
-        # expired behind a live session.  The full sweep finds it, the
-        # head sweep leaves it to the lazy expiry.
-        state, _ = tracker.get_or_create("stale-behind")
+        # expired behind a live session.  The head sweep leaves it to
+        # the lazy expiry.
+        state, _ = _touch(tracker, "stale-behind")
         state.last_seen = 0.0
         clock["now"] = 100.0
         for _ in range(_SWEEP_EVERY):
-            tracker.get_or_create("other")
-        assert tracker.active_ids() == ["live", "stale-behind", "other"]
-        assert tracker.sweep() == 1
-        assert tracker.active_ids() == ["live", "other"]
+            _touch(tracker, "other")
+        assert list(tracker._sessions) == ["live", "stale-behind", "other"]
 
     def test_a_touch_does_not_walk_the_live_sessions(self):
         steps = itertools.count()
@@ -316,10 +317,10 @@ class TestSessionTracker:
         )
         tracker._sessions = Counting()
         for number in range(50_000):
-            tracker.get_or_create(f"s{number}")
+            _touch(tracker, f"s{number}")
         before = next(steps)
         for number in range(4 * _SWEEP_EVERY):
-            tracker.get_or_create(f"s{number}")
+            _touch(tracker, f"s{number}")
         # Four sweeps looked at the head of the map, not at 50k entries.
         assert next(steps) - before - 1 <= 4
         assert len(tracker) == 50_000
@@ -399,7 +400,7 @@ class TestSessionScoringService:
         for stream in streams[:300]:
             event = stream.first
             expected = single.score_wire(event.core_wire())
-            observed = sessions.observe_event(event).verdict
+            observed = sessions.observe_wire(event.to_wire()).verdict
             assert (
                 expected.session_id,
                 expected.accepted,
@@ -418,7 +419,7 @@ class TestSessionScoringService:
         sessions = _session_service(trained)
         stream = next(s for s in streams if len(s.events) >= 3)
         for event in stream.events:
-            observation = sessions.observe_event(event)
+            observation = sessions.observe_wire(event.to_wire())
             assert observation.verdict.accepted, observation.verdict
         snapshot = sessions.session_snapshot(stream.session_id)
         assert snapshot["event_count"] == len(stream.events)
@@ -435,7 +436,7 @@ class TestSessionScoringService:
             assert not first_result.flagged
             revisions = []
             for event in stream.events:
-                observation = sessions.observe_event(event)
+                observation = sessions.observe_wire(event.to_wire())
                 if observation.revision is not None:
                     revisions.append(observation.revision)
             # ...caught mid-session by the revision machinery.
@@ -455,11 +456,11 @@ class TestSessionScoringService:
         ][:50]
         assert benign
         for stream in benign:
-            first = sessions.observe_event(stream.first)
+            first = sessions.observe_wire(stream.first.to_wire())
             if first.verdict.flagged:
                 continue  # rare FP; sticky-flag semantics tested elsewhere
             for event in stream.events[1:]:
-                observation = sessions.observe_event(event)
+                observation = sessions.observe_wire(event.to_wire())
                 assert observation.revision is None
                 assert not observation.session_flagged
 
@@ -469,7 +470,7 @@ class TestSessionScoringService:
             s for s in streams if s.scenario is StreamScenario.ENGINE_SWAP
         )
         for event in stream.events:
-            sessions.observe_event(event)
+            sessions.observe_wire(event.to_wire())
         flagged_snapshot = sessions.session_snapshot(stream.session_id)
         assert flagged_snapshot["flagged"]
         # Replay the clean first vector as a later event: still flagged.
@@ -481,7 +482,7 @@ class TestSessionScoringService:
             user_agent=stream.first.user_agent,
             values=stream.first.values,
         )
-        observation = sessions.observe_event(clean_again)
+        observation = sessions.observe_wire(clean_again.to_wire())
         assert observation.session_flagged
         risk_after = sessions.session_snapshot(stream.session_id)["risk_factor"]
         assert risk_after == flagged_snapshot["risk_factor"]
@@ -582,7 +583,7 @@ class TestSessionScoringService:
         sessions = _session_service(trained)
         for stream in streams[:20]:
             for event in stream.events:
-                sessions.observe_event(event)
+                sessions.observe_wire(event.to_wire())
         lines = sessions.metrics_lines()
         text = "\n".join(lines)
         for metric in (
@@ -765,34 +766,27 @@ class TestObserveManyDifferential:
     def test_observe_wire_and_observe_event_share_the_batch_core(
         self, trained, streams
     ):
+        """One at a time or as one batch, an event goes through the one
+        batch core: ``observe_wire`` is ``observe_many`` of one."""
         by_wire = _session_service(trained)
-        by_event = _session_service(trained)
         by_batch = _session_service(trained)
         events = [
-            SessionEvent.from_wire(e.to_wire())  # the wire rounds timestamps
-            for s in scenario_streams(streams, per_scenario=2)
-            for e in s.events
+            e for s in scenario_streams(streams, per_scenario=2) for e in s.events
         ]
         one = [by_wire.observe_wire(e.to_wire()).to_dict() for e in events]
-        two = [by_event.observe_event(e).to_dict() for e in events]
-        three = [
+        two = [
             o.to_dict()
             for o in by_batch.observe_many([e.to_wire() for e in events])
         ]
-        assert one == two == three
-        assert (
-            sessions_state(by_wire)
-            == sessions_state(by_event)
-            == sessions_state(by_batch)
-        )
+        assert one == two
+        assert sessions_state(by_wire) == sessions_state(by_batch)
         assert any(document["revision"] for document in one)
 
     def test_malformed_envelopes_never_reach_the_inner_service(self, trained):
         class Untouchable:
-            polygraph = trained
-
-            def score_wire(self, wire, day=None):
-                raise AssertionError("a malformed envelope was scored")
+            def score_rows(self, wires, rows, found, day=None):
+                assert not wires, "a malformed envelope was scored"
+                return []
 
         sessions = SessionScoringService(Untouchable())
         event = SessionEvent("s", EventType.FOCUS, 1, 2.0, "ua", (1, 2))
@@ -936,15 +930,27 @@ class TestSessionEventLog:
         assert {r["sid"] for r in recent} == {"s3", "s4", "s5"}
 
     def test_prune_drops_whole_old_segments(self, tmp_path):
-        log = SessionEventLog(tmp_path, segment_events=2, window_seconds=30.0)
-        for seq in range(6):
-            self._append(log, f"s{seq}", 0, seq * 20.0)
+        """40 events over 200 s, a segment every 4, a 10 s window: each
+        seal keeps only the segments with an event inside the window."""
+        log = SessionEventLog(tmp_path, segment_events=4, window_seconds=10.0)
+        for seq in range(40):
+            self._append(log, f"s{seq}", 0, seq * 5.0)
+        # The last seal (events at 180..195 s) drops all before it.
+        assert log.stats()["segments"] == 1
+        assert log.stats()["pruned_segments"] == 9
+        assert sorted(p.name for p in tmp_path.glob("*.npz")) == ["events-000009.npz"]
+        reopened = SessionEventLog(tmp_path, segment_events=4, window_seconds=10.0)
+        assert [r["ts"] for r in reopened.window(seconds=1e9)] == [180.0, 185.0, 190.0, 195.0]
+
+    def test_seal_flushes_the_buffer(self, tmp_path):
+        log = SessionEventLog(tmp_path, segment_events=100)
+        for seq in range(3):
+            self._append(log, "a", seq, float(seq))
         log.seal()
-        assert log.stats()["segments"] == 3
-        dropped = log.prune()
-        assert dropped >= 1
-        remaining = log.window(seconds=1e9)
-        assert all(r["ts"] >= 100.0 - 30.0 for r in remaining)
+        log.seal()  # nothing buffered: no empty segment
+        assert log.stats()["segments"] == 1
+        reopened = SessionEventLog(tmp_path, segment_events=100)
+        assert [e["seq"] for e in reopened.window()] == [0, 1, 2]
 
     def test_manifest_survives_reopen(self, tmp_path):
         log = SessionEventLog(tmp_path, segment_events=2)

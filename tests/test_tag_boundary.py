@@ -12,20 +12,61 @@ The fusion trainer is the one sanctioned consumer, and only through
 :func:`repro.fusion.labels.weak_labels`.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core.pipeline import BrowserPolygraph
-from repro.fusion.labels import (
-    WEAK_TAG_COLUMNS,
-    WeakLabelLeak,
-    WeakLabels,
-    weak_labels,
-    with_guarded_tags,
-)
+from repro.fusion.labels import WEAK_TAG_COLUMNS, WeakLabels, weak_labels
 from repro.fusion.model import FusionModel
 from repro.service.scoring import ScoringService
 from repro.traffic.replay import iter_wire_payloads
+
+
+class WeakLabelLeak(RuntimeError):
+    """A model-facing code path read a weak-tag column."""
+
+
+class _GuardedColumn:
+    """Stand-in for a tag column that detonates on any read.
+
+    Only ``shape`` survives (the dataset's alignment check needs it);
+    indexing, iteration, casting, or reduction raises
+    :class:`WeakLabelLeak` with the column name, so the tripwire test
+    points straight at the offending code path.
+    """
+
+    def __init__(self, name: str, length: int) -> None:
+        self._name = name
+        self.shape = (length,)
+
+    def _leak(self, *args, **kwargs):
+        raise WeakLabelLeak(
+            f"model-facing code read weak-tag column {self._name!r}; "
+            "only repro.fusion.labels.weak_labels may consume it"
+        )
+
+    __getitem__ = _leak
+    __iter__ = _leak
+    __array__ = _leak
+    __len__ = _leak
+    astype = _leak
+    sum = _leak
+    mean = _leak
+    tolist = _leak
+    copy = _leak
+
+
+def with_guarded_tags(dataset):
+    """A shallow dataset copy whose tag columns raise on access."""
+    n = len(dataset)
+    return replace(
+        dataset,
+        untrusted_ip=_GuardedColumn("untrusted_ip", n),
+        untrusted_cookie=_GuardedColumn("untrusted_cookie", n),
+        ato=_GuardedColumn("ato", n),
+    )
 
 
 class TestGuardMechanics:
