@@ -727,12 +727,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     else:
         print("draining in-flight requests before exit")
     finally:
-        for manager in managers:
-            manager.save()
-            manager.close()
-        service.shutdown(drain=True)
-        if event_log is not None:
-            event_log.seal()  # the events still buffered, on disk
+        try:
+            for manager in managers:
+                manager.save()
+                manager.close()
+            service.shutdown(drain=True)
+        finally:
+            # The events still buffered go on disk, whatever the
+            # shutdown raised.
+            if event_log is not None:
+                event_log.seal()
     return 0
 
 

@@ -9,7 +9,10 @@ number, absolute timestamp and scoring outcome next to the fingerprint.
 The log is a sliding window: an in-memory buffer absorbs appends and
 seals into an immutable segment every ``segment_events`` rows (and when
 ``serve`` drains), and each seal drops the whole segments whose newest
-event has fallen out of the retention window.  A tiny JSON manifest
+event has fallen out of the retention window.  An event's ``ts`` is the
+client's, so the log reads none as later than its own clock: one
+far-future event must not move the window past every honest segment.
+A tiny JSON manifest
 records per-segment time bounds so window queries and pruning decide
 from metadata without opening the archives.  Both go through
 :func:`repro.durable.write_atomic`, segment first: a crash between the
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
@@ -84,7 +88,8 @@ class SessionEventLog:
         Buffered events per sealed segment.
     window_seconds:
         Retention horizon; every seal drops the segments entirely older
-        than ``newest_seen - window_seconds``.
+        than ``now - window_seconds``, where ``now`` is the newest event's
+        ``ts`` but never later than the wall clock.
     """
 
     def __init__(
@@ -150,26 +155,29 @@ class SessionEventLog:
 
     def _seal_locked(self) -> None:
         """The buffer becomes a segment, and every segment wholly older
-        than the window (``newest_seen - window_seconds``) is dropped,
-        in one manifest write; the dropped files go after it."""
+        than the window (``now - window_seconds``) is dropped, in one
+        manifest write; the dropped files go after it."""
         if not self._buffer:
             return
         name = f"events-{self._next_segment:06d}.npz"
         columns = _records_to_columns(self._buffer)
         size = write_segment(self.root / name, columns, column_set=EVENT_COLUMNS)
         ts = columns["ts"]
+        clock = time.time()
+        # A segment's bounds, too, stop at the clock: a far-future event
+        # would otherwise keep its segment on disk until that day.
         self._manifest.append(
             {
                 "name": name,
                 "rows": len(self._buffer),
                 "bytes": size,
-                "min_ts": float(ts.min()),
-                "max_ts": float(ts.max()),
+                "min_ts": min(float(ts.min()), clock),
+                "max_ts": min(float(ts.max()), clock),
             }
         )
         self._next_segment += 1
         self._buffer = []
-        cutoff = self._newest_ts - self.window_seconds
+        cutoff = min(self._newest_ts, clock) - self.window_seconds
         dropped = [entry for entry in self._manifest if entry["max_ts"] < cutoff]
         if dropped:
             self._manifest = [e for e in self._manifest if e["max_ts"] >= cutoff]
@@ -191,7 +199,7 @@ class SessionEventLog:
         """
         with self._lock:
             if now is None:
-                now = self._newest_ts
+                now = min(self._newest_ts, time.time())
             horizon = self.window_seconds if seconds is None else seconds
             cutoff = now - horizon
             manifest = list(self._manifest)

@@ -2,8 +2,8 @@
 
 Operational views of a deployment window: daily session volume, daily
 flag rate, and per-release adoption curves (how a new version's share
-grows after launch).  These feed the monitoring example and give the
-drift analysis calendar context — the paper's checks are meaningful
+grows after launch).  They give the drift analysis calendar context
+for a library caller — the paper's checks are meaningful
 precisely because new releases ramp to dominant share within weeks.
 """
 

@@ -947,9 +947,11 @@ def _inner_state(stack: _Stack) -> tuple:
     )
 
 
-def run_oracle(world: World, trace: Trace) -> "_Stack":
+def run_oracle(world: World, trace: Trace) -> Dict[str, _Stack]:
     """Play ``trace`` through every path; fail on the first difference.
-    Returns the reference's stack, for what a caller asserts besides."""
+    Returns each path's stack by name (``reference``, ``batch`` and,
+    for a trace without a ``day``, ``socket``), for what a caller
+    asserts besides."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         reference = _stack(world, trace, root, "reference")
@@ -1027,4 +1029,4 @@ def run_oracle(world: World, trace: Trace) -> "_Stack":
             observed = sessions_state(stack.sessions)
             assert observed[:3] == sessions, name
             assert observed[3] == fusion, name
-    return reference
+    return {"reference": reference, **stacks}

@@ -173,7 +173,7 @@ class TestPoisonBody:
             collects=rows[:128] + [("poison", sorted(POISON_BODIES).index(poison))]
             + rows[128:],
             cuts=[256],
-        )
+        )["reference"]
         assert reference.service.validator.quarantine.counts() == {
             RejectReason.MALFORMED: 1
         }

@@ -36,12 +36,8 @@ PROTOCOL_CALLBACKS = frozenset(
     }
 )
 
-# Library code outside the serve path that nothing in the repo calls,
-# but whose behaviour tier-1 pins: retiring it retires those tests,
-# which is a change of its own.
-_LIBRARY = "library API with tier-1 tests and no in-repo caller"
-
-# ``path:qualified name`` -> why it stays although only tests reach it.
+# ``path:qualified name`` -> why it stays although only tests reach it:
+# the caller outside the repo that needs it, or the change that retires it.
 ALLOWED = {
     "src/repro/cluster/supervisor.py:ShardSupervisor.from_polygraph": (
         "the cluster suites build their shards from a fitted pipeline; "
@@ -56,19 +52,36 @@ ALLOWED = {
         "(ARCHITECTURE, jsengine); the collector reads its length through "
         "own_property_count"
     ),
-    "src/repro/browsers/configs.py:perturbation_by_name": _LIBRARY,
-    "src/repro/browsers/derivatives.py:tor_environment": (
-        "Section 6.3's Tor Browser derivative, modelled so its exclusion "
-        "can be exercised; " + _LIBRARY
+    "src/repro/browsers/configs.py:perturbation_by_name": (
+        "how a caller names the subset of BENIGN_PERTURBATIONS it hands "
+        "the gauntlet's benign traffic through its perturbations= argument"
     ),
-    "src/repro/ml/metrics.py:silhouette_samples_mean": _LIBRARY,
+    "src/repro/browsers/derivatives.py:tor_environment": (
+        "Section 6.3's Tor Browser surface, the half of the derivative pair "
+        "the simulator does not draw: a caller modelling Tor traffic "
+        "builds its sessions from it"
+    ),
+    "src/repro/ml/metrics.py:silhouette_samples_mean": (
+        "the subsampled silhouette a caller checks the k=11 fit's "
+        "separation with at the paper's 205k rows, where the full "
+        "pairwise one is O(n^2)"
+    ),
     "src/repro/traffic/events.py:interleave_events": (
         "the README's library example replays event streams in time "
         "order through it"
     ),
-    "src/repro/traffic/timeseries.py:daily_volume": _LIBRARY,
-    "src/repro/traffic/timeseries.py:daily_flag_rate": _LIBRARY,
-    "src/repro/traffic/timeseries.py:adoption_curve": _LIBRARY,
+    "src/repro/traffic/timeseries.py:daily_volume": (
+        "per-day session volume of a deployment window, the calendar a "
+        "caller reads a drift report against"
+    ),
+    "src/repro/traffic/timeseries.py:daily_flag_rate": (
+        "per-day flag rate of a DetectionReport, what a caller plots to "
+        "see a release's spike"
+    ),
+    "src/repro/traffic/timeseries.py:adoption_curve": (
+        "a release's share by day since launch, what a caller reads to "
+        "tell adoption from an attack (ARCHITECTURE, coverage)"
+    ),
 }
 
 

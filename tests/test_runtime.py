@@ -309,7 +309,7 @@ class TestSliceReadEqualsFullParse:
         position of one row's wire: the one shape the slices admit."""
         (wire,) = collect_wires(oracle_world.rows, [("row", 0)])
         picks = [("mutated", 48 * m) for m in range(mutations(wire + b"99"))]
-        reference = check(oracle_world, collects=picks, cuts=[256])
+        reference = check(oracle_world, collects=picks, cuts=[256])["reference"]
         admitted = reference.service.validator.accepted_count
         assert 1000 < admitted < len(picks)  # mostly hostile, not only
 

@@ -104,7 +104,7 @@ class TestStickyFusedVerdicts:
             reference = check(
                 oracle_world, sessions=[(i, None) for i in range(15)], fusion="plain",
                 cuts=[1, 8, 256], keep_order=False, max_sessions=max_sessions,
-            )
+            )["reference"]
             # The property held with sticky fused verdicts to compare.
             assert len(reference.sessions.folded) > 15
             assert len(expected_fusion(reference.sessions.folded, max_sessions)) == min(

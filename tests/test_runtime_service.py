@@ -130,11 +130,24 @@ class TestRuntimeConfig:
             RuntimeConfig(**kwargs)
 
 
+@pytest.fixture(scope="module")
+def default_world(oracle_world, trained, small_dataset):
+    """The oracle's world on ``trained``'s own model (the default
+    config) and 1,200 simulator rows."""
+    return dataclasses.replace(
+        oracle_world,
+        model=trained.cluster_model,
+        rows=[(p.user_agent, p.values) for p in iter_payloads(small_dataset, 1200)],
+    )
+
+
 class TestVerdictParity:
     """Batching and caching are pure optimizations: same verdicts."""
 
-    def test_replay_matches_baseline(self, oracle_world):
-        check(oracle_world, collects=[("row", n) for n in range(1200)], cuts=[256])
+    def test_replay_matches_baseline(self, default_world):
+        """1,200 distinct simulator sessions on the default config."""
+        stacks = check(default_world, collects=[("row", n) for n in range(1200)], cuts=[256])
+        assert stacks["reference"].service.scored_count == 1200
 
     def test_reject_parity_on_hostile_wires(self, oracle_world):
         """Every hostile spelling, oversized and garbage wire, and a
@@ -144,10 +157,12 @@ class TestVerdictParity:
         picks += [(kind, 3) for kind in ("oversized", "bad_json", "garbage_ua", "same_sid")]
         check(oracle_world, collects=picks, cuts=[1])
 
-    def test_wire_memo_fast_path_matches(self, oracle_world):
+    def test_wire_memo_fast_path_matches(self, default_world):
         """The second sight of a fingerprint takes the parsed-wire memo
         and the verdict cache."""
-        check(oracle_world, collects=[("row", 0), ("row", 0), ("row", 48)], cuts=[1])
+        stacks = check(default_world, collects=[("row", 0), ("row", 0), ("row", 1200)], cuts=[1])
+        for name in ("batch", "socket"):
+            assert stacks[name].service.cache_hit_rate > 0.0, name
 
 
 @pytest.fixture(scope="module")

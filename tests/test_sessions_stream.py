@@ -7,6 +7,7 @@ import itertools
 import json
 import sys
 import threading
+import time
 from collections import OrderedDict
 from urllib.request import urlopen
 
@@ -33,6 +34,7 @@ from repro.sessions.envelope import (
 )
 from repro.sessions.tracker import _SWEEP_EVERY, EventRecord
 from repro.traffic.events import (
+    MAX_EVENT_TIMESTAMP,
     EventStreamConfig,
     EventType,
     SessionEvent,
@@ -941,6 +943,23 @@ class TestSessionEventLog:
         assert sorted(p.name for p in tmp_path.glob("*.npz")) == ["events-000009.npz"]
         reopened = SessionEventLog(tmp_path, segment_events=4, window_seconds=10.0)
         assert [r["ts"] for r in reopened.window(seconds=1e9)] == [180.0, 185.0, 190.0, 195.0]
+
+    def test_a_far_future_event_prunes_nothing(self, tmp_path):
+        """A client's ts at the calendar's end moves no cutoff: the
+        honest segments sealed after it stay on disk, across a reopen."""
+        log = SessionEventLog(tmp_path, segment_events=2, window_seconds=60.0)
+        now = time.time()
+        self._append(log, "far", 0, MAX_EVENT_TIMESTAMP - 1.0)
+        for seq in range(5):
+            self._append(log, "a", seq, now - 10.0 + seq)
+        log.seal()
+        assert log.stats()["pruned_segments"] == 0
+        assert len(list(tmp_path.glob("*.npz"))) == 3
+        reopened = SessionEventLog(tmp_path, segment_events=2, window_seconds=60.0)
+        for seq in range(5, 9):
+            self._append(reopened, "a", seq, now - 10.0 + seq)
+        assert reopened.stats()["pruned_segments"] == 0
+        assert [r["seq"] for r in reopened.window() if r["sid"] == "a"] == list(range(9))
 
     def test_seal_flushes_the_buffer(self, tmp_path):
         log = SessionEventLog(tmp_path, segment_events=100)
