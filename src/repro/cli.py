@@ -550,7 +550,17 @@ def _build_cluster(args: argparse.Namespace):
     supervisor = ShardSupervisor(
         args.model, config=config, runtime_config=_runtime_config(args)
     )
-    return ClusterRouter(supervisor, RouterConfig(affinity=args.affinity)).start()
+    router = ClusterRouter(supervisor, RouterConfig(affinity=args.affinity))
+    # A forked shard shares the router's pages until either side writes
+    # one, and a collection writes the GC header of every object it
+    # visits.  So freeze what is built before the first fork (CPython's
+    # recipe for fork without exec): no later collection on either side
+    # touches those objects, and their pages stay shared.
+    import gc
+
+    gc.collect()
+    gc.freeze()
+    return router.start()
 
 
 def _serve_until_signalled(server, announce: Callable[[], None]) -> None:

@@ -141,7 +141,11 @@ class ClusterRouter:
         # of a hash + bisect.  The ring's epoch counter invalidates the
         # memo on any membership change (shard death, restart, scale
         # events).  Session ids do not repeat; they are not memoized.
-        self._route_memo: Dict[bytes, str] = {}
+        # Keyed by ``hash(key)``, not the key: a tail copy per entry
+        # would only remember one shard id.  Two keys of one hash share
+        # an owner, which only sends a wire to another replica of the
+        # same model file, and so to the same verdict.
+        self._route_memo: Dict[int, str] = {}
         self._route_epoch = -1
         # Optional cluster-wide CoverageTracker (repro.coverage).
         self.coverage = None
@@ -202,7 +206,7 @@ class ClusterRouter:
                 self._route_epoch = epoch
             if len(memo) >= _ROUTE_MEMO_LIMIT:
                 memo.clear()
-            memo[key] = shard_id
+            memo[hash(key)] = shard_id
         return shard_id
 
     def score_many(self, wires: Sequence[bytes]) -> List[Verdict]:
@@ -242,7 +246,7 @@ class ClusterRouter:
                 quote = wire.find(b'"', 8)
                 if quote >= 8:
                     key = wire[quote:] if fingerprint else wire[8:quote]
-            shard_id = memo_get(key) if fingerprint else None
+            shard_id = memo_get(hash(key)) if fingerprint else None
             if shard_id is None:
                 shard_id = owner_of(key)
                 if shard_id is None:

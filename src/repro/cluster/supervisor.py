@@ -6,11 +6,12 @@ A *shard* is one model replica behind a small uniform surface
 * :class:`ThreadShard` — the replica and its
   :class:`~repro.runtime.service.RuntimeScoringService` live in this
   process.  The default: cheap to boot, trivially debuggable.
-* :class:`ProcessShard` — the replica lives in a child process, one
-  process per shard, reached through the shared-memory slab of
+* :class:`ProcessShard` — the replica lives in a forked child process,
+  one process per shard, reached through the shared-memory slab of
   :mod:`repro.cluster.transport`; ingest, dedup and the verdict cache
   run router-side and only cache misses cross.  Buys fault isolation (a
-  crashed shard is a dead process, not a corrupted heap).
+  crashed shard is a dead process, not a corrupted heap).  It needs the
+  ``fork`` start method: the child inherits its slab as a mapping.
 
 Both backends *load their own model replica from a file* and, before
 serving, verify it against the sha256 digest recorded when it was
@@ -212,12 +213,10 @@ class ThreadShard:
 # process backend
 
 
-def _shard_worker(
-    conn, model_path: str, slab_name: str, n_slots: int, n_features: int
-) -> None:
+def _shard_worker(conn, router_end, model_path: str, slab: ShmSlab) -> None:
     """Child-process main loop: one model replica behind a pipe and a slab.
 
-    The child attaches the parent-created slab and handshakes
+    The child checks the slab it inherited at fork and handshakes
     ``("shm_ready", attached, namespace_probe, vendor_risk, generation)``
     — the parent needs the escalation config because ingest and the
     Section 8 escalation run router-side, and the child only evaluates
@@ -225,7 +224,12 @@ def _shard_worker(
     classes) straight out of the slab with one vectorized model call.
     ``attached=False`` tells the parent the slab could not be mapped; it
     reaps this child and raises.
+
+    The fork copied the router's end of the pipe, too: it is closed
+    first, so that ``recv`` sees EOF, and the child exits, once the
+    router is gone, however it went.
     """
+    router_end.close()
     # Terminal Ctrl-C delivers SIGINT to the whole foreground process
     # group; the supervisor stops children through a ("stop",) pipe
     # message, so the signal would only interrupt conn.recv() with a
@@ -233,9 +237,7 @@ def _shard_worker(
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     polygraph = BrowserPolygraph.load(model_path)
     try:
-        shm_meta, shm_results, shm_rows, close_slab = attach_slab_views(
-            slab_name, n_slots, n_features
-        )
+        shm_meta, shm_results, shm_rows = attach_slab_views(slab)
         attached = True
     except Exception:  # noqa: BLE001 — report it; the parent decides
         attached = False
@@ -287,11 +289,6 @@ def _shard_worker(
         elif op == "stop":
             conn.send(("stopped",))
             break
-    shm_meta = shm_results = shm_rows = None
-    try:
-        close_slab()
-    except BufferError:
-        pass
     conn.close()
 
 
@@ -310,12 +307,12 @@ class ProcessShard:
     :data:`~repro.service.scoring.OVERLOADED_REASON` verdicts, which the
     router treats as its cue to re-route.  A slab that cannot be created
     or attached fails :meth:`start` with :class:`ShardError`, with the
-    child reaped and no segment left behind — there is no second data
-    plane to degrade to.
+    child reaped and the mapping closed — there is no second data plane
+    to degrade to.
 
     Crash/restart semantics: the slab outlives the child.  ``restart``
-    spawns a fresh child that re-attaches the *same* slab by name, with
-    a fresh transport — cache and dedup window start cold, exactly like
+    forks a fresh child over the *same* mapping, with a fresh transport
+    — cache and dedup window start cold, exactly like
     :meth:`ThreadShard.restart` after a crash.
     """
 
@@ -344,10 +341,7 @@ class ProcessShard:
                     f"{on_disk[:12]}..."
                 )
         self.ring_slots = ring_slots
-        methods = multiprocessing.get_all_start_methods()
-        self._ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn"
-        )
+        self._ctx = multiprocessing.get_context("fork")
         self._process = None
         self._conn = None
         self._alive = False
@@ -367,13 +361,7 @@ class ProcessShard:
             parent_conn, child_conn = self._ctx.Pipe()
             self._process = self._ctx.Process(
                 target=_shard_worker,
-                args=(
-                    child_conn,
-                    str(self.model_path),
-                    self._slab.name,
-                    self._slab.n_slots,
-                    self._slab.n_features,
-                ),
+                args=(child_conn, parent_conn, str(self.model_path), self._slab),
                 name=f"polygraph-shard-{self.shard_id}",
                 daemon=True,
             )
@@ -390,7 +378,7 @@ class ProcessShard:
             if not attached:
                 raise ShardError("child could not attach the slab")
         except (EOFError, OSError, ValueError, ShardError) as exc:
-            # No slab, no shard: reap the child, unlink the segment.
+            # No slab, no shard: reap the child, unmap the slab.
             self.kill()
             self._reap()
             self._close_slab()
@@ -432,7 +420,7 @@ class ProcessShard:
         self._alive = False
 
     def restart(self) -> None:
-        """Fresh child re-attaching the same slab; transport starts cold."""
+        """Fresh child over the same slab; transport starts cold."""
         self.kill()
         self._reap()
         self.start()

@@ -11,12 +11,16 @@ has.  Wire payloads never cross the process boundary:
   hit that never crosses the process boundary at all.
 
 * **Shared-memory slab per shard.**  Cache *misses* cross as fixed-
-  stride ``float64`` feature rows written directly into a
-  ``multiprocessing.shared_memory`` slab; the child scores them with
-  one vectorized model call reading the rows in place (zero copy on
-  both sides) and writes compact integer results back into the slab.
-  Only small control tuples — ``("shmscore", seq, start, n, ua_keys)``
-  out, ``("shmdone", seq, generation)`` back — travel over the pipe.
+  stride ``float64`` feature rows written directly into an anonymous
+  shared mapping the parent creates and the forked child inherits; the
+  child scores them with one vectorized model call reading the rows in
+  place (zero copy on both sides) and writes compact integer results
+  back into the slab.  Only small control tuples —
+  ``("shmscore", seq, start, n, ua_keys)`` out, ``("shmdone", seq,
+  generation)`` back — travel over the pipe.  The mapping has no name:
+  nothing under ``/dev/shm``, no ``multiprocessing.shared_memory`` and
+  no resource-tracker process, and the kernel frees it when the last
+  process mapping it exits, however that process ends.
 
 * **Slot ring with FIFO lease/ack.**  Slab rows are leased in
   contiguous runs from a ring cursor and released when the child acks
@@ -45,10 +49,9 @@ answer for another result; the memo is cleared whole at
 
 Failure semantics: a pipe error marks the transport ``broken``, every
 unanswered miss in flight completes with an :func:`overloaded_verdict`
-(the router's failover re-routes them), and the supervisor restart spawns
-a fresh child that re-attaches the *same* slab by name with a fresh
-transport — cold cache and dedup window after a crash, matching
-``ThreadShard.restart``.
+(the router's failover re-routes them), and the supervisor restart forks
+a fresh child over the *same* mapping with a fresh transport — cold
+cache and dedup window after a crash, matching ``ThreadShard.restart``.
 
 Escalation parity: the child writes **raw** (un-escalated) results; the
 parent caches the raw result and applies the Section 8 namespace-probe
@@ -58,6 +61,7 @@ cache-raw / escalate-per-request order as ``RuntimeScoringService``.
 
 from __future__ import annotations
 
+import mmap
 import threading
 import time
 from collections import deque
@@ -103,112 +107,68 @@ def slab_nbytes(n_slots: int, n_features: int) -> int:
 
 
 def _slab_views(buf, n_slots: int, n_features: int):
-    """(header, meta, results, rows) numpy views over one slab buffer."""
-    header = np.ndarray((8,), dtype=np.int64, buffer=buf, offset=0)
+    """(header, meta, results, rows) numpy views over one slab buffer.
+
+    Each view holds a buffer export, so the mapping cannot be unmapped
+    under a live view.
+    """
+    header = np.frombuffer(buf, np.int64, 8, 0)
     offset = _HEADER_BYTES
-    meta = np.ndarray((n_slots,), dtype=np.int64, buffer=buf, offset=offset)
+    meta = np.frombuffer(buf, np.int64, n_slots, offset)
     offset += n_slots * 8
-    results = np.ndarray(
-        (n_slots, 4), dtype=np.int64, buffer=buf, offset=offset
-    )
+    results = np.frombuffer(buf, np.int64, n_slots * 4, offset).reshape(n_slots, 4)
     offset += n_slots * 32
-    rows = np.ndarray(
-        (n_slots, n_features), dtype=np.float64, buffer=buf, offset=offset
+    rows = np.frombuffer(buf, np.float64, n_slots * n_features, offset).reshape(
+        n_slots, n_features
     )
     return header, meta, results, rows
 
 
 class ShmSlab:
-    """Parent-owned shared-memory slab (create / close / unlink)."""
+    """Parent-created slab: an anonymous shared mapping a forked child inherits."""
 
     def __init__(self, n_slots: int, n_features: int) -> None:
-        from multiprocessing import shared_memory
-
         if n_slots < 1:
             raise ValueError("n_slots must be >= 1")
         if n_features < 1:
             raise ValueError("n_features must be >= 1")
         self.n_slots = n_slots
         self.n_features = n_features
-        self._shm = shared_memory.SharedMemory(
-            create=True, size=slab_nbytes(n_slots, n_features)
-        )
-        self.name = self._shm.name
+        # MAP_SHARED | MAP_ANONYMOUS: pages written on either side of a
+        # fork are seen by the other.
+        self.mapping = mmap.mmap(-1, slab_nbytes(n_slots, n_features))
         self.header, self.meta, self.results, self.rows = _slab_views(
-            self._shm.buf, n_slots, n_features
+            self.mapping, n_slots, n_features
         )
         self.header[0] = SLAB_MAGIC
         self.header[1] = n_slots
         self.header[2] = n_features
 
     def close(self) -> None:
-        """Release the mapping and unlink the segment (parent owns it)."""
-        # Drop the numpy views first: SharedMemory.close() refuses to
-        # unmap while exported buffers are alive.
+        """Unmap this process's side; the pages go with the last mapper."""
+        # Drop the numpy views first: mmap.close() refuses to unmap
+        # while exported buffers are alive.
         self.header = self.meta = self.results = self.rows = None
         try:
-            self._shm.close()
-        except (BufferError, OSError):
-            pass  # a view is still exported; the name goes regardless
-        try:
-            self._shm.unlink()
-        except OSError:
-            pass
-
-
-def attach_slab_views(name: str, n_slots: int, n_features: int):
-    """Attach a parent-created slab from the child process.
-
-    Maps ``/dev/shm/<name>`` directly — attaching through
-    ``SharedMemory(name=...)`` would register the segment with the
-    child's ``resource_tracker``, which then unlinks it at child exit
-    while the parent still owns it (the parent holds create/unlink).
-    Falls back to ``SharedMemory`` where ``/dev/shm`` is absent.
-
-    Returns ``(meta, results, rows, close)``; raises ``OSError`` or
-    ``ValueError`` when the slab is missing or malformed.
-    """
-    import mmap
-
-    closer = None
-    try:
-        with open(f"/dev/shm/{name}", "r+b") as handle:
-            mapped = mmap.mmap(handle.fileno(), 0)
-        buf = memoryview(mapped)
-
-        def closer() -> None:
-            nonlocal buf
-            buf.release()
-            mapped.close()
-
-    except OSError:
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(name=name)
-        buf = shm.buf
-        closer = shm.close
-    try:
-        header, meta, results, rows = _slab_views(buf, n_slots, n_features)
-        if (
-            header[0] != SLAB_MAGIC
-            or header[1] != n_slots
-            or header[2] != n_features
-        ):
-            raise ValueError(
-                f"slab {name!r} header mismatch: "
-                f"{header[0]:#x}/{header[1]}/{header[2]} vs "
-                f"{SLAB_MAGIC:#x}/{n_slots}/{n_features}"
-            )
-    except Exception:
-        # numpy views over ``buf`` may still be alive in local frames;
-        # best-effort release so the error propagates cleanly.
-        header = meta = results = rows = None
-        try:
-            closer()
+            self.mapping.close()
         except BufferError:
-            pass
-        raise
-    return meta, results, rows, closer
+            pass  # a view is still alive; the mapping goes with it
+
+
+def attach_slab_views(slab: ShmSlab):
+    """``(meta, results, rows)`` over a slab inherited at fork.
+
+    The header must still name the geometry the parent created; raises
+    ``ValueError`` when it does not, or when the slab is closed.
+    """
+    n_slots, n_features = slab.n_slots, slab.n_features
+    header, meta, results, rows = _slab_views(slab.mapping, n_slots, n_features)
+    if header[0] != SLAB_MAGIC or header[1] != n_slots or header[2] != n_features:
+        raise ValueError(
+            f"slab header mismatch: {header[0]:#x}/{header[1]}/{header[2]} "
+            f"vs {SLAB_MAGIC:#x}/{n_slots}/{n_features}"
+        )
+    return meta, results, rows
 
 
 class SlotRing:

@@ -233,6 +233,11 @@ class _Connection(asyncio.Protocol):
         self.transport = transport
         self.server.open_connections += 1
         self.server._connections.add(self)
+        if self.server._closing:
+            # Accepted just before the listener closed: it ends with
+            # the server, like every other connection.
+            transport.abort()
+            return
         self._sync_reading()
 
     def connection_lost(self, exc) -> None:
@@ -460,6 +465,7 @@ class AsyncIngestServer:
         self._event_templates: Dict[tuple, Tuple[bytes, bytes]] = {}
         self._wakeup: Optional[asyncio.Event] = None
         self._stop_async: Optional[asyncio.Event] = None
+        self._closing = False
         self._executor: Optional[ThreadPoolExecutor] = None
 
     # ------------------------------------------------------------------
@@ -533,6 +539,14 @@ class AsyncIngestServer:
         try:
             await self._stop_async.wait()
         finally:
+            # Stop accepting first, then let the accepts already taken
+            # off the listener attach their transports: one that
+            # attaches after ``server.close()`` trips the server's
+            # bookkeeping (an assert in 3.11) and leaks its socket.
+            for sock in server.sockets:
+                self._loop.remove_reader(sock.fileno())
+            await asyncio.sleep(0)
+            self._closing = True
             server.close()
             # Keep-alive connections end with the server, not whenever
             # their clients get round to it.

@@ -68,6 +68,7 @@ cluster is then re-based, not flipped.
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass
 from datetime import date
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -239,7 +240,9 @@ class SessionScoringService:
         Tracking TTLs in *event* time (the max timestamp observed) keeps
         eviction deterministic under replay: a benchmark replaying a day
         of traffic in two seconds still ages sessions by their own
-        clock, not the host's.
+        clock, not the host's.  A client sets each ``ts``, so the clock
+        never moves past the wall clock: one far-future event would
+        otherwise expire every live session on its next touch.
         """
         return self._virtual_now
 
@@ -323,6 +326,7 @@ class SessionScoringService:
         touch = tracker._touch_locked
         clock = tracker._clock
         max_events = tracker.max_events_per_session
+        ceiling = time.time()  # event time never passes the wall clock
         logged: Optional[list] = None if self.event_log is None else []
         rows: List[EventRow] = []
         append = rows.append
@@ -332,8 +336,9 @@ class SessionScoringService:
                 for event, verdict, scored in zip(events, verdicts, found):
                     session_id, event_type, seq, timestamp, _, values, _ = event
                     # Event time moves for every parsed event, scored or not.
-                    if timestamp > self._virtual_now:
-                        self._virtual_now = timestamp
+                    step = timestamp if timestamp < ceiling else ceiling
+                    if step > self._virtual_now:
+                        self._virtual_now = step
                     if not verdict.accepted:
                         append(_unscored(verdict, seq))
                         continue

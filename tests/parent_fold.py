@@ -17,6 +17,7 @@ Not a test module itself.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -200,8 +201,10 @@ class ParentFoldService(SessionScoringService):
 
     def fold(self, event: SessionEvent, verdict: Verdict) -> SessionObservation:
         with self._lock:
-            if event.timestamp > self._virtual_now:
-                self._virtual_now = event.timestamp
+            # Bounded by the wall clock, as the live fold is.
+            step = min(event.timestamp, time.time())
+            if step > self._virtual_now:
+                self._virtual_now = step
         if not verdict.accepted:
             return _parent_unscored(verdict, event.seq)
         if verdict.session_id != event.session_id:

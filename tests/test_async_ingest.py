@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import gc
 import http.client
 import itertools
 import json
@@ -29,6 +30,7 @@ import select
 import socket
 import threading
 import time
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -316,6 +318,45 @@ class TestKeepAliveOrdering:
                         break
                     reply += chunk
             assert reply.startswith(b"HTTP/1.1 202")
+
+
+class TestShutdown:
+    def test_a_client_accepted_while_the_server_closes_is_closed_with_it(self):
+        """Clients connect while the loop is held, and the stop is queued
+        before the loop sees them, so their accepts and the close fall in
+        the same turn of the loop.  Each is closed with the server, and
+        no socket or transport is left to warn (CI runs this under
+        ``-W error``)."""
+        server = _serve(_Canned()).start()
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            held.set()
+            release.wait(10.0)
+
+        server._loop.call_soon_threadsafe(hold)
+        assert held.wait(10.0)
+        clients = [
+            socket.create_connection(("127.0.0.1", server.port), timeout=10)
+            for _ in range(4)
+        ]
+        try:
+            server._loop.call_soon_threadsafe(server._request_stop)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                release.set()
+                server.close()
+                gc.collect()
+            assert [str(w.message) for w in caught] == []
+            assert server.open_connections == 0
+            for client in clients:
+                try:
+                    assert client.recv(1) == b""
+                except ConnectionResetError:
+                    pass
+        finally:
+            for client in clients:
+                client.close()
 
 
 class TestBatchingAndBackpressure:

@@ -267,6 +267,39 @@ def test_build_cluster_serves_a_router(artifacts):
         router.shutdown()
 
 
+def test_process_shards_fork_after_the_router_heap_is_frozen(
+    artifacts, tmp_path, monkeypatch
+):
+    """``serve`` freezes what it has built before the first shard forks,
+    so no collection on either side writes the pages they share."""
+    import argparse
+    import gc
+    import os
+
+    import repro.cluster.supervisor as supervisor_mod
+    from repro.cli import _build_cluster
+
+    real_worker = supervisor_mod._shard_worker
+
+    def worker(*args):
+        (tmp_path / f"frozen-{os.getpid()}").write_text(str(gc.get_freeze_count()))
+        real_worker(*args)
+
+    monkeypatch.setattr(supervisor_mod, "_shard_worker", worker)
+    _, model_path = artifacts
+    args = argparse.Namespace(
+        model=model_path, shards=2, shard_backend="process",
+        affinity="fingerprint", cache_entries=128, cache_ttl=60.0, ring_slots=256,
+    )
+    try:
+        router = _build_cluster(args)
+        router.shutdown()
+    finally:
+        gc.unfreeze()
+    counts = [int(path.read_text()) for path in tmp_path.glob("frozen-*")]
+    assert len(counts) == 2 and min(counts) > 0
+
+
 def test_serve_exits_2_when_the_cluster_cannot_start(
     artifacts, capsys, monkeypatch
 ):

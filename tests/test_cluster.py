@@ -23,6 +23,7 @@ from repro.cluster import (
     ShardError,
     ShardSupervisor,
 )
+from repro.cluster import router as router_mod
 from repro.cluster.ring import HashRing, wire_routing_key
 from repro.service.aingest import AsyncIngestServer
 from repro.service.api import CollectionApp
@@ -243,10 +244,69 @@ class TestClusterScoring:
                 sizes[affinity] = len(router._route_memo)
                 if affinity == "fingerprint":
                     assert router._route_memo == {
-                        key: supervisor.ring.node_for(key)
+                        hash(key): supervisor.ring.node_for(key)
                         for key in {wire_routing_key(w, affinity) for w in sample}
                     }
         assert sizes["session"] == 0 < sizes["fingerprint"] <= len(wires)
+
+    def test_the_route_memo_keeps_hashes_within_its_bound(self, trained, wires):
+        """An entry is the key's hash and a shard id, never a copy of a
+        fingerprint tail, and the memo stays within 65,536 entries."""
+        with ShardSupervisor.from_polygraph(
+            trained, config=ClusterConfig(n_shards=2, heartbeat_interval_s=5.0)
+        ) as supervisor:
+            router = ClusterRouter(supervisor, RouterConfig(affinity="fingerprint"))
+            router.score_many(wires)
+            memo = router._route_memo
+            assert memo and all(key.__class__ is int for key in memo)
+            assert len(memo) <= router_mod._ROUTE_MEMO_LIMIT == 65_536
+
+    def test_the_route_memo_is_cleared_whole_at_its_bound(
+        self, trained, wires, monkeypatch
+    ):
+        monkeypatch.setattr(router_mod, "_ROUTE_MEMO_LIMIT", 4)
+        firsts = {}  # one wire per distinct fingerprint, in order
+        for wire in wires:
+            firsts.setdefault(wire_routing_key(wire, "fingerprint"), wire)
+        keys = list(firsts)[:6]
+        assert len(keys) == 6
+        with ShardSupervisor.from_polygraph(
+            trained, config=ClusterConfig(n_shards=2, heartbeat_interval_s=5.0)
+        ) as supervisor:
+            router = ClusterRouter(supervisor, RouterConfig(affinity="fingerprint"))
+            for number, key in enumerate(keys):
+                router.score_many([firsts[key]])
+                if number < 4:
+                    assert list(router._route_memo) == [hash(k) for k in keys[: number + 1]]
+            # The fifth key found the memo full and started it afresh.
+            assert list(router._route_memo) == [hash(key) for key in keys[4:]]
+
+    def test_wires_in_one_memo_slot_get_the_reference_verdicts(
+        self, trained, wires, monkeypatch
+    ):
+        """Every key forced onto one hash: each wire goes to whichever
+        shard the slot's first key named, and each verdict is still the
+        reference's, for every shard serves the same model file."""
+        monkeypatch.setattr(router_mod, "hash", lambda key: 0, raising=False)
+        reference = ScoringService(trained)
+        expected = [_essence(reference.score_wire(w)) for w in wires]
+        with ShardSupervisor.from_polygraph(
+            trained, config=ClusterConfig(n_shards=3, heartbeat_interval_s=5.0)
+        ) as supervisor:
+            router = ClusterRouter(supervisor, RouterConfig(affinity="fingerprint"))
+            verdicts = []
+            for start in range(0, len(wires), 50):
+                verdicts += router.score_many(wires[start : start + 50])
+            assert [_essence(v) for v in verdicts] == expected
+            (owner,) = set(router._route_memo.values())
+            assert list(router._route_memo) == [0]
+            owners = {
+                supervisor.ring.node_for(wire_routing_key(w, "fingerprint"))
+                for w in wires
+            }
+            assert len(owners) == 3  # the ring would have spread them
+            routed = router.cluster_status()["router"]["routed_by_shard"]
+            assert routed == {owner: len(wires)}
 
     def test_rejects_are_aggregated_like_a_validator(self, trained):
         with ShardSupervisor.from_polygraph(

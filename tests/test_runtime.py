@@ -372,3 +372,20 @@ class TestSliceReadEqualsFullParse:
         assert ingest._ua_class and ingest._wire_memo
         ingest.clear_ua_memo()
         assert not (ingest._ua_class or ingest._ua_slices or ingest._wire_memo)
+
+    def test_the_wire_memo_is_cleared_whole_at_its_bound(self, monkeypatch):
+        monkeypatch.setattr(fastingest, "_WIRE_MEMO_LIMIT", 4)
+        ingest = WireIngest()
+        tails = []
+        for version in range(100, 106):
+            payload = dataclasses.replace(
+                _PAYLOAD, user_agent=format_user_agent(Vendor.CHROME, version)
+            )
+            wire = _canonical(f"w{version}", payload)
+            (fields,) = ingest.ingest_many([wire])
+            assert fields[4] == f"chrome-{version}"
+            tails.append(wire[wire.index(b'"', 8) :])
+            if len(tails) <= 4:
+                assert list(ingest._wire_memo) == tails
+        # The fifth tail found the memo full: it starts a new one alone.
+        assert list(ingest._wire_memo) == tails[4:]

@@ -15,7 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from repro.browsers.profiles import BrowserProfile
+from repro.browsers.useragent import Vendor
 from repro.core.pipeline import BrowserPolygraph
+from repro.fingerprint.script import CollectionScript
 from repro.runtime.service import RuntimeScoringService
 from repro.service.aingest import AsyncIngestServer
 from repro.service.api import CollectionApp
@@ -829,6 +832,39 @@ class TestObserveManyDifferential:
         assert sessions._virtual_now == max(
             round(event.timestamp, 3) for event in stream.events
         )
+
+    def test_a_far_future_event_expires_no_other_session(self, trained):
+        """Another client's far-future ``ts``, inside the calendar, moves
+        the event clock no further than the wall clock: a flagged
+        session stays flagged and is not opened again on its next event."""
+        sessions = _session_service(trained, ttl_seconds=1800.0)
+        chrome = BrowserProfile(Vendor.CHROME, 112)
+        firefox = BrowserProfile(Vendor.FIREFOX, 110)
+
+        def event(session_id, seq, ts, surface):
+            fields = json.loads(
+                CollectionScript()
+                .run(surface.environment(), chrome.user_agent(), session_id)
+                .to_wire()
+            )
+            kind = EventType.PAGE_LOAD if seq == 0 else EventType.FOCUS
+            return SessionEvent(
+                session_id, kind, seq, ts, fields["ua"], tuple(fields["f"])
+            ).to_wire()
+
+        now = time.time()
+        opened = sessions.observe_wire(event("spoofed", 0, now - 60.0, firefox))
+        assert opened.session_created and opened.session_flagged
+        far = sessions.observe_wire(
+            event("other", 0, MAX_EVENT_TIMESTAMP - 1.0, chrome)
+        )
+        assert far.verdict.accepted
+        assert sessions._virtual_now <= time.time()
+        follow = sessions.observe_wire(event("spoofed", 1, now - 30.0, chrome))
+        assert follow.verdict.accepted and not follow.verdict.flagged
+        assert not follow.session_created
+        assert follow.session_flagged
+        assert sessions.session_snapshot("spoofed")["event_count"] == 2
 
     def test_concurrent_batches_lose_nothing(self, trained, streams, monkeypatch):
         """More threads than cores, each batching its own sessions into

@@ -1,10 +1,13 @@
 """Shared-memory shard transport: slab, slot ring, bulk paths, failures.
 
-The contract under test is the one the transport ISSUE pins down: the
-slot ring backpressures instead of dropping work, a crashed child
-re-attaches the *same* slab after restart, a slab that cannot be created
-or attached fails the shard with a typed error and leaks nothing (there
-is no second data plane to fall back to), and the bulk router-side paths
+The contract under test: the slot ring backpressures instead of
+dropping work; the slab is an anonymous mapping a forked child inherits,
+so a restarted child works over the *same* slab, and a cluster's process
+tree holds the supervisor and its shards and nothing else (no resource
+tracker, no ``/dev/shm`` segment), which the shards leave with the
+router even when it is SIGKILLed; a slab that cannot be created or
+attached fails the shard with a typed error and leaks nothing (there is
+no second data plane to fall back to); and the bulk router-side paths
 (``ingest_many``, ``get_many``) are observably identical to their
 per-wire equivalents.
 """
@@ -15,12 +18,18 @@ import glob
 import itertools
 import json
 import multiprocessing
+import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 import repro.cluster.supervisor as supervisor_mod
 from repro.browsers.profiles import BrowserProfile
 from repro.browsers.useragent import Vendor, format_user_agent, parse_user_agent
@@ -113,37 +122,58 @@ class TestSlotRing:
 # slab create / attach
 
 
+def _answer_row_two(slab, conn):
+    """A forked child's side of the slab: read row 2, answer in place."""
+    meta, results, rows = attach_slab_views(slab)
+    results[2] = (int(meta[2]), 1, 9, int(rows[2].sum()))
+    conn.send("done")
+
+
 class TestShmSlab:
     def test_attached_views_share_the_parent_buffer(self):
         slab = ShmSlab(4, 3)
         try:
             slab.rows[2] = (1.5, 2.5, 3.5)
             slab.meta[2] = 42
-            meta, results, rows, close = attach_slab_views(slab.name, 4, 3)
+            # The child inherits the mapping at fork: it reads what the
+            # parent wrote, and the parent reads what it writes back.
+            context = multiprocessing.get_context("fork")
+            parent_end, child_end = context.Pipe()
+            child = context.Process(target=_answer_row_two, args=(slab, child_end))
+            child.start()
             try:
-                assert list(rows[2]) == [1.5, 2.5, 3.5]
-                assert meta[2] == 42
-                # Writes from the attached side flow back (the child
-                # writes results in place; the parent reads them).
-                results[2] = (1, 1, 9, 0)
-                assert list(slab.results[2]) == [1, 1, 9, 0]
+                assert parent_end.poll(30.0) and parent_end.recv() == "done"
             finally:
-                results = rows = meta = None
-                close()
+                child.join(10.0)
+                parent_end.close()
+                child_end.close()
+            assert child.exitcode == 0
+            assert list(slab.results[2]) == [42, 1, 9, 7]
+            meta, results, rows = attach_slab_views(slab)
+            assert list(rows[2]) == [1.5, 2.5, 3.5] and meta[2] == 42
         finally:
+            meta = results = rows = None
             slab.close()
+        assert slab.mapping.closed
 
     def test_attach_rejects_header_mismatch(self):
-        slab = ShmSlab(4, 3)
-        try:
-            with pytest.raises(ValueError):
-                attach_slab_views(slab.name, 2, 3)
-        finally:
-            slab.close()
+        """A header that no longer names the slab's geometry (scribbled
+        over) is refused, and so is one without the magic."""
+        for field, value in ((1, 2), (2, 4), (0, 0)):
+            slab = ShmSlab(4, 3)
+            try:
+                slab.header[field] = value
+                with pytest.raises(ValueError):
+                    attach_slab_views(slab)
+            finally:
+                slab.close()
 
     def test_attach_missing_slab_raises(self):
-        with pytest.raises((OSError, FileNotFoundError)):
-            attach_slab_views("polygraph-no-such-slab", 4, 3)
+        """A slab its parent has already unmapped is refused."""
+        slab = ShmSlab(4, 3)
+        slab.close()
+        with pytest.raises(ValueError):
+            attach_slab_views(slab)
 
     def test_slab_validates_dimensions(self):
         with pytest.raises(ValueError):
@@ -335,8 +365,8 @@ class TestTransportFailureModes:
         )
         router = ClusterRouter(supervisor).start()
         try:
-            slab_names = {
-                shard_id: shard._slab.name
+            slabs = {
+                shard_id: shard._slab
                 for shard_id, shard in supervisor.shards.items()
             }
             half = len(wires) // 2
@@ -352,12 +382,12 @@ class TestTransportFailureModes:
                 time.sleep(0.05)
             assert supervisor.healthy_count == 2
             assert supervisor.restarts("s0") == 1
-            # The slab outlives the child: the restarted process
-            # attached the same segment, and scoring still works.
-            assert {
-                shard_id: shard._slab.name
+            # The slab outlives the child: the restarted process was
+            # forked over the same mapping, and scoring still works.
+            assert all(
+                shard._slab is slabs[shard_id]
                 for shard_id, shard in supervisor.shards.items()
-            } == slab_names
+            )
             # Fresh session ids (the originals sit in dedup windows).
             fresh = [
                 w.replace(b'{"sid":"', b'{"sid":"r2-', 1)
@@ -432,11 +462,11 @@ class TestTransportFailureModes:
         self, trained, monkeypatch, cause
     ):
         """No slab, no cluster: a typed error, every child reaped, every
-        segment unlinked — including the shard that had already started."""
+        slab unmapped — including the shard that had already started."""
+        real_slab, created = supervisor_mod.ShmSlab, []
         if cause == "create":
-            real_slab, created = supervisor_mod.ShmSlab, []
 
-            def slab(*args):  # /dev/shm fills up after the first shard
+            def slab(*args):  # memory runs out after the first shard
                 if created:
                     raise OSError(28, "No space left on device")
                 created.append(real_slab(*args))
@@ -445,6 +475,12 @@ class TestTransportFailureModes:
             monkeypatch.setattr(supervisor_mod, "ShmSlab", slab)
             failing = "s1"
         else:
+
+            def slab(*args):
+                created.append(real_slab(*args))
+                return created[-1]
+
+            monkeypatch.setattr(supervisor_mod, "ShmSlab", slab)
             monkeypatch.setattr(supervisor_mod, "attach_slab_views", _attach_denied)
             failing = "s0"
         segments = set(glob.glob("/dev/shm/psm_*"))
@@ -458,6 +494,7 @@ class TestTransportFailureModes:
             supervisor.start()
         assert multiprocessing.active_children() == []
         assert set(glob.glob("/dev/shm/psm_*")) == segments
+        assert created and all(slab.mapping.closed for slab in created)
         assert supervisor._heartbeat is None
         assert all(s.transport_stats() is None for s in supervisor.shards.values())
 
@@ -552,6 +589,94 @@ class TestTransportFailureModes:
             assert "polygraph_transport_" not in text
         finally:
             router.shutdown()
+
+
+# ----------------------------------------------------------------------
+# the process tree of a started cluster
+
+
+_CLUSTER_SCRIPT = """
+import json, sys, time
+from repro.cluster import ClusterConfig, ShardSupervisor
+config = ClusterConfig(n_shards=2, backend="process", heartbeat_interval_s=5.0)
+supervisor = ShardSupervisor(sys.argv[1], config=config).start()
+print(json.dumps([shard._process.pid for shard in supervisor.shards.values()]), flush=True)
+time.sleep(120)
+"""
+
+
+def _parent_of(pid):
+    """``pid``'s parent, or ``None`` once it has exited (a zombie too)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    state, parent = stat[stat.rindex(")") + 2 :].split()[:2]
+    return None if state in ("Z", "X") else int(parent)
+
+
+def _descendants(root):
+    """Every live process below ``root``, read from ``/proc``."""
+    parent_of = {}
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            parent = _parent_of(int(entry.name))
+            if parent is not None:
+                parent_of[int(entry.name)] = parent
+    tree, frontier = [], {root}
+    while frontier:
+        frontier = {pid for pid, parent in parent_of.items() if parent in frontier}
+        tree.extend(frontier)
+    return sorted(tree)
+
+
+@pytest.fixture()
+def cluster_process(trained, tmp_path):
+    """A fresh interpreter that has started a 2-shard process cluster:
+    ``(process, shard pids)``; killed at the end if still running."""
+    model = tmp_path / "model.json"
+    trained.save(model)
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    process = subprocess.Popen(
+        [sys.executable, "-c", _CLUSTER_SCRIPT, str(model)],
+        stdout=subprocess.PIPE, env=env,
+    )
+    shards = []
+    try:
+        shards = json.loads(process.stdout.readline())
+        yield process, shards
+    finally:
+        process.kill()
+        process.wait(10.0)
+        process.stdout.close()
+        for pid in shards:  # a shard the test saw outlive its router
+            if _parent_of(pid):
+                os.kill(pid, signal.SIGKILL)
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+class TestProcessTree:
+    def test_a_cluster_holds_its_shards_and_nothing_else(self, cluster_process):
+        """No resource tracker and no ``/dev/shm`` segment: the slabs
+        are anonymous mappings the shards inherited."""
+        process, shards = cluster_process
+        assert _descendants(process.pid) == sorted(shards)
+        for pid in [process.pid, *shards]:
+            maps = Path(f"/proc/{pid}/maps").read_text()
+            assert "/dev/shm/" not in maps, pid
+
+    def test_the_shards_exit_when_the_router_is_killed(self, cluster_process):
+        """SIGKILL leaves no stop message and no cleanup: each shard
+        sees its pipe close and exits, and its mapping goes with it."""
+        process, shards = cluster_process
+        segments = set(glob.glob("/dev/shm/psm_*"))
+        process.kill()
+        process.wait(10.0)
+        deadline = time.time() + 15.0
+        while time.time() < deadline and any(_parent_of(p) for p in shards):
+            time.sleep(0.05)
+        assert [pid for pid in shards if _parent_of(pid)] == []
+        assert set(glob.glob("/dev/shm/psm_*")) <= segments
 
 
 # ----------------------------------------------------------------------
