@@ -184,22 +184,22 @@ def _build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=0,
-        help="serve a model file from a sharded cluster with N scoring "
-        "shards behind the consistent-hash router (0: single-process; "
-        "not with --registry)",
+        help="serve a model file from a sharded cluster with N forked "
+        "scoring processes behind the consistent-hash router "
+        "(0: single-process; not with --registry or --fusion)",
     )
+    # Shim: benchmarks/e2e/e2ebench/workloads.py (frozen) passes
+    # "--shard-backend process", which every shard is; the flag goes
+    # when ROADMAP item 1(a)'s benchmark PR drops the argument.
     serve.add_argument(
-        "--shard-backend",
-        choices=["thread", "process"],
-        default="thread",
-        help="host each shard in this process (thread) or in its own "
-        "child process (process)",
+        "--shard-backend", choices=["process"], default="process",
+        help=argparse.SUPPRESS,
     )
     serve.add_argument(
         "--affinity",
         choices=["session", "fingerprint"],
         default="session",
-        help="ring routing key: session id (sticky canary buckets) or "
+        help="ring routing key: session id (sticky dedup windows) or "
         "fingerprint bytes (partitions the verdict-cache key space)",
     )
     # Shim: benchmarks/e2e/e2ebench/workloads.py (frozen) passes
@@ -212,8 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--ring-slots",
         type=int,
         default=4096,
-        help="slots per shard in the shared-memory feature ring "
-        "(process shards only)",
+        help="slots per shard in the shared-memory feature ring",
     )
     serve.add_argument(
         "--session-ttl",
@@ -542,11 +541,7 @@ def _build_cluster(args: argparse.Namespace):
         ShardSupervisor,
     )
 
-    config = ClusterConfig(
-        n_shards=args.shards,
-        backend=args.shard_backend,
-        ring_slots=args.ring_slots,
-    )
+    config = ClusterConfig(n_shards=args.shards, ring_slots=args.ring_slots)
     supervisor = ShardSupervisor(
         args.model, config=config, runtime_config=_runtime_config(args)
     )
@@ -635,9 +630,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print(f"serve: cannot start cluster: {exc}", file=sys.stderr)
             return 2
         mode = (
-            f"cluster ({args.shards} {args.shard_backend} shards, "
-            f"{args.affinity} affinity"
-            + (", shm transport)" if args.shard_backend == "process" else ")")
+            f"cluster ({args.shards} process shards, "
+            f"{args.affinity} affinity, shm transport)"
         )
     else:
         from repro.runtime.service import RuntimeScoringService
@@ -780,7 +774,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     if document is None:
         return code
     print(
-        f"backend {document['backend']}, "
         f"{document['healthy_shards']}/{document['n_shards']} shards healthy, "
         f"{document['vnodes']} vnodes/shard"
     )

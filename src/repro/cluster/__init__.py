@@ -6,9 +6,11 @@ This package turns it into a horizontally-scaled cluster on one surface:
 
 * :mod:`repro.cluster.ring` — consistent-hash ring with virtual nodes;
   stable SessionID → shard placement that survives membership changes.
-* :mod:`repro.cluster.supervisor` — N shard replicas (threads by
-  default, processes optionally), heartbeat health checks, automatic
-  drain/restart, ring-range re-routing while a shard is down.
+* :mod:`repro.cluster.supervisor` — N shard replicas, one forked
+  process each behind a shared-memory slab, heartbeat health checks,
+  automatic drain/restart, ring-range re-routing while a shard is down.
+* :mod:`repro.cluster.transport` — the router-side ingest, verdict
+  cache and slab round trip of one shard.
 * :mod:`repro.cluster.router` — the ``score_many`` facade: one chunk
   per shard, bulk failover to the next untried replica.
 
@@ -28,7 +30,6 @@ from repro.cluster.supervisor import (
     ShardError,
     ShardStatus,
     ShardSupervisor,
-    ThreadShard,
 )
 
 __all__ = [
@@ -40,7 +41,6 @@ __all__ = [
     "ShardError",
     "ShardStatus",
     "ShardSupervisor",
-    "ThreadShard",
     "ring_hash",
     "wire_routing_key",
 ]

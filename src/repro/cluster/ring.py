@@ -2,9 +2,8 @@
 
 Routing a serving cluster by ``hash(key) % n_shards`` forgets everything
 on every topology change: grow the cluster by one shard and nearly every
-session lands on a different shard, every shard-local verdict cache goes
-cold at once, and canary stickiness is only preserved because the arm
-split is computed from the session id inside the shard.  A consistent
+session lands on a different shard, and every shard-local verdict cache
+and dedup window goes cold at once.  A consistent
 ring with virtual nodes fixes the operational half of that: each shard
 owns many small arcs of a 64-bit hash circle, a key routes to the owner
 of the first point at or after its hash, and adding or removing one
@@ -15,7 +14,9 @@ restarted shard gets its old arcs — and its old keys — back.
 Two routing keys matter to the cluster:
 
 * ``session`` affinity — the ring key is the session id, matching the
-  paper's per-session verdict contract and the canary's sticky buckets;
+  paper's per-session verdict contract (a cluster runs no rollout, so
+  there is no canary to keep sticky: ``serve --registry --shards``
+  exits 2);
 * ``fingerprint`` affinity — the ring key is the payload bytes *after*
   the session id (user-agent + features + globals).  Coarse-grained
   fingerprints are deliberately low-cardinality (Section 7), so this

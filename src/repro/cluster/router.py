@@ -98,8 +98,8 @@ class _RouterValidator:
 class RouterConfig:
     """Routing policy.
 
-    ``affinity="session"`` routes by session id (the default; canary
-    buckets and dedup windows stay shard-sticky).  ``"fingerprint"``
+    ``affinity="session"`` routes by session id (the default; a
+    session's dedup window stays on one shard).  ``"fingerprint"``
     routes by the payload's fingerprint bytes, partitioning the verdict
     cache's key space so aggregate cache capacity scales with the shard
     count.
@@ -273,9 +273,9 @@ class ClusterRouter:
         """Score every shard's chunk; return what each left unanswered.
 
         Chunks are dispatched concurrently (one on the calling thread,
-        the others on a thread each) — shards are process- (or pool-)
-        parallel, so scoring them sequentially would serialize the whole
-        cluster behind one dispatcher.  A shard that leaves wires
+        the others on a thread each) — each shard is a process, so
+        scoring them sequentially would serialize the whole cluster
+        behind one dispatcher.  A shard that leaves wires
         unanswered is reported to the supervisor.
         """
         unanswered: Dict[str, List[int]] = {}
@@ -483,10 +483,10 @@ class ClusterRouter:
     )
 
     def _transport_metrics_lines(self) -> List[str]:
-        """``polygraph_transport_*`` lines, one series per process shard.
+        """``polygraph_transport_*`` lines, one series per started shard.
 
-        Thread-backed clusters (and single-process serving) have no
-        transport, so these lines are cleanly absent there.
+        Single-process serving has no transport, so these lines are
+        cleanly absent there.
         """
         per_shard = self.supervisor.transport_stats()
         if not per_shard:

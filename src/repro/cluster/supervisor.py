@@ -1,23 +1,20 @@
 """Shard lifecycle: replicas, heartbeats, failover, restart.
 
-A *shard* is one model replica behind a small uniform surface
-(``score_chunk``, ``ping``, ``kill``, ``restart``).  Two backends:
+A *shard* is one model replica in a forked child process behind a small
+uniform surface (``score_chunk``, ``ping``, ``kill``, ``restart``),
+reached through the shared-memory slab of
+:mod:`repro.cluster.transport`.  Ingest, dedup and the verdict cache run
+router-side, one :class:`~repro.cluster.transport.ShmTransport` per
+shard, and only cache misses cross.  A crashed shard is a dead process,
+not a corrupted heap.  Shards need the ``fork`` start method: the child
+inherits its slab as a mapping.
 
-* :class:`ThreadShard` — the replica and its
-  :class:`~repro.runtime.service.RuntimeScoringService` live in this
-  process.  The default: cheap to boot, trivially debuggable.
-* :class:`ProcessShard` — the replica lives in a forked child process,
-  one process per shard, reached through the shared-memory slab of
-  :mod:`repro.cluster.transport`; ingest, dedup and the verdict cache
-  run router-side and only cache misses cross.  Buys fault isolation (a
-  crashed shard is a dead process, not a corrupted heap).  It needs the
-  ``fork`` start method: the child inherits its slab as a mapping.
-
-Both backends *load their own model replica from a file* and, before
-serving, verify it against the sha256 digest recorded when it was
-saved: no shard ever serves bytes nobody can account for.  A shard serves the
-model it booted with for its whole life; model changes (rollouts,
-retrains) reach serving through one
+Every child *loads its own model replica from a file* and checks it
+against the sha256 digest recorded when it was saved (and, given the
+digest a registry recorded, the parent checks the file carries it
+before the first fork): no shard ever serves bytes nobody can account
+for.  A shard serves the model it booted with for its whole life; model
+changes (rollouts, retrains) reach serving through one
 :class:`~repro.runtime.service.RuntimeScoringService` and its
 :class:`~repro.rollout.manager.RolloutManager`, never through shards.
 
@@ -32,6 +29,7 @@ re-routing is a ring lookup away the moment the node is removed.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import signal
 import tempfile
 import threading
@@ -42,9 +40,9 @@ from typing import Dict, List, Optional, Sequence, Union
 from repro.cluster.ring import HashRing
 from repro.cluster.transport import ShmSlab, ShmTransport, attach_slab_views
 from repro.core.pipeline import BrowserPolygraph
-from repro.durable import UnreadableFileError, read_json
+from repro.durable import read_json
 from repro.fingerprint.features import N_FEATURES
-from repro.runtime.service import RuntimeConfig, RuntimeScoringService
+from repro.runtime.service import RuntimeConfig
 from repro.service.scoring import Verdict
 
 __all__ = [
@@ -53,12 +51,11 @@ __all__ = [
     "ShardError",
     "ShardStatus",
     "ShardSupervisor",
-    "ThreadShard",
 ]
 
 
 class ShardError(RuntimeError):
-    """A shard could not serve: dead process, stopped runtime, bad replica."""
+    """A shard could not serve: dead process, broken pipe, bad replica."""
 
 
 @dataclass(frozen=True)
@@ -66,9 +63,10 @@ class ClusterConfig:
     """Topology and health-checking knobs of the serving cluster."""
 
     n_shards: int = 2
-    backend: str = "thread"  # "thread" | "process"
-    # Shim: benchmarks/e2e (frozen) passes transport="shm"; the field
-    # goes when ROADMAP item 1(a)'s benchmark PR drops the argument.
+    # Shims: benchmarks/e2e (frozen) passes backend="process" and
+    # transport="shm", which every shard is; the fields go when ROADMAP
+    # item 1(a)'s benchmark PR drops the arguments.
+    backend: str = "process"
     transport: str = "shm"
     vnodes: int = 64
     heartbeat_interval_s: float = 0.25
@@ -79,8 +77,8 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         if self.n_shards < 1:
             raise ValueError("n_shards must be >= 1")
-        if self.backend not in ("thread", "process"):
-            raise ValueError("backend must be 'thread' or 'process'")
+        if self.backend != "process":
+            raise ValueError("backend must be 'process'")
         if self.transport != "shm":
             raise ValueError("transport must be 'shm'")
         if self.unhealthy_after < 1:
@@ -105,112 +103,7 @@ class ShardStatus:
 
 
 # ----------------------------------------------------------------------
-# thread backend
-
-
-class ThreadShard:
-    """One scoring shard hosted in this process.
-
-    The shard loads its *own* :class:`BrowserPolygraph` replica from
-    ``model_path`` (digest-verified), so no state is shared with another
-    shard — exactly the isolation a multi-host deployment would have,
-    minus the network.
-    """
-
-    def __init__(
-        self,
-        shard_id: str,
-        model_path: Union[str, Path],
-        runtime_config: RuntimeConfig = RuntimeConfig(),
-        expected_digest: Optional[str] = None,
-        model_version: int = 1,
-    ) -> None:
-        self.shard_id = shard_id
-        self.model_path = Path(model_path)
-        self.runtime_config = runtime_config
-        self.model_version = model_version
-        try:
-            # One parse: the load checks the recorded digest itself.
-            self.polygraph = BrowserPolygraph.load(self.model_path, expected_digest)
-        except UnreadableFileError as exc:
-            raise ShardError(f"replica refused: {exc}") from exc
-        self.service: Optional[RuntimeScoringService] = None
-        # Cluster-shared CoverageTracker (set by the supervisor); every
-        # (re)started runtime re-attaches it.
-        self.coverage = None
-
-    # -- lifecycle ------------------------------------------------------
-
-    def start(self) -> "ThreadShard":
-        if self.service is None:
-            self.service = RuntimeScoringService(
-                self.polygraph, config=self.runtime_config
-            ).start()
-            if self.coverage is not None:
-                self.service.attach_coverage(self.coverage)
-        return self
-
-    def stop(self, drain: bool = True) -> None:
-        """Take the runtime away; a batch already being scored finishes."""
-        service = self.service
-        self.service = None
-        if service is not None:
-            service.shutdown(drain=drain)
-
-    def kill(self) -> None:
-        """Crash simulation: the shard stops answering.
-
-        A ``score_many`` already running finishes; every later call
-        raises :class:`ShardError` and the router fails over.
-        """
-        self.stop(drain=False)
-
-    def restart(self) -> None:
-        """Fresh runtime over the replica this shard already holds.
-
-        The dedup window and verdict cache start cold (they died with
-        the runtime, as they would in a real crash); the model replica
-        and its version survive, so verdicts are unchanged.
-        """
-        self.stop(drain=False)
-        self.service = RuntimeScoringService(
-            self.polygraph, config=self.runtime_config
-        ).start()
-        if self.coverage is not None:
-            self.service.attach_coverage(self.coverage)
-
-    # -- serving --------------------------------------------------------
-
-    def score_chunk(self, wires: Sequence[bytes], rows=None, found=None) -> List[Verdict]:
-        """Score one routed chunk as one batch (rows: ``score_rows``)."""
-        service = self.service
-        if service is None:
-            raise ShardError(f"shard {self.shard_id} is not running")
-        return service.score_rows(wires, rows, found)
-
-    # -- control --------------------------------------------------------
-
-    def ping(self) -> ShardStatus:
-        service = self.service
-        if service is None:
-            raise ShardError(f"shard {self.shard_id} is not running")
-        # No queue in front of an in-process runtime: depth is always 0.
-        return ShardStatus(
-            shard_id=self.shard_id,
-            model_version=self.model_version,
-            model_generation=self.polygraph.model_generation,
-            queue_depth=0,
-            scored_count=service.scored_count,
-            flagged_count=service.flagged_count,
-        )
-
-    def transport_stats(self) -> Optional[dict]:
-        """Thread shards score in-process — no transport to report."""
-        return None
-
-
-# ----------------------------------------------------------------------
-# process backend
+# the shard
 
 
 def _shard_worker(conn, router_end, model_path: str, slab: ShmSlab) -> None:
@@ -225,9 +118,21 @@ def _shard_worker(conn, router_end, model_path: str, slab: ShmSlab) -> None:
     ``attached=False`` tells the parent the slab could not be mapped; it
     reaps this child and raises.
 
-    The fork copied the router's end of the pipe, too: it is closed
-    first, so that ``recv`` sees EOF, and the child exits, once the
-    router is gone, however it went.
+    Each ``("shmdone", seq, generation, inferred)`` reply names, under
+    ``unknown_ua_policy="infer"``, the ``(ua_key, (inferred_release,
+    inferred_distance))`` of every class in the batch that was scored
+    against a neighbouring release; the result rows cannot carry it.
+    Inference depends on the key alone, so it is named per class, not
+    per row, and the tuple is usually ``()``.
+
+    The fork copied every descriptor the router held: its end of this
+    pipe (closed first, so that ``recv`` sees EOF, and the child exits,
+    once the router is gone, however it went) and, when a restart forks
+    after ``serve`` has bound its port, the listener and the open client
+    connections.  Every descriptor but stdio and this child's pipe end
+    is closed before the handshake, so a drained server's port refuses
+    connections while a shard lives.  The slab is an anonymous mapping,
+    with no descriptor to keep.
     """
     router_end.close()
     # Terminal Ctrl-C delivers SIGINT to the whole foreground process
@@ -236,6 +141,12 @@ def _shard_worker(conn, router_end, model_path: str, slab: ShmSlab) -> None:
     # stray traceback mid-drain.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     polygraph = BrowserPolygraph.load(model_path)
+    # After the load, the child's last open: an inherited object that
+    # closes its old descriptor later can hit no reused number.
+    keep = conn.fileno()
+    os.closerange(3, keep)
+    os.closerange(keep + 1, os.sysconf("SC_OPEN_MAX"))
+    infer = polygraph.config.unknown_ua_policy == "infer"
     try:
         shm_meta, shm_results, shm_rows = attach_slab_views(slab)
         attached = True
@@ -281,7 +192,16 @@ def _shard_worker(conn, router_end, model_path: str, slab: ShmSlab) -> None:
                     )
                     for result in results
                 ]
-                conn.send(("shmdone", seq, generation))
+                inferred = ()
+                if infer:
+                    inferred = tuple(
+                        {
+                            ua_key: (result.inferred_release, result.inferred_distance)
+                            for ua_key, result in zip(user_agents, results)
+                            if result.inferred_release is not None
+                        }.items()
+                    )
+                conn.send(("shmdone", seq, generation, inferred))
             except Exception as exc:  # noqa: BLE001 — reply, don't die
                 conn.send(("shmerr", seq, f"{type(exc).__name__}: {exc}"))
         elif op == "ping":
@@ -312,8 +232,8 @@ class ProcessShard:
 
     Crash/restart semantics: the slab outlives the child.  ``restart``
     forks a fresh child over the *same* mapping, with a fresh transport
-    — cache and dedup window start cold, exactly like
-    :meth:`ThreadShard.restart` after a crash.
+    — cache, dedup window and counters start cold, as they would after
+    a real crash; the model file, and so every verdict, is unchanged.
     """
 
     _SHM_SUBCHUNK = 4096
@@ -545,27 +465,17 @@ class ShardSupervisor:
         self.config = config
         self.runtime_config = runtime_config
         self.model_path = Path(model_path)
-        self.shards: Dict[str, object] = {}
-        for index in range(config.n_shards):
-            shard_id = f"s{index}"
-            if config.backend == "thread":
-                shard = ThreadShard(
-                    shard_id,
-                    self.model_path,
-                    runtime_config=runtime_config,
-                    expected_digest=expected_digest,
-                    model_version=model_version,
-                )
-            else:
-                shard = ProcessShard(
-                    shard_id,
-                    self.model_path,
-                    runtime_config=runtime_config,
-                    expected_digest=expected_digest,
-                    model_version=model_version,
-                    ring_slots=config.ring_slots,
-                )
-            self.shards[shard_id] = shard
+        self.shards: Dict[str, ProcessShard] = {
+            f"s{index}": ProcessShard(
+                f"s{index}",
+                self.model_path,
+                runtime_config=runtime_config,
+                expected_digest=expected_digest,
+                model_version=model_version,
+                ring_slots=config.ring_slots,
+            )
+            for index in range(config.n_shards)
+        }
         self.ring = HashRing(vnodes=config.vnodes)
         self._health: Dict[str, _Health] = {
             shard_id: _Health() for shard_id in self.shards
@@ -724,48 +634,29 @@ class ShardSupervisor:
     # -- coverage -------------------------------------------------------
 
     def attach_coverage(self, tracker) -> None:
-        """Share one CoverageTracker across every shard's scoring path.
+        """Share one CoverageTracker across every shard's transport.
 
-        Thread shards feed it from their runtimes (and re-sync its
-        known-release table on model swaps); shm process shards feed
-        admitted UA keys from the router-side transport ingest.  Shards
-        re-apply the tracker on restart.
+        Each router-side transport feeds it the admitted UA keys of its
+        ingest; shards re-apply the tracker on restart.
         """
         with self._lock:
             for shard in self.shards.values():
                 shard.coverage = tracker
-                service = getattr(shard, "service", None)
-                if service is not None:
-                    service.attach_coverage(tracker)
-                transport = getattr(shard, "_transport", None)
-                if transport is not None:
-                    transport.coverage = tracker
+                if shard._transport is not None:
+                    shard._transport.coverage = tracker
 
     def unknown_ua_counts(self) -> Dict[str, int]:
-        """Per-vendor unknown-UA totals summed across shard-local runtimes.
-
-        Thread shards count in their runtimes; process shards have no
-        runtime (ingest runs in the router-side transport), so they
-        contribute only through the coverage tracker's
-        ``polygraph_coverage_unknown_total`` when one is attached.
-        """
+        """Per-vendor unknown-UA totals, summed over the shards' transports."""
         totals: Dict[str, int] = {}
-        with self._lock:
-            shards = list(self.shards.values())
-        for shard in shards:
-            counts = getattr(
-                getattr(shard, "service", None), "unknown_ua_counts", None
-            )
-            if not counts:
-                continue
-            for vendor, count in dict(counts).items():
+        for stats in self.transport_stats().values():
+            for vendor, count in stats["unknown_ua"].items():
                 totals[vendor] = totals.get(vendor, 0) + count
         return totals
 
     # -- introspection --------------------------------------------------
 
     def transport_stats(self) -> Dict[str, dict]:
-        """Per-shard transport counters (empty for the thread backend)."""
+        """Per-shard transport counters (a shard never started has none)."""
         with self._lock:
             shards = list(self.shards.items())
         stats: Dict[str, dict] = {}
@@ -778,28 +669,20 @@ class ShardSupervisor:
     def status_dict(self) -> dict:
         """JSON-friendly view for ``GET /cluster`` and the CLI."""
         with self._lock:
-            shards = []
-            for shard_id, shard in self.shards.items():
-                health = self._health[shard_id]
-                entry = {
+            shards = [
+                {
                     "shard_id": shard_id,
                     "healthy": health.healthy,
                     "failures": health.failures,
                     "restarts": health.restarts,
-                    "model_version": shard.model_version,
+                    "model_version": self.shards[shard_id].model_version,
                     "on_ring": shard_id in self.ring,
                 }
-                shard_stats = shard.transport_stats()
-                if shard_stats is not None:
-                    entry["transport"] = shard_stats["mode"]
-                shards.append(entry)
-            document = {
-                "backend": self.config.backend,
+                for shard_id, health in self._health.items()
+            ]
+            return {
                 "n_shards": self.config.n_shards,
                 "healthy_shards": sum(1 for s in shards if s["healthy"]),
                 "vnodes": self.config.vnodes,
                 "shards": shards,
             }
-            if self.config.backend == "process":
-                document["transport"] = self.config.transport
-            return document

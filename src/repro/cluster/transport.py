@@ -17,10 +17,11 @@ has.  Wire payloads never cross the process boundary:
   place (zero copy on both sides) and writes compact integer results
   back into the slab.  Only small control tuples —
   ``("shmscore", seq, start, n, ua_keys)`` out, ``("shmdone", seq,
-  generation)`` back — travel over the pipe.  The mapping has no name:
-  nothing under ``/dev/shm``, no ``multiprocessing.shared_memory`` and
-  no resource-tracker process, and the kernel frees it when the last
-  process mapping it exits, however that process ends.
+  generation, inferred)`` back — travel over the pipe.  The mapping
+  has no name: nothing under ``/dev/shm``, no
+  ``multiprocessing.shared_memory`` and no resource-tracker process,
+  and the kernel frees it when the last process mapping it exits,
+  however that process ends.
 
 * **Slot ring with FIFO lease/ack.**  Slab rows are leased in
   contiguous runs from a ring cursor and released when the child acks
@@ -43,7 +44,9 @@ bounded by the release calendar) and ``meta`` holds each row's index
 into it, so the slab itself carries no table between batches.  The
 decoded results do outlive the batch: the parent keeps one
 ``DetectionResult`` per distinct ``(ua_key, result row)`` across
-batches.  The key is the result's whole content, so an entry can never
+batches.  The key is the result's whole content — the interim
+inference a reply names (``unknown_ua_policy="infer"``) is a function
+of the ``ua_key`` under the child's one model — so an entry can never
 answer for another result; the memo is cleared whole at
 ``_RESULT_MEMO_LIMIT`` entries.
 
@@ -51,7 +54,7 @@ Failure semantics: a pipe error marks the transport ``broken``, every
 unanswered miss in flight completes with an :func:`overloaded_verdict`
 (the router's failover re-routes them), and the supervisor restart forks
 a fresh child over the *same* mapping with a fresh transport — cold
-cache and dedup window after a crash, matching ``ThreadShard.restart``.
+cache, dedup window and counters after a crash.
 
 Escalation parity: the child writes **raw** (un-escalated) results; the
 parent caches the raw result and applies the Section 8 namespace-probe
@@ -70,6 +73,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.detection import DetectionResult
+from repro.coverage.tracker import vendor_of
 from repro.runtime.batch import Miss, answer_known, cache_keys, finish_misses
 from repro.runtime.cache import VerdictCache
 from repro.runtime.fastingest import WireIngest
@@ -274,6 +278,9 @@ class ShmTransport:
         self.coverage = None
         self.scored_count = 0
         self.flagged_count = 0
+        # Per-vendor unknown-UA volume, as RuntimeScoringService counts
+        # it: at most one entry per vendor label.
+        self.unknown_ua_counts: Dict[str, int] = {}
         self.zero_copy_batches = 0
         self.zero_copy_rows = 0
         self.backpressure_waits = 0
@@ -316,11 +323,7 @@ class ShmTransport:
                 for result in cached or [None] * len(prepared)
             ]
         verdicts: List[Optional[Verdict]] = [None] * len(prepared)
-        # Infer-mode provenance never crosses the slab (result rows are
-        # four ints), so cached results carry no inferred_* fields and
-        # the out-of-table keys answer_known reports are not counted
-        # router-side.
-        misses, hit_scored, hit_flagged, _ = answer_known(
+        misses, hit_scored, hit_flagged, unknown = answer_known(
             prepared, keys, cached, verdicts,
             self._namespace_probe, self._vendor_risk,
             (time.perf_counter() - started) * 1000.0,
@@ -329,6 +332,7 @@ class ShmTransport:
             with self._count_lock:
                 self.scored_count += hit_scored
                 self.flagged_count += hit_flagged
+                self._count_unknown(unknown)
         if misses:
             with self.lock:
                 if self.broken:
@@ -399,8 +403,10 @@ class ShmTransport:
             raise EOFError(f"shm protocol violation: {reply[:2]!r}")
         # One result object per distinct (ua_key, result row) — the
         # child's decision table, decoded once here.  The key is the
-        # result's whole content, so an entry is never stale.
+        # result's whole content (an inference is the ua_key's), so an
+        # entry is never stale.
         memo = self._results
+        inferred = dict(reply[3])
         results = []
         for miss, row in zip(
             batch, self.slab.results[start : start + count].tolist()
@@ -411,15 +417,18 @@ class ShmTransport:
                 if len(memo) >= _RESULT_MEMO_LIMIT:
                     memo.clear()
                 predicted, expected, flagged, risk = row
+                release, distance = inferred.get(miss.ua_key, (None, None))
                 result = memo[key] = DetectionResult(
                     ua_key=miss.ua_key,
                     predicted_cluster=predicted,
                     expected_cluster=None if expected < 0 else expected,
                     flagged=bool(flagged),
                     risk_factor=None if risk < 0 else risk,
+                    inferred_release=release,
+                    inferred_distance=distance,
                 )
             results.append(result)
-        flagged, _ = finish_misses(
+        flagged, unknown = finish_misses(
             batch, results, reply[2], self.cache, verdicts,
             self._namespace_probe, self._vendor_risk,
             (time.perf_counter() - started) * 1000.0, found, reply[2],
@@ -428,6 +437,14 @@ class ShmTransport:
         with self._count_lock:
             self.scored_count += count
             self.flagged_count += flagged
+            self._count_unknown(unknown)
+
+    def _count_unknown(self, unknown: List[str]) -> None:
+        """Tally out-of-table keys by vendor; the caller holds ``_count_lock``."""
+        counts = self.unknown_ua_counts
+        for ua_key in unknown:
+            vendor = vendor_of(ua_key)
+            counts[vendor] = counts.get(vendor, 0) + 1
 
     def _fail_misses(
         self,
@@ -456,6 +473,7 @@ class ShmTransport:
         with self._count_lock:
             scored = self.scored_count
             flagged = self.flagged_count
+            unknown = dict(self.unknown_ua_counts)
         return {
             "mode": "shm",
             "broken": self.broken,
@@ -470,4 +488,5 @@ class ShmTransport:
             "cache_entries": len(self.cache) if self.cache is not None else 0,
             "scored": scored,
             "flagged": flagged,
+            "unknown_ua": unknown,
         }

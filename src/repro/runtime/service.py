@@ -23,7 +23,7 @@ Batch lifecycle — all of it on the calling thread::
 
 ``score_wire(w)`` is ``score_many([w])[0]``.  The service owns no
 thread and no queue: whoever forms the batch — the asyncio front end's
-coalescer, a shard chunk — lends the thread, and bounding admitted work
+coalescer, the session layer — lends the thread, and bounding admitted work
 is that caller's job (the front end stops reading sockets at its high
 watermark).
 
@@ -434,9 +434,8 @@ class RuntimeScoringService:
         """Feed a :class:`~repro.coverage.tracker.CoverageTracker`.
 
         The tracker's known-release table is seeded from the live model
-        here and re-synced inside :meth:`_on_model_swap`, so shard
-        restarts and retrains keep classification aligned with the
-        serving generation.
+        here and re-synced inside :meth:`_on_model_swap`, so retrains
+        keep classification aligned with the serving generation.
         """
         self.coverage = tracker
         generation, detector = self.polygraph.detection_snapshot()

@@ -230,16 +230,19 @@ def test_serve_parser_accepts_cluster_flags(artifacts):
             "serve",
             model_path,
             "--shards", "4",
-            "--shard-backend", "thread",
+            "--shard-backend", "process",
             "--affinity", "fingerprint",
             "--transport", "shm",
         ]
     )
     assert args.shards == 4
-    assert args.shard_backend == "thread"
+    assert args.shard_backend == "process"
     assert args.affinity == "fingerprint"
-    # One way through the cluster: nothing to hedge, one transport.
-    for flag, value in (("--hedge-ms", "5"), ("--transport", "pickle")):
+    # One way through the cluster: nothing to hedge, one transport, one
+    # shard kind.
+    for flag, value in (
+        ("--hedge-ms", "5"), ("--transport", "pickle"), ("--shard-backend", "thread")
+    ):
         with pytest.raises(SystemExit) as refused:
             _build_parser().parse_args(
                 ["serve", model_path, "--shards", "2", flag, value]
@@ -255,7 +258,7 @@ def test_build_cluster_serves_a_router(artifacts):
 
     _, model_path = artifacts
     args = argparse.Namespace(
-        model=model_path, shards=2, shard_backend="thread",
+        model=model_path, shards=2,
         affinity="session", cache_entries=128, cache_ttl=60.0, ring_slots=256,
     )
     router = _build_cluster(args)
@@ -288,7 +291,7 @@ def test_process_shards_fork_after_the_router_heap_is_frozen(
     monkeypatch.setattr(supervisor_mod, "_shard_worker", worker)
     _, model_path = artifacts
     args = argparse.Namespace(
-        model=model_path, shards=2, shard_backend="process",
+        model=model_path, shards=2,
         affinity="fingerprint", cache_entries=128, cache_ttl=60.0, ring_slots=256,
     )
     try:
@@ -386,7 +389,7 @@ def test_serve_refuses_a_port_already_bound(artifacts, capsys):
 
 def test_serve_refuses_a_registry_on_process_shards(artifacts, tmp_path, capsys):
     """A registry's rollouts run on one process: serving it from shards
-    of either backend would drop its rollout without a word."""
+    would drop its rollout without a word."""
     from datetime import date
 
     from repro.core.pipeline import BrowserPolygraph
@@ -397,11 +400,8 @@ def test_serve_refuses_a_registry_on_process_shards(artifacts, tmp_path, capsys)
     ModelRegistry(registry_dir).promote(
         BrowserPolygraph.load(model_path), date(2023, 7, 1), "bootstrap"
     )
-    for backend in ("process", "thread"):
-        code = main(
-            ["serve", "--registry", registry_dir, "--shards", "2",
-             "--shard-backend", backend]
-        )
+    for shim in ([], ["--shard-backend", "process"]):
+        code = main(["serve", "--registry", registry_dir, "--shards", "2", *shim])
         assert code == 2
         (line,) = capsys.readouterr().err.strip().splitlines()
         assert line.startswith("serve: --registry with --shards")

@@ -56,7 +56,7 @@ def streams(small_dataset, trained):
     )
 
 
-def _two_thread_shards(trained):
+def _two_shards(trained):
     supervisor = ShardSupervisor.from_polygraph(
         trained, config=ClusterConfig(n_shards=2, heartbeat_interval_s=5.0)
     )
@@ -65,7 +65,7 @@ def _two_thread_shards(trained):
 
 @pytest.fixture()
 def cluster(trained):
-    router = _two_thread_shards(trained)
+    router = _two_shards(trained)
     yield router
     router.shutdown()
 
@@ -109,7 +109,7 @@ class TestLanePlacementByParsedId:
             if stream.scenario is StreamScenario.ENGINE_SWAP
         ]
         assert len(swaps) == 40
-        router = _two_thread_shards(trained)
+        router = _two_shards(trained)
         try:
             caught = {}
             for spelling in ("canonical", "reversed_keys"):
@@ -143,7 +143,7 @@ class TestLanePlacementByParsedId:
 class TestClusterObserveMany:
     @pytest.fixture(scope="class")
     def twin_routers(self, trained):
-        twins = _two_thread_shards(trained), _two_thread_shards(trained)
+        twins = _two_shards(trained), _two_shards(trained)
         yield twins
         for router in twins:
             router.shutdown()
@@ -154,7 +154,7 @@ class TestClusterObserveMany:
 
         def shard_state(router):
             return [
-                validator_state(shard.service.validator)
+                validator_state(shard._transport.ingest.validator)
                 for _, shard in sorted(router.supervisor.shards.items())
             ]
 

@@ -176,6 +176,23 @@ class TestCoverageTracker:
         assert status["top_unknown"][0]["count"] == 200
         assert status["vendors"]["chrome"]["unknown"] == 65_200
 
+    def test_per_vendor_windows_hold_at_most_window_flags(self):
+        """However many keys arrive, forged ones included, the tracker
+        keeps four windows (one per vendor label) of at most
+        ``CoverageConfig.window`` = 2,000 flags each."""
+        from repro.coverage.tracker import VENDOR_LABELS
+
+        tracker = CoverageTracker()
+        assert tracker.config.window == 2000
+        tracker.set_known_keys(["chrome-117"])
+        tracker.observe_many(
+            [f"{vendor}-{n}" for n in range(3000)
+             for vendor in ("chrome", "edge", "firefox", "forged")]
+        )
+        assert sorted(tracker._windows) == sorted(VENDOR_LABELS)
+        assert [len(w) for w in tracker._windows.values()] == [2000] * 4
+        assert tracker.unknown_rate("other") == 1.0
+
     def test_unknown_key_counts_are_exact_up_to_the_cap(self):
         from collections import Counter
 
@@ -397,6 +414,114 @@ class TestServiceIntegration:
             assert supervisor.unknown_ua_counts() == {"chrome": 1}
             text = "\n".join(router.runtime_metrics_lines())
             assert 'polygraph_unknown_ua_total{vendor="chrome"} 1' in text
+
+
+class TestClusterUnknownUaParity:
+    """A 2-shard cluster reports unknown releases as one process does:
+    the same ``polygraph_unknown_ua_total`` lines, and under ``infer``
+    the same ``inferred_*`` fields on every verdict, whether a wire was
+    scored in a shard child or answered from the router's cache."""
+
+    @staticmethod
+    def _traffic(pipeline):
+        plan = []  # (claimed vendor, claimed version, environment's version)
+        for vendor in (Vendor.CHROME, Vendor.EDGE, Vendor.FIREFOX):
+            top = _max_known(pipeline, vendor.value)
+            plan += [(vendor, top + 1, top), (vendor, top + 3, top), (vendor, 112, 112)]
+        # A forged release far past the table, on another vendor's engine.
+        plan.append((Vendor.FIREFOX, 500, 112))
+        script = CollectionScript()
+        environment = BrowserProfile(Vendor.CHROME, 112).environment()
+        wires = [script.run(environment, "curl/8.4.0", "par-curl").to_wire()]
+        for number, (vendor, version, env_version) in enumerate(plan * 3):
+            environment = BrowserProfile(vendor, env_version).environment()
+            ua = format_user_agent(vendor, version)
+            wires.append(script.run(environment, ua, f"par-{number}").to_wire())
+        return wires
+
+    @staticmethod
+    def _answers(verdicts):
+        return [
+            (
+                v.session_id, v.accepted, v.flagged, v.risk_factor,
+                v.reject_reason, v.inferred_release, v.inferred_distance,
+            )
+            for v in verdicts
+        ]
+
+    @staticmethod
+    def _unknown_lines(app):
+        _, _, body = app.handle("GET", "/metrics")
+        return [
+            line for line in body.decode().splitlines()
+            if line.startswith("polygraph_unknown_ua_total")
+        ]
+
+    @pytest.mark.parametrize("policy", ["ignore", "infer"])
+    def test_metrics_and_inferred_fields_match_one_process(
+        self, request, policy
+    ):
+        from repro.cluster import (
+            ClusterConfig,
+            ClusterRouter,
+            RouterConfig,
+            ShardSupervisor,
+        )
+
+        pipeline = request.getfixturevalue(
+            "infer_pipeline" if policy == "infer" else "trained"
+        )
+        assert pipeline.config.unknown_ua_policy == policy
+        wires = self._traffic(pipeline)
+        reference = ScoringService(pipeline)
+        expected = self._answers([reference.score_wire(w) for w in wires])
+        assert any(answer[5] for answer in expected) == (policy == "infer")
+        with ShardSupervisor.from_polygraph(
+            pipeline, config=ClusterConfig(n_shards=2, heartbeat_interval_s=5.0)
+        ) as supervisor:
+            router = ClusterRouter(supervisor, RouterConfig(affinity="fingerprint"))
+            # A fingerprint's repeats go to its shard, after the first
+            # batch: cache hits.
+            verdicts = router.score_many(wires[:11]) + router.score_many(wires[11:])
+            assert self._answers(verdicts) == expected
+            # Both shards scored through their router-side transports,
+            # in their children and from their caches.
+            per_shard = supervisor.transport_stats()
+            assert sorted(per_shard) == ["s0", "s1"]
+            for stats in per_shard.values():
+                assert stats["cache_misses"] and stats["cache_hits"]
+            lines = self._unknown_lines(CollectionApp(router))
+        assert lines == self._unknown_lines(CollectionApp(reference))
+        assert {line.split('"')[1] for line in lines} == {"chrome", "edge", "firefox"}
+
+    def test_forged_releases_add_no_tally_entry(self, trained):
+        """Both tallies are keyed by vendor label: a thousand forged
+        releases are three entries, in one process or in a shard."""
+        from repro.cluster import ClusterConfig, ShardSupervisor
+        from repro.coverage.tracker import VENDOR_LABELS
+        from repro.runtime.service import RuntimeScoringService
+
+        script = CollectionScript()
+        environment = BrowserProfile(Vendor.CHROME, 112).environment()
+        vendors = (Vendor.CHROME, Vendor.EDGE, Vendor.FIREFOX)
+        wires = [
+            script.run(
+                environment,
+                format_user_agent(vendors[n % 3], 1_000 + n),
+                f"forged-{n}",
+            ).to_wire()
+            for n in range(999)
+        ]
+        with ShardSupervisor.from_polygraph(
+            trained, config=ClusterConfig(n_shards=1, heartbeat_interval_s=5.0)
+        ) as supervisor:
+            supervisor.shards["s0"].score_chunk(wires)
+            (stats,) = supervisor.transport_stats().values()
+        assert stats["unknown_ua"] == {"chrome": 333, "edge": 333, "firefox": 333}
+        assert set(stats["unknown_ua"]) <= set(VENDOR_LABELS)
+        runtime = RuntimeScoringService(trained)
+        runtime.score_many(wires)
+        assert runtime.unknown_ua_counts == stats["unknown_ua"]
 
 
 def _ledger_row(**overrides):

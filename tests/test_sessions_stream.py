@@ -959,6 +959,19 @@ class TestSessionEventLog:
         assert events[4]["flagged"] and events[4]["risk"] == 4
         assert events[0]["risk"] is None
 
+    def test_the_buffer_is_sealed_at_its_default_bound(self, tmp_path):
+        """A serve log buffers at most 4,096 events: the one that fills
+        the buffer seals it into a segment."""
+        log = SessionEventLog(tmp_path)
+        assert log.segment_events == 4096
+        for seq in range(4095):
+            self._append(log, "a", seq, float(seq))
+        assert log.stats()["buffered_events"] == 4095
+        self._append(log, "a", 4095, 4095.0)
+        stats = log.stats()
+        assert stats["buffered_events"] == 0
+        assert (stats["segments"], stats["sealed_events"]) == (1, 4096)
+
     def test_window_query(self, tmp_path):
         log = SessionEventLog(tmp_path, segment_events=2, window_seconds=50.0)
         for seq in range(6):

@@ -20,6 +20,7 @@ import json
 import multiprocessing
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -45,6 +46,8 @@ from repro.fingerprint.script import CollectionScript
 from repro.runtime.cache import VerdictCache
 from repro.runtime.fastingest import WireIngest
 from repro.runtime.service import RuntimeConfig
+from repro.service.aingest import AsyncIngestServer
+from repro.service.api import CollectionApp
 from repro.service.ingest import PayloadValidator, RejectReason
 from repro.service.scoring import OVERLOADED_REASON, ScoringService
 from repro.traffic.replay import iter_wire_payloads
@@ -403,28 +406,6 @@ class TestTransportFailureModes:
         finally:
             router.shutdown()
 
-    def test_thread_and_shm_backends_agree(self, trained, wires):
-        sample = wires[:100]
-        outcomes = []
-        for backend, transport in (("thread", "shm"), ("process", "shm")):
-            supervisor = ShardSupervisor.from_polygraph(
-                trained,
-                config=ClusterConfig(
-                    n_shards=2,
-                    backend=backend,
-                    transport=transport,
-                    heartbeat_interval_s=5.0,
-                ),
-            )
-            router = ClusterRouter(supervisor).start()
-            try:
-                outcomes.append(
-                    [_essence(v) for v in router.score_many(sample)]
-                )
-            finally:
-                router.shutdown()
-        assert outcomes[0] == outcomes[1]
-
     def test_shm_verdicts_hold_while_the_cache_thrashes(self, trained, wires):
         """Fingerprint affinity over three shm shards whose caches are
         far smaller than the distinct fingerprints, replayed twice: rows
@@ -563,32 +544,18 @@ class TestTransportFailureModes:
             supervisor.shutdown()
 
     def test_shm_is_the_only_transport(self, tmp_path, trained):
-        from repro.cluster import ProcessShard, ThreadShard
+        from repro.cluster import ProcessShard
 
         assert ClusterConfig(transport="shm").transport == "shm"
-        with pytest.raises(ValueError):
-            ClusterConfig(transport="pickle")
+        assert ClusterConfig(backend="process").backend == "process"
+        for field, value in (("transport", "pickle"), ("backend", "thread")):
+            with pytest.raises(ValueError):
+                ClusterConfig(**{field: value})
         path = tmp_path / "model.json"
         trained.save(path)
         with pytest.raises(TypeError):
             ProcessShard("s0", path, transport="pickle")
-        for shard_type in (ThreadShard, ProcessShard):
-            assert not hasattr(shard_type, "submit_wire")
-
-    def test_transport_metrics_absent_for_thread_clusters(
-        self, trained, wires
-    ):
-        supervisor = ShardSupervisor.from_polygraph(
-            trained,
-            config=ClusterConfig(n_shards=2, heartbeat_interval_s=5.0),
-        )
-        router = ClusterRouter(supervisor).start()
-        try:
-            router.score_many(wires[:20])
-            text = "\n".join(router.runtime_metrics_lines())
-            assert "polygraph_transport_" not in text
-        finally:
-            router.shutdown()
+        assert not hasattr(ProcessShard, "submit_wire")
 
 
 # ----------------------------------------------------------------------
@@ -677,6 +644,32 @@ class TestProcessTree:
             time.sleep(0.05)
         assert [pid for pid in shards if _parent_of(pid)] == []
         assert set(glob.glob("/dev/shm/psm_*")) <= segments
+
+
+class TestInheritedDescriptors:
+    def test_a_drained_port_refuses_while_a_restarted_shard_lives(self, trained):
+        """A restart forks after the front end has bound its port; the
+        child keeps none of the router's descriptors, so once the front
+        end closes, nothing listens on the port any more."""
+        supervisor = ShardSupervisor.from_polygraph(
+            trained,
+            config=ClusterConfig(
+                n_shards=2, unhealthy_after=1, heartbeat_interval_s=3600.0
+            ),
+        )
+        router = ClusterRouter(supervisor).start()
+        try:
+            with AsyncIngestServer(CollectionApp(router), port=0) as server:
+                port = server.port
+                supervisor.kill("s0")
+                for _ in range(4):  # off the ring, then back
+                    supervisor.check_once()
+                assert supervisor.restarts("s0") == 1
+            assert supervisor.shards["s0"]._process.is_alive()
+            with pytest.raises(ConnectionRefusedError):
+                socket.create_connection(("127.0.0.1", port), timeout=5.0).close()
+        finally:
+            router.shutdown()
 
 
 # ----------------------------------------------------------------------
