@@ -2,8 +2,8 @@
 
 :class:`ClusterRouter` speaks the same contract as
 :class:`~repro.service.scoring.ScoringService` — wires in,
-:class:`~repro.service.scoring.Verdict` out, plus the counters and
-metrics hooks :class:`~repro.service.api.CollectionApp` reads — so the
+:class:`~repro.service.scoring.Verdict` out, plus the counters and the
+``collect(out)`` that :class:`~repro.service.api.CollectionApp` reads — so the
 request handlers and the CLI serve path do not know whether one shard
 or eight sit behind them.
 
@@ -34,8 +34,12 @@ from typing import Dict, List, Optional, Sequence
 from repro.cluster.ring import _SID_PREFIX, wire_routing_key
 from repro.cluster.supervisor import ShardError, ShardSupervisor
 from repro.core.pipeline import BrowserPolygraph
-from repro.service.ingest import RejectReason
-from repro.service.scoring import OVERLOADED_REASON, Verdict, overloaded_verdict
+from repro.service.scoring import (
+    OVERLOADED_REASON,
+    Verdict,
+    collect_verdicts,
+    overloaded_verdict,
+)
 
 __all__ = ["ClusterRouter", "RouterConfig"]
 
@@ -46,53 +50,6 @@ _ROUTE_MEMO_LIMIT = 65_536  # distinct routing keys memoized per epoch
 # on a single-CPU host even the child processes timeshare the one core,
 # so threads add switch overhead without adding any overlap.
 _PARALLEL_DISPATCH = (os.cpu_count() or 1) > 1
-
-
-class _ExtraReason(str):
-    """A reject reason outside :class:`RejectReason` (e.g. shed traffic).
-
-    Quacks like an enum member — ``.value`` and string ordering — so the
-    ``/metrics`` breakdown can mix it with real quarantine reasons.
-    """
-
-    @property
-    def value(self) -> str:
-        return str(self)
-
-
-def _reason_key(value: str):
-    try:
-        return RejectReason(value)
-    except ValueError:
-        return _ExtraReason(value)
-
-
-class _RouterQuarantine:
-    """Aggregated reject counts, same shape as the validator's."""
-
-    def __init__(self) -> None:
-        self._counts: Dict[str, int] = {}
-        self._lock = threading.Lock()
-
-    def record(self, reason: str) -> None:
-        with self._lock:
-            self._counts[reason] = self._counts.get(reason, 0) + 1
-
-    @property
-    def total_rejects(self) -> int:
-        with self._lock:
-            return sum(self._counts.values())
-
-    def counts(self) -> Dict[object, int]:
-        with self._lock:
-            return {_reason_key(value): n for value, n in self._counts.items()}
-
-
-class _RouterValidator:
-    """Shim so ``CollectionApp._metrics`` finds ``validator.quarantine``."""
-
-    def __init__(self) -> None:
-        self.quarantine = _RouterQuarantine()
 
 
 class RouterConfig:
@@ -127,10 +84,11 @@ class ClusterRouter:
         # (/health); loaded once from the same digest-verified source
         # the shards use, never scored against.
         self.polygraph = BrowserPolygraph.load(supervisor.model_path)
-        self.validator = _RouterValidator()
         self._lock = threading.Lock()
         self.scored_count = 0
         self.flagged_count = 0
+        # Rejected wires by reason value; guarded by ``_lock``.
+        self.reject_counts: Dict[str, int] = {}
         self.requests_total = 0
         self.failovers_total = 0
         self.unroutable_total = 0
@@ -390,6 +348,7 @@ class ClusterRouter:
         retry: List[int] = []
         scored = 0
         flagged = 0
+        rejected: Dict[str, int] = {}
         for i, verdict in zip(indices, verdicts):
             if verdict.reject_reason == OVERLOADED_REASON:
                 retry.append(i)
@@ -399,14 +358,15 @@ class ClusterRouter:
                 scored += 1
                 flagged += verdict.flagged
             else:
-                self.validator.quarantine.record(
-                    verdict.reject_reason or "unknown"
-                )
+                reason = verdict.reject_reason or "unknown"
+                rejected[reason] = rejected.get(reason, 0) + 1
         answered = len(indices) - len(retry)
         with self._lock:
             self.requests_total += answered
             self.scored_count += scored
             self.flagged_count += flagged
+            for reason, count in rejected.items():
+                self.reject_counts[reason] = self.reject_counts.get(reason, 0) + count
             self._routed[shard_id] = self._routed.get(shard_id, 0) + answered
         return retry
 
@@ -429,74 +389,42 @@ class ClusterRouter:
             }
         return status
 
-    def runtime_metrics_lines(self) -> List[str]:
-        """``polygraph_cluster_*`` lines for the ``/metrics`` endpoint."""
-        status = self.supervisor.status_dict()
+    def collect(self, out) -> None:
+        """Report the cluster's series into ``out``: the scoring
+        counters, routing, shard health, one ``polygraph_transport_*``
+        series per started shard, and coverage when attached."""
+        status = self.cluster_status()
+        router = status["router"]
+        per_shard = sorted(status.get("transport_stats", {}).items())
+        unknown: Dict[str, int] = {}
+        for _, stats in per_shard:
+            for vendor, count in stats["unknown_ua"].items():
+                unknown[vendor] = unknown.get(vendor, 0) + count
         with self._lock:
-            lines = [
-                "# TYPE polygraph_cluster_shards gauge",
-                f"polygraph_cluster_shards {status['n_shards']}",
-                "# TYPE polygraph_cluster_healthy_shards gauge",
-                f"polygraph_cluster_healthy_shards {status['healthy_shards']}",
-                "# TYPE polygraph_cluster_requests_total counter",
-                f"polygraph_cluster_requests_total {self.requests_total}",
-                "# TYPE polygraph_cluster_failovers_total counter",
-                f"polygraph_cluster_failovers_total {self.failovers_total}",
-                "# TYPE polygraph_cluster_routed_total counter",
-            ]
-            for shard_id, count in sorted(self._routed.items()):
-                lines.append(
-                    f'polygraph_cluster_routed_total{{shard="{shard_id}"}} {count}'
-                )
+            rejects = dict(self.reject_counts)
+        collect_verdicts(out, self.scored_count, self.flagged_count, rejects, unknown)
+        out.gauge("polygraph_cluster_shards", status["n_shards"])
+        out.gauge("polygraph_cluster_healthy_shards", status["healthy_shards"])
+        out.counter("polygraph_cluster_requests_total", router["requests_total"])
+        out.counter("polygraph_cluster_failovers_total", router["failovers_total"])
+        for shard_id, count in router["routed_by_shard"].items():
+            out.counter("polygraph_cluster_routed_total", count, shard=shard_id)
         for shard in status["shards"]:
-            lines.append(
-                f'polygraph_cluster_shard_healthy{{shard="{shard["shard_id"]}"}} '
-                f'{1 if shard["healthy"] else 0}'
-            )
-            lines.append(
-                f'polygraph_cluster_shard_model_version{{shard="{shard["shard_id"]}"}} '
-                f'{shard["model_version"]}'
-            )
-            lines.append(
-                f'polygraph_cluster_shard_restarts{{shard="{shard["shard_id"]}"}} '
-                f'{shard["restarts"]}'
-            )
-        lines.extend(self._transport_metrics_lines())
-        unknown = self.supervisor.unknown_ua_counts()
-        for vendor in sorted(unknown):
-            lines.append(
-                f'polygraph_unknown_ua_total{{vendor="{vendor}"}} '
-                f"{unknown[vendor]}"
-            )
+            label = {"shard": shard["shard_id"]}
+            version = shard["model_version"]
+            out.gauge("polygraph_cluster_shard_healthy", int(shard["healthy"]), **label)
+            out.gauge("polygraph_cluster_shard_model_version", version, **label)
+            out.counter("polygraph_cluster_shard_restarts", shard["restarts"], **label)
+        for shard_id, stats in per_shard:
+            for key, name in (
+                ("zero_copy_batches", "zero_copy_batches_total"),
+                ("zero_copy_rows", "zero_copy_rows_total"),
+                ("backpressure_waits", "backpressure_pauses_total"),
+                ("cache_hits", "cache_hits_total"),
+                ("cache_misses", "cache_misses_total"),
+            ):
+                out.counter(f"polygraph_transport_{name}", stats[key], shard=shard_id)
+            for key in ("ring_occupancy", "ring_occupancy_peak"):
+                out.gauge(f"polygraph_transport_{key}", stats[key], shard=shard_id)
         if self.coverage is not None:
-            lines.extend(self.coverage.metrics_lines())
-        return lines
-
-    _TRANSPORT_METRICS = (
-        ("zero_copy_batches", "zero_copy_batches_total", "counter"),
-        ("zero_copy_rows", "zero_copy_rows_total", "counter"),
-        ("backpressure_waits", "backpressure_pauses_total", "counter"),
-        ("cache_hits", "cache_hits_total", "counter"),
-        ("cache_misses", "cache_misses_total", "counter"),
-        ("ring_occupancy", "ring_occupancy", "gauge"),
-        ("ring_occupancy_peak", "ring_occupancy_peak", "gauge"),
-    )
-
-    def _transport_metrics_lines(self) -> List[str]:
-        """``polygraph_transport_*`` lines, one series per started shard.
-
-        Single-process serving has no transport, so these lines are
-        cleanly absent there.
-        """
-        per_shard = self.supervisor.transport_stats()
-        if not per_shard:
-            return []
-        lines: List[str] = []
-        for key, metric, kind in self._TRANSPORT_METRICS:
-            lines.append(f"# TYPE polygraph_transport_{metric} {kind}")
-            for shard_id, stats in sorted(per_shard.items()):
-                lines.append(
-                    f'polygraph_transport_{metric}{{shard="{shard_id}"}} '
-                    f"{stats[key]}"
-                )
-        return lines
+            self.coverage.collect(out)

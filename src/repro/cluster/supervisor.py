@@ -212,6 +212,12 @@ def _shard_worker(conn, router_end, model_path: str, slab: ShmSlab) -> None:
     conn.close()
 
 
+# Transport counts that only grow (so does ``unknown_ua``): a restarted
+# shard carries them on.
+_CARRIED = ("zero_copy_batches", "zero_copy_rows", "backpressure_waits",
+            "cache_hits", "cache_misses", "scored", "flagged")
+
+
 class ProcessShard:
     """One scoring shard hosted in a child process.
 
@@ -232,8 +238,10 @@ class ProcessShard:
 
     Crash/restart semantics: the slab outlives the child.  ``restart``
     forks a fresh child over the *same* mapping, with a fresh transport
-    — cache, dedup window and counters start cold, as they would after
+    — cache, dedup window and gauges start cold, as they would after
     a real crash; the model file, and so every verdict, is unchanged.
+    The monotonic counts of every retired transport are carried into
+    :meth:`transport_stats`, so no ``_total`` series falls on a restart.
     """
 
     _SHM_SUBCHUNK = 4096
@@ -267,6 +275,10 @@ class ProcessShard:
         self._alive = False
         self._slab: Optional[ShmSlab] = None
         self._transport: Optional[ShmTransport] = None
+        # What the transports this shard retired counted, swapped with
+        # ``_transport`` under ``_retire_lock``.
+        self._retired: dict = {"unknown_ua": {}, **dict.fromkeys(_CARRIED, 0)}
+        self._retire_lock = threading.Lock()
         # Cluster-shared CoverageTracker; applied to each fresh transport.
         self.coverage = None
 
@@ -275,6 +287,10 @@ class ProcessShard:
     def start(self) -> "ProcessShard":
         if self._alive:
             return self
+        with self._retire_lock:
+            if self._transport is not None:
+                self._retired = self._carried(self._transport.transport_stats())
+                self._transport = None
         try:
             if self._slab is None:
                 self._slab = ShmSlab(self.ring_slots, N_FEATURES)
@@ -399,9 +415,22 @@ class ProcessShard:
         )
 
     def transport_stats(self) -> Optional[dict]:
-        """Counter snapshot of this shard's transport (``None`` until started)."""
-        transport = self._transport
-        return transport.transport_stats() if transport is not None else None
+        """Counter snapshot of this shard's transport (``None`` until
+        started), its counts summed over every transport it retired."""
+        with self._retire_lock:
+            transport = self._transport
+            if transport is None:
+                return None
+            return self._carried(transport.transport_stats())
+
+    def _carried(self, stats: dict) -> dict:
+        """``stats`` plus the retired transports' counts."""
+        for key in _CARRIED:
+            stats[key] += self._retired[key]
+        unknown = stats["unknown_ua"]
+        for vendor, count in self._retired["unknown_ua"].items():
+            unknown[vendor] = unknown.get(vendor, 0) + count
+        return stats
 
     def _call(self, message: tuple, timeout: float):
         """One control round trip over the pipe the transport shares."""
@@ -644,14 +673,6 @@ class ShardSupervisor:
                 shard.coverage = tracker
                 if shard._transport is not None:
                     shard._transport.coverage = tracker
-
-    def unknown_ua_counts(self) -> Dict[str, int]:
-        """Per-vendor unknown-UA totals, summed over the shards' transports."""
-        totals: Dict[str, int] = {}
-        for stats in self.transport_stats().values():
-            for vendor, count in stats["unknown_ua"].items():
-                totals[vendor] = totals.get(vendor, 0) + count
-        return totals
 
     # -- introspection --------------------------------------------------
 

@@ -77,7 +77,6 @@ from repro.coverage.tracker import vendor_of
 from repro.runtime.batch import Miss, answer_known, cache_keys, finish_misses
 from repro.runtime.cache import VerdictCache
 from repro.runtime.fastingest import WireIngest
-from repro.runtime.stats import RuntimeStats
 from repro.service.ingest import PayloadValidator
 from repro.service.scoring import Verdict, overloaded_verdict
 
@@ -256,13 +255,11 @@ class ShmTransport:
         self.conn = conn
         self.lock = threading.RLock()  # pipe + ring + slab writes
         self.ingest = WireIngest(validator)
-        self.stats = RuntimeStats()
         self.cache: Optional[VerdictCache] = None
         if config.cache_entries > 0:
             self.cache = VerdictCache(
                 max_entries=config.cache_entries,
                 ttl_seconds=config.cache_ttl_seconds,
-                stats=self.stats,
             )
             self.cache.set_model_generation(generation)
         self.ring = SlotRing(slab.n_slots)
@@ -465,11 +462,10 @@ class ShmTransport:
 
     def transport_stats(self) -> Dict[str, object]:
         """Counter snapshot for ``/metrics`` and ``cluster_status``."""
+        cache = self.cache
         cache_hits = cache_misses = 0
-        if self.cache is not None:
-            self.cache.sync_stats()
-            cache_hits = self.stats.counter("cache_hits")
-            cache_misses = self.stats.counter("cache_misses")
+        if cache is not None:
+            cache_hits, cache_misses = cache.hits, cache.misses
         with self._count_lock:
             scored = self.scored_count
             flagged = self.flagged_count

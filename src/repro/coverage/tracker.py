@@ -22,7 +22,7 @@ import threading
 from collections import Counter, deque
 from dataclasses import dataclass
 from datetime import date
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Set
+from typing import Callable, Deque, Dict, Iterable, Optional, Sequence, Set
 
 from repro.browsers.releases import ReleaseCalendar, default_calendar
 
@@ -313,34 +313,18 @@ class CoverageTracker:
             "top_unknown": top_unknown,
         }
 
-    def metrics_lines(self, day: Optional[date] = None) -> List[str]:
-        """Prometheus-style ``polygraph_coverage_*`` lines."""
-        status = self.status_dict(day)
-        lines = [
-            f"polygraph_coverage_known_releases {status['known_releases']}",
-        ]
+    def collect(self, out) -> None:
+        """Report the ``polygraph_coverage_*`` series into ``out``."""
+        status = self.status_dict()
+        out.gauge("polygraph_coverage_known_releases", status["known_releases"])
         if status["model_generation"] is not None:
-            lines.append(
-                f"polygraph_coverage_generation {status['model_generation']}"
-            )
+            out.gauge("polygraph_coverage_generation", status["model_generation"])
         for vendor in VENDOR_LABELS:
-            stats = status["vendors"][vendor]
-            label = f'{{vendor="{vendor}"}}'
-            lines.append(
-                f"polygraph_coverage_observed_total{label} {stats['observed']}"
-            )
-            lines.append(
-                f"polygraph_coverage_unknown_total{label} {stats['unknown']}"
-            )
-            lines.append(
-                f"polygraph_coverage_unknown_rate{label} "
-                f"{stats['window_unknown_rate']:.6f}"
-            )
-            lines.append(
-                f"polygraph_coverage_band_high{label} {stats['band_high']:.6f}"
-            )
-            lines.append(
-                f"polygraph_coverage_out_of_band{label} "
-                f"{1 if stats['out_of_band'] else 0}"
-            )
-        return lines
+            stats, label = status["vendors"][vendor], {"vendor": vendor}
+            rate = round(stats["window_unknown_rate"], 6)
+            band = round(stats["band_high"], 6)
+            out.counter("polygraph_coverage_observed_total", stats["observed"], **label)
+            out.counter("polygraph_coverage_unknown_total", stats["unknown"], **label)
+            out.gauge("polygraph_coverage_unknown_rate", rate, **label)
+            out.gauge("polygraph_coverage_band_high", band, **label)
+            out.gauge("polygraph_coverage_out_of_band", int(stats["out_of_band"]), **label)

@@ -19,7 +19,7 @@ import threading
 import time
 from collections import deque
 from datetime import date
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.fusion.model import FusionModel, SecondOpinion
 from repro.fusion.policy import (
@@ -176,28 +176,16 @@ class FusionArm:
                 "model": self.model.status_dict(),
             }
 
-    def metrics_lines(self) -> List[str]:
-        """Prometheus-style ``polygraph_fusion_*`` lines."""
+    def collect(self, out) -> None:
+        """Report the arm's ``polygraph_fusion_*`` series into ``out``."""
         with self._lock:
-            lines = [
-                "# TYPE polygraph_fusion_enabled gauge",
-                f"polygraph_fusion_enabled {0 if self.disabled else 1}",
-                "# TYPE polygraph_fusion_verdicts_total counter",
-                f"polygraph_fusion_verdicts_total {self.verdicts}",
-                "# TYPE polygraph_fusion_second_flagged_total counter",
-                f"polygraph_fusion_second_flagged_total {self.second_flagged}",
-                "# TYPE polygraph_fusion_fused_flagged_total counter",
-                f"polygraph_fusion_fused_flagged_total {self.fused_flagged}",
-                "# TYPE polygraph_fusion_cell_total counter",
-            ]
+            out.gauge("polygraph_fusion_enabled", 0 if self.disabled else 1)
+            out.counter("polygraph_fusion_verdicts_total", self.verdicts)
+            out.counter("polygraph_fusion_second_flagged_total", self.second_flagged)
+            out.counter("polygraph_fusion_fused_flagged_total", self.fused_flagged)
             for cell, count in sorted(self.cell_counts.items()):
-                lines.append(
-                    f'polygraph_fusion_cell_total{{cell="{cell}"}} {count}'
-                )
+                out.counter("polygraph_fusion_cell_total", count, cell=cell)
             if self.disable_reason is not None:
-                lines.append("# TYPE polygraph_fusion_disabled_info gauge")
-                lines.append(
-                    "polygraph_fusion_disabled_info"
-                    f'{{reason="{self.disable_reason}"}} 1'
+                out.gauge(
+                    "polygraph_fusion_disabled_info", 1, reason=self.disable_reason
                 )
-        return lines

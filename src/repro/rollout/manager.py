@@ -27,7 +27,7 @@ import secrets
 import threading
 import time
 from pathlib import Path
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 from repro.core.pipeline import BrowserPolygraph
 from repro.rollout.canary import CanaryController, GuardrailBreach
@@ -387,34 +387,21 @@ class RolloutManager:
             document["per_ua"] = report.per_ua()
         return document
 
-    def metrics_lines(self) -> List[str]:
-        """Prometheus lines the runtime appends to ``/metrics``."""
+    def collect(self, out) -> None:
+        """Report the rollout's ``polygraph_rollout_*`` gauges into ``out``."""
         state = self.state
         if state is None:
-            return []
+            return
         report = self.report
-        lines = [
-            "# TYPE polygraph_rollout_in_flight gauge",
-            f"polygraph_rollout_in_flight {1 if state.in_flight else 0}",
-            "# TYPE polygraph_rollout_stage gauge",
-            f"polygraph_rollout_stage {state.stage_index}",
-            "# TYPE polygraph_rollout_stage_fraction gauge",
-            f"polygraph_rollout_stage_fraction {state.stage_fraction:g}",
-            "# TYPE polygraph_rollout_stage_age_seconds gauge",
-            "polygraph_rollout_stage_age_seconds "
-            f"{max(0.0, self._clock() - state.stage_started_at):.3f}",
-        ]
+        age = round(max(0.0, self._clock() - state.stage_started_at), 3)
+        out.gauge("polygraph_rollout_in_flight", int(state.in_flight))
+        out.gauge("polygraph_rollout_stage", state.stage_index)
+        out.gauge("polygraph_rollout_stage_fraction", state.stage_fraction)
+        out.gauge("polygraph_rollout_stage_age_seconds", age)
         if report is not None:
-            lines.extend(
-                [
-                    "# TYPE polygraph_rollout_disagreement_rate gauge",
-                    f"polygraph_rollout_disagreement_rate "
-                    f"{report.disagreement_rate:.6f}",
-                    "# TYPE polygraph_rollout_comparisons_total counter",
-                    f"polygraph_rollout_comparisons_total {report.comparisons}",
-                ]
-            )
-        return lines
+            rate = round(report.disagreement_rate, 6)
+            out.gauge("polygraph_rollout_disagreement_rate", rate)
+            out.counter("polygraph_rollout_comparisons_total", report.comparisons)
 
     def save(self) -> None:
         """Persist the current state (report snapshot included)."""

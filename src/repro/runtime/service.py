@@ -59,7 +59,7 @@ from repro.runtime.cache import VerdictCache
 from repro.runtime.fastingest import WireIngest
 from repro.runtime.stats import RuntimeStats
 from repro.service.ingest import PayloadValidator
-from repro.service.scoring import Verdict, fused_fields
+from repro.service.scoring import Verdict, collect_verdicts, fused_fields
 from repro.service.storage import SessionStore
 from repro.traffic.dataset import Dataset
 
@@ -108,7 +108,7 @@ class RuntimeScoringService:
     honoured; ``scored_count`` / ``flagged_count`` / ``flag_rate`` keep
     their meanings, and :meth:`attach_fusion` takes the same arm.  New
     surface: :meth:`score_rows` (the batch core everything else
-    delegates to), :attr:`runtime_stats` and :meth:`runtime_metrics_lines`.
+    delegates to), :attr:`runtime_stats` and :meth:`collect`.
 
     Thread-safe: :meth:`score_many` may be entered from any number of
     threads at once.  A batch takes the ingest lock once, the cache
@@ -493,30 +493,27 @@ class RuntimeScoringService:
         """Verdict-cache hit rate (0 when the cache is disabled)."""
         return self.cache.hit_rate if self.cache is not None else 0.0
 
-    def runtime_metrics_lines(self) -> List[str]:
-        """Prometheus-style lines for the ``/metrics`` endpoint."""
-        stats = self.runtime_stats
-        stats.set_counter("requests_total", self.requests_total)
-        stats.set_counter("requests_rejected", self.rejected_count)
-        stats.set_gauge(
-            "polygraph_model_generation",
-            self.polygraph.model_generation,
-            absolute=True,
+    def collect(self, out) -> None:
+        """Report the scoring counters, the runtime registry, the
+        rollout and coverage (when attached) into ``out``."""
+        rejects = self.validator.quarantine.counts()
+        with self._lock:
+            scored, flagged = self.scored_count, self.flagged_count
+            unknown = dict(self.unknown_ua_counts)
+        collect_verdicts(
+            out, scored, flagged,
+            {reason.value: count for reason, count in rejects.items()}, unknown,
         )
+        out.counter("polygraph_runtime_requests_total", self.requests_total)
+        out.counter("polygraph_runtime_requests_rejected", self.rejected_count)
+        out.gauge("polygraph_model_generation", self.polygraph.model_generation)
+        stats = self.runtime_stats
         if self.cache is not None:
             self.cache.sync_stats()
             stats.set_gauge("cache_entries", len(self.cache))
-        lines = stats.render_prometheus()
-        with self._lock:
-            unknown = dict(self.unknown_ua_counts)
-        for vendor in sorted(unknown):
-            lines.append(
-                f'polygraph_unknown_ua_total{{vendor="{vendor}"}} '
-                f"{unknown[vendor]}"
-            )
+        stats.collect(out)
         rollout = self._rollout
         if rollout is not None:
-            lines.extend(rollout.metrics_lines())
+            rollout.collect(out)
         if self.coverage is not None:
-            lines.extend(self.coverage.metrics_lines())
-        return lines
+            self.coverage.collect(out)

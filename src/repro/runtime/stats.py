@@ -5,10 +5,10 @@ runtime wants to observe about itself: monotonic counters (requests,
 cache hits, model calls, rows the shadow scorer shed), gauges with
 peak tracking (``queue_depth``: rows pending in the rollout's shadow
 scorer, set per mirrored batch), the distribution of rows per model call, and
-per-stage latency percentiles over a bounded reservoir.  ``/metrics``
-renders the registry Prometheus-style next to the existing scoring
-counters, so one scrape shows how wide the model calls are and whether
-the verdict cache is earning its memory.
+per-stage latency percentiles over a bounded reservoir.  The registry
+reports into ``/metrics`` next to the scoring counters
+(:meth:`RuntimeStats.collect`), so one scrape shows how wide the model
+calls are and whether the verdict cache is earning its memory.
 
 Latency reservoirs are bounded deques: old observations fall off, so
 the percentiles track recent behaviour rather than the whole process
@@ -20,9 +20,12 @@ from __future__ import annotations
 import math
 import threading
 from collections import deque
-from typing import Deque, Dict, List, Sequence
+from typing import Deque, Dict, Sequence
 
 __all__ = ["RuntimeStats", "percentile"]
+
+# (φ, percentile) of every summary the registry reports.
+_QUANTILES = ((0.5, 50), (0.9, 90), (0.99, 99))
 
 
 def percentile(values: Sequence[float], p: float) -> float:
@@ -49,7 +52,6 @@ class RuntimeStats:
         self._counters: Dict[str, int] = {}
         self._gauges: Dict[str, float] = {}
         self._peaks: Dict[str, float] = {}
-        self._absolute: set = set()
         self._batch_sizes: Deque[int] = deque(maxlen=reservoir)
         self._stage_ms: Dict[str, Deque[float]] = {}
 
@@ -67,40 +69,16 @@ class RuntimeStats:
             return self._counters.get(name, 0)
 
     def set_counter(self, name: str, value: int) -> None:
-        """Overwrite counter ``name``.
-
-        For counters whose source of truth lives elsewhere (the service
-        keeps its request totals under its own lock) and is mirrored in
-        before rendering.
-        """
+        """Overwrite counter ``name`` (the verdict cache mirrors its own in)."""
         with self._lock:
             self._counters[name] = int(value)
 
-    def set_gauge(self, name: str, value: float, absolute: bool = False) -> None:
-        """Set gauge ``name``, tracking its peak.
-
-        ``absolute=True`` marks the name as already fully qualified:
-        :meth:`render_prometheus` emits it verbatim instead of under the
-        ``polygraph_runtime_`` prefix (used for fleet-level gauges such
-        as ``polygraph_model_generation``, which dashboards correlate
-        with verdict shifts across services).
-        """
+    def set_gauge(self, name: str, value: float) -> None:
+        """Set gauge ``name``, tracking its peak."""
         with self._lock:
             self._gauges[name] = float(value)
             if value > self._peaks.get(name, float("-inf")):
                 self._peaks[name] = float(value)
-            if absolute:
-                self._absolute.add(name)
-
-    def gauge(self, name: str) -> float:
-        """Current gauge value (0 if never set)."""
-        with self._lock:
-            return self._gauges.get(name, 0.0)
-
-    def peak(self, name: str) -> float:
-        """Highest value gauge ``name`` ever held (0 if never set)."""
-        with self._lock:
-            return self._peaks.get(name, 0.0)
 
     # ------------------------------------------------------------------
     # distributions
@@ -130,11 +108,6 @@ class RuntimeStats:
         with self._lock:
             return percentile(self._stage_ms.get(stage, ()), p)
 
-    def stages(self) -> List[str]:
-        """Stages with at least one observation, sorted."""
-        with self._lock:
-            return sorted(self._stage_ms)
-
     # ------------------------------------------------------------------
     # derived rates
 
@@ -150,60 +123,25 @@ class RuntimeStats:
     # ------------------------------------------------------------------
     # export
 
-    def snapshot(self) -> dict:
-        """A point-in-time dict of everything the registry holds."""
+    def collect(self, out) -> None:
+        """Report the registry into ``out`` under ``polygraph_runtime_``."""
         with self._lock:
-            counters = dict(self._counters)
-            gauges = dict(self._gauges)
+            counters = sorted(self._counters.items())
+            gauges = sorted(self._gauges.items())
             peaks = dict(self._peaks)
-            absolute = set(self._absolute)
-            batch_sizes = list(self._batch_sizes)
-            stages = {k: list(v) for k, v in self._stage_ms.items()}
-        return {
-            "counters": counters,
-            "gauges": gauges,
-            "peaks": peaks,
-            "absolute_gauges": absolute,
-            "batch_sizes": batch_sizes,
-            "stage_latency_ms": stages,
-        }
-
-    def render_prometheus(self, prefix: str = "polygraph_runtime") -> List[str]:
-        """Prometheus-style text lines for ``/metrics``."""
-        snap = self.snapshot()
-        lines: List[str] = []
-        for name in sorted(snap["counters"]):
-            metric = f"{prefix}_{name}"
-            lines.append(f"# TYPE {metric} counter")
-            lines.append(f"{metric} {snap['counters'][name]}")
-        for name in sorted(snap["gauges"]):
-            if name in snap["absolute_gauges"]:
-                lines.append(f"# TYPE {name} gauge")
-                lines.append(f"{name} {snap['gauges'][name]:g}")
-                continue
-            metric = f"{prefix}_{name}"
-            lines.append(f"# TYPE {metric} gauge")
-            lines.append(f"{metric} {snap['gauges'][name]:g}")
-            lines.append(f"{metric}_peak {snap['peaks'][name]:g}")
-        hit_rate = self.cache_hit_rate
-        lines.append(f"# TYPE {prefix}_cache_hit_rate gauge")
-        lines.append(f"{prefix}_cache_hit_rate {hit_rate:.6f}")
-        if snap["batch_sizes"]:
-            sizes = snap["batch_sizes"]
-            lines.append(f"# TYPE {prefix}_batch_size summary")
-            for q in (50, 90, 99):
-                lines.append(
-                    f'{prefix}_batch_size{{quantile="p{q}"}} '
-                    f"{percentile(sizes, q):g}"
-                )
-            lines.append(f"{prefix}_batch_size_max {max(sizes):g}")
-        for stage in sorted(snap["stage_latency_ms"]):
-            series = snap["stage_latency_ms"][stage]
-            if not series:
-                continue
-            for q in (50, 90, 99):
-                lines.append(
-                    f'{prefix}_stage_latency_ms{{stage="{stage}",quantile="p{q}"}} '
-                    f"{percentile(series, q):.4f}"
-                )
-        return lines
+            sizes = list(self._batch_sizes)
+            stages = sorted((k, list(v)) for k, v in self._stage_ms.items() if v)
+        prefix = "polygraph_runtime"
+        for name, value in counters:
+            out.counter(f"{prefix}_{name}", value)
+        for name, value in gauges:
+            out.gauge(f"{prefix}_{name}", value)
+            out.gauge(f"{prefix}_{name}_peak", peaks[name])
+        out.gauge(f"{prefix}_cache_hit_rate", round(self.cache_hit_rate, 6))
+        if sizes:
+            quantiles = {q: percentile(sizes, p) for q, p in _QUANTILES}
+            out.summary(f"{prefix}_batch_size", quantiles)
+            out.gauge(f"{prefix}_batch_size_max", max(sizes))
+        for stage, series in stages:
+            quantiles = {q: round(percentile(series, p), 4) for q, p in _QUANTILES}
+            out.summary(f"{prefix}_stage_latency_ms", quantiles, stage=stage)

@@ -46,8 +46,9 @@ Every other request — ``/check`` among them, and a ``POST /event``
 that has no body, or no session layer to go to — is answered by
 :meth:`CollectionApp.handle <repro.service.api.CollectionApp.handle>`
 on the same thread pool, and its ``(status, headers, body)`` is
-rendered here like every other answer.  ``GET /metrics`` answers
-additionally carry this server's ``polygraph_ingest_*`` counters.
+rendered here like every other answer.  A ``GET /metrics`` answer is
+the app's exposition with this server's ``polygraph_ingest_*``
+counters reported into it.
 """
 
 from __future__ import annotations
@@ -741,31 +742,20 @@ class AsyncIngestServer:
 
     def _answer(self, method: str, path: str, body: bytes,
                 keep_alive: bool) -> bytes:
-        status, headers, payload = self.app.handle(method, path, body)
         if method == "GET" and path == "/metrics":
-            payload += ("\n".join(self.metrics_lines()) + "\n").encode("utf-8")
-        return _render(status, headers, payload, keep_alive)
+            return _render(*self.app.metrics(self), keep_alive)
+        return _render(*self.app.handle(method, path, body), keep_alive)
 
     # ------------------------------------------------------------------
 
-    def metrics_lines(self) -> List[str]:
-        return [
-            "# TYPE polygraph_ingest_requests counter",
-            f"polygraph_ingest_requests {self.requests_total}",
-            "# TYPE polygraph_ingest_writes counter",
-            f"polygraph_ingest_writes {self.writes_total}",
-            "# TYPE polygraph_ingest_collect_requests counter",
-            f"polygraph_ingest_collect_requests {self.collect_total}",
-            "# TYPE polygraph_ingest_event_requests counter",
-            f"polygraph_ingest_event_requests {self.event_total}",
-            "# TYPE polygraph_ingest_batches counter",
-            f"polygraph_ingest_batches {self.batches_total}",
-            "# TYPE polygraph_ingest_batch_rows counter",
-            f"polygraph_ingest_batch_rows {self.batch_rows_total}",
-            "# TYPE polygraph_ingest_backpressure_pauses counter",
-            f"polygraph_ingest_backpressure_pauses {self.backpressure_pauses}",
-            "# TYPE polygraph_ingest_open_connections gauge",
-            f"polygraph_ingest_open_connections {self.open_connections}",
-            "# TYPE polygraph_ingest_pending_wires gauge",
-            f"polygraph_ingest_pending_wires {self._pending}",
-        ]
+    def collect(self, out) -> None:
+        """Report this server's ``polygraph_ingest_*`` series into ``out``."""
+        out.counter("polygraph_ingest_requests", self.requests_total)
+        out.counter("polygraph_ingest_writes", self.writes_total)
+        out.counter("polygraph_ingest_collect_requests", self.collect_total)
+        out.counter("polygraph_ingest_event_requests", self.event_total)
+        out.counter("polygraph_ingest_batches", self.batches_total)
+        out.counter("polygraph_ingest_batch_rows", self.batch_rows_total)
+        out.counter("polygraph_ingest_backpressure_pauses", self.backpressure_pauses)
+        out.gauge("polygraph_ingest_open_connections", self.open_connections)
+        out.gauge("polygraph_ingest_pending_wires", self._pending)

@@ -8,9 +8,9 @@ onto the connection.  ``POST /collect`` and ``POST /event`` bodies are
 scored by the front end's batch paths, not here.  Endpoints:
 
 * ``GET  /health``  — liveness + model metadata;
-* ``GET  /metrics`` — scored/flagged counters and the quarantine
-  breakdown, Prometheus-style plain text (the front end appends its
-  own ``polygraph_ingest_*`` series);
+* ``GET  /metrics`` — every reporting part's series in the Prometheus
+  text format (:mod:`repro.metrics`), the front end's
+  ``polygraph_ingest_*`` among them;
 * ``GET  /rollout`` — status of the in-flight model rollout (stage,
   disagreement report), when the runtime has one attached;
 * ``GET  /cluster`` — shard topology and routing counters, when a
@@ -40,6 +40,8 @@ from __future__ import annotations
 import json
 from typing import List, Tuple
 
+from repro.metrics import Exposition
+
 __all__ = ["CollectionApp"]
 
 Response = Tuple[str, List[Tuple[str, str]], bytes]
@@ -57,8 +59,8 @@ class CollectionApp:
     :class:`~repro.service.scoring.ScoringService` or the
     high-throughput :class:`~repro.runtime.service.RuntimeScoringService`
     (or the cluster router) — all speak the same ``score_wire``
-    contract, and the runtime additionally contributes its metrics
-    registry to ``/metrics``.
+    contract, and each reports its own series into ``/metrics``
+    (``collect(out)``).
 
     ``sessions`` optionally attaches a
     :class:`~repro.sessions.service.SessionScoringService` wrapping the
@@ -67,7 +69,7 @@ class CollectionApp:
 
     ``coverage`` optionally attaches a
     :class:`~repro.coverage.tracker.CoverageTracker`; ``GET /coverage``
-    404s without it.  (Its ``polygraph_coverage_*`` lines reach
+    404s without it.  (Its ``polygraph_coverage_*`` series reach
     ``/metrics`` through the scoring service it is attached to.)
     """
 
@@ -77,7 +79,7 @@ class CollectionApp:
         self.coverage = coverage
         self._gets = {
             "/health": self._health,
-            "/metrics": self._metrics,
+            "/metrics": self.metrics,
             "/rollout": self._rollout,
             "/cluster": self._cluster,
             "/fusion": self._fusion,
@@ -218,43 +220,14 @@ class CollectionApp:
             )
         return _json("200 OK", status())
 
-    def _metrics(self) -> Response:
-        quarantine = self.service.validator.quarantine
-        lines = [
-            "# TYPE polygraph_sessions_scored counter",
-            f"polygraph_sessions_scored {self.service.scored_count}",
-            "# TYPE polygraph_sessions_flagged counter",
-            f"polygraph_sessions_flagged {self.service.flagged_count}",
-            "# TYPE polygraph_payloads_rejected counter",
-            f"polygraph_payloads_rejected {quarantine.total_rejects}",
-        ]
-        for reason, count in sorted(quarantine.counts().items()):
-            lines.append(
-                f'polygraph_payloads_rejected_by_reason{{reason="{reason.value}"}} {count}'
-            )
-        # The high-throughput runtime contributes its own registry
-        # (cache hit rate, batch sizes, stage latencies).
-        runtime_lines = getattr(self.service, "runtime_metrics_lines", None)
-        if runtime_lines is not None:
-            lines.extend(runtime_lines())
-        else:
-            # The per-request service has no metrics registry; its
-            # unknown-UA counters and coverage lines are emitted here.
-            # (The runtime and cluster router emit their own copies
-            # inside runtime_metrics_lines.)
-            unknown = getattr(self.service, "unknown_ua_counts", None) or {}
-            for vendor in sorted(unknown):
-                lines.append(
-                    f'polygraph_unknown_ua_total{{vendor="{vendor}"}} '
-                    f"{unknown[vendor]}"
-                )
-            coverage = getattr(self.service, "coverage", None)
-            if coverage is not None:
-                lines.extend(coverage.metrics_lines())
-        fusion = getattr(self.service, "fusion", None)
-        if fusion is not None:
-            lines.extend(fusion.metrics_lines())
-        if self.sessions is not None:
-            lines.extend(self.sessions.metrics_lines())
-        body = ("\n".join(lines) + "\n").encode("utf-8")
+    def metrics(self, *parts) -> Response:
+        """``GET /metrics``: one exposition that the service, the fusion
+        arm, the session layer and then ``parts`` (the front end) report
+        into."""
+        out = Exposition()
+        self.service.collect(out)
+        for part in (getattr(self.service, "fusion", None), self.sessions, *parts):
+            if part is not None:
+                part.collect(out)
+        body = out.render().encode("utf-8")
         return "200 OK", [("Content-Type", "text/plain; version=0.0.4")], body

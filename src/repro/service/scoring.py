@@ -24,6 +24,7 @@ __all__ = [
     "Overloaded",
     "ScoringService",
     "Verdict",
+    "collect_verdicts",
     "fused_fields",
     "overloaded_verdict",
 ]
@@ -96,6 +97,19 @@ def fused_fields(outcome) -> dict:
         "second_probability": opinion.probability,
         "second_lift": opinion.lift,
     }
+
+
+def collect_verdicts(out, scored: int, flagged: int, rejects: Dict[str, int],
+                     unknown_ua: Dict[str, int]) -> None:
+    """Report what every scoring service counts into ``out``: sessions
+    scored and flagged, rejects by reason, unknown releases by vendor."""
+    out.counter("polygraph_sessions_scored", scored)
+    out.counter("polygraph_sessions_flagged", flagged)
+    out.counter("polygraph_payloads_rejected", sum(rejects.values()))
+    for reason, count in sorted(rejects.items()):
+        out.counter("polygraph_payloads_rejected_by_reason", count, reason=reason)
+    for vendor, count in sorted(unknown_ua.items()):
+        out.counter("polygraph_unknown_ua_total", count, vendor=vendor)
 
 
 class ScoringService:
@@ -266,3 +280,14 @@ class ScoringService:
     def flag_rate(self) -> float:
         """Share of scored sessions flagged so far."""
         return self.flagged_count / self.scored_count if self.scored_count else 0.0
+
+    def collect(self, out) -> None:
+        """Report the scoring counters (and coverage, when attached)."""
+        rejects = self.validator.quarantine.counts()
+        collect_verdicts(
+            out, self.scored_count, self.flagged_count,
+            {reason.value: count for reason, count in rejects.items()},
+            dict(self.unknown_ua_counts),
+        )
+        if self.coverage is not None:
+            self.coverage.collect(out)

@@ -525,29 +525,17 @@ class SessionScoringService:
             status["event_log"] = self.event_log.stats()
         return status
 
-    def metrics_lines(self) -> List[str]:
-        """Prometheus-style ``polygraph_session_*`` lines."""
+    def collect(self, out) -> None:
+        """Report the layer's ``polygraph_session_*`` series into ``out``."""
         tracker_stats = self.tracker.stats()
         with self._lock:
-            lines = [
-                "# TYPE polygraph_session_active gauge",
-                f"polygraph_session_active {tracker_stats['active_sessions']}",
-                "# TYPE polygraph_session_events_total counter",
-                f"polygraph_session_events_total {self.events_total}",
-                "# TYPE polygraph_session_revisions_total counter",
-                f"polygraph_session_revisions_total {self.revisions_total}",
-                "# TYPE polygraph_session_escalations_total counter",
-                f"polygraph_session_escalations_total {self.escalations_total}",
-                "# TYPE polygraph_session_evictions_total counter",
-                "polygraph_session_evictions_total"
-                f"{{kind=\"ttl\"}} {tracker_stats['evicted_ttl']}",
-                "polygraph_session_evictions_total"
-                f"{{kind=\"capacity\"}} {tracker_stats['evicted_capacity']}",
-            ]
-            lines.append("# TYPE polygraph_session_revision_reason_total counter")
+            out.gauge("polygraph_session_active", tracker_stats["active_sessions"])
+            out.counter("polygraph_session_events_total", self.events_total)
+            out.counter("polygraph_session_revisions_total", self.revisions_total)
+            out.counter("polygraph_session_escalations_total", self.escalations_total)
+            for kind in ("ttl", "capacity"):
+                evicted = tracker_stats[f"evicted_{kind}"]
+                out.counter("polygraph_session_evictions_total", evicted, kind=kind)
             for reason, count in sorted(self.revision_reasons.items()):
-                lines.append(
-                    "polygraph_session_revision_reason_total"
-                    f"{{reason=\"{reason}\"}} {count}"
-                )
-        return lines
+                name = "polygraph_session_revision_reason_total"
+                out.counter(name, count, reason=reason)

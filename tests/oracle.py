@@ -894,7 +894,7 @@ def expected_fusion(folded, max_sessions: int) -> dict:
 def _reference_step(stack: _Stack, app: CollectionApp, lane: str, bodies, day):
     """``(answers, verdict essences)`` of the reference, wire by wire."""
     if lane == "check":
-        return [timeless(parent_bridge(app, "POST", "/check", bodies[0], []))], []
+        return [timeless(parent_bridge(app, "POST", "/check", bodies[0]))], []
     if lane == "collect":
         verdicts = [stack.service.score_wire(body, day=day) for body in bodies]
         answers = [parent_render_verdict(v) for v in verdicts]

@@ -3,8 +3,11 @@ request handlers directly, frozen as the references its answers must
 equal: a ``POST /collect`` answer as the ``StreamReader`` front end
 rendered it, a ``POST /event`` answer as the WSGI app's per-request
 handler wrote it, and every other answer as the WSGI app's handler run
-through the in-process WSGI bridge.  Nothing here calls the code under
-test.  Not a test module itself.
+through the in-process WSGI bridge.  ``GET /metrics`` is frozen as the
+parent's *sample map*, not its bytes: the exposition now types and
+groups every family, so a scrape is compared as samples plus the format
+checker (:mod:`tests.exposition_check`).  Nothing here calls the code
+under test.  Not a test module itself.
 """
 
 from __future__ import annotations
@@ -73,20 +76,14 @@ def parent_render_event(observation) -> bytes:
     return _head(status, headers) + body
 
 
-def parent_bridge(app, method, path, body, ingest_lines, keep_alive=True) -> bytes:
+def parent_bridge(app, method, path, body, keep_alive=True) -> bytes:
     """The answer to a request the batch paths do not take: the WSGI
     app's handler over ``app.service``, ``app.sessions`` and
-    ``app.coverage``, and for ``GET /metrics`` the front end's
-    ``ingest_lines`` appended.  (``POST /collect`` and ``POST /event``
-    reach it only without a body.)"""
+    ``app.coverage``.  (``POST /collect`` and ``POST /event`` reach it
+    only without a body; ``GET /metrics`` is :func:`parent_metrics`.)"""
     status, document = _parent_handle(app, method, path, body)
-    if isinstance(document, str):
-        payload = (document + "\n".join(ingest_lines) + "\n").encode("utf-8")
-        content_type = "text/plain; version=0.0.4"
-    else:
-        payload = json.dumps(document).encode("utf-8")
-        content_type = "application/json"
-    headers = [("Content-Type", content_type), ("Content-Length", len(payload))]
+    payload = json.dumps(document).encode("utf-8")
+    headers = [("Content-Type", "application/json"), ("Content-Length", len(payload))]
     return _head(status, headers, keep_alive) + payload
 
 
@@ -112,8 +109,6 @@ def _parent_handle(app, method, path, body):
             "clusters": model.config.n_clusters,
             "known_user_agents": len(model.ua_to_cluster),
         }
-    if method == "GET" and path == "/metrics":
-        return "200 OK", _parent_metrics(app)
     if method == "GET" and path == "/cluster":
         status = getattr(service, "cluster_status", None)
         if status is None:
@@ -176,34 +171,119 @@ def _parent_handle(app, method, path, body):
     return "200 OK", document
 
 
-def _parent_metrics(app) -> str:
+def parent_metrics(app, front_end=None) -> dict:
+    """The ``GET /metrics`` sample map (``name{labels}`` -> value) the
+    parent's renderers wrote over ``app`` and the asyncio ``front_end``,
+    quantile labels as the parent spelled them.  Covers the per-request
+    service and the cluster router with their coverage, a fusion arm,
+    the session layer and the front end; a test double stands for a part
+    through its ``parent_samples``.  (The batched runtime's registry and
+    its rollout are not covered.)"""
     service = app.service
-    quarantine = service.validator.quarantine
-    lines = [
-        "# TYPE polygraph_sessions_scored counter",
-        f"polygraph_sessions_scored {service.scored_count}",
-        "# TYPE polygraph_sessions_flagged counter",
-        f"polygraph_sessions_flagged {service.flagged_count}",
-        "# TYPE polygraph_payloads_rejected counter",
-        f"polygraph_payloads_rejected {quarantine.total_rejects}",
-    ]
-    for reason, count in sorted(quarantine.counts().items()):
-        lines.append(
-            f'polygraph_payloads_rejected_by_reason{{reason="{reason.value}"}} {count}'
-        )
-    runtime_lines = getattr(service, "runtime_metrics_lines", None)
-    if runtime_lines is not None:
-        lines.extend(runtime_lines())
+    samples = {}
+
+    def put(name, value, **labels):
+        pairs = ",".join(f'{k}="{v}"' for k, v in labels.items())
+        samples[f"{name}{{{pairs}}}" if labels else name] = float(value)
+
+    supervisor = getattr(service, "supervisor", None)
+    if supervisor is None:
+        rejects = {r.value: n for r, n in service.validator.quarantine.counts().items()}
     else:
-        unknown = getattr(service, "unknown_ua_counts", None) or {}
-        for vendor in sorted(unknown):
-            lines.append(
-                f'polygraph_unknown_ua_total{{vendor="{vendor}"}} {unknown[vendor]}'
-            )
-        if getattr(service, "coverage", None) is not None:
-            lines.extend(service.coverage.metrics_lines())
-    if getattr(service, "fusion", None) is not None:
-        lines.extend(service.fusion.metrics_lines())
-    if app.sessions is not None:
-        lines.extend(app.sessions.metrics_lines())
-    return "\n".join(lines) + "\n"
+        rejects = dict(service.reject_counts)
+    put("polygraph_sessions_scored", service.scored_count)
+    put("polygraph_sessions_flagged", service.flagged_count)
+    put("polygraph_payloads_rejected", sum(rejects.values()))
+    for reason, count in rejects.items():
+        put("polygraph_payloads_rejected_by_reason", count, reason=reason)
+    unknown = dict(getattr(service, "unknown_ua_counts", {}))
+    if supervisor is not None:
+        status, router = supervisor.status_dict(), service.cluster_status()["router"]
+        put("polygraph_cluster_shards", status["n_shards"])
+        put("polygraph_cluster_healthy_shards", status["healthy_shards"])
+        put("polygraph_cluster_requests_total", router["requests_total"])
+        put("polygraph_cluster_failovers_total", router["failovers_total"])
+        for shard_id, count in router["routed_by_shard"].items():
+            put("polygraph_cluster_routed_total", count, shard=shard_id)
+        for shard in status["shards"]:
+            put("polygraph_cluster_shard_healthy", shard["healthy"], shard=shard["shard_id"])
+            put("polygraph_cluster_shard_model_version", shard["model_version"],
+                shard=shard["shard_id"])
+            put("polygraph_cluster_shard_restarts", shard["restarts"], shard=shard["shard_id"])
+        for shard_id, stats in supervisor.transport_stats().items():
+            for key, name in (
+                ("zero_copy_batches", "zero_copy_batches_total"),
+                ("zero_copy_rows", "zero_copy_rows_total"),
+                ("backpressure_waits", "backpressure_pauses_total"),
+                ("cache_hits", "cache_hits_total"),
+                ("cache_misses", "cache_misses_total"),
+                ("ring_occupancy", "ring_occupancy"),
+                ("ring_occupancy_peak", "ring_occupancy_peak"),
+            ):
+                put(f"polygraph_transport_{name}", stats[key], shard=shard_id)
+            for vendor, count in stats["unknown_ua"].items():
+                unknown[vendor] = unknown.get(vendor, 0) + count
+    for vendor, count in unknown.items():
+        put("polygraph_unknown_ua_total", count, vendor=vendor)
+    coverage = getattr(service, "coverage", None)
+    if coverage is not None:
+        status = coverage.status_dict()
+        put("polygraph_coverage_known_releases", status["known_releases"])
+        if status["model_generation"] is not None:
+            put("polygraph_coverage_generation", status["model_generation"])
+        for vendor, stats in status["vendors"].items():
+            put("polygraph_coverage_observed_total", stats["observed"], vendor=vendor)
+            put("polygraph_coverage_unknown_total", stats["unknown"], vendor=vendor)
+            put("polygraph_coverage_unknown_rate",
+                f"{stats['window_unknown_rate']:.6f}", vendor=vendor)
+            put("polygraph_coverage_band_high", f"{stats['band_high']:.6f}", vendor=vendor)
+            put("polygraph_coverage_out_of_band", stats["out_of_band"], vendor=vendor)
+    for part, render in (
+        (getattr(service, "fusion", None), _parent_fusion),
+        (app.sessions, _parent_sessions),
+        (front_end, _parent_ingest),
+    ):
+        if part is not None:
+            doubled = getattr(part, "parent_samples", None)
+            if doubled is not None:
+                samples.update(doubled)
+            else:
+                render(part, put)
+    return samples
+
+
+def _parent_fusion(arm, put):
+    status = arm.status_dict()
+    put("polygraph_fusion_enabled", status["enabled"])
+    for name in ("verdicts", "second_flagged", "fused_flagged"):
+        put(f"polygraph_fusion_{name}_total", status[name])
+    for cell, count in status["cells"].items():
+        put("polygraph_fusion_cell_total", count, cell=cell)
+    if status["disable_reason"] is not None:
+        put("polygraph_fusion_disabled_info", 1, reason=status["disable_reason"])
+
+
+def _parent_sessions(sessions, put):
+    status = sessions.status_dict()
+    put("polygraph_session_active", status["active_sessions"])
+    for name in ("events", "revisions", "escalations"):
+        put(f"polygraph_session_{name}_total", status[f"{name}_total"])
+    for kind in ("ttl", "capacity"):
+        put("polygraph_session_evictions_total", status[f"evicted_{kind}"], kind=kind)
+    for reason, count in status["revision_reasons"].items():
+        put("polygraph_session_revision_reason_total", count, reason=reason)
+
+
+def _parent_ingest(server, put):
+    for name, value in (
+        ("requests", server.requests_total),
+        ("writes", server.writes_total),
+        ("collect_requests", server.collect_total),
+        ("event_requests", server.event_total),
+        ("batches", server.batches_total),
+        ("batch_rows", server.batch_rows_total),
+        ("backpressure_pauses", server.backpressure_pauses),
+        ("open_connections", server.open_connections),
+        ("pending_wires", server._pending),
+    ):
+        put(f"polygraph_ingest_{name}", value)

@@ -38,6 +38,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import ClusterConfig, ClusterRouter, ShardSupervisor
 from repro.fingerprint.script import MAX_PAYLOAD_BYTES
+from repro.metrics import Exposition
 from repro.service import aingest
 from repro.service.aingest import AsyncIngestServer
 from repro.service.api import CollectionApp
@@ -58,9 +59,11 @@ from repro.traffic.events import (
     build_event_streams,
 )
 from repro.traffic.replay import iter_wire_payloads
+from tests.exposition_check import samples, violations
 from tests.oracle import POISON_BODIES, check
 from tests.parent_render import (
     parent_bridge,
+    parent_metrics,
     parent_render_event,
     parent_render_verdict,
 )
@@ -214,8 +217,12 @@ class _Part:
     def status_dict(self):
         return {"part": self.name}
 
-    def metrics_lines(self):
-        return [f"polygraph_{self.name}_part 1"]
+    def collect(self, out):
+        out.gauge(f"polygraph_{self.name}_part", 1)
+
+    @property
+    def parent_samples(self):
+        return {f"polygraph_{self.name}_part": 1.0}
 
     def session_snapshot(self, session_id):
         return {"session_id": session_id} if session_id == "known" else None
@@ -259,20 +266,37 @@ class TestHandledEndpoints:
     def test_answers_equal_the_parent_bridge(self, trained, kind, method, path, body):
         """Status line, header order and body of every answer the batch
         paths do not give, keep-alive and close, equal the frozen
-        bridge's; ``/metrics`` with the ingest lines it was given."""
+        bridge's; ``/metrics`` as the parent's sample map, read when the
+        scrape read the front end, in a well-formed exposition."""
         app = _app(trained, kind)
         with AsyncIngestServer(app, host="127.0.0.1", port=0) as server:
-            scraped, own = [], server.metrics_lines
-            server.metrics_lines = lambda: scraped.append(own()) or scraped[-1]
+            scraped, own = [], server.collect
+
+            def collect(out):
+                scraped.append(parent_metrics(app, server))
+                own(out)
+
+            server.collect = collect
             raw = _http(method, path, body) + _http(
                 method, path, body, ["Connection: close"]
             )
             reply = _exchange(server.port, raw)
-        scraped = scraped or [[], []]  # only /metrics reads the ingest lines
-        assert reply == b"".join(
-            parent_bridge(app, method, path, body, scraped[i], keep_alive)
-            for i, keep_alive in enumerate((True, False))
-        )
+        if path != "/metrics":
+            assert reply == b"".join(
+                parent_bridge(app, method, path, body, keep_alive)
+                for keep_alive in (True, False)
+            )
+            return
+        answers = _responses(reply)
+        assert len(answers) == len(scraped) == 2
+        for (status, headers, text), expected, keep_alive in zip(
+            answers, scraped, ("keep-alive", "close")
+        ):
+            assert (status, headers["Content-Type"], headers["Connection"]) == (
+                200, "text/plain; version=0.0.4", keep_alive
+            )
+            assert violations(text.decode()) == []
+            assert samples(text.decode()) == expected
 
 
 class TestKeepAliveOrdering:
@@ -437,6 +461,13 @@ def _exchange(port, raw, timeout=10.0, half_close=False):
                 break
             chunks.append(chunk)
     return b"".join(chunks)
+
+
+def _ingest_samples(server):
+    """What the front end reports into a ``/metrics`` scrape."""
+    out = Exposition()
+    server.collect(out)
+    return samples(out.render())
 
 
 def _responses(stream):
@@ -811,9 +842,7 @@ class TestWrites:
             assert len(_responses(b"".join(writes))) == count
             assert len(writes) == server.writes_total
             assert len(writes) <= 2  # one batch; far fewer than `count`
-            assert (
-                f"polygraph_ingest_writes {len(writes)}" in server.metrics_lines()
-            )
+            assert _ingest_samples(server)["polygraph_ingest_writes"] == len(writes)
 
     def test_answers_behind_an_unanswered_request_wait_for_it(self, wires):
         # Batch 2 finishes first; its answers must not leave before
@@ -1338,10 +1367,10 @@ class TestEventBatches:
             assert server.batches_total == 1
             assert server.batch_rows_total == len(bodies)
             assert (server.event_total, server.collect_total) == (len(bodies), 0)
-            lines = server.metrics_lines()
-            assert f"polygraph_ingest_event_requests {len(bodies)}" in lines
-            assert "polygraph_ingest_batches 1" in lines
-            assert f"polygraph_ingest_batch_rows {len(bodies)}" in lines
+            reported = _ingest_samples(server)
+            assert reported["polygraph_ingest_event_requests"] == len(bodies)
+            assert reported["polygraph_ingest_batches"] == 1
+            assert reported["polygraph_ingest_batch_rows"] == len(bodies)
 
     def test_a_failed_batch_answers_500_and_the_next_is_served(
         self, trained, event_streams

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.cluster import ClusterConfig, ClusterRouter, ShardSupervisor
+from repro.coverage import CoverageTracker
 from repro.service.aingest import AsyncIngestServer
 from repro.service.api import CollectionApp
 from repro.service.scoring import ScoringService
@@ -30,7 +31,14 @@ from repro.traffic.events import (
     StreamScenario,
     build_event_streams,
 )
+from repro.traffic.replay import iter_wire_payloads
 
+from tests.exposition_check import (
+    HARNESS_KEYS_CLUSTER,
+    missing_harness_keys,
+    samples,
+    violations,
+)
 from tests.oracle import (
     HOSTILE_SHAPES,
     build_traffic,
@@ -41,6 +49,7 @@ from tests.oracle import (
     traffic,
     validator_state,
 )
+from tests.parent_render import parent_metrics
 
 
 @pytest.fixture(scope="module")
@@ -172,10 +181,7 @@ class TestClusterObserveMany:
             assert got == expected, first_difference(got, expected)
             assert sessions_state(batched) == sessions_state(sequential)
             assert shard_state(twin_routers[0]) == shard_state(twin_routers[1])
-            assert (
-                twin_routers[0].validator.quarantine.counts()
-                == twin_routers[1].validator.quarantine.counts()
-            )
+            assert twin_routers[0].reject_counts == twin_routers[1].reject_counts
 
         check()
 
@@ -226,13 +232,27 @@ class TestSessionsEndpointThroughTheCluster:
         with urlopen(url, data=body, timeout=10) as response:
             return response.status, json.loads(response.read())
 
-    def test_event_and_sessions_endpoints(self, cluster, streams):
+    def test_event_and_sessions_endpoints(self, cluster, streams, small_dataset):
+        """``/event``, ``/session/{id}`` and ``/sessions`` through the
+        router; and its ``/metrics``, with coverage on, is a well-formed
+        exposition of the parent's samples, holding every key the
+        end-to-end benchmark reads of a cluster."""
+        cluster.attach_coverage(CoverageTracker())
         app = CollectionApp(
             cluster,
             sessions=SessionScoringService(cluster, ttl_seconds=1e9),
+            coverage=cluster.coverage,
         )
         stream = next(s for s in streams if len(s.events) >= 2)
+        wires = [w for _, w in zip(range(40), iter_wire_payloads(small_dataset))]
         with AsyncIngestServer(app, host="127.0.0.1", port=0) as server:
+            scraped, own = [], server.collect
+
+            def collect(out):
+                scraped.append(parent_metrics(app, server))
+                own(out)
+
+            server.collect = collect
             for event in stream.events:
                 status, document = self._call(server, "/event", event.to_wire())
                 assert status == 202, document
@@ -242,6 +262,12 @@ class TestSessionsEndpointThroughTheCluster:
             assert document["event_count"] == len(stream.events)
             assert "shard" not in document
             status, document = self._call(server, "/sessions")
+            cluster.score_many(wires + wires[:4] + [b"\x00 not json"])
+            with urlopen(f"http://127.0.0.1:{server.port}/metrics", timeout=10) as response:
+                text = response.read().decode()
+        assert violations(text) == []
+        assert samples(text) == scraped[0]
+        assert missing_harness_keys(text, HARNESS_KEYS_CLUSTER) == []
         assert status == 200
         assert "partitions" not in document and "shards" not in document
         assert document["events_total"] == len(stream.events)

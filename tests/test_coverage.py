@@ -22,6 +22,8 @@ from repro.gauntlet.ledger import DIGEST_COLUMNS, TIMING_COLUMNS, DayLedger
 from repro.service.api import CollectionApp
 from repro.service.scoring import ScoringService
 
+from tests.exposition_check import collected, samples
+
 
 @pytest.fixture(scope="module")
 def infer_pipeline(small_dataset):
@@ -152,10 +154,10 @@ class TestCoverageTracker:
         assert status["vendors"]["chrome"]["observed"] == 2
         assert status["vendors"]["chrome"]["unknown"] == 1
         assert status["top_unknown"][0]["ua_key"] == "chrome-999"
-        lines = tracker.metrics_lines()
-        assert "polygraph_coverage_known_releases 1" in lines
-        assert "polygraph_coverage_generation 5" in lines
-        assert 'polygraph_coverage_unknown_total{vendor="chrome"} 1' in lines
+        reported = collected(tracker)
+        assert reported["polygraph_coverage_known_releases"] == 1
+        assert reported["polygraph_coverage_generation"] == 5
+        assert reported['polygraph_coverage_unknown_total{vendor="chrome"}'] == 1
 
     def test_forged_versions_cannot_grow_the_unknown_key_counter(self):
         from repro.coverage.tracker import _TOP_UNKNOWN_KEYS
@@ -411,9 +413,53 @@ class TestServiceIntegration:
             router.score_many(
                 [self._wire(top + 1, "cov-cl-1"), self._wire(112, "cov-cl-2")]
             )
-            assert supervisor.unknown_ua_counts() == {"chrome": 1}
-            text = "\n".join(router.runtime_metrics_lines())
-            assert 'polygraph_unknown_ua_total{vendor="chrome"} 1' in text
+            unknown = {
+                key: value for key, value in collected(router).items()
+                if key.startswith("polygraph_unknown_ua_total")
+            }
+            assert unknown == {'polygraph_unknown_ua_total{vendor="chrome"}': 1}
+
+
+class TestShardRestartKeepsTotals:
+    def test_no_total_falls_when_a_shard_restarts(self, trained):
+        """A restarted shard's fresh transport carries on its retired
+        one's counts: no ``_total`` sample of the scrape falls."""
+        from repro.cluster import ClusterConfig, ClusterRouter, ShardSupervisor
+
+        version = _max_known(trained, "chrome") + 1
+        script = CollectionScript()
+        environment = BrowserProfile(Vendor.CHROME, 112).environment()
+        ua = format_user_agent(Vendor.CHROME, version)
+        wires = [script.run(environment, ua, f"rs-{i}").to_wire() for i in range(40)]
+        known = format_user_agent(Vendor.CHROME, 112)
+        repeats = [script.run(environment, known, f"rk-{i}").to_wire() for i in range(10)]
+        with ShardSupervisor.from_polygraph(
+            trained, config=ClusterConfig(n_shards=2, heartbeat_interval_s=60.0)
+        ) as supervisor:
+            router = ClusterRouter(supervisor)
+            app = CollectionApp(router)
+            router.score_many(wires + repeats[:2])
+            router.score_many(repeats[2:])  # verdict-cache hits
+
+            def totals():
+                return {
+                    key: value
+                    for key, value in samples(app.handle("GET", "/metrics")[2].decode()).items()
+                    if key.partition("{")[0].endswith("_total")
+                }
+
+            before = totals()
+            assert before['polygraph_unknown_ua_total{vendor="chrome"}'] == 40
+            assert sum(
+                value for key, value in before.items()
+                if key.startswith("polygraph_transport_cache_hits_total")
+            ) > 0
+            supervisor.kill("s0")
+            for _ in range(3):  # two missed heartbeats, then the restart
+                supervisor.check_once()
+            assert supervisor.restarts("s0") == 1
+            after = totals()
+            assert {key for key, value in before.items() if after.get(key, -1) < value} == set()
 
 
 class TestClusterUnknownUaParity:

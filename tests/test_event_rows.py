@@ -113,7 +113,7 @@ def _cluster_state(router):
         router.requests_total,
         router.scored_count,
         router.flagged_count,
-        router.validator.quarantine.counts(),
+        dict(router.reject_counts),
         _coverage(router),
     )
 

@@ -20,6 +20,8 @@ from repro.sessions.service import SessionScoringService
 from repro.traffic.events import EventType, SessionEvent
 from repro.traffic.replay import iter_wire_payloads
 
+from tests.exposition_check import collected
+
 
 @pytest.fixture(scope="module")
 def fusion_model(trained, small_dataset):
@@ -204,12 +206,9 @@ class TestFusionArmGuardrails:
         assert not status["enabled"]
         assert status["verdicts"] == 1
         assert status["cells"]["agree_fraud"] == 1
-        lines = arm.metrics_lines()
-        assert "polygraph_fusion_enabled 0" in lines
-        assert (
-            'polygraph_fusion_disabled_info{reason="second_flag_rate"} 1'
-            in lines
-        )
+        reported = collected(arm)
+        assert reported["polygraph_fusion_enabled"] == 0
+        assert reported['polygraph_fusion_disabled_info{reason="second_flag_rate"}'] == 1
 
     def test_retrain_disables_the_arm(self, small_dataset):
         # A model-generation swap invalidates the node embeddings'

@@ -41,6 +41,8 @@ from repro.sessions import SessionScoringService
 from repro.traffic.events import EventType, SessionEvent
 from repro.traffic.replay import iter_payloads
 
+from tests.exposition_check import collected
+
 SALT = "fixed-test-salt"
 
 
@@ -356,7 +358,7 @@ class TestShadowScorer:
         assert scorer.mirror_many([_row()]) == 0
         assert scorer.report.shed == 4
         assert stats.counter("requests_shed") == 4
-        assert stats.gauge("queue_depth") == MAX_PENDING_ROWS
+        assert collected(stats)["polygraph_runtime_queue_depth"] == MAX_PENDING_ROWS
         detector.gate.set()
         assert scorer.drain()
         assert scorer.report.comparisons == 1 + MAX_PENDING_ROWS
@@ -371,7 +373,7 @@ class TestShadowScorer:
         detector.gate.set()
         scorer.shutdown(drain=True)
         assert scorer.report.comparisons == 5
-        assert stats.gauge("queue_depth") == 0
+        assert collected(stats)["polygraph_runtime_queue_depth"] == 0
 
     def test_nondrain_shutdown_discards_backlog(self):
         scorer, detector = self._scorer()
@@ -921,7 +923,7 @@ class TestOfflineManager:
 
 
 class TestMetricsAndEndpoint:
-    def test_metrics_lines(self, registry, small_dataset, tmp_path):
+    def test_collect(self, registry, small_dataset, tmp_path):
         runtime = _runtime(registry)
         manager = _manager(registry, runtime, tmp_path)
         try:
@@ -929,18 +931,15 @@ class TestMetricsAndEndpoint:
             for wire in _stage_wires(small_dataset, "m", 60):
                 runtime.score_wire(wire)
             manager.drain_shadow()
-            lines = runtime.runtime_metrics_lines()
-            rendered = "\n".join(lines)
-            # The generation gauge is absolute: no runtime prefix.
-            assert any(
-                line.startswith("polygraph_model_generation ") for line in lines
-            )
-            assert "polygraph_runtime_polygraph_model_generation" not in rendered
-            assert "polygraph_rollout_in_flight 1" in rendered
-            assert "polygraph_rollout_stage -1" in rendered
-            assert "polygraph_rollout_disagreement_rate" in rendered
-            assert "polygraph_rollout_stage_age_seconds" in rendered
-            assert "polygraph_rollout_comparisons_total" in rendered
+            reported = collected(runtime)
+            # The generation gauge is fleet-wide: no runtime prefix.
+            assert "polygraph_model_generation" in reported
+            assert "polygraph_runtime_polygraph_model_generation" not in reported
+            assert reported["polygraph_rollout_in_flight"] == 1
+            assert reported["polygraph_rollout_stage"] == -1
+            assert "polygraph_rollout_disagreement_rate" in reported
+            assert "polygraph_rollout_stage_age_seconds" in reported
+            assert "polygraph_rollout_comparisons_total" in reported
         finally:
             manager.close()
             runtime.shutdown()

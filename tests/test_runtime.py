@@ -17,6 +17,7 @@ from repro.runtime.cache import VerdictCache
 from repro.runtime.fastingest import WireIngest
 from repro.runtime.stats import RuntimeStats, percentile
 from repro.service.scoring import Overloaded, Verdict, overloaded_verdict
+from tests.exposition_check import collected
 from tests.oracle import HOSTILE_SHAPES, POISON_BODIES, check, collect_wires, mutations
 
 
@@ -69,8 +70,9 @@ class TestRuntimeStats:
         stats.set_gauge("depth", 3)
         stats.set_gauge("depth", 9)
         stats.set_gauge("depth", 1)
-        assert stats.gauge("depth") == 1
-        assert stats.peak("depth") == 9
+        reported = collected(stats)
+        assert reported["polygraph_runtime_depth"] == 1
+        assert reported["polygraph_runtime_depth_peak"] == 9
 
     def test_batch_distribution(self):
         stats = RuntimeStats()
@@ -78,9 +80,9 @@ class TestRuntimeStats:
             stats.observe_batch(size)
         assert stats.counter("batches_total") == 3
         assert stats.counter("batched_requests_total") == 21
-        lines = stats.render_prometheus()
-        assert 'polygraph_runtime_batch_size{quantile="p99"} 16' in lines
-        assert "polygraph_runtime_batch_size_max 16" in lines
+        reported = collected(stats)
+        assert reported['polygraph_runtime_batch_size{quantile="0.99"}'] == 16
+        assert reported["polygraph_runtime_batch_size_max"] == 16
 
     def test_stage_latency_percentiles(self):
         stats = RuntimeStats()
@@ -88,7 +90,8 @@ class TestRuntimeStats:
             stats.observe_stage("model", ms)
         assert stats.stage_percentile("model", 50) == 2.0
         assert stats.stage_percentile("model", 99) == 100.0
-        assert stats.stages() == ["model"]
+        reported = collected(stats)
+        assert reported['polygraph_runtime_stage_latency_ms{stage="model",quantile="0.5"}'] == 2.0
 
     def test_reservoir_bounds_observations(self):
         stats = RuntimeStats(reservoir=4)
@@ -103,19 +106,21 @@ class TestRuntimeStats:
         stats.set_counter("cache_misses", 1)
         assert stats.cache_hit_rate == 0.75
 
-    def test_render_prometheus(self):
+    def test_collect(self):
         stats = RuntimeStats()
         stats.incr("requests_total", 7)
         stats.set_gauge("queue_depth", 2)
         stats.observe_batch(8)
         stats.observe_stage("model", 1.5)
-        text = "\n".join(stats.render_prometheus())
-        assert "polygraph_runtime_requests_total 7" in text
-        assert "polygraph_runtime_queue_depth 2" in text
-        assert "polygraph_runtime_queue_depth_peak 2" in text
-        assert 'polygraph_runtime_batch_size{quantile="p50"} 8' in text
-        assert 'stage="model"' in text
-        assert "polygraph_runtime_cache_hit_rate" in text
+        reported = collected(stats)
+        assert reported["polygraph_runtime_requests_total"] == 7
+        assert reported["polygraph_runtime_queue_depth"] == 2
+        assert reported["polygraph_runtime_queue_depth_peak"] == 2
+        assert reported['polygraph_runtime_batch_size{quantile="0.5"}'] == 8
+        for phi in ("0.5", "0.9", "0.99"):
+            key = f'polygraph_runtime_stage_latency_ms{{stage="model",quantile="{phi}"}}'
+            assert reported[key] == 1.5
+        assert reported["polygraph_runtime_cache_hit_rate"] == 0.0
 
     def test_invalid_reservoir_rejected(self):
         with pytest.raises(ValueError):

@@ -4,8 +4,10 @@ The real entry point runs in a child process on a port the kernel
 picks (``--port 0``; the banner names the bound one) and is driven over
 sockets: the asyncio front end over the batched runtime, with a
 registry's resumed rollout, a fusion arm, session streams with their
-event log and coverage composed on one process.  SIGTERM drains it, the
-log's buffered events are sealed onto disk, and it exits 0.
+event log and coverage composed on one process; its ``/metrics`` scrape is a
+well-formed exposition holding every key the end-to-end benchmark
+reads.  SIGTERM drains it, the log's buffered events are sealed onto
+disk, and it exits 0.
 """
 
 from __future__ import annotations
@@ -31,6 +33,12 @@ from repro.fusion import FusionModel
 from repro.sessions import SessionEventLog
 from repro.traffic.events import EventType, SessionEvent
 from repro.traffic.replay import iter_wire_payloads
+from tests.exposition_check import (
+    HARNESS_KEYS_ONE_PROCESS,
+    missing_harness_keys,
+    samples,
+    violations,
+)
 
 _SRC = str(Path(repro.__file__).resolve().parent.parent)
 _BANNER = re.compile(r"^serving (.*) scoring on http://127\.0\.0\.1:(\d+) ")
@@ -156,11 +164,17 @@ def test_serve_composes_every_layer_on_one_process(
         status, body = _request(port, "GET", "/coverage")
         assert status == 200
 
+        assert _request(port, "POST", "/collect", b"\x00 not json")[0] == 400
         status, body = _request(port, "GET", "/metrics")
         text = body.decode()
-        assert "polygraph_ingest_requests" in text  # the asyncio front end
-        assert "polygraph_runtime_" in text  # the batched runtime
-        assert "polygraph_session_events_total 1" in text
+        assert violations(text) == []
+        assert missing_harness_keys(text, HARNESS_KEYS_ONE_PROCESS) == []
+        reported = samples(text)
+        assert "polygraph_ingest_requests" in reported  # the asyncio front end
+        assert 'polygraph_runtime_batch_size{quantile="0.5"}' in reported
+        assert reported["polygraph_session_events_total"] == 1
+        assert reported["polygraph_fusion_enabled"] == 1
+        assert reported["polygraph_rollout_in_flight"] == 1
 
         printed = server.stop()
         assert "draining in-flight requests before exit\n" in printed

@@ -46,6 +46,7 @@ from repro.traffic.events import (
     interleave_events,
 )
 
+from tests.exposition_check import collected
 from tests.oracle import (
     HOSTILE_SHAPES,
     NEVER_MEMOIZED,
@@ -584,22 +585,20 @@ class TestSessionScoringService:
             assert record["predicted_cluster"] == live.predicted_cluster
             assert record["ua_key"] == live.ua_key
 
-    def test_metrics_lines(self, trained, streams):
+    def test_collect(self, trained, streams):
         sessions = _session_service(trained)
         for stream in streams[:20]:
             for event in stream.events:
                 sessions.observe_wire(event.to_wire())
-        lines = sessions.metrics_lines()
-        text = "\n".join(lines)
-        for metric in (
+        families = {key.partition("{")[0] for key in collected(sessions)}
+        assert families >= {
             "polygraph_session_active",
             "polygraph_session_events_total",
             "polygraph_session_revisions_total",
             "polygraph_session_escalations_total",
             "polygraph_session_evictions_total",
             "polygraph_session_revision_reason_total",
-        ):
-            assert metric in text
+        }
 
     def test_derived_session_id_respects_length_cap(self):
         from repro.service.ingest import MAX_SESSION_ID_LENGTH
