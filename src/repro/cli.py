@@ -25,9 +25,6 @@ Subcommands:
 * ``rollout``     — drive a staged model rollout against a registry:
   ``start`` a candidate into shadow, inspect ``status``, ``promote``
   one stage toward live, or ``abort``;
-* ``fuse``        — train (``train``) or inspect (``status``) the
-  second-opinion fusion model; ``serve --fusion FUSION.json`` attaches
-  it to the single-process runtime (``POST /check``, ``GET /fusion``);
 * ``gauntlet``    — replay an accelerated production year against one
   scoring runtime and its rollout manager (``run``) or render a saved
   replay artifact (``report BENCH_gauntlet.json``).
@@ -186,7 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=0,
         help="serve a model file from a sharded cluster with N forked "
         "scoring processes behind the consistent-hash router "
-        "(0: single-process; not with --registry or --fusion)",
+        "(0: single-process; not with --registry)",
     )
     # Shim: benchmarks/e2e/e2ebench/workloads.py (frozen) passes
     # "--shard-backend process", which every shard is; the flag goes
@@ -231,20 +228,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--session-log",
         help="directory for the durable sliding-window event log "
         "(default: in-memory state only)",
-    )
-    serve.add_argument(
-        "--fusion",
-        metavar="FUSION_MODEL",
-        help="attach a trained fusion model (see `fuse train`): enables "
-        "POST /check and GET /fusion plus fused provenance on verdicts "
-        "(not with --shards)",
-    )
-    serve.add_argument(
-        "--fusion-lift",
-        type=float,
-        default=None,
-        help="lift threshold for the second opinion to count as "
-        "fraud-grade (default: policy default)",
     )
     serve.add_argument(
         "--coverage",
@@ -310,31 +293,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="share of live-arm traffic mirrored to the candidate",
     )
-
-    fuse = sub.add_parser(
-        "fuse", help="train or inspect the second-opinion fusion model"
-    )
-    fuse_sub = fuse.add_subparsers(dest="fuse_action", required=True)
-    fuse_train = fuse_sub.add_parser(
-        "train",
-        help="propagate weak tags over the training window and save a "
-        "calibrated fusion model",
-    )
-    fuse_train.add_argument("model", help="trained polygraph model .json path")
-    fuse_train.add_argument("output", help="output fusion model .json path")
-    fuse_train.add_argument(
-        "--dataset", help="training dataset .npz (default: simulate)"
-    )
-    fuse_train.add_argument("--sessions", type=int, default=60_000)
-    fuse_train.add_argument("--seed", type=int, default=7)
-    fuse_train.add_argument("--neighbors", type=int, default=None)
-    fuse_train.add_argument("--alpha", type=float, default=None)
-    fuse_train.add_argument("--shrinkage", type=float, default=None)
-    fuse_train.add_argument("--tag-scale", type=float, default=None)
-    fuse_status = fuse_sub.add_parser(
-        "status", help="summarize a saved fusion model"
-    )
-    fuse_status.add_argument("fusion", help="fusion model .json path")
 
     gauntlet = sub.add_parser(
         "gauntlet",
@@ -597,11 +555,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.aingest import AsyncIngestServer
     from repro.service.api import CollectionApp
 
-    if args.shards and (args.registry or args.fusion):
+    if args.shards and args.registry:
         print(
-            f"serve: {'--registry' if args.registry else '--fusion'} with "
-            "--shards: a registry's rollouts and the fusion arm run on "
-            "one process (the cluster router has neither)",
+            "serve: --registry with --shards: a registry's rollouts run "
+            "on one process (the cluster router has none)",
             file=sys.stderr,
         )
         return 2
@@ -646,11 +603,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 pipeline = registry.load()
             else:
                 pipeline = BrowserPolygraph.load(args.model)
-            if args.fusion:
-                from repro.fusion import FusionModel
-
-                what = "fusion model"
-                fusion_model = FusionModel.load(args.fusion)
             service = RuntimeScoringService(pipeline, config=_runtime_config(args))
             if args.registry:
                 from repro.rollout import RolloutManager
@@ -668,20 +620,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 f"resumed rollout of v{state.candidate_version} "
                 f"({state.status}, stage {state.stage_index})"
             )
-        if args.fusion:
-            from repro.fusion import FusionArm, FusionPolicy, FusionPolicyConfig
-
-            policy = None
-            if args.fusion_lift is not None:
-                policy = FusionPolicy(
-                    FusionPolicyConfig(
-                        second_opinion_lift=args.fusion_lift,
-                        second_only_lift=args.fusion_lift,
-                    )
-                )
-            service.attach_fusion(FusionArm(fusion_model, policy=policy))
-            mode += ", fusion"
-            endpoints += ", POST /check, GET /fusion"
     sessions = None
     if args.session_ttl is not None:
         from repro.sessions import SessionScoringService
@@ -941,61 +879,6 @@ def _cmd_rollout(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_fuse(args: argparse.Namespace) -> int:
-    from repro.fusion import FusionModel, PropagationConfig
-    from repro.fusion.model import load_fusion_document
-
-    if args.fuse_action == "status":
-        document = load_fusion_document(args.fusion)
-        reliability = document["reliability"]
-        print(
-            f"fusion model over {len(document['node_keys'])} nodes "
-            f"({document['trained_sessions']} training sessions, "
-            f"reference day {document['reference_day']})"
-        )
-        print(
-            f"propagation: {document['iterations']} iterations, "
-            f"converged={document['converged']}, "
-            f"base rate {document['calibrator']['base_rate']:.5f}"
-        )
-        print(
-            f"calibration: ECE {reliability['ece']:.5f} over "
-            f"{reliability['n']} held-out sessions"
-        )
-        print(f"pipeline digest: {document['pipeline_digest'][:16]}...")
-        return 0
-
-    # train
-    from dataclasses import replace as _replace
-
-    pipeline = BrowserPolygraph.load(args.model)
-    dataset = _training_window(args)
-    prop = PropagationConfig()
-    overrides = {
-        "n_neighbors": args.neighbors,
-        "alpha": args.alpha,
-        "shrinkage": args.shrinkage,
-        "tag_scale": args.tag_scale,
-    }
-    overrides = {k: v for k, v in overrides.items() if v is not None}
-    if overrides:
-        prop = _replace(prop, **overrides)
-    model = FusionModel.train(dataset, pipeline.cluster_model, config=prop)
-    model.save(args.output)
-    status = model.status_dict()
-    print(
-        f"propagated weak tags over {status['nodes']} nodes from "
-        f"{len(dataset)} sessions "
-        f"({status['iterations']} iterations, "
-        f"converged={status['converged']})"
-    )
-    print(
-        f"base rate {status['base_rate']:.5f}; held-out "
-        f"ECE {status['reliability_ece']:.5f}; model saved to {args.output}"
-    )
-    return 0
-
-
 def _cmd_gauntlet(args: argparse.Namespace) -> int:
     from repro.gauntlet import DayLedger, GauntletConfig, run_gauntlet
     from repro.gauntlet.report import (
@@ -1062,7 +945,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "sessions": _cmd_sessions,
         "coverage": _cmd_coverage,
         "rollout": _cmd_rollout,
-        "fuse": _cmd_fuse,
         "gauntlet": _cmd_gauntlet,
     }
     try:

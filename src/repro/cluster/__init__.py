@@ -28,7 +28,6 @@ from repro.cluster.supervisor import (
     ClusterConfig,
     ProcessShard,
     ShardError,
-    ShardStatus,
     ShardSupervisor,
 )
 
@@ -39,7 +38,6 @@ __all__ = [
     "ProcessShard",
     "RouterConfig",
     "ShardError",
-    "ShardStatus",
     "ShardSupervisor",
     "ring_hash",
     "wire_routing_key",

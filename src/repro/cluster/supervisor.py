@@ -49,7 +49,6 @@ __all__ = [
     "ClusterConfig",
     "ProcessShard",
     "ShardError",
-    "ShardStatus",
     "ShardSupervisor",
 ]
 
@@ -87,19 +86,6 @@ class ClusterConfig:
             raise ValueError("heartbeat_interval_s must be positive")
         if self.ring_slots < 1:
             raise ValueError("ring_slots must be >= 1")
-
-
-@dataclass(frozen=True)
-class ShardStatus:
-    """One heartbeat's view of one shard."""
-
-    shard_id: str
-    model_version: int
-    model_generation: int
-    queue_depth: int
-    scored_count: int
-    flagged_count: int
-    queue_depth_peak: int = 0
 
 
 # ----------------------------------------------------------------------
@@ -241,7 +227,8 @@ class ProcessShard:
     — cache, dedup window and gauges start cold, as they would after
     a real crash; the model file, and so every verdict, is unchanged.
     The monotonic counts of every retired transport are carried into
-    :meth:`transport_stats`, so no ``_total`` series falls on a restart.
+    :meth:`transport_stats`, so no ``_total`` series falls on a restart,
+    nor vanishes while a restart keeps failing.
     """
 
     _SHM_SUBCHUNK = 4096
@@ -275,9 +262,10 @@ class ProcessShard:
         self._alive = False
         self._slab: Optional[ShmSlab] = None
         self._transport: Optional[ShmTransport] = None
-        # What the transports this shard retired counted, swapped with
-        # ``_transport`` under ``_retire_lock``.
-        self._retired: dict = {"unknown_ua": {}, **dict.fromkeys(_CARRIED, 0)}
+        # The last retired transport's stats, its carried counts summed
+        # over every transport retired before it (``None`` until one
+        # retires); swapped with ``_transport`` under ``_retire_lock``.
+        self._retired: Optional[dict] = None
         self._retire_lock = threading.Lock()
         # Cluster-shared CoverageTracker; applied to each fresh transport.
         self.coverage = None
@@ -401,35 +389,40 @@ class ProcessShard:
 
     # -- control --------------------------------------------------------
 
-    def ping(self) -> ShardStatus:
-        generation = self._call(("ping",), timeout=5.0)
-        stats = self._transport.transport_stats()
-        return ShardStatus(
-            shard_id=self.shard_id,
-            model_version=self.model_version,
-            model_generation=generation,
-            queue_depth=stats["ring_occupancy"],
-            scored_count=stats["scored"],
-            flagged_count=stats["flagged"],
-            queue_depth_peak=stats["ring_occupancy_peak"],
-        )
+    def ping(self) -> int:
+        """One control round trip; the child's model generation."""
+        return self._call(("ping",), timeout=5.0)
 
     def transport_stats(self) -> Optional[dict]:
         """Counter snapshot of this shard's transport (``None`` until
-        started), its counts summed over every transport it retired."""
+        started), its counts summed over every transport it retired.
+        Between transports — a restart that keeps failing — the retired
+        counts stand, with the gauges at 0."""
         with self._retire_lock:
             transport = self._transport
-            if transport is None:
+            if transport is not None:
+                return self._carried(transport.transport_stats())
+            retired = self._retired
+            if retired is None:
                 return None
-            return self._carried(transport.transport_stats())
+            return dict(
+                retired,
+                broken=True,
+                ring_occupancy=0,
+                ring_occupancy_peak=0,
+                cache_entries=0,
+                unknown_ua=dict(retired["unknown_ua"]),
+            )
 
     def _carried(self, stats: dict) -> dict:
         """``stats`` plus the retired transports' counts."""
-        for key in _CARRIED:
-            stats[key] += self._retired[key]
-        unknown = stats["unknown_ua"]
-        for vendor, count in self._retired["unknown_ua"].items():
-            unknown[vendor] = unknown.get(vendor, 0) + count
+        retired = self._retired
+        if retired is not None:
+            for key in _CARRIED:
+                stats[key] += retired[key]
+            unknown = stats["unknown_ua"]
+            for vendor, count in retired["unknown_ua"].items():
+                unknown[vendor] = unknown.get(vendor, 0) + count
         return stats
 
     def _call(self, message: tuple, timeout: float):

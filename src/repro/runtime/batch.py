@@ -37,13 +37,11 @@ __all__ = ["Miss", "answer_known", "cache_keys", "finish_misses"]
 # Frozen-dataclass construction, amortized: every verdict of a group
 # shares its constant fields, so they live in a proto dict; a verdict
 # is a dict copy plus the per-wire fields, swapped in wholesale
-# (``__init__`` would re-run a dozen guarded ``object.__setattr__``
+# (``__init__`` would re-run eight guarded ``object.__setattr__``
 # calls per wire).
 _REJECTED = {
     "session_id": "", "accepted": False, "flagged": False,
     "risk_factor": None, "reject_reason": None, "latency_ms": 0.0,
-    "fused_flagged": None, "fusion_cell": None,
-    "second_probability": None, "second_lift": None,
     "inferred_release": None, "inferred_distance": None,
 }
 _verdict_new = Verdict.__new__

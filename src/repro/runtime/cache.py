@@ -82,6 +82,7 @@ class VerdictCache:
         self._expirations = 0
         self._invalidations = 0
         self._stale_drops = 0
+        self._peak_entries = 0
 
     # ------------------------------------------------------------------
 
@@ -201,6 +202,8 @@ class VerdictCache:
                 while len(entries) > max_entries:
                     entries.popitem(last=False)
                     self._evictions += 1
+            if len(entries) > self._peak_entries:
+                self._peak_entries = len(entries)
             return True
 
     def invalidate(self, generation: Optional[int] = None) -> int:
@@ -231,6 +234,12 @@ class VerdictCache:
     def __contains__(self, key: tuple) -> bool:
         with self._lock:
             return key in self._entries
+
+    @property
+    def peak_entries(self) -> int:
+        """The most entries the cache has held at once."""
+        with self._lock:
+            return self._peak_entries
 
     @property
     def model_generation(self) -> Optional[int]:

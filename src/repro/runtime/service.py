@@ -19,7 +19,6 @@ Batch lifecycle — all of it on the calling thread::
                         ▼
                      cache.put_many(generation=) · escalate · Verdict
         rollout.mirror_many: the batch's mirrored live-arm rows, one call
-        fusion.consider: each accepted verdict, in input order (if attached)
 
 ``score_wire(w)`` is ``score_many([w])[0]``.  The service owns no
 thread and no queue: whoever forms the batch — the asyncio front end's
@@ -45,9 +44,9 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import date
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -59,7 +58,7 @@ from repro.runtime.cache import VerdictCache
 from repro.runtime.fastingest import WireIngest
 from repro.runtime.stats import RuntimeStats
 from repro.service.ingest import PayloadValidator
-from repro.service.scoring import Verdict, collect_verdicts, fused_fields
+from repro.service.scoring import Verdict, collect_verdicts
 from repro.service.storage import SessionStore
 from repro.traffic.dataset import Dataset
 
@@ -106,8 +105,7 @@ class RuntimeScoringService:
     takes the same bytes and returns the same :class:`Verdict`; the
     ``validator`` (quarantine, dedup window) and optional ``store`` are
     honoured; ``scored_count`` / ``flagged_count`` / ``flag_rate`` keep
-    their meanings, and :meth:`attach_fusion` takes the same arm.  New
-    surface: :meth:`score_rows` (the batch core everything else
+    their meanings.  New surface: :meth:`score_rows` (the batch core everything else
     delegates to), :attr:`runtime_stats` and :meth:`collect`.
 
     Thread-safe: :meth:`score_many` may be entered from any number of
@@ -147,9 +145,6 @@ class RuntimeScoringService:
         # the optional coverage tracker fed from every scoring path.
         self.unknown_ua_counts: Dict[str, int] = {}
         self.coverage = None
-        # Optional fusion arm (repro.fusion): consulted after the
-        # verdicts are decided, so it never enters the cache.
-        self.fusion = None
         self._lock = threading.Lock()  # scored/flagged/unknown counters
         # Wire-contract enforcement lives in the shared fast-ingest
         # engine (also used router-side by the shm shard transport);
@@ -190,15 +185,9 @@ class RuntimeScoringService:
     # ------------------------------------------------------------------
     # scoring
 
-    def score_wire(
-        self,
-        wire: bytes,
-        day: Optional[date] = None,
-        tags: Optional[Tuple[bool, bool]] = None,
-    ) -> Verdict:
-        """The per-request surface: a batch of one.  ``tags`` is the risk
-        engine's ``(untrusted_ip, untrusted_cookie)`` for the fusion arm."""
-        return self.score_rows([wire], None, None, day, tags)[0]
+    def score_wire(self, wire: bytes, day: Optional[date] = None) -> Verdict:
+        """The per-request surface: a batch of one."""
+        return self.score_rows([wire], None, None, day)[0]
 
     # Shim: benchmarks/e2e/e2ebench/trace.py (frozen) replays through
     # submit_wire(w).result(); it and PendingVerdict go when ROADMAP
@@ -228,7 +217,6 @@ class RuntimeScoringService:
         rows,
         found,
         day: Optional[date] = None,
-        tags: Optional[Tuple[bool, bool]] = None,
     ) -> List[Verdict]:
         """:meth:`score_many` beside the session layer's envelope rows.
 
@@ -236,7 +224,6 @@ class RuntimeScoringService:
         by (:meth:`WireIngest.ingest_many` reads the rest).  ``found``
         gets the ``(model, result)`` behind each verdict, or ``None``:
         the model is the live generation or the candidate's detector.
-        ``tags`` goes to the fusion arm with every wire of the batch.
         """
         started = time.perf_counter()
         prepared = self._ingest.ingest_many(wires, rows)
@@ -345,8 +332,6 @@ class RuntimeScoringService:
             unknown += arm_unknown
         if mirrored:
             rollout.mirror_many(mirrored)
-        if self.fusion is not None:
-            self._fuse(prepared, verdicts, day, tags)
         if scored:
             with self._lock:
                 self.scored_count += scored
@@ -392,23 +377,6 @@ class RuntimeScoringService:
             return None
         self.runtime_stats.observe_batch(len(misses))
         return results
-
-    def _fuse(self, prepared, verdicts: List[Verdict], day, tags) -> None:
-        """The fusion arm's fields on each accepted verdict, in input
-        order — what :class:`ScoringService` adds wire by wire."""
-        consider = self.fusion.consider
-        for i, verdict in enumerate(verdicts):
-            fields = prepared[i]
-            outcome = verdict.accepted and consider(
-                fields[2], fields[1], verdict.flagged, day=day, tags=tags
-            )
-            if outcome:
-                verdicts[i] = replace(verdict, **fused_fields(outcome))
-
-    def attach_fusion(self, arm) -> "RuntimeScoringService":
-        """Attach a fusion arm bound to this service's pipeline."""
-        self.fusion = arm.bind_pipeline(self.polygraph)
-        return self
 
     # ------------------------------------------------------------------
     # rollout
@@ -508,9 +476,10 @@ class RuntimeScoringService:
         out.counter("polygraph_runtime_requests_rejected", self.rejected_count)
         out.gauge("polygraph_model_generation", self.polygraph.model_generation)
         stats = self.runtime_stats
-        if self.cache is not None:
-            self.cache.sync_stats()
-            stats.set_gauge("cache_entries", len(self.cache))
+        cache = self.cache
+        if cache is not None:
+            cache.sync_stats()
+            stats.set_gauge("cache_entries", len(cache), peak=cache.peak_entries)
         stats.collect(out)
         rollout = self._rollout
         if rollout is not None:

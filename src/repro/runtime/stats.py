@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import deque
-from typing import Deque, Dict, Sequence
+from typing import Deque, Dict, Optional, Sequence
 
 __all__ = ["RuntimeStats", "percentile"]
 
@@ -73,12 +73,14 @@ class RuntimeStats:
         with self._lock:
             self._counters[name] = int(value)
 
-    def set_gauge(self, name: str, value: float) -> None:
-        """Set gauge ``name``, tracking its peak."""
+    def set_gauge(self, name: str, value: float, peak: Optional[float] = None) -> None:
+        """Set gauge ``name``, tracking its peak; ``peak`` is a high-water
+        mark the caller kept between settings (the verdict cache's)."""
+        top = value if peak is None else max(value, peak)
         with self._lock:
             self._gauges[name] = float(value)
-            if value > self._peaks.get(name, float("-inf")):
-                self._peaks[name] = float(value)
+            if top > self._peaks.get(name, float("-inf")):
+                self._peaks[name] = float(top)
 
     # ------------------------------------------------------------------
     # distributions

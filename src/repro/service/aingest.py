@@ -42,8 +42,8 @@ flight per connection and spends as little as it can on each:
   being read until the transport's write buffer drains, so a client
   that pipelines and never reads cannot grow server memory.
 
-Every other request — ``/check`` among them, and a ``POST /event``
-that has no body, or no session layer to go to — is answered by
+Every other request — a ``POST /event`` that has no body, or no
+session layer to go to, among them — is answered by
 :meth:`CollectionApp.handle <repro.service.api.CollectionApp.handle>`
 on the same thread pool, and its ``(status, headers, body)`` is
 rendered here like every other answer.  A ``GET /metrics`` answer is
@@ -67,9 +67,9 @@ from repro.service.scoring import OVERLOADED_REASON
 __all__ = ["AsyncIngestServer"]
 
 # The body cap IS the wire-contract cap (paper Section 3's 1KB budget),
-# plus a fixed allowance for the fields the /event and /check envelopes
-# add: a larger wire would be quarantined as OVERSIZED anyway, so
-# reading it off the socket only buys an attacker free memory.
+# plus a fixed allowance for the fields the /event envelope adds: a
+# larger wire would be quarantined as OVERSIZED anyway, so reading it
+# off the socket only buys an attacker free memory.
 _MAX_BODY = MAX_PAYLOAD_BYTES + 128
 
 # Hard parse limits: a request line + headers beyond this is hostile.
@@ -355,7 +355,7 @@ class _Connection(asyncio.Protocol):
                 event_buffer.append((body, self, slot))
             else:
                 server._bridge(self, slot, method.decode("latin-1"),
-                               path.decode("latin-1"), body)
+                               path.decode("latin-1"))
             if not keep_alive:
                 self.final = True
                 break
@@ -723,11 +723,11 @@ class AsyncIngestServer:
     # ------------------------------------------------------------------
     # every other endpoint: the app's handlers
 
-    def _bridge(self, conn: _Connection, slot: list, method: str, path: str,
-                body: bytes) -> None:
+    def _bridge(self, conn: _Connection, slot: list, method: str,
+                path: str) -> None:
         """Answer one request the batch paths do not take, off the loop."""
         call = self._loop.run_in_executor(
-            self._executor, self._answer, method, path, body, slot[1]
+            self._executor, self._answer, method, path, slot[1]
         )
 
         def fill(done) -> None:
@@ -740,11 +740,10 @@ class AsyncIngestServer:
 
         call.add_done_callback(fill)
 
-    def _answer(self, method: str, path: str, body: bytes,
-                keep_alive: bool) -> bytes:
+    def _answer(self, method: str, path: str, keep_alive: bool) -> bytes:
         if method == "GET" and path == "/metrics":
             return _render(*self.app.metrics(self), keep_alive)
-        return _render(*self.app.handle(method, path, body), keep_alive)
+        return _render(*self.app.handle(method, path), keep_alive)
 
     # ------------------------------------------------------------------
 

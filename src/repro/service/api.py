@@ -20,12 +20,6 @@ scored by the front end's batch paths, not here.  Endpoints:
   404 when session streaming is off, 400 for an empty body;
 * ``GET  /session/{id}`` — live state of one session;
 * ``GET  /sessions`` — session-layer aggregate status;
-* ``POST /check`` — the risk engine's fused-verdict endpoint: a wire
-  payload plus optional ``untrusted_ip`` / ``untrusted_cookie`` /
-  ``day`` context, answered with the cluster verdict *and* the fused
-  verdict + agreement cell (404 when no fusion arm is attached);
-* ``GET  /fusion`` — fusion-arm status: agreement-cell counters,
-  guardrail state, and the model summary;
 * ``GET  /coverage`` — release-coverage intelligence: per-vendor
   unknown-UA rates against their calendar-derived expected bands plus
   the top unknown releases (404 when no tracker is attached).
@@ -82,17 +76,13 @@ class CollectionApp:
             "/metrics": self.metrics,
             "/rollout": self._rollout,
             "/cluster": self._cluster,
-            "/fusion": self._fusion,
             "/coverage": self._coverage,
             "/sessions": self._sessions,
         }
 
-    def handle(self, method: str, path: str, body: bytes = b"") -> Response:
-        """``(status, headers, body)`` for one request.
-
-        ``body`` has passed the front end's framing, which caps its
-        length; the front end adds ``Content-Length``.
-        """
+    def handle(self, method: str, path: str) -> Response:
+        """``(status, headers, body)`` for one request; no handler reads
+        the request body.  The front end adds ``Content-Length``."""
         if method == "GET":
             handler = self._gets.get(path)
             if handler is not None:
@@ -100,62 +90,11 @@ class CollectionApp:
             if path.startswith("/session/"):
                 return self._session(path[len("/session/"):])
         elif method == "POST":
-            if path == "/check":
-                return self._check(body)
             if path == "/event":
                 return self._event()
         return _json("404 Not Found", {"error": "unknown endpoint"})
 
     # ------------------------------------------------------------------
-
-    def _check(self, body: bytes) -> Response:
-        if getattr(self.service, "fusion", None) is None:
-            return _json("404 Not Found", {"error": "fusion not enabled"})
-        if not body:
-            return _json("400 Bad Request", {"error": "bad content length"})
-        try:
-            envelope = json.loads(body.decode("utf-8"))
-            if not isinstance(envelope, dict):
-                raise ValueError("not an object")
-        except (ValueError, UnicodeDecodeError, RecursionError):
-            return _json("400 Bad Request", {"error": "malformed body"})
-        day = None
-        if envelope.get("day"):
-            from datetime import date
-
-            try:
-                day = date.fromisoformat(str(envelope["day"]))
-            except ValueError:
-                return _json("400 Bad Request", {"error": "bad day"})
-        tags = (
-            bool(envelope.get("untrusted_ip", False)),
-            bool(envelope.get("untrusted_cookie", False)),
-        )
-        core = {key: envelope[key] for key in ("sid", "ua", "f") if key in envelope}
-        if "g" in envelope:
-            core["g"] = envelope["g"]
-        wire = json.dumps(core, separators=(",", ":")).encode("utf-8")
-        verdict = self.service.score_wire(wire, day=day, tags=tags)
-        document = {
-            "accepted": verdict.accepted,
-            "flagged": verdict.flagged,
-            "risk_factor": verdict.risk_factor,
-            "fused_flagged": verdict.fused_flagged,
-            "fusion_cell": verdict.fusion_cell,
-            "second_probability": verdict.second_probability,
-            "second_lift": verdict.second_lift,
-            "latency_ms": round(verdict.latency_ms, 3),
-        }
-        if not verdict.accepted:
-            document["reject_reason"] = verdict.reject_reason
-            return _json("400 Bad Request", document)
-        return _json("200 OK", document)
-
-    def _fusion(self) -> Response:
-        arm = getattr(self.service, "fusion", None)
-        if arm is None:
-            return _json("404 Not Found", {"error": "fusion not enabled"})
-        return _json("200 OK", arm.status_dict())
 
     def _coverage(self) -> Response:
         if self.coverage is None:
@@ -221,12 +160,11 @@ class CollectionApp:
         return _json("200 OK", status())
 
     def metrics(self, *parts) -> Response:
-        """``GET /metrics``: one exposition that the service, the fusion
-        arm, the session layer and then ``parts`` (the front end) report
-        into."""
+        """``GET /metrics``: one exposition that the service, the session
+        layer and then ``parts`` (the front end) report into."""
         out = Exposition()
         self.service.collect(out)
-        for part in (getattr(self.service, "fusion", None), self.sessions, *parts):
+        for part in (self.sessions, *parts):
             if part is not None:
                 part.collect(out)
         body = out.render().encode("utf-8")

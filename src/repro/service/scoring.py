@@ -25,7 +25,6 @@ __all__ = [
     "ScoringService",
     "Verdict",
     "collect_verdicts",
-    "fused_fields",
     "overloaded_verdict",
 ]
 
@@ -34,12 +33,8 @@ __all__ = [
 class Verdict:
     """The service's answer for one session.
 
-    ``flagged`` / ``risk_factor`` are always the cluster-distance
-    verdict — the fusion arm is additive-only, so these stay
-    bit-identical whether fusion is attached or not.  The ``fused_*`` /
-    ``second_*`` provenance fields are populated only when a fusion arm
-    scored the session, and stay ``None`` otherwise.  Likewise the
-    ``inferred_*`` fields carry nearest-release provenance only under
+    ``flagged`` / ``risk_factor`` are the cluster-distance verdict.
+    The ``inferred_*`` fields carry nearest-release provenance only under
     ``unknown_ua_policy="infer"`` for sessions whose claimed UA was
     outside the trained table.
     """
@@ -50,10 +45,6 @@ class Verdict:
     risk_factor: Optional[int]
     reject_reason: Optional[str]
     latency_ms: float
-    fused_flagged: Optional[bool] = None
-    fusion_cell: Optional[str] = None
-    second_probability: Optional[float] = None
-    second_lift: Optional[float] = None
     inferred_release: Optional[str] = None
     inferred_distance: Optional[int] = None
 
@@ -88,17 +79,6 @@ def overloaded_verdict(session_id: str = "", latency_ms: float = 0.0) -> Overloa
     )
 
 
-def fused_fields(outcome) -> dict:
-    """A fusion arm's ``(opinion, fused)`` as :class:`Verdict` fields."""
-    opinion, fused = outcome
-    return {
-        "fused_flagged": fused.fused_flagged,
-        "fusion_cell": fused.cell.value,
-        "second_probability": opinion.probability,
-        "second_lift": opinion.lift,
-    }
-
-
 def collect_verdicts(out, scored: int, flagged: int, rejects: Dict[str, int],
                      unknown_ua: Dict[str, int]) -> None:
     """Report what every scoring service counts into ``out``: sessions
@@ -125,10 +105,6 @@ class ScoringService:
     store:
         Optional durable store; accepted payloads are appended so the
         next training window can be exported later.
-    fusion:
-        Optional :class:`~repro.fusion.arm.FusionArm`; when attached,
-        verdicts carry the fused provenance fields on top of the
-        (unchanged) cluster verdict.
     """
 
     def __init__(
@@ -136,27 +112,18 @@ class ScoringService:
         polygraph: BrowserPolygraph,
         validator: Optional[PayloadValidator] = None,
         store: Optional[SessionStore] = None,
-        fusion=None,
     ) -> None:
         if not polygraph.is_fitted:
             raise ValueError("ScoringService requires a fitted BrowserPolygraph")
         self.polygraph = polygraph
         self.validator = validator if validator is not None else PayloadValidator()
         self.store = store
-        self.fusion = None
         self.coverage = None
         self.scored_count = 0
         self.flagged_count = 0
         # Per-vendor unknown-UA volume, observable even without the
         # coverage subsystem attached (polygraph_unknown_ua_total).
         self.unknown_ua_counts: Dict[str, int] = {}
-        if fusion is not None:
-            self.attach_fusion(fusion)
-
-    def attach_fusion(self, arm) -> "ScoringService":
-        """Attach a fusion arm bound to this service's pipeline."""
-        self.fusion = arm.bind_pipeline(self.polygraph)
-        return self
 
     def attach_coverage(self, tracker) -> "ScoringService":
         """Attach a :class:`~repro.coverage.tracker.CoverageTracker`.
@@ -183,19 +150,9 @@ class ScoringService:
             detector.model.ua_to_cluster, generation=generation
         )
 
-    def score_wire(
-        self,
-        wire: bytes,
-        day: Optional[date] = None,
-        tags: Optional[Tuple[bool, bool]] = None,
-    ) -> Verdict:
-        """The full online path for one request.
-
-        ``tags`` optionally carries the risk engine's
-        ``(untrusted_ip, untrusted_cookie)`` signals for the fusion
-        arm; it is ignored when no arm is attached.
-        """
-        return self._score_one(wire, day, tags)[0]
+    def score_wire(self, wire: bytes, day: Optional[date] = None) -> Verdict:
+        """The full online path for one request."""
+        return self._score_one(wire, day)[0]
 
     def score_rows(
         self, wires: Sequence[bytes], rows, found: list, day: Optional[date] = None
@@ -206,13 +163,13 @@ class ScoringService:
         verdicts: List[Verdict] = []
         found[:] = []
         for wire in wires:
-            verdict, result = self._score_one(wire, day, None)
+            verdict, result = self._score_one(wire, day)
             verdicts.append(verdict)
             found.append(None if result is None else (generation, result))
         return verdicts
 
     def _score_one(
-        self, wire: bytes, day: Optional[date], tags: Optional[Tuple[bool, bool]]
+        self, wire: bytes, day: Optional[date]
     ) -> Tuple[Verdict, Optional[DetectionResult]]:
         """One wire's verdict and the detection behind it (``None`` when
         the wire is rejected before the model sees it)."""
@@ -241,17 +198,6 @@ class ScoringService:
             )
         if self.coverage is not None:
             self.coverage.observe(result.ua_key, known=result.known_ua, day=day)
-        fused = {}
-        if self.fusion is not None:
-            outcome = self.fusion.consider(
-                payload.values,
-                payload.user_agent,
-                result.flagged,
-                day=day,
-                tags=tags,
-            )
-            if outcome is not None:
-                fused = fused_fields(outcome)
         return Verdict(
             session_id=payload.session_id,
             accepted=True,
@@ -261,7 +207,6 @@ class ScoringService:
             latency_ms=(time.perf_counter() - started) * 1000.0,
             inferred_release=result.inferred_release,
             inferred_distance=result.inferred_distance,
-            **fused,
         ), result
 
     def retrain(

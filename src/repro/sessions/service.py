@@ -226,10 +226,6 @@ class SessionScoringService:
         self.revision_reasons: Dict[str, int] = {
             reason.value: 0 for reason in RevisionReason
         }
-        # Sticky per-session fusion provenance (populated only when the
-        # inner service has a fusion arm attached); insertion-ordered so
-        # capacity eviction drops the oldest sessions first.
-        self._fusion_by_sid: Dict[str, dict] = {}
 
     # ------------------------------------------------------------------
     # clock
@@ -372,8 +368,6 @@ class SessionScoringService:
                         max_events,
                     )
                     state.last_model = model
-                    if verdict.fused_flagged is not None:
-                        self._record_fusion_locked(session_id, verdict)
                     if logged is not None:
                         logged.append((event, verdict, ua_key))
                     append(
@@ -472,25 +466,6 @@ class SessionScoringService:
             self.escalations_total += 1
         return revision
 
-    def _record_fusion_locked(self, session_id: str, verdict: Verdict) -> None:
-        """Fold one fused verdict into the session's sticky fusion state.
-
-        ``fused_flagged`` sticks once true (mirroring the session
-        verdict's ratchet); the cell/score fields track the latest
-        event so operators see the current agreement, not a stale one.
-        """
-        previous = self._fusion_by_sid.pop(session_id, None)
-        entry = {
-            "fused_flagged": bool(verdict.fused_flagged)
-            or bool(previous and previous["fused_flagged"]),
-            "cell": verdict.fusion_cell,
-            "second_probability": verdict.second_probability,
-            "second_lift": verdict.second_lift,
-        }
-        self._fusion_by_sid[session_id] = entry
-        while len(self._fusion_by_sid) > self.tracker.max_sessions:
-            self._fusion_by_sid.pop(next(iter(self._fusion_by_sid)))
-
     # ------------------------------------------------------------------
     # introspection
 
@@ -500,11 +475,7 @@ class SessionScoringService:
         if state is None:
             return None
         with self._lock:
-            snapshot = state.to_dict()
-            fusion = self._fusion_by_sid.get(session_id)
-            if fusion is not None:
-                snapshot["fused_verdict"] = dict(fusion)
-            return snapshot
+            return state.to_dict()
 
     def status_dict(self) -> dict:
         """Aggregate status (``GET /sessions`` and the CLI)."""

@@ -13,15 +13,14 @@ an answer.  :func:`traces` draws what one ``serve`` is sent:
   the hostile kinds below;
 * ``/event`` streams — every hostile and row-edge envelope shape,
   revisions, replays, follow-ups sent before the event they follow;
-* ``/check`` envelopes with the risk engine's tags;
 * a model install before a drawn step (without a canary), a batch cut,
-  a cache size, an identical-candidate canary or none, a fusion arm,
-  session bounds, an event log and a session store.
+  a cache size, an identical-candidate canary or none, session bounds,
+  an event log and a session store.
 
 :func:`run_oracle` plays one trace through four paths:
 
 1. the reference: :class:`ScoringService` one wire at a time, its
-   ``/collect`` and ``/check`` answers rendered by the frozen
+   ``/collect`` answers rendered by the frozen
    :mod:`tests.parent_render`, and its events folded one at a time by
    the frozen per-event fold of :mod:`tests.parent_fold`;
 2. :meth:`RuntimeScoringService.score_many` over the drawn cuts;
@@ -30,14 +29,13 @@ an answer.  :func:`traces` draws what one ``serve`` is sent:
    runtime and session layer of its own.
 
 and asserts byte-identical answers, equal validator, quarantine,
-coverage, fusion-arm and store state, and equal session state and
-event-log rows.
+coverage and store state, and equal session state and event-log rows.
 
 Two facts of today's contract the frozen fold predates, and which the
 oracle states itself: an install re-bases every session (cluster ids of
-two models do not compare), and a follow-up keeps its fusion fields
-(the frozen copy re-labels from six fields), so the sticky fused
-verdicts are checked against :func:`expected_fusion`.
+two models do not compare), and a follow-up keeps its inferred-release
+fields (the frozen copy re-labels from six fields), so a follow-up's
+verdict is held to the inner verdict the reference folded.
 
 Not a test module itself: ``tests/test_oracle.py`` runs it over drawn
 traces, and other suites over traces spelled by hand (:func:`check`,
@@ -70,11 +68,9 @@ from repro.core.pipeline import BrowserPolygraph
 from repro.core.retraining import ModelRegistry
 from repro.coverage import CoverageConfig, CoverageTracker
 from repro.fingerprint.script import MAX_PAYLOAD_BYTES
-from repro.fusion import FusionArm, FusionModel
-from repro.fusion.policy import FusionGuardrailConfig, FusionPolicy, FusionPolicyConfig
 from repro.rollout import GuardrailConfig, RolloutConfig, RolloutManager
 from repro.runtime.service import RuntimeConfig, RuntimeScoringService
-from repro.service.aingest import _MAX_BODY, AsyncIngestServer, _render
+from repro.service.aingest import _MAX_BODY, AsyncIngestServer
 from repro.service.api import CollectionApp
 from repro.service.ingest import MAX_FEATURE_VALUE, MAX_SESSION_ID_LENGTH
 from repro.service.scoring import ScoringService, Verdict
@@ -91,7 +87,7 @@ from repro.traffic.events import (
 from repro.traffic.replay import iter_payloads
 
 from tests.parent_fold import ParentFoldService
-from tests.parent_render import parent_bridge, parent_render_event, parent_render_verdict
+from tests.parent_render import parent_render_event, parent_render_verdict
 
 # ----------------------------------------------------------------------
 # hostile material
@@ -359,7 +355,6 @@ def sessions_state(sessions) -> tuple:
         sessions.status_dict(),
         sessions._virtual_now,
         [(sid, state.to_dict()) for sid, state in sessions.tracker._sessions.items()],
-        dict(sessions._fusion_by_sid),
     )
 
 
@@ -406,7 +401,7 @@ def first_difference(left: Sequence, right: Sequence) -> Optional[tuple]:
 
 
 # ----------------------------------------------------------------------
-# /collect and /check material
+# /collect material
 
 COLLECT_KINDS = (
     "row", "row", "row", "row",          # natural simulator traffic
@@ -426,16 +421,6 @@ _MUTATIONS = (
     b"10001", b"1e3", b"1.0", b"\xff", b"\xc3\xa9", b"\x00", b"\x7f",
     b'"sid":"x",', b',"g":[]', b'","ua":"', b'","f":[', b"]}",
     b"\xed\xa0\x80", b"\xef\xbb\xbf",
-)
-_TAGS = (None, (False, False), (True, False), (False, True), (True, True))
-_CHECK_DAYS = (None, date(2023, 3, 5), date(2023, 9, 1))
-# /check bodies every path refuses, each for another reason.
-_CHECK_REJECTS = (
-    b"not json",
-    b"[1, 2]",
-    b'{"sid":"r","ua":"Mozilla/5.0","f":[1,2,3]}',
-    b'{"sid":"","ua":"x","f":[]}',
-    b'{"sid":"k","day":"yesterday"}',
 )
 
 
@@ -541,31 +526,12 @@ def collect_wires(rows, picks) -> List[bytes]:
     return wires
 
 
-def check_bodies(rows, picks) -> List[bytes]:
-    """``/check`` envelopes: a row with the risk engine's tags and a
-    day, and now and then a body every path refuses."""
-    bodies = []
-    for position, (n, tags) in enumerate(picks):
-        if n % 4 == 3:
-            bodies.append(_CHECK_REJECTS[n % len(_CHECK_REJECTS)])
-            continue
-        user_agent, values = rows[n % len(rows)]
-        envelope = {"sid": f"k{position}", "ua": user_agent, "f": list(values)}
-        if _TAGS[tags] is not None:
-            envelope["untrusted_ip"], envelope["untrusted_cookie"] = _TAGS[tags]
-        day = _CHECK_DAYS[n % len(_CHECK_DAYS)]
-        if day is not None:
-            envelope["day"] = day.isoformat()
-        bodies.append(json.dumps(envelope).encode("utf-8"))
-    return bodies
-
-
 # ----------------------------------------------------------------------
 # the trace
 
 N_ROWS = 48
 N_STREAMS = 15  # scenario_streams(..., per_scenario=3)
-_LANES = ("collect", "event", "check")
+_LANES = ("collect", "event")
 
 
 def traces():
@@ -585,10 +551,6 @@ def traces():
                 ),
                 max_size=10,
             ),
-            "checks": st.lists(
-                st.tuples(st.integers(0, 1 << 10), st.integers(0, len(_TAGS) - 1)),
-                max_size=3,
-            ),
             "keep_order": st.booleans(),
             "replays": st.lists(st.integers(0, 1 << 16), max_size=4),
             "seed": st.integers(0, 1 << 16),
@@ -603,7 +565,6 @@ def traces():
             "install_at": st.one_of(st.none(), st.integers(0, 1 << 10)),
             "canary": st.sampled_from([False, False, True]),
             "cache_entries": st.sampled_from([0, 4, 8192]),
-            "fusion": st.sampled_from([None, "plain", "strict"]),
             "ttl_seconds": st.sampled_from([600.0, 1e9]),
             "max_sessions": st.sampled_from([1, 3, 100_000]),
             "logged": st.booleans(),
@@ -617,10 +578,10 @@ def case(**drawn) -> dict:
     """A trace's plain data, spelled by hand: nothing sent on the
     plainest deployment, and whatever ``drawn`` names on top."""
     plain = {
-        "collects": [], "sessions": [], "checks": [], "keep_order": True,
+        "collects": [], "sessions": [], "keep_order": True,
         "replays": [], "seed": 0, "lanes": list(_LANES), "cuts": [64],
         "install_at": None, "canary": False, "cache_entries": 8192,
-        "fusion": None, "ttl_seconds": 1e9, "max_sessions": 100_000,
+        "ttl_seconds": 1e9, "max_sessions": 100_000,
         "logged": False, "stored": False, "day": None,
     }
     unknown = set(drawn) - set(plain)
@@ -638,7 +599,7 @@ class Trace(types.SimpleNamespace):
     """A trace's drawn data, with ``steps`` and ``install_at`` worked out.
 
     ``steps`` are ``(lane, bodies)``: one ``score_many`` or
-    ``observe_rows`` call, or one ``/check``; on the socket, one
+    ``observe_rows`` call; on the socket, one
     pipelined burst answered before the next is sent.  The model is
     installed before step ``install_at``.  A ``day`` other than
     ``None`` is a library caller's: the front end passes none, so the
@@ -656,7 +617,6 @@ def build_trace(world, drawn: dict) -> Trace:
                 shapes=EVENT_SHAPES,
             )
         ),
-        "check": deque(check_bodies(world.rows, drawn["checks"])),
     }
     steps = []
     lanes, cuts = drawn["lanes"], drawn["cuts"]
@@ -666,7 +626,7 @@ def build_trace(world, drawn: dict) -> Trace:
         if not queues[lane]:
             lane = next(name for name in _LANES if queues[name])
         queue = queues[lane]
-        size = 1 if lane == "check" else min(cuts[turn % len(cuts)], len(queue))
+        size = min(cuts[turn % len(cuts)], len(queue))
         steps.append((lane, tuple(queue.popleft() for _ in range(size))))
         turn += 1
     for _, bodies in steps:
@@ -693,7 +653,6 @@ class World:
 
     model: object  # namespace probe on, unknown releases inferred
     other: object  # clusters and verdicts both moved
-    fusion_model: object
     registry: object
     rows: List[Tuple[str, Tuple[int, ...]]]
     streams: list
@@ -737,7 +696,6 @@ def build_world(trained, small_dataset, registry_root) -> World:
     return World(
         model=model,
         other=other,
-        fusion_model=FusionModel.train(small_dataset.rows(0, 6_000), model),
         registry=registry,
         rows=[(p.user_agent, p.values) for p in iter_payloads(small_dataset, N_ROWS)],
         streams=streams,
@@ -783,21 +741,6 @@ def _stack(world: World, trace: Trace, root: Path, name: str) -> _Stack:
     service.attach_coverage(
         CoverageTracker(config=CoverageConfig(window=16, min_observations=4))
     )
-    if trace.fusion is not None:
-        strict = trace.fusion == "strict"
-        # A strict arm calls almost every opinion fraud-grade, so its
-        # (count-driven only) guardrails disable it a few verdicts in.
-        service.attach_fusion(
-            FusionArm(
-                world.fusion_model,
-                policy=FusionPolicy(
-                    FusionPolicyConfig(second_opinion_lift=1e-6, second_only_lift=1e-6)
-                ) if strict else None,
-                guardrails=FusionGuardrailConfig(
-                    max_mean_latency_ms=1e9, min_verdicts=3 if strict else 10**9
-                ),
-            )
-        )
     log = SessionEventLog(root / f"{name}-log", segment_events=8) if trace.logged else None
     layer = _Reference if name == "reference" else SessionScoringService
     sessions = layer(
@@ -870,31 +813,8 @@ def _exchange(sock: socket.socket, path: bytes, bodies: Sequence[bytes]) -> List
     return answers
 
 
-def expected_fusion(folded, max_sessions: int) -> dict:
-    """The sticky fused verdicts a session layer keeps for the events
-    ``folded`` (session id, inner verdict): ``fused_flagged`` sticks once
-    true, the rest tracks the latest fused event, oldest session out."""
-    book: dict = {}
-    for session_id, verdict in folded:
-        if not verdict.accepted or verdict.fused_flagged is None:
-            continue
-        previous = book.pop(session_id, None)
-        book[session_id] = {
-            "fused_flagged": bool(verdict.fused_flagged)
-            or bool(previous and previous["fused_flagged"]),
-            "cell": verdict.fusion_cell,
-            "second_probability": verdict.second_probability,
-            "second_lift": verdict.second_lift,
-        }
-        while len(book) > max_sessions:
-            book.pop(next(iter(book)))
-    return book
-
-
-def _reference_step(stack: _Stack, app: CollectionApp, lane: str, bodies, day):
+def _reference_step(stack: _Stack, lane: str, bodies, day):
     """``(answers, verdict essences)`` of the reference, wire by wire."""
-    if lane == "check":
-        return [timeless(parent_bridge(app, "POST", "/check", bodies[0]))], []
     if lane == "collect":
         verdicts = [stack.service.score_wire(body, day=day) for body in bodies]
         answers = [parent_render_verdict(v) for v in verdicts]
@@ -907,7 +827,8 @@ def _reference_step(stack: _Stack, app: CollectionApp, lane: str, bodies, day):
         verdict = observation.verdict
         if len(stack.sessions.folded) > before:
             # The inner verdict under the session's id, every other
-            # field kept (the frozen fold drops a follow-up's fusion).
+            # field kept (the frozen fold drops a follow-up's inferred
+            # release).
             session_id, verdict = stack.sessions.folded[-1]
             if verdict.accepted:
                 verdict = dataclasses.replace(verdict, session_id=session_id)
@@ -915,10 +836,8 @@ def _reference_step(stack: _Stack, app: CollectionApp, lane: str, bodies, day):
     return answers, essences
 
 
-def _batch_step(stack: _Stack, app: CollectionApp, lane: str, bodies, day):
+def _batch_step(stack: _Stack, lane: str, bodies, day):
     """``(answers, verdict essences)`` of the batch paths, one call."""
-    if lane == "check":
-        return [timeless(_render(*app.handle("POST", "/check", bodies[0]), True))], []
     if lane == "collect":
         verdicts = stack.service.score_many(list(bodies), day=day)
         return [timeless(parent_render_verdict(v)) for v in verdicts], [
@@ -941,7 +860,6 @@ def _inner_state(stack: _Stack) -> tuple:
         service.flagged_count,
         dict(service.unknown_ua_counts),
         service.coverage.status_dict(),
-        None if service.fusion is None else service.fusion.status_dict(),
         None if stack.store is None else [p.read_bytes() for p in stack.store.segments()],
         None if stack.log is None else stack.log.window(seconds=1e12),
     )
@@ -963,8 +881,6 @@ def run_oracle(world: World, trace: Trace) -> Dict[str, _Stack]:
             for name, stack in stacks.items()
             if trace.canary
         ]
-        reference_app = CollectionApp(reference.service, sessions=reference.sessions)
-        batch_app = CollectionApp(stacks["batch"].service, sessions=stacks["batch"].sessions)
         server = sock = None
         try:
             if "socket" in stacks:
@@ -984,10 +900,10 @@ def run_oracle(world: World, trace: Trace) -> Dict[str, _Stack]:
                         state.last_cluster = None
                 where = (number, lane)
                 expected, expected_verdicts = _reference_step(
-                    reference, reference_app, lane, bodies, trace.day
+                    reference, lane, bodies, trace.day
                 )
                 got, got_verdicts = _batch_step(
-                    stacks["batch"], batch_app, lane, bodies, trace.day
+                    stacks["batch"], lane, bodies, trace.day
                 )
                 assert got_verdicts == expected_verdicts, (
                     where, first_difference(got_verdicts, expected_verdicts)
@@ -1018,15 +934,12 @@ def run_oracle(world: World, trace: Trace) -> Dict[str, _Stack]:
             for stack in stacks.values():
                 stack.service.shutdown()
         state = _inner_state(reference)
-        sessions = sessions_state(reference.sessions)[:3]
-        fusion = expected_fusion(reference.sessions.folded, trace.max_sessions)
+        sessions = sessions_state(reference.sessions)
         for name, stack in stacks.items():
             runtime = stack.service
             assert _inner_state(stack) == state, name
             assert runtime.rejected_count == runtime.validator.quarantine.total_rejects
             if runtime.cache is not None:
                 assert len(runtime.cache) <= trace.cache_entries
-            observed = sessions_state(stack.sessions)
-            assert observed[:3] == sessions, name
-            assert observed[3] == fusion, name
+            assert sessions_state(stack.sessions) == sessions, name
     return {"reference": reference, **stacks}

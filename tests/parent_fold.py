@@ -6,8 +6,8 @@ the session opens, dataclass records built field by field — kept, like
 ``parent_render.parent_render_event``, as the reference the batch fold must equal
 observation for observation, state for state and log row for log row.  Nothing here calls ``fold_many``.  (The copy
 is exact, so it also re-labels a follow-up verdict from six fields and
-drops the fusion and inferred-release ones; the differentials run over
-inner services that never set them.)  The cluster an event records is
+drops the inferred-release ones; the differentials run over inner
+services that never set them.)  The cluster an event records is
 looked up the way it was then, too: a second detection per distinct
 surface against the live model, memoized per model generation — not
 read from the result the inner service scored the event with.
@@ -242,8 +242,6 @@ class ParentFoldService(SessionScoringService):
             )
             session_flagged = state.flagged
             session_risk = state.risk_factor
-            if verdict.fused_flagged is not None:
-                self._record_fusion_locked(event.session_id, verdict)
         if self.event_log is not None:
             self.event_log.append(
                 session_id=event.session_id,

@@ -6,16 +6,16 @@ handler wrote it, and every other answer as the WSGI app's handler run
 through the in-process WSGI bridge.  ``GET /metrics`` is frozen as the
 parent's *sample map*, not its bytes: the exposition now types and
 groups every family, so a scrape is compared as samples plus the format
-checker (:mod:`tests.exposition_check`).  Nothing here calls the code
-under test.  Not a test module itself.
+checker (:mod:`tests.exposition_check`).  ``POST /check`` and
+``GET /fusion`` went with the fusion arm: the bridge answers them as any
+unknown path.  Nothing here calls the code under test.  Not a test
+module itself.
 """
 
 from __future__ import annotations
 
 import json
-from datetime import date
 
-from repro.fingerprint.script import MAX_PAYLOAD_BYTES
 from repro.service.scoring import OVERLOADED_REASON
 
 
@@ -76,25 +76,23 @@ def parent_render_event(observation) -> bytes:
     return _head(status, headers) + body
 
 
-def parent_bridge(app, method, path, body, keep_alive=True) -> bytes:
+def parent_bridge(app, method, path, keep_alive=True) -> bytes:
     """The answer to a request the batch paths do not take: the WSGI
     app's handler over ``app.service``, ``app.sessions`` and
     ``app.coverage``.  (``POST /collect`` and ``POST /event`` reach it
     only without a body; ``GET /metrics`` is :func:`parent_metrics`.)"""
-    status, document = _parent_handle(app, method, path, body)
+    status, document = _parent_handle(app, method, path)
     payload = json.dumps(document).encode("utf-8")
     headers = [("Content-Type", "application/json"), ("Content-Length", len(payload))]
     return _head(status, headers, keep_alive) + payload
 
 
-def _parent_handle(app, method, path, body):
+def _parent_handle(app, method, path):
     service, sessions = app.service, app.sessions
-    fusion = getattr(service, "fusion", None)
     no_sessions = {"error": "session streaming not enabled"}
     bad_length = "400 Bad Request", {"error": "bad content length"}
     parts = {  # endpoint: (attached part, its 404 document)
         "/rollout": (getattr(service, "rollout", None), {"error": "no rollout in progress"}),
-        "/fusion": (fusion, {"error": "fusion not enabled"}),
         "/coverage": (app.coverage, {"error": "coverage tracking not enabled"}),
         "/sessions": (sessions, no_sessions),
     }
@@ -130,53 +128,15 @@ def _parent_handle(app, method, path, body):
         return bad_length
     if method == "POST" and path == "/event":
         return ("404 Not Found", no_sessions) if sessions is None else bad_length
-    if method != "POST" or path != "/check":
-        return "404 Not Found", {"error": "unknown endpoint"}
-    if fusion is None:
-        return "404 Not Found", {"error": "fusion not enabled"}
-    if not body or len(body) > MAX_PAYLOAD_BYTES + 128:
-        return bad_length
-    try:
-        envelope = json.loads(body.decode("utf-8"))
-        if not isinstance(envelope, dict):
-            raise ValueError("not an object")
-    except (ValueError, UnicodeDecodeError, RecursionError):
-        return "400 Bad Request", {"error": "malformed body"}
-    day = None
-    if envelope.get("day"):
-        try:
-            day = date.fromisoformat(str(envelope["day"]))
-        except ValueError:
-            return "400 Bad Request", {"error": "bad day"}
-    tags = (
-        bool(envelope.get("untrusted_ip", False)),
-        bool(envelope.get("untrusted_cookie", False)),
-    )
-    core = {key: envelope[key] for key in ("sid", "ua", "f", "g") if key in envelope}
-    wire = json.dumps(core, separators=(",", ":")).encode("utf-8")
-    verdict = service.score_wire(wire, day=day, tags=tags)
-    document = {
-        "accepted": verdict.accepted,
-        "flagged": verdict.flagged,
-        "risk_factor": verdict.risk_factor,
-        "fused_flagged": verdict.fused_flagged,
-        "fusion_cell": verdict.fusion_cell,
-        "second_probability": verdict.second_probability,
-        "second_lift": verdict.second_lift,
-        "latency_ms": round(verdict.latency_ms, 3),
-    }
-    if not verdict.accepted:
-        document["reject_reason"] = verdict.reject_reason
-        return "400 Bad Request", document
-    return "200 OK", document
+    return "404 Not Found", {"error": "unknown endpoint"}
 
 
 def parent_metrics(app, front_end=None) -> dict:
     """The ``GET /metrics`` sample map (``name{labels}`` -> value) the
     parent's renderers wrote over ``app`` and the asyncio ``front_end``,
     quantile labels as the parent spelled them.  Covers the per-request
-    service and the cluster router with their coverage, a fusion arm,
-    the session layer and the front end; a test double stands for a part
+    service and the cluster router with their coverage, the session
+    layer and the front end; a test double stands for a part
     through its ``parent_samples``.  (The batched runtime's registry and
     its rollout are not covered.)"""
     service = app.service
@@ -239,7 +199,6 @@ def parent_metrics(app, front_end=None) -> dict:
             put("polygraph_coverage_band_high", f"{stats['band_high']:.6f}", vendor=vendor)
             put("polygraph_coverage_out_of_band", stats["out_of_band"], vendor=vendor)
     for part, render in (
-        (getattr(service, "fusion", None), _parent_fusion),
         (app.sessions, _parent_sessions),
         (front_end, _parent_ingest),
     ):
@@ -250,17 +209,6 @@ def parent_metrics(app, front_end=None) -> dict:
             else:
                 render(part, put)
     return samples
-
-
-def _parent_fusion(arm, put):
-    status = arm.status_dict()
-    put("polygraph_fusion_enabled", status["enabled"])
-    for name in ("verdicts", "second_flagged", "fused_flagged"):
-        put(f"polygraph_fusion_{name}_total", status[name])
-    for cell, count in status["cells"].items():
-        put("polygraph_fusion_cell_total", count, cell=cell)
-    if status["disable_reason"] is not None:
-        put("polygraph_fusion_disabled_info", 1, reason=status["disable_reason"])
 
 
 def _parent_sessions(sessions, put):

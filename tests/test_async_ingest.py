@@ -208,8 +208,8 @@ class TestWsgiPassthrough:
 
 
 class _Part:
-    """A fusion arm, rollout, cluster, coverage tracker or session layer
-    answering from fixed documents."""
+    """A rollout, cluster, coverage tracker or session layer answering
+    from fixed documents."""
 
     def __init__(self, name):
         self.name = name
@@ -229,29 +229,22 @@ class _Part:
 
 
 def _app(trained, kind):
-    """The bare app, or one with every optional part attached whose
-    ``/check`` verdict does not carry the clock."""
+    """The bare app, or one with every optional part attached."""
     service = ScoringService(trained)
     if kind == "bare":
         return CollectionApp(service)
-    service.fusion, service.rollout = _Part("fusion"), _Part("rollout")
+    service.rollout = _Part("rollout")
     service.cluster_status = _Part("cluster").status_dict
-    service.score_wire = lambda wire, day=None, tags=None: _verdict(
-        fused_flagged=tags[0], fusion_cell="agree_benign",
-        second_probability=0.125, second_lift=0.5,
-    )
     return CollectionApp(service, sessions=_Part("sessions"), coverage=_Part("coverage"))
 
 
+# ``/fusion`` and ``/check`` are gone: they answer as ``/nope`` does.
 _GETS = ["/health", "/metrics", "/rollout", "/cluster", "/fusion", "/coverage",
          "/sessions", "/session/known", "/session/nope", "/nope"]
 _HANDLED = [(kind, "GET", path, b"") for path in _GETS for kind in ("attached", "bare")]
 _HANDLED += [
     ("bare", "POST", "/check", b"{}"),
     ("attached", "POST", "/check", b"not json"),
-    ("attached", "POST", "/check", b'{"sid": "x", "day": "not-a-date"}'),
-    ("attached", "POST", "/check",
-     b'{"sid": "x", "ua": "u", "f": [], "day": "2023-06-01", "untrusted_ip": true}'),
     ("attached", "POST", "/event", b""),
     ("bare", "POST", "/event", b"{}"),
     ("attached", "POST", "/collect", b""),
@@ -283,7 +276,7 @@ class TestHandledEndpoints:
             reply = _exchange(server.port, raw)
         if path != "/metrics":
             assert reply == b"".join(
-                parent_bridge(app, method, path, body, keep_alive)
+                parent_bridge(app, method, path, keep_alive)
                 for keep_alive in (True, False)
             )
             return
@@ -747,10 +740,10 @@ class TestOrderingAndErrors:
         app = CollectionApp(ScoringService(trained))
         handle = app.handle
 
-        def slow_health(method, path, body):
+        def slow_health(method, path):
             if path == "/health":
                 time.sleep(0.3)
-            return handle(method, path, body)
+            return handle(method, path)
 
         app.handle = slow_health
         with AsyncIngestServer(app, host="127.0.0.1", port=0) as server:
@@ -784,7 +777,7 @@ class TestOrderingAndErrors:
         assert answers[-1][1]["Connection"] == "close"
 
     def test_app_error_answers_500(self, trained):
-        def broken(method, path, body):
+        def broken(method, path):
             raise RuntimeError("app bug")
 
         app = CollectionApp(ScoringService(trained))

@@ -323,7 +323,7 @@ def test_serve_exits_2_when_the_cluster_cannot_start(
 
 @pytest.mark.parametrize(
     "case",
-    ["model", "rollout", "fusion", "empty registry", "no live entry", "session log"],
+    ["model", "rollout", "empty registry", "no live entry", "session log"],
 )
 def test_serve_refuses_an_unreadable_file(artifacts, tmp_path, capsys, case):
     """Every file serve reads is refused by name with exit 2, never a
@@ -341,8 +341,6 @@ def test_serve_refuses_an_unreadable_file(artifacts, tmp_path, capsys, case):
     pipeline = BrowserPolygraph.load(model_path)
     if case == "model":
         argv, what, path = ["serve", str(torn)], "model", torn
-    elif case == "fusion":
-        argv, what, path = ["serve", model_path, "--fusion", str(torn)], "fusion model", torn
     elif case == "session log":
         path = tmp_path / "events" / "events_manifest.json"
         path.parent.mkdir()

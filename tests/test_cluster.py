@@ -541,8 +541,7 @@ class TestProcessBackend:
         try:
             verdicts = router.score_many(sample)
             assert [_essence(v) for v in verdicts] == expected
-            status = supervisor.shards["s0"].ping()
-            assert status.model_version == 1
+            assert supervisor.shards["s0"].ping() == trained.model_generation
             supervisor.kill("s1")
             with pytest.raises(ShardError):
                 supervisor.shards["s1"].ping()
@@ -552,6 +551,25 @@ class TestProcessBackend:
             assert supervisor.healthy_count == 2
         finally:
             router.shutdown()
+
+
+    def test_a_heartbeat_sweep_takes_no_stats_snapshot(self, trained, monkeypatch):
+        """``ping`` is the control round trip only: a sweep over healthy
+        shards never reads their transport counters."""
+        from repro.cluster.transport import ShmTransport
+
+        reads = []
+        snapshot = ShmTransport.transport_stats
+        with ShardSupervisor.from_polygraph(
+            trained, config=ClusterConfig(n_shards=2, heartbeat_interval_s=3600.0)
+        ) as supervisor:
+            monkeypatch.setattr(
+                ShmTransport, "transport_stats",
+                lambda transport: reads.append(transport) or snapshot(transport),
+            )
+            supervisor.check_once()
+            assert reads == []
+            assert [s["failures"] for s in supervisor.status_dict()["shards"]] == [0, 0]
 
 
 # ----------------------------------------------------------------------

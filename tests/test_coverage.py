@@ -1,5 +1,6 @@
 """Release-coverage intelligence: tracker bands, planner, infer policy."""
 
+import contextlib
 import json
 from datetime import date, timedelta
 
@@ -421,9 +422,11 @@ class TestServiceIntegration:
 
 
 class TestShardRestartKeepsTotals:
-    def test_no_total_falls_when_a_shard_restarts(self, trained):
-        """A restarted shard's fresh transport carries on its retired
-        one's counts: no ``_total`` sample of the scrape falls."""
+    @staticmethod
+    @contextlib.contextmanager
+    def _counted_cluster(trained):
+        """A 2-shard cluster that has counted forged releases and cache
+        hits, and a reader of its scrape's ``_total`` samples."""
         from repro.cluster import ClusterConfig, ClusterRouter, ShardSupervisor
 
         version = _max_known(trained, "chrome") + 1
@@ -441,10 +444,13 @@ class TestShardRestartKeepsTotals:
             router.score_many(wires + repeats[:2])
             router.score_many(repeats[2:])  # verdict-cache hits
 
+            def scrape():
+                return samples(app.handle("GET", "/metrics")[2].decode())
+
             def totals():
                 return {
                     key: value
-                    for key, value in samples(app.handle("GET", "/metrics")[2].decode()).items()
+                    for key, value in scrape().items()
                     if key.partition("{")[0].endswith("_total")
                 }
 
@@ -454,12 +460,42 @@ class TestShardRestartKeepsTotals:
                 value for key, value in before.items()
                 if key.startswith("polygraph_transport_cache_hits_total")
             ) > 0
+            yield supervisor, scrape, totals
+
+    def test_no_total_falls_when_a_shard_restarts(self, trained):
+        """A restarted shard's fresh transport carries on its retired
+        one's counts: no ``_total`` sample of the scrape falls."""
+        with self._counted_cluster(trained) as (supervisor, _, totals):
+            before = totals()
             supervisor.kill("s0")
             for _ in range(3):  # two missed heartbeats, then the restart
                 supervisor.check_once()
             assert supervisor.restarts("s0") == 1
             after = totals()
             assert {key for key, value in before.items() if after.get(key, -1) < value} == set()
+
+    def test_no_total_vanishes_while_a_restart_keeps_failing(self, trained, monkeypatch):
+        """A shard whose every restart fails still reports what its
+        retired transport counted, with its gauges at 0."""
+        from repro.cluster import supervisor as supervisor_mod
+
+        def denied(*args):  # the forked child inherits it
+            raise OSError(13, "Permission denied")
+
+        with self._counted_cluster(trained) as (supervisor, scrape, totals):
+            before = totals()
+            with monkeypatch.context() as fault:
+                fault.setattr(supervisor_mod, "attach_slab_views", denied)
+                supervisor.kill("s0")
+                for _ in range(4):  # two missed heartbeats, two failed restarts
+                    supervisor.check_once()
+                assert supervisor.restarts("s0") == 0
+                assert supervisor.shards["s0"]._transport is None
+                after = totals()
+                reported = scrape()
+            assert {key for key, value in before.items() if after.get(key, -1) < value} == set()
+            for gauge in ("ring_occupancy", "ring_occupancy_peak"):
+                assert reported[f'polygraph_transport_{gauge}{{shard="s0"}}'] == 0
 
 
 class TestClusterUnknownUaParity:

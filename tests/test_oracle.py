@@ -39,10 +39,9 @@ def _every_shape(**deployment) -> dict:
         + [("hostile", n) for n in range(len(hostile_collects("s", "u", [0])))],
         sessions=[(i % N_STREAMS, shape) for i, shape in enumerate(sorted(EVENT_SHAPES))]
         + [(i, None) for i in range(N_STREAMS)],
-        checks=[(n, n % 5) for n in range(5)],
         replays=[3, 50, 400],
         seed=1,
-        lanes=["collect", "event", "event", "check"],
+        lanes=["collect", "event", "event"],
         cuts=[5, 64, 1, 17],
         cache_entries=4,
     )
@@ -53,11 +52,11 @@ class TestTheOracle:
     @settings(max_examples=200, deadline=None)
     @given(drawn=traces())
     @example(
-        drawn=_every_shape(install_at=7, fusion="strict", logged=True, stored=True)
+        drawn=_every_shape(install_at=7, logged=True, stored=True)
     )
     @example(
         drawn=_every_shape(
-            canary=True, cache_entries=8192, fusion="plain", keep_order=False,
+            canary=True, cache_entries=8192, keep_order=False,
             ttl_seconds=600.0, max_sessions=3,
         )
     )

@@ -24,6 +24,7 @@ from repro.service.api import CollectionApp
 from repro.service.ingest import RejectReason
 from repro.service.scoring import ScoringService
 from repro.traffic.replay import iter_payloads
+from tests.exposition_check import collected
 from tests.oracle import (
     COLLECT_KINDS,
     POISON_BODIES,
@@ -640,7 +641,7 @@ class TestLifecycle:
 
 class TestMetricsExposure:
     def test_api_body_cap_is_wire_contract_cap(self):
-        # The wire contract's cap plus the /event and /check envelopes' allowance.
+        # The wire contract's cap plus the /event envelope's allowance.
         assert API_MAX_BODY == MAX_PAYLOAD_BYTES + 128
 
     def test_metrics_endpoint_includes_runtime(self, trained):
@@ -664,6 +665,21 @@ class TestMetricsExposure:
         # scorer has been handed mirrored rows.
         assert "polygraph_runtime_queue_depth" not in text
         assert "polygraph_sessions_scored 3" in text
+
+    def test_cache_peak_is_the_caches_not_a_scrapes(self, trained, small_dataset):
+        """Fill the cache, empty it, then scrape: the peak reads the
+        fill, though no scrape saw it."""
+        service = RuntimeScoringService(trained)
+        try:
+            service.score_many(_wires(small_dataset, 300))
+            filled = len(service.cache)
+            assert filled > 1
+            service.cache.invalidate()
+            reported = collected(service)
+        finally:
+            service.shutdown()
+        assert reported["polygraph_runtime_cache_entries"] == 0
+        assert reported["polygraph_runtime_cache_entries_peak"] == filled
 
     def test_per_request_service_has_no_runtime_lines(self, trained):
         app = CollectionApp(ScoringService(trained))

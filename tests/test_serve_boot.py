@@ -3,8 +3,8 @@
 The real entry point runs in a child process on a port the kernel
 picks (``--port 0``; the banner names the bound one) and is driven over
 sockets: the asyncio front end over the batched runtime, with a
-registry's resumed rollout, a fusion arm, session streams with their
-event log and coverage composed on one process; its ``/metrics`` scrape is a
+registry's resumed rollout, session streams with their event log and
+coverage composed on one process; its ``/metrics`` scrape is a
 well-formed exposition holding every key the end-to-end benchmark
 reads.  SIGTERM drains it, the log's buffered events are sealed onto
 disk, and it exits 0.
@@ -29,7 +29,6 @@ import pytest
 import repro
 from repro.cli import main
 from repro.core.retraining import ModelRegistry
-from repro.fusion import FusionModel
 from repro.sessions import SessionEventLog
 from repro.traffic.events import EventType, SessionEvent
 from repro.traffic.replay import iter_wire_payloads
@@ -113,7 +112,7 @@ def wire_fields(small_dataset):
 
 
 def test_serve_composes_every_layer_on_one_process(
-    trained, small_dataset, wire_fields, tmp_path
+    trained, wire_fields, tmp_path
 ):
     registry_dir = str(tmp_path / "registry")
     registry = ModelRegistry(registry_dir)
@@ -121,19 +120,15 @@ def test_serve_composes_every_layer_on_one_process(
     registry.stage_candidate(trained, date(2023, 8, 1), "candidate")
     assert main(["rollout", registry_dir, "start", "--stages", "0.25,1.0"]) == 0
     assert main(["rollout", registry_dir, "promote"]) == 0  # canary stage 0
-    fusion_path = str(tmp_path / "fusion.json")
-    FusionModel.train(small_dataset.rows(0, 6_000), trained.cluster_model).save(
-        fusion_path
-    )
 
     log_dir = tmp_path / "events"
     server = _Server(
-        ["--registry", registry_dir, "--fusion", fusion_path,
+        ["--registry", registry_dir,
          "--session-ttl", "60", "--session-log", str(log_dir), "--coverage"]
     )
     try:
         mode, port = server.banner()
-        assert mode.startswith("runtime (batched), fusion, session streams")
+        assert mode.startswith("runtime (batched), session streams")
         assert "resumed rollout of v2 (canary, stage 0)\n" in server.printed
 
         wire = json.dumps(dict(wire_fields, sid="boot-collect")).encode()
@@ -147,20 +142,11 @@ def test_serve_composes_every_layer_on_one_process(
         status, body = _request(port, "POST", "/event", event.to_wire())
         assert status == 202 and json.loads(body)["session_created"], body
 
-        check = dict(wire_fields, sid="boot-check", untrusted_ip=True, day="2023-09-01")
-        status, body = _request(port, "POST", "/check", json.dumps(check).encode())
-        document = json.loads(body)
-        assert status == 200 and document["accepted"], body
-        assert document["fusion_cell"] is not None
-        assert document["second_lift"] is not None
-
         status, body = _request(port, "GET", "/rollout")
         rollout = json.loads(body)
         assert status == 200
         assert (rollout["status"], rollout["candidate_version"]) == ("canary", 2)
 
-        status, body = _request(port, "GET", "/fusion")
-        assert status == 200 and json.loads(body)["verdicts"] >= 2, body
         status, body = _request(port, "GET", "/coverage")
         assert status == 200
 
@@ -173,7 +159,6 @@ def test_serve_composes_every_layer_on_one_process(
         assert "polygraph_ingest_requests" in reported  # the asyncio front end
         assert 'polygraph_runtime_batch_size{quantile="0.5"}' in reported
         assert reported["polygraph_session_events_total"] == 1
-        assert reported["polygraph_fusion_enabled"] == 1
         assert reported["polygraph_rollout_in_flight"] == 1
 
         printed = server.stop()
@@ -201,8 +186,7 @@ def test_serve_with_no_flags_is_the_runtime_behind_the_asyncio_front_end(
         assert mode == "runtime (batched)"
         wire = json.dumps(dict(wire_fields, sid="plain-collect")).encode()
         assert _request(port, "POST", "/collect", wire)[0] == 202
-        # No arm: /check is not served.
-        assert _request(port, "POST", "/check", wire)[0] == 404
+        assert _request(port, "POST", "/check", wire)[0] == 404  # no such endpoint
         text = _request(port, "GET", "/metrics")[1].decode()
         assert "polygraph_ingest_collect_requests 1" in text
         assert "polygraph_runtime_" in text

@@ -16,8 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fusion.arm import FusionArm
-from repro.fusion.model import FusionModel
 from repro.service.scoring import ScoringService, Verdict
 from repro.sessions import SessionScoringService
 from repro.sessions import tracker as tracker_module
@@ -127,7 +125,7 @@ class TestFoldManyAgainstTheFrozenFold:
             ]
             services.append((documents, sessions_state(service)))
         assert services[0] == services[1]
-        documents, (status, virtual_now, tracked, _) = services[0]
+        documents, (status, virtual_now, tracked) = services[0]
         assert [d["session_created"] for d in documents[0]] == [True, True, True]
         assert (documents[1][0]["accepted"], documents[1][1]["session_created"]) == (
             False, True,
@@ -195,21 +193,20 @@ class TestFollowUpVerdictKeepsItsProvenance:
     session's id must change that one field."""
 
     class _Stamping:
-        """An inner service whose every verdict carries fusion and
-        inferred-release provenance."""
+        """An inner service whose every verdict carries inferred-release
+        provenance, a different release each time."""
 
         def __init__(self, trained) -> None:
             self.polygraph = trained
-            self.cells = iter(["both", "primary_only", "second_only"])
+            self.releases = iter(["chrome-101", "chrome-102", "chrome-103"])
 
         def score_rows(self, wires, rows, found, day=None):
             found[:] = [None] * len(wires)
             return [
                 Verdict(
                     wire[8 : wire.index(b'"', 8)].decode(), True, False, None,
-                    None, 0.0, fused_flagged=True, fusion_cell=next(self.cells),
-                    second_probability=0.75, second_lift=2.5,
-                    inferred_release="chrome-101", inferred_distance=1,
+                    None, 0.0, inferred_release=next(self.releases),
+                    inferred_distance=1,
                 )
                 for wire in wires
             ]
@@ -218,26 +215,21 @@ class TestFollowUpVerdictKeepsItsProvenance:
         stream = next(s for s in streams if len(s.events) >= 3)
         sessions = SessionScoringService(self._Stamping(trained), ttl_seconds=1e9)
         observed = sessions.observe_many([e.to_wire() for e in stream.events[:3]])
-        for observation, cell in zip(observed, ["both", "primary_only", "second_only"]):
+        for observation, release in zip(
+            observed, ["chrome-101", "chrome-102", "chrome-103"]
+        ):
             verdict = observation.verdict
             assert verdict.session_id == stream.session_id
-            assert (verdict.fused_flagged, verdict.fusion_cell) == (True, cell)
-            assert (verdict.second_probability, verdict.second_lift) == (0.75, 2.5)
             assert (verdict.inferred_release, verdict.inferred_distance) == (
-                "chrome-101", 1,
+                release, 1,
             )
-        # The sticky fusion state tracks the latest event, follow-ups too.
-        fused = sessions.session_snapshot(stream.session_id)["fused_verdict"]
-        assert (fused["fused_flagged"], fused["cell"]) == (True, "second_only")
 
-    def test_a_fusion_armed_service_sees_the_follow_up(self, trained, small_dataset):
-        model = FusionModel.train(small_dataset.rows(0, 6_000), trained.cluster_model)
-        armed = ScoringService(trained, fusion=FusionArm(model))
-        twin = ScoringService(trained, fusion=FusionArm(model))
-        sessions = SessionScoringService(armed, ttl_seconds=1e9)
+    def test_a_service_sees_the_follow_up(self, trained, small_dataset):
+        sessions = SessionScoringService(ScoringService(trained), ttl_seconds=1e9)
+        twin = ScoringService(trained)
         events = [
             SessionEvent(
-                "fused-follow-up", kind, seq, float(seq),
+                "plain-follow-up", kind, seq, float(seq),
                 str(small_dataset.user_agents[row]),
                 tuple(int(v) for v in small_dataset.features[row]),
             )
@@ -245,26 +237,16 @@ class TestFollowUpVerdictKeepsItsProvenance:
                 [(EventType.PAGE_LOAD, 0), (EventType.FOCUS, 1)]
             )
         ]
-        first, follow_up = sessions.observe_many([e.to_wire() for e in events])
+        _, follow_up = sessions.observe_many([e.to_wire() for e in events])
         expected = twin.score_wire(inner_wire(events[1]))
-        assert expected.fused_flagged is not None
         assert follow_up.verdict == dataclasses.replace(
             expected,
-            session_id="fused-follow-up",
+            session_id="plain-follow-up",
             latency_ms=follow_up.verdict.latency_ms,
         )
-        fused = sessions.session_snapshot("fused-follow-up")["fused_verdict"]
-        assert fused == {
-            "fused_flagged": bool(
-                first.verdict.fused_flagged or expected.fused_flagged
-            ),
-            "cell": expected.fusion_cell,
-            "second_probability": expected.second_probability,
-            "second_lift": expected.second_lift,
-        }
 
     def test_a_plain_event_is_not_mistaken_for_a_follow_up(self, trained):
         sessions = SessionScoringService(self._Stamping(trained), ttl_seconds=1e9)
         event = SessionEvent("solo", EventType.PAGE_LOAD, 0, 1.0, "ua", (1, 2))
         verdict = sessions.observe_wire(event.to_wire()).verdict
-        assert (verdict.session_id, verdict.fusion_cell) == ("solo", "both")
+        assert (verdict.session_id, verdict.inferred_release) == ("solo", "chrome-101")

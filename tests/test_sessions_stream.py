@@ -1032,8 +1032,8 @@ class TestSessionEventLog:
 # HTTP surface
 
 
-def _call(app, method, path, body=b""):
-    status, _, payload = app.handle(method, path, body)
+def _call(app, method, path):
+    status, _, payload = app.handle(method, path)
     return status, json.loads(payload)
 
 
@@ -1070,16 +1070,14 @@ class TestSessionEndpoints:
         status, document = _call(app, "GET", "/session/nope")
         assert status == "404 Not Found"
 
-    def test_endpoints_404_without_session_layer(self, trained, streams):
+    def test_endpoints_404_without_session_layer(self, trained):
         app = CollectionApp(ScoringService(trained))
         for method, path in (
             ("POST", "/event"),
             ("GET", "/sessions"),
             ("GET", "/session/x"),
         ):
-            status, document = _call(
-                app, method, path, streams[0].first.to_wire()
-            )
+            status, document = _call(app, method, path)
             assert status == "404 Not Found"
             assert "session" in document["error"]
 
