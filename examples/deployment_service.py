@@ -4,12 +4,12 @@
 Runs the whole operational loop the paper describes around the model:
 
 1. train Browser Polygraph offline;
-2. stand up the scoring service (validation -> persistence -> verdict);
+2. stand up the scoring service (validation -> verdict -> the serve log);
 3. replay a day of live traffic as wire payloads, including garbage
    requests and fraud-browser sessions;
 4. watch the flag-rate monitor and the quarantine log;
 5. consult the drift scheduler for the next check date;
-6. export the session store as the next training window.
+6. seal the log and export its /collect rows as the next training window.
 
 Run:  python examples/deployment_service.py
 """
@@ -28,7 +28,7 @@ from repro.service import (
     FlagRateMonitor,
     PayloadValidator,
     ScoringService,
-    SessionStore,
+    SegmentLog,
 )
 
 
@@ -38,9 +38,9 @@ def main() -> None:
     polygraph = BrowserPolygraph().fit(training)
     print(f"  accuracy {polygraph.accuracy:.4f}")
 
-    store = SessionStore(tempfile.mkdtemp(prefix="polygraph-store-"))
+    log = SegmentLog(tempfile.mkdtemp(prefix="polygraph-log-"))
     validator = PayloadValidator()
-    service = ScoringService(polygraph, validator=validator, store=store)
+    service = ScoringService(polygraph, validator=validator, log=log)
     monitor = FlagRateMonitor(window=5_000, min_observations=500)
     script = CollectionScript()
 
@@ -92,10 +92,10 @@ def main() -> None:
     plan = scheduler.next_check(day)
     print(f"\nnext scheduled drift check: {plan.check_date} covering {plan.releases}")
 
-    exported = store.export_dataset()
+    log.seal()
+    exported = log.export_dataset()
     print(
-        f"session store holds {len(store)} rows across "
-        f"{len(store.segments())} segment(s); exported dataset: "
+        f"serve log holds {len(log.segments())} segment(s); exported dataset: "
         f"{len(exported)} rows x {exported.n_features} features "
         "(the next retraining window)"
     )

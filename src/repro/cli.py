@@ -4,10 +4,9 @@ Subcommands:
 
 * ``train``       — generate the training window, fit, save the model
   (``--jobs`` fans the k-means restarts over worker processes);
-* ``retrain``     — refit an existing model on a dataset or a session
-  store's export and save the refreshed model;
-* ``store``       — inspect (``info``) or seal (``migrate``) a session
-  store's segments into the columnar training format;
+* ``retrain``     — refit an existing model on a dataset or on the
+  ``/collect`` rows of a serve log (``--log``) and save the refreshed
+  model;
 * ``detect``      — load a model and evaluate a saved dataset;
 * ``drift``       — load a model and run the drift check on a window;
 * ``experiment``  — regenerate any paper table/figure by name;
@@ -17,7 +16,9 @@ Subcommands:
   registry's live model (whose in-flight rollout is resumed), or with
   ``--shards N`` over a sharded cluster behind the consistent-hash
   router (a model file only: a registry is served by one process);
-  SIGTERM/SIGINT drain in-flight requests before exiting;
+  ``--log DIR`` (one process only) keeps every accepted ``/collect``
+  and ``/event`` row for ``retrain --log``; SIGTERM/SIGINT drain
+  in-flight requests, and seal the log, before exiting;
 * ``cluster``     — inspect a running cluster (``status`` pretty-prints
   the server's ``GET /cluster`` document);
 * ``sessions``    — inspect a server's event-stream session layer
@@ -101,10 +102,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     retrain.add_argument("model", help="existing model .json path")
     retrain.add_argument(
-        "--dataset", help="training dataset .npz (or use --store)"
+        "--dataset", help="training dataset .npz (or use --log)"
     )
     retrain.add_argument(
-        "--store", help="session store directory to export and retrain on"
+        "--log", help="serve log directory whose /collect rows to retrain on"
     )
     retrain.add_argument(
         "--output",
@@ -116,17 +117,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1,
         help="worker processes for the k-means restarts (-1: all cores)",
     )
-
-    store = sub.add_parser(
-        "store", help="manage a session store's segments"
-    )
-    store.add_argument(
-        "action",
-        choices=["info", "migrate"],
-        help="info: summarize segments; migrate: seal JSONL segments "
-        "into the columnar (memory-mappable) format in place",
-    )
-    store.add_argument("root", help="session store directory")
 
     detect = sub.add_parser("detect", help="evaluate a dataset with a saved model")
     detect.add_argument("model", help="model .json path")
@@ -225,9 +215,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="maximum concurrently tracked sessions (LRU beyond this)",
     )
     serve.add_argument(
-        "--session-log",
-        help="directory for the durable sliding-window event log "
-        "(default: in-memory state only)",
+        "--log",
+        help="directory of the serve log: every accepted /collect and "
+        "/event row, for retrain --log (not with --shards)",
     )
     serve.add_argument(
         "--coverage",
@@ -369,9 +359,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_retrain(args: argparse.Namespace) -> int:
-    if bool(args.dataset) == bool(args.store):
+    if bool(args.dataset) == bool(args.log):
         print(
-            "retrain: provide exactly one of --dataset or --store",
+            "retrain: provide exactly one of --dataset or --log",
             file=sys.stderr,
         )
         return 2
@@ -380,9 +370,9 @@ def _cmd_retrain(args: argparse.Namespace) -> int:
 
         dataset = Dataset.load(args.dataset)
     else:
-        from repro.service.storage import SessionStore
+        from repro.service.log import SegmentLog
 
-        dataset = SessionStore(args.store).export_dataset()
+        dataset = SegmentLog(args.log).export_dataset()
     pipeline = BrowserPolygraph.load(args.model)
     pipeline.retrain(dataset, jobs=args.jobs)
     output = args.output or args.model
@@ -391,28 +381,6 @@ def _cmd_retrain(args: argparse.Namespace) -> int:
         f"retrained on {len(dataset)} sessions; accuracy "
         f"{pipeline.accuracy:.4f}; model saved to {output}"
     )
-    return 0
-
-
-def _cmd_store(args: argparse.Namespace) -> int:
-    from repro.service.storage import SessionStore
-
-    store = SessionStore(args.root)
-    if args.action == "migrate":
-        converted = store.migrate()
-        if converted:
-            print(f"sealed {len(converted)} segment(s) into columnar format:")
-            for path in converted:
-                print(f"  {path.name}")
-        else:
-            print("no JSONL segments to migrate")
-        return 0
-    # info
-    paths = store.segments()
-    print(f"{len(store)} records in {len(paths)} segment(s) at {store.root}")
-    for path in paths:
-        kind = "columnar" if path.suffix == ".npz" else "jsonl"
-        print(f"  {path.name}  {kind}  {path.stat().st_size} bytes")
     return 0
 
 
@@ -562,6 +530,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.shards and args.log:
+        print(
+            "serve: --log with --shards: the log is written by one "
+            "process (the cluster router has none)",
+            file=sys.stderr,
+        )
+        return 2
     if not (args.model or args.registry):
         print("serve: provide a model path or --registry", file=sys.stderr)
         return 2
@@ -569,14 +544,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     endpoints = (
         "POST /collect, GET /health, GET /metrics, GET /rollout, GET /cluster"
     )
-    event_log = None
-    if args.session_ttl is not None and args.session_log:
-        from repro.sessions import SessionEventLog
+    log = None
+    if args.log:
+        from repro.service.log import SegmentLog
 
         try:
-            event_log = SessionEventLog(args.session_log)
+            # Undated batches (every served one) take the wall clock's day.
+            log = SegmentLog(args.log, clock=date.today)
         except (UnreadableFileError, OSError) as exc:
-            print(f"serve: cannot read session log: {exc}", file=sys.stderr)
+            print(f"serve: cannot read log: {exc}", file=sys.stderr)
             return 2
     if args.shards:
         from repro.cluster import ShardError
@@ -603,7 +579,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 pipeline = registry.load()
             else:
                 pipeline = BrowserPolygraph.load(args.model)
-            service = RuntimeScoringService(pipeline, config=_runtime_config(args))
+            service = RuntimeScoringService(
+                pipeline, log=log, config=_runtime_config(args)
+            )
             if args.registry:
                 from repro.rollout import RolloutManager
 
@@ -626,7 +604,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
         sessions = SessionScoringService(
             service,
-            event_log=event_log,
+            log=log,
             ttl_seconds=args.session_ttl,
             max_sessions=args.session_max,
         )
@@ -644,6 +622,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         service.attach_coverage(coverage_tracker)
         mode += ", coverage"
         endpoints += ", GET /coverage"
+    if log is not None:
+        mode += ", log"
     app = CollectionApp(service, sessions=sessions, coverage=coverage_tracker)
     server = AsyncIngestServer(app, host=args.host, port=args.port)
     # Long-lived serving process: everything built so far (the model,
@@ -675,10 +655,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 manager.close()
             service.shutdown(drain=True)
         finally:
-            # The events still buffered go on disk, whatever the
+            # The rows still buffered go on disk, whatever the
             # shutdown raised.
-            if event_log is not None:
-                event_log.seal()
+            if log is not None:
+                log.seal()
     return 0
 
 
@@ -750,13 +730,6 @@ def _cmd_sessions(args: argparse.Namespace) -> int:
     for reason, count in sorted(document["revision_reasons"].items()):
         if count:
             print(f"  {reason:>14}: {count}")
-    log = document.get("event_log")
-    if log:
-        print(
-            f"event log: {log['segments']} segment(s), "
-            f"{log['sealed_events']} sealed + {log['buffered_events']} "
-            f"buffered events, {log['pruned_segments']} pruned"
-        )
     return 0
 
 
@@ -934,7 +907,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "simulate": _cmd_simulate,
         "train": _cmd_train,
         "retrain": _cmd_retrain,
-        "store": _cmd_store,
         "detect": _cmd_detect,
         "drift": _cmd_drift,
         "experiment": _cmd_experiment,

@@ -70,7 +70,6 @@ class ClusterConfig:
     vnodes: int = 64
     heartbeat_interval_s: float = 0.25
     unhealthy_after: int = 2  # consecutive failures before removal
-    ping_timeout_s: float = 5.0
     ring_slots: int = 4096  # shm slab rows per shard
 
     def __post_init__(self) -> None:

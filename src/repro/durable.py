@@ -1,7 +1,8 @@
 """One write path and one read path for every durable file.
 
-Model files, the registry index, the rollout state and the
-session-store and event-log manifests and segments are all written by :func:`write_atomic`; the JSON ones are read by
+Model files, the registry index, the rollout state and the serve
+log's manifest and segments are all written by :func:`write_atomic`;
+the JSON ones are read by
 :func:`read_json`.  A write's rename is its commit point, so a crash
 leaves the old file or the new one (and at worst a stale temp file the
 next write of that path replaces), never a torn one.  Standard library

@@ -9,7 +9,7 @@ Batch lifecycle — all of it on the calling thread::
     score_many(wires) · score_rows(wires, rows, found)
         │  ingest_many: wire contract, memoized parse, dedup  (one lock;
         │               a proven envelope row skips the parse)
-        │  store.append / coverage / rollout.route             (if attached)
+        │  coverage / rollout.route                            (if attached)
         │  cache.get_many                                      (one lock)
         ├─ rejects ─────────────► Verdict(accepted=False)  ┐ one latency
         ├─ hits ────────────────► Verdict from cached result ┘ stamp
@@ -19,6 +19,7 @@ Batch lifecycle — all of it on the calling thread::
                         ▼
                      cache.put_many(generation=) · escalate · Verdict
         rollout.mirror_many: the batch's mirrored live-arm rows, one call
+        log.append_many: a /collect batch's accepted rows     (if attached)
 
 ``score_wire(w)`` is ``score_many([w])[0]``.  The service owns no
 thread and no queue: whoever forms the batch — the asyncio front end's
@@ -52,14 +53,13 @@ import numpy as np
 
 from repro.core.pipeline import BrowserPolygraph
 from repro.coverage.tracker import vendor_of
-from repro.fingerprint.script import FingerprintPayload
 from repro.runtime.batch import Miss, answer_known, cache_keys, finish_misses
 from repro.runtime.cache import VerdictCache
 from repro.runtime.fastingest import WireIngest
 from repro.runtime.stats import RuntimeStats
 from repro.service.ingest import PayloadValidator
+from repro.service.log import COLLECT, SegmentLog
 from repro.service.scoring import Verdict, collect_verdicts
-from repro.service.storage import SessionStore
 from repro.traffic.dataset import Dataset
 
 __all__ = ["PendingVerdict", "RuntimeConfig", "RuntimeScoringService"]
@@ -103,7 +103,7 @@ class RuntimeScoringService:
 
     Drop-in for :class:`ScoringService` where it matters: ``score_wire``
     takes the same bytes and returns the same :class:`Verdict`; the
-    ``validator`` (quarantine, dedup window) and optional ``store`` are
+    ``validator`` (quarantine, dedup window) and optional ``log`` are
     honoured; ``scored_count`` / ``flagged_count`` / ``flag_rate`` keep
     their meanings.  New surface: :meth:`score_rows` (the batch core everything else
     delegates to), :attr:`runtime_stats` and :meth:`collect`.
@@ -118,7 +118,7 @@ class RuntimeScoringService:
         self,
         polygraph: BrowserPolygraph,
         validator: Optional[PayloadValidator] = None,
-        store: Optional[SessionStore] = None,
+        log: Optional[SegmentLog] = None,
         config: RuntimeConfig = RuntimeConfig(),
         stats: Optional[RuntimeStats] = None,
     ) -> None:
@@ -128,7 +128,7 @@ class RuntimeScoringService:
             )
         self.polygraph = polygraph
         self.validator = validator if validator is not None else PayloadValidator()
-        self.store = store
+        self.log = log
         self.config = config
         self.runtime_stats = stats if stats is not None else RuntimeStats()
         self.cache: Optional[VerdictCache] = None
@@ -224,15 +224,11 @@ class RuntimeScoringService:
         by (:meth:`WireIngest.ingest_many` reads the rest).  ``found``
         gets the ``(model, result)`` behind each verdict, or ``None``:
         the model is the live generation or the candidate's detector.
+        A batch without ``rows`` is a ``/collect`` batch, and its
+        accepted rows go to the log; the session layer logs its events.
         """
         started = time.perf_counter()
         prepared = self._ingest.ingest_many(wires, rows)
-        if self.store is not None:
-            self.store.append_many(
-                (FingerprintPayload(f[0], f[1], f[2], 0.0, f[3]), day)
-                for f in prepared
-                if f.__class__ is tuple
-            )
         if self.coverage is not None:
             # Fed in arrival order, classified against the tracker's own
             # copy of the live release table (re-synced on model swap).
@@ -332,6 +328,16 @@ class RuntimeScoringService:
             unknown += arm_unknown
         if mirrored:
             rollout.mirror_many(mirrored)
+        if rows is None and self.log is not None:
+            now = time.time()
+            self.log.append_many(
+                [
+                    (f[0], COLLECT, -1, now, f[1], f[4], f[2], v.flagged, v.risk_factor)
+                    for f, v in zip(prepared, verdicts)
+                    if v.accepted
+                ],
+                day,
+            )
         if scored:
             with self._lock:
                 self.scored_count += scored
@@ -463,7 +469,7 @@ class RuntimeScoringService:
 
     def collect(self, out) -> None:
         """Report the scoring counters, the runtime registry, the
-        rollout and coverage (when attached) into ``out``."""
+        rollout, coverage and the log (when attached) into ``out``."""
         rejects = self.validator.quarantine.counts()
         with self._lock:
             scored, flagged = self.scored_count, self.flagged_count
@@ -486,3 +492,5 @@ class RuntimeScoringService:
             rollout.collect(out)
         if self.coverage is not None:
             self.coverage.collect(out)
+        if self.log is not None:
+            self.log.collect(out)

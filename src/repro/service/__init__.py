@@ -9,9 +9,9 @@ production shell around the core pipeline:
 
 * :mod:`repro.service.ingest` — payload validation and quarantine
   (malformed wire data never reaches the model);
-* :mod:`repro.service.storage` — an append-only JSONL session store
-  with size-based rotation, the "periodic datasets" FinOrg handed the
-  authors;
+* :mod:`repro.service.log` — the serve log: every accepted ``/collect``
+  and ``/event`` row in memory-mapped columnar segments over a
+  retention window, the "periodic datasets" FinOrg handed the authors;
 * :mod:`repro.service.scoring` — the real-time scoring service:
   payload in, verdict out, with latency accounting against the
   Section 3 budget;
@@ -23,8 +23,8 @@ production shell around the core pipeline:
 from repro.service.api import CollectionApp
 from repro.service.ingest import IngestResult, PayloadValidator, QuarantineLog
 from repro.service.monitoring import DriftScheduler, FlagRateMonitor
+from repro.service.log import SegmentLog
 from repro.service.scoring import ScoringService, Verdict
-from repro.service.storage import SessionStore
 
 __all__ = [
     "CollectionApp",
@@ -34,6 +34,6 @@ __all__ = [
     "PayloadValidator",
     "QuarantineLog",
     "ScoringService",
-    "SessionStore",
+    "SegmentLog",
     "Verdict",
 ]

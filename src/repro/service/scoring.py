@@ -1,7 +1,7 @@
 """Real-time scoring service.
 
 Glues the pieces into the online path the paper deploys: wire payload →
-validation → (optional) persistence → model verdict, with end-to-end
+validation → model verdict → (optional) persistence, with end-to-end
 latency accounting against the Section 3 budget of 100ms.
 """
 
@@ -16,7 +16,7 @@ from repro.core.detection import DetectionResult
 from repro.core.pipeline import BrowserPolygraph
 from repro.coverage.tracker import vendor_of
 from repro.service.ingest import IngestResult, PayloadValidator
-from repro.service.storage import SessionStore
+from repro.service.log import COLLECT, SegmentLog
 from repro.traffic.dataset import Dataset
 
 __all__ = [
@@ -102,22 +102,23 @@ class ScoringService:
     validator:
         Wire-contract enforcement; a default validator is created if
         omitted.
-    store:
-        Optional durable store; accepted payloads are appended so the
-        next training window can be exported later.
+    log:
+        Optional :class:`~repro.service.log.SegmentLog`; every accepted
+        :meth:`score_wire` row is appended, so the next training window
+        can be exported later.
     """
 
     def __init__(
         self,
         polygraph: BrowserPolygraph,
         validator: Optional[PayloadValidator] = None,
-        store: Optional[SessionStore] = None,
+        log: Optional[SegmentLog] = None,
     ) -> None:
         if not polygraph.is_fitted:
             raise ValueError("ScoringService requires a fitted BrowserPolygraph")
         self.polygraph = polygraph
         self.validator = validator if validator is not None else PayloadValidator()
-        self.store = store
+        self.log = log
         self.coverage = None
         self.scored_count = 0
         self.flagged_count = 0
@@ -151,28 +152,30 @@ class ScoringService:
         )
 
     def score_wire(self, wire: bytes, day: Optional[date] = None) -> Verdict:
-        """The full online path for one request."""
-        return self._score_one(wire, day)[0]
+        """The full online path for one request (a ``/collect``)."""
+        return self._score_one(wire, day, self.log)[0]
 
     def score_rows(
         self, wires: Sequence[bytes], rows, found: list, day: Optional[date] = None
     ) -> List[Verdict]:
-        """:meth:`score_wire` on each wire (``rows`` are not read);
-        ``found`` gets the ``(generation, result)`` behind each verdict."""
+        """:meth:`score_wire` on each wire (``rows`` are not read), but
+        unlogged: the session layer logs its events itself.  ``found``
+        gets the ``(generation, result)`` behind each verdict."""
         generation = self.polygraph.model_generation
         verdicts: List[Verdict] = []
         found[:] = []
         for wire in wires:
-            verdict, result = self._score_one(wire, day)
+            verdict, result = self._score_one(wire, day, None)
             verdicts.append(verdict)
             found.append(None if result is None else (generation, result))
         return verdicts
 
     def _score_one(
-        self, wire: bytes, day: Optional[date]
+        self, wire: bytes, day: Optional[date], log: Optional[SegmentLog]
     ) -> Tuple[Verdict, Optional[DetectionResult]]:
         """One wire's verdict and the detection behind it (``None`` when
-        the wire is rejected before the model sees it)."""
+        the wire is rejected before the model sees it), its row appended
+        to ``log`` when given."""
         started = time.perf_counter()
         ingest: IngestResult = self.validator.ingest_wire(wire)
         if not ingest.accepted:
@@ -185,8 +188,6 @@ class ScoringService:
                 latency_ms=(time.perf_counter() - started) * 1000.0,
             ), None
         payload = ingest.payload
-        if self.store is not None:
-            self.store.append(payload, day=day)
         result = self.polygraph.detect_payload(payload)
         self.scored_count += 1
         if result.flagged:
@@ -198,6 +199,12 @@ class ScoringService:
             )
         if self.coverage is not None:
             self.coverage.observe(result.ua_key, known=result.known_ua, day=day)
+        if log is not None:
+            log.append_many(
+                [(payload.session_id, COLLECT, -1, time.time(), payload.user_agent,
+                  result.ua_key, payload.values, result.flagged, result.risk_factor)],
+                day,
+            )
         return Verdict(
             session_id=payload.session_id,
             accepted=True,
@@ -227,7 +234,8 @@ class ScoringService:
         return self.flagged_count / self.scored_count if self.scored_count else 0.0
 
     def collect(self, out) -> None:
-        """Report the scoring counters (and coverage, when attached)."""
+        """Report the scoring counters (and coverage and the log, when
+        attached)."""
         rejects = self.validator.quarantine.counts()
         collect_verdicts(
             out, self.scored_count, self.flagged_count,
@@ -236,3 +244,5 @@ class ScoringService:
         )
         if self.coverage is not None:
             self.coverage.collect(out)
+        if self.log is not None:
+            self.log.collect(out)

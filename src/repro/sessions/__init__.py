@@ -10,13 +10,10 @@ bit-identical to what the stateless services produce today.
 
 from repro.sessions.revision import RevisionReason, VerdictRevision, classify_revision
 from repro.sessions.service import SessionObservation, SessionScoringService
-from repro.sessions.store import EVENT_COLUMNS, SessionEventLog
 from repro.sessions.tracker import SessionState, SessionTracker
 
 __all__ = [
-    "EVENT_COLUMNS",
     "RevisionReason",
-    "SessionEventLog",
     "SessionObservation",
     "SessionScoringService",
     "SessionState",

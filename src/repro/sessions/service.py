@@ -5,7 +5,7 @@ per-request :class:`~repro.service.scoring.ScoringService`, the batched
 :class:`~repro.runtime.service.RuntimeScoringService` or the sharded
 cluster's :class:`~repro.cluster.router.ClusterRouter` — and adds
 session state on top.  Whatever the deployment, the state has one home:
-one tracker, one lock, one event log, one ``--session-max`` bound.  The
+one tracker, one lock, one ``--session-max`` bound.  The
 contract that keeps it honest:
 
 * **First-event parity.**  The first event of a session is scored by
@@ -29,7 +29,8 @@ scores all inner wires with *one* call to the inner service's
 the batch core does not parse them again, and it hands back the model
 and :class:`DetectionResult` behind each verdict — then folds the
 events into their sessions with *one* fold (``_fold_rows``): every
-event in arrival order under one lock span, then the durable log.
+event in arrival order under one lock span; then the batch's accepted
+events go to the serve log in one append.
 ``observe_wire`` is a batch of one, so there is a single
 implementation of each step.  Scoring reads no session state
 and folding reads no scoring state, which is why any split of a wire
@@ -75,6 +76,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.detection import DetectionResult
 from repro.fingerprint.features import N_FEATURES
+from repro.service.log import SegmentLog
 from repro.service.scoring import Verdict
 from repro.sessions.envelope import EnvelopeParser
 from repro.sessions.revision import (
@@ -82,7 +84,6 @@ from repro.sessions.revision import (
     VerdictRevision,
     classify_revision,
 )
-from repro.sessions.store import SessionEventLog
 from repro.sessions.tracker import EventRecord, SessionState, SessionTracker
 from repro.traffic.events import EventType
 
@@ -194,15 +195,16 @@ class SessionScoringService:
     tracker:
         Session state bounds; a default tracker is created if omitted
         (``ttl_seconds`` then applies to it).
-    event_log:
-        Optional :class:`SessionEventLog` for durable per-event rows.
+    log:
+        Optional :class:`~repro.service.log.SegmentLog` that every
+        accepted event's row is appended to.
     """
 
     def __init__(
         self,
         inner,
         tracker: Optional[SessionTracker] = None,
-        event_log: Optional[SessionEventLog] = None,
+        log: Optional[SegmentLog] = None,
         ttl_seconds: float = 1800.0,
         max_sessions: int = 100_000,
     ) -> None:
@@ -215,7 +217,7 @@ class SessionScoringService:
                 clock=self._clock,
             )
         self.tracker = tracker
-        self.event_log = event_log
+        self.log = log
         self._lock = threading.Lock()
         validator = getattr(inner, "validator", None)
         self._envelopes = EnvelopeParser(getattr(validator, "expected_features", N_FEATURES))
@@ -294,6 +296,18 @@ class SessionScoringService:
         verdicts = self.inner.score_rows(inner_wires, inner_rows, found, day=day)
         for index, row in zip(indices, self._fold_rows(events, verdicts, found)):
             rows[index] = row
+        if self.log is not None:
+            # What the fold folded: every accepted event.
+            self.log.append_many(
+                [
+                    (event[0], _EVENT_TYPE_NAMES[event[1]], event[2], event[3],
+                     event[4], "" if scored is None else scored[1].ua_key,
+                     event[5], verdict.flagged, verdict.risk_factor)
+                    for event, verdict, scored in zip(events, verdicts, found)
+                    if verdict.accepted
+                ],
+                day,
+            )
         return rows  # type: ignore[return-value]
 
     def observe_wire(self, wire: bytes, day: Optional[date] = None) -> SessionObservation:
@@ -315,15 +329,13 @@ class SessionScoringService:
         service lock, and inside it the tracker's — the lock order is
         always service → tracker.  The tracker's clock is still read
         per event, because the batch's own events move event time and
-        may expire a session between two of them.  The durable log is
-        written after the span.
+        may expire a session between two of them.
         """
         tracker = self.tracker
         touch = tracker._touch_locked
         clock = tracker._clock
         max_events = tracker.max_events_per_session
         ceiling = time.time()  # event time never passes the wall clock
-        logged: Optional[list] = None if self.event_log is None else []
         rows: List[EventRow] = []
         append = rows.append
         folded = 0
@@ -368,8 +380,6 @@ class SessionScoringService:
                         max_events,
                     )
                     state.last_model = model
-                    if logged is not None:
-                        logged.append((event, verdict, ua_key))
                     append(
                         (
                             session_id,
@@ -383,19 +393,6 @@ class SessionScoringService:
                     )
             finally:
                 self.events_total += folded
-        if logged:
-            append_row = self.event_log.append
-            for event, verdict, ua_key in logged:
-                append_row(
-                    session_id=event[0],
-                    event_type=_EVENT_TYPE_NAMES[event[1]],
-                    seq=event[2],
-                    timestamp=event[3],
-                    ua_key=ua_key if ua_key is not None else "",
-                    values=event[5],
-                    flagged=verdict.flagged,
-                    risk=verdict.risk_factor,
-                )
         return rows
 
     def _reconcile_locked(
@@ -481,7 +478,7 @@ class SessionScoringService:
         """Aggregate status (``GET /sessions`` and the CLI)."""
         tracker_stats = self.tracker.stats()
         with self._lock:
-            status = {
+            return {
                 "active_sessions": tracker_stats["active_sessions"],
                 "ttl_seconds": self.tracker.ttl_seconds,
                 "max_sessions": self.tracker.max_sessions,
@@ -492,9 +489,6 @@ class SessionScoringService:
                 "evicted_ttl": tracker_stats["evicted_ttl"],
                 "evicted_capacity": tracker_stats["evicted_capacity"],
             }
-        if self.event_log is not None:
-            status["event_log"] = self.event_log.stats()
-        return status
 
     def collect(self, out) -> None:
         """Report the layer's ``polygraph_session_*`` series into ``out``."""

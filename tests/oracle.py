@@ -14,8 +14,8 @@ an answer.  :func:`traces` draws what one ``serve`` is sent:
 * ``/event`` streams — every hostile and row-edge envelope shape,
   revisions, replays, follow-ups sent before the event they follow;
 * a model install before a drawn step (without a canary), a batch cut,
-  a cache size, an identical-candidate canary or none, session bounds,
-  an event log and a session store.
+  a cache size, an identical-candidate canary or none, session bounds
+  and a serve log.
 
 :func:`run_oracle` plays one trace through four paths:
 
@@ -28,8 +28,9 @@ an answer.  :func:`traces` draws what one ``serve`` is sent:
 4. the real :class:`AsyncIngestServer` on a loopback port, over a
    runtime and session layer of its own.
 
-and asserts byte-identical answers, equal validator, quarantine,
-coverage and store state, and equal session state and event-log rows.
+and asserts byte-identical answers, equal validator, quarantine and
+coverage state, equal session state and equal serve-log rows (but the
+wall-clock fields, as :func:`timeless` masks the latency).
 
 Two facts of today's contract the frozen fold predates, and which the
 oracle states itself: an install re-bases every session (cluster ids of
@@ -73,9 +74,9 @@ from repro.runtime.service import RuntimeConfig, RuntimeScoringService
 from repro.service.aingest import _MAX_BODY, AsyncIngestServer
 from repro.service.api import CollectionApp
 from repro.service.ingest import MAX_FEATURE_VALUE, MAX_SESSION_ID_LENGTH
+from repro.service.log import COLLECT, COLUMNS, SegmentLog
 from repro.service.scoring import ScoringService, Verdict
-from repro.service.storage import SessionStore
-from repro.sessions import SessionEventLog, SessionScoringService
+from repro.sessions import SessionScoringService
 from repro.sessions.service import SessionObservation
 from repro.traffic.events import (
     EventStreamConfig,
@@ -568,7 +569,6 @@ def traces():
             "ttl_seconds": st.sampled_from([600.0, 1e9]),
             "max_sessions": st.sampled_from([1, 3, 100_000]),
             "logged": st.booleans(),
-            "stored": st.booleans(),
             "day": st.sampled_from([None, None, None, date(2023, 9, 1)]),
         }
     )
@@ -582,7 +582,7 @@ def case(**drawn) -> dict:
         "replays": [], "seed": 0, "lanes": list(_LANES), "cuts": [64],
         "install_at": None, "canary": False, "cache_entries": 8192,
         "ttl_seconds": 1e9, "max_sessions": 100_000,
-        "logged": False, "stored": False, "day": None,
+        "logged": False, "day": None,
     }
     unknown = set(drawn) - set(plain)
     assert not unknown, unknown
@@ -725,31 +725,36 @@ class _Stack:
     pipeline: BrowserPolygraph
     service: object
     sessions: object
-    log: Optional[SessionEventLog]
-    store: Optional[SessionStore]
+    log: Optional[SegmentLog]
 
 
 def _stack(world: World, trace: Trace, root: Path, name: str) -> _Stack:
     pipeline = BrowserPolygraph(world.model.config).install(world.model)
-    store = SessionStore(root / name) if trace.stored else None
+    # Small segments, so seals land mid-trace; a window that keeps every
+    # row, since the traffic's event times are 2023's.
+    log = (
+        SegmentLog(
+            root / f"{name}-log", segment_rows=8, window_seconds=1e12, clock=date.today
+        )
+        if trace.logged else None
+    )
     if name == "reference":
-        service = ScoringService(pipeline, store=store)
+        service = ScoringService(pipeline, log=log)
     else:
         service = RuntimeScoringService(
-            pipeline, store=store, config=RuntimeConfig(cache_entries=trace.cache_entries)
+            pipeline, log=log, config=RuntimeConfig(cache_entries=trace.cache_entries)
         )
     service.attach_coverage(
         CoverageTracker(config=CoverageConfig(window=16, min_observations=4))
     )
-    log = SessionEventLog(root / f"{name}-log", segment_events=8) if trace.logged else None
     layer = _Reference if name == "reference" else SessionScoringService
     sessions = layer(
         service,
         ttl_seconds=trace.ttl_seconds,
         max_sessions=trace.max_sessions,
-        event_log=log,
+        log=log,
     )
-    return _Stack(pipeline, service, sessions, log, store)
+    return _Stack(pipeline, service, sessions, log)
 
 
 def _canary(world: World, stack: _Stack, root: Path, name: str) -> RolloutManager:
@@ -852,7 +857,24 @@ def _batch_step(stack: _Stack, lane: str, bodies, day):
     ]
 
 
-def _inner_state(stack: _Stack) -> tuple:
+def logged_rows(log: SegmentLog, dated: bool) -> List[dict]:
+    """Every row ``log`` holds, after a seal, with its wall-clock fields
+    masked: a ``/collect`` row's ``ts``, and the ``day`` of a batch the
+    caller did not date."""
+    log.seal()
+    rows = []
+    for columns in log.segments():
+        for index in range(len(columns["sid"])):
+            row = {name: columns[name][index].tolist() for name in COLUMNS}
+            if row["kind"] == COLLECT:
+                row["ts"] = None
+            if not dated:
+                row["day"] = None
+            rows.append(row)
+    return rows
+
+
+def _inner_state(stack: _Stack, dated: bool) -> tuple:
     service = stack.service
     return (
         validator_state(service.validator),
@@ -860,8 +882,7 @@ def _inner_state(stack: _Stack) -> tuple:
         service.flagged_count,
         dict(service.unknown_ua_counts),
         service.coverage.status_dict(),
-        None if stack.store is None else [p.read_bytes() for p in stack.store.segments()],
-        None if stack.log is None else stack.log.window(seconds=1e12),
+        None if stack.log is None else logged_rows(stack.log, dated),
     )
 
 
@@ -933,11 +954,15 @@ def run_oracle(world: World, trace: Trace) -> Dict[str, _Stack]:
                 manager.close()
             for stack in stacks.values():
                 stack.service.shutdown()
-        state = _inner_state(reference)
+            for stack in (reference, *stacks.values()):
+                if stack.log is not None:
+                    stack.log.seal()  # no sealer outlives the directory
+        dated = trace.day is not None
+        state = _inner_state(reference, dated)
         sessions = sessions_state(reference.sessions)
         for name, stack in stacks.items():
             runtime = stack.service
-            assert _inner_state(stack) == state, name
+            assert _inner_state(stack, dated) == state, name
             assert runtime.rejected_count == runtime.validator.quarantine.total_rejects
             if runtime.cache is not None:
                 assert len(runtime.cache) <= trace.cache_entries

@@ -4,7 +4,9 @@ A frozen copy of what one event used to go through — ``fold`` with its
 two lock spans, a ``SessionState`` that allocates both of its sets when
 the session opens, dataclass records built field by field — kept, like
 ``parent_render.parent_render_event``, as the reference the batch fold must equal
-observation for observation, state for state and log row for log row.  Nothing here calls ``fold_many``.  (The copy
+observation for observation and state for state.  (The serve log's
+event rows are appended by ``observe_rows`` after the fold, not by the
+fold, so the reference's rows go through the same append.)  Nothing here calls ``fold_many``.  (The copy
 is exact, so it also re-labels a follow-up verdict from six fields and
 drops the inferred-release ones; the differentials run over inner
 services that never set them.)  The cluster an event records is
@@ -156,8 +158,8 @@ def _parent_unscored(verdict: Verdict, event_seq: int) -> SessionObservation:
 class ParentFoldService(SessionScoringService):
     """A session service whose every fold is the frozen per-event one."""
 
-    def __init__(self, inner, *, ttl_seconds, max_sessions, event_log=None) -> None:
-        super().__init__(inner, event_log=event_log)
+    def __init__(self, inner, *, ttl_seconds, max_sessions, log=None) -> None:
+        super().__init__(inner, log=log)
         self.tracker = _ParentTracker(
             max_sessions=max_sessions, ttl_seconds=ttl_seconds, clock=self._clock
         )
@@ -242,17 +244,6 @@ class ParentFoldService(SessionScoringService):
             )
             session_flagged = state.flagged
             session_risk = state.risk_factor
-        if self.event_log is not None:
-            self.event_log.append(
-                session_id=event.session_id,
-                event_type=event.event_type.value,
-                seq=event.seq,
-                timestamp=event.timestamp,
-                ua_key=ua_key if ua_key is not None else "",
-                values=event.values,
-                flagged=verdict.flagged,
-                risk=verdict.risk_factor,
-            )
         return SessionObservation(
             verdict=verdict,
             session_flagged=session_flagged,

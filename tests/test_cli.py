@@ -79,38 +79,7 @@ def test_retrain_from_dataset(artifacts, tmp_path, capsys):
 def test_retrain_requires_one_source(artifacts, capsys):
     _, model_path = artifacts
     assert main(["retrain", model_path]) == 2
-    assert "--dataset or --store" in capsys.readouterr().err
-
-
-def test_store_info_and_migrate(tmp_path, capsys):
-    from datetime import date
-
-    from repro.browsers.profiles import BrowserProfile
-    from repro.browsers.useragent import Vendor
-    from repro.fingerprint.script import CollectionScript
-    from repro.service.storage import SessionStore
-
-    root = tmp_path / "store"
-    store = SessionStore(root)
-    profile = BrowserProfile(Vendor.CHROME, 112)
-    for i in range(4):
-        store.append(
-            CollectionScript().run(
-                profile.environment(), profile.user_agent(), f"cli-{i}"
-            ),
-            day=date(2023, 5, 2),
-        )
-    store.flush()
-
-    assert main(["store", "info", str(root)]) == 0
-    assert "4 records" in capsys.readouterr().out
-    assert main(["store", "migrate", str(root)]) == 0
-    assert "sealed 1 segment" in capsys.readouterr().out
-    assert main(["store", "migrate", str(root)]) == 0
-    assert "no JSONL segments" in capsys.readouterr().out
-
-    dataset = SessionStore(root).export_dataset()
-    assert len(dataset) == 4
+    assert "--dataset or --log" in capsys.readouterr().err
 
 
 def test_train_with_jobs_matches_serial(artifacts, tmp_path):
@@ -323,7 +292,7 @@ def test_serve_exits_2_when_the_cluster_cannot_start(
 
 @pytest.mark.parametrize(
     "case",
-    ["model", "rollout", "empty registry", "no live entry", "session log"],
+    ["model", "rollout", "empty registry", "no live entry", "log"],
 )
 def test_serve_refuses_an_unreadable_file(artifacts, tmp_path, capsys, case):
     """Every file serve reads is refused by name with exit 2, never a
@@ -341,12 +310,12 @@ def test_serve_refuses_an_unreadable_file(artifacts, tmp_path, capsys, case):
     pipeline = BrowserPolygraph.load(model_path)
     if case == "model":
         argv, what, path = ["serve", str(torn)], "model", torn
-    elif case == "session log":
-        path = tmp_path / "events" / "events_manifest.json"
+    elif case == "log":
+        path = tmp_path / "log" / "manifest.json"
         path.parent.mkdir()
         path.write_text('{"segments": [')
-        argv = ["serve", model_path, "--session-ttl", "60", "--session-log", str(path.parent)]
-        what = "session log"
+        argv = ["serve", model_path, "--log", str(path.parent)]
+        what = "log"
     else:
         argv = ["serve", "--registry", str(registry.root)]
         what, path = "registry", registry.root / "registry.json"
@@ -403,6 +372,16 @@ def test_serve_refuses_a_registry_on_process_shards(artifacts, tmp_path, capsys)
         assert code == 2
         (line,) = capsys.readouterr().err.strip().splitlines()
         assert line.startswith("serve: --registry with --shards")
+
+
+def test_serve_refuses_a_log_on_process_shards(artifacts, tmp_path, capsys):
+    """The log is written by one process: the router would keep none."""
+    _, model_path = artifacts
+    assert main(["serve", model_path, "--shards", "2", "--log", str(tmp_path / "log")]) == 2
+    out, err = capsys.readouterr()
+    (line,) = err.strip().splitlines()
+    assert line.startswith("serve: --log with --shards")
+    assert not (tmp_path / "log").exists() and "draining" not in out
 
 
 def test_importing_the_cli_leaves_the_experiment_suite_out():

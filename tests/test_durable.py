@@ -26,11 +26,10 @@ from repro.core.retraining import ModelRegistry
 from repro.durable import UnreadableFileError, read_json, write_atomic
 from repro.fingerprint.script import CollectionScript
 from repro.rollout import RolloutConfig, RolloutManager
-from repro.service.storage import SessionStore
-from repro.sessions import SessionEventLog
+from repro.service.log import COLLECT, SegmentLog
 
 SALT = "00c0ffee00c0ffee"
-STEPS = ("stage", "start", "advance", "advance", "promote", "rollback", "seal", "migrate")
+STEPS = ("stage", "start", "advance", "advance", "promote", "rollback", "seal", "seal")
 
 
 class _Crash(BaseException):
@@ -38,9 +37,15 @@ class _Crash(BaseException):
     in the code under test can absorb it."""
 
 
-def _payload(session_id):
+def _rows(prefix):
+    """Three /collect rows and two event rows, as the services log them."""
     profile = BrowserProfile(Vendor.CHROME, 112)
-    return CollectionScript().run(profile.environment(), profile.user_agent(), session_id)
+    payload = CollectionScript().run(profile.environment(), profile.user_agent(), prefix)
+    return [
+        (f"{prefix}-{i}", COLLECT if i < 3 else "focus", i - 3, 100.0 + i,
+         payload.user_agent, "chrome-112", payload.values, False, None)
+        for i in range(5)
+    ]
 
 
 class TestHelpers:
@@ -96,8 +101,7 @@ class _Process:
             self.registry, config=RolloutConfig(stages=(0.1, 1.0)), clock=lambda: 0.0
         )
         self.manager.resume()
-        self.log = SessionEventLog(root / "events")
-        self.store = SessionStore(root / "store")
+        self.log = SegmentLog(root / "log")
 
     def snapshot(self):
         state = self.manager.state
@@ -105,10 +109,8 @@ class _Process:
             tuple((e["version"], e["status"]) for e in self.registry.versions()),
             self.registry.live_version,
             None if state is None else (state.status, state.stage_index),
-            self.log.stats()["sealed_events"],
-            len(self.store),
-            len(self.store.export_dataset()),
-            tuple(sorted(p.name for p in self.store.root.iterdir() if p.suffix != ".tmp")),
+            tuple(tuple(columns["sid"].tolist()) for columns in self.log.segments()),
+            len(self.log.export_dataset()),
         )
 
     def run(self, step, candidate):
@@ -120,13 +122,11 @@ class _Process:
             self.manager.advance(force=True)
         elif step == "rollback":
             self.manager.rollback()
-        elif step == "seal":
-            for seq in range(5):
-                self.log.append("sid-1", "click", seq, 100.0 + seq, "chrome-112",
-                                [seq] * 28, False, None)
-            self.log.seal()
         else:
-            self.store.migrate()
+            self.log.append_many(
+                _rows(f"seal{len(self.log.segments())}"), date(2023, 8, 2)
+            )
+            self.log.seal()
 
 
 @pytest.fixture(scope="module")
@@ -136,9 +136,9 @@ def day(tmp_path_factory, trained, relabelled_model):
     base = tmp_path_factory.mktemp("crash-day")
     template = base / "template"
     ModelRegistry(template / "registry").promote(trained, date(2023, 7, 1), "bootstrap")
-    store = SessionStore(template / "store")
-    store.append_many((_payload(f"s-{i}"), date(2023, 7, 1)) for i in range(10))
-    store.flush()
+    log = SegmentLog(template / "log")
+    log.append_many(_rows("bootstrap"), date(2023, 7, 1))
+    log.seal()
     candidate = ModelRegistry(template / "registry").load(1).install(relabelled_model)
     clean = base / "clean"
     shutil.copytree(template, clean)
@@ -185,8 +185,8 @@ def test_the_day_writes_every_control_plane_file(day, tmp_path, monkeypatch):
         "rollout.json", "rollout.json", "rollout.json",  # start, advance x2
         "registry.json", "rollout.json",                 # promote
         "registry.json", "rollout.json",                 # rollback
-        "events-000000.npz", "events_manifest.json",     # seal
-        "sessions-00000.npz", "manifest.json",           # migrate
+        "segment-000001.npz", "manifest.json",           # seal
+        "segment-000002.npz", "manifest.json",           # seal
     ]
     assert _Process(tmp_path / "root").snapshot() == snapshots[-1]
     # Every step moved the state, so "before" and "after" are told apart.
@@ -214,27 +214,8 @@ def test_every_write_boundary_restarts_into_a_defined_state(
         for rest in STEPS[snapshots.index(observed, step):]:
             process.run(rest, candidate)
         assert _Process(root).snapshot() == snapshots[-1], (crash_at, name)
-
-
-def test_a_torn_jsonl_tail_is_dropped_at_every_cut(tmp_path):
-    template = tmp_path / "template"
-    store = SessionStore(template)
-    store.append_many((_payload(f"s-{i}"), date(2023, 7, 1)) for i in range(10))
-    store.flush()
-    segment = template / "sessions-00000.jsonl"
-    flushed = segment.stat().st_size
-    # Two appends after the flush, so the manifest does not know them.
-    store.append(_payload("tail-1"), day=date(2023, 7, 2))
-    store.append(_payload("tail-2"), day=date(2023, 7, 2))
-    whole = segment.read_bytes()
-    for cut in range(flushed, len(whole) + 1):
-        root = tmp_path / f"cut-{cut}"
-        shutil.copytree(template, root)
-        with open(root / segment.name, "r+b") as handle:
-            handle.truncate(cut)
-        lines = whole[:cut].count(b"\n")
-        reopened = SessionStore(root)
-        assert len(reopened) == lines, cut
-        assert (root / segment.name).read_bytes() == whole[: whole[:cut].rfind(b"\n") + 1]
-        reopened.append(_payload("next"), day=date(2023, 7, 3))
-        assert len(SessionStore(root).export_dataset()) == lines + 1, cut
+        # A segment a crash left unnamed is gone once the day is done.
+        assert sorted(os.listdir(root / "log")) == [
+            "manifest.json", "segment-000000.npz", "segment-000001.npz",
+            "segment-000002.npz",
+        ], crash_at

@@ -52,7 +52,7 @@ class TestTheOracle:
     @settings(max_examples=200, deadline=None)
     @given(drawn=traces())
     @example(
-        drawn=_every_shape(install_at=7, logged=True, stored=True)
+        drawn=_every_shape(install_at=7, logged=True)
     )
     @example(
         drawn=_every_shape(

@@ -176,8 +176,8 @@ class TestBatchDifferential:
     """Any cut of any wire sequence: the per-request service's answers."""
 
     def test_any_cut_matches_the_per_request_twin(self, oracle_world):
-        """Every kind of wire, a retrain between two batches, a store and
-        a coverage tracker attached, a dated batch: at each cut and
+        """Every kind of wire, a retrain between two batches, a serve log
+        and a coverage tracker attached, a dated batch: at each cut and
         cache size (the drawn ones are ``tests/test_oracle.py``'s)."""
         picks = [(kind, 5 * i) for i, kind in enumerate(COLLECT_KINDS * 6)]
         for cuts, cache_entries, day in (
@@ -185,7 +185,7 @@ class TestBatchDifferential:
         ):
             check(
                 oracle_world, collects=picks, cuts=cuts, cache_entries=cache_entries,
-                install_at=3, stored=True, day=day,
+                install_at=3, logged=True, day=day,
             )
 
     def test_canary_split_with_an_identical_candidate(self, oracle_world):

@@ -3,11 +3,13 @@
 The real entry point runs in a child process on a port the kernel
 picks (``--port 0``; the banner names the bound one) and is driven over
 sockets: the asyncio front end over the batched runtime, with a
-registry's resumed rollout, session streams with their event log and
-coverage composed on one process; its ``/metrics`` scrape is a
-well-formed exposition holding every key the end-to-end benchmark
-reads.  SIGTERM drains it, the log's buffered events are sealed onto
-disk, and it exits 0.
+registry's resumed rollout, session streams, coverage and the serve log
+composed on one process; its ``/metrics`` scrape is a well-formed
+exposition holding every key the end-to-end benchmark reads.  SIGTERM
+drains it, the log's buffered rows are sealed onto disk, and it exits
+0.  Then the paper's loop, through real processes: ``serve --log``
+collects, ``retrain --log`` refits on what it collected, and ``serve``
+answers from the refitted model.
 """
 
 from __future__ import annotations
@@ -24,13 +26,19 @@ import threading
 from datetime import date
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
 from repro.cli import main
 from repro.core.retraining import ModelRegistry
-from repro.sessions import SessionEventLog
-from repro.traffic.events import EventType, SessionEvent
+from repro.service.log import COLUMNS, SegmentLog
+from repro.traffic.events import (
+    EventStreamConfig,
+    EventType,
+    SessionEvent,
+    build_event_streams,
+)
 from repro.traffic.replay import iter_wire_payloads
 from tests.exposition_check import (
     HARNESS_KEYS_ONE_PROCESS,
@@ -43,21 +51,26 @@ _SRC = str(Path(repro.__file__).resolve().parent.parent)
 _BANNER = re.compile(r"^serving (.*) scoring on http://127\.0\.0\.1:(\d+) ")
 
 
+def _env():
+    """This environment, with the checkout's ``src`` importable."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = _SRC + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    return env
+
+
 class _Server:
     """``python -m repro serve ARGS`` in a child, its stdout read by a thread."""
 
     def __init__(self, args) -> None:
-        env = dict(os.environ)
-        env["PYTHONPATH"] = _SRC + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
         self.process = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", *args,
              "--host", "127.0.0.1", "--port", "0"],
             stdin=subprocess.DEVNULL,
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
-            env=env,
+            env=_env(),
             text=True,
         )
         self.lines: "queue.Queue[str]" = queue.Queue()
@@ -106,6 +119,30 @@ def _request(port, method, path, body=None):
         conn.close()
 
 
+def _logged(log_dir):
+    """The rows a serve log holds, as dicts."""
+    return [
+        {name: columns[name][i].tolist() for name in COLUMNS}
+        for columns in SegmentLog(log_dir).segments()
+        for i in range(len(columns["sid"]))
+    ]
+
+
+def _collect_all(port, wires):
+    """POST every wire to /collect on one keep-alive connection."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10.0)
+    try:
+        statuses = []
+        for wire in wires:
+            conn.request("POST", "/collect", body=wire)
+            response = conn.getresponse()
+            response.read()
+            statuses.append(response.status)
+        return statuses
+    finally:
+        conn.close()
+
+
 @pytest.fixture(scope="module")
 def wire_fields(small_dataset):
     return json.loads(next(iter_wire_payloads(small_dataset, 1)))
@@ -124,7 +161,7 @@ def test_serve_composes_every_layer_on_one_process(
     log_dir = tmp_path / "events"
     server = _Server(
         ["--registry", registry_dir,
-         "--session-ttl", "60", "--session-log", str(log_dir), "--coverage"]
+         "--session-ttl", "60", "--log", str(log_dir), "--coverage"]
     )
     try:
         mode, port = server.banner()
@@ -160,14 +197,17 @@ def test_serve_composes_every_layer_on_one_process(
         assert 'polygraph_runtime_batch_size{quantile="0.5"}' in reported
         assert reported["polygraph_session_events_total"] == 1
         assert reported["polygraph_rollout_in_flight"] == 1
+        assert reported["polygraph_log_rows_appended_total"] == 2
+        assert reported["polygraph_log_rows_buffered"] == 2
 
         printed = server.stop()
         assert "draining in-flight requests before exit\n" in printed
     finally:
         server.kill()
-    # The drain sealed the one buffered event: it is on disk.
-    logged = SessionEventLog(log_dir).window(seconds=1e12)
-    assert [(r["sid"], r["seq"]) for r in logged] == [("boot-event", 0)]
+    # The drain sealed the two buffered rows: they are on disk.
+    assert [(r["sid"], r["kind"], r["seq"]) for r in _logged(log_dir)] == [
+        ("boot-collect", "collect", -1), ("boot-event", "page_load", 0),
+    ]
 
     # The threaded WSGI front end is gone.
     with pytest.raises(SystemExit) as refused:
@@ -193,3 +233,73 @@ def test_serve_with_no_flags_is_the_runtime_behind_the_asyncio_front_end(
         assert "draining in-flight requests before exit\n" in server.stop()
     finally:
         server.kill()
+
+
+def test_serve_log_then_retrain_then_serve_closes_the_loop(
+    trained, small_dataset, tmp_path
+):
+    """Collect, retrain on what was collected, detect: every step a
+    process of its own, joined by the log directory alone."""
+    model_path = str(tmp_path / "model.json")
+    trained.save(model_path)
+    log_dir = tmp_path / "log"
+    wires = list(iter_wire_payloads(small_dataset, 600))
+    streams = build_event_streams(small_dataset, EventStreamConfig(seed=5))[:20]
+    server = _Server([model_path, "--log", str(log_dir), "--session-ttl", "60"])
+    try:
+        _, port = server.banner()
+        assert set(_collect_all(port, wires)) == {202}
+        for stream in streams:
+            for event in stream.events:
+                status, body = _request(port, "POST", "/event", event.to_wire())
+                assert status in (202, 400), body
+        assert "draining in-flight requests before exit\n" in server.stop()
+    finally:
+        server.kill()
+    logged = _logged(log_dir)
+    collected = [r for r in logged if r["kind"] == "collect"]
+    assert len(collected) == 600
+    assert len(logged) > 600  # the events are in the log too
+    exported = SegmentLog(log_dir).export_dataset()
+    assert len(exported) == 600  # ... but only /collect rows train
+    assert exported.days.min() >= np.datetime64("2000-01-01")  # no 1970 row
+
+    refitted = str(tmp_path / "refitted.json")
+    retrain = subprocess.run(
+        [sys.executable, "-m", "repro", "retrain", model_path,
+         "--log", str(log_dir), "--output", refitted],
+        env=_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert retrain.returncode == 0, retrain.stderr
+    assert "retrained on 600 sessions" in retrain.stdout
+
+    server = _Server([refitted])
+    try:
+        _, port = server.banner()
+        wire = json.loads(wires[0])
+        wire["sid"] = "after-retrain"
+        status, body = _request(port, "POST", "/collect", json.dumps(wire).encode())
+        assert status == 202 and json.loads(body)["accepted"], body
+        server.stop()
+    finally:
+        server.kill()
+
+
+def test_serve_log_without_sessions_logs_the_collect_rows(
+    trained, small_dataset, tmp_path
+):
+    model_path = str(tmp_path / "model.json")
+    trained.save(model_path)
+    log_dir = tmp_path / "log"
+    server = _Server([model_path, "--log", str(log_dir)])
+    try:
+        mode, port = server.banner()
+        assert mode == "runtime (batched), log"
+        wires = list(iter_wire_payloads(small_dataset, 5))
+        assert _collect_all(port, wires + [b"not json"]) == [202] * 5 + [400]
+        server.stop()
+    finally:
+        server.kill()
+    assert [r["sid"] for r in _logged(log_dir)] == [
+        json.loads(w)["sid"] for w in wires
+    ]

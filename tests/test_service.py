@@ -1,6 +1,6 @@
-"""Service layer tests: ingest, storage, scoring, monitoring."""
+"""Service layer tests: ingest, scoring, monitoring."""
 
-import json
+import os
 from datetime import date
 
 import numpy as np
@@ -11,9 +11,10 @@ from repro.browsers.releases import default_calendar
 from repro.browsers.useragent import Vendor
 from repro.fingerprint.script import CollectionScript, FingerprintPayload
 from repro.service.ingest import PayloadValidator, QuarantineLog, RejectReason
+from repro.service.log import SegmentLog
 from repro.service.monitoring import DriftScheduler, FlagRateMonitor
 from repro.service.scoring import ScoringService
-from repro.service.storage import SessionStore
+from tests.log_rows import fill, log_rows, open_log
 
 
 def _payload(session_id="s-1", vendor=Vendor.CHROME, version=112):
@@ -96,47 +97,42 @@ class TestValidator:
 
 
 class TestSessionStore:
+    """The serve log as the session store a retrain exports."""
+
     def test_append_and_export(self, tmp_path):
-        store = SessionStore(tmp_path)
-        for i in range(5):
-            store.append(_payload(f"st-{i}"), day=date(2023, 5, 1))
-        assert len(store) == 5
-        dataset = store.export_dataset()
+        log = open_log(tmp_path)
+        fill(log, 5)
+        dataset = open_log(tmp_path).export_dataset()
         assert len(dataset) == 5
-        assert set(dataset.ua_keys.tolist()) == {"chrome-112"}
+        assert [str(s) for s in dataset.session_ids] == [f"s-{i}" for i in range(5)]
+        assert set(dataset.ua_keys.tolist()) == {"chrome-110", "chrome-111", "chrome-112"}
 
     def test_rotation(self, tmp_path):
-        store = SessionStore(tmp_path, max_records_per_segment=2)
-        for i in range(5):
-            store.append(_payload(f"rot-{i}"))
-        assert len(store.segments()) == 3
-        assert len(store) == 5
+        log = open_log(tmp_path, segment_rows=2)
+        fill(log, 5)
+        assert [len(c["sid"]) for c in log.segments()] == [2, 2, 1]
+        assert sorted(os.listdir(tmp_path)) == [
+            "manifest.json", "segment-000000.npz", "segment-000001.npz",
+            "segment-000002.npz",
+        ]
 
-    def test_reopen_resumes_active_segment(self, tmp_path):
-        store = SessionStore(tmp_path, max_records_per_segment=10)
-        store.append(_payload("first"))
-        reopened = SessionStore(tmp_path, max_records_per_segment=10)
-        reopened.append(_payload("second"))
-        assert len(reopened) == 2
-        assert len(reopened.segments()) == 1
-
-    def test_records_are_valid_jsonl(self, tmp_path):
-        store = SessionStore(tmp_path)
-        store.append(_payload("json-1"))
-        line = store.segments()[0].read_text().strip()
-        record = json.loads(line)
-        assert record["sid"] == "json-1"
+    def test_reopen_appends_after_the_sealed_segments(self, tmp_path):
+        fill(open_log(tmp_path, segment_rows=10), 1, prefix="first")
+        reopened = open_log(tmp_path, segment_rows=10)
+        fill(reopened, 1, prefix="second")
+        assert [r["sid"] for r in log_rows(reopened)] == ["first-0", "second-0"]
+        assert len(reopened.segments()) == 2
 
     def test_empty_export_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            SessionStore(tmp_path).export_dataset()
+            open_log(tmp_path).export_dataset()
 
 
 class TestScoringService:
     @pytest.fixture(scope="class")
     def service(self, trained, tmp_path_factory):
-        store = SessionStore(tmp_path_factory.mktemp("scoring"))
-        return ScoringService(trained, store=store)
+        log = SegmentLog(tmp_path_factory.mktemp("scoring"), clock=date.today)
+        return ScoringService(trained, log=log)
 
     def test_genuine_session_passes(self, service):
         verdict = service.score_wire(_payload("sc-1").to_wire())
@@ -164,9 +160,13 @@ class TestScoringService:
         assert service.scored_count == before
 
     def test_accepted_payloads_persisted(self, service):
-        before = len(service.store)
+        service.log.seal()
+        before = sum(len(c["sid"]) for c in service.log.segments())
         service.score_wire(_payload("sc-3").to_wire())
-        assert len(service.store) == before + 1
+        service.score_wire(b"\x00 garbage")
+        service.log.seal()
+        sids = [str(s) for c in service.log.segments() for s in c["sid"]]
+        assert len(sids) == before + 1 and sids[-1] == "sc-3"
 
     def test_unfitted_pipeline_rejected(self):
         from repro.core.pipeline import BrowserPolygraph

@@ -25,7 +25,6 @@ from repro.service.api import CollectionApp
 from repro.service.scoring import ScoringService
 from repro.sessions import (
     RevisionReason,
-    SessionEventLog,
     SessionScoringService,
     SessionTracker,
     classify_revision,
@@ -47,6 +46,7 @@ from repro.traffic.events import (
 )
 
 from tests.exposition_check import collected
+from tests.log_rows import event_row, log_rows, open_log
 from tests.oracle import (
     HOSTILE_SHAPES,
     NEVER_MEMOIZED,
@@ -928,104 +928,82 @@ class TestObserveManyDifferential:
 
 
 # ----------------------------------------------------------------------
-# event log store
+# the serve log's event rows
 
 
 class TestSessionEventLog:
-    @staticmethod
-    def _append(log, sid, seq, ts, flagged=False):
-        log.append(
-            session_id=sid,
-            event_type="page_load",
-            seq=seq,
-            timestamp=ts,
-            ua_key="chrome-100",
-            values=(1, 2, 3),
-            flagged=flagged,
-            risk=4 if flagged else None,
-        )
-
     def test_seal_and_round_trip(self, tmp_path):
-        log = SessionEventLog(tmp_path, segment_events=3)
-        for seq in range(5):
-            self._append(log, "a", seq, float(seq), flagged=seq == 4)
-        stats = log.stats()
-        assert stats["segments"] == 1
-        assert stats["sealed_events"] == 3
-        assert stats["buffered_events"] == 2
-        events = log.window()
-        assert [e["seq"] for e in events] == list(range(5))
-        assert events[4]["flagged"] and events[4]["risk"] == 4
-        assert events[0]["risk"] is None
+        log = open_log(tmp_path, segment_rows=3)
+        log.append_many(event_row("a", seq, float(seq), flagged=seq == 4) for seq in range(5))
+        assert collected(log)["polygraph_log_rows_buffered"] in (2, 5)  # sealer racing
+        log.seal()
+        counts = collected(log)
+        assert counts["polygraph_log_segments"] == 2
+        assert counts["polygraph_log_rows_sealed_total"] == 5
+        assert counts["polygraph_log_rows_buffered"] == 0
+        rows = log_rows(open_log(tmp_path))
+        assert [r["seq"] for r in rows] == list(range(5))
+        assert rows[4]["flagged"] and rows[4]["risk"] == 4
+        assert rows[0]["risk"] == -1 and rows[0]["kind"] == "page_load"
 
     def test_the_buffer_is_sealed_at_its_default_bound(self, tmp_path):
-        """A serve log buffers at most 4,096 events: the one that fills
-        the buffer seals it into a segment."""
-        log = SessionEventLog(tmp_path)
-        assert log.segment_events == 4096
-        for seq in range(4095):
-            self._append(log, "a", seq, float(seq))
-        assert log.stats()["buffered_events"] == 4095
-        self._append(log, "a", 4095, 4095.0)
-        stats = log.stats()
-        assert stats["buffered_events"] == 0
-        assert (stats["segments"], stats["sealed_events"]) == (1, 4096)
-
-    def test_window_query(self, tmp_path):
-        log = SessionEventLog(tmp_path, segment_events=2, window_seconds=50.0)
-        for seq in range(6):
-            self._append(log, f"s{seq}", 0, seq * 20.0)
-        recent = log.window(seconds=50.0)
-        assert all(r["ts"] >= 100.0 - 50.0 for r in recent)
-        assert {r["sid"] for r in recent} == {"s3", "s4", "s5"}
+        """A serve log buffers at most 4,096 rows: the row that fills
+        the buffer hands it to the sealer."""
+        log = open_log(tmp_path)
+        assert log.segment_rows == 4096
+        log.append_many(event_row("a", seq, float(seq)) for seq in range(4095))
+        assert collected(log)["polygraph_log_rows_buffered"] == 4095
+        assert log.segments() == []
+        log.append_many([event_row("a", 4095, 4095.0)])
+        log.seal()  # joins the sealer; nothing is left to write
+        assert [len(c["sid"]) for c in log.segments()] == [4096]
 
     def test_prune_drops_whole_old_segments(self, tmp_path):
-        """40 events over 200 s, a segment every 4, a 10 s window: each
-        seal keeps only the segments with an event inside the window."""
-        log = SessionEventLog(tmp_path, segment_events=4, window_seconds=10.0)
+        """40 rows over 200 s, a segment every 4, a 10 s window: each
+        seal keeps only the segments with a row inside the window."""
+        log = open_log(tmp_path, segment_rows=4, window_seconds=10.0)
         for seq in range(40):
-            self._append(log, f"s{seq}", 0, seq * 5.0)
-        # The last seal (events at 180..195 s) drops all before it.
-        assert log.stats()["segments"] == 1
-        assert log.stats()["pruned_segments"] == 9
-        assert sorted(p.name for p in tmp_path.glob("*.npz")) == ["events-000009.npz"]
-        reopened = SessionEventLog(tmp_path, segment_events=4, window_seconds=10.0)
-        assert [r["ts"] for r in reopened.window(seconds=1e9)] == [180.0, 185.0, 190.0, 195.0]
+            log.append_many([event_row(f"s{seq}", 0, seq * 5.0)])
+        log.seal()
+        # The last seal (rows at 180..195 s) drops all before it.
+        counts = collected(log)
+        assert counts["polygraph_log_segments"] == 1
+        assert counts["polygraph_log_segments_pruned_total"] == 9
+        assert sorted(p.name for p in tmp_path.glob("*.npz")) == ["segment-000009.npz"]
+        reopened = open_log(tmp_path, segment_rows=4, window_seconds=10.0)
+        assert [r["ts"] for r in log_rows(reopened)] == [180.0, 185.0, 190.0, 195.0]
 
     def test_a_far_future_event_prunes_nothing(self, tmp_path):
         """A client's ts at the calendar's end moves no cutoff: the
         honest segments sealed after it stay on disk, across a reopen."""
-        log = SessionEventLog(tmp_path, segment_events=2, window_seconds=60.0)
+        log = open_log(tmp_path, segment_rows=2, window_seconds=60.0)
         now = time.time()
-        self._append(log, "far", 0, MAX_EVENT_TIMESTAMP - 1.0)
-        for seq in range(5):
-            self._append(log, "a", seq, now - 10.0 + seq)
+        log.append_many([event_row("far", 0, MAX_EVENT_TIMESTAMP - 1.0)])
+        log.append_many(event_row("a", seq, now - 10.0 + seq) for seq in range(5))
         log.seal()
-        assert log.stats()["pruned_segments"] == 0
+        assert collected(log)["polygraph_log_segments_pruned_total"] == 0
         assert len(list(tmp_path.glob("*.npz"))) == 3
-        reopened = SessionEventLog(tmp_path, segment_events=2, window_seconds=60.0)
-        for seq in range(5, 9):
-            self._append(reopened, "a", seq, now - 10.0 + seq)
-        assert reopened.stats()["pruned_segments"] == 0
-        assert [r["seq"] for r in reopened.window() if r["sid"] == "a"] == list(range(9))
+        reopened = open_log(tmp_path, segment_rows=2, window_seconds=60.0)
+        reopened.append_many(event_row("a", seq, now - 10.0 + seq) for seq in range(5, 9))
+        reopened.seal()
+        assert collected(reopened)["polygraph_log_segments_pruned_total"] == 0
+        assert [r["seq"] for r in log_rows(reopened) if r["sid"] == "a"] == list(range(9))
 
     def test_seal_flushes_the_buffer(self, tmp_path):
-        log = SessionEventLog(tmp_path, segment_events=100)
-        for seq in range(3):
-            self._append(log, "a", seq, float(seq))
+        log = open_log(tmp_path, segment_rows=100)
+        log.append_many(event_row("a", seq, float(seq)) for seq in range(3))
         log.seal()
         log.seal()  # nothing buffered: no empty segment
-        assert log.stats()["segments"] == 1
-        reopened = SessionEventLog(tmp_path, segment_events=100)
-        assert [e["seq"] for e in reopened.window()] == [0, 1, 2]
+        assert len(log.segments()) == 1
+        assert [r["seq"] for r in log_rows(open_log(tmp_path))] == [0, 1, 2]
 
     def test_manifest_survives_reopen(self, tmp_path):
-        log = SessionEventLog(tmp_path, segment_events=2)
-        for seq in range(4):
-            self._append(log, "a", seq, float(seq))
-        reopened = SessionEventLog(tmp_path, segment_events=2)
-        assert reopened.stats()["segments"] == 2
-        assert [e["seq"] for e in reopened.window()] == [0, 1, 2, 3]
+        log = open_log(tmp_path, segment_rows=2)
+        log.append_many(event_row("a", seq, float(seq)) for seq in range(4))
+        log.seal()
+        reopened = open_log(tmp_path, segment_rows=2)
+        assert len(reopened.segments()) == 2
+        assert [r["seq"] for r in log_rows(reopened)] == [0, 1, 2, 3]
 
 
 # ----------------------------------------------------------------------
