@@ -29,42 +29,48 @@ Appends go to an in-memory buffer.  Every ``segment_rows`` rows the
 full buffer is handed to a sealer thread the log owns, which writes it
 as one uncompressed ``.npz`` segment (every column a plain ``.npy``
 member at a known offset, so reads are memory-mapped) and then the
-manifest; no append waits for a seal.  :meth:`SegmentLog.seal` (what a
-drain calls) writes what is buffered and joins the sealer.
+manifest; no append waits for a seal while the sealer keeps up.  When
+it falls :data:`PENDING_SEGMENTS` full buffers behind, the next append
+waits for it, so a slow disk bounds the rows held in memory instead of
+letting them pile up.  :meth:`SegmentLog.seal` (what a drain calls)
+writes what is buffered and joins the sealer.
 
-Retention is one window over every row: each seal drops the whole
-segments whose newest ``ts`` is older than ``now - window_seconds``,
-where ``now`` is the newest ``ts`` sealed but never later than the wall
-clock (a client sets an event's ``ts``: one far-future event must not
-move the window past every honest segment, and a segment's bounds stop
-at the clock too).  The manifest records each segment's rows and
-``ts`` bounds, so pruning decides from metadata.
+A segment's name carries its number and its newest ``ts``
+(``segment-000042-1700000000.npz``), and the manifest holds only the
+range of numbers the log holds, so a seal writes two small files
+whatever the window's length.  Retention is one window over every row:
+each seal drops segments, oldest first, while the oldest one's newest
+``ts`` is older than ``now - window_seconds``, where ``now`` is the
+newest ``ts`` sealed.  Both stop at the wall clock: a client sets an
+event's ``ts``, and one far-future event must not move the window past
+every honest segment.
 
 Both files go through :func:`repro.durable.write_atomic`, segment
-first.  The manifest names what the log holds: a segment it does not
-name (a seal killed before its manifest write, or a dropped segment
-killed before its delete) is not read, and the reopened log's first
-manifest write removes it.
-With no manifest at all, the segments on disk are read back as the log.
-Opening a log writes no file, so ``retrain`` may read a directory that
-a ``serve`` is writing.
+first.  A segment outside the manifest's range (a seal killed before
+its manifest write, or a dropped segment killed before its delete) is
+not read, and the reopened log's first seal removes it and any temp
+file.  With no manifest at all, the segments on disk are read back as
+the log.  Opening a log writes no file, so ``retrain`` may read a
+directory that a ``serve`` is writing.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
 import threading
 import time
 import zipfile
 from collections import deque
 from datetime import date
+from itertools import chain
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.durable import read_json, write_atomic
+from repro.durable import UnreadableFileError, read_json, write_atomic
 from repro.fingerprint.features import FEATURE_NAMES
 from repro.traffic.dataset import Dataset
 
@@ -79,19 +85,26 @@ COLLECT = "collect"
 #: collected over, so a retrain can read the window it was fitted on.
 DEFAULT_WINDOW_SECONDS = 135 * 86_400.0
 
+#: Full buffers the sealer may fall behind by before appends wait.
+PENDING_SEGMENTS = 4
+
 _MANIFEST = "manifest.json"
 _PREFIX = "segment-"
+_FORMAT = 1
+_TRAINED = ("sid", "day", "ua", "ua_key", "f")  # what an export reads
+_MAPPED_SEGMENTS = 64  # an export's open maps, one file descriptor each
 
 
-def _columns(rows: List[tuple], day: date) -> Dict[str, np.ndarray]:
-    """The one converter: rows of :data:`COLUMNS` but ``day`` to columns."""
+def _columns(rows: List[tuple], days: List[int]) -> Dict[str, np.ndarray]:
+    """The one converter: rows of :data:`COLUMNS` but ``day``, and each
+    row's epoch day, to columns."""
     sid, kind, seq, ts, ua, ua_key, f, flagged, risk = zip(*rows)
     return {
         "sid": np.array(sid, dtype="U"),
         "kind": np.array(kind, dtype="U"),
         "seq": np.array(seq, dtype=np.int32),
         "ts": np.array(ts, dtype=np.float64),
-        "day": np.full(len(rows), np.datetime64(day, "D").astype(np.int64)),
+        "day": np.array(days, dtype=np.int64),
         "ua": np.array(ua, dtype="U"),
         "ua_key": np.array(ua_key, dtype="U"),
         "f": np.array(f, dtype=np.int32),
@@ -100,18 +113,23 @@ def _columns(rows: List[tuple], day: date) -> Dict[str, np.ndarray]:
     }
 
 
-def read_segment(path: Union[str, Path]) -> Dict[str, np.ndarray]:
-    """A segment's columns, memory-mapped (read-only, copy-on-write)."""
+def read_segment(
+    path: Union[str, Path], names: Iterable[str] = COLUMNS
+) -> Dict[str, np.ndarray]:
+    """A segment's ``names`` columns: views of one copy-on-write map of
+    the file, which holds one file descriptor until every column is
+    dropped."""
     path = Path(path)
-    columns: Dict[str, np.ndarray] = {}
+    whole = np.memmap(path, dtype=np.uint8, mode="c")
     with zipfile.ZipFile(path, "r") as archive:
-        for name in COLUMNS:
-            columns[name] = _mmap_member(path, archive, archive.getinfo(f"{name}.npy"))
-    return columns
+        return {
+            name: _member(path, whole, archive, archive.getinfo(f"{name}.npy"))
+            for name in names
+        }
 
 
-def _mmap_member(path: Path, archive: zipfile.ZipFile, info) -> np.ndarray:
-    """Memory-map one ``.npy`` member of an uncompressed zip."""
+def _member(path: Path, whole: np.memmap, archive: zipfile.ZipFile, info) -> np.ndarray:
+    """One ``.npy`` member of an uncompressed zip, as a view of ``whole``."""
     if info.compress_type != zipfile.ZIP_STORED:
         raise ValueError(f"{path}: {info.filename} is compressed")
     with archive.open(info.filename) as member:
@@ -128,29 +146,24 @@ def _mmap_member(path: Path, archive: zipfile.ZipFile, info) -> np.ndarray:
     # The zip local header precedes the member payload: fixed 30 bytes
     # plus the (local) name and extra fields, which can differ from the
     # central directory's, so they are read from the file itself.
-    with path.open("rb") as raw:
-        raw.seek(info.header_offset + 26)
-        name_len = int.from_bytes(raw.read(2), "little")
-        extra_len = int.from_bytes(raw.read(2), "little")
-    payload_start = info.header_offset + 30 + name_len + extra_len
-    return np.memmap(
-        path, dtype=dtype, mode="c", offset=payload_start + data_offset,
-        shape=shape, order="C",
-    )
+    local = info.header_offset
+    name_len, extra_len = whole[local + 26:local + 30].view("<u2").tolist()
+    start = local + 30 + name_len + extra_len + data_offset
+    size = math.prod(shape) * dtype.itemsize
+    return whole[start:start + size].view(dtype).reshape(shape)
 
 
-def _number(path: Path) -> int:
-    return int(path.stem[len(_PREFIX):])
+def _name(number: int, max_ts: int) -> str:
+    return f"{_PREFIX}{number:06d}-{max_ts}.npz"
 
 
-def _entry(name: str, ts: np.ndarray, size: int) -> dict:
-    """A segment's manifest entry; its ``ts`` bounds stop at the clock."""
-    clock = time.time()
-    return {
-        "name": name, "rows": len(ts), "bytes": size,
-        "min_ts": min(float(ts.min()), clock),
-        "max_ts": min(float(ts.max()), clock),
-    }
+def _parse(path: Path) -> Tuple[int, int]:
+    """``(number, max_ts)`` of a segment's file name."""
+    try:
+        number, max_ts = path.stem[len(_PREFIX):].split("-", 1)
+        return int(number), int(max_ts)
+    except ValueError:
+        raise UnreadableFileError(f"{path}: not a segment name") from None
 
 
 class SegmentLog:
@@ -190,13 +203,13 @@ class SegmentLog:
         self._lock = threading.Lock()
         self._seal_lock = threading.Lock()
         self._buffer: List[tuple] = []
-        self._day: Optional[date] = None  # the buffer's rows' day
-        self._pending: deque = deque()  # (rows, day), oldest first
+        self._days: List[int] = []  # the buffer's rows' epoch days
+        self._pending: deque = deque()  # (rows, days), oldest first
         self._sealer: Optional[threading.Thread] = None
-        self._manifest: List[dict] = []
+        self._segments: deque = deque()  # (number, max_ts), oldest first
         self._next_number = 0
-        self._swept = False  # unnamed files removed at the first seal
-        self._newest_ts = float("-inf")
+        self._swept = False  # what a killed process left, removed at the first seal
+        self._newest_ts = -math.inf
         self.appended = 0
         self.sealed = 0
         self.pruned_segments = 0
@@ -208,17 +221,22 @@ class SegmentLog:
     def append_many(self, rows: Iterable[tuple], day: Optional[date] = None) -> None:
         """Buffer one batch of rows: :data:`COLUMNS` in order, without
         ``day``, which is the caller's ``day`` or else the clock's.  A
-        full buffer goes to the sealer thread."""
+        full buffer goes to the sealer thread; with
+        :data:`PENDING_SEGMENTS` already waiting, the batch first waits
+        for them to be written."""
         if day is None:
             if self._clock is None:
                 raise ValueError("an undated batch needs a log with a clock")
             day = self._clock()
+        epoch_day = int(np.datetime64(day, "D").astype(np.int64))
         with self._lock:
-            if day != self._day and self._buffer:
-                self._hand_over_locked()  # one day per segment
-            self._day = day
+            behind = len(self._pending) >= PENDING_SEGMENTS
+        if behind:
+            self._write_pending()  # waits for the sealer, or seals here
+        with self._lock:
             for row in rows:
                 self._buffer.append(row)
+                self._days.append(epoch_day)
                 self.appended += 1
                 if len(self._buffer) >= self.segment_rows:
                     self._hand_over_locked()
@@ -239,8 +257,8 @@ class SegmentLog:
             sealer.join()
 
     def _hand_over_locked(self) -> None:
-        self._pending.append((self._buffer, self._day))
-        self._buffer = []
+        self._pending.append((self._buffer, self._days))
+        self._buffer, self._days = [], []
 
     def _seal_pending(self) -> None:
         """The sealer thread: write segments until none is pending.  If
@@ -264,71 +282,94 @@ class SegmentLog:
                 with self._lock:
                     if not self._pending:
                         return
-                    rows, day = self._pending[0]
-                self._write_segment(_columns(rows, day))
+                    rows, days = self._pending[0]
+                self._write_segment(_columns(rows, days))
                 with self._lock:
                     self._pending.popleft()
                     self.sealed += len(rows)
 
     def _write_segment(self, columns: Dict[str, np.ndarray]) -> None:
-        """One segment, then one manifest that adds it and drops every
-        segment wholly older than the window; then the dropped segments'
-        files go (at this process's first seal, every file the manifest
-        does not name: what a killed process left)."""
-        name = f"{_PREFIX}{self._next_number:06d}.npz"
+        """One segment, then one manifest whose range adds it and drops
+        the oldest segments out of the window; then the dropped
+        segments' files go."""
+        if not self._swept:
+            self._sweep()
+        number = self._next_number
+        max_ts = math.ceil(np.fmin(columns["ts"].max(), time.time()))
+        path = self.root / _name(number, max_ts)
         buffer = io.BytesIO()
         np.savez(buffer, **columns)  # uncompressed: every member mappable
-        size = write_atomic(self.root / name, buffer.getbuffer())
-        entry = _entry(name, columns["ts"], size)
-        self._next_number += 1
-        self._newest_ts = max(self._newest_ts, entry["max_ts"])
-        cutoff = self._newest_ts - self.window_seconds
-        kept, dropped = [], []
-        for e in self._manifest + [entry]:
-            (kept if e["max_ts"] >= cutoff else dropped).append(e)
-        write_atomic(
-            self.root / _MANIFEST,
-            json.dumps({"version": 1, "segments": kept}, indent=1),
-        )
+        write_atomic(path, buffer.getbuffer())
+        newest = max(self._newest_ts, max_ts)
+        dropped, first = [], number + 1
+        for entry in chain(self._segments, [(number, max_ts)]):
+            if entry[1] >= newest - self.window_seconds:
+                first = entry[0]
+                break
+            dropped.append(entry)
+        manifest = {"format_version": _FORMAT, "first": first, "next": number + 1}
+        try:
+            write_atomic(self.root / _MANIFEST, json.dumps(manifest))
+        except Exception:
+            path.unlink(missing_ok=True)  # the retry writes it again
+            raise
         with self._lock:
-            self._manifest = kept
+            self._segments.append((number, max_ts))
+            for _ in dropped:
+                self._segments.popleft()
             self.pruned_segments += len(dropped)
-        stale = [self.root / e["name"] for e in dropped]
-        if not self._swept:
-            named = {e["name"] for e in kept}
-            stale = [p for p in self.root.glob(f"{_PREFIX}*.npz") if p.name not in named]
-            self._swept = True
-        for path in stale:
-            path.unlink(missing_ok=True)
+        self._next_number = number + 1
+        self._newest_ts = newest
+        for entry in dropped:
+            (self.root / _name(*entry)).unlink(missing_ok=True)
+
+    def _sweep(self) -> None:
+        """Remove every segment and temp file the manifest does not name."""
+        named = {_name(*entry) for entry in self._segments}
+        for path in chain(self.root.glob(f"{_PREFIX}*.npz"), self.root.glob(f"{_PREFIX}*.tmp")):
+            if path.name not in named:
+                path.unlink(missing_ok=True)
+        self._swept = True
 
     # ------------------------------------------------------------------
     # reads
 
+    def _paths(self) -> List[Path]:
+        with self._lock:
+            return [self.root / _name(*entry) for entry in self._segments]
+
     def segments(self) -> List[Dict[str, np.ndarray]]:
         """Each sealed segment's columns, memory-mapped, oldest first.
         Rows still buffered are not read: :meth:`seal` first."""
-        with self._lock:
-            manifest = list(self._manifest)
-        return [read_segment(self.root / entry["name"]) for entry in manifest]
+        return [read_segment(path) for path in self._paths()]
 
     def export_dataset(self) -> Dataset:
         """The sealed ``/collect`` rows as a training dataset.
 
-        A segment of ``/collect`` rows only is memory-mapped straight
-        into the dataset (a single one is not copied at all); live
-        traffic carries no labels, so the ground-truth columns hold
-        placeholders and the tags are false.
+        A window of one segment of ``/collect`` rows only is
+        memory-mapped into the dataset, not copied.  Otherwise the
+        segments are mapped :data:`_MAPPED_SEGMENTS` at a time and each
+        group is copied out before the next is mapped, so an export
+        holds a bounded number of file descriptors whatever the
+        window's length.  Live traffic carries no labels, so the
+        ground-truth columns hold placeholders and the tags are false.
         """
-        parts = []
-        for columns in self.segments():
-            collect = columns["kind"] == COLLECT
-            if not collect.all():
-                columns = {name: column[collect] for name, column in columns.items()}
-            if len(columns["sid"]):
-                parts.append(_dataset(columns))
-        if not parts:
+        paths = self._paths()
+        groups = []
+        for start in range(0, len(paths), _MAPPED_SEGMENTS):
+            group = []
+            for path in paths[start:start + _MAPPED_SEGMENTS]:
+                columns = read_segment(path, ("kind",) + _TRAINED)
+                collect = columns["kind"] == COLLECT
+                if not collect.all():
+                    columns = {name: columns[name][collect] for name in _TRAINED}
+                if len(columns["sid"]):
+                    group.append(columns)
+            if group:
+                groups.append(_concatenate(group))  # copied, unless one part: maps close
+        if not groups:
             raise ValueError(f"{self.root}: the log holds no /collect row")
-        return Dataset.concatenate(parts)
+        return _dataset(_concatenate(groups))
 
     def collect(self, out) -> None:
         """Report the log's counts into ``out`` (a ``/metrics`` scrape)."""
@@ -337,27 +378,34 @@ class SegmentLog:
             out.counter("polygraph_log_rows_appended_total", self.appended)
             out.counter("polygraph_log_rows_sealed_total", self.sealed)
             out.gauge("polygraph_log_rows_buffered", buffered)
-            out.gauge("polygraph_log_segments", len(self._manifest))
+            out.gauge("polygraph_log_segments", len(self._segments))
             out.counter("polygraph_log_segments_pruned_total", self.pruned_segments)
 
     # ------------------------------------------------------------------
     # opening
 
     def _open(self) -> None:
-        """Read the manifest, or with none the segments on disk."""
+        """Read the manifest's range, or with none every segment on disk,
+        from the file names alone."""
+        on_disk = sorted(_parse(path) for path in self.root.glob(f"{_PREFIX}*.npz"))
         path = self.root / _MANIFEST
         if path.exists():
-            entries = read_json(path).get("segments", [])
-            self._manifest = [e for e in entries if (self.root / e["name"]).exists()]
+            manifest = read_json(path, format_version=_FORMAT)
+            first, self._next_number = manifest["first"], manifest["next"]
         else:
-            self._manifest = [
-                _entry(path.name, read_segment(path)["ts"], path.stat().st_size)
-                for path in sorted(self.root.glob(f"{_PREFIX}*.npz"), key=_number)
-            ]
-        self._newest_ts = max((e["max_ts"] for e in self._manifest), default=float("-inf"))
-        self._next_number = 1 + max(
-            (_number(Path(e["name"])) for e in self._manifest), default=-1
+            first, self._next_number = 0, 1 + max((n for n, _ in on_disk), default=-1)
+        self._segments = deque(
+            (n, max_ts) for n, max_ts in on_disk if first <= n < self._next_number
         )
+        self._newest_ts = max((max_ts for _, max_ts in self._segments), default=-math.inf)
+
+
+def _concatenate(parts: List[Dict[str, np.ndarray]]) -> Dict[str, np.ndarray]:
+    """One part as it is (mapped, not copied), or the parts' trained
+    columns copied end to end."""
+    if len(parts) == 1:
+        return parts[0]
+    return {name: np.concatenate([part[name] for part in parts]) for name in _TRAINED}
 
 
 def _dataset(columns: Dict[str, np.ndarray]) -> Dataset:

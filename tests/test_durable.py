@@ -185,8 +185,8 @@ def test_the_day_writes_every_control_plane_file(day, tmp_path, monkeypatch):
         "rollout.json", "rollout.json", "rollout.json",  # start, advance x2
         "registry.json", "rollout.json",                 # promote
         "registry.json", "rollout.json",                 # rollback
-        "segment-000001.npz", "manifest.json",           # seal
-        "segment-000002.npz", "manifest.json",           # seal
+        "segment-000001-104.npz", "manifest.json",       # seal
+        "segment-000002-104.npz", "manifest.json",       # seal
     ]
     assert _Process(tmp_path / "root").snapshot() == snapshots[-1]
     # Every step moved the state, so "before" and "after" are told apart.
@@ -216,6 +216,6 @@ def test_every_write_boundary_restarts_into_a_defined_state(
         assert _Process(root).snapshot() == snapshots[-1], (crash_at, name)
         # A segment a crash left unnamed is gone once the day is done.
         assert sorted(os.listdir(root / "log")) == [
-            "manifest.json", "segment-000000.npz", "segment-000001.npz",
-            "segment-000002.npz",
+            "manifest.json", "segment-000000-104.npz", "segment-000001-104.npz",
+            "segment-000002-104.npz",
         ], crash_at

@@ -2,6 +2,7 @@
 thread that keeps the seal off their request path."""
 
 import os
+import resource
 import sys
 import threading
 import time
@@ -14,10 +15,11 @@ from repro.browsers.profiles import BrowserProfile
 from repro.browsers.useragent import Vendor
 from repro.fingerprint.script import CollectionScript
 from repro.runtime.service import RuntimeScoringService
-from repro.service.log import SegmentLog
+from repro.service.log import PENDING_SEGMENTS, SegmentLog
 from repro.service.scoring import ScoringService
 from repro.sessions import SessionScoringService
 from repro.traffic.events import EventType, SessionEvent
+from tests.exposition_check import collected
 from tests.log_rows import DAY, collect_row, collect_wire, log_rows, open_log
 
 
@@ -130,3 +132,46 @@ class TestWhatTheServicesLog:
         for worker in range(8):
             seqs = [r["seq"] for r in rows if r["sid"] == f"w{worker}"]
             assert seqs == list(range(120)), worker
+
+
+class TestBounds:
+    def test_a_slow_sealer_bounds_the_buffered_rows(self, tmp_path, monkeypatch):
+        """With every fsync slowed, appends stop outrunning the sealer:
+        once it is PENDING_SEGMENTS buffers behind, an append waits."""
+        real_fsync = os.fsync
+
+        def slow_fsync(fd):
+            time.sleep(0.01)
+            real_fsync(fd)
+
+        monkeypatch.setattr(durable.os, "fsync", slow_fsync)
+        log = open_log(tmp_path, segment_rows=2, window_seconds=1e12)
+        most = 0
+        for batch in range(60):
+            log.append_many(collect_row(f"b{batch}", time.time(), seq=i) for i in range(3))
+            most = max(most, collected(log)["polygraph_log_rows_buffered"])
+        # the full buffers waiting, the batch that overfilled them, one partial
+        assert most <= (PENDING_SEGMENTS + 2) * 2 + 3, most
+        log.seal()
+        monkeypatch.undo()
+        assert len(log_rows(log)) == 180
+
+    def test_an_export_of_many_segments_holds_few_descriptors(self, tmp_path, monkeypatch):
+        """Each mapped column holds a file descriptor: a 240-segment
+        window, ten columns each, exports under a limit of 100 more
+        descriptors than are open now."""
+        monkeypatch.setattr(durable.os, "fsync", lambda fd: None)
+        log = open_log(tmp_path, segment_rows=1, window_seconds=1e12)
+        for i in range(240):
+            log.append_many([collect_row(f"s{i}", 1000.0 + i)], date(2023, 5, 1 + i % 30))
+        log.seal()
+        soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+        resource.setrlimit(resource.RLIMIT_NOFILE, (len(os.listdir("/dev/fd")) + 100, hard))
+        try:
+            dataset = open_log(tmp_path).export_dataset()
+        finally:
+            resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+        assert [str(s) for s in dataset.session_ids] == [f"s{i}" for i in range(240)]
+        assert dataset.days.astype(object).tolist() == [
+            date(2023, 5, 1 + i % 30) for i in range(240)
+        ]

@@ -112,8 +112,8 @@ class TestSessionStore:
         fill(log, 5)
         assert [len(c["sid"]) for c in log.segments()] == [2, 2, 1]
         assert sorted(os.listdir(tmp_path)) == [
-            "manifest.json", "segment-000000.npz", "segment-000001.npz",
-            "segment-000002.npz",
+            "manifest.json", "segment-000000-1001.npz", "segment-000001-1003.npz",
+            "segment-000002-1004.npz",
         ]
 
     def test_reopen_appends_after_the_sealed_segments(self, tmp_path):

@@ -969,7 +969,7 @@ class TestSessionEventLog:
         counts = collected(log)
         assert counts["polygraph_log_segments"] == 1
         assert counts["polygraph_log_segments_pruned_total"] == 9
-        assert sorted(p.name for p in tmp_path.glob("*.npz")) == ["segment-000009.npz"]
+        assert sorted(p.name for p in tmp_path.glob("*.npz")) == ["segment-000009-195.npz"]
         reopened = open_log(tmp_path, segment_rows=4, window_seconds=10.0)
         assert [r["ts"] for r in log_rows(reopened)] == [180.0, 185.0, 190.0, 195.0]
 

@@ -1,11 +1,13 @@
 """The serve log's columnar segments and its manifest."""
 
 import json
+import time
 
 import numpy as np
 import pytest
 
 import repro.service.log as log_module
+from repro.durable import UnreadableFileError
 from repro.browsers.useragent import parse_user_agent
 from repro.runtime.service import RuntimeScoringService
 from repro.service.log import COLUMNS, read_segment
@@ -33,34 +35,53 @@ class TestManifest:
         assert len(open_log(tmp_path).export_dataset()) == 8
         assert len(list(tmp_path.glob("segment-*.npz"))) == 4
 
-    def test_manifest_tracks_row_counts_and_ts_bounds(self, tmp_path):
-        log = open_log(tmp_path)
+    def test_segment_names_carry_clamped_ts_bounds(self, tmp_path):
+        """A seal writes a constant-size manifest: the range of numbers
+        the log holds.  Retention reads each segment's newest ``ts``
+        from its name, clamped to the clock."""
+        log = open_log(tmp_path, window_seconds=1e12)
         log.append_many([collect_row("a", 300.0), collect_row("b", 100.0), collect_row("c", 900.0)])
         log.seal()
+        log.append_many([collect_row("far", 1e12)])
+        before = time.time()
+        log.seal()
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        (entry,) = manifest["segments"]
-        assert (entry["rows"], entry["min_ts"], entry["max_ts"]) == (3, 100.0, 900.0)
+        assert manifest == {"format_version": 1, "first": 0, "next": 2}
+        first, second = sorted(p.name for p in tmp_path.glob("segment-*.npz"))
+        assert first == "segment-000000-900.npz"
+        clamped = int(second[len("segment-000001-"):-len(".npz")])
+        assert before <= clamped <= time.time() + 1
 
     def test_a_segment_the_manifest_does_not_name_is_not_read(self, tmp_path):
         """A seal killed between its segment and its manifest leaves a
-        segment no manifest names: it is not read, and the next seal of
-        that number replaces it."""
+        segment outside the manifest's range: it is not read, and the
+        next seal removes it before writing that number."""
         fill(open_log(tmp_path, segment_rows=2), 2)
-        orphan = tmp_path / "segment-000001.npz"
-        (tmp_path / "segment-000000.npz").rename(orphan)
-        (tmp_path / "segment-000000.npz").write_bytes(orphan.read_bytes())
+        (sealed,) = tmp_path.glob("segment-*.npz")
+        orphan = tmp_path / "segment-000001-5000.npz"
+        orphan.write_bytes(sealed.read_bytes())
+        (tmp_path / "segment-000001-7.npz.tmp").write_bytes(b"torn")
         reopened = open_log(tmp_path)
         assert len(reopened.export_dataset()) == 2
         reopened.append_many([collect_row("next", 2000.0)])
         reopened.seal()
         assert [r["sid"] for r in log_rows(open_log(tmp_path))] == ["s-0", "s-1", "next"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "manifest.json", "segment-000000-1001.npz", "segment-000001-2000.npz",
+        ]
+
+
+    def test_a_file_that_is_no_segment_name_is_refused_by_name(self, tmp_path):
+        (tmp_path / "segment-junk.npz").write_bytes(b"")
+        with pytest.raises(UnreadableFileError, match="segment-junk.npz: not a segment name"):
+            open_log(tmp_path)
 
 
 class TestColumnarSegments:
     def test_mmap_and_load_agree(self, tmp_path):
         log = open_log(tmp_path)
         fill(log, 9)
-        path = tmp_path / "segment-000000.npz"
+        (path,) = tmp_path.glob("segment-*.npz")
         mapped = read_segment(path)
         with np.load(path, allow_pickle=False) as loaded:
             for name in COLUMNS:
