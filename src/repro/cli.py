@@ -14,12 +14,13 @@ Subcommands:
 * ``serve``       — run the collection endpoint: the asyncio front end
   over the batched, cached scoring runtime, for a saved model or a
   registry's live model (whose in-flight rollout is resumed), or with
-  ``--shards N`` over a sharded cluster behind the consistent-hash
-  router (a model file only: a registry is served by one process);
+  ``--shards N`` over N in-process partitions behind the
+  consistent-hash router, each with its own verdict cache and dedup
+  window (a model file only: a registry is served without shards);
   ``--log DIR`` (one process only) keeps every accepted ``/collect``
   and ``/event`` row for ``retrain --log``; SIGTERM/SIGINT drain
   in-flight requests, and seal the log, before exiting;
-* ``cluster``     — inspect a running cluster (``status`` pretty-prints
+* ``cluster``     — inspect a sharded server (``status`` pretty-prints
   the server's ``GET /cluster`` document);
 * ``sessions``    — inspect a server's event-stream session layer
   (``status`` pretty-prints the ``GET /sessions`` document);
@@ -171,13 +172,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=0,
-        help="serve a model file from a sharded cluster with N forked "
-        "scoring processes behind the consistent-hash router "
-        "(0: single-process; not with --registry)",
+        help="partition a model file's serving into N shards behind the "
+        "consistent-hash router, each with its own verdict cache and "
+        "dedup window, all in this one process (0: no shards; not with "
+        "--registry or --log)",
     )
     # Shim: benchmarks/e2e/e2ebench/workloads.py (frozen) passes
-    # "--shard-backend process", which every shard is; the flag goes
-    # when ROADMAP item 1(a)'s benchmark PR drops the argument.
+    # "--shard-backend process"; the flag goes when ROADMAP item 1(a)'s
+    # benchmark PR drops the argument.
     serve.add_argument(
         "--shard-backend", choices=["process"], default="process",
         help=argparse.SUPPRESS,
@@ -194,12 +196,6 @@ def _build_parser() -> argparse.ArgumentParser:
     # benchmark PR drops the argument.
     serve.add_argument(
         "--transport", choices=["shm"], default="shm", help=argparse.SUPPRESS
-    )
-    serve.add_argument(
-        "--ring-slots",
-        type=int,
-        default=4096,
-        help="slots per shard in the shared-memory feature ring",
     )
     serve.add_argument(
         "--session-ttl",
@@ -229,7 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     cluster = sub.add_parser(
-        "cluster", help="inspect a running sharded cluster"
+        "cluster", help="inspect a running sharded server"
     )
     cluster.add_argument("action", choices=["status"])
     cluster.add_argument(
@@ -458,30 +454,17 @@ def _runtime_config(args: argparse.Namespace) -> "RuntimeConfig":
     )
 
 
-def _build_cluster(args: argparse.Namespace):
-    """The sharded path of ``serve``: supervisor + router over a model file."""
-    from repro.cluster import (
-        ClusterConfig,
-        ClusterRouter,
-        RouterConfig,
-        ShardSupervisor,
-    )
+def _build_cluster(args: argparse.Namespace, pipeline: BrowserPolygraph):
+    """The sharded path of ``serve``: the router over ``args.shards``
+    partitions of ``pipeline``."""
+    from repro.cluster import ClusterConfig, ClusterRouter, RouterConfig, ShardSupervisor
 
-    config = ClusterConfig(n_shards=args.shards, ring_slots=args.ring_slots)
     supervisor = ShardSupervisor(
-        args.model, config=config, runtime_config=_runtime_config(args)
+        pipeline,
+        config=ClusterConfig(n_shards=args.shards),
+        runtime_config=_runtime_config(args),
     )
-    router = ClusterRouter(supervisor, RouterConfig(affinity=args.affinity))
-    # A forked shard shares the router's pages until either side writes
-    # one, and a collection writes the GC header of every object it
-    # visits.  So freeze what is built before the first fork (CPython's
-    # recipe for fork without exec): no later collection on either side
-    # touches those objects, and their pages stay shared.
-    import gc
-
-    gc.collect()
-    gc.freeze()
-    return router.start()
+    return ClusterRouter(supervisor, RouterConfig(affinity=args.affinity))
 
 
 def _serve_until_signalled(server, announce: Callable[[], None]) -> None:
@@ -526,14 +509,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.shards and args.registry:
         print(
             "serve: --registry with --shards: a registry's rollouts run "
-            "on one process (the cluster router has none)",
+            "on one service (the cluster router has none)",
             file=sys.stderr,
         )
         return 2
     if args.shards and args.log:
         print(
             "serve: --log with --shards: the log is written by one "
-            "process (the cluster router has none)",
+            "service (the cluster router has none)",
             file=sys.stderr,
         )
         return 2
@@ -554,50 +537,42 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         except (UnreadableFileError, OSError) as exc:
             print(f"serve: cannot read log: {exc}", file=sys.stderr)
             return 2
-    if args.shards:
-        from repro.cluster import ShardError
+    from repro.runtime.service import RuntimeScoringService
 
-        try:
-            service = _build_cluster(args)
-        except (ShardError, UnreadableFileError) as exc:
-            print(f"serve: cannot start cluster: {exc}", file=sys.stderr)
-            return 2
-        mode = (
-            f"cluster ({args.shards} process shards, "
-            f"{args.affinity} affinity, shm transport)"
-        )
-    else:
-        from repro.runtime.service import RuntimeScoringService
+    # Every file is read, or refused by name, before anything serves.
+    what = "registry" if args.registry else "model"
+    state = None
+    try:
+        if args.registry:
+            from repro.core.retraining import ModelRegistry
 
-        # Every file is read, or refused by name, before anything serves.
-        what = "registry" if args.registry else "model"
-        try:
-            if args.registry:
-                from repro.core.retraining import ModelRegistry
-
-                registry = ModelRegistry(args.registry)
-                pipeline = registry.load()
-            else:
-                pipeline = BrowserPolygraph.load(args.model)
+            registry = ModelRegistry(args.registry)
+            pipeline = registry.load()
+        else:
+            pipeline = BrowserPolygraph.load(args.model)
+        if args.shards:
+            service = _build_cluster(args, pipeline)
+            mode = f"cluster ({args.shards} shards, {args.affinity} affinity)"
+        else:
             service = RuntimeScoringService(
                 pipeline, log=log, config=_runtime_config(args)
             )
-            if args.registry:
-                from repro.rollout import RolloutManager
+            mode = "runtime (batched)"
+        if args.registry:
+            from repro.rollout import RolloutManager
 
-                what = "rollout state"
-                manager = RolloutManager(registry, runtime=service)
-                state = manager.resume()
-                managers = [manager]
-        except (UnreadableFileError, LookupError, OSError) as exc:
-            print(f"serve: cannot read {what}: {exc}", file=sys.stderr)
-            return 2
-        mode = "runtime (batched)"
-        if args.registry and state is not None and state.in_flight:
-            print(
-                f"resumed rollout of v{state.candidate_version} "
-                f"({state.status}, stage {state.stage_index})"
-            )
+            what = "rollout state"
+            manager = RolloutManager(registry, runtime=service)
+            state = manager.resume()
+            managers = [manager]
+    except (UnreadableFileError, LookupError, OSError) as exc:
+        print(f"serve: cannot read {what}: {exc}", file=sys.stderr)
+        return 2
+    if state is not None and state.in_flight:
+        print(
+            f"resumed rollout of v{state.candidate_version} "
+            f"({state.status}, stage {state.stage_index})"
+        )
     sessions = None
     if args.session_ttl is not None:
         from repro.sessions import SessionScoringService
@@ -627,7 +602,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     app = CollectionApp(service, sessions=sessions, coverage=coverage_tracker)
     server = AsyncIngestServer(app, host=args.host, port=args.port)
     # Long-lived serving process: everything built so far (the model,
-    # the shard plumbing, the app) lives until exit, so move it out of
+    # the shards, the app) lives until exit, so move it out of
     # the collector's reach — otherwise every gen2 collection re-scans
     # the whole model heap mid-request.
     import gc
@@ -698,18 +673,12 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     for shard in document["shards"]:
         health = "healthy" if shard["healthy"] else "UNHEALTHY"
         ring = "on ring" if shard["on_ring"] else "OFF RING"
-        print(
-            f"  {shard['shard_id']:>4}  {health:<9}  v{shard['model_version']}"
-            f"  restarts={shard['restarts']}  failures={shard['failures']}"
-            f"  {ring}"
-        )
+        print(f"  {shard['shard_id']:>4}  {health:<9}  v{shard['model_version']}  {ring}")
     router = document.get("router")
     if router:
         print(
             f"router: {router['requests_total']} requests "
-            f"({router['affinity']} affinity), "
-            f"{router['failovers_total']} failovers, "
-            f"{router['unroutable_total']} unroutable"
+            f"({router['affinity']} affinity)"
         )
     return 0
 

@@ -8,8 +8,6 @@ ring with virtual nodes fixes the operational half of that: each shard
 owns many small arcs of a 64-bit hash circle, a key routes to the owner
 of the first point at or after its hash, and adding or removing one
 shard moves only the arcs that shard owned (~1/n of the key space).
-A shard crash therefore invalidates only its own cache partition, and a
-restarted shard gets its old arcs — and its old keys — back.
 
 Two routing keys matter to the cluster:
 
@@ -142,30 +140,6 @@ class HashRing:
         if index == len(self._points):
             index = 0
         return self._owners[self._points[index]]
-
-    def preference(self, key: bytes, limit: Optional[int] = None) -> List[str]:
-        """Distinct nodes in ring order starting at ``key``'s owner.
-
-        The failover order: entry 0 is the primary, entry 1 the
-        shard that would inherit the key if the primary left the ring,
-        and so on.  Deterministic for a fixed membership.
-        """
-        want = len(self._nodes) if limit is None else min(limit, len(self._nodes))
-        result: List[str] = []
-        if not self._points or want <= 0:
-            return result
-        seen = set()
-        start = bisect.bisect_right(self._points, ring_hash(key))
-        n_points = len(self._points)
-        for step in range(n_points):
-            owner = self._owners[self._points[(start + step) % n_points]]
-            if owner in seen:
-                continue
-            seen.add(owner)
-            result.append(owner)
-            if len(result) >= want:
-                break
-        return result
 
     # ------------------------------------------------------------------
     # introspection

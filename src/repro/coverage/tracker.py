@@ -135,7 +135,7 @@ class CoverageBand:
 class CoverageTracker:
     """Per-vendor unknown-UA rates against the live known-release table.
 
-    Thread-safe: the runtime's callers and cluster shard transports
+    Thread-safe: the runtime's callers and cluster partitions
     feed ``observe``/``observe_many`` concurrently while ``/coverage``
     and ``/metrics`` read snapshots.
     """

@@ -14,8 +14,7 @@ contains thousands of distinct fingerprints, not millions:
   and cache hits without the model, every miss through one vectorized
   ``evaluate_vectors`` call per rollout arm;
 * :mod:`repro.runtime.batch` — the loops that turn a batch's ingest
-  outcomes, cache probe and model results into verdicts, shared with
-  the router side of the shm shard transport;
+  outcomes, cache probe and model results into verdicts;
 * :mod:`repro.runtime.fastingest` — wire-contract enforcement with
   parse memoization, one lock round trip per batch;
 * :mod:`repro.runtime.cache` — an LRU+TTL verdict cache keyed by the

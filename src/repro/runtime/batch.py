@@ -1,19 +1,15 @@
-"""The loops every coalesced scoring path runs, written once.
+"""The loops a coalesced scoring batch runs, in three steps.
 
-A batch of wires is answered in the same three steps wherever it is
-scored — in process by :class:`~repro.runtime.service.RuntimeScoringService`
-or router-side by :class:`~repro.cluster.transport.ShmTransport`:
+:class:`~repro.runtime.service.RuntimeScoringService` answers a batch of
+wires in the same three steps, whoever lends it the thread (the front
+end, the session layer, a cluster partition):
 
 1. :func:`cache_keys` — one verdict-cache key per admitted wire;
 2. :func:`answer_known` — rejects and cache hits become verdicts on the
    spot, everything else comes back as a list of :class:`Miss`;
 3. :func:`finish_misses` — once the caller has turned (some of) the
-   misses into raw model results, cache them, escalate, answer.
-
-What differs between the callers stays with them: how a list of misses
-becomes ``(generation, results)`` (a local model call per rollout arm,
-or a slab round trip to a child process), what a failed model call
-answers (``internal_error`` or ``overloaded``), and their counters.
+   misses into raw model results (one model call per rollout arm),
+   cache them, escalate, answer.
 
 The batch is the unit of accounting: rejects and hits share one latency
 stamp, and so does each group of misses scored together — a per-wire

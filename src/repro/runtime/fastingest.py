@@ -1,10 +1,8 @@
 """The shared fast-ingest engine: wire contract enforcement, memoized.
 
-Extracted from :class:`~repro.runtime.service.RuntimeScoringService` so
-that every component sitting in front of a model — the in-process
-runtime, and the router side of the shared-memory shard transport
-(:mod:`repro.cluster.transport`) — enforces the wire contract with the
-*same* code path.  The contract itself is defined by
+Used by :class:`~repro.runtime.service.RuntimeScoringService` (and so
+by every cluster partition) to enforce the wire contract in bulk.  The
+contract itself is defined by
 :class:`~repro.service.ingest.PayloadValidator`; this class mirrors its
 checks in the identical order while skipping work that is provably
 redundant for repeated byte patterns:
@@ -72,8 +70,7 @@ def _feature_spellings() -> Dict[bytes, int]:
 
     One lookup is the ``int()``, the canonical-form check (no sign, no
     leading zero, no fraction, no exponent, no spacing) and the
-    ``MAX_FEATURE_VALUE`` check.  Built on first use, not at import:
-    shard children import this module and never ingest.
+    ``MAX_FEATURE_VALUE`` check.  Built on first use, not at import.
     """
     return {b"%d" % value: value for value in range(MAX_FEATURE_VALUE + 1)}
 

@@ -146,8 +146,7 @@ class RuntimeScoringService:
         self.unknown_ua_counts: Dict[str, int] = {}
         self.coverage = None
         self._lock = threading.Lock()  # scored/flagged/unknown counters
-        # Wire-contract enforcement lives in the shared fast-ingest
-        # engine (also used router-side by the shm shard transport);
+        # Wire-contract enforcement lives in the fast-ingest engine;
         # parse memos are model-independent and survive retrains,
         # except the UA memo which is cleared on model swap.
         self._ingest = WireIngest(self.validator)

@@ -2,7 +2,7 @@
 
 One request per server thread (parse, score, respond, repeat) would
 serialize the socket on the model call and cap ingest well below what
-the batched runtime or the sharded scoring tier can absorb.  This
+the batched runtime can absorb.  This
 module is a single-threaded asyncio server that keeps many requests in
 flight per connection and spends as little as it can on each:
 
@@ -611,8 +611,8 @@ class AsyncIngestServer:
     def _score_batch(self, wires: List[bytes]) -> List[bytes]:
         """Runs on the scoring thread pool; returns rendered responses."""
         verdicts = self._score_many(wires)
-        # A batch holds few distinct answers (a shard stamps one latency
-        # on a whole chunk), and formatting one costs more than scoring
+        # A batch holds few distinct answers (the runtime stamps one
+        # latency on a whole batch), and formatting one costs more than scoring
         # a cache hit: render each distinct response once.
         rendered = {}
         responses = []

@@ -35,15 +35,15 @@ waits for it, so a slow disk bounds the rows held in memory instead of
 letting them pile up.  :meth:`SegmentLog.seal` (what a drain calls)
 writes what is buffered and joins the sealer.
 
-A segment's name carries its number and its newest ``ts``
-(``segment-000042-1700000000.npz``), and the manifest holds only the
-range of numbers the log holds, so a seal writes two small files
-whatever the window's length.  Retention is one window over every row:
-each seal drops segments, oldest first, while the oldest one's newest
-``ts`` is older than ``now - window_seconds``, where ``now`` is the
-newest ``ts`` sealed.  Both stop at the wall clock: a client sets an
-event's ``ts``, and one far-future event must not move the window past
-every honest segment.
+A segment's name carries its number and the wall clock's second when it
+was sealed (``segment-000042-1700000000.npz``), and the manifest holds
+only the range of numbers the log holds, so a seal writes two small
+files whatever the window's length.  Retention is one window over every
+segment: each seal drops segments, oldest first, while the oldest one
+was sealed before ``now - window_seconds``, where ``now`` is the latest
+seal.  It reads no row's ``ts``: a client sets an event's ``ts``, and a
+wrong client clock must neither drop the rows it sent nor move the
+window past every honest segment.
 
 Both files go through :func:`repro.durable.write_atomic`, segment
 first.  A segment outside the manifest's range (a seal killed before
@@ -153,15 +153,15 @@ def _member(path: Path, whole: np.memmap, archive: zipfile.ZipFile, info) -> np.
     return whole[start:start + size].view(dtype).reshape(shape)
 
 
-def _name(number: int, max_ts: int) -> str:
-    return f"{_PREFIX}{number:06d}-{max_ts}.npz"
+def _name(number: int, sealed_at: int) -> str:
+    return f"{_PREFIX}{number:06d}-{sealed_at}.npz"
 
 
 def _parse(path: Path) -> Tuple[int, int]:
-    """``(number, max_ts)`` of a segment's file name."""
+    """``(number, sealed_at)`` of a segment's file name."""
     try:
-        number, max_ts = path.stem[len(_PREFIX):].split("-", 1)
-        return int(number), int(max_ts)
+        number, sealed_at = path.stem[len(_PREFIX):].split("-", 1)
+        return int(number), int(sealed_at)
     except ValueError:
         raise UnreadableFileError(f"{path}: not a segment name") from None
 
@@ -206,10 +206,10 @@ class SegmentLog:
         self._days: List[int] = []  # the buffer's rows' epoch days
         self._pending: deque = deque()  # (rows, days), oldest first
         self._sealer: Optional[threading.Thread] = None
-        self._segments: deque = deque()  # (number, max_ts), oldest first
+        self._segments: deque = deque()  # (number, sealed_at), oldest first
         self._next_number = 0
         self._swept = False  # what a killed process left, removed at the first seal
-        self._newest_ts = -math.inf
+        self._newest_seal = -math.inf
         self.appended = 0
         self.sealed = 0
         self.pruned_segments = 0
@@ -295,14 +295,14 @@ class SegmentLog:
         if not self._swept:
             self._sweep()
         number = self._next_number
-        max_ts = math.ceil(np.fmin(columns["ts"].max(), time.time()))
-        path = self.root / _name(number, max_ts)
+        sealed_at = math.ceil(time.time())
+        path = self.root / _name(number, sealed_at)
         buffer = io.BytesIO()
         np.savez(buffer, **columns)  # uncompressed: every member mappable
         write_atomic(path, buffer.getbuffer())
-        newest = max(self._newest_ts, max_ts)
+        newest = max(self._newest_seal, sealed_at)
         dropped, first = [], number + 1
-        for entry in chain(self._segments, [(number, max_ts)]):
+        for entry in chain(self._segments, [(number, sealed_at)]):
             if entry[1] >= newest - self.window_seconds:
                 first = entry[0]
                 break
@@ -314,12 +314,12 @@ class SegmentLog:
             path.unlink(missing_ok=True)  # the retry writes it again
             raise
         with self._lock:
-            self._segments.append((number, max_ts))
+            self._segments.append((number, sealed_at))
             for _ in dropped:
                 self._segments.popleft()
             self.pruned_segments += len(dropped)
         self._next_number = number + 1
-        self._newest_ts = newest
+        self._newest_seal = newest
         for entry in dropped:
             (self.root / _name(*entry)).unlink(missing_ok=True)
 
@@ -395,9 +395,9 @@ class SegmentLog:
         else:
             first, self._next_number = 0, 1 + max((n for n, _ in on_disk), default=-1)
         self._segments = deque(
-            (n, max_ts) for n, max_ts in on_disk if first <= n < self._next_number
+            (n, sealed_at) for n, sealed_at in on_disk if first <= n < self._next_number
         )
-        self._newest_ts = max((max_ts for _, max_ts in self._segments), default=-math.inf)
+        self._newest_seal = max((sealed for _, sealed in self._segments), default=-math.inf)
 
 
 def _concatenate(parts: List[Dict[str, np.ndarray]]) -> Dict[str, np.ndarray]:

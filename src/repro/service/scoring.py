@@ -21,11 +21,9 @@ from repro.traffic.dataset import Dataset
 
 __all__ = [
     "OVERLOADED_REASON",
-    "Overloaded",
     "ScoringService",
     "Verdict",
     "collect_verdicts",
-    "overloaded_verdict",
 ]
 
 
@@ -54,29 +52,9 @@ class Verdict:
         return self.accepted and self.flagged
 
 
+# The reject reason of a wire a service shed unscored; the front end
+# answers it 503 with ``Retry-After``.  No service in this package sheds.
 OVERLOADED_REASON = "overloaded"
-
-
-@dataclass(frozen=True)
-class Overloaded(Verdict):
-    """A typed shed verdict: the request was refused unscored.
-
-    A serving path answers with it when it cannot score a request (a
-    dead shard, a broken slab pipe, an unroutable key); the cluster
-    router's failover keys on it, and the front ends answer it 503.
-    """
-
-
-def overloaded_verdict(session_id: str = "", latency_ms: float = 0.0) -> Overloaded:
-    """Build the shed verdict for one refused request."""
-    return Overloaded(
-        session_id=session_id,
-        accepted=False,
-        flagged=False,
-        risk_factor=None,
-        reject_reason=OVERLOADED_REASON,
-        latency_ms=latency_ms,
-    )
 
 
 def collect_verdicts(out, scored: int, flagged: int, rejects: Dict[str, int],

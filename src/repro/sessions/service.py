@@ -58,7 +58,7 @@ until a second distinct vector or UA key shows up.
 Cluster-flip detection needs the *predicted cluster*, which the inner
 services' :class:`Verdict` deliberately omits.  It is read from the
 detection result the inner service scored the event with — the cached
-result on a hit, the model's (or the shard's decoded slab row) on a
+result on a hit, the model's on a
 miss — so a never-seen fingerprint costs one batched model call.  Every
 event of a session is routed to one rollout arm, by the session id; a
 stage change or a model swap can still move it to another model, and

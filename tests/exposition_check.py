@@ -187,9 +187,11 @@ HARNESS_KEYS_ONE_PROCESS = (
         for vendor in ("chrome", "edge", "firefox", "other")
     ),
 )
+# A cluster no longer has the zero-copy, backpressure, ring-occupancy or
+# failover families derive also reads: it reads them as 0, and no
+# workload property reads them.
 HARNESS_KEYS_CLUSTER = (
     "polygraph_cluster_shards",
-    "polygraph_cluster_failovers_total",
     "polygraph_ingest_backpressure_pauses",
     "polygraph_ingest_batches",
     "polygraph_ingest_batch_rows",
@@ -197,10 +199,7 @@ HARNESS_KEYS_CLUSTER = (
     "polygraph_session_active",
     *(
         f'polygraph_transport_{name}{{shard="{shard}"}}'
-        for name in (
-            "cache_hits_total", "cache_misses_total", "ring_occupancy_peak",
-            "zero_copy_rows_total", "backpressure_pauses_total",
-        )
+        for name in ("cache_hits_total", "cache_misses_total")
         for shard in ("s0", "s1")
     ),
 )

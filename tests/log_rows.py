@@ -1,6 +1,9 @@
 """Rows for the serve-log suites, as the scoring services log them."""
 
+import types
 from datetime import date
+
+import repro.service.log as log_module
 
 from repro.browsers.profiles import BrowserProfile
 from repro.browsers.useragent import Vendor
@@ -14,6 +17,14 @@ DAY = date(2023, 5, 1)
 def open_log(root, **kwargs) -> SegmentLog:
     """A log whose undated batches fall on :data:`DAY`."""
     return SegmentLog(root, clock=lambda: DAY, **kwargs)
+
+
+def seal_clock(monkeypatch, now: float) -> list:
+    """Set the serve log's wall clock (what dates a seal) to ``now``;
+    assign ``clock[0]`` to move it."""
+    clock = [now]
+    monkeypatch.setattr(log_module, "time", types.SimpleNamespace(time=lambda: clock[0]))
+    return clock
 
 
 def collect_row(sid, ts, kind=COLLECT, seq=-1, version=112, flagged=False):

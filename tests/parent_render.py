@@ -162,25 +162,15 @@ def parent_metrics(app, front_end=None) -> dict:
         put("polygraph_cluster_shards", status["n_shards"])
         put("polygraph_cluster_healthy_shards", status["healthy_shards"])
         put("polygraph_cluster_requests_total", router["requests_total"])
-        put("polygraph_cluster_failovers_total", router["failovers_total"])
         for shard_id, count in router["routed_by_shard"].items():
             put("polygraph_cluster_routed_total", count, shard=shard_id)
         for shard in status["shards"]:
             put("polygraph_cluster_shard_healthy", shard["healthy"], shard=shard["shard_id"])
             put("polygraph_cluster_shard_model_version", shard["model_version"],
                 shard=shard["shard_id"])
-            put("polygraph_cluster_shard_restarts", shard["restarts"], shard=shard["shard_id"])
         for shard_id, stats in supervisor.transport_stats().items():
-            for key, name in (
-                ("zero_copy_batches", "zero_copy_batches_total"),
-                ("zero_copy_rows", "zero_copy_rows_total"),
-                ("backpressure_waits", "backpressure_pauses_total"),
-                ("cache_hits", "cache_hits_total"),
-                ("cache_misses", "cache_misses_total"),
-                ("ring_occupancy", "ring_occupancy"),
-                ("ring_occupancy_peak", "ring_occupancy_peak"),
-            ):
-                put(f"polygraph_transport_{name}", stats[key], shard=shard_id)
+            for key in ("cache_hits", "cache_misses"):
+                put(f"polygraph_transport_{key}_total", stats[key], shard=shard_id)
             for vendor, count in stats["unknown_ua"].items():
                 unknown[vendor] = unknown.get(vendor, 0) + count
     for vendor, count in unknown.items():

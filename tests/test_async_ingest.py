@@ -43,12 +43,7 @@ from repro.service import aingest
 from repro.service.aingest import AsyncIngestServer
 from repro.service.api import CollectionApp
 from repro.service.ingest import RejectReason
-from repro.service.scoring import (
-    OVERLOADED_REASON,
-    ScoringService,
-    Verdict,
-    overloaded_verdict,
-)
+from repro.service.scoring import OVERLOADED_REASON, ScoringService, Verdict
 from repro.sessions import SessionScoringService
 from repro.sessions import service as session_service
 from repro.traffic.events import (
@@ -147,7 +142,8 @@ class TestCollectParity:
             flagged_count = 0
 
             def score_many(self, wires):
-                return [overloaded_verdict() for _ in wires]
+                return [_verdict(accepted=False, reject_reason=OVERLOADED_REASON)
+                        for _ in wires]
 
         with _serve(Saturated()) as server:
             status, headers, payload = _request(
@@ -797,7 +793,7 @@ class TestRendering:
             _verdict(flagged=True, risk_factor=20),
             _verdict(flagged=True, risk_factor=0, latency_ms=12.3456789),
             _verdict(inferred_release="chrome-113", inferred_distance=1),
-            overloaded_verdict("s", 0.0),
+            _verdict(accepted=False, reject_reason=OVERLOADED_REASON, latency_ms=0.0),
         ]
         + [
             _verdict(accepted=False, reject_reason=reason, latency_ms=0.0)
@@ -816,10 +812,10 @@ class TestRendering:
         assert rendered == [parent_render_verdict(v) for v in verdicts]
 
     def test_close_request_gets_the_same_bytes_but_for_the_header(self):
-        with _serve(_Canned([overloaded_verdict("s", 0.0)])) as server:
+        with _serve(_Canned([_verdict(accepted=False, reject_reason=OVERLOADED_REASON, latency_ms=0.0)])) as server:
             raw = _http("POST", "/collect", b"{}", ["Connection: close"])
             reply = _exchange(server.port, raw)
-        expected = parent_render_verdict(overloaded_verdict("s", 0.0))
+        expected = parent_render_verdict(_verdict(accepted=False, reject_reason=OVERLOADED_REASON, latency_ms=0.0))
         assert reply == expected.replace(b"keep-alive", b"close")
 
 
@@ -1004,8 +1000,8 @@ class TestEventOrdering:
         assert sum(1 for e in expected if e[7] is not None) >= 10
         raw = b"".join(_http("POST", "/event", e.to_wire()) for e in events[:-1])
         raw += _http("POST", "/event", events[-1].to_wire(), ["Connection: close"])
-        supervisor = ShardSupervisor.from_polygraph(
-            trained, config=ClusterConfig(n_shards=2, heartbeat_interval_s=5.0)
+        supervisor = ShardSupervisor(
+            trained, config=ClusterConfig(n_shards=2)
         )
         router = ClusterRouter(supervisor).start()
         try:

@@ -210,7 +210,8 @@ def test_serve_parser_accepts_cluster_flags(artifacts):
     # One way through the cluster: nothing to hedge, one transport, one
     # shard kind.
     for flag, value in (
-        ("--hedge-ms", "5"), ("--transport", "pickle"), ("--shard-backend", "thread")
+        ("--hedge-ms", "5"), ("--transport", "pickle"), ("--shard-backend", "thread"),
+        ("--ring-slots", "4096"),
     ):
         with pytest.raises(SystemExit) as refused:
             _build_parser().parse_args(
@@ -224,70 +225,39 @@ def test_build_cluster_serves_a_router(artifacts):
 
     from repro.cli import _build_cluster
     from repro.cluster import ClusterRouter
+    from repro.core.pipeline import BrowserPolygraph
 
     _, model_path = artifacts
+    pipeline = BrowserPolygraph.load(model_path)
     args = argparse.Namespace(
-        model=model_path, shards=2,
-        affinity="session", cache_entries=128, cache_ttl=60.0, ring_slots=256,
+        shards=2, affinity="session", cache_entries=128, cache_ttl=60.0
     )
-    router = _build_cluster(args)
+    router = _build_cluster(args, pipeline)
     try:
         assert isinstance(router, ClusterRouter)
-        assert router.supervisor.healthy_count == 2
-        assert router.cluster_status()["n_shards"] == 2
+        assert router.polygraph is pipeline
+        status = router.cluster_status()
+        assert status["n_shards"] == status["healthy_shards"] == 2
+        assert all(
+            shard.service.polygraph is pipeline
+            and shard.service.cache.max_entries == 128
+            for shard in router.supervisor.shards.values()
+        )
     finally:
         router.shutdown()
 
 
-def test_process_shards_fork_after_the_router_heap_is_frozen(
-    artifacts, tmp_path, monkeypatch
-):
-    """``serve`` freezes what it has built before the first shard forks,
-    so no collection on either side writes the pages they share."""
-    import argparse
-    import gc
-    import os
-
-    import repro.cluster.supervisor as supervisor_mod
-    from repro.cli import _build_cluster
-
-    real_worker = supervisor_mod._shard_worker
-
-    def worker(*args):
-        (tmp_path / f"frozen-{os.getpid()}").write_text(str(gc.get_freeze_count()))
-        real_worker(*args)
-
-    monkeypatch.setattr(supervisor_mod, "_shard_worker", worker)
+def test_serve_exits_2_when_the_cluster_cannot_start(artifacts, tmp_path, capsys):
+    """A torn model file: refused by name, before any shard is built."""
     _, model_path = artifacts
-    args = argparse.Namespace(
-        model=model_path, shards=2,
-        affinity="fingerprint", cache_entries=128, cache_ttl=60.0, ring_slots=256,
-    )
-    try:
-        router = _build_cluster(args)
-        router.shutdown()
-    finally:
-        gc.unfreeze()
-    counts = [int(path.read_text()) for path in tmp_path.glob("frozen-*")]
-    assert len(counts) == 2 and min(counts) > 0
-
-
-def test_serve_exits_2_when_the_cluster_cannot_start(
-    artifacts, capsys, monkeypatch
-):
-    import repro.cluster.supervisor as supervisor_mod
-
-    def no_shm(*args, **kwargs):
-        raise OSError(28, "No space left on device")
-
-    monkeypatch.setattr(supervisor_mod, "ShmSlab", no_shm)
-    _, model_path = artifacts
-    code = main(["serve", model_path, "--shards", "2", "--shard-backend", "process"])
+    torn = tmp_path / "torn.json"
+    torn.write_bytes(Path(model_path).read_bytes()[:200])
+    code = main(["serve", str(torn), "--shards", "2", "--shard-backend", "process"])
     assert code == 2
     captured = capsys.readouterr()
     (line,) = captured.err.strip().splitlines()
-    assert line.startswith("serve: cannot start cluster: shard s0 ")
-    assert "No space left on device" in line
+    assert line.startswith(f"serve: cannot read model: {torn}")
+    assert "draining" not in captured.out
 
 
 @pytest.mark.parametrize(
@@ -411,9 +381,9 @@ def test_cluster_status_command_against_live_server(artifacts, capsys):
     from repro.service.api import CollectionApp
 
     _, model_path = artifacts
-    supervisor = ShardSupervisor.from_polygraph(
+    supervisor = ShardSupervisor(
         BrowserPolygraph.load(model_path),
-        config=ClusterConfig(n_shards=2, heartbeat_interval_s=5.0),
+        config=ClusterConfig(n_shards=2),
     )
     router = ClusterRouter(supervisor).start()
     try:
@@ -423,10 +393,8 @@ def test_cluster_status_command_against_live_server(artifacts, capsys):
         out = capsys.readouterr().out
         assert "2/2 shards healthy" in out
         assert "s0" in out and "s1" in out
-        assert (
-            "router: 0 requests (session affinity), 0 failovers, 0 unroutable"
-            in out
-        )
+        assert "router: 0 requests (session affinity)\n" in out
+        assert "restarts" not in out and "failovers" not in out
     finally:
         router.shutdown()
 

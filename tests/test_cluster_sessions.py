@@ -2,7 +2,7 @@
 
 Behind ``--shards`` the session state still has one home — one
 :class:`SessionScoringService` whose inner service is the router — so
-scoring flows through the router (failover, the shm transport) while
+scoring flows through the router and its partitions while
 the fold, the tracker and ``GET /sessions`` are the single-process
 ones.  Pins parity with the single-process layer, the router's
 one-call-per-batch contract, reversed-key envelopes finding their
@@ -66,8 +66,8 @@ def streams(small_dataset, trained):
 
 
 def _two_shards(trained):
-    supervisor = ShardSupervisor.from_polygraph(
-        trained, config=ClusterConfig(n_shards=2, heartbeat_interval_s=5.0)
+    supervisor = ShardSupervisor(
+        trained, config=ClusterConfig(n_shards=2)
     )
     return ClusterRouter(supervisor).start()
 
@@ -163,7 +163,7 @@ class TestClusterObserveMany:
 
         def shard_state(router):
             return [
-                validator_state(shard._transport.ingest.validator)
+                validator_state(shard.service.validator)
                 for _, shard in sorted(router.supervisor.shards.items())
             ]
 

@@ -1,6 +1,5 @@
 """Release-coverage intelligence: tracker bands, planner, infer policy."""
 
-import contextlib
 import json
 from datetime import date, timedelta
 
@@ -23,7 +22,7 @@ from repro.gauntlet.ledger import DIGEST_COLUMNS, TIMING_COLUMNS, DayLedger
 from repro.service.api import CollectionApp
 from repro.service.scoring import ScoringService
 
-from tests.exposition_check import collected, samples
+from tests.exposition_check import collected
 
 
 @pytest.fixture(scope="module")
@@ -406,9 +405,9 @@ class TestServiceIntegration:
         from repro.cluster import ClusterConfig, ClusterRouter, ShardSupervisor
 
         top = _max_known(infer_pipeline, "chrome")
-        with ShardSupervisor.from_polygraph(
+        with ShardSupervisor(
             infer_pipeline,
-            config=ClusterConfig(n_shards=2, heartbeat_interval_s=5.0),
+            config=ClusterConfig(n_shards=2),
         ) as supervisor:
             router = ClusterRouter(supervisor)
             router.score_many(
@@ -421,88 +420,11 @@ class TestServiceIntegration:
             assert unknown == {'polygraph_unknown_ua_total{vendor="chrome"}': 1}
 
 
-class TestShardRestartKeepsTotals:
-    @staticmethod
-    @contextlib.contextmanager
-    def _counted_cluster(trained):
-        """A 2-shard cluster that has counted forged releases and cache
-        hits, and a reader of its scrape's ``_total`` samples."""
-        from repro.cluster import ClusterConfig, ClusterRouter, ShardSupervisor
-
-        version = _max_known(trained, "chrome") + 1
-        script = CollectionScript()
-        environment = BrowserProfile(Vendor.CHROME, 112).environment()
-        ua = format_user_agent(Vendor.CHROME, version)
-        wires = [script.run(environment, ua, f"rs-{i}").to_wire() for i in range(40)]
-        known = format_user_agent(Vendor.CHROME, 112)
-        repeats = [script.run(environment, known, f"rk-{i}").to_wire() for i in range(10)]
-        with ShardSupervisor.from_polygraph(
-            trained, config=ClusterConfig(n_shards=2, heartbeat_interval_s=60.0)
-        ) as supervisor:
-            router = ClusterRouter(supervisor)
-            app = CollectionApp(router)
-            router.score_many(wires + repeats[:2])
-            router.score_many(repeats[2:])  # verdict-cache hits
-
-            def scrape():
-                return samples(app.handle("GET", "/metrics")[2].decode())
-
-            def totals():
-                return {
-                    key: value
-                    for key, value in scrape().items()
-                    if key.partition("{")[0].endswith("_total")
-                }
-
-            before = totals()
-            assert before['polygraph_unknown_ua_total{vendor="chrome"}'] == 40
-            assert sum(
-                value for key, value in before.items()
-                if key.startswith("polygraph_transport_cache_hits_total")
-            ) > 0
-            yield supervisor, scrape, totals
-
-    def test_no_total_falls_when_a_shard_restarts(self, trained):
-        """A restarted shard's fresh transport carries on its retired
-        one's counts: no ``_total`` sample of the scrape falls."""
-        with self._counted_cluster(trained) as (supervisor, _, totals):
-            before = totals()
-            supervisor.kill("s0")
-            for _ in range(3):  # two missed heartbeats, then the restart
-                supervisor.check_once()
-            assert supervisor.restarts("s0") == 1
-            after = totals()
-            assert {key for key, value in before.items() if after.get(key, -1) < value} == set()
-
-    def test_no_total_vanishes_while_a_restart_keeps_failing(self, trained, monkeypatch):
-        """A shard whose every restart fails still reports what its
-        retired transport counted, with its gauges at 0."""
-        from repro.cluster import supervisor as supervisor_mod
-
-        def denied(*args):  # the forked child inherits it
-            raise OSError(13, "Permission denied")
-
-        with self._counted_cluster(trained) as (supervisor, scrape, totals):
-            before = totals()
-            with monkeypatch.context() as fault:
-                fault.setattr(supervisor_mod, "attach_slab_views", denied)
-                supervisor.kill("s0")
-                for _ in range(4):  # two missed heartbeats, two failed restarts
-                    supervisor.check_once()
-                assert supervisor.restarts("s0") == 0
-                assert supervisor.shards["s0"]._transport is None
-                after = totals()
-                reported = scrape()
-            assert {key for key, value in before.items() if after.get(key, -1) < value} == set()
-            for gauge in ("ring_occupancy", "ring_occupancy_peak"):
-                assert reported[f'polygraph_transport_{gauge}{{shard="s0"}}'] == 0
-
-
 class TestClusterUnknownUaParity:
     """A 2-shard cluster reports unknown releases as one process does:
     the same ``polygraph_unknown_ua_total`` lines, and under ``infer``
     the same ``inferred_*`` fields on every verdict, whether a wire was
-    scored in a shard child or answered from the router's cache."""
+    scored by a partition's model call or answered from its cache."""
 
     @staticmethod
     def _traffic(pipeline):
@@ -558,16 +480,16 @@ class TestClusterUnknownUaParity:
         reference = ScoringService(pipeline)
         expected = self._answers([reference.score_wire(w) for w in wires])
         assert any(answer[5] for answer in expected) == (policy == "infer")
-        with ShardSupervisor.from_polygraph(
-            pipeline, config=ClusterConfig(n_shards=2, heartbeat_interval_s=5.0)
+        with ShardSupervisor(
+            pipeline, config=ClusterConfig(n_shards=2)
         ) as supervisor:
             router = ClusterRouter(supervisor, RouterConfig(affinity="fingerprint"))
             # A fingerprint's repeats go to its shard, after the first
             # batch: cache hits.
             verdicts = router.score_many(wires[:11]) + router.score_many(wires[11:])
             assert self._answers(verdicts) == expected
-            # Both shards scored through their router-side transports,
-            # in their children and from their caches.
+            # Both partitions scored, by model calls and from their
+            # caches.
             per_shard = supervisor.transport_stats()
             assert sorted(per_shard) == ["s0", "s1"]
             for stats in per_shard.values():
@@ -594,8 +516,8 @@ class TestClusterUnknownUaParity:
             ).to_wire()
             for n in range(999)
         ]
-        with ShardSupervisor.from_polygraph(
-            trained, config=ClusterConfig(n_shards=1, heartbeat_interval_s=5.0)
+        with ShardSupervisor(
+            trained, config=ClusterConfig(n_shards=1)
         ) as supervisor:
             supervisor.shards["s0"].score_chunk(wires)
             (stats,) = supervisor.transport_stats().values()

@@ -27,8 +27,10 @@ from repro.durable import UnreadableFileError, read_json, write_atomic
 from repro.fingerprint.script import CollectionScript
 from repro.rollout import RolloutConfig, RolloutManager
 from repro.service.log import COLLECT, SegmentLog
+from tests.log_rows import seal_clock
 
 SALT = "00c0ffee00c0ffee"
+SEALED_AT = 104.0  # the serve log's clock at every seal of the day
 STEPS = ("stage", "start", "advance", "advance", "promote", "rollback", "seal", "seal")
 
 
@@ -133,22 +135,24 @@ class _Process:
 def day(tmp_path_factory, trained, relabelled_model):
     """A control-plane root before the day, the candidate the day
     stages, and the restart snapshot after each clean prefix of it."""
-    base = tmp_path_factory.mktemp("crash-day")
-    template = base / "template"
-    ModelRegistry(template / "registry").promote(trained, date(2023, 7, 1), "bootstrap")
-    log = SegmentLog(template / "log")
-    log.append_many(_rows("bootstrap"), date(2023, 7, 1))
-    log.seal()
-    candidate = ModelRegistry(template / "registry").load(1).install(relabelled_model)
-    clean = base / "clean"
-    shutil.copytree(template, clean)
-    process = _Process(clean)
-    snapshots = [_Process(template).snapshot()]
-    for i, step in enumerate(STEPS):
-        process.run(step, candidate)
-        shutil.copytree(clean, base / f"after-{i}")
-        snapshots.append(_Process(base / f"after-{i}").snapshot())
-    return template, candidate, snapshots
+    with pytest.MonkeyPatch.context() as patch:
+        seal_clock(patch, SEALED_AT)
+        base = tmp_path_factory.mktemp("crash-day")
+        template = base / "template"
+        ModelRegistry(template / "registry").promote(trained, date(2023, 7, 1), "bootstrap")
+        log = SegmentLog(template / "log")
+        log.append_many(_rows("bootstrap"), date(2023, 7, 1))
+        log.seal()
+        candidate = ModelRegistry(template / "registry").load(1).install(relabelled_model)
+        clean = base / "clean"
+        shutil.copytree(template, clean)
+        process = _Process(clean)
+        snapshots = [_Process(template).snapshot()]
+        for i, step in enumerate(STEPS):
+            process.run(step, candidate)
+            shutil.copytree(clean, base / f"after-{i}")
+            snapshots.append(_Process(base / f"after-{i}").snapshot())
+        return template, candidate, snapshots
 
 
 def _run_day(root, candidate, monkeypatch, crash_at=None, after=False):
@@ -177,6 +181,7 @@ def _run_day(root, candidate, monkeypatch, crash_at=None, after=False):
 
 
 def test_the_day_writes_every_control_plane_file(day, tmp_path, monkeypatch):
+    seal_clock(monkeypatch, SEALED_AT)
     template, candidate, snapshots = day
     shutil.copytree(template, tmp_path / "root")
     renames = _run_day(tmp_path / "root", candidate, monkeypatch)
@@ -197,6 +202,7 @@ def test_the_day_writes_every_control_plane_file(day, tmp_path, monkeypatch):
 def test_every_write_boundary_restarts_into_a_defined_state(
     day, tmp_path, monkeypatch, after
 ):
+    seal_clock(monkeypatch, SEALED_AT)
     template, candidate, snapshots = day
     shutil.copytree(template, tmp_path / "probe")
     renames = _run_day(tmp_path / "probe", candidate, monkeypatch)

@@ -95,13 +95,12 @@ def _runtime_state(runtime):
 def _cluster_state(router):
     shards = []
     for _, shard in sorted(router.supervisor.shards.items()):
-        transport = shard._transport
-        stats = transport.transport_stats()
+        stats = shard.transport_stats()
         shards.append(
             (
-                validator_state(transport.ingest.validator),
-                transport.ingest.requests_total,
-                transport.ingest.rejected_count,
+                validator_state(shard.service.validator),
+                shard.service.requests_total,
+                shard.service.rejected_count,
                 stats["cache_hits"],
                 stats["cache_misses"],
                 stats["scored"],
@@ -119,11 +118,8 @@ def _cluster_state(router):
 
 
 def _process_cluster(trained):
-    supervisor = ShardSupervisor.from_polygraph(
-        trained,
-        config=ClusterConfig(
-            n_shards=2, backend="process", transport="shm", heartbeat_interval_s=5.0
-        ),
+    supervisor = ShardSupervisor(
+        trained, config=ClusterConfig(n_shards=2, backend="process", transport="shm")
     )
     return ClusterRouter(supervisor).start()
 

@@ -86,7 +86,6 @@ class TestWhatTheServicesLog:
             BrowserProfile(Vendor.CHROME, 112).user_agent(), "slow",
         )
         events = [
-            # Events of now: a segment of 1970's would fall out of the window.
             SessionEvent("slow", EventType.FOCUS, seq, time.time() + seq,
                          payload.user_agent, payload.values).to_wire()
             for seq in range(4)
@@ -102,6 +101,29 @@ class TestWhatTheServicesLog:
         log.seal()
         monkeypatch.undo()
         assert [len(c["sid"]) for c in log.segments()] == [4, 4]
+
+    def test_events_from_a_wrong_client_clock_keep_their_segment(self, trained, tmp_path):
+        """Four /collect rows, then four /event rows whose client clock
+        reads 10-13 s after the epoch, in 4-row segments: a segment is
+        aged by when the log sealed it, so both stay, and the events
+        keep the ts they were sent with."""
+        log = open_log(tmp_path, segment_rows=4)
+        service = RuntimeScoringService(trained, log=log)
+        sessions = SessionScoringService(service, log=log, ttl_seconds=1e9)
+        profile = BrowserProfile(Vendor.CHROME, 112)
+        payload = CollectionScript().run(
+            profile.environment(), profile.user_agent(), "skewed"
+        )
+        service.score_many([collect_wire(f"now-{i}") for i in range(4)])
+        sessions.observe_rows([
+            SessionEvent("skewed", EventType.FOCUS, seq, 10.0 + seq,
+                         payload.user_agent, payload.values).to_wire()
+            for seq in range(4)
+        ])
+        log.seal()
+        assert [len(c["sid"]) for c in log.segments()] == [4, 4]
+        assert collected(log)["polygraph_log_segments_pruned_total"] == 0
+        assert [r["ts"] for r in log_rows(log)][4:] == [10.0, 11.0, 12.0, 13.0]
 
     def test_appends_from_many_threads_lose_no_row(self, tmp_path):
         """Eight appending threads, a 7-row segment and a short switch

@@ -39,14 +39,6 @@ PROTOCOL_CALLBACKS = frozenset(
 # ``path:qualified name`` -> why it stays although only tests reach it:
 # the caller outside the repo that needs it, or the change that retires it.
 ALLOWED = {
-    "src/repro/cluster/supervisor.py:ShardSupervisor.from_polygraph": (
-        "the cluster suites build their shards from a fitted pipeline; "
-        "ROADMAP item 2 deletes cluster/ and its suites together"
-    ),
-    "src/repro/cluster/supervisor.py:ShardSupervisor.healthy_count": (
-        "asserted by the cluster suites after a shard restart; goes with "
-        "cluster/ (ROADMAP item 2)"
-    ),
     "src/repro/jsengine/environment.py:JSEnvironment.get_own_property_names": (
         "the Object.getOwnPropertyNames primitive the environment models "
         "(ARCHITECTURE, jsengine); the collector reads its length through "

@@ -16,7 +16,6 @@ from repro.runtime import fastingest
 from repro.runtime.cache import VerdictCache
 from repro.runtime.fastingest import WireIngest
 from repro.runtime.stats import RuntimeStats, percentile
-from repro.service.scoring import Overloaded, Verdict, overloaded_verdict
 from tests.exposition_check import collected
 from tests.oracle import HOSTILE_SHAPES, POISON_BODIES, check, collect_wires, mutations
 
@@ -215,16 +214,6 @@ class TestVerdictCache:
             VerdictCache(max_entries=0)
         with pytest.raises(ValueError):
             VerdictCache(ttl_seconds=0.0)
-
-
-class TestOverloaded:
-    def test_typed_shed_verdict(self):
-        verdict = overloaded_verdict("s-1", 0.5)
-        assert isinstance(verdict, Overloaded)
-        assert isinstance(verdict, Verdict)
-        assert not verdict.accepted
-        assert verdict.reject_reason == "overloaded"
-        assert verdict.session_id == "s-1"
 
 
 # ----------------------------------------------------------------------

@@ -284,19 +284,16 @@ class TestPoisonBody:
             runtime.shutdown()
         assert [_fields(v) for v in served] == expected
 
-        supervisor = ShardSupervisor.from_polygraph(
+        supervisor = ShardSupervisor(
             trained,
-            config=ClusterConfig(
-                n_shards=1, backend="process", transport="shm",
-                heartbeat_interval_s=5.0,
-            ),
+            config=ClusterConfig(n_shards=1, backend="process", transport="shm"),
         )
         router = ClusterRouter(supervisor).start()
         try:
-            transport = supervisor.shards["s0"]._transport
+            shard = supervisor.shards["s0"]
             served = self._check(
-                transport.score_wires,
-                transport.ingest.validator.quarantine,
+                shard.score_chunk,
+                shard.service.validator.quarantine,
                 neighbours,
                 poison,
             )

@@ -7,7 +7,9 @@ registry's resumed rollout, session streams, coverage and the serve log
 composed on one process; its ``/metrics`` scrape is a well-formed
 exposition holding every key the end-to-end benchmark reads.  SIGTERM
 drains it, the log's buffered rows are sealed onto disk, and it exits
-0.  Then the paper's loop, through real processes: ``serve --log``
+0.  Behind ``--shards``, with the flags the end-to-end benchmark
+passes, it is still one process.  Then the paper's loop, through real
+processes: ``serve --log``
 collects, ``retrain --log`` refits on what it collected, and ``serve``
 answers from the refitted model.
 """
@@ -20,6 +22,7 @@ import os
 import queue
 import re
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -40,7 +43,10 @@ from repro.traffic.events import (
     build_event_streams,
 )
 from repro.traffic.replay import iter_wire_payloads
+from repro.core.pipeline import BrowserPolygraph
+from repro.service.scoring import ScoringService
 from tests.exposition_check import (
+    HARNESS_KEYS_CLUSTER,
     HARNESS_KEYS_ONE_PROCESS,
     missing_harness_keys,
     samples,
@@ -233,6 +239,98 @@ def test_serve_with_no_flags_is_the_runtime_behind_the_asyncio_front_end(
         assert "draining in-flight requests before exit\n" in server.stop()
     finally:
         server.kill()
+
+
+# ``benchmarks/e2e``'s cluster workloads pass exactly these.
+_BENCHMARK_CLUSTER_FLAGS = [
+    "--shards", "2", "--shard-backend", "process", "--transport", "shm",
+    "--affinity", "fingerprint", "--ingest", "async",
+]
+
+
+def _children(pid):
+    """Every live process whose parent is ``pid``, read from ``/proc``."""
+    children = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:
+            continue
+        state, parent = stat[stat.rindex(")") + 2 :].split()[:2]
+        if int(parent) == pid and state not in ("Z", "X"):
+            children.append(int(entry.name))
+    return children
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+def test_the_benchmark_cluster_flags_serve_from_one_process(
+    trained, wire_fields, tmp_path
+):
+    """No child process and no shared-memory mapping; ``/collect``
+    answers the reference verdict; the scrape and ``/cluster`` carry
+    what the benchmark reads of a cluster; SIGTERM exits 0 and leaves
+    the port refusing connections.  The removed ``--ring-slots`` is an
+    argparse error."""
+    model_path = str(tmp_path / "model.json")
+    trained.save(model_path)
+    server = _Server([model_path, *_BENCHMARK_CLUSTER_FLAGS])
+    try:
+        mode, port = server.banner()
+        assert mode == "cluster (2 shards, fingerprint affinity)"
+        pid = server.process.pid
+        assert _children(pid) == []
+        assert "/dev/shm/" not in Path(f"/proc/{pid}/maps").read_text()
+
+        reference = ScoringService(BrowserPolygraph.load(model_path))
+        for number in range(20):
+            wire = json.dumps(
+                dict(wire_fields, sid=f"flags-{number % 12}"), separators=(",", ":")
+            ).encode()
+            expected = reference.score_wire(wire)
+            status, body = _request(port, "POST", "/collect", wire)
+            answer = json.loads(body)
+            assert status == (202 if expected.accepted else 400), body
+            assert (answer["accepted"], answer["flagged"], answer["risk_factor"]) == (
+                expected.accepted, expected.flagged, expected.risk_factor
+            )
+            assert answer.get("reject_reason") == expected.reject_reason
+
+        text = _request(port, "GET", "/metrics")[1].decode()
+        assert violations(text) == []
+        collect_keys = [
+            key for key in HARNESS_KEYS_CLUSTER
+            if not key.startswith("polygraph_session_")
+        ]
+        assert missing_harness_keys(text, collect_keys) == []
+        reported = samples(text)
+        assert reported["polygraph_cluster_shards"] == 2
+        assert sum(
+            value for key, value in reported.items()
+            if key.startswith("polygraph_transport_cache_")
+        ) == 12  # one probe per admitted wire: the 8 replays are rejected first
+        status, body = _request(port, "GET", "/cluster")
+        cluster = json.loads(body)
+        assert status == 200
+        # One fingerprint, so one partition holds its one entry.
+        held = [s["cache_entries"] for s in cluster["transport_stats"].values()]
+        assert sorted(held) == [0, 1]
+        assert _children(pid) == []
+        assert "draining in-flight requests before exit\n" in server.stop()
+    finally:
+        server.kill()
+    # Nothing of the server outlives it: its port refuses at once.
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(("127.0.0.1", port), timeout=5.0).close()
+
+    refused = subprocess.run(
+        [sys.executable, "-m", "repro", "serve", model_path,
+         *_BENCHMARK_CLUSTER_FLAGS, "--ring-slots", "4096"],
+        capture_output=True, text=True, env=_env(), timeout=60,
+    )
+    assert refused.returncode == 2
+    assert "--ring-slots" in refused.stderr
 
 
 def test_serve_log_then_retrain_then_serve_closes_the_loop(

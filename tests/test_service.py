@@ -14,7 +14,7 @@ from repro.service.ingest import PayloadValidator, QuarantineLog, RejectReason
 from repro.service.log import SegmentLog
 from repro.service.monitoring import DriftScheduler, FlagRateMonitor
 from repro.service.scoring import ScoringService
-from tests.log_rows import fill, log_rows, open_log
+from tests.log_rows import fill, log_rows, open_log, seal_clock
 
 
 def _payload(session_id="s-1", vendor=Vendor.CHROME, version=112):
@@ -107,12 +107,13 @@ class TestSessionStore:
         assert [str(s) for s in dataset.session_ids] == [f"s-{i}" for i in range(5)]
         assert set(dataset.ua_keys.tolist()) == {"chrome-110", "chrome-111", "chrome-112"}
 
-    def test_rotation(self, tmp_path):
+    def test_rotation(self, tmp_path, monkeypatch):
+        seal_clock(monkeypatch, 1004.0)
         log = open_log(tmp_path, segment_rows=2)
         fill(log, 5)
         assert [len(c["sid"]) for c in log.segments()] == [2, 2, 1]
         assert sorted(os.listdir(tmp_path)) == [
-            "manifest.json", "segment-000000-1001.npz", "segment-000001-1003.npz",
+            "manifest.json", "segment-000000-1004.npz", "segment-000001-1004.npz",
             "segment-000002-1004.npz",
         ]
 

@@ -46,7 +46,7 @@ from repro.traffic.events import (
 )
 
 from tests.exposition_check import collected
-from tests.log_rows import event_row, log_rows, open_log
+from tests.log_rows import event_row, log_rows, open_log, seal_clock
 from tests.oracle import (
     HOSTILE_SHAPES,
     NEVER_MEMOIZED,
@@ -958,14 +958,18 @@ class TestSessionEventLog:
         log.seal()  # joins the sealer; nothing is left to write
         assert [len(c["sid"]) for c in log.segments()] == [4096]
 
-    def test_prune_drops_whole_old_segments(self, tmp_path):
-        """40 rows over 200 s, a segment every 4, a 10 s window: each
-        seal keeps only the segments with a row inside the window."""
+    def test_prune_drops_whole_old_segments(self, tmp_path, monkeypatch):
+        """40 rows, a segment every 4, sealed 20 s apart by the log's
+        clock, a 10 s window: each seal keeps only its own segment.
+        The rows keep the ``ts`` they were sent with."""
+        clock = seal_clock(monkeypatch, 0.0)
         log = open_log(tmp_path, segment_rows=4, window_seconds=10.0)
-        for seq in range(40):
-            log.append_many([event_row(f"s{seq}", 0, seq * 5.0)])
-        log.seal()
-        # The last seal (rows at 180..195 s) drops all before it.
+        for segment in range(10):
+            clock[0] = segment * 20.0 + 15.0
+            for seq in range(4 * segment, 4 * segment + 4):
+                log.append_many([event_row(f"s{seq}", 0, seq * 5.0)])
+            log.seal()
+        # The last seal (at 195 s) drops all before it.
         counts = collected(log)
         assert counts["polygraph_log_segments"] == 1
         assert counts["polygraph_log_segments_pruned_total"] == 9

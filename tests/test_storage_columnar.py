@@ -1,7 +1,6 @@
 """The serve log's columnar segments and its manifest."""
 
 import json
-import time
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from repro.browsers.useragent import parse_user_agent
 from repro.runtime.service import RuntimeScoringService
 from repro.service.log import COLUMNS, read_segment
 from tests.exposition_check import collected
-from tests.log_rows import collect_row, collect_wire, fill, log_rows, open_log
+from tests.log_rows import collect_row, collect_wire, fill, log_rows, open_log, seal_clock
 
 
 
@@ -35,27 +34,30 @@ class TestManifest:
         assert len(open_log(tmp_path).export_dataset()) == 8
         assert len(list(tmp_path.glob("segment-*.npz"))) == 4
 
-    def test_segment_names_carry_clamped_ts_bounds(self, tmp_path):
+    def test_segment_names_carry_their_seal_time(self, tmp_path, monkeypatch):
         """A seal writes a constant-size manifest: the range of numbers
-        the log holds.  Retention reads each segment's newest ``ts``
-        from its name, clamped to the clock."""
+        the log holds.  Retention reads each segment's seal time, the
+        log's clock when it was written, from its name; no row's ``ts``
+        moves it."""
+        clock = seal_clock(monkeypatch, 5_000.2)
         log = open_log(tmp_path, window_seconds=1e12)
         log.append_many([collect_row("a", 300.0), collect_row("b", 100.0), collect_row("c", 900.0)])
         log.seal()
+        clock[0] = 7_000.0
         log.append_many([collect_row("far", 1e12)])
-        before = time.time()
         log.seal()
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest == {"format_version": 1, "first": 0, "next": 2}
-        first, second = sorted(p.name for p in tmp_path.glob("segment-*.npz"))
-        assert first == "segment-000000-900.npz"
-        clamped = int(second[len("segment-000001-"):-len(".npz")])
-        assert before <= clamped <= time.time() + 1
+        assert sorted(p.name for p in tmp_path.glob("segment-*.npz")) == [
+            "segment-000000-5001.npz", "segment-000001-7000.npz",
+        ]
+        assert [r["ts"] for r in log_rows(log)] == [300.0, 100.0, 900.0, 1e12]
 
-    def test_a_segment_the_manifest_does_not_name_is_not_read(self, tmp_path):
+    def test_a_segment_the_manifest_does_not_name_is_not_read(self, tmp_path, monkeypatch):
         """A seal killed between its segment and its manifest leaves a
         segment outside the manifest's range: it is not read, and the
         next seal removes it before writing that number."""
+        clock = seal_clock(monkeypatch, 1001.0)
         fill(open_log(tmp_path, segment_rows=2), 2)
         (sealed,) = tmp_path.glob("segment-*.npz")
         orphan = tmp_path / "segment-000001-5000.npz"
@@ -63,6 +65,7 @@ class TestManifest:
         (tmp_path / "segment-000001-7.npz.tmp").write_bytes(b"torn")
         reopened = open_log(tmp_path)
         assert len(reopened.export_dataset()) == 2
+        clock[0] = 2000.0
         reopened.append_many([collect_row("next", 2000.0)])
         reopened.seal()
         assert [r["sid"] for r in log_rows(open_log(tmp_path))] == ["s-0", "s-1", "next"]
