@@ -11,13 +11,21 @@ are shims that accept their one value).
 
 from __future__ import annotations
 
+import glob
 import itertools
+import json
+import os
+import socket
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.browsers.profiles import BrowserProfile
 from repro.browsers.useragent import Vendor, format_user_agent, parse_user_agent
 from repro.cluster import ClusterConfig, ClusterRouter, RouterConfig, ShardSupervisor
@@ -25,6 +33,8 @@ from repro.fingerprint.script import CollectionScript
 from repro.runtime.cache import VerdictCache
 from repro.runtime.fastingest import WireIngest
 from repro.runtime.service import RuntimeConfig
+from repro.service.aingest import AsyncIngestServer
+from repro.service.api import CollectionApp
 from repro.service.ingest import PayloadValidator, RejectReason
 from repro.service.scoring import ScoringService
 from repro.traffic.replay import iter_wire_payloads
@@ -221,6 +231,111 @@ class TestTransportFailureModes:
         for field, value in (("transport", "pickle"), ("backend", "thread")):
             with pytest.raises(ValueError):
                 ClusterConfig(**{field: value})
+
+
+# ----------------------------------------------------------------------
+# the process tree of a started cluster
+
+
+_CLUSTER_SCRIPT = """
+import json, sys, time
+from repro.cluster import ClusterConfig, ShardSupervisor
+config = ClusterConfig(n_shards=2, backend="process", transport="shm")
+supervisor = ShardSupervisor(sys.argv[1], config=config).start()
+print(json.dumps(sorted(supervisor.shards)), flush=True)
+time.sleep(120)
+"""
+
+
+def _parent_of(pid):
+    """``pid``'s parent, or ``None`` once it has exited (a zombie too)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    state, parent = stat[stat.rindex(")") + 2 :].split()[:2]
+    return None if state in ("Z", "X") else int(parent)
+
+
+def _descendants(root):
+    """Every live process below ``root``, read from ``/proc``."""
+    parent_of = {}
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            parent = _parent_of(int(entry.name))
+            if parent is not None:
+                parent_of[int(entry.name)] = parent
+    tree, frontier = [], {root}
+    while frontier:
+        frontier = {pid for pid, parent in parent_of.items() if parent in frontier}
+        tree.extend(frontier)
+    return sorted(tree)
+
+
+@pytest.fixture()
+def cluster_process(trained, tmp_path):
+    """A fresh interpreter that has started a 2-shard cluster with the
+    benchmark's backend and transport values: ``(process, shard ids)``;
+    killed at the end if still running."""
+    model = tmp_path / "model.json"
+    trained.save(model)
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    process = subprocess.Popen(
+        [sys.executable, "-c", _CLUSTER_SCRIPT, str(model)],
+        stdout=subprocess.PIPE, env=env,
+    )
+    try:
+        yield process, json.loads(process.stdout.readline())
+    finally:
+        process.kill()
+        process.wait(10.0)
+        process.stdout.close()
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+class TestProcessTree:
+    def test_a_cluster_holds_its_shards_and_nothing_else(self, cluster_process):
+        """The shards are partitions of the one process: no child, no
+        resource tracker and no ``/dev/shm`` segment."""
+        process, shards = cluster_process
+        assert shards == ["s0", "s1"]
+        assert _descendants(process.pid) == []
+        assert "/dev/shm/" not in Path(f"/proc/{process.pid}/maps").read_text()
+
+    def test_the_shards_exit_when_the_router_is_killed(self, cluster_process):
+        """SIGKILL leaves no stop message and no cleanup: the shards go
+        with the process, and no process or segment of it outlives it."""
+        process, _ = cluster_process
+        segments = set(glob.glob("/dev/shm/psm_*"))
+        below = _descendants(process.pid)
+        process.kill()
+        process.wait(10.0)
+        assert _parent_of(process.pid) is None
+        assert [pid for pid in below if _parent_of(pid)] == []
+        assert set(glob.glob("/dev/shm/psm_*")) <= segments
+
+
+class TestInheritedDescriptors:
+    def test_a_drained_port_refuses_while_a_restarted_shard_lives(self, trained):
+        """A cluster started again behind a front end forks nothing, so
+        nothing keeps the front end's descriptors: once it closes, the
+        port refuses while the partitions still score."""
+        supervisor = ShardSupervisor(trained, config=ClusterConfig(n_shards=2))
+        router = ClusterRouter(supervisor).start()
+        wire = CollectionScript().run(
+            BrowserProfile(Vendor.CHROME, 112).environment(),
+            BrowserProfile(Vendor.CHROME, 112).user_agent(),
+            "drained",
+        ).to_wire()
+        try:
+            with AsyncIngestServer(CollectionApp(router), port=0) as server:
+                port = server.port
+                router.start()
+            assert router.score_many([wire])[0].accepted
+            with pytest.raises(ConnectionRefusedError):
+                socket.create_connection(("127.0.0.1", port), timeout=5.0).close()
+        finally:
+            router.shutdown()
 
 
 # ----------------------------------------------------------------------
